@@ -3,8 +3,10 @@
 The paper's query stage (implemented with SciPy) must serve one
 misprediction query against all same-class training fingerprints. At
 VGG-Face scale that is ~2.6M fingerprints of 2622 dims. This bench
-measures how brute-force and k-d-tree answers scale with database size,
-checks they agree exactly, and benchmarks the operating point.
+measures how the brute-force :class:`QueryService` and the exact-mode
+:class:`ShardedAnnIndex` (bound-pruned k-means shards over a persisted
+:class:`LinkageStore`) scale with database size, checks they agree
+exactly, and benchmarks the operating point.
 """
 
 import time
@@ -13,6 +15,7 @@ import numpy as np
 
 from repro.core.linkage import LinkageDatabase, LinkageRecord
 from repro.core.query import QueryService
+from repro.serving import LinkageStore, ShardedAnnIndex
 
 
 def _database(rng, size, dim=64, labels=10):
@@ -27,44 +30,45 @@ def _database(rng, size, dim=64, labels=10):
     return db
 
 
-def _timed_queries(service, queries, label, k=9, repeats=3):
+def _timed_queries(query, queries, label, k=9, repeats=3):
     start = time.perf_counter()
     for _ in range(repeats):
         for q in queries:
-            service.query(q, label, k=k)
+            query(q, label, k=k)
     return (time.perf_counter() - start) / (repeats * len(queries))
 
 
-def test_query_scaling(bench_rng, benchmark):
+def _index_for(tmp_path, db, size):
+    store = LinkageStore.from_database(tmp_path / f"store-{size}", db)
+    # 256 keeps the 1k corpus on brute shards and puts the 4k / 16k
+    # corpora (400 / 1600 rows per label) on clustered ones.
+    return ShardedAnnIndex(store, shard_threshold=256, seed=1).build()
+
+
+def test_query_scaling(bench_rng, benchmark, tmp_path):
     rng = bench_rng.child("a8")
     generator = rng.fork_generator()
     queries = [generator.standard_normal(64).astype(np.float32)
                for _ in range(5)]
 
     print("\nA8 - query latency vs database size (per query, label-scoped)")
-    print(f"{'records':>9} {'brute (ms)':>12} {'kdtree (ms)':>12}")
-    agreement_checked = False
+    print(f"{'records':>9} {'brute (ms)':>12} {'index (ms)':>12} {'shards':>10}")
     for size in (1_000, 4_000, 16_000):
         db = _database(rng.child(f"db{size}"), size)
-        brute = QueryService(db, index="brute")
-        tree = QueryService(db, index="kdtree")
-        t_brute = _timed_queries(brute, queries, label=0) * 1e3
-        # Build the tree once outside the timing (amortized in practice).
-        tree.query(queries[0], 0, k=1)
-        t_tree = _timed_queries(tree, queries, label=0) * 1e3
-        print(f"{size:>9} {t_brute:>12.3f} {t_tree:>12.3f}")
-        if not agreement_checked:
-            for q in queries:
-                a = brute.query(q, 0, k=9)
-                b = tree.query(q, 0, k=9)
-                assert [n.record_index for n in a] == [n.record_index for n in b]
-            agreement_checked = True
+        brute = QueryService(db)
+        # The index is built once outside the timing (amortized in practice).
+        index = _index_for(tmp_path, db, size)
+        t_brute = _timed_queries(brute.query, queries, label=0) * 1e3
+        t_index = _timed_queries(index.search, queries, label=0) * 1e3
+        print(f"{size:>9} {t_brute:>12.3f} {t_index:>12.3f} "
+              f"{index.shard_kind(0):>10}")
+        # Exact mode is exact at every size: same records, same order.
+        for q in queries:
+            expected = [n.record_index for n in brute.query(q, 0, k=9)]
+            assert [hit.index for hit in index.search(q, 0, k=9)] == expected
 
-    # Claim: both indexes answer sub-second at 16k records — query cost is
+    # Claim: both paths answer sub-second at 16k records — query cost is
     # no obstacle to the paper's on-demand forensics model.
-    assert t_brute < 1000 and t_tree < 1000
+    assert t_brute < 1000 and t_index < 1000
 
-    db = _database(rng.child("bench-db"), 16_000)
-    service = QueryService(db, index="kdtree")
-    service.query(queries[0], 0, k=1)  # warm the tree
-    benchmark(service.query, queries[0], 0, 9)
+    benchmark(index.search, queries[0], 0, 9)

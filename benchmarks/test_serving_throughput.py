@@ -1,4 +1,4 @@
-"""Serving-plane throughput: brute vs. k-d tree vs. sharded-ANN engine.
+"""Serving-plane throughput: brute force vs. the sharded-ANN engine.
 
 The ROADMAP north star is a query stage that absorbs heavy traffic. This
 bench builds clustered fingerprint corpora at 10k / 100k (and 1M when
@@ -6,7 +6,6 @@ bench builds clustered fingerprint corpora at 10k / 100k (and 1M when
 
 * brute single-query throughput through the paper-faithful
   :class:`QueryService` (the baseline every prior experiment used),
-* k-d tree single-query throughput (warm trees),
 * the :mod:`repro.serving` engine answering the same workload batched
   through the sharded ANN index in exact mode.
 
@@ -97,7 +96,7 @@ def test_serving_throughput(bench_rng, tmp_path_factory, benchmark):
     qgen = rng.child("queries").fork_generator()
 
     print("\nserving throughput (qps), clustered corpus, k=5")
-    print(f"{'records':>9} {'brute':>10} {'kdtree':>10} {'engine':>10} "
+    print(f"{'records':>9} {'brute':>10} {'engine':>10} "
           f"{'speedup':>8} {'scan%':>7}")
     results = {}
     for size in sizes:
@@ -108,11 +107,8 @@ def test_serving_throughput(bench_rng, tmp_path_factory, benchmark):
         query_labels = labels[sample]
 
         db = _database_for(fingerprints, labels)
-        brute = QueryService(db, index="brute")
-        tree = QueryService(db, index="kdtree")
-        tree.query(queries[0], int(query_labels[0]), k=1)  # warm the trees
+        brute = QueryService(db)
         qps_brute = _single_query_qps(brute, queries[:48], query_labels[:48])
-        qps_tree = _single_query_qps(tree, queries[:48], query_labels[:48])
 
         store = _store_for(tmp_path_factory, f"serving{size}", fingerprints,
                            labels)
@@ -128,7 +124,7 @@ def test_serving_throughput(bench_rng, tmp_path_factory, benchmark):
             engine.stop()
         scan = engine.telemetry.scan_fraction
         speedup = qps_engine / qps_brute
-        print(f"{size:>9} {qps_brute:>10.0f} {qps_tree:>10.0f} "
+        print(f"{size:>9} {qps_brute:>10.0f} "
               f"{qps_engine:>10.0f} {speedup:>7.1f}x {scan:>7.1%}")
         results[size] = (qps_brute, qps_engine, fingerprints, labels, queries,
                          query_labels, brute, store, index)

@@ -111,7 +111,7 @@ def main() -> None:
                                    label=int(labels[i]),
                                    source=f"participant-{i % 5}",
                                    digest=b"h" * 32, source_index=i))
-    brute = QueryService(database, index="brute")
+    brute = QueryService(database)
     for i in range(25):
         expected = [n.record_index
                     for n in brute.query(queries[i], int(query_labels[i]), k=5)]

@@ -436,7 +436,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _parse_injections(args):
+def _parse_worker_injections(args):
     from repro.distributed import WorkerInjection
     from repro.errors import ConfigurationError
 
@@ -499,7 +499,7 @@ def _cmd_train_distributed(args) -> int:
         workers=args.workers,
         straggler_factor=args.straggler_factor,
         blacklist_after=args.blacklist_after,
-        injections=_parse_injections(args),
+        injections=_parse_worker_injections(args),
         checkpoint_dir=args.checkpoint_dir,
         tracer=tracer,
     )
@@ -798,7 +798,7 @@ def _cmd_serve_queries(args) -> int:
     return 0 if chain_ok else 1
 
 
-def _parse_injections(specs, queries, dim, growth_records=200):
+def _parse_serving_injections(specs, queries, dim, growth_records=200):
     """Parse ``KIND@QUERY[:REPLICA]`` CLI fault specs."""
     from repro.resilience import ServingFaultSpec
 
@@ -848,8 +848,9 @@ def _cmd_serve_cluster(args) -> int:
           f"(dimension {store.dimension}, version {store.version}), "
           f"{args.replicas} replicas")
 
-    specs = _parse_injections(args.inject, args.queries, store.dimension,
-                              growth_records=args.growth_records)
+    specs = _parse_serving_injections(args.inject, args.queries,
+                                      store.dimension,
+                                      growth_records=args.growth_records)
     plan = ServingFaultPlan(specs)
     if args.seeded_faults:
         seeded = ServingFaultPlan.seeded(

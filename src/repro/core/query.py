@@ -5,6 +5,11 @@ through the model, obtains its label ``Y`` and fingerprint ``F``, and asks
 the query service for the closest training fingerprints *within class Y*
 (L2 distance). The resulting candidates' sources point at the participants
 to summon for the forensic stage.
+
+:func:`exact_top_k` is the one place that ranking is decided: the in-memory
+:class:`QueryService`, the serving index's brute shards and the cluster's
+degraded fallback all call it, so every path that can produce a forensic
+answer orders near-ties identically.
 """
 
 from __future__ import annotations
@@ -13,15 +18,29 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from repro.core.audit import AuditLog
 from repro.core.linkage import LinkageDatabase, LinkageRecord
-from repro.errors import ConfigurationError, QueryError
-from repro.utils.serialization import stable_hash
+from repro.errors import QueryError
 
-__all__ = ["Neighbor", "QueryService"]
+__all__ = ["Neighbor", "QueryService", "exact_top_k"]
+
+
+def exact_top_k(batch: np.ndarray, matrix: np.ndarray,
+                k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Rank every row of ``matrix`` against every query in ``batch``.
+
+    Returns ``(positions, distances)``, both ``(len(batch), min(k, rows))``:
+    ``positions`` are row numbers into ``matrix``, nearest first, and
+    ``distances`` the matching float64 L2 distances. The sort is stable, so
+    equal-distance rows rank in row (insertion) order and forensics reports
+    are reproducible run to run. Callers map positions to their own record
+    ids and wrap their own hit type.
+    """
+    distances = cdist(batch, matrix)
+    positions = np.argsort(distances, axis=1, kind="stable")[
+        :, :min(k, matrix.shape[0])]
+    return positions, np.take_along_axis(distances, positions, axis=1)
 
 
 @dataclass(frozen=True)
@@ -35,122 +54,21 @@ class Neighbor:
 
 
 class QueryService:
-    """Nearest-fingerprint queries over the linkage database.
+    """Exact nearest-fingerprint queries over the in-memory linkage database.
 
-    Args:
-        database: The Omega-tuple store.
-        index: ``"brute"`` computes exact distances against the whole class
-            (the paper's SciPy implementation); ``"kdtree"`` builds one
-            k-d tree per class label for sublinear queries on large
-            databases (exact results, different asymptotics).
+    A brute-force scan of the whole class on purpose (the paper's SciPy
+    implementation): it is the reference the serving index and engine are
+    tested against, so it must not depend on them. The sublinear exact
+    path for large stores is :class:`~repro.serving.index.ShardedAnnIndex`.
     """
 
-    def __init__(self, database: LinkageDatabase, index: str = "brute",
-                 audit: Optional[AuditLog] = None,
-                 run_key: Optional[str] = None) -> None:
-        if index not in ("brute", "kdtree"):
-            raise ConfigurationError(f"unknown query index {index!r}")
+    def __init__(self, database: LinkageDatabase) -> None:
         self.database = database
-        self.index = index
-        #: Optional hash-chained audit of answered queries. With
-        #: ``run_key`` set (a promoted deployment), every event names the
-        #: training run the answers are attributable to.
-        self.audit = audit
-        self.run_key = run_key
-        self._trees: Dict[int, Tuple[cKDTree, List[int], int]] = {}
-
-    def _audit_query(self, fingerprint: np.ndarray, label: int, k: int,
-                     neighbors: List[Neighbor]) -> None:
-        if self.audit is None:
-            return
-        details = dict(
-            query_digest=stable_hash(fingerprint).hex(),
-            label=int(label),
-            k=int(k),
-            results=stable_hash(
-                [[n.record_index, n.distance] for n in neighbors]
-            ).hex(),
-        )
-        if self.run_key is not None:
-            details["run_key"] = self.run_key
-        self.audit.append("query", **details)
-
-    def _tree_for(self, label: int) -> Tuple[cKDTree, List[int]]:
-        count = self.database.count(label)
-        if count == 0:
-            raise QueryError(
-                f"no training fingerprints recorded for label {label}"
-            )
-        cached = self._trees.get(label)
-        if cached is None or cached[2] != count:
-            # The database is append-only, so a changed per-label count is
-            # the complete invalidation signal for this label's tree.
-            matrix, indices = self.database.by_label(label)
-            cached = (cKDTree(matrix), indices, count)
-            self._trees[label] = cached
-        return cached[0], cached[1]
-
-    def _query_kdtree(self, fingerprint: np.ndarray, label: int,
-                      k: int) -> List[Neighbor]:
-        tree, indices = self._tree_for(label)
-        count = min(k, len(indices))
-        # The tree only bounds the k-th distance; its own ordering of
-        # equal-distance points follows tree topology, not insertion order,
-        # so it can disagree with brute mode on ties. Collect every point
-        # within (just past) the k-th distance and re-rank with the same
-        # distance computation and stable sort the brute path uses —
-        # identical math, identical tie-breaking.
-        kth_distance = np.atleast_1d(tree.query(fingerprint[0], k=count)[0])[-1]
-        radius = kth_distance * (1.0 + 1e-6) + 1e-12
-        candidates = np.asarray(
-            sorted(tree.query_ball_point(fingerprint[0], radius)), dtype=int
-        )
-        distances = cdist(fingerprint, tree.data[candidates])[0]
-        sort = np.argsort(distances, kind="stable")[:count]
-        order = candidates[sort]
-        ranked = distances[sort]
-        return [
-            Neighbor(
-                rank=rank + 1,
-                distance=float(ranked[rank]),
-                record_index=indices[int(position)],
-                record=self.database.record(indices[int(position)]),
-            )
-            for rank, position in enumerate(order)
-        ]
 
     def query(self, fingerprint: np.ndarray, label: int, k: int = 9) -> List[Neighbor]:
         """The ``k`` closest same-label training instances, nearest first."""
-        if k < 1:
-            raise QueryError("k must be >= 1")
-        matrix, indices = self.database.by_label(label)
-        if matrix.shape[0] == 0:
-            raise QueryError(f"no training fingerprints recorded for label {label}")
         fingerprint = np.asarray(fingerprint, dtype=np.float32).reshape(1, -1)
-        if fingerprint.shape[1] != matrix.shape[1]:
-            raise QueryError(
-                f"fingerprint dimension {fingerprint.shape[1]} does not match "
-                f"database dimension {matrix.shape[1]}"
-            )
-        if self.index == "kdtree":
-            neighbors = self._query_kdtree(fingerprint, label, k)
-            self._audit_query(fingerprint, label, k, neighbors)
-            return neighbors
-        distances = cdist(fingerprint, matrix)[0]
-        # Stable sort: equal-distance neighbours rank in insertion order, so
-        # forensics reports are reproducible run to run.
-        order = np.argsort(distances, kind="stable")[:k]
-        neighbors = [
-            Neighbor(
-                rank=rank + 1,
-                distance=float(distances[i]),
-                record_index=indices[i],
-                record=self.database.record(indices[i]),
-            )
-            for rank, i in enumerate(order)
-        ]
-        self._audit_query(fingerprint, label, k, neighbors)
-        return neighbors
+        return self.query_batch(fingerprint, [label], k)[0]
 
     def query_batch(self, fingerprints: np.ndarray, labels: Sequence[int],
                     k: int = 9) -> List[List[Neighbor]]:
@@ -185,19 +103,12 @@ class QueryService:
                     f"fingerprint dimension {batch.shape[1]} does not match "
                     f"database dimension {matrix.shape[1]}"
                 )
-            if self.index == "kdtree":
-                for row, position in enumerate(positions):
-                    results[position] = self._query_kdtree(
-                        batch[row].reshape(1, -1), label, k
-                    )
-                continue
-            distances = cdist(batch, matrix)
-            order = np.argsort(distances, axis=1, kind="stable")[:, :k]
+            order, distances = exact_top_k(batch, matrix, k)
             for row, position in enumerate(positions):
                 results[position] = [
                     Neighbor(
                         rank=rank + 1,
-                        distance=float(distances[row, i]),
+                        distance=float(distances[row, rank]),
                         record_index=indices[i],
                         record=self.database.record(indices[i]),
                     )

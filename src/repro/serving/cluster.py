@@ -68,6 +68,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.audit import AuditLog
+from repro.core.query import exact_top_k
 from repro.errors import (ConfigurationError, DeadlineExceeded,
                           IndexIntegrityError, NoHealthyReplica, QueryError,
                           QueryRejected, ServingError, StaleIndexError,
@@ -81,6 +82,9 @@ from repro.utils.serialization import canonical_digest
 
 __all__ = ["ClusterConfig", "CircuitBreaker", "ClusterResult",
            "ServingReplica", "ServingCluster"]
+
+_DISTANCE_MISMATCH = ("served hit distance disagrees with the authoritative "
+                      "store — replica index corruption")
 
 
 @dataclass(frozen=True)
@@ -267,8 +271,8 @@ class _ReplicaIndex:
         return changed
 
     def _sync_snapshot(self) -> None:
-        self.dimension = getattr(self.inner, "dimension", None)
-        self.built_version = getattr(self.inner, "built_version", None)
+        self.dimension = self.inner.dimension
+        self.built_version = self.inner.built_version
 
     def verify_checksums(self) -> None:
         self.inner.verify_checksums()
@@ -389,7 +393,7 @@ class ServingCluster:
         for replica in self.replicas:
             replica.index.build()
             replica.engine.start()
-            self._start_compaction(replica)
+            replica.index.start_compaction()
             replica.audit_mark = (len(replica.engine.audit),
                                   replica.engine.audit.head)
         self._started = True
@@ -410,7 +414,7 @@ class ServingCluster:
             self._monitor = None
         for replica in self.replicas:
             replica.index.release_faults()
-            self._stop_compaction(replica)
+            replica.index.stop_compaction()
             try:
                 replica.engine.stop(
                     drain=True, drain_timeout=self.config.stop_timeout_s
@@ -419,18 +423,6 @@ class ServingCluster:
                 pass  # abandoned futures already resolved with typed errors
         self._started = False
         self._audit_event("cluster-stopped")
-
-    @staticmethod
-    def _start_compaction(replica: ServingReplica) -> None:
-        starter = getattr(replica.index, "start_compaction", None)
-        if callable(starter):
-            starter()
-
-    @staticmethod
-    def _stop_compaction(replica: ServingReplica) -> None:
-        stopper = getattr(replica.index, "stop_compaction", None)
-        if callable(stopper):
-            stopper()
 
     def __enter__(self) -> "ServingCluster":
         return self.start()
@@ -513,6 +505,8 @@ class ServingCluster:
                             label: int, k: int) -> None:
         """Check an answer's provenance claims, not just its distances.
 
+        * the answer must carry provenance at all (``label_rows`` and
+          ``snapshot``) — one without it fails closed;
         * explicit hit count: ``len(hits)`` must equal
           ``min(k, label_rows)`` — a short shard is legitimate only when
           the answer *says* the label held fewer than ``k`` rows;
@@ -521,26 +515,38 @@ class ServingCluster:
         * the cited index snapshot must exist on the replica and pass
           the lineage walk against the store manifest."""
         label_rows = getattr(hits, "label_rows", None)
-        if label_rows is not None and len(hits) != min(int(k),
-                                                       int(label_rows)):
+        snapshot = getattr(hits, "snapshot", None)
+        if label_rows is None or snapshot is None:
+            # Every answer a ShardedAnnIndex-backed engine produces carries
+            # both; one without them would skip every check below, so a
+            # replica that strips provenance is treated as corrupt.
+            self.telemetry.count("verify_failures")
+            raise IndexIntegrityError(
+                "answer carries no provenance (index snapshot / label "
+                "rows) — nothing to verify it against"
+            )
+        label_rows = int(label_rows)
+        if len(hits) != min(k, label_rows):
             self.telemetry.count("verify_failures")
             raise IndexIntegrityError(
                 f"answer carries {len(hits)} hits but claims "
                 f"{label_rows} rows for label {label} at k={k} — "
                 "short or padded answer"
             )
-        snapshot = getattr(hits, "snapshot", None)
-        if snapshot is None:
-            return
-        lookup = getattr(replica.index, "generation", None)
-        generation = lookup(snapshot) if callable(lookup) else None
+        if label_rows > self.store.count(label):
+            self.telemetry.count("verify_failures")
+            raise IndexIntegrityError(
+                f"answer claims more label-{label} rows than the "
+                "authoritative store holds"
+            )
+        generation = replica.index.generation(snapshot)
         if generation is None:
             # The replica keeps only a bounded generation history, so an
             # answer produced just before many rapid adoptions can cite a
             # legitimately pruned snapshot. If the cluster already
             # lineage-verified that snapshot against the authoritative
             # store, the citation is proven without the replica — the
-            # remaining claims (hit count above, label_rows bound and
+            # remaining claims (hit count and label_rows bound above,
             # distances elsewhere) are checked against the store itself.
             # Only an unknown AND unverifiable snapshot is an integrity
             # failure.
@@ -554,68 +560,29 @@ class ServingCluster:
                     "answer cites an index snapshot the replica cannot "
                     "produce and the cluster has never verified"
                 )
-            if label_rows is not None and int(label_rows) > self.store.count(
-                    int(label)):
-                self.telemetry.count("verify_failures")
-                raise IndexIntegrityError(
-                    f"answer claims more label-{label} rows than the "
-                    "authoritative store holds"
-                )
             self.telemetry.count("trusted_snapshot_answers")
             return
-        if label_rows is not None and generation.count(label) != int(
-                label_rows):
+        if generation.count(label) != label_rows:
             self.telemetry.count("verify_failures")
             raise IndexIntegrityError(
                 f"answer claims {label_rows} rows for label {label} but "
                 f"its cited generation holds {generation.count(label)}"
             )
-        if label_rows is not None and int(label_rows) > self.store.count(
-                int(label)):
-            self.telemetry.count("verify_failures")
-            raise IndexIntegrityError(
-                f"answer claims more label-{label} rows than the "
-                "authoritative store holds"
-            )
         self._verify_snapshot_lineage(generation)
 
-    def _verify_hits(self, fingerprint: np.ndarray,
-                     hits: Tuple[IndexHit, ...],
-                     label: Optional[int] = None, k: Optional[int] = None,
-                     replica: Optional[ServingReplica] = None) -> None:
+    def _verify_hits_many(self, fingerprints: np.ndarray,
+                          hit_lists: Sequence[Tuple[IndexHit, ...]]
+                          ) -> List[bool]:
         """Recompute every hit's distance against the authoritative store.
 
         The replicas' in-memory matrices are untrusted copies; the mmap
         store (content-addressed, sealable) is the ground truth. Any
         mismatch means the replica's index drifted — the answer is
-        discarded and the caller evicts the replica. When the caller
-        passes ``label``/``k``/``replica``, the answer's provenance
-        claims (hit count, label rows, index snapshot) are verified too."""
-        if replica is not None and label is not None and k is not None:
-            self._verify_answer_meta(replica, hits, int(label), int(k))
-        if not hits:
-            return
-        self.telemetry.count("hit_verifications")
-        rows = self.store.fingerprints_at([h.index for h in hits])
-        actual = np.sqrt(((rows - fingerprint[None, :]) ** 2).sum(axis=1))
-        claimed = np.array([h.distance for h in hits], dtype=np.float64)
-        tolerance = self.config.verify_tolerance * np.maximum(1.0, actual)
-        if np.any(np.abs(actual - claimed) > tolerance):
-            self.telemetry.count("verify_failures")
-            raise IndexIntegrityError(
-                "served hit distance disagrees with the authoritative store "
-                "— replica index corruption"
-            )
-
-    def _verify_hits_many(self, fingerprints: np.ndarray,
-                          hit_lists: Sequence[Tuple[IndexHit, ...]]
-                          ) -> List[bool]:
-        """Vectorised :meth:`_verify_hits` for a gathered batch.
+        discarded and the caller evicts the replica.
 
         One store gather + one distance pass for every hit of every
-        answer; returns a per-answer pass/fail list with the same
-        metering as the scalar path (one verification per non-empty
-        answer, one failure per bad answer).
+        answer; returns a per-answer pass/fail list, metering one
+        verification per non-empty answer and one failure per bad answer.
         """
         counts = [len(hits) for hits in hit_lists]
         checked = sum(1 for c in counts if c)
@@ -669,11 +636,12 @@ class ServingCluster:
             raise QueryError(
                 f"no training fingerprints indexed for label {label}"
             )
-        deltas = matrix - fingerprint[None, :]
-        distances = np.sqrt((deltas * deltas).sum(axis=1))
-        order = np.argsort(distances, kind="stable")[:min(k, len(indices))]
+        # The same kernel a healthy replica's brute shard ranks with, so
+        # a degraded answer and a healthy one order near-ties identically.
+        positions, distances = exact_top_k(fingerprint[None, :], matrix, k)
         return tuple(
-            IndexHit(int(indices[i]), float(distances[i])) for i in order
+            IndexHit(int(indices[i]), float(distance))
+            for i, distance in zip(positions[0], distances[0])
         )
 
     # -- fault handling ----------------------------------------------------------
@@ -691,7 +659,7 @@ class ServingCluster:
         # bounded stop can resolve its futures, then shut the engine down
         # without draining (an evicted replica's answers are not trusted).
         replica.index.release_faults()
-        self._stop_compaction(replica)
+        replica.index.stop_compaction()
         try:
             replica.engine.stop(drain=False,
                                 drain_timeout=self.config.stop_timeout_s)
@@ -722,9 +690,7 @@ class ServingCluster:
         not ``evicted``. Eviction is reserved for genuine divergence
         (a covered segment's digest no longer matches: history rewrite
         or store tampering)."""
-        checker = getattr(replica.index, "store_prefix_ok", None)
-        benign = bool(checker()) if callable(checker) else False
-        if benign:
+        if replica.index.store_prefix_ok():
             self.telemetry.count("benign_stale")
             self._refresh_replica(replica, cause="stale-query")
             return
@@ -740,7 +706,7 @@ class ServingCluster:
         and the next sweep retries."""
         if not replica.healthy:
             return False
-        before = getattr(replica.index, "snapshot_digest", None)
+        before = replica.index.snapshot_digest
         started = self._clock()
         try:
             changed = bool(replica.engine.refresh())
@@ -761,8 +727,7 @@ class ServingCluster:
             self._audit_event(
                 "replica-refreshed", replica=replica.name, cause=cause,
                 snapshot_before=before,
-                snapshot_after=getattr(replica.index, "snapshot_digest",
-                                       None),
+                snapshot_after=replica.index.snapshot_digest,
             )
         return changed
 
@@ -776,24 +741,20 @@ class ServingCluster:
         sweep calls this every interval; tests and the CLI may call it
         directly. Returns the number of replicas that adopted a new
         generation."""
-        if not hasattr(self.store, "segment_digests"):
-            return 0
         limit = (self.config.refresh_stagger if max_replicas is None
                  else int(max_replicas))
         # Compare covered-segment counts, not the manifest version
         # counter: the two coincide only while every version bump is an
         # append, and a future non-append bump (format migration, reseal)
         # must not make every replica look permanently behind.
-        target = getattr(self.store, "segment_count", None)
-        if target is None:
-            target = len(self.store.segment_digests())
+        target = self.store.segment_count
 
         def covered(replica: ServingReplica) -> int:
-            count = getattr(replica.index, "covered_store_segments", None)
-            return -1 if count is None else int(count)
+            count = replica.index.covered_store_segments
+            return -1 if count is None else count
 
         behind = [r for r in self.replicas
-                  if r.healthy and covered(r) < int(target)]
+                  if r.healthy and covered(r) < target]
         behind.sort(key=covered)
         refreshed = 0
         for replica in behind[:max(0, limit)]:
@@ -997,9 +958,10 @@ class ServingCluster:
                     if self.config.verify_hits:
                         with self._span("verify-hits", "boundary-crossing",
                                         replica=owner.name):
-                            self._verify_hits(fingerprint, hits,
-                                              label=label, k=k,
-                                              replica=owner)
+                            self._verify_answer_meta(owner, hits, label, k)
+                            if not self._verify_hits_many(
+                                    fingerprint[None, :], [hits])[0]:
+                                raise IndexIntegrityError(_DISTANCE_MISMATCH)
                 except Exception as exc:  # noqa: BLE001 — classified below
                     last_error = exc
                     self._replica_failure(owner, exc)
@@ -1090,9 +1052,8 @@ class ServingCluster:
                         continue
                     _, replica, _ = answers[i]
                     answers[i] = None
-                    self._replica_failure(replica, IndexIntegrityError(
-                        "served hit distance disagrees with the "
-                        "authoritative store — replica index corruption"))
+                    self._replica_failure(
+                        replica, IndexIntegrityError(_DISTANCE_MISMATCH))
                     reroute.append(i)
                 gathered = [i for i in gathered if answers[i] is not None]
             if self.config.verify_hits and gathered:
@@ -1237,7 +1198,7 @@ class ServingCluster:
                 replica.audit_mark = (len(engine.audit), engine.audit.head)
                 replica.state = "healthy"
                 replica.evicted_reason = None
-            self._start_compaction(replica)
+            replica.index.start_compaction()
         self.telemetry.count("revivals")
         self._audit_event("replica-revived", replica=replica.name)
 
@@ -1349,11 +1310,7 @@ class ServingCluster:
     def crash_compaction(self, name: Optional[str] = None) -> str:
         """Arm a one-shot crash inside the target replica's next merge."""
         replica = self._target(name)
-        arm = getattr(replica.index, "inject_compaction_crash", None)
-        if not callable(arm):
-            raise ConfigurationError(
-                "replica index does not support compaction-crash injection")
-        arm()
+        replica.index.inject_compaction_crash()
         self._audit_event("fault-injected", fault="compaction-crash",
                           replica=replica.name)
         return replica.name
@@ -1391,8 +1348,8 @@ class ServingCluster:
                     "state": r.state,
                     "breaker": r.breaker.state,
                     "evicted_reason": r.evicted_reason,
-                    "built_version": getattr(r.index, "built_version", None),
-                    "snapshot": getattr(r.index, "snapshot_digest", None),
+                    "built_version": r.index.built_version,
+                    "snapshot": r.index.snapshot_digest,
                 }
                 for r in self.replicas
             },

@@ -50,6 +50,7 @@ from repro.serving.segments import (IndexGeneration, IndexHit, IndexSegment,
                                     _BruteShard, _ClusteredShard,
                                     generation_lineage_error, merge_segments,
                                     plan_merge)
+from repro.serving.store import LinkageStore
 
 __all__ = ["IndexHit", "ShardSearchResult", "ShardedAnnIndex", "RECALL_FLOOR"]
 
@@ -64,14 +65,12 @@ _GENERATION_HISTORY = 16
 
 
 class ShardedAnnIndex:
-    """The per-label sharded index over a linkage store (or database).
+    """The per-label sharded index over a linkage store.
 
     Args:
-        store: anything exposing ``labels()``, ``count(label)``, and
-            ``by_label(label)`` — both :class:`~repro.serving.store.LinkageStore`
-            and :class:`~repro.core.linkage.LinkageDatabase` qualify;
-            incremental :meth:`refresh` additionally needs the store's
-            ``segment_slice``/``segment_digests`` surface.
+        store: the :class:`~repro.serving.store.LinkageStore` to index;
+            its committed segments are the unit of build, refresh and
+            lineage verification.
         shard_threshold: labels with fewer records stay brute-force.
         buckets_per_shard: number of k-means buckets, or ``None`` for
             ``ceil(sqrt(n))`` per shard.
@@ -86,7 +85,7 @@ class ShardedAnnIndex:
             merges never starve foreground queries of CPU.
     """
 
-    def __init__(self, store, shard_threshold: int = 2048,
+    def __init__(self, store: LinkageStore, shard_threshold: int = 2048,
                  buckets_per_shard: Optional[int] = None,
                  probes: Optional[int] = None, seed: int = 0,
                  kmeans_iterations: int = 6,
@@ -143,17 +142,11 @@ class ShardedAnnIndex:
             kmeans_sample=self.kmeans_sample,
         )
 
-    def _segment_backed(self) -> bool:
-        return hasattr(self.store, "segment_slice")
-
     def _adopt(self, segments, params: SegmentBuildParams) -> IndexGeneration:
         with self._mutate_lock:
-            if self._segment_backed():
-                store_version = (segments[-1].stop if segments else 0)
-            else:
-                store_version = getattr(self.store, "version", None)
             generation = IndexGeneration(
-                segments, params, store_version=store_version,
+                segments, params,
+                store_version=segments[-1].stop if segments else 0,
                 ordinal=self._next_ordinal,
             )
             self._next_ordinal += 1
@@ -174,39 +167,13 @@ class ShardedAnnIndex:
         """
         params = self._build_params()
         with self._mutate_lock:
-            if self._segment_backed():
-                total = len(self.store.segment_digests())
-                segment = IndexSegment.build(self.store, 0, total, params)
-                segments = (segment,) if total else ()
-            else:
-                segments = (self._database_segment(params),)
+            total = self.store.segment_count
+            segment = IndexSegment.build(self.store, 0, total, params)
+            segments = (segment,) if total else ()
             self._adopt(segments, params)
             self.full_builds += 1
             self.segments_built += len(segments)
         return self
-
-    def _database_segment(self, params: SegmentBuildParams) -> IndexSegment:
-        """Monolithic pseudo-segment for in-memory LinkageDatabase stores."""
-        shards: Dict[int, object] = {}
-        rows = 0
-        from repro.serving.segments import _cluster
-        for label in self.store.labels():
-            matrix, indices = self.store.by_label(label)
-            matrix = np.ascontiguousarray(matrix, dtype=np.float32)
-            index_array = np.asarray(indices, dtype=np.int64)
-            if matrix.shape[0] <= params.shard_threshold:
-                shards[int(label)] = _BruteShard(matrix, index_array)
-            else:
-                shards[int(label)] = _cluster(
-                    matrix, index_array, params, params.seed + int(label)
-                )
-            rows += matrix.shape[0]
-        return IndexSegment(
-            start=0, stop=0, params=params, store_digests=(),
-            shards=shards,
-            label_presence={label: () for label in shards},
-            rows=rows,
-        )
 
     def refresh(self) -> bool:
         """Adopt newly committed store segments without a full rebuild.
@@ -217,11 +184,6 @@ class ShardedAnnIndex:
         atomically adopts the extended generation. Returns ``True`` when
         a new generation was adopted.
         """
-        if not self._segment_backed():
-            raise ConfigurationError(
-                "incremental refresh needs a segment-backed LinkageStore — "
-                "rebuild in-memory database indexes with build()"
-            )
         with self._mutate_lock:
             generation = self._generation
             if generation is None:
@@ -230,7 +192,7 @@ class ShardedAnnIndex:
             if problem is not None:
                 raise StaleIndexError(problem)
             covered = generation.covered_store_segments
-            total = len(self.store.segment_digests())
+            total = self.store.segment_count
             if total == covered:
                 return False
             segment = IndexSegment.build(
@@ -247,7 +209,7 @@ class ShardedAnnIndex:
         ``True`` means any staleness is benign growth (refresh repairs
         it); ``False`` means genuine divergence (integrity failure)."""
         generation = self._generation
-        if generation is None or not self._segment_backed():
+        if generation is None:
             return True
         try:
             return generation_lineage_error(generation, self.store) is None
@@ -414,16 +376,8 @@ class ShardedAnnIndex:
 
     @property
     def dimension(self) -> Optional[int]:
-        """Fingerprint dimension this index serves (None before build)."""
-        dim = getattr(self.store, "dimension", None)
-        if dim is not None:
-            return int(dim)
-        generation = self._generation
-        if generation is not None:
-            for seg in generation.segments:
-                for shard in seg.shards.values():
-                    return int(shard.matrix.shape[1])
-        return None
+        """Fingerprint dimension this index serves (None for an empty store)."""
+        return self.store.dimension
 
     # -- search ------------------------------------------------------------------
 
@@ -467,31 +421,18 @@ class ShardedAnnIndex:
             raise QueryError("index not built — call build() first")
         if k < 1:
             raise QueryError("k must be >= 1")
-        if self._segment_backed():
-            # Compare covered-segment counts, not the manifest version
-            # counter: a non-append version bump (format migration,
-            # reseal, metadata rewrite) must neither strand the index as
-            # permanently "behind" nor mask a genuine history truncation.
-            total = getattr(self.store, "segment_count", None)
-            if total is None:
-                total = len(self.store.segment_digests())
-            if int(total) < generation.covered_store_segments:
-                raise StaleIndexError(
-                    f"store history went backwards under the index: the "
-                    f"generation covers {generation.covered_store_segments} "
-                    f"store segments but the store holds {int(total)} — "
-                    "rewrite, not growth"
-                )
-        else:
-            store_version = getattr(self.store, "version", None)
-            if (store_version is not None
-                    and generation.store_version is not None
-                    and store_version < generation.store_version):
-                raise StaleIndexError(
-                    f"store history went backwards under the index: built "
-                    f"against version {generation.store_version} but the "
-                    f"store reports {store_version} — rewrite, not growth"
-                )
+        # Compare covered-segment counts, not the manifest version
+        # counter: a non-append version bump (format migration, reseal,
+        # metadata rewrite) must neither strand the index as permanently
+        # "behind" nor mask a genuine history truncation.
+        total = self.store.segment_count
+        if total < generation.covered_store_segments:
+            raise StaleIndexError(
+                f"store history went backwards under the index: the "
+                f"generation covers {generation.covered_store_segments} "
+                f"store segments but the store holds {total} — "
+                "rewrite, not growth"
+            )
         batch = np.asarray(batch, dtype=np.float32)
         batch = batch.reshape(batch.shape[0] if batch.ndim > 1 else 1, -1)
         dimension = self.dimension

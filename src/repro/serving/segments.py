@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from repro.core.query import exact_top_k
 from repro.errors import ConfigurationError, IndexIntegrityError, QueryError
 from repro.utils.serialization import canonical_digest
 
@@ -127,13 +128,11 @@ class _BruteShard:
         return self.matrix.shape[0]
 
     def search(self, batch: np.ndarray, k: int) -> ShardSearchResult:
-        k_eff = min(k, self.rows)
-        distances = cdist(batch, self.matrix)
-        order = np.argsort(distances, axis=1, kind="stable")[:, :k_eff]
+        positions, distances = exact_top_k(batch, self.matrix, k)
         hits = [
-            [IndexHit(int(self.indices[column]), float(distances[row, column]))
-             for column in order[row]]
-            for row in range(batch.shape[0])
+            [IndexHit(index, distance) for index, distance in zip(ids, row)]
+            for ids, row in zip(self.indices[positions].tolist(),
+                                distances.tolist())
         ]
         return ShardSearchResult(
             hits=hits,
@@ -332,7 +331,7 @@ class IndexSegment:
             labels = np.concatenate([p[1] for p in parts])
             indices = np.concatenate([p[2] for p in parts])
         else:
-            dim = getattr(store, "dimension", None) or 0
+            dim = store.dimension or 0
             matrix = np.zeros((0, dim), dtype=np.float32)
             labels = np.zeros(0, dtype=np.int64)
             indices = np.zeros(0, dtype=np.int64)
@@ -575,10 +574,7 @@ def generation_lineage_error(generation: IndexGeneration,
     parts; otherwise a human-readable description of the first problem.
     The caller chooses the failure type (cluster: integrity eviction;
     promotion gate: refusal)."""
-    if hasattr(store, "segment_digests"):
-        authoritative = list(store.segment_digests())
-    else:
-        authoritative = [info.digest for info in store.segments]
+    authoritative = store.segment_digests()
     covered = generation.covered_digests
     if len(covered) > len(authoritative):
         return (f"index covers {len(covered)} store segments but the store "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.linkage import LinkageDatabase, LinkageRecord
-from repro.core.query import QueryService
+from repro.core.query import QueryService, exact_top_k
 from repro.errors import QueryError
 
 
@@ -84,6 +84,37 @@ class TestStableTieBreaking:
         assert [n.record_index for n in neighbors] == [3, 1, 2, 0]
 
 
+class TestExactTopKKernel:
+    """The one ranking every exact path (service, brute shard, degraded
+    cluster answer) goes through — tie-breaks are asserted here once."""
+
+    def test_duplicated_points_rank_in_row_order(self):
+        # Rows 0/2/4 are one point, rows 1/3 another: equal distances must
+        # come back in row order, whichever group is nearer.
+        matrix = np.array([[1.0, 0.0], [0.0, 2.0]] * 2 + [[1.0, 0.0]],
+                          dtype=np.float32)
+        batch = np.array([[0.0, 0.0], [0.0, 2.0]], dtype=np.float32)
+        positions, distances = exact_top_k(batch, matrix, 4)
+        assert positions.tolist() == [[0, 2, 4, 1], [1, 3, 0, 2]]
+        assert distances[0].tolist() == [1.0, 1.0, 1.0, 2.0]
+        assert distances.dtype == np.float64
+
+    @pytest.mark.parametrize("k", [3, 7])  # k == rows, k > rows
+    def test_k_at_or_past_rows_returns_every_row_once(self, k):
+        matrix = np.array([[3.0], [1.0], [1.0]], dtype=np.float32)
+        positions, distances = exact_top_k(
+            np.zeros((1, 1), dtype=np.float32), matrix, k)
+        assert positions.tolist() == [[1, 2, 0]]
+        assert distances.tolist() == [[1.0, 1.0, 3.0]]
+
+
+class TestRemovedOptions:
+    def test_index_option_is_gone_not_ignored(self):
+        db = _db([[0.0, 0.0]], [0])
+        with pytest.raises(TypeError):
+            QueryService(db, index="brute")
+
+
 class TestStaleIndexInvalidation:
     def _record(self, point, label):
         return LinkageRecord(
@@ -91,29 +122,19 @@ class TestStaleIndexInvalidation:
             label=label, source="p0", digest=b"h" * 32,
         )
 
-    def test_kdtree_sees_records_added_after_first_query(self):
+    def test_sees_records_added_after_first_query(self):
         db = _db([[0.0, 0.0], [4.0, 0.0]], [0, 0])
-        service = QueryService(db, index="kdtree")
+        service = QueryService(db)
         assert len(service.query(np.zeros(2), label=0, k=9)) == 2
-        # Regression: the cached per-label tree used to hide this record.
         db.add(self._record([0.1, 0.0], 0))
         neighbors = service.query(np.zeros(2), label=0, k=9)
         assert len(neighbors) == 3
         assert neighbors[0].record_index == 0
         assert neighbors[1].record_index == 2  # the new record, d=0.1
 
-    def test_growth_in_other_label_keeps_cached_tree(self):
-        db = _db([[0.0, 0.0], [1.0, 0.0]], [0, 0])
-        service = QueryService(db, index="kdtree")
-        service.query(np.zeros(2), label=0, k=1)
-        tree_first = service._trees[0][0]
-        db.add(self._record([5.0, 5.0], 1))  # different label
-        service.query(np.zeros(2), label=0, k=1)
-        assert service._trees[0][0] is tree_first
-
     def test_new_label_after_construction_is_queryable(self):
         db = _db([[0.0, 0.0]], [0])
-        service = QueryService(db, index="kdtree")
+        service = QueryService(db)
         with pytest.raises(QueryError):
             service.query(np.zeros(2), label=3)
         db.add(self._record([1.0, 1.0], 3))
@@ -125,12 +146,11 @@ class TestBatchVectorization:
         return [service.query(fingerprints[i], int(labels[i]), k=k)
                 for i in range(fingerprints.shape[0])]
 
-    @pytest.mark.parametrize("index", ["brute", "kdtree"])
-    def test_batch_parity_with_loop(self, generator, index):
+    def test_batch_parity_with_loop(self, generator):
         points = generator.normal(size=(80, 6)).astype(np.float32)
         labels = [i % 4 for i in range(80)]
         db = _db(points.tolist(), labels)
-        service = QueryService(db, index=index)
+        service = QueryService(db)
         queries = points[:20] + generator.normal(
             size=(20, 6)).astype(np.float32) * 0.1
         query_labels = [labels[i] for i in range(20)]

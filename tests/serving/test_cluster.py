@@ -113,8 +113,11 @@ class TestFailover:
             result = cluster.query(fingerprints[0], int(labels[0]), k=3)
             assert not result.degraded
             assert result.replica != "replica-0"
+            # The audit event is the last thing a revival does — the state
+            # flips to healthy before the counter and the event land.
             assert _wait_until(
-                lambda: cluster.replicas[0].state == "healthy")
+                lambda: cluster.audit.events("replica-revived"))
+            assert cluster.replicas[0].state == "healthy"
             assert cluster.telemetry.counter("evictions") >= 1
             assert cluster.telemetry.counter("revivals") >= 1
             kinds = [e.kind for e in cluster.audit.events()]
@@ -152,6 +155,48 @@ class TestFailover:
             assert cluster.replicas[0].state in ("evicted", "reviving",
                                                  "healthy")
             assert cluster.telemetry.counter("evictions") >= 1
+
+    def test_provenance_less_answers_fail_closed(self, world):
+        # An answer without a snapshot / label_rows used to skip the
+        # hit-count, label-row and lineage checks entirely. Every answer a
+        # real replica produces carries both, so a missing one is an
+        # integrity failure like any other.
+        from repro.errors import IndexIntegrityError
+        from repro.serving.engine import EngineAnswer
+        fingerprints, labels, store = world
+        label = int(labels[0])
+        query = fingerprints[0] + 0.02
+        with _cluster_for(store, revive=False) as cluster:
+            victim = cluster.replicas[0]
+            answer = victim.engine.query(query, label, k=3, timeout=5)
+            cluster._verify_answer_meta(victim, answer, label, 3)
+            bare = tuple(answer)
+            no_snapshot = EngineAnswer(bare, snapshot=None,
+                                       label_rows=answer.label_rows,
+                                       requested_k=3)
+            for stripped in (bare, no_snapshot):
+                with pytest.raises(IndexIntegrityError):
+                    cluster._verify_answer_meta(victim, stripped, label, 3)
+            assert cluster.telemetry.counter("verify_failures") == 2
+
+            # End to end: a replica whose index stops citing its snapshot
+            # is evicted, and the caller still gets the right answer.
+            honest = victim.index.inner.search_batch
+
+            def strip_snapshot(batch, label, k=9):
+                result = honest(batch, label, k)
+                result.snapshot = None
+                return result
+
+            victim.index.inner.search_batch = strip_snapshot
+            expected = _brute_truth(fingerprints, labels, query + 0.01,
+                                    label, 3)
+            for _ in range(len(cluster.replicas)):  # round-robin reaches it
+                result = cluster.query(query + 0.01, label, k=3)
+                assert not result.degraded
+                assert [h.index for h in result.hits] == expected
+            assert victim.state == "evicted"
+            assert victim.evicted_reason == "index-integrity"
 
     def test_health_sweep_checksum_catches_silent_corruption(self, world):
         # Corruption that never surfaces in an answer is still caught by
@@ -198,6 +243,28 @@ class TestDegradedMode:
             assert cluster.telemetry.counter("degraded_answers") == 1
             assert len(cluster.audit.events("degraded-query")) == 1
             assert cluster.verify_audit_chain()
+
+    def test_degraded_and_healthy_answers_are_equal_hit_for_hit(
+            self, tmp_path, generator):
+        # Both paths rank with the one exact kernel: on a label made of
+        # duplicated fingerprints (every distance tied five ways) the
+        # degraded answer must equal a healthy replica's — same indices in
+        # the same order, and bitwise the same distances.
+        points = generator.standard_normal((6, 8)).astype(np.float32)
+        fingerprints = np.tile(points, (5, 1))
+        labels = np.zeros(30, dtype=np.int64)
+        store = fill_store(LinkageStore.create(tmp_path / "dup-store"),
+                           fingerprints, labels, segment_records=12)
+        query = generator.standard_normal(8).astype(np.float32)
+        with _cluster_for(store, revive=False) as cluster:
+            healthy = cluster.query(query, 0, k=12)
+            assert not healthy.degraded
+            for replica in cluster.replicas:
+                cluster.crash_replica(replica.name)
+            degraded = cluster.query(query, 0, k=12)
+            assert degraded.degraded
+            assert ([tuple(h) for h in degraded.hits]
+                    == [tuple(h) for h in healthy.hits])
 
     def test_degraded_disabled_fails_typed(self, world):
         fingerprints, labels, store = world

@@ -47,7 +47,7 @@ class TestCorrectness:
                 fingerprint=fingerprints[i], label=int(labels[i]),
                 source="p0", digest=b"h" * 32, source_index=i,
             ))
-        brute = QueryService(database, index="brute")
+        brute = QueryService(database)
         sample = generator.integers(0, fingerprints.shape[0], size=30)
         queries = fingerprints[sample] + 0.05
         with ServingEngine(index, EngineConfig(workers=2)) as engine:

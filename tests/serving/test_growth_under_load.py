@@ -73,6 +73,7 @@ class TestGrowthStorm:
         query_labels = [int(labels[int(i)]) for i in sample]
 
         stop = threading.Event()
+        first_append = threading.Event()
         append_errors = []
 
         def storm():
@@ -88,6 +89,7 @@ class TestGrowthStorm:
                 except Exception as exc:  # noqa: BLE001 — surfaced below
                     append_errors.append(exc)
                     return
+                first_append.set()
                 time.sleep(0.01)
 
         answered = []
@@ -96,6 +98,9 @@ class TestGrowthStorm:
             cluster.query(queries[0], query_labels[0], k=k)
             storm_thread = threading.Thread(target=storm, daemon=True)
             storm_thread.start()
+            # The queries below must race real growth, whatever the
+            # scheduler does with the storm thread's first slice.
+            assert first_append.wait(timeout=5.0), append_errors
             try:
                 for start in range(0, query_count, 24):
                     stop_at = min(start + 24, query_count)
@@ -115,6 +120,10 @@ class TestGrowthStorm:
             assert cluster.telemetry.counter("evictions") == 0
             assert all(r.state == "healthy" for r in cluster.replicas)
             assert not cluster.audit.events("replica-evicted")
+            # The store grew and the storm is over, so any replica the
+            # 20 ms sweep timer has not reached yet is behind and healthy:
+            # one synchronous sweep refreshes it by construction.
+            cluster.health_check_now()
             refreshes = cluster.telemetry.counter("replica_refreshes")
             assert refreshes > 0
             # No replica ever fell back to a from-scratch rebuild.

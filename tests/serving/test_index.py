@@ -20,7 +20,7 @@ def _brute_service(fingerprints, labels):
             fingerprint=fingerprints[i], label=int(labels[i]),
             source="p0", digest=b"h" * 32, source_index=i,
         ))
-    return QueryService(database, index="brute")
+    return QueryService(database)
 
 
 def _built_index(tmp_path, fingerprints, labels, **kwargs):

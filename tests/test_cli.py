@@ -100,6 +100,18 @@ class TestServingCommands:
             main(["serve-cluster", "--queries", "10",
                   "--inject", "not-a-spec"])
 
+    def test_train_distributed_with_worker_fault(self):
+        # Regression: a second `_parse_injections` (serving faults) used to
+        # shadow the worker-fault parser, so this verb died with TypeError
+        # on every invocation.
+        code = main([
+            "--seed", "3", "train-distributed", "--workers", "2",
+            "--rounds", "1", "--width-scale", "0.05", "--train-size", "40",
+            "--test-size", "10", "--participants", "2",
+            "--straggle", "w1@0",
+        ])
+        assert code == 0
+
 
 class TestIngestCommands:
     def _ingest_args(self, tmp_path, *extra):

@@ -148,7 +148,7 @@ class TestSealedLinkagePersistence:
         restored = LinkageDatabase.from_bytes(unseal(enclave_b, blob))
         assert len(restored) == len(database)
         # Queries over the restored DB verify against the old commitment.
-        service = QueryService(restored, index="kdtree")
+        service = QueryService(restored)
         labels, _, fps = system.fingerprinter.predict_with_fingerprint(
             test.x[:1]
         )
