@@ -3,10 +3,15 @@
 Two interchangeable ciphers sit behind the :class:`Aead` interface:
 
 * :class:`AesGcm` — AES-128 in Galois/Counter Mode, implemented from
-  scratch (byte-oriented AES plus integer GHASH). This is the cipher the
-  paper names for authenticating training-data sources (Section IV-A).
-  It is bit-exact AES-GCM but, being pure Python, is intended for control
-  messages: handshake records, provisioned keys, linkage records.
+  scratch: a table-driven AES that runs all of a message's counter blocks
+  through each round as one array operation, plus GHASH by per-key lookup
+  tables. This is the cipher the paper names for authenticating
+  training-data sources (Section IV-A). It is bit-exact AES-GCM and seals
+  control messages and enclave-sealed blobs (handshake records,
+  provisioned keys, checkpoints, manifests); with no AES instructions to
+  call on it still trails the bulk cipher below on tensor payloads. The
+  bit-serial reference it is tested against lives in
+  ``tests/crypto/scalar_gcm.py``.
 
 * :class:`HmacCtrAead` — an encrypt-then-MAC construction (SHA-256 based
   counter-mode keystream + HMAC-SHA256 tag) that vectorises well enough to
@@ -22,6 +27,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from functools import reduce
+from operator import getitem, xor
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,21 +73,30 @@ _SBOX = [
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
 
-def _xtime(a: int) -> int:
-    a <<= 1
-    if a & 0x100:
-        a ^= 0x11B
-    return a & 0xFF
-
-
-# Precomputed GF(2^8) multiply-by-2 and -by-3 tables for MixColumns.
-_MUL2 = [_xtime(i) for i in range(256)]
-_MUL3 = [_xtime(i) ^ i for i in range(256)]
+# Tables for running a round over a whole batch of blocks as a handful of
+# array gathers. The state is column-major: byte 4c + r is row r of column c.
+#
+# ShiftRows is an index permutation: output column c takes its row r from
+# input column (c + r) mod 4. SubBytes and MixColumns collapse into one
+# 256-entry table per state row: MixColumns multiplies a column by the
+# circulant (2 3 1 1), so the byte in row r contributes that circulant's
+# column r times its S-box value — four bytes, held as one uint32 so that a
+# column's four contributions combine with three XORs.
+_S = np.array(_SBOX, dtype=np.uint8)
+_S2 = (_S << 1) ^ np.where(_S & 0x80, 0x1B, 0).astype(np.uint8)  # 2 * S-box
+_S3 = _S2 ^ _S
+_SHIFT_ROWS = np.array([4 * ((c + r) % 4) + r for c in range(4) for r in range(4)])
+_ROW_SOURCES = [_SHIFT_ROWS[r::4] for r in range(4)]
+_ROUND_TABLES = [
+    np.stack(contribution, axis=1).view(np.uint32).ravel()
+    for contribution in [(_S2, _S, _S, _S3), (_S3, _S2, _S, _S),
+                         (_S, _S3, _S2, _S), (_S, _S, _S3, _S2)]
+]
 
 
 class _Aes128:
     """AES-128 block cipher (encryption direction only — GCM needs no
-    inverse cipher)."""
+    inverse cipher), applied to any number of blocks at once."""
 
     def __init__(self, key: bytes) -> None:
         if len(key) != 16:
@@ -88,7 +104,7 @@ class _Aes128:
         self._round_keys = self._expand_key(key)
 
     @staticmethod
-    def _expand_key(key: bytes) -> List[List[int]]:
+    def _expand_key(key: bytes) -> np.ndarray:
         words = [list(key[i : i + 4]) for i in range(0, 16, 4)]
         for i in range(4, 44):
             temp = list(words[i - 1])
@@ -98,39 +114,23 @@ class _Aes128:
                 temp[0] ^= _RCON[i // 4 - 1]
             words.append([a ^ b for a, b in zip(words[i - 4], temp)])
         # One flat 16-byte round key per round.
-        return [
-            [b for word in words[4 * r : 4 * r + 4] for b in word]
-            for r in range(11)
-        ]
+        return np.array(words, dtype=np.uint8).reshape(11, 16)
 
-    def encrypt_block(self, block: bytes) -> bytes:
-        """Encrypt one 16-byte block."""
-        s = [b ^ k for b, k in zip(block, self._round_keys[0])]
-        for rnd in range(1, 10):
-            s = self._round(s, self._round_keys[rnd], mix=True)
-        s = self._round(s, self._round_keys[10], mix=False)
-        return bytes(s)
-
-    @staticmethod
-    def _round(state: List[int], round_key: List[int], mix: bool) -> List[int]:
-        # SubBytes + ShiftRows fused: output column c pulls row r from
-        # column (c + r) mod 4 of the input state (column-major layout).
-        sb = _SBOX
-        t = [0] * 16
-        for c in range(4):
-            for r in range(4):
-                t[4 * c + r] = sb[state[4 * ((c + r) % 4) + r]]
-        if mix:
-            m2, m3 = _MUL2, _MUL3
-            out = [0] * 16
-            for c in range(4):
-                a0, a1, a2, a3 = t[4 * c : 4 * c + 4]
-                out[4 * c + 0] = m2[a0] ^ m3[a1] ^ a2 ^ a3
-                out[4 * c + 1] = a0 ^ m2[a1] ^ m3[a2] ^ a3
-                out[4 * c + 2] = a0 ^ a1 ^ m2[a2] ^ m3[a3]
-                out[4 * c + 3] = m3[a0] ^ a1 ^ a2 ^ m2[a3]
-            t = out
-        return [b ^ k for b, k in zip(t, round_key)]
+    def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Encrypt an ``(n, 16)`` uint8 array of blocks; returns the same shape."""
+        state = blocks ^ self._round_keys[0]
+        t0, t1, t2, t3 = _ROUND_TABLES
+        r0, r1, r2, r3 = _ROW_SOURCES
+        # Round keys as one uint32 per column, like the tables' entries.
+        for round_words in self._round_keys.view(np.uint32)[1:10]:
+            columns = (
+                t0.take(state.take(r0, axis=1)) ^ t1.take(state.take(r1, axis=1))
+                ^ t2.take(state.take(r2, axis=1)) ^ t3.take(state.take(r3, axis=1))
+                ^ round_words
+            )
+            state = columns.view(np.uint8)
+        # The last round has no MixColumns.
+        return _S.take(state.take(_SHIFT_ROWS, axis=1)) ^ self._round_keys[10]
 
 
 # ---------------------------------------------------------------------------
@@ -138,33 +138,53 @@ class _Aes128:
 # ---------------------------------------------------------------------------
 
 _R = 0xE1000000000000000000000000000000
+_HEX_DIGITS = "0123456789abcdef"
 
 
-def _gf_mul(x: int, y: int) -> int:
-    """Multiply two field elements in GCM's bit-reflected GF(2^128)."""
-    z = 0
-    v = x
-    for i in range(127, -1, -1):
-        if (y >> i) & 1:
-            z ^= v
-        if v & 1:
-            v = (v >> 1) ^ _R
-        else:
-            v >>= 1
-    return z
+class _Ghash:
+    """GHASH under one hash subkey ``H``.
 
+    Multiplication by ``H`` is linear over GF(2), so ``Y * H`` is the XOR of
+    one precomputed product per 4-bit digit of ``Y``: 32 tables of 16
+    entries, which cost less to build than three bit-serial
+    multiplications and therefore pay for themselves on the shortest
+    control message. Each table is keyed by hex digit so a block's 32
+    lookups read straight off its hex rendering.
+    """
 
-def _ghash(h: int, data: bytes) -> int:
-    y = 0
-    for i in range(0, len(data), 16):
-        block = data[i : i + 16].ljust(16, b"\x00")
-        y = _gf_mul(y ^ int.from_bytes(block, "big"), h)
-    return y
+    def __init__(self, h: int) -> None:
+        self._tables = []
+        power = h  # H * x^k, for k = 0..127 in turn
+        for _ in range(32):
+            digit_powers = []
+            for _ in range(4):
+                digit_powers.append(power)
+                power = (power >> 1) ^ _R if power & 1 else power >> 1
+            # GCM is bit-reflected: a digit's high bit is its lowest power.
+            products = [0]
+            for term in reversed(digit_powers):
+                products += [product ^ term for product in products]
+            self._tables.append(dict(zip(_HEX_DIGITS, products)))
+
+    def digest(self, data: bytes) -> int:
+        """GHASH of ``data``, whose length is a multiple of 16 bytes."""
+        tables = self._tables
+        y = 0
+        for i in range(0, len(data), 16):
+            y ^= int.from_bytes(data[i : i + 16], "big")
+            y = reduce(xor, map(getitem, tables, "%032x" % y))
+        return y
 
 
 def _pad16(data: bytes) -> bytes:
     rem = len(data) % 16
     return data if rem == 0 else data + b"\x00" * (16 - rem)
+
+
+def _split_tag(sealed: bytes) -> Tuple[bytes, bytes]:
+    if len(sealed) < TAG_LEN:
+        raise AuthenticationError("sealed message shorter than the tag")
+    return sealed[:-TAG_LEN], sealed[-TAG_LEN:]
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +201,22 @@ class Aead:
         """Encrypt and authenticate; returns ``ciphertext || tag``."""
         raise NotImplementedError
 
+    def open_prefix(self, nonce: bytes, sealed: bytes, aad: bytes,
+                    length: int) -> bytes:
+        """Verify the *whole* message, decrypt only its first ``length`` bytes.
+
+        The tag check is exactly :meth:`open`'s — it covers every
+        ciphertext byte, the nonce and ``aad``, and raises
+        :class:`AuthenticationError` on any mismatch — so the result equals
+        ``open(...)[:length]``; only the keystream past ``length`` is never
+        generated. For callers that must authenticate a large record but
+        need just its header.
+        """
+        raise NotImplementedError
+
     def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
         """Verify and decrypt; raises :class:`AuthenticationError` on failure."""
-        raise NotImplementedError
+        return self.open_prefix(nonce, sealed, aad, len(sealed))
 
 
 class AesGcm(Aead):
@@ -193,46 +226,59 @@ class AesGcm(Aead):
 
     def __init__(self, key: bytes) -> None:
         self._aes = _Aes128(key)
-        self._h = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
+        self._ghash_key: Optional[_Ghash] = None
 
-    def _counter_block(self, nonce: bytes, counter: int) -> bytes:
+    @property
+    def _ghash(self) -> _Ghash:
+        # H = E(0) and its tables wait for the first message: a handshake
+        # derives a send and a receive key at both ends, and half of them
+        # never authenticate a record.
+        if self._ghash_key is None:
+            h = self._aes.encrypt_blocks(np.zeros((1, 16), dtype=np.uint8))
+            self._ghash_key = _Ghash(int.from_bytes(h.tobytes(), "big"))
+        return self._ghash_key
+
+    def _keystream(self, nonce: bytes, length: int) -> Tuple[int, np.ndarray]:
+        """``E(J0)`` for the tag and ``length`` bytes of CTR keystream, from
+        one pass of the block cipher over counters ``J0, J0+1, ...``."""
         if len(nonce) == 12:
-            return nonce + struct.pack(">I", counter)
-        # GCM's non-96-bit-nonce path: J0 = GHASH(nonce).
-        ghashed = _ghash(
-            self._h, _pad16(nonce) + struct.pack(">QQ", 0, len(nonce) * 8)
-        )
-        j0 = (ghashed + counter - 1) & ((1 << 128) - 1)
-        return j0.to_bytes(16, "big")
+            j0 = nonce + b"\x00\x00\x00\x01"
+        else:
+            # GCM's non-96-bit-nonce path: J0 = GHASH(nonce).
+            j0 = self._ghash.digest(
+                _pad16(nonce) + struct.pack(">QQ", 0, len(nonce) * 8)
+            ).to_bytes(16, "big")
+        count = 1 + (length + 15) // 16
+        first = int.from_bytes(j0[12:], "big")
+        blocks = np.empty((count, 16), dtype=np.uint8)
+        blocks[:, :12] = np.frombuffer(j0, dtype=np.uint8, count=12)
+        # inc32: only the low 32 bits count and they wrap, which is what the
+        # narrowing cast to a big-endian uint32 does.
+        counters = np.arange(first, first + count, dtype=np.uint64).astype(">u4")
+        blocks[:, 12:] = counters.view(np.uint8).reshape(count, 4)
+        stream = self._aes.encrypt_blocks(blocks)
+        return int.from_bytes(stream[0].tobytes(), "big"), stream[1:].ravel()[:length]
 
-    def _ctr_crypt(self, nonce: bytes, data: bytes) -> bytes:
-        out = bytearray()
-        for i in range(0, len(data), 16):
-            keystream = self._aes.encrypt_block(
-                self._counter_block(nonce, 2 + i // 16)
-            )
-            chunk = data[i : i + 16]
-            out.extend(a ^ b for a, b in zip(chunk, keystream))
-        return bytes(out)
-
-    def _tag(self, nonce: bytes, ciphertext: bytes, aad: bytes) -> bytes:
+    def _tag(self, e_j0: int, ciphertext: bytes, aad: bytes) -> bytes:
         lengths = struct.pack(">QQ", len(aad) * 8, len(ciphertext) * 8)
-        s = _ghash(self._h, _pad16(aad) + _pad16(ciphertext) + lengths)
-        e_j0 = self._aes.encrypt_block(self._counter_block(nonce, 1))
-        return (s ^ int.from_bytes(e_j0, "big")).to_bytes(16, "big")
+        s = self._ghash.digest(_pad16(aad) + _pad16(ciphertext) + lengths)
+        return (s ^ e_j0).to_bytes(16, "big")
 
     def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        ciphertext = self._ctr_crypt(nonce, plaintext)
-        return ciphertext + self._tag(nonce, ciphertext, aad)
+        e_j0, stream = self._keystream(nonce, len(plaintext))
+        ciphertext = (np.frombuffer(plaintext, dtype=np.uint8) ^ stream).tobytes()
+        return ciphertext + self._tag(e_j0, ciphertext, aad)
 
-    def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
-        if len(sealed) < TAG_LEN:
-            raise AuthenticationError("sealed message shorter than the tag")
-        ciphertext, tag = sealed[:-TAG_LEN], sealed[-TAG_LEN:]
-        expected = self._tag(nonce, ciphertext, aad)
-        if not constant_time_equal(tag, expected):
+    def open_prefix(self, nonce: bytes, sealed: bytes, aad: bytes,
+                    length: int) -> bytes:
+        ciphertext, tag = _split_tag(sealed)
+        prefix = ciphertext[:length]
+        # E(J0) comes out of the same cipher pass as the keystream, so the
+        # keystream exists before the verdict; no plaintext does.
+        e_j0, stream = self._keystream(nonce, len(prefix))
+        if not constant_time_equal(tag, self._tag(e_j0, ciphertext, aad)):
             raise AuthenticationError("AES-GCM tag mismatch")
-        return self._ctr_crypt(nonce, ciphertext)
+        return (np.frombuffer(prefix, dtype=np.uint8) ^ stream).tobytes()
 
 
 class HmacCtrAead(Aead):
@@ -324,13 +370,12 @@ class HmacCtrAead(Aead):
             sealed.append(ciphertext + self._tag(nonce, ciphertext, aad))
         return sealed
 
-    def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
-        if len(sealed) < TAG_LEN:
-            raise AuthenticationError("sealed message shorter than the tag")
-        ciphertext, tag = sealed[:-TAG_LEN], sealed[-TAG_LEN:]
+    def open_prefix(self, nonce: bytes, sealed: bytes, aad: bytes,
+                    length: int) -> bytes:
+        ciphertext, tag = _split_tag(sealed)
         if not constant_time_equal(tag, self._tag(nonce, ciphertext, aad)):
             raise AuthenticationError("HMAC-CTR tag mismatch")
-        return self._xor(nonce, ciphertext)
+        return self._xor(nonce, ciphertext[:length])
 
 
 def new_aead(key: bytes, bulk: bool = True, cipher: Optional[str] = None) -> Aead:

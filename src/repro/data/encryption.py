@@ -11,15 +11,21 @@ or splicing a record is detected exactly like a forged payload.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.crypto.aead import Aead, new_aead
+from repro.crypto.aead import TAG_LEN, Aead, new_aead
 from repro.crypto.keys import SymmetricKey
 from repro.data.datasets import Dataset
-from repro.utils.serialization import array_from_bytes, array_to_bytes, canonical_json
+from repro.utils.serialization import (
+    array_from_bytes,
+    array_header,
+    array_to_bytes,
+    canonical_json,
+)
 
 __all__ = [
     "EncryptedRecord",
@@ -27,6 +33,7 @@ __all__ = [
     "encrypt_dataset",
     "iter_encrypted_records",
     "decrypt_record",
+    "authenticated_shape",
     "record_aad",
 ]
 
@@ -137,3 +144,32 @@ def decrypt_record(record: EncryptedRecord, aead: Aead) -> Tuple[np.ndarray, int
     aad = record_aad(record.source_id, record.index, record.label)
     plaintext = aead.open(record.nonce, record.sealed, aad)
     return array_from_bytes(plaintext), record.label
+
+
+#: Plaintext bytes :func:`authenticated_shape` decrypts: the tensor header
+#: of any array of up to five dimensions (magic, dtype string, ndim, dims).
+_HEADER_PREFIX = 64
+
+
+def authenticated_shape(record: EncryptedRecord,
+                        aead: Aead) -> Optional[Tuple[int, ...]]:
+    """Authenticate one record and report its tensor shape, nothing more.
+
+    The tag is verified over the whole sealed payload (so a flipped byte
+    anywhere raises :class:`repro.errors.AuthenticationError`, exactly as
+    :func:`decrypt_record` would), but only the serialization header is
+    decrypted: the instance itself is never materialised. Returns ``None``
+    when the authenticated plaintext is not a well-formed tensor whose
+    payload has exactly the size its header declares — a registered
+    contributor can seal anything under a valid tag.
+    """
+    aad = record_aad(record.source_id, record.index, record.label)
+    header = aead.open_prefix(record.nonce, record.sealed, aad, _HEADER_PREFIX)
+    try:
+        dtype, shape, data_offset = array_header(header)
+    except ValueError:
+        return None
+    payload = len(record.sealed) - TAG_LEN - data_offset
+    if math.prod(shape) * dtype.itemsize != payload:
+        return None
+    return shape

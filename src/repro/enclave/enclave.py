@@ -11,7 +11,9 @@ Mirrors the SGX programming model:
 * ECALL — :meth:`Enclave.ecall` invokes a registered trusted function and
   charges the transition cost to the platform's simulated clock;
 * ``EREPORT``/quoting — :meth:`Enclave.quote` produces an attestation quote
-  over (MRENCLAVE, report_data) signed with the platform key.
+  over (MRENCLAVE, report_data) signed with the platform key;
+* ``EGETKEY`` — :meth:`Enclave.seal_cipher` derives the sealing key from
+  the platform's sealing secret and MRENCLAVE.
 
 Confidentiality is enforced at the API level: the in-enclave object store
 is private and reachable only through registered ECALLs, which is the same
@@ -21,9 +23,11 @@ guarantee the hardware gives to code outside the EPC.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.crypto.aead import AesGcm
 from repro.crypto.hashing import hmac_sha256, sha256
+from repro.crypto.hkdf import hkdf
 from repro.enclave.attestation import Quote
 from repro.enclave.memory import EpcMemory
 from repro.enclave.platform import SgxPlatform, TrustedRng
@@ -51,6 +55,7 @@ class Enclave:
         self._measurement = sha256(b"ECREATE", name.encode("utf-8"))
         self._ecalls: Dict[str, Callable[..., Any]] = {}
         self._storage: Dict[str, Any] = {}
+        self._seal_cipher: Optional[Tuple[bytes, AesGcm]] = None
         self.ecall_count = 0
         self.ocall_count = 0
 
@@ -97,6 +102,7 @@ class Enclave:
         """Tear the enclave down; secrets become unreachable."""
         self._storage.clear()
         self._ecalls.clear()
+        self._seal_cipher = None
         self.state = EnclaveState.DESTROYED
 
     # -- measured identity ----------------------------------------------------
@@ -105,6 +111,24 @@ class Enclave:
     def mrenclave(self) -> bytes:
         """The enclave measurement (hash chain over everything added)."""
         return self._measurement
+
+    def seal_cipher(self) -> AesGcm:
+        """EGETKEY: the AEAD keyed to this platform and this measurement
+        (trusted-code use only).
+
+        Held on the enclave so the key derivation, the AES key schedule and
+        the GHASH tables are built once per identity, not once per sealed
+        blob.
+        """
+        if self._seal_cipher is None or self._seal_cipher[0] != self._measurement:
+            key = hkdf(
+                ikm=self.platform.platform_key,
+                salt=self._measurement,
+                info=b"sgx-seal-mrenclave",
+                length=16,
+            )
+            self._seal_cipher = (self._measurement, AesGcm(key))
+        return self._seal_cipher[1]
 
     # -- runtime phase ----------------------------------------------------------
 

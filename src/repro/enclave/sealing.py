@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.crypto.aead import AesGcm
-from repro.crypto.hkdf import hkdf
 from repro.enclave.enclave import Enclave
 from repro.errors import AuthenticationError, SealingError
 
@@ -26,15 +24,6 @@ class SealedBlob:
 
     nonce: bytes
     ciphertext: bytes
-
-
-def _seal_key(enclave: Enclave) -> bytes:
-    return hkdf(
-        ikm=enclave.platform.platform_key,
-        salt=enclave.mrenclave,
-        info=b"sgx-seal-mrenclave",
-        length=16,
-    )
 
 
 def seal(enclave: Enclave, plaintext: bytes,
@@ -51,15 +40,15 @@ def seal(enclave: Enclave, plaintext: bytes,
         nonce = enclave.trusted_rng.random_bytes(12)
     elif len(nonce) != 12:
         raise SealingError("seal nonce must be 12 bytes")
-    cipher = AesGcm(_seal_key(enclave))
-    return SealedBlob(nonce=nonce, ciphertext=cipher.seal(nonce, plaintext))
+    return SealedBlob(
+        nonce=nonce, ciphertext=enclave.seal_cipher().seal(nonce, plaintext)
+    )
 
 
 def unseal(enclave: Enclave, blob: SealedBlob) -> bytes:
     """Unseal a blob; fails if identity or platform differ, or if tampered."""
-    cipher = AesGcm(_seal_key(enclave))
     try:
-        return cipher.open(blob.nonce, blob.ciphertext)
+        return enclave.seal_cipher().open(blob.nonce, blob.ciphertext)
     except AuthenticationError as exc:
         raise SealingError(
             "unseal failed: wrong enclave identity/platform or tampered blob"

@@ -40,7 +40,7 @@ class DecryptionSummary:
 
     accepted: int = 0
     rejected_unregistered: int = 0
-    rejected_tampered: int = 0
+    rejected_tampered: int = 0  # failed the tag, or authentic but not a tensor
     accepted_by_source: Dict[str, int] = field(default_factory=dict)
 
 
@@ -68,6 +68,16 @@ def _ecall_decrypt_datasets(enclave: Enclave, datasets: List[EncryptedDataset],
                 image, label = decrypt_record(record, aead)
             except AuthenticationError:
                 summary.rejected_tampered += 1
+                continue
+            except ValueError as exc:
+                # A valid tag over something that is not a tensor: only a
+                # registered contributor can produce it, and it costs that
+                # contributor the record, not everyone the training run.
+                summary.rejected_tampered += 1
+                _LOG.warning(
+                    "discarding undecodable record %d from %r: %s",
+                    record.index, record.source_id, exc,
+                )
                 continue
             images.append(image)
             labels.append(label)

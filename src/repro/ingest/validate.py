@@ -2,15 +2,16 @@
 
 Every journaled record must pass four gates before it is committed:
 
-1. **AEAD authentication, inside the enclave** — the sealed payload is
-   opened via the ``ingest_verify_records`` ECALL under the contributor's
-   provisioned key; a forged payload, a relabelled record, or a spliced
-   index fails its tag and is *quarantined*, never crashing the pipeline
-   and never reaching the training ledger;
+1. **AEAD authentication, inside the enclave** — the sealed payload's tag
+   is verified via the ``ingest_verify_records`` ECALL under the
+   contributor's provisioned key; a forged payload, a relabelled record,
+   or a spliced index fails its tag and is *quarantined*, never crashing
+   the pipeline and never reaching the training ledger;
 2. **label domain** — the cleartext label must lie in the agreed domain;
-3. **tensor shape** — the decrypted instance (its shape is reported from
-   inside the enclave; the plaintext itself never leaves) must match the
-   agreed input shape;
+3. **tensor shape** — the shape the authenticated tensor header declares
+   (read inside the enclave; the instance itself is not even decrypted at
+   admission) must match the agreed input shape and the payload's size;
+   an authentic payload that is not a tensor at all fails here too;
 4. **duplicate detection** — a sealed ciphertext whose content digest was
    already committed (by this or any other contributor) is quarantined:
    replaying another participant's records is a cheap influence attack
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.audit import AuditLog
 from repro.crypto.aead import new_aead
-from repro.data.encryption import EncryptedRecord, decrypt_record
+from repro.data.encryption import EncryptedRecord, authenticated_shape
 from repro.enclave.enclave import Enclave
 from repro.errors import AuthenticationError, ConfigurationError
 from repro.federation.provisioning import provisioned_key
@@ -51,20 +52,23 @@ def _ecall_verify_records(enclave: Enclave, contributor_id: str,
                           cipher: str) -> List[Tuple[str, Optional[Tuple[int, ...]], Optional[int]]]:
     """Trusted: authenticate each record; report (verdict, shape, label).
 
-    The plaintext never crosses the boundary — only the tag verdict and
-    the decrypted tensor's shape, which the untrusted validation workers
-    need for the shape gate.
+    Admission needs a verdict and a shape, so that is all the enclave
+    computes: the tag over the whole payload and the tensor header. The
+    instance is not decrypted here, let alone moved across the boundary;
+    plaintext first exists at the training decrypt ECALL. ``shape`` is
+    ``None`` for an authentic record that does not hold a well-formed
+    tensor, which the shape gate refuses like any other wrong shape.
     """
     key_material = provisioned_key(enclave, contributor_id)
     aead = new_aead(key_material, cipher=cipher)
     verdicts: List[Tuple[str, Optional[Tuple[int, ...]], Optional[int]]] = []
     for record in records:
         try:
-            image, label = decrypt_record(record, aead)
+            shape = authenticated_shape(record, aead)
         except AuthenticationError:
             verdicts.append(("tampered", None, None))
             continue
-        verdicts.append(("ok", tuple(image.shape), int(label)))
+        verdicts.append(("ok", shape, int(record.label)))
     return verdicts
 
 
@@ -164,7 +168,7 @@ class ValidationPool:
             if not 0 <= label < self.config.num_classes:
                 out.append((record, "label-domain", digest))
                 continue
-            if tuple(shape) != tuple(self.config.input_shape):
+            if shape != tuple(self.config.input_shape):
                 out.append((record, "shape", digest))
                 continue
             out.append((record, "ok", digest))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import re
 import struct
 from typing import Any, Tuple
 
@@ -17,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "array_to_bytes",
+    "array_header",
     "array_from_bytes",
     "canonical_digest",
     "canonical_json",
@@ -24,6 +27,9 @@ __all__ = [
 ]
 
 _MAGIC = b"RPR1"
+# What ``ndarray.dtype.str`` looks like; nothing else reaches ``np.dtype``,
+# whose full grammar is more than a parser of untrusted bytes should accept.
+_DTYPE_STR = re.compile(rb"[<>|=][A-Za-z][0-9]*(\[[A-Za-z0-9]+\])?")
 
 
 def array_to_bytes(array: np.ndarray) -> bytes:
@@ -41,22 +47,37 @@ def array_to_bytes(array: np.ndarray) -> bytes:
     return header + arr.tobytes(order="C")
 
 
-def array_from_bytes(blob: bytes) -> np.ndarray:
-    """Inverse of :func:`array_to_bytes`."""
+def array_header(blob: bytes) -> Tuple[np.dtype, Tuple[int, ...], int]:
+    """Parse the header of a serialized array: ``(dtype, shape, data_offset)``.
+
+    ``blob`` may be a prefix of the encoding as long as it holds the whole
+    header. Raises :class:`ValueError` on anything else — wrong magic, a
+    header cut short, a dtype that is not a plain fixed-size one — so
+    callers parsing bytes they did not write need one ``except``.
+    """
     if blob[:4] != _MAGIC:
         raise ValueError("not a serialized array (bad magic)")
-    offset = 4
-    (dtype_len,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    dtype = np.dtype(blob[offset : offset + dtype_len].decode("ascii"))
-    offset += dtype_len
-    (ndim,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    shape: Tuple[int, ...] = ()
-    for _ in range(ndim):
-        (dim,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        shape += (dim,)
+    try:
+        (dtype_len,) = struct.unpack_from("<I", blob, 4)
+        offset = 8 + dtype_len
+        if not _DTYPE_STR.fullmatch(blob[8:offset]):
+            raise ValueError("serialized array has a malformed dtype string")
+        dtype = np.dtype(blob[8:offset].decode("ascii"))
+        (ndim,) = struct.unpack_from("<I", blob, offset)
+        offset += 4
+        shape = struct.unpack_from(f"<{ndim}Q", blob, offset)
+    except (struct.error, TypeError) as exc:
+        raise ValueError(f"malformed serialized array header: {exc}") from exc
+    if dtype.hasobject or dtype.itemsize == 0:
+        raise ValueError(f"serialized array has unsupported dtype {dtype}")
+    return dtype, shape, offset + 8 * ndim
+
+
+def array_from_bytes(blob: bytes) -> np.ndarray:
+    """Inverse of :func:`array_to_bytes`."""
+    dtype, shape, offset = array_header(blob)
+    if math.prod(shape) * dtype.itemsize != len(blob) - offset:
+        raise ValueError("serialized array payload does not match its shape")
     data = np.frombuffer(blob, dtype=dtype, offset=offset)
     return data.reshape(shape).copy()
 

@@ -8,6 +8,19 @@ from repro.utils.rng import RngStream
 from repro.enclave.platform import SgxPlatform
 
 
+# seal(enclave "pinned" on platform RngStream(7)/"pinned", bytes(range(200)),
+# nonce=bytes(range(12))) as written by the last commit with scalar AES-GCM.
+PARENT_SEALED = (
+    "2fe52b52e1ce0373cc7bfefa9b2c560ccea084d3143940233fa33b6b41b1c210"
+    "dbf6c0ebdbbc5cc9ef34a686fb9d4b23eaf64984713f8d6c6b885624222c7a63"
+    "720e8ab2e4c49f271e07a1200d7877b8864979b8e2594be752831d767d1c6a19"
+    "9a2c1894b3e03acd689d85eb5816931e7c7917582abfbb973ded4651ad8300d6"
+    "5921e187c5b4c99e49fffb13c294a965c6ebe933622722bda2386fb129c7cfed"
+    "9aaa4edb2c63875fb7b0fbcc29a3c9fda0e4c223fef4492fb6f134fbec035d64"
+    "a6142e0177681ac598635298dd0071e4eb92639da8269ec6"
+)
+
+
 def _enclave(platform, name="sealer", config=None):
     enclave = platform.create_enclave(name)
     enclave.add_data("config", config or {"v": 1})
@@ -55,3 +68,43 @@ class TestSealing:
         )
         with pytest.raises(SealingError):
             unseal(enclave, tampered)
+
+
+class TestSealCipherIsHeldPerIdentity:
+    def test_built_once_per_enclave(self, platform):
+        enclave = _enclave(platform)
+        cipher = enclave.seal_cipher()
+        blob = seal(enclave, b"first")
+        seal(enclave, b"second")
+        assert unseal(enclave, blob) == b"first"
+        assert enclave.seal_cipher() is cipher
+
+    def test_follows_the_measurement(self, platform):
+        """Sealing before EINIT is legal; the key must still be the one of
+        the measurement at the time of the call."""
+        enclave = platform.create_enclave("sealer")
+        early = seal(enclave, b"early")
+        enclave.add_data("config", {"v": 1})
+        enclave.init()
+        with pytest.raises(SealingError):
+            unseal(enclave, early)
+        assert unseal(_enclave(platform), seal(enclave, b"late")) == b"late"
+
+    def test_dropped_on_destroy(self, platform):
+        enclave = _enclave(platform)
+        enclave.seal_cipher()
+        enclave.destroy()
+        assert enclave._seal_cipher is None
+
+    def test_blob_sealed_by_the_parent_commit_unseals(self):
+        """A checkpoint / manifest seal written before the vectorised
+        AES-GCM core: same key derivation, same bytes."""
+        platform = SgxPlatform(rng=RngStream(7).child("pinned"),
+                               platform_id="pinned")
+        enclave = _enclave(platform, "pinned")
+        blob = SealedBlob(
+            nonce=bytes(range(12)),
+            ciphertext=bytes.fromhex(PARENT_SEALED),
+        )
+        assert unseal(enclave, blob) == bytes(range(200))
+        assert seal(enclave, bytes(range(200)), nonce=blob.nonce) == blob

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.data.datasets import Dataset
-from repro.data.encryption import EncryptedDataset, encrypt_dataset
+from repro.crypto.aead import new_aead
+from repro.data.encryption import (EncryptedDataset, EncryptedRecord,
+                                   encrypt_dataset, record_aad)
 from repro.crypto.keys import SymmetricKey
 from repro.errors import DuplicateSubmissionError, LedgerError, TrainingError
 from repro.federation.participant import TrainingParticipant
@@ -69,6 +71,32 @@ class TestDecryption:
         summary = server.decrypt_submissions()
         assert summary.accepted == 3
         assert summary.rejected_tampered == 2
+
+    @pytest.mark.parametrize("plaintext", [
+        b"not a tensor at all",                         # bad magic
+        b"RPR1\x03\x00\x00\x00<f4\x03\x00\x00\x00",      # header cut short
+        b"RPR1\x03\x00\x00\x00<f4\x01\x00\x00\x00"
+        + (4).to_bytes(8, "little") + bytes(13),        # payload cut short
+    ])
+    def test_authentic_non_tensor_discarded_not_raised(
+            self, server, rng, attestation_service, plaintext):
+        """A provisioned participant can seal anything under a valid tag;
+        the decrypt ECALL drops that record and trains on the rest."""
+        p = _participant(rng, "p0")
+        provision_key(p, server.enclave, attestation_service,
+                      expected_mrenclave=server.enclave.mrenclave)
+        encrypted = p.encrypt_dataset()
+        nonce = p.key.next_nonce()
+        encrypted.records.append(EncryptedRecord(
+            source_id="p0", index=5, label=1, nonce=nonce,
+            sealed=new_aead(p.key.material).seal(
+                nonce, plaintext, record_aad("p0", 5, 1)),
+        ))
+        server.submit(encrypted)
+        summary = server.decrypt_submissions()
+        assert summary.accepted == 5
+        assert summary.rejected_tampered == 1
+        assert server.staged_training_data()[0].shape == (5, 2, 2, 1)
 
     def test_relabelled_records_discarded(self, server, rng, attestation_service):
         p = _participant(rng, "p0")

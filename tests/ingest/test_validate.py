@@ -5,9 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.crypto.aead import AesGcm, HmacCtrAead, new_aead
 from repro.data.datasets import Dataset
-from repro.data.encryption import iter_encrypted_records
+from repro.data.encryption import (EncryptedRecord, iter_encrypted_records,
+                                   record_aad)
 from repro.ingest import ValidationConfig, ValidationPool
+from repro.utils.serialization import array_to_bytes
 
 from tests.ingest.conftest import CLASSES, SHAPE
 
@@ -15,6 +18,37 @@ from tests.ingest.conftest import CLASSES, SHAPE
 def _records(contributor):
     return list(iter_encrypted_records(contributor.dataset, contributor.key,
                                        contributor.participant_id))
+
+
+def _seal_plaintext(contributor, index, plaintext, label=0):
+    """What only a *provisioned* contributor can make: any bytes at all
+    under a tag that verifies."""
+    nonce = contributor.key.next_nonce()
+    sealed = new_aead(contributor.key.material, cipher="hmac-ctr").seal(
+        nonce, plaintext, record_aad(contributor.participant_id, index, label)
+    )
+    return EncryptedRecord(source_id=contributor.participant_id, index=index,
+                           label=label, nonce=nonce, sealed=sealed)
+
+
+_GOOD = array_to_bytes(np.zeros(SHAPE, dtype=np.float32))
+
+#: Authentic plaintexts that are not an agreed-shape tensor of the size
+#: they claim; each used to raise ValueError out of the ECALL.
+MALFORMED = {
+    "bad-magic": b"not a tensor at all" * 4,
+    "empty": b"",
+    "truncated-payload": _GOOD[:-6],
+    "truncated-header": _GOOD[:13],
+    "padded-payload": _GOOD + bytes(4),
+    # Declares the agreed SHAPE, carries a (2, 2, 3) tensor's worth of data.
+    "header-lies-about-shape": _GOOD[:-4 * 48] + bytes(4 * 12),
+    "ndim-beyond-the-opened-prefix": (
+        _GOOD[:11] + (9).to_bytes(4, "little")
+        + (1).to_bytes(8, "little") * 6 + _GOOD[15:]
+    ),
+    "object-dtype": _GOOD.replace(b"\x03\x00\x00\x00<f4", b"\x02\x00\x00\x00|O"),
+}
 
 
 class TestGates:
@@ -78,6 +112,84 @@ class TestGates:
     def test_empty_input(self, validator):
         report = validator.validate("c0", [])
         assert report.accepted == [] and report.quarantined == []
+
+    def test_tampering_the_last_ciphertext_byte_is_tampered(self, validator,
+                                                           contributors):
+        """Admission decrypts only the tensor header, but the tag still
+        covers every byte: a flip at the far end of the payload, which no
+        header read would notice, is refused as ``tampered``."""
+        records = _records(contributors[0])
+        bad = records[3]
+        flipped = bytearray(bad.sealed)
+        flipped[-17] ^= 0x01  # last ciphertext byte; the tag is the last 16
+        records[3] = dataclasses.replace(bad, sealed=bytes(flipped))
+        report = validator.validate("c0", records)
+        assert report.quarantined_by_reason == {"tampered": 1}
+        assert report.quarantined[0].record is records[3]
+
+
+class TestAuthenticNonTensors:
+    """A provisioned contributor sealing garbage under a valid tag must be
+    quarantined (reason ``shape``), never raise out of the ECALL."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_quarantined_as_shape_and_audited(self, validator, contributors,
+                                              case):
+        records = _records(contributors[0])
+        bad = _seal_plaintext(contributors[0], len(records), MALFORMED[case])
+        report = validator.validate("c0", records[:3] + [bad] + records[3:])
+        assert report.accepted == records
+        assert [(q.record, q.reason) for q in report.quarantined] == [
+            (bad, "shape")]
+        assert validator.telemetry.counter("quarantined_shape") == 1
+        verdicts = [e.details["verdict"]
+                    for e in validator.audit.events("ingest-validate")]
+        assert verdicts.count("shape") == 1
+        assert validator.verify_audit_chain()
+
+    def test_header_that_lies_about_shape_claims_the_agreed_one(self):
+        """The lying header really does say ``SHAPE`` — only the payload
+        size gives it away."""
+        from repro.utils.serialization import array_header
+
+        _, shape, _ = array_header(MALFORMED["header-lies-about-shape"])
+        assert shape == SHAPE
+
+
+class TestAdmissionNeverMaterialisesPlaintext:
+    """Confidentiality invariant: admission authenticates and reads the
+    tensor header; the instance is first decrypted at the training ECALL."""
+
+    @pytest.mark.parametrize("cipher", ["hmac-ctr", "aes-128-gcm"])
+    def test_only_the_header_prefix_is_ever_decrypted(
+            self, server, ledger, contributors, monkeypatch, cipher):
+        contributor = contributors[0]
+        records = list(iter_encrypted_records(
+            contributor.dataset, contributor.key, "c0", cipher=cipher))
+        payload = len(records[0].sealed) - 16
+        assert payload > 64
+        asked = []
+        for cls in (HmacCtrAead, AesGcm):
+            keystream = cls._keystream
+
+            def spy(self, nonce, length, _keystream=keystream):
+                asked.append(length)
+                return _keystream(self, nonce, length)
+
+            monkeypatch.setattr(cls, "_keystream", spy)
+        monkeypatch.setattr(
+            "repro.data.encryption.array_from_bytes",
+            lambda blob: pytest.fail("admission deserialised an instance"),
+        )
+        validator = ValidationPool(
+            server.enclave,
+            ValidationConfig(num_classes=CLASSES, input_shape=SHAPE,
+                             cipher=cipher),
+            ledger=ledger,
+        )
+        report = validator.validate("c0", records)
+        assert report.accepted == records
+        assert len(asked) == len(records) and max(asked) <= 64 < payload
 
 
 class TestDeduplication:

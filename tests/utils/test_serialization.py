@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.utils.serialization import (
     array_from_bytes,
+    array_header,
     array_to_bytes,
     canonical_json,
     stable_hash,
@@ -40,6 +41,42 @@ class TestArrayRoundtrip:
         empty = np.zeros((0, 3), dtype=np.float32)
         restored = array_from_bytes(array_to_bytes(empty))
         assert restored.shape == (0, 3)
+
+
+class TestArrayHeader:
+    def test_header_from_a_prefix(self):
+        array = np.zeros((28, 28, 3), dtype=np.float32)
+        blob = array_to_bytes(array)
+        dtype, shape, offset = array_header(blob[:64])
+        assert (dtype, shape) == (array.dtype, array.shape)
+        assert blob[offset:] == array.tobytes()
+
+    @pytest.mark.parametrize("blob", [
+        b"",
+        b"nope" + bytes(32),
+        b"RPR1",                                        # nothing after magic
+        b"RPR1\x03\x00\x00\x00<f",                       # dtype cut short
+        b"RPR1\xff\xff\xff\xff<f4",                      # absurd dtype length
+        b"RPR1\x03\x00\x00\x00<f4",                      # no ndim
+        b"RPR1\x03\x00\x00\x00<f4\x02\x00\x00\x00" + bytes(8),  # 1 of 2 dims
+        b"RPR1\x03\x00\x00\x00<f4\xff\xff\xff\xff",    # absurd ndim
+        b"RPR1\x03\x00\x00\x00zzz\x01\x00\x00\x00" + bytes(8),  # no such dtype
+        b"RPR1\x03\x00\x00\x00\xff\xfe\xfd\x01\x00\x00\x00" + bytes(8),
+        b"RPR1\x02\x00\x00\x00|O\x01\x00\x00\x00" + bytes(8),    # object dtype
+        b"RPR1\x03\x00\x00\x00|V0\x01\x00\x00\x00" + bytes(8),   # itemsize 0
+        b"RPR1\x05\x00\x00\x00i4,i4\x01\x00\x00\x00" + bytes(8),  # dtype grammar
+    ])
+    def test_malformed_header_is_a_value_error(self, blob):
+        with pytest.raises(ValueError):
+            array_header(blob)
+        with pytest.raises(ValueError):
+            array_from_bytes(blob)
+
+    def test_payload_must_match_the_declared_shape(self):
+        blob = array_to_bytes(np.zeros((2, 3), dtype=np.float32))
+        for bad in (blob[:-4], blob[:-1], blob + bytes(4)):
+            with pytest.raises(ValueError):
+                array_from_bytes(bad)
 
 
 class TestCanonicalJson:
