@@ -141,7 +141,7 @@ def test_growth_storm_zero_evictions(bench_rng, tmp_path_factory):
         counters = cluster.telemetry.snapshot()["counters"]
         evictions = int(counters.get("evictions", 0))
         refreshes = int(counters.get("replica_refreshes", 0))
-        full_builds = [r.index.inner.full_builds for r in cluster.replicas]
+        full_builds = [r.index.full_builds for r in cluster.replicas]
         caught_up = all(r.index.built_version == store.version
                         for r in cluster.replicas)
         audit_ok = cluster.verify_audit_chain()
@@ -250,7 +250,7 @@ def test_compaction_keeps_p99_bounded(bench_rng, tmp_path_factory):
         "churn_p99_ms": round(churn * 1e3, 3),
         "ratio": round(ratio, 3),
         "compactions": int(index.compactions),
-        "compaction_crashes": int(index.compaction_crashes),
+        "compaction_failures": int(index.compaction_failures),
         "bar": "<= 2.0 (advisory in smoke)",
     })
 

@@ -129,9 +129,11 @@ def main() -> None:
           "every query answered")
 
     # -- 4. total failure: the audited degraded path -----------------------
-    for replica in list(cluster.replicas):
-        if replica.healthy:
-            cluster.crash_replica(replica.name)
+    ServingFaultPlan([
+        ServingFaultSpec(kind="replica-crash", at_query=0,
+                         replica=replica.name)
+        for replica in cluster.replicas if replica.healthy
+    ]).before_query(0, cluster)
     result = cluster.query(queries[0], int(query_labels[0]), k=5)
     assert result.degraded and result.replica is None
     assert [hit.index for hit in result.hits] == brute_top_k(
@@ -158,6 +160,7 @@ def main() -> None:
           f"chain verified; evictions: "
           f"{[e.details['reason'] for e in evictions]}")
 
+    plan.release()  # lift the injected latency before shutting down
     cluster.stop()
 
 

@@ -888,7 +888,9 @@ def _cmd_serve_cluster(args) -> int:
         tracer=tracer,
     )
     ok = degraded = hedged = failed_over = failed = 0
-    with cluster:
+    # The plan is entered inside the cluster: leaving it releases any
+    # replica the storm still wedges before the cluster shuts down.
+    with cluster, plan:
         for qi in range(args.queries):
             fired = plan.before_query(qi, cluster)
             for spec in fired:
@@ -921,7 +923,11 @@ def _cmd_serve_cluster(args) -> int:
         notable = [e.kind for e in cluster.audit.events()]
         print(f"cluster audit: {len(notable)} events, chain "
               f"{'VERIFIED' if chain_ok else 'BROKEN'}")
-        for kind in ("fault-injected", "replica-evicted", "replica-revived",
+        # Injected faults are the drill's record, not the victim's: the
+        # cluster's chain holds only what the cluster observed.
+        if plan.fired:
+            print(f"  fault-injected: {len(plan.fired)}")
+        for kind in ("replica-evicted", "replica-revived",
                      "replica-refreshed", "degraded-query", "hedged-query",
                      "failover-query"):
             count = notable.count(kind)

@@ -49,10 +49,10 @@ class StageStats:
 
     @classmethod
     def from_histogram(cls, histogram: Histogram) -> "StageStats":
-        summary = histogram.as_dict()
-        return cls(count=int(summary["count"]), total=float(summary["sum"]),
-                   maximum=float(summary["max"]), p50=float(summary["p50"]),
-                   p95=float(summary["p95"]), p99=float(summary["p99"]))
+        summary = histogram.summary()
+        return cls(count=summary.count, total=summary.sum,
+                   maximum=summary.maximum, p50=summary.percentile(50),
+                   p95=summary.percentile(95), p99=summary.percentile(99))
 
     @property
     def mean(self) -> float:

@@ -167,6 +167,21 @@ class Histogram:
 
     # -- derived views -------------------------------------------------------
 
+    def summary(self) -> "Histogram":
+        """A detached copy of every field, taken under **one** acquisition.
+
+        Each view below is consistent on its own; a reader that combines
+        two of them (a count next to a sum, a percentile next to a count)
+        must read both off one summary, or a concurrent ``observe`` can
+        land between the reads. Nothing writes to the copy.
+        """
+        copy = Histogram(self.name, self._bounds)
+        with self._lock:
+            copy._counts = list(self._counts)
+            copy._count, copy._sum = self._count, self._sum
+            copy._min, copy._max = self._min, self._max
+        return copy
+
     @property
     def count(self) -> int:
         with self._lock:
@@ -236,15 +251,16 @@ class Histogram:
             return out
 
     def as_dict(self) -> Dict[str, float]:
+        frozen = self.summary()
         return {
-            "count": self.count,
-            "sum": self.sum,
-            "mean": self.mean,
-            "min": self.minimum,
-            "max": self.maximum,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
+            "count": frozen.count,
+            "sum": frozen.sum,
+            "mean": frozen.mean,
+            "min": frozen.minimum,
+            "max": frozen.maximum,
+            "p50": frozen.percentile(50),
+            "p95": frozen.percentile(95),
+            "p99": frozen.percentile(99),
         }
 
 
@@ -353,15 +369,18 @@ class MetricsRegistry:
             lines.append(f"{name} {_format_value(gauge.value)}")
         for name, histogram in histograms:
             lines.append(f"# TYPE {name} histogram")
-            for le, cumulative in histogram.cumulative_buckets():
+            # One summary per histogram: the bucket series, _sum, _count
+            # and the quantiles of one scrape describe the same samples.
+            frozen = histogram.summary()
+            for le, cumulative in frozen.cumulative_buckets():
                 le_text = "+Inf" if math.isinf(le) else _format_value(le)
                 lines.append(f'{name}_bucket{{le="{le_text}"}} {cumulative}')
-            lines.append(f"{name}_sum {_format_value(histogram.sum)}")
-            lines.append(f"{name}_count {histogram.count}")
+            lines.append(f"{name}_sum {_format_value(frozen.sum)}")
+            lines.append(f"{name}_count {frozen.count}")
             for q in (50, 95, 99):
                 lines.append(
                     f'{name}{{quantile="0.{q}"}} '
-                    f"{_format_value(histogram.percentile(q))}"
+                    f"{_format_value(frozen.percentile(q))}"
                 )
         return "\n".join(lines) + "\n"
 

@@ -20,27 +20,43 @@ property the crash/resume parity tests build on.
 
 The serving plane gets the same treatment: a :class:`ServingFaultPlan`
 schedules :class:`ServingFaultSpec` injections (replica crash/hang,
-latency, index/store byte corruption, torn manifests) keyed by query
-ordinal instead of (epoch, batch), and drives them through
-:meth:`ServingCluster.inject` — so the availability benchmark, the test
-suite, and the CLI ``serve-cluster --inject`` drill all replay the
-exact same fault storm.
+latency, index/store byte corruption, torn manifests, growth storms,
+compaction crashes) keyed by query ordinal instead of (epoch, batch) —
+so the availability benchmark, the test suite, and the CLI
+``serve-cluster --inject`` drill all replay the exact same fault storm.
+
+This module is the only place that knows how a serving fault is
+*applied*. The victim does not cooperate: ``repro.serving`` has no
+injection hook, fault flag or wrapper, and never imports this package.
+Each kind in :data:`SERVING_FAULT_KINDS` has one applier in
+:data:`SERVING_FAULT_APPLIERS` that acts on a running cluster from
+outside, through what the production classes expose anyway — the
+replica list, ``engine.kill()`` (process death), the replica's own
+index object, the store's directory and ``store.append``. What an
+applier blocks (a wedged search) the plan that fired it releases:
+:meth:`ServingFaultPlan.release`, or use the plan as a context manager
+inside the cluster's ``with`` block.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.partition import PartitionedNetwork
-from repro.errors import (CheckpointWriteCrash, ConfigurationError,
-                          EnclaveAbort, EpcPressureError)
+from repro.errors import (CheckpointWriteCrash, CompactionCrash,
+                          ConfigurationError, EnclaveAbort, EpcPressureError)
 from repro.utils.logging import get_logger
+from repro.utils.serialization import canonical_digest
 
 __all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan",
-           "SERVING_FAULT_KINDS", "ServingFaultSpec", "ServingFaultPlan"]
+           "SERVING_FAULT_KINDS", "SERVING_FAULT_APPLIERS",
+           "ServingFaultSpec", "ServingFaultPlan"]
 
 _LOG = get_logger("resilience.faults")
 
@@ -69,8 +85,52 @@ class FaultSpec:
         if self.epoch < 0 or self.batch < 0:
             raise ConfigurationError("fault epoch/batch must be >= 0")
 
+    @property
+    def point(self) -> Tuple[int, int]:
+        return (self.epoch, self.batch)
 
-class FaultPlan:
+
+class _OneShotSchedule:
+    """Specs keyed by firing point (``spec.point``); each fires once.
+
+    The part a training :class:`FaultPlan` and a
+    :class:`ServingFaultPlan` share: what is still pending, what has
+    fired, and how a seeded plan picks distinct firing points.
+    """
+
+    def __init__(self, faults: Sequence = ()) -> None:
+        self._pending: Dict[Hashable, list] = {}
+        for spec in faults:
+            self._pending.setdefault(spec.point, []).append(spec)
+        self.fired: list = []
+
+    @property
+    def remaining(self) -> int:
+        return sum(len(specs) for specs in self._pending.values())
+
+    def scheduled(self) -> list:
+        """Every not-yet-fired spec, ordered by firing point."""
+        return [spec for point in sorted(self._pending)
+                for spec in self._pending[point]]
+
+    def _due(self, point: Hashable) -> list:
+        """Take the specs scheduled at ``point`` off the schedule."""
+        return self._pending.pop(point, [])
+
+    @staticmethod
+    def _draw_distinct(n_faults: int, draw: Callable[[], object]) -> list:
+        """``n_faults`` draws whose firing points are pairwise distinct."""
+        seen: set = set()
+        faults: list = []
+        while len(faults) < n_faults:
+            spec = draw()
+            if spec.point not in seen:
+                seen.add(spec.point)
+                faults.append(spec)
+        return faults
+
+
+class FaultPlan(_OneShotSchedule):
     """A deterministic schedule of :class:`FaultSpec` injections.
 
     Wire it into a run by calling :meth:`attach` on the partitioned
@@ -81,10 +141,7 @@ class FaultPlan:
     """
 
     def __init__(self, faults: Sequence[FaultSpec] = ()) -> None:
-        self._pending: Dict[Tuple[int, int], List[FaultSpec]] = {}
-        for spec in faults:
-            self._pending.setdefault((spec.epoch, spec.batch), []).append(spec)
-        self.fired: List[FaultSpec] = []
+        super().__init__(faults)
         self._armed_corruption: Optional[str] = None
         self._armed_checkpoint_crash = False
         self._partitioned: Optional[PartitionedNetwork] = None
@@ -100,23 +157,11 @@ class FaultPlan:
             if kind not in FAULT_KINDS:
                 raise ConfigurationError(f"unknown fault kind {kind!r}")
         rng = np.random.default_rng(seed)
-        seen = set()
-        faults = []
-        while len(faults) < n_faults:
-            spec = FaultSpec(
-                kind=str(rng.choice(list(kinds))),
-                epoch=int(rng.integers(0, epochs)),
-                batch=int(rng.integers(0, batches_per_epoch)),
-            )
-            if (spec.epoch, spec.batch) in seen:
-                continue
-            seen.add((spec.epoch, spec.batch))
-            faults.append(spec)
-        return cls(faults)
-
-    @property
-    def remaining(self) -> int:
-        return sum(len(specs) for specs in self._pending.values())
+        return cls(cls._draw_distinct(n_faults, lambda: FaultSpec(
+            kind=str(rng.choice(list(kinds))),
+            epoch=int(rng.integers(0, epochs)),
+            batch=int(rng.integers(0, batches_per_epoch)),
+        )))
 
     def attach(self, partitioned: PartitionedNetwork) -> None:
         """Install the boundary corruption tap on the partitioned network."""
@@ -132,9 +177,7 @@ class FaultPlan:
         boundary tap for this batch's transfers; checkpoint crashes arm
         the next checkpoint write.
         """
-        specs = self._pending.pop((epoch, batch), None)
-        if not specs:
-            return
+        specs = self._due((epoch, batch))
         raising: Optional[FaultSpec] = None
         for spec in specs:
             _LOG.info("injecting fault %s at epoch %d batch %d",
@@ -205,9 +248,8 @@ class ServingFaultSpec:
     pins the corrupted row to an exact vector — the availability bench
     uses this to plant an *attractor* row that surfaces in answers (so
     per-answer verification must catch it) instead of silently sinking.
-    ``records`` sizes the ``growth-storm`` ingest burst (``None`` =
-    the cluster's default burst; ``label`` optionally pins the burst to
-    one label).
+    ``records`` sizes the ``growth-storm`` ingest burst (``None`` = 256;
+    ``label`` optionally pins the burst to one label).
     """
 
     kind: str
@@ -232,21 +274,173 @@ class ServingFaultSpec:
         if self.records is not None and self.records <= 0:
             raise ConfigurationError("records must be >= 1 when given")
 
+    @property
+    def point(self) -> int:
+        return self.at_query
 
-class ServingFaultPlan:
+
+# -- the appliers: one per kind, each acting on the cluster from outside --------
+#
+# ``applier(cluster, spec)`` returns None, or — when the fault keeps
+# blocking or slowing the victim — the callable that lets the victim go.
+
+
+def _target(cluster, name: Optional[str]):
+    """The named replica, or the first healthy one."""
+    if name is None:
+        return next((r for r in cluster.replicas if r.healthy),
+                    cluster.replicas[0])
+    for replica in cluster.replicas:
+        if replica.name == name:
+            return replica
+    raise ConfigurationError(f"no replica named {name!r}")
+
+
+def _stall_searches(cluster, spec: ServingFaultSpec,
+                    stall: Callable[[], object]) -> Callable[[], None]:
+    """Run ``stall()`` ahead of every search one replica's index serves.
+
+    The engine calls ``self.index.search_batch``, so shadowing the
+    method on the instance reaches exactly that replica; a revived
+    replica gets a fresh index and with it a clean bill of health."""
+    index = _target(cluster, spec.replica).index
+    search = index.search_batch
+
+    def stalled(batch, label, k=9):
+        stall()
+        return search(batch, label, k)
+
+    index.search_batch = stalled
+    return lambda: vars(index).pop("search_batch", None)
+
+
+def _crash_replica(cluster, spec: ServingFaultSpec):
+    _target(cluster, spec.replica).engine.kill()
+
+
+def _hang_replica(cluster, spec: ServingFaultSpec):
+    gate = threading.Event()
+    unwrap = _stall_searches(cluster, spec, gate.wait)
+
+    def release() -> None:
+        gate.set()
+        unwrap()
+
+    return release
+
+
+def _slow_replica(cluster, spec: ServingFaultSpec):
+    return _stall_searches(cluster, spec, lambda: time.sleep(spec.delay_s))
+
+
+def _corrupt_index_row(cluster, spec: ServingFaultSpec):
+    """Overwrite one row of the replica's private shard matrix in place —
+    never the shared store."""
+    label = int(spec.label or 0)
+    generation = _target(cluster, spec.replica).index._generation
+    matrix = next(segment.shards[label] for segment in generation.segments
+                  if label in segment.shards).matrix
+    row = (spec.row or 0) % matrix.shape[0]
+    if spec.value is not None:
+        matrix[row] = np.asarray(spec.value, dtype=np.float32)
+    else:
+        matrix[row] = matrix[row] + np.float32(1.0)
+
+
+def _corrupt_store_segment(cluster, spec: ServingFaultSpec):
+    """Flip one byte in a store segment file on disk (shared fault)."""
+    infos = cluster.store.segments
+    if not infos:
+        raise ConfigurationError("store has no segments to corrupt")
+    info = infos[(spec.row or 0) % len(infos)]
+    path = cluster.store.path / f"{info.name}.npy"
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def _tear_manifest(cluster, spec: ServingFaultSpec):
+    """Truncate the store manifest mid-file (torn-write simulation)."""
+    path = cluster.store.path / "manifest.json"
+    text = path.read_text()
+    path.write_text(text[: max(1, len(text) // 2)])
+
+
+def _growth_storm(cluster, spec: ServingFaultSpec):
+    """Append a benign ingest burst to the shared store.
+
+    The load half of the growth-under-load drill: every replica's pinned
+    generation instantly becomes behind the store, and the cluster must
+    keep answering from pinned snapshots while staggered refreshes catch
+    up — zero evictions, zero client-facing ``StaleIndexError``."""
+    store = cluster.store
+    known = list(store.labels())
+    if not known or store.dimension is None:
+        raise ConfigurationError("growth storm needs a non-empty store")
+    records = spec.records or 256
+    version = store.version
+    if spec.label is not None:
+        targets = [int(spec.label)] * records
+    else:
+        targets = [known[i % len(known)] for i in range(records)]
+    matrix = np.random.default_rng(version).standard_normal(
+        (records, store.dimension)).astype(np.float32)
+    digests = [canonical_digest({"growth-storm": [int(version), int(i)]})
+               for i in range(records)]
+    store.append(matrix, targets, [f"growth-storm-{version}"] * records,
+                 digests)
+
+
+def _crash_next_compaction(cluster, spec: ServingFaultSpec):
+    """Kill the replica's next segment merge between build and adoption.
+
+    One-shot, and only the merge: ``_compact_step`` adopts what it
+    merged through ``self._adopt``, so shadowing that on the instance
+    and failing the first call that comes from ``_compact_step`` leaves
+    ``build`` / ``refresh`` adoptions (other callers, other threads)
+    and every later merge alone."""
+    index = _target(cluster, spec.replica).index
+    adopt = index._adopt
+
+    def crashing_adopt(segments, params):
+        if sys._getframe(1).f_code.co_name != "_compact_step":
+            return adopt(segments, params)
+        del index._adopt
+        raise CompactionCrash(
+            "injected compaction crash: merged segment built but not "
+            "adopted — the live generation must be unaffected")
+
+    index._adopt = crashing_adopt
+
+
+#: How each kind in :data:`SERVING_FAULT_KINDS` is applied.
+SERVING_FAULT_APPLIERS: Dict[str, Callable] = {
+    "replica-crash": _crash_replica,
+    "replica-hang": _hang_replica,
+    "latency-inject": _slow_replica,
+    "index-corrupt": _corrupt_index_row,
+    "store-corrupt": _corrupt_store_segment,
+    "torn-manifest": _tear_manifest,
+    "growth-storm": _growth_storm,
+    "compaction-crash": _crash_next_compaction,
+}
+
+
+class ServingFaultPlan(_OneShotSchedule):
     """A deterministic schedule of :class:`ServingFaultSpec` injections.
 
     Drive it from whatever issues the queries: call
     :meth:`before_query` with the running query ordinal and the target
     cluster before each submission; faults scheduled at that ordinal
-    fire exactly once via :meth:`ServingCluster.inject`.
+    fire exactly once through :data:`SERVING_FAULT_APPLIERS` and are
+    recorded on :attr:`fired`. Wedges and delays stay in force until
+    :meth:`release` (or the end of a ``with plan:`` block) — do that
+    before ``cluster.stop()`` so no worker is left blocked.
     """
 
     def __init__(self, faults: Sequence[ServingFaultSpec] = ()) -> None:
-        self._pending: Dict[int, List[ServingFaultSpec]] = {}
-        for spec in faults:
-            self._pending.setdefault(spec.at_query, []).append(spec)
-        self.fired: List[ServingFaultSpec] = []
+        super().__init__(faults)
+        self._releases: List[Callable[[], None]] = []
 
     @classmethod
     def seeded(cls, seed: int, queries: int, n_faults: int = 3,
@@ -266,37 +460,31 @@ class ServingFaultPlan:
                 raise ConfigurationError(
                     f"unknown serving fault kind {kind!r}")
         rng = np.random.default_rng(seed)
-        seen = set()
-        faults = []
-        while len(faults) < n_faults:
-            at_query = int(rng.integers(0, queries))
-            if at_query in seen:
-                continue
-            seen.add(at_query)
-            faults.append(ServingFaultSpec(
-                kind=str(rng.choice(list(kinds))),
-                at_query=at_query,
-                delay_s=float(rng.uniform(0.01, 0.08)),
-            ))
-        return cls(faults)
-
-    @property
-    def remaining(self) -> int:
-        return sum(len(specs) for specs in self._pending.values())
-
-    def scheduled(self) -> List[ServingFaultSpec]:
-        """Every not-yet-fired spec, ordered by query ordinal."""
-        return [spec for ordinal in sorted(self._pending)
-                for spec in self._pending[ordinal]]
+        return cls(cls._draw_distinct(n_faults, lambda: ServingFaultSpec(
+            at_query=int(rng.integers(0, queries)),
+            kind=str(rng.choice(list(kinds))),
+            delay_s=float(rng.uniform(0.01, 0.08)),
+        )))
 
     def before_query(self, ordinal: int, cluster) -> List[ServingFaultSpec]:
         """Fire every fault scheduled at this query ordinal."""
-        specs = self._pending.pop(ordinal, None)
-        if not specs:
-            return []
+        specs = self._due(ordinal)
         for spec in specs:
             _LOG.info("injecting serving fault %s before query %d",
                       spec.kind, ordinal)
-            cluster.inject(spec)
+            release = SERVING_FAULT_APPLIERS[spec.kind](cluster, spec)
+            if release is not None:
+                self._releases.append(release)
             self.fired.append(spec)
-        return list(specs)
+        return specs
+
+    def release(self) -> None:
+        """Let go of everything fired faults still block or slow."""
+        while self._releases:
+            self._releases.pop()()
+
+    def __enter__(self) -> "ServingFaultPlan":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()

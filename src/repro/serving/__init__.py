@@ -31,12 +31,19 @@ package grows it into a serving subsystem that can absorb heavy traffic:
   audit trail so every forensic query is itself accountable.
 * :mod:`repro.serving.telemetry` — per-stage latency / hit-rate /
   occupancy counters for the whole plane.
+* :mod:`repro.serving.verify` — :class:`AnswerVerifier`, the one unit
+  that decides whether an answer may leave the router (pure: store +
+  telemetry in, one verdict per answer out).
 * :mod:`repro.serving.cluster` — the self-healing replicated layer:
   N engine replicas over one sealed store, fronted by a router with
   per-request deadlines, jittered-backoff retry, p99-triggered hedging,
-  per-replica circuit breakers, load shedding, per-answer verification
-  against the store, background eviction/revival, and an audited exact
-  brute-force degraded mode.
+  per-replica circuit breakers, load shedding, one verifier call per
+  answer, background eviction/revival, and an audited exact brute-force
+  degraded mode.
+
+Nothing in this package injects faults: a replica's ``index`` is exactly
+what the cluster's ``index_factory`` returned, and drills (the resilience
+package's serving fault plans) act on a running cluster from outside.
 """
 
 from repro.serving.cluster import (CircuitBreaker, ClusterConfig,
@@ -50,6 +57,7 @@ from repro.serving.segments import (IndexGeneration, IndexSegment,
                                     plan_merge)
 from repro.serving.store import LinkageStore, SegmentInfo
 from repro.serving.telemetry import ClusterTelemetry, ServingTelemetry
+from repro.serving.verify import AnswerVerifier
 
 __all__ = [
     "EngineAnswer",
@@ -68,6 +76,7 @@ __all__ = [
     "SegmentInfo",
     "ServingTelemetry",
     "ClusterTelemetry",
+    "AnswerVerifier",
     "ClusterConfig",
     "ClusterResult",
     "CircuitBreaker",

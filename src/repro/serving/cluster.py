@@ -21,12 +21,11 @@ while the host misbehaves:
 * **load shedding** — a cluster-wide in-flight bound rejects excess
   work with a typed, ``retry_after_s``-carrying
   :class:`~repro.errors.QueryRejected` instead of letting queues melt;
-* **answer verification** — every hit a replica returns is re-checked
-  against the authoritative mmap store (distance recomputation via
-  :meth:`LinkageStore.fingerprint_at`), and every answer's provenance
-  claims (hit count vs label rows, cited index snapshot) are verified
-  with a cached lineage walk; a mismatch is index corruption and evicts
-  the replica fail-closed;
+* **answer verification** — every answer a replica returns goes through
+  one :class:`~repro.serving.verify.AnswerVerifier` call (distances
+  re-derived from the authoritative mmap store, provenance claims and
+  the cited index snapshot's lineage checked); a failed verdict is index
+  corruption and evicts the replica fail-closed;
 * **incremental refresh, not eviction, on benign growth** — appends to
   the shared store leave each replica's pinned generation valid for the
   prefix it covers; the health sweep adopts new segments via staggered
@@ -49,6 +48,11 @@ accelerators over the sealed store — the store's content-addressed
 segments are the root of trust. Degraded mode drops the accelerator and
 reads the sealed bytes directly (after a fail-closed ``verify()``), so
 availability never comes at the price of integrity.
+
+Nothing in this module injects a fault. Drills (the serving fault plans
+of the resilience package) act on a running cluster from outside,
+through what the production classes expose anyway; the cluster only ever
+*observes* misbehaviour.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ import itertools
 import random
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import wait as futures_wait
@@ -75,16 +79,22 @@ from repro.errors import (ConfigurationError, DeadlineExceeded,
                           StoreError)
 from repro.serving.engine import EngineConfig, ServingEngine
 from repro.serving.index import IndexHit, ShardedAnnIndex
-from repro.serving.segments import generation_lineage_error
 from repro.serving.store import LinkageStore
 from repro.serving.telemetry import ClusterTelemetry, ServingTelemetry
-from repro.utils.serialization import canonical_digest
+from repro.serving.verify import AnswerVerifier
 
 __all__ = ["ClusterConfig", "CircuitBreaker", "ClusterResult",
            "ServingReplica", "ServingCluster"]
 
-_DISTANCE_MISMATCH = ("served hit distance disagrees with the authoritative "
-                      "store — replica index corruption")
+_JITTER_SEED = 0         # deterministic backoff jitter
+_LATENCY_WINDOW = 512    # rolling latencies behind the p99 hedge trigger
+_PROBE_TIMEOUT_S = 1.0   # budget for a revived replica's probe query
+
+
+def _is_caller_error(exc: BaseException) -> bool:
+    """Unknown label, bad dimension: the query is wrong, not the replica."""
+    return isinstance(exc, QueryError) and not isinstance(
+        exc, (QueryRejected, StaleIndexError))
 
 
 @dataclass(frozen=True)
@@ -95,17 +105,11 @@ class ClusterConfig:
     max_retries: int = 2           # failovers per query beyond the first try
     backoff_base_s: float = 0.02   # exponential backoff base
     backoff_cap_s: float = 0.25    # backoff ceiling
-    jitter_seed: int = 0           # deterministic backoff jitter
     hedge_min_s: float = 0.05      # hedge delay floor (and pre-warm value)
-    latency_window: int = 512      # rolling latencies for the p99 estimate
-    hedging: bool = True           # launch p99-triggered hedged requests
     breaker_threshold: int = 3     # consecutive failures that open a breaker
     breaker_reset_s: float = 1.0   # open -> half-open probe interval
     max_in_flight: int = 256       # cluster-wide load-shedding bound
     health_interval_s: float = 0.25  # background health-sweep period
-    probe_timeout_s: float = 1.0   # revival probe budget
-    verify_hits: bool = True       # recompute each hit against the store
-    verify_tolerance: float = 1e-3  # relative distance tolerance
     degraded_allowed: bool = True  # audited brute-force fallback
     revive: bool = True            # background revival of evicted replicas
     stop_timeout_s: float = 1.0    # bound on per-engine eviction/stop drains
@@ -122,8 +126,6 @@ class ClusterConfig:
                 "backoff_base_s must be positive and <= backoff_cap_s")
         if self.hedge_min_s <= 0:
             raise ConfigurationError("hedge_min_s must be positive")
-        if self.latency_window < 1:
-            raise ConfigurationError("latency_window must be >= 1")
         if self.breaker_threshold < 1:
             raise ConfigurationError("breaker_threshold must be >= 1")
         if self.breaker_reset_s <= 0:
@@ -132,10 +134,6 @@ class ClusterConfig:
             raise ConfigurationError("max_in_flight must be >= 1")
         if self.health_interval_s <= 0:
             raise ConfigurationError("health_interval_s must be positive")
-        if self.probe_timeout_s <= 0:
-            raise ConfigurationError("probe_timeout_s must be positive")
-        if self.verify_tolerance <= 0:
-            raise ConfigurationError("verify_tolerance must be positive")
         if self.stop_timeout_s <= 0:
             raise ConfigurationError("stop_timeout_s must be positive")
         if self.refresh_stagger < 1:
@@ -202,85 +200,6 @@ class CircuitBreaker:
             self._probing = False
 
 
-class _ReplicaIndex:
-    """Fault-injectable wrapper around one replica's private index.
-
-    This is the chaos surface: the cluster's fault plan can add latency,
-    wedge searches until released, or flip bytes in a shard matrix —
-    all scoped to one replica, never the shared store. Delegates every
-    other attribute to the wrapped :class:`ShardedAnnIndex`, so the
-    engine cannot tell the difference.
-    """
-
-    def __init__(self, inner: ShardedAnnIndex) -> None:
-        self.inner = inner
-        self._delay_s = 0.0
-        self._wedged = False
-        self._release = threading.Event()
-        self._release.set()
-        # Snapshot the three attributes the engine reads on EVERY submit
-        # (dimension/staleness checks) as plain attributes: property-hop
-        # delegation on the submit hot path is measurable router
-        # overhead. build() refreshes them; the store handle is stable
-        # for the life of the wrapper (store.version stays a live read).
-        self.store = inner.store
-        self._sync_snapshot()
-
-    # -- chaos controls ----------------------------------------------------------
-
-    def set_delay(self, delay_s: float) -> None:
-        self._delay_s = max(0.0, float(delay_s))
-
-    def wedge(self) -> None:
-        self._wedged = True
-        self._release.clear()
-
-    def release_faults(self) -> None:
-        self._delay_s = 0.0
-        self._wedged = False
-        self._release.set()
-
-    def corrupt_row(self, label: int, row: int,
-                    value: Optional[Sequence[float]] = None) -> None:
-        """Flip one index row in place (replica-private matrix copy)."""
-        shard = self.inner._shard_for(int(label))
-        matrix = shard.matrix
-        row = int(row) % matrix.shape[0]
-        if value is not None:
-            matrix[row] = np.asarray(value, dtype=np.float32)
-        else:
-            matrix[row] = matrix[row] + np.float32(1.0)
-
-    # -- delegation --------------------------------------------------------------
-
-    def search_batch(self, batch, label, k=9):
-        if self._delay_s:
-            time.sleep(self._delay_s)
-        if self._wedged:
-            self._release.wait()
-        return self.inner.search_batch(batch, label, k)
-
-    def build(self) -> "_ReplicaIndex":
-        self.inner.build()
-        self._sync_snapshot()
-        return self
-
-    def refresh(self) -> bool:
-        changed = self.inner.refresh()
-        self._sync_snapshot()
-        return changed
-
-    def _sync_snapshot(self) -> None:
-        self.dimension = self.inner.dimension
-        self.built_version = self.inner.built_version
-
-    def verify_checksums(self) -> None:
-        self.inner.verify_checksums()
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
 @dataclass
 class ClusterResult:
     """One routed answer plus how the cluster obtained it."""
@@ -297,11 +216,10 @@ class ClusterResult:
 class ServingReplica:
     """One engine replica plus its health state, breaker, and audit mark."""
 
-    def __init__(self, name: str, store: LinkageStore, index: _ReplicaIndex,
-                 engine: ServingEngine, breaker: CircuitBreaker) -> None:
+    def __init__(self, name: str, engine: ServingEngine,
+                 breaker: CircuitBreaker) -> None:
         self.name = name
-        self.store = store
-        self.index = index
+        self.index: ShardedAnnIndex = engine.index
         self.engine = engine
         self.breaker = breaker
         self.state = "healthy"          # healthy | evicted | reviving
@@ -333,9 +251,7 @@ class ServingCluster:
         self.store = store
         self.config = config or ClusterConfig()
         self.engine_config = engine_config or EngineConfig()
-        self.index_factory = index_factory or (
-            lambda s: ShardedAnnIndex(s)
-        )
+        self.index_factory = index_factory or ShardedAnnIndex
         self.promotion = promotion
         self.promotion_verifier = promotion_verifier
         self.telemetry = telemetry if telemetry is not None else ClusterTelemetry()
@@ -343,10 +259,10 @@ class ServingCluster:
         self.audit = AuditLog()  # notable routing events, hash-chained
         self._audit_lock = threading.Lock()
         self._clock = clock
-        self._rng = random.Random(self.config.jitter_seed)
+        self._rng = random.Random(_JITTER_SEED)
         self._rng_lock = threading.Lock()
         self._rr = itertools.count()
-        self._latencies: "deque[float]" = deque(maxlen=self.config.latency_window)
+        self._latencies: "deque[float]" = deque(maxlen=_LATENCY_WINDOW)
         self._latency_lock = threading.Lock()
         self._in_flight = 0
         self._in_flight_lock = threading.Lock()
@@ -358,29 +274,27 @@ class ServingCluster:
         self._degraded_lock = threading.Lock()
         self._degraded_cache: Dict[Tuple[int, int], Tuple[np.ndarray, List[int]]] = {}
         self._degraded_verified_version: Optional[int] = None
-        # Index snapshots whose lineage already verified against the
-        # authoritative store — the per-answer check then costs one dict
-        # hit instead of a digest walk. Content-addressed, so one entry
-        # covers every replica serving the same generation.
-        self._trusted_lock = threading.Lock()
-        self._trusted_snapshots: "OrderedDict[str, bool]" = OrderedDict()
+        self.verifier = AnswerVerifier(store, self.telemetry)
         self.replicas: List[ServingReplica] = [
             self._make_replica(f"replica-{i}", store) for i in range(replicas)
         ]
 
     # -- construction / lifecycle ------------------------------------------------
 
-    def _make_replica(self, name: str, store: LinkageStore) -> ServingReplica:
-        index = _ReplicaIndex(self.index_factory(store))
-        engine = ServingEngine(
-            index, config=self.engine_config,
+    def _new_engine(self, store: LinkageStore) -> ServingEngine:
+        """A not-yet-started engine over a not-yet-built private index."""
+        return ServingEngine(
+            self.index_factory(store), config=self.engine_config,
             telemetry=ServingTelemetry(registry=self.telemetry.registry),
             promotion=self.promotion,
             promotion_verifier=self.promotion_verifier,
         )
+
+    def _make_replica(self, name: str, store: LinkageStore) -> ServingReplica:
+        engine = self._new_engine(store)
         breaker = CircuitBreaker(self.config.breaker_threshold,
                                  self.config.breaker_reset_s, self._clock)
-        return ServingReplica(name, store, index, engine, breaker)
+        return ServingReplica(name, engine, breaker)
 
     def _span(self, name: str, kind: str, **attrs):
         if self.tracer is None:
@@ -413,7 +327,6 @@ class ServingCluster:
             self._monitor.join(timeout=self.config.stop_timeout_s * 2)
             self._monitor = None
         for replica in self.replicas:
-            replica.index.release_faults()
             replica.index.stop_compaction()
             try:
                 replica.engine.stop(
@@ -475,137 +388,6 @@ class ServingCluster:
                 return replica
         return None
 
-    # -- answer verification -----------------------------------------------------
-
-    def _verify_snapshot_lineage(self, generation) -> None:
-        """Walk a generation's lineage against the authoritative store.
-
-        Verified snapshots are cached by digest (content-addressed, so
-        one entry covers every replica serving the same generation);
-        the walk itself recomputes the snapshot digest and checks the
-        covered store digests are a committed prefix of the manifest."""
-        snapshot = generation.snapshot
-        with self._trusted_lock:
-            if snapshot in self._trusted_snapshots:
-                self._trusted_snapshots.move_to_end(snapshot)
-                return
-        problem = generation_lineage_error(generation, self.store)
-        if problem is not None:
-            self.telemetry.count("snapshot_failures")
-            raise IndexIntegrityError(
-                f"index snapshot failed the lineage walk: {problem}"
-            )
-        self.telemetry.count("snapshot_verifications")
-        with self._trusted_lock:
-            self._trusted_snapshots[snapshot] = True
-            while len(self._trusted_snapshots) > 128:
-                self._trusted_snapshots.popitem(last=False)
-
-    def _verify_answer_meta(self, replica: ServingReplica, hits,
-                            label: int, k: int) -> None:
-        """Check an answer's provenance claims, not just its distances.
-
-        * the answer must carry provenance at all (``label_rows`` and
-          ``snapshot``) — one without it fails closed;
-        * explicit hit count: ``len(hits)`` must equal
-          ``min(k, label_rows)`` — a short shard is legitimate only when
-          the answer *says* the label held fewer than ``k`` rows;
-        * the claimed ``label_rows`` must match the cited generation and
-          never exceed what the authoritative store holds;
-        * the cited index snapshot must exist on the replica and pass
-          the lineage walk against the store manifest."""
-        label_rows = getattr(hits, "label_rows", None)
-        snapshot = getattr(hits, "snapshot", None)
-        if label_rows is None or snapshot is None:
-            # Every answer a ShardedAnnIndex-backed engine produces carries
-            # both; one without them would skip every check below, so a
-            # replica that strips provenance is treated as corrupt.
-            self.telemetry.count("verify_failures")
-            raise IndexIntegrityError(
-                "answer carries no provenance (index snapshot / label "
-                "rows) — nothing to verify it against"
-            )
-        label_rows = int(label_rows)
-        if len(hits) != min(k, label_rows):
-            self.telemetry.count("verify_failures")
-            raise IndexIntegrityError(
-                f"answer carries {len(hits)} hits but claims "
-                f"{label_rows} rows for label {label} at k={k} — "
-                "short or padded answer"
-            )
-        if label_rows > self.store.count(label):
-            self.telemetry.count("verify_failures")
-            raise IndexIntegrityError(
-                f"answer claims more label-{label} rows than the "
-                "authoritative store holds"
-            )
-        generation = replica.index.generation(snapshot)
-        if generation is None:
-            # The replica keeps only a bounded generation history, so an
-            # answer produced just before many rapid adoptions can cite a
-            # legitimately pruned snapshot. If the cluster already
-            # lineage-verified that snapshot against the authoritative
-            # store, the citation is proven without the replica — the
-            # remaining claims (hit count and label_rows bound above,
-            # distances elsewhere) are checked against the store itself.
-            # Only an unknown AND unverifiable snapshot is an integrity
-            # failure.
-            with self._trusted_lock:
-                trusted = snapshot in self._trusted_snapshots
-                if trusted:
-                    self._trusted_snapshots.move_to_end(snapshot)
-            if not trusted:
-                self.telemetry.count("verify_failures")
-                raise IndexIntegrityError(
-                    "answer cites an index snapshot the replica cannot "
-                    "produce and the cluster has never verified"
-                )
-            self.telemetry.count("trusted_snapshot_answers")
-            return
-        if generation.count(label) != label_rows:
-            self.telemetry.count("verify_failures")
-            raise IndexIntegrityError(
-                f"answer claims {label_rows} rows for label {label} but "
-                f"its cited generation holds {generation.count(label)}"
-            )
-        self._verify_snapshot_lineage(generation)
-
-    def _verify_hits_many(self, fingerprints: np.ndarray,
-                          hit_lists: Sequence[Tuple[IndexHit, ...]]
-                          ) -> List[bool]:
-        """Recompute every hit's distance against the authoritative store.
-
-        The replicas' in-memory matrices are untrusted copies; the mmap
-        store (content-addressed, sealable) is the ground truth. Any
-        mismatch means the replica's index drifted — the answer is
-        discarded and the caller evicts the replica.
-
-        One store gather + one distance pass for every hit of every
-        answer; returns a per-answer pass/fail list, metering one
-        verification per non-empty answer and one failure per bad answer.
-        """
-        counts = [len(hits) for hits in hit_lists]
-        checked = sum(1 for c in counts if c)
-        if checked:
-            self.telemetry.count("hit_verifications", checked)
-        if not sum(counts):
-            return [True] * len(hit_lists)
-        rows = self.store.fingerprints_at(
-            [h.index for hits in hit_lists for h in hits])
-        owner = np.repeat(np.arange(len(hit_lists)), counts)
-        deltas = rows - fingerprints[owner]
-        actual = np.sqrt((deltas * deltas).sum(axis=1))
-        claimed = np.array([h.distance for hits in hit_lists for h in hits],
-                           dtype=np.float64)
-        tolerance = self.config.verify_tolerance * np.maximum(1.0, actual)
-        bad = np.abs(actual - claimed) > tolerance
-        ok = [True] * len(hit_lists)
-        if np.any(bad):
-            for position in np.unique(owner[bad]):
-                ok[int(position)] = False
-            self.telemetry.count("verify_failures", ok.count(False))
-        return ok
-
     # -- degraded path -----------------------------------------------------------
 
     def _degraded_answer(self, fingerprint: np.ndarray, label: int,
@@ -655,10 +437,9 @@ class ServingCluster:
         self.telemetry.count("evictions")
         self._audit_event("replica-evicted", replica=replica.name,
                           reason=reason)
-        # Unwedge anything stuck in the chaos wrapper so the engine's
-        # bounded stop can resolve its futures, then shut the engine down
-        # without draining (an evicted replica's answers are not trusted).
-        replica.index.release_faults()
+        # Shut the engine down without draining (an evicted replica's
+        # answers are not trusted); the bounded stop resolves the futures
+        # of a worker that never comes back.
         replica.index.stop_compaction()
         try:
             replica.engine.stop(drain=False,
@@ -676,7 +457,7 @@ class ServingCluster:
             self._evict(replica, "index-integrity")
         elif isinstance(exc, StaleIndexError):
             self._handle_stale(replica)
-        elif isinstance(exc, ServingError) and replica.engine._crashed:
+        elif isinstance(exc, ServingError) and replica.engine.crashed:
             self._evict(replica, "crash")
 
     def _handle_stale(self, replica: ServingReplica) -> None:
@@ -857,8 +638,7 @@ class ServingCluster:
                     retries=retries, latency_s=latency,
                 )
             last_error = error
-            if isinstance(error, QueryError) and not isinstance(
-                    error, (QueryRejected, StaleIndexError)):
+            if _is_caller_error(error):
                 # Caller errors (unknown label, bad dimension) are not
                 # replica faults — propagate without burning the budget.
                 self.telemetry.count("caller_errors")
@@ -914,25 +694,23 @@ class ServingCluster:
         hedge_replica = None
         pending = {future: replica}
         # Phase 1: give the primary until the hedge trigger.
-        if self.config.hedging:
-            trigger = min(self._hedge_delay(),
-                          max(0.0, deadline - self._clock()))
-            done, _ = futures_wait([future], timeout=trigger)
-            if not done and deadline - self._clock() > 0:
-                hedge_replica = self._pick(
-                    exclude | {replica.name})
-                if hedge_replica is not None:
-                    try:
-                        hedge_future = hedge_replica.engine.submit(
-                            fingerprint, label, k)
-                        pending[hedge_future] = hedge_replica
-                        hedged = True
-                        self.telemetry.count("hedges_launched")
-                        self._audit_event("hedged-query", label=label,
-                                          primary=replica.name,
-                                          hedge=hedge_replica.name)
-                    except (QueryRejected, ServingError):
-                        hedge_replica = None
+        trigger = min(self._hedge_delay(),
+                      max(0.0, deadline - self._clock()))
+        done, _ = futures_wait([future], timeout=trigger)
+        if not done and deadline - self._clock() > 0:
+            hedge_replica = self._pick(exclude | {replica.name})
+            if hedge_replica is not None:
+                try:
+                    hedge_future = hedge_replica.engine.submit(
+                        fingerprint, label, k)
+                    pending[hedge_future] = hedge_replica
+                    hedged = True
+                    self.telemetry.count("hedges_launched")
+                    self._audit_event("hedged-query", label=label,
+                                      primary=replica.name,
+                                      hedge=hedge_replica.name)
+                except (QueryRejected, ServingError):
+                    hedge_replica = None
         # Phase 2: first verified answer wins; failures drop out one by one.
         last_error: Optional[Exception] = None
         while pending:
@@ -951,22 +729,21 @@ class ServingCluster:
             for finished in done:
                 owner = pending.pop(finished)
                 try:
-                    # Keep the engine's answer object intact: it may be an
-                    # EngineAnswer carrying snapshot/label_rows provenance
-                    # that the meta-verification below inspects.
+                    # Keep the engine's answer object intact: it is an
+                    # EngineAnswer carrying the snapshot/label_rows
+                    # provenance the verifier inspects.
                     hits = finished.result(timeout=0)
-                    if self.config.verify_hits:
-                        with self._span("verify-hits", "boundary-crossing",
-                                        replica=owner.name):
-                            self._verify_answer_meta(owner, hits, label, k)
-                            if not self._verify_hits_many(
-                                    fingerprint[None, :], [hits])[0]:
-                                raise IndexIntegrityError(_DISTANCE_MISMATCH)
+                    with self._span("verify-hits", "boundary-crossing",
+                                    replica=owner.name):
+                        problem = self.verifier.verify(
+                            fingerprint[None, :], [hits], [label], k,
+                            [owner.index.generation])[0]
+                    if problem is not None:
+                        raise problem
                 except Exception as exc:  # noqa: BLE001 — classified below
                     last_error = exc
                     self._replica_failure(owner, exc)
-                    if isinstance(exc, QueryError) and not isinstance(
-                            exc, (QueryRejected, StaleIndexError)):
+                    if _is_caller_error(exc):
                         return owner, None, hedged, exc  # permanent
                     continue
                 owner.breaker.record_success()
@@ -1030,12 +807,11 @@ class ServingCluster:
                 future, replica = entry
                 try:
                     # Preserve EngineAnswer provenance attributes for the
-                    # batched meta-verification below.
+                    # batched verification below.
                     hits = future.result(timeout=remaining)
                 except Exception as exc:  # noqa: BLE001 — reroute below
                     self._replica_failure(replica, exc)
-                    if isinstance(exc, QueryError) and not isinstance(
-                            exc, (QueryRejected, StaleIndexError)):
+                    if _is_caller_error(exc):
                         self.telemetry.count("queries")
                         self.telemetry.count("caller_errors")
                         raise
@@ -1043,31 +819,19 @@ class ServingCluster:
                     continue
                 answers[i] = (hits, replica, self._clock() - started)
             gathered = [i for i in range(n) if answers[i] is not None]
-            if self.config.verify_hits and gathered:
-                passed = self._verify_hits_many(
+            if gathered:
+                verdicts = self.verifier.verify(
                     fingerprints[gathered],
-                    [answers[i][0] for i in gathered])
-                for keep, i in zip(passed, gathered):
-                    if keep:
+                    [answers[i][0] for i in gathered],
+                    [labels[i] for i in gathered], k,
+                    [answers[i][1].index.generation for i in gathered])
+                for problem, i in zip(verdicts, gathered):
+                    if problem is None:
                         continue
                     _, replica, _ = answers[i]
                     answers[i] = None
-                    self._replica_failure(
-                        replica, IndexIntegrityError(_DISTANCE_MISMATCH))
+                    self._replica_failure(replica, problem)
                     reroute.append(i)
-                gathered = [i for i in gathered if answers[i] is not None]
-            if self.config.verify_hits and gathered:
-                # Provenance pass: hit counts, label rows, and cited index
-                # snapshots (lineage-walked once per digest, then cached).
-                for i in list(gathered):
-                    hits, replica, _ = answers[i]
-                    try:
-                        self._verify_answer_meta(replica, hits,
-                                                 int(labels[i]), int(k))
-                    except Exception as exc:  # noqa: BLE001 — reroute
-                        answers[i] = None
-                        self._replica_failure(replica, exc)
-                        reroute.append(i)
                 gathered = [i for i in gathered if answers[i] is not None]
             if gathered:
                 self.telemetry.count("queries", len(gathered))
@@ -1126,7 +890,7 @@ class ServingCluster:
 
     def _check_replica(self, replica: ServingReplica) -> None:
         self.telemetry.count("health_checks")
-        if replica.engine._crashed:
+        if replica.engine.crashed:
             self._evict(replica, "crash")
             return
         # Incremental audit-chain verification: only the suffix since the
@@ -1172,188 +936,27 @@ class ServingCluster:
             fresh_store = LinkageStore.open(self.store.path, verify=True)
             if self.promotion_verifier is not None:
                 self.promotion_verifier(self.promotion)
-            index = _ReplicaIndex(self.index_factory(fresh_store))
-            index.build()
-            engine = ServingEngine(
-                index, config=self.engine_config,
-                telemetry=ServingTelemetry(registry=self.telemetry.registry),
-                promotion=self.promotion,
-                promotion_verifier=self.promotion_verifier,
-            )
+            engine = self._new_engine(fresh_store)
+            engine.index.build()
             engine.start()
             try:
                 probe_label = fresh_store.labels()[0]
                 probe_fp = fresh_store.fingerprint_at(0)
                 engine.query(probe_fp, probe_label, k=1,
-                             timeout=self.config.probe_timeout_s)
+                             timeout=_PROBE_TIMEOUT_S)
             except Exception:
                 engine.stop(drain=False,
                             drain_timeout=self.config.stop_timeout_s)
                 raise
+            # Accounted for before it is published: whoever reads
+            # ``state == "healthy"`` also finds the counter and the event.
+            self.telemetry.count("revivals")
+            self._audit_event("replica-revived", replica=replica.name)
             with replica.lock:
-                replica.store = fresh_store
-                replica.index = index
+                replica.index = engine.index
                 replica.engine = engine
                 replica.breaker.reset()
                 replica.audit_mark = (len(engine.audit), engine.audit.head)
                 replica.state = "healthy"
                 replica.evicted_reason = None
             replica.index.start_compaction()
-        self.telemetry.count("revivals")
-        self._audit_event("replica-revived", replica=replica.name)
-
-    # -- chaos surface (driven by ServingFaultPlan / tests / CLI) ----------------
-
-    def _target(self, name: Optional[str]) -> ServingReplica:
-        if name is None:
-            for replica in self.replicas:
-                if replica.healthy:
-                    return replica
-            return self.replicas[0]
-        for replica in self.replicas:
-            if replica.name == name:
-                return replica
-        raise ConfigurationError(f"no replica named {name!r}")
-
-    def crash_replica(self, name: Optional[str] = None) -> str:
-        replica = self._target(name)
-        replica.engine.kill()
-        self._audit_event("fault-injected", fault="replica-crash",
-                          replica=replica.name)
-        return replica.name
-
-    def wedge_replica(self, name: Optional[str] = None) -> str:
-        replica = self._target(name)
-        replica.index.wedge()
-        self._audit_event("fault-injected", fault="replica-hang",
-                          replica=replica.name)
-        return replica.name
-
-    def delay_replica(self, delay_s: float,
-                      name: Optional[str] = None) -> str:
-        replica = self._target(name)
-        replica.index.set_delay(delay_s)
-        self._audit_event("fault-injected", fault="latency-inject",
-                          replica=replica.name, delay_s=float(delay_s))
-        return replica.name
-
-    def corrupt_index(self, label: int, row: int,
-                      value: Optional[Sequence[float]] = None,
-                      name: Optional[str] = None) -> str:
-        replica = self._target(name)
-        replica.index.corrupt_row(label, row, value)
-        self._audit_event("fault-injected", fault="index-corrupt",
-                          replica=replica.name, label=int(label),
-                          row=int(row))
-        return replica.name
-
-    def corrupt_store_segment(self, segment: int = 0) -> str:
-        """Flip one byte in a store segment file on disk (shared fault)."""
-        infos = self.store.segments
-        if not infos:
-            raise ConfigurationError("store has no segments to corrupt")
-        info = infos[segment % len(infos)]
-        path = self.store.path / f"{info.name}.npy"
-        blob = bytearray(path.read_bytes())
-        offset = len(blob) // 2
-        blob[offset] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        self._audit_event("fault-injected", fault="store-corrupt",
-                          segment=info.name, offset=offset)
-        return info.name
-
-    def tear_manifest(self) -> None:
-        """Truncate the store manifest mid-file (torn-write simulation)."""
-        path = self.store.path / "manifest.json"
-        text = path.read_text()
-        path.write_text(text[: max(1, len(text) // 2)])
-        self._audit_event("fault-injected", fault="torn-manifest")
-
-    def grow_store(self, records: int = 256,
-                   label: Optional[int] = None,
-                   seed: Optional[int] = None) -> str:
-        """Append a benign ingest burst to the shared store (growth storm).
-
-        This is the load half of the growth-under-load drill: every
-        replica's pinned generation instantly becomes behind the store,
-        and the cluster must keep answering from pinned snapshots while
-        staggered refreshes catch up — zero evictions, zero client-facing
-        :class:`StaleIndexError`."""
-        if records <= 0:
-            raise ConfigurationError("growth burst needs records >= 1")
-        known = list(self.store.labels())
-        if not known or self.store.dimension is None:
-            raise ConfigurationError(
-                "growth storm needs a non-empty store"
-            )
-        rng = np.random.default_rng(
-            self.store.version if seed is None else seed)
-        if label is not None:
-            targets = [int(label)] * records
-        else:
-            targets = [known[i % len(known)] for i in range(records)]
-        version = self.store.version
-        matrix = rng.standard_normal(
-            (records, self.store.dimension)).astype(np.float32)
-        digests = [
-            canonical_digest({"growth-storm": [int(version), int(i)]})
-            for i in range(records)
-        ]
-        info = self.store.append(
-            matrix, targets, [f"growth-storm-{version}"] * records, digests)
-        self.telemetry.count("growth_segments")
-        self.telemetry.count("growth_records", records)
-        self._audit_event("fault-injected", fault="growth-storm",
-                          segment=info.name, records=int(records))
-        return info.name
-
-    def crash_compaction(self, name: Optional[str] = None) -> str:
-        """Arm a one-shot crash inside the target replica's next merge."""
-        replica = self._target(name)
-        replica.index.inject_compaction_crash()
-        self._audit_event("fault-injected", fault="compaction-crash",
-                          replica=replica.name)
-        return replica.name
-
-    def inject(self, spec) -> None:
-        """Apply one :class:`~repro.resilience.faults.ServingFaultSpec`."""
-        kind = spec.kind
-        if kind == "replica-crash":
-            self.crash_replica(spec.replica)
-        elif kind == "replica-hang":
-            self.wedge_replica(spec.replica)
-        elif kind == "latency-inject":
-            self.delay_replica(spec.delay_s, spec.replica)
-        elif kind == "index-corrupt":
-            self.corrupt_index(spec.label or 0, spec.row or 0,
-                               spec.value, spec.replica)
-        elif kind == "store-corrupt":
-            self.corrupt_store_segment(spec.row or 0)
-        elif kind == "torn-manifest":
-            self.tear_manifest()
-        elif kind == "growth-storm":
-            self.grow_store(spec.records or 256, label=spec.label)
-        elif kind == "compaction-crash":
-            self.crash_compaction(spec.replica)
-        else:
-            raise ConfigurationError(f"unknown serving fault kind {kind!r}")
-
-    # -- introspection -----------------------------------------------------------
-
-    def status(self) -> Dict[str, object]:
-        return {
-            "started": self._started,
-            "replicas": {
-                r.name: {
-                    "state": r.state,
-                    "breaker": r.breaker.state,
-                    "evicted_reason": r.evicted_reason,
-                    "built_version": r.index.built_version,
-                    "snapshot": r.index.snapshot_digest,
-                }
-                for r in self.replicas
-            },
-            "store_version": self.store.version,
-            "in_flight": self._in_flight,
-            "audit_events": len(self.audit),
-        }

@@ -276,9 +276,13 @@ class ServingEngine:
                 "abandoned queries failed with ServingError"
             )
 
+    @property
+    def crashed(self) -> bool:
+        """True from :meth:`kill` until the next :meth:`start`."""
+        return self._crashed
+
     def kill(self) -> None:
-        """Simulate an abrupt replica crash (chaos hook, used by tests,
-        the fault plan, and the CLI ``serve-cluster --inject`` drill).
+        """Abrupt replica death — the thing a router must detect.
 
         Like a real process death: new submissions fail fast (connection
         refused), while work already queued or in flight is simply lost

@@ -43,8 +43,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.errors import (CompactionCrash, ConfigurationError, QueryError,
-                          StaleIndexError)
+from repro.errors import ConfigurationError, QueryError, StaleIndexError
 from repro.serving.segments import (IndexGeneration, IndexHit, IndexSegment,
                                     SegmentBuildParams, ShardSearchResult,
                                     _BruteShard, _ClusteredShard,
@@ -122,11 +121,9 @@ class ShardedAnnIndex:
         self.full_builds = 0
         self.refreshes = 0
         self.compactions = 0
-        self.compaction_crashes = 0
         self.compaction_failures = 0
         self.generation_adoptions = 0
         self.segments_built = 0
-        self._crash_next_compaction = False
         self._compactor: Optional[threading.Thread] = None
         self._compact_stop = threading.Event()
 
@@ -254,13 +251,6 @@ class ShardedAnnIndex:
             params = generation.params
         merged = merge_segments(self.store, left, right, params,
                                 throttle=self._throttle())
-        if self._crash_next_compaction:
-            self._crash_next_compaction = False
-            self.compaction_crashes += 1
-            raise CompactionCrash(
-                "injected compaction crash: merged segment built but not "
-                "adopted — the live generation must be unaffected"
-            )
         with self._mutate_lock:
             current = self._generation
             segs = list(current.segments)
@@ -311,16 +301,10 @@ class ShardedAnnIndex:
                 while not self._compact_stop.is_set():
                     if not self._compact_step():
                         break
-            except CompactionCrash:
-                # Counted at the raise site; the old generation is still
-                # live, so the compactor simply tries again next tick.
-                continue
             except Exception:
+                # A merge that dies before adoption leaves the old
+                # generation live; the compactor tries again next tick.
                 self.compaction_failures += 1
-
-    def inject_compaction_crash(self) -> None:
-        """Arm a one-shot crash in the next compaction step (fault drill)."""
-        self._crash_next_compaction = True
 
     # -- identity / integrity ----------------------------------------------------
 
@@ -398,14 +382,6 @@ class ShardedAnnIndex:
     def labels(self) -> List[int]:
         generation = self._generation
         return [] if generation is None else generation.labels()
-
-    def _shard_for(self, label: int):
-        generation = self._generation
-        if generation is None:
-            raise QueryError(
-                f"no training fingerprints indexed for label {label}"
-            )
-        return generation.shard_for(label)
 
     def search_batch(self, batch: np.ndarray, label: int,
                      k: int = 9) -> ShardSearchResult:

@@ -515,14 +515,6 @@ class IndexGeneration:
             snapshot=self.snapshot,
         )
 
-    def shard_for(self, label: int):
-        """First shard holding ``label`` (chaos/corruption drills poke it)."""
-        for seg in self.segments:
-            shard = seg.shards.get(int(label))
-            if shard is not None:
-                return shard
-        raise QueryError(f"no training fingerprints indexed for label {label}")
-
     def verify_checksums(self) -> None:
         for seg in self.segments:
             seg.verify_checksums()

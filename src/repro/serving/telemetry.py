@@ -80,9 +80,8 @@ class ClusterTelemetry(SubsystemTelemetry):
     answers, shed load, breaker trips, evictions, revivals, hit
     verifications (with failures), and — since the incremental-index
     work — benign-growth handling: ``benign_stale``, ``replica_refreshes``,
-    ``refresh_failures``, ``growth_segments``/``growth_records`` (chaos
-    bursts), and ``snapshot_verifications``/``snapshot_failures`` for the
-    cached per-answer lineage walks. Pass the cluster's registry into each
+    ``refresh_failures``, and ``snapshot_verifications``/
+    ``snapshot_failures`` for the cached per-answer lineage walks. Pass the cluster's registry into each
     replica's :class:`ServingTelemetry` to export one combined surface.
     """
 

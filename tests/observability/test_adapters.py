@@ -1,12 +1,10 @@
 """Adapter tests: the legacy telemetry surface over the shared registry."""
 
-import threading
-
 import pytest
 
 from repro.ingest.telemetry import IngestTelemetry
 from repro.observability.adapter import StageStats, SubsystemTelemetry
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import MetricsRegistry, parse_prometheus
 from repro.resilience.telemetry import RunTelemetry
 from repro.serving.telemetry import ServingTelemetry
 
@@ -81,35 +79,42 @@ class TestAdapterSurface:
         assert second.count == 2 and second.total == pytest.approx(0.040)
 
     def test_concurrent_readers_never_tear(self):
+        # Deterministic form of "a writer lands between two of the
+        # reader's lock acquisitions": the histogram's lock is swapped
+        # for a proxy that performs one observe() right after the
+        # reader's first release. A reader that takes the lock once per
+        # field pairs the old count with the new sum; a reader built on
+        # Histogram.summary() has no second acquisition to interleave.
         telemetry = ServingTelemetry()
-        stop = threading.Event()
-        torn = []
+        telemetry.observe("total", 0.002)
+        histogram = telemetry.registry.histogram(
+            telemetry.stage_metric_name("total"))
+        real = histogram._lock
 
-        def writer():
-            value = 0
-            while not stop.is_set():
-                telemetry.observe("total", 0.001 * (value % 5 + 1))
-                value += 1
+        class InterleavingLock:
+            releases = 0
 
-        def reader():
-            while not stop.is_set():
-                stats = telemetry.stage("total")
-                if stats is None or stats.count == 0:
-                    continue
-                # count and total are captured under one lock: a torn pair
-                # would make the mean drift outside the observed range.
-                if not 0.0009 < stats.mean < 0.0051:
-                    torn.append((stats.count, stats.total))
+            def __enter__(self):
+                real.acquire()
 
-        workers = [threading.Thread(target=writer) for _ in range(2)]
-        workers += [threading.Thread(target=reader) for _ in range(2)]
-        for worker in workers:
-            worker.start()
-        threading.Event().wait(0.2)
-        stop.set()
-        for worker in workers:
-            worker.join()
-        assert torn == []
+            def __exit__(self, *exc_info):
+                real.release()
+                self.releases += 1
+                if self.releases == 1:
+                    histogram.observe(0.002)  # the concurrent writer
+
+        histogram._lock = proxy = InterleavingLock()
+        stats = telemetry.stage("total")
+        assert proxy.releases >= 2  # the reader's read + the writer
+        assert stats.total == pytest.approx(stats.count * 0.002)
+        assert stats.mean == pytest.approx(0.002)
+        # Same rule for the Prometheus scrape: the bucket series, _sum
+        # and _count of one histogram come from one summary.
+        proxy.releases = 0
+        rendered = parse_prometheus(telemetry.registry.render_prometheus())
+        samples = rendered[histogram.name]["samples"]
+        assert samples['_bucket{le="+Inf"}'] == samples["_count"]
+        assert samples["_sum"] == pytest.approx(samples["_count"] * 0.002)
 
     def test_snapshot_parity_with_stage(self):
         telemetry = RunTelemetry()

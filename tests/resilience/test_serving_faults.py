@@ -1,20 +1,32 @@
-"""Serving-side fault plan: determinism, one-shot firing, cluster wiring."""
+"""Serving-side fault plan: determinism, one-shot firing, dispatch.
+
+What each kind does to a live cluster is
+``tests/resilience/test_serving_injector.py``; here the applier table is
+replaced by a recording fake, so only the schedule is under test.
+"""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.resilience import (SERVING_FAULT_KINDS, ServingFaultPlan,
-                              ServingFaultSpec)
+from repro.resilience import (SERVING_FAULT_APPLIERS, SERVING_FAULT_KINDS,
+                              FaultPlan, FaultSpec, ServingFaultPlan,
+                              ServingFaultSpec, faults)
 
 
-class _RecordingCluster:
-    """Stands in for a ServingCluster; records injected specs."""
+@pytest.fixture
+def applied(monkeypatch):
+    """Swap every applier for a recorder; hangs hand back a release."""
+    calls, released = [], []
 
-    def __init__(self):
-        self.injected = []
+    def recorder(cluster, spec):
+        calls.append((cluster, spec))
+        if spec.kind == "replica-hang":
+            return lambda: released.append(spec)
+        return None
 
-    def inject(self, spec):
-        self.injected.append(spec)
+    monkeypatch.setattr(faults, "SERVING_FAULT_APPLIERS",
+                        {kind: recorder for kind in SERVING_FAULT_KINDS})
+    return calls, released
 
 
 class TestServingFaultSpec:
@@ -61,24 +73,52 @@ class TestServingFaultPlan:
         assert specs_a != sorted(
             (s.at_query, s.kind, s.delay_s) for s in different.scheduled())
 
-    def test_each_fault_fires_exactly_once(self):
+    def test_every_kind_has_an_applier(self):
+        # A kind without one must fail here, not at drill time.
+        assert set(SERVING_FAULT_APPLIERS) == set(SERVING_FAULT_KINDS)
+        assert all(callable(a) for a in SERVING_FAULT_APPLIERS.values())
+
+    def test_each_fault_fires_exactly_once(self, applied):
+        calls, released = applied
         plan = ServingFaultPlan([
             ServingFaultSpec(kind="replica-crash", at_query=3),
             ServingFaultSpec(kind="latency-inject", at_query=3, delay_s=0.01),
             ServingFaultSpec(kind="replica-hang", at_query=7),
         ])
-        cluster = _RecordingCluster()
+        cluster = object()
         assert plan.remaining == 3
         for ordinal in range(10):
             plan.before_query(ordinal, cluster)
         assert plan.remaining == 0
-        assert len(plan.fired) == 3
-        assert [s.kind for s in cluster.injected] == [
+        assert [s.kind for s in plan.fired] == [
             "replica-crash", "latency-inject", "replica-hang"]
+        assert [(c, s) for c, s in calls] == [(cluster, s)
+                                              for s in plan.fired]
         # Replaying the same ordinals fires nothing twice.
         for ordinal in range(10):
             plan.before_query(ordinal, cluster)
-        assert len(cluster.injected) == 3
+        assert len(calls) == 3
+
+    def test_the_plan_releases_what_its_faults_block(self, applied):
+        _, released = applied
+        hang = ServingFaultSpec(kind="replica-hang", at_query=0)
+        with ServingFaultPlan([hang]) as plan:
+            plan.before_query(0, object())
+            assert released == []
+        assert released == [hang]
+        plan.release()  # idempotent: nothing left to let go of
+        assert released == [hang]
+
+    def test_training_and_serving_plans_share_the_schedule(self):
+        training = FaultPlan([FaultSpec("ir-corrupt", epoch=1, batch=2),
+                              FaultSpec("epc-pressure", epoch=0, batch=5)])
+        serving = ServingFaultPlan([
+            ServingFaultSpec(kind="torn-manifest", at_query=9),
+            ServingFaultSpec(kind="replica-crash", at_query=4)])
+        for plan, points in ((training, [(0, 5), (1, 2)]),
+                             (serving, [4, 9])):
+            assert [s.point for s in plan.scheduled()] == points
+            assert plan.remaining == 2 and plan.fired == []
 
     def test_seeded_default_kinds_exclude_shared_store_faults(self):
         plan = ServingFaultPlan.seeded(seed=1, queries=50, n_faults=10)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.resilience import ServingFaultPlan, ServingFaultSpec
 from repro.serving import LinkageStore
 
 DIM = 8
@@ -42,6 +43,27 @@ def fill_store(store, fingerprints, labels, segment_records=None):
                    for i in range(start, stop)],
         )
     return store
+
+
+def brute_truth(fingerprints, labels, query, label, k):
+    """Record indices of the exact top-k for ``label``, by full scan."""
+    rows = np.flatnonzero(labels == label)
+    deltas = fingerprints[rows] - query[None, :]
+    distances = np.sqrt((deltas * deltas).sum(axis=1))
+    order = np.argsort(distances, kind="stable")[:k]
+    return [int(rows[i]) for i in order]
+
+
+def inject(cluster, kind, **fields):
+    """Apply one serving fault to ``cluster`` right now, from outside.
+
+    Returns the plan that fired it: ``with inject(...):`` (or
+    ``.release()``) lets go of a wedge or delay before the cluster stops.
+    """
+    plan = ServingFaultPlan([ServingFaultSpec(kind=kind, at_query=0,
+                                              **fields)])
+    plan.before_query(0, cluster)
+    return plan
 
 
 @pytest.fixture

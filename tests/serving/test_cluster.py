@@ -1,5 +1,12 @@
-"""Self-healing cluster tests: routing, failover, degradation, healing."""
+"""Self-healing cluster tests: routing, failover, degradation, healing.
 
+Faults are applied from outside, through ``repro.resilience``'s injector
+(``inject`` below) — the cluster has no chaos surface of its own. Sweeps
+are driven by explicit ``health_check_now()`` calls on a stepped clock;
+one smoke test keeps the real monitor thread.
+"""
+
+import dataclasses
 import time
 
 import numpy as np
@@ -11,18 +18,12 @@ from repro.observability import Tracer
 from repro.serving import (CircuitBreaker, ClusterConfig, EngineConfig,
                            LinkageStore, ServingCluster, ShardedAnnIndex)
 
-from tests.serving.conftest import clustered_corpus, fill_store
+from tests.serving.conftest import brute_truth as _brute_truth
+from tests.serving.conftest import clustered_corpus, fill_store, inject
 
 
-def _brute_truth(fingerprints, labels, query, label, k):
-    rows = np.flatnonzero(labels == label)
-    deltas = fingerprints[rows] - query[None, :]
-    distances = np.sqrt((deltas * deltas).sum(axis=1))
-    order = np.argsort(distances, kind="stable")[:k]
-    return [int(rows[i]) for i in order]
-
-
-def _cluster_for(store, replicas=3, monitor=False, **overrides):
+def _cluster_for(store, replicas=3, monitor=False, clock=time.monotonic,
+                 **overrides):
     defaults = dict(
         deadline_s=5.0, hedge_min_s=0.05, breaker_reset_s=0.2,
         health_interval_s=0.05 if monitor else 60.0,
@@ -34,7 +35,13 @@ def _cluster_for(store, replicas=3, monitor=False, **overrides):
         config=ClusterConfig(**defaults),
         engine_config=EngineConfig(workers=2, poll_interval=0.005),
         index_factory=lambda s: ShardedAnnIndex(s, shard_threshold=100),
+        clock=clock,
     )
+
+
+def _crash_all(cluster):
+    for replica in cluster.replicas:
+        inject(cluster, "replica-crash", replica=replica.name)
 
 
 def _wait_until(predicate, timeout=5.0, interval=0.02):
@@ -103,23 +110,46 @@ class TestRouting:
         with pytest.raises(ConfigurationError):
             ClusterConfig(breaker_threshold=0)
 
+    @pytest.mark.parametrize("option", [
+        "verify_hits", "hedging", "verify_tolerance", "jitter_seed",
+        "latency_window", "probe_timeout_s"])
+    def test_never_set_options_are_not_settable(self, option):
+        # Verification and hedging are always on; the rest are constants.
+        with pytest.raises(TypeError):
+            ClusterConfig(**{option: False})
+        assert len(dataclasses.fields(ClusterConfig)) == 14
+
+    def test_replica_index_is_the_factory_s_object(self, world):
+        _, _, store = world
+        built = []
+
+        def factory(s):
+            built.append(ShardedAnnIndex(s, shard_threshold=100))
+            return built[-1]
+
+        cluster = ServingCluster(store, replicas=2, index_factory=factory)
+        assert [r.index for r in cluster.replicas] == built
+        assert all(r.engine.index is r.index for r in cluster.replicas)
+        with ServingCluster(store, replicas=1) as default:
+            assert type(default.replicas[0].index) is ShardedAnnIndex
+
 
 class TestFailover:
     def test_crash_fails_over_and_background_revives(self, world):
         fingerprints, labels, store = world
+        # The one test that races the real monitor thread (50 ms timer).
         with _cluster_for(store, monitor=True) as cluster:
-            victim = cluster.crash_replica("replica-0")
-            assert victim == "replica-0"
+            inject(cluster, "replica-crash", replica="replica-0")
             result = cluster.query(fingerprints[0], int(labels[0]), k=3)
             assert not result.degraded
             assert result.replica != "replica-0"
-            # The audit event is the last thing a revival does — the state
-            # flips to healthy before the counter and the event land.
+            # A revival is counted and audited before it is published:
+            # the moment the state reads healthy, both are there.
             assert _wait_until(
-                lambda: cluster.audit.events("replica-revived"))
-            assert cluster.replicas[0].state == "healthy"
-            assert cluster.telemetry.counter("evictions") >= 1
+                lambda: cluster.replicas[0].state == "healthy")
             assert cluster.telemetry.counter("revivals") >= 1
+            assert cluster.audit.events("replica-revived")
+            assert cluster.telemetry.counter("evictions") >= 1
             kinds = [e.kind for e in cluster.audit.events()]
             assert "replica-evicted" in kinds
             assert "replica-revived" in kinds
@@ -128,10 +158,11 @@ class TestFailover:
     def test_wedged_replica_hedged_around(self, world):
         fingerprints, labels, store = world
         with _cluster_for(store, hedge_min_s=0.03) as cluster:
-            cluster.wedge_replica("replica-0")
-            for i in range(6):
-                result = cluster.query(fingerprints[i], int(labels[i]), k=3)
-                assert not result.degraded
+            with inject(cluster, "replica-hang", replica="replica-0"):
+                for i in range(6):
+                    result = cluster.query(fingerprints[i], int(labels[i]),
+                                           k=3)
+                    assert not result.degraded
             assert cluster.telemetry.counter("hedges_launched") >= 1
             assert len(cluster.audit.events("hedged-query")) >= 1
 
@@ -144,9 +175,8 @@ class TestFailover:
         label = int(labels[0])
         query = fingerprints[0] + 0.02
         with _cluster_for(store) as cluster:
-            cluster.corrupt_index(label, 1,
-                                  value=tuple(float(x) for x in query),
-                                  name="replica-0")
+            inject(cluster, "index-corrupt", replica="replica-0",
+                   label=label, row=1, value=tuple(float(x) for x in query))
             expected = _brute_truth(fingerprints, labels, query, label, 3)
             for _ in range(6):  # round-robin guarantees replica-0 gets one
                 result = cluster.query(query, label, k=3)
@@ -157,42 +187,25 @@ class TestFailover:
             assert cluster.telemetry.counter("evictions") >= 1
 
     def test_provenance_less_answers_fail_closed(self, world):
-        # An answer without a snapshot / label_rows used to skip the
-        # hit-count, label-row and lineage checks entirely. Every answer a
-        # real replica produces carries both, so a missing one is an
-        # integrity failure like any other.
-        from repro.errors import IndexIntegrityError
-        from repro.serving.engine import EngineAnswer
+        # End to end (the verdicts themselves are tests/serving/
+        # test_verify.py's table): a replica whose index stops citing its
+        # snapshot is evicted, and the caller still gets the right answer.
         fingerprints, labels, store = world
         label = int(labels[0])
         query = fingerprints[0] + 0.02
         with _cluster_for(store, revive=False) as cluster:
             victim = cluster.replicas[0]
-            answer = victim.engine.query(query, label, k=3, timeout=5)
-            cluster._verify_answer_meta(victim, answer, label, 3)
-            bare = tuple(answer)
-            no_snapshot = EngineAnswer(bare, snapshot=None,
-                                       label_rows=answer.label_rows,
-                                       requested_k=3)
-            for stripped in (bare, no_snapshot):
-                with pytest.raises(IndexIntegrityError):
-                    cluster._verify_answer_meta(victim, stripped, label, 3)
-            assert cluster.telemetry.counter("verify_failures") == 2
-
-            # End to end: a replica whose index stops citing its snapshot
-            # is evicted, and the caller still gets the right answer.
-            honest = victim.index.inner.search_batch
+            honest = victim.index.search_batch
 
             def strip_snapshot(batch, label, k=9):
                 result = honest(batch, label, k)
                 result.snapshot = None
                 return result
 
-            victim.index.inner.search_batch = strip_snapshot
-            expected = _brute_truth(fingerprints, labels, query + 0.01,
-                                    label, 3)
+            victim.index.search_batch = strip_snapshot
+            expected = _brute_truth(fingerprints, labels, query, label, 3)
             for _ in range(len(cluster.replicas)):  # round-robin reaches it
-                result = cluster.query(query + 0.01, label, k=3)
+                result = cluster.query(query, label, k=3)
                 assert not result.degraded
                 assert [h.index for h in result.hits] == expected
             assert victim.state == "evicted"
@@ -203,7 +216,8 @@ class TestFailover:
         # the background shard-checksum sweep.
         fingerprints, labels, store = world
         with _cluster_for(store) as cluster:
-            cluster.replicas[1].index.corrupt_row(int(labels[0]), 0)
+            inject(cluster, "index-corrupt", replica="replica-1",
+                   label=int(labels[0]), row=0)
             cluster.health_check_now()
             assert cluster.replicas[1].state != "healthy"
             reasons = [e.details["reason"]
@@ -233,8 +247,7 @@ class TestDegradedMode:
         label = int(labels[0])
         query = fingerprints[0] + 0.02
         with _cluster_for(store, revive=False) as cluster:
-            for replica in cluster.replicas:
-                cluster.crash_replica(replica.name)
+            _crash_all(cluster)
             result = cluster.query(query, label, k=5)
             assert result.degraded
             assert result.replica is None
@@ -259,8 +272,7 @@ class TestDegradedMode:
         with _cluster_for(store, revive=False) as cluster:
             healthy = cluster.query(query, 0, k=12)
             assert not healthy.degraded
-            for replica in cluster.replicas:
-                cluster.crash_replica(replica.name)
+            _crash_all(cluster)
             degraded = cluster.query(query, 0, k=12)
             assert degraded.degraded
             assert ([tuple(h) for h in degraded.hits]
@@ -270,8 +282,7 @@ class TestDegradedMode:
         fingerprints, labels, store = world
         with _cluster_for(store, revive=False,
                           degraded_allowed=False) as cluster:
-            for replica in cluster.replicas:
-                cluster.crash_replica(replica.name)
+            _crash_all(cluster)
             with pytest.raises(NoHealthyReplica):
                 cluster.query(fingerprints[0], int(labels[0]), k=3)
             assert cluster.telemetry.counter("queries_failed") == 1
@@ -282,20 +293,22 @@ class TestDegradedMode:
         # refuses fail-closed rather than serve unverifiable bytes.
         fingerprints, labels, store = world
         with _cluster_for(store, revive=False) as cluster:
-            cluster.corrupt_store_segment(0)
-            for replica in cluster.replicas:
-                cluster.crash_replica(replica.name)
+            inject(cluster, "store-corrupt", row=0)
+            _crash_all(cluster)
             with pytest.raises(NoHealthyReplica):
                 cluster.query(fingerprints[0], int(labels[0]), k=3)
 
     def test_torn_manifest_blocks_revival(self, world):
         fingerprints, labels, store = world
-        with _cluster_for(store, monitor=True,
-                          breaker_reset_s=0.05) as cluster:
-            cluster.tear_manifest()
-            cluster.crash_replica("replica-0")
-            assert _wait_until(
-                lambda: cluster.telemetry.counter("revive_failures") >= 1)
+        clock = [0.0]
+        with _cluster_for(store, clock=lambda: clock[0]) as cluster:
+            inject(cluster, "torn-manifest")
+            inject(cluster, "replica-crash", replica="replica-0")
+            cluster.health_check_now()  # sees the crash, evicts
+            assert cluster.replicas[0].state == "evicted"
+            clock[0] += cluster.config.breaker_reset_s
+            cluster.health_check_now()  # tries to revive, store won't open
+            assert cluster.telemetry.counter("revive_failures") == 1
             assert cluster.replicas[0].state == "evicted"
             # The survivors keep serving; answers stay correct.
             result = cluster.query(fingerprints[0], int(labels[0]), k=3)
@@ -311,17 +324,19 @@ class TestStaleness:
         fingerprints, labels, store = world
         label = int(labels[0])
         query = fingerprints[0]
-        with _cluster_for(store, monitor=True,
-                          breaker_reset_s=0.05) as cluster:
+        with _cluster_for(store) as cluster:
             cluster.query(query, label, k=1)
             store.append(query.reshape(1, -1), [label], ["p9"], [b"z" * 32])
             # The cluster never stops answering while behind; pinned
             # snapshots simply don't include the new record yet.
             result = cluster.query(query, label, k=2)
             assert not result.degraded
-            assert _wait_until(lambda: all(
+            # refresh_stagger=1: each sweep catches one replica up.
+            for _ in cluster.replicas:
+                cluster.health_check_now()
+            assert all(
                 r.state == "healthy" and r.index.built_version == store.version
-                for r in cluster.replicas))
+                for r in cluster.replicas)
             follow_up = cluster.query(query, label, k=2)
             assert not follow_up.degraded
             assert 600 in [h.index for h in follow_up.hits]
@@ -332,8 +347,7 @@ class TestStaleness:
             assert cluster.audit.events("replica-refreshed")
             assert not cluster.audit.events("replica-evicted")
             # No replica ever rebuilt from scratch to catch up.
-            assert all(r.index.inner.full_builds == 1
-                       for r in cluster.replicas)
+            assert all(r.index.full_builds == 1 for r in cluster.replicas)
 
     def test_hot_cached_answers_survive_deep_generation_history(self, world):
         # The review cliff: per-label cache keys keep entries warm across
@@ -374,29 +388,28 @@ class TestStaleness:
         fingerprints, labels, store = world
         label = int(labels[0])
         other = next(int(l) for l in labels if int(l) != label)
+        query = fingerprints[:1]
+
+        def verdict(cluster, replica, answer):
+            return cluster.verifier.verify(
+                query, [answer], [label], 3, [replica.index.generation])[0]
+
         with _cluster_for(store) as cluster:
             replica = cluster.replicas[0]
-            answer = replica.engine.query(fingerprints[0], label, k=3,
-                                          timeout=5)
-            old_snapshot = answer.snapshot
-            cluster._verify_snapshot_lineage(
-                replica.index.generation(old_snapshot))
+            answer = replica.engine.query(query[0], label, k=3, timeout=5)
+            assert verdict(cluster, replica, answer) is None  # walks lineage
             for _ in range(_GENERATION_HISTORY + 2):
                 store.append(fingerprints[:1], [other], ["p9"], [b"z" * 32])
                 assert replica.engine.refresh() is True
-            assert replica.index.generation(old_snapshot) is None
-            stale = EngineAnswer(tuple(answer), snapshot=old_snapshot,
-                                 label_rows=answer.label_rows,
-                                 requested_k=3)
-            cluster._verify_answer_meta(replica, stale, label, 3)
-            assert replica.healthy
+            assert replica.index.generation(answer.snapshot) is None
+            assert verdict(cluster, replica, answer) is None
             assert cluster.telemetry.counter("trusted_snapshot_answers") == 1
             # A snapshot nobody ever verified is still an integrity fault.
             forged = EngineAnswer(tuple(answer), snapshot="ab" * 32,
                                   label_rows=answer.label_rows,
                                   requested_k=3)
-            with pytest.raises(IndexIntegrityError):
-                cluster._verify_answer_meta(replica, forged, label, 3)
+            assert isinstance(verdict(cluster, replica, forged),
+                              IndexIntegrityError)
 
     def test_non_append_version_bump_does_not_strand_replicas(self, world):
         # Refresh compares covered-segment counts, not the manifest
@@ -415,7 +428,7 @@ class TestStaleness:
         store = LinkageStore.create(tmp_path / "empty-store")
         cluster = _cluster_for(store, replicas=1)
         with pytest.raises(ConfigurationError):
-            cluster.grow_store(records=8)
+            inject(cluster, "growth-storm", records=8)
 
     def test_history_rewrite_still_evicts(self, world):
         # Rewriting a committed segment digest is not growth — the

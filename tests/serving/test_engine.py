@@ -27,13 +27,18 @@ def world(tmp_path, generator):
 
 
 class _GatedIndex:
-    """Wraps an index; search blocks until the gate opens (for backpressure)."""
+    """Wraps an index; search blocks until the gate opens (for backpressure).
+
+    ``entered`` is set once a worker is inside ``search_batch`` — what a
+    test waits on to know the worker picked a query up and is blocked."""
 
     def __init__(self, inner):
         self.inner = inner
         self.gate = threading.Event()
+        self.entered = threading.Event()
 
     def search_batch(self, batch, label, k=9):
+        self.entered.set()
         self.gate.wait()
         return self.inner.search_batch(batch, label, k)
 
@@ -159,7 +164,7 @@ class TestRobustness:
         label = int(labels[0])
         try:
             blocker = engine.submit(fingerprints[0], label, k=3)
-            time.sleep(0.05)  # the worker picks it up and blocks on the gate
+            assert gated.entered.wait(timeout=5)  # the worker holds it
             bad = [engine.submit(np.zeros(d, dtype=np.float32), label, k=5)
                    for d in (3, 5)]
             survivor = engine.submit(fingerprints[1], label, k=3)
@@ -181,7 +186,7 @@ class TestRobustness:
         engine = ServingEngine(gated, config).start()
         label = int(labels[0])
         in_flight = engine.submit(fingerprints[0], label, k=3)
-        time.sleep(0.05)  # the worker picks it up and blocks on the gate
+        assert gated.entered.wait(timeout=5)  # the worker holds it
         queued = [engine.submit(fingerprints[i], label, k=3)
                   for i in range(1, 5)]
         opener = threading.Timer(0.1, gated.gate.set)
@@ -305,7 +310,8 @@ class TestBoundedDrain:
         engine = ServingEngine(gated, config).start()
         label = int(labels[0])
         in_flight = engine.submit(fingerprints[0], label, k=3)
-        time.sleep(0.05)  # the worker picks it up and wedges on the gate
+        assert gated.entered.wait(timeout=5)  # the worker is wedged on it
+        workers = list(engine._threads)
         queued = [engine.submit(fingerprints[i], label, k=3)
                   for i in range(1, 4)]
         started = time.perf_counter()
@@ -318,7 +324,9 @@ class TestBoundedDrain:
         assert engine.telemetry.counter("abandoned") == 4
         # A late un-wedge must not blow up on already-resolved futures.
         gated.gate.set()
-        time.sleep(0.1)
+        for worker in workers:
+            worker.join(timeout=5)
+            assert not worker.is_alive()
 
     def test_config_drain_timeout_used_when_argument_omitted(self, world):
         fingerprints, labels, _, index = world
@@ -327,7 +335,7 @@ class TestBoundedDrain:
                               poll_interval=0.005, drain_timeout=0.2)
         engine = ServingEngine(gated, config).start()
         engine.submit(fingerprints[0], int(labels[0]), k=3)
-        time.sleep(0.05)
+        assert gated.entered.wait(timeout=5)
         with pytest.raises(ServingError):
             engine.stop()  # drain=True picks up config.drain_timeout
         gated.gate.set()

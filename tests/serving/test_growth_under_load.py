@@ -127,8 +127,7 @@ class TestGrowthStorm:
             refreshes = cluster.telemetry.counter("replica_refreshes")
             assert refreshes > 0
             # No replica ever fell back to a from-scratch rebuild.
-            assert all(r.index.inner.full_builds == 1
-                       for r in cluster.replicas)
+            assert all(r.index.full_builds == 1 for r in cluster.replicas)
             # Zero wrong answers: brute force over each answer's pinned
             # commit-order prefix reproduces it bitwise.
             checked = 0
@@ -181,11 +180,12 @@ class TestGrowthStorm:
             ServingFaultSpec(kind="growth-storm", at_query=0, records=64),
         ])
         with _cluster_for(store) as cluster:
-            before = store.version
+            before, records = store.version, len(store)
             fired = plan.before_query(0, cluster)
             assert [s.kind for s in fired] == ["growth-storm"]
             assert store.version == before + 1
-            assert cluster.telemetry.counter("growth_records") == 64
+            assert [s.records for s in plan.fired] == [64]
+            assert len(store) == records + 64
             # The storm is benign: queries keep working and the sweep
             # catches the replicas up.
             result = cluster.query(fingerprints[0], int(labels[0]), k=3)

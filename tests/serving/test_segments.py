@@ -10,7 +10,15 @@ from repro.serving import (IndexGeneration, IndexSegment, LinkageStore,
                            generation_lineage_error, merge_segments,
                            plan_merge)
 
-from tests.serving.conftest import clustered_corpus, fill_store
+from tests.serving.conftest import clustered_corpus, fill_store, inject
+
+
+class _OneReplica:
+    """The injector's view of a cluster, around a bare index."""
+
+    def __init__(self, index):
+        self.replicas = [self]
+        self.name, self.healthy, self.index = "replica-0", True, index
 
 
 def _segmented_store(tmp_path, generator, size=600, segment_records=150):
@@ -196,16 +204,21 @@ class TestCompaction:
         store.append(extra, extra_labels.tolist(), ["p9"] * 100,
                      [b"x" * 32] * 100)
         index.refresh()
+        inject(_OneReplica(index), "compaction-crash")
+        # An adoption that is not the doomed merge goes through.
+        extra, extra_labels = clustered_corpus(generator, 100)
+        store.append(extra, extra_labels.tolist(), ["p9"] * 100,
+                     [b"x" * 32] * 100)
+        assert index.refresh() is True
         snapshot = index.snapshot_digest
         fanout = index._generation.segment_count
-        index.inject_compaction_crash()
         # Crash after build, before adoption: atomicity means the live
         # generation is bitwise what it was.
         with pytest.raises(CompactionCrash):
             index.compact_now()
         assert index.snapshot_digest == snapshot
         assert index._generation.segment_count == fanout
-        assert index.compaction_crashes == 1
+        assert index.compactions == 0
         # The next (uninjected) attempt completes the merge.
         assert index.compact_now() > 0
         assert index._generation.segment_count <= 2
@@ -221,18 +234,19 @@ class TestCompaction:
             store.append(extra, extra_labels.tolist(), ["p9"] * 100,
                          [b"x" * 32] * 100)
             index.refresh()
-        index.inject_compaction_crash()
+        inject(_OneReplica(index), "compaction-crash")
         index.start_compaction()
         try:
             deadline = time.time() + 5.0
             while time.time() < deadline:
-                if (index.compaction_crashes >= 1
+                if (index.compaction_failures >= 1
                         and index._generation.segment_count <= 2):
                     break
                 time.sleep(0.01)
         finally:
             index.stop_compaction()
-        assert index.compaction_crashes == 1
+        # An injected crash is counted where a real one is.
+        assert index.compaction_failures == 1
         assert index._generation.segment_count <= 2
 
 
@@ -241,7 +255,7 @@ class TestIntegrity:
         store, _, _ = _segmented_store(tmp_path, generator)
         index = ShardedAnnIndex(store).build()
         index.verify_checksums()
-        shard = index._shard_for(store.labels()[0])
+        shard = index._generation.segments[0].shards[store.labels()[0]]
         shard.matrix[0, 0] += 1.0
         with pytest.raises(IndexIntegrityError):
             index.verify_checksums()

@@ -1,0 +1,178 @@
+"""``AnswerVerifier`` alone: no cluster, no engine, no thread.
+
+The accountability invariant — no answer leaves the router unless every
+hit was re-derived from the store and its snapshot's lineage walked — as
+one table of answers and the verdict each must get.
+"""
+
+import threading
+
+import numpy as np
+import pytest
+
+from repro.errors import IndexIntegrityError
+from repro.serving import (AnswerVerifier, ClusterTelemetry, EngineAnswer,
+                           IndexHit, LinkageStore, ShardedAnnIndex)
+
+from tests.serving.conftest import fill_store
+
+K = 3
+
+
+class World:
+    """A store, an honest index over it, and one honest answer."""
+
+    def __init__(self, small_store):
+        self.store, self.fingerprints, self.labels = small_store
+        self.index = ShardedAnnIndex(self.store, shard_threshold=100).build()
+        self.telemetry = ClusterTelemetry()
+        self.verifier = AnswerVerifier(self.store, self.telemetry)
+        self.label = int(self.labels[0])
+        self.query = self.fingerprints[0] + np.float32(0.02)
+        self.honest = self.answer(self.query)
+        # The honest answer's next-nearest neighbour: a true hit that a
+        # padded answer can append without any distance being wrong.
+        self.next_hit = self.index.search(self.query, self.label, k=K + 1)[K]
+
+    def answer(self, query, **provenance):
+        result = self.index.search_batch(query[None, :], self.label, K)
+        claims = dict(snapshot=result.snapshot, label_rows=result.shard_rows,
+                      requested_k=K)
+        claims.update(provenance)
+        return EngineAnswer(result.hits[0], **claims)
+
+    def restamp(self, hits=None, **provenance):
+        claims = dict(snapshot=self.honest.snapshot,
+                      label_rows=self.honest.label_rows, requested_k=K)
+        claims.update(provenance)
+        return EngineAnswer(self.honest if hits is None else hits, **claims)
+
+    def verdicts(self, answers, lookup=None, queries=None):
+        if queries is None:
+            queries = np.stack([self.query] * len(answers))
+        return self.verifier.verify(
+            queries, answers, [self.label] * len(answers), K,
+            [lookup or self.index.generation] * len(answers))
+
+    def counter(self, name):
+        return self.telemetry.counter(name)
+
+
+@pytest.fixture
+def world(small_store):
+    return World(small_store)
+
+
+def _foreign_generation(world, tmp_path):
+    """A generation whose lineage is not a prefix of ``world.store``: the
+    same records committed under a different segmentation."""
+    other = fill_store(LinkageStore.create(tmp_path / "other-store"),
+                       world.fingerprints, world.labels, segment_records=200)
+    return ShardedAnnIndex(other, shard_threshold=100).build()._generation
+
+
+# (case id, answer the replica hands back, fragment of the verdict)
+_REJECTED = [
+    ("short", lambda w: w.restamp(tuple(w.honest)[:-1]),
+     "short or padded answer"),
+    ("padded", lambda w: w.restamp(tuple(w.honest) + (w.next_hit,)),
+     "short or padded answer"),
+    ("label-rows-above-store",
+     lambda w: w.restamp(label_rows=w.store.count(w.label) + 1),
+     "more label-"),
+    ("label-rows-disagree-with-generation",
+     lambda w: w.restamp(label_rows=w.honest.label_rows - 1),
+     "its cited generation holds"),
+    ("unknown-snapshot", lambda w: w.restamp(snapshot="ab" * 32),
+     "has never verified"),
+    ("no-provenance", lambda w: tuple(w.honest), "carries no provenance"),
+    ("no-snapshot", lambda w: w.restamp(snapshot=None),
+     "carries no provenance"),
+    ("no-label-rows", lambda w: w.restamp(label_rows=None),
+     "carries no provenance"),
+    ("distance-off",
+     lambda w: w.restamp((w.honest[0]._replace(
+         distance=w.honest[0].distance * 1.01 + 0.01),) + tuple(w.honest)[1:]),
+     "distance disagrees"),
+    ("hit-outside-the-store",
+     lambda w: w.restamp((IndexHit(len(w.store), w.honest[0].distance),)
+                         + tuple(w.honest)[1:]),
+     "distance disagrees"),
+]
+
+
+class TestVerdicts:
+    def test_an_honest_answer_passes(self, world):
+        assert world.verdicts([world.honest]) == [None]
+        assert world.counter("hit_verifications") == 1
+        assert world.counter("snapshot_verifications") == 1
+        assert world.counter("verify_failures") == 0
+        # The lineage walk is cached by snapshot digest.
+        assert world.verdicts([world.honest]) == [None]
+        assert world.counter("snapshot_verifications") == 1
+
+    @pytest.mark.parametrize(
+        "forge, reason", [case[1:] for case in _REJECTED],
+        ids=[case[0] for case in _REJECTED])
+    def test_a_wrong_answer_is_rejected_once(self, world, forge, reason):
+        [verdict] = world.verdicts([forge(world)])
+        assert isinstance(verdict, IndexIntegrityError)
+        assert reason in str(verdict)
+        assert world.counter("verify_failures") == 1
+
+    def test_distance_within_tolerance_passes(self, world):
+        first = world.honest[0]
+        nudged = world.restamp(
+            (first._replace(distance=first.distance * (1 + 1e-4)),)
+            + tuple(world.honest)[1:])
+        assert world.verdicts([nudged]) == [None]
+
+    def test_one_bad_answer_in_a_batch_fails_alone(self, world):
+        queries = np.stack([world.query, world.query + np.float32(0.05),
+                            world.query - np.float32(0.05)])
+        answers = [world.answer(q) for q in queries]
+        bad = answers[1]
+        answers[1] = EngineAnswer(
+            (bad[0]._replace(distance=bad[0].distance + 1.0),)
+            + tuple(bad)[1:],
+            snapshot=bad.snapshot, label_rows=bad.label_rows, requested_k=K)
+        verdicts = world.verdicts(answers, queries=queries)
+        assert verdicts[0] is None and verdicts[2] is None
+        assert isinstance(verdicts[1], IndexIntegrityError)
+        assert world.counter("hit_verifications") == 3
+        assert world.counter("verify_failures") == 1
+
+    def test_pruned_snapshot_passes_only_if_previously_verified(self, world):
+        def pruned(snapshot):  # the replica no longer holds it
+            return None
+
+        [verdict] = world.verdicts([world.honest], lookup=pruned)
+        assert isinstance(verdict, IndexIntegrityError)
+        assert world.verdicts([world.honest]) == [None]  # walks the lineage
+        assert world.verdicts([world.honest], lookup=pruned) == [None]
+        assert world.counter("trusted_snapshot_answers") == 1
+        # Trust covers the citation only: the other claims still bind.
+        [verdict] = world.verdicts(
+            [world.restamp(tuple(world.honest)[:-1])], lookup=pruned)
+        assert "short or padded" in str(verdict)
+
+    def test_a_generation_off_the_store_s_history_fails_the_walk(
+            self, world, tmp_path):
+        foreign = _foreign_generation(world, tmp_path)
+        cited = world.restamp(snapshot=foreign.snapshot,
+                              label_rows=foreign.count(world.label))
+        [verdict] = world.verdicts([cited], lookup=lambda snapshot: foreign)
+        assert "failed the lineage walk" in str(verdict)
+        assert world.counter("snapshot_failures") == 1
+        assert world.counter("snapshot_verifications") == 0
+
+    def test_empty_batch(self, world):
+        assert world.verdicts([], queries=np.zeros((0, 8))) == []
+        assert world.counter("hit_verifications") == 0
+
+
+def test_the_verifier_starts_no_thread(small_store):
+    before = set(threading.enumerate())
+    world = World(small_store)
+    world.verdicts([world.honest] * 4)
+    assert set(threading.enumerate()) == before
