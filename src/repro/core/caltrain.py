@@ -762,7 +762,12 @@ class CalTrain:
         x, y, sources, indices = self.server.staged_training_data()
         fingerprint_enclave = self.platform.create_enclave("fingerprint-enclave")
         fingerprint_enclave.init()
-        self.fingerprinter = Fingerprinter(self.model, enclave=fingerprint_enclave)
+        # At the training batch size the pass reuses the layers' pooled
+        # im2col/GEMM scratch instead of allocating a second, larger set.
+        self.fingerprinter = Fingerprinter(
+            self.model, enclave=fingerprint_enclave,
+            batch_size=self.config.batch_size,
+        )
         fingerprints = self.fingerprinter.fingerprint(x)
         # Label Y is the instance's class label under the trained model's
         # label space (the provided training label).

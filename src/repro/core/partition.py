@@ -198,11 +198,12 @@ class PartitionedNetwork:
             return tensor
         checksum = None
         if self.transfer_checksums:
-            checksum = zlib.crc32(np.ascontiguousarray(tensor).tobytes())
+            # crc32 reads the contiguous array's buffer; no bytes copy.
+            checksum = zlib.crc32(np.ascontiguousarray(tensor))
         if self.boundary_tap is not None:
             tensor = self.boundary_tap(site, tensor)
         if checksum is not None and checksum != zlib.crc32(
-            np.ascontiguousarray(tensor).tobytes()
+            np.ascontiguousarray(tensor)
         ):
             raise TransferIntegrityError(
                 f"{site} tensor failed its transfer checksum crossing the "

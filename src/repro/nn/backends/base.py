@@ -107,21 +107,37 @@ def maxpool_scatter(delta: np.ndarray, argmax: np.ndarray, input_shape: Shape,
     """Route ``delta`` back to the argmax positions of a max-pool.
 
     For the common non-overlapping case (``stride >= size``) every pooling
-    window owns a disjoint input region, so the k x k mask loop collapses to
-    one vectorised fancy-index assignment — bitwise identical to the loop
-    because each target cell receives exactly one contribution. Overlapping
-    windows (``stride < size``) can accumulate several contributions per
-    cell and therefore keep the loop's exact accumulation order.
+    window owns a disjoint input region, so window position ``(i, j)`` owns
+    the strided view ``dx[:, i::stride, j::stride, :]`` and the k x k mask
+    loop collapses to one bit-select per position: ``delta``'s bits where
+    ``argmax`` names that position, +0.0 elsewhere. Each target cell
+    receives exactly one contribution, and it is *selected*, not
+    multiplied, so a routed -0.0 stays -0.0 and an unrouted inf leaves +0.0
+    (the loop's ``delta * mask`` gives +0.0 and NaN there; for finite
+    deltas the two are equal). Overlapping windows (``stride < size``) can
+    accumulate several contributions per cell and therefore keep the loop's
+    exact accumulation order. ``argmax`` may be any integer dtype.
     """
     n, h, w, c = input_shape
     oh, ow = delta.shape[1:3]
     if stride < size:
         return maxpool_backward_loop(delta, argmax, input_shape, size, stride)
-    dx = np.zeros((n, h, w, c), dtype=delta.dtype)
-    ni, ii, jj, ci = np.ogrid[:n, :oh, :ow, :c]
-    rows = ii * stride + argmax // size
-    cols = jj * stride + argmax % size
-    dx[ni, rows, cols, ci] = delta
+    # Cells no window covers (a non-dividing edge, the gaps stride > size
+    # leaves) must read +0.0; windows that tile the input write every cell.
+    tiled = stride == size and oh * stride == h and ow * stride == w
+    dx = (np.empty if tiled else np.zeros)((n, h, w, c), dtype=delta.dtype)
+    uint = f"u{delta.dtype.itemsize}"
+    delta_bits, dx_bits = delta.view(uint), dx.view(uint)
+    select = np.empty(delta.shape, dtype=uint)
+    for i in range(size):
+        for j in range(size):
+            np.equal(argmax, i * size + j, out=select)
+            np.negative(select, out=select)  # 1 -> all ones
+            np.bitwise_and(
+                delta_bits, select,
+                out=dx_bits[:, i : i + oh * stride : stride,
+                            j : j + ow * stride : stride, :],
+            )
     return dx
 
 

@@ -49,16 +49,16 @@ from typing import List, Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.errors import ConfigurationError
 from repro.nn.backends.base import (
     BufferPool,
     ComputeBackend,
     Shape,
     maxpool_scatter,
 )
+from repro.nn.layers.activations import _LEAKY_SLOPE
 
 __all__ = ["OptimizedBackend"]
-
-_LEAKY_SLOPE = 0.1  # must track repro.nn.layers.activations._LEAKY_SLOPE
 
 #: Below this many output elements a GEMM is not worth dispatching to
 #: threads (chunk setup would dominate).
@@ -191,8 +191,6 @@ class OptimizedBackend(ComputeBackend):
             z2d += 1.0
             np.reciprocal(z2d, out=z2d)
         else:
-            from repro.errors import ConfigurationError
-
             raise ConfigurationError(f"unknown activation {activation!r}")
 
     def _act_backward(self, pool: BufferPool, out2d: np.ndarray,
@@ -204,13 +202,23 @@ class OptimizedBackend(ComputeBackend):
         dtype = np.result_type(delta2d.dtype, out2d.dtype)
         dz = pool.get("act.dz", out2d.shape, dtype)
         if activation == "relu":
-            # out = max(z, 0): out > 0 iff z > 0.
-            dz.fill(0)
-            np.copyto(dz, delta2d, where=out2d > 0)
+            # out = max(z, 0): out > 0 iff z > 0. The gradient is *selected*
+            # on same-width unsigned views, delta's bits where out > 0 and
+            # +0.0 elsewhere; delta * mask is not that (0 * inf is NaN,
+            # -x * 0 is -0.0).
+            bits = dz.view(f"u{dz.dtype.itemsize}")
+            np.greater(out2d, 0, out=bits)
+            np.negative(bits, out=bits)  # 1 -> all ones
+            np.bitwise_and(_as_dtype(delta2d, dtype).view(bits.dtype), bits,
+                           out=bits)
         elif activation == "leaky":
             # out = max(z, slope*z) keeps the sign of z, so out > 0 iff z > 0.
-            np.multiply(delta2d, _LEAKY_SLOPE, out=dz)
-            np.copyto(dz, delta2d, where=out2d > 0)
+            # The scale is exactly 1.0 or the slope: x * 1.0 is x and
+            # max(0 | 1, slope) is exact, where mask * (1 - slope) + slope
+            # reaches 1.0 only through a lucky rounding.
+            np.greater(out2d, 0, out=dz)
+            np.maximum(dz, _LEAKY_SLOPE, out=dz)
+            dz *= delta2d
         elif activation == "tanh":
             np.multiply(out2d, out2d, out=dz)  # tanh' = 1 - out^2
             np.subtract(1.0, dz, out=dz)
@@ -220,27 +228,32 @@ class OptimizedBackend(ComputeBackend):
             dz *= out2d
             dz *= delta2d
         else:
-            from repro.errors import ConfigurationError
-
             raise ConfigurationError(f"unknown activation {activation!r}")
         return dz
 
     def _accumulate_grads(self, layer, a2d: np.ndarray,
                           dz2d: np.ndarray) -> None:
         """``grad_w += a2d.T @ dz2d`` and ``grad_b += dz2d.sum(0)`` through
-        pooled scratch (the accumulators themselves are never replaced)."""
+        pooled scratch (the accumulators themselves are never replaced).
+
+        Both are GEMMs with the long dimension where BLAS unrolls: the
+        weight gradient is computed transposed, ``dz2d.T @ a2d`` (the wide
+        fan-in is the output's row length, not the few units), and the bias
+        gradient is a row of ones times ``dz2d`` instead of an axis-0 sum.
+        """
         pool = layer._pool
-        w_shape = layer.weights.shape
-        units = dz2d.shape[1]
+        rows, units = dz2d.shape
         if a2d.dtype == dz2d.dtype:
-            gw = pool.get("grad.w", (a2d.shape[1], units), dz2d.dtype)
-            np.matmul(a2d.T, dz2d, out=gw)
+            gw = pool.get("grad.w", (units, a2d.shape[1]), dz2d.dtype)
+            np.matmul(dz2d.T, a2d, out=gw)
         else:
-            gw = a2d.T @ dz2d
-        layer._grad_w += gw.reshape(w_shape)
-        gb = pool.get("grad.b", (units,), dz2d.dtype)
-        np.sum(dz2d, axis=0, out=gb)
-        layer._grad_b += gb
+            gw = dz2d.T @ a2d
+        layer._grad_w += gw.T.reshape(layer.weights.shape)
+        ones = pool.get("grad.ones", (1, rows), dz2d.dtype)
+        ones.fill(1)
+        gb = pool.get("grad.b", (1, units), dz2d.dtype)
+        np.matmul(ones, dz2d, out=gb)
+        layer._grad_b += gb[0]
 
     # -- conv ----------------------------------------------------------------
 
@@ -368,14 +381,24 @@ class OptimizedBackend(ComputeBackend):
             np.maximum(out, view, out=out)
         if training:
             # First-occurrence argmax, bitwise-equal to flat argmax over the
-            # (kh, kw) window: descending writes down to and including index
-            # 0 leave the smallest matching flat index in place (the write at
-            # 0 reclaims ties between index 0 and later positions; the
-            # fill(0) only covers the impossible no-match case).
-            argmax = layer._pool.get("maxpool.argmax", out.shape, np.intp)
+            # (kh, kw) window: descending selects down to and including index
+            # 0 leave the smallest matching flat index in place (the select
+            # at 0 reclaims ties between index 0 and later positions; the
+            # fill(0) only covers the no-match case, a window holding NaN).
+            # A select is argmax += hit * (idx - argmax) in the smallest
+            # unsigned dtype holding k*k - 1, where the difference wraps and
+            # the sum wraps back.
+            pool = layer._pool
+            argmax = pool.get("maxpool.argmax", out.shape,
+                              np.min_scalar_type(k * k - 1))
             argmax.fill(0)
+            hit = pool.get("maxpool.hit", out.shape, np.bool_)
+            step = pool.get("maxpool.step", out.shape, argmax.dtype)
             for idx in range(k * k - 1, -1, -1):
-                np.copyto(argmax, idx, where=views[idx] == out)
+                np.equal(views[idx], out, out=hit)
+                np.subtract(argmax.dtype.type(idx), argmax, out=step)
+                step *= hit
+                argmax += step
             layer._cache["argmax"] = argmax
             layer._cache["input_shape"] = x.shape
         return out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.caltrain import CalTrain, CalTrainConfig
+from repro.core.fingerprint import Fingerprinter
 from repro.data.datasets import synthetic_cifar
 from repro.errors import ConfigurationError, TrainingError
 from repro.federation.participant import TrainingParticipant
@@ -21,8 +22,7 @@ def config():
     )
 
 
-@pytest.fixture
-def world(config):
+def _two_contributor_world(config):
     rng = RngStream(99, "world")
     train, test = synthetic_cifar(rng.child("data"), num_train=192, num_test=48,
                                   num_classes=4, shape=(8, 8, 3))
@@ -35,6 +35,11 @@ def world(config):
         system.submit_data(participant)
         participants.append(participant)
     return system, participants, test
+
+
+@pytest.fixture
+def world(config):
+    return _two_contributor_world(config)
 
 
 class TestPipeline:
@@ -56,6 +61,31 @@ class TestPipeline:
             test.x[:2], participants=system.participants
         )
         assert all(result.verified_disclosures.values())
+
+    def test_fingerprint_pass_reuses_the_training_scratch(self, config):
+        """At the training batch size the pass finds every pooled buffer at
+        the shape training left it; a larger fingerprint batch would
+        reallocate the im2col/GEMM scratch (the lifecycle RSS peak)."""
+        config.batch_size = 32
+        config.backend = "optimized"  # the reference backend pools nothing
+        system, _, _ = _two_contributor_world(config)
+        system.train()
+
+        def pooled():
+            return sum(layer._pool.nbytes() for layer in system.model.layers)
+
+        after_training = pooled()
+        assert after_training > 0
+        database = system.fingerprint_stage()
+        assert len(database) == 192  # a multiple of the batch: no short tail
+        assert pooled() <= after_training
+
+        x = system.server.staged_training_data()[0]
+        np.testing.assert_allclose(
+            Fingerprinter(system.model, batch_size=32).fingerprint(x),
+            Fingerprinter(system.model, batch_size=128).fingerprint(x),
+            atol=1e-6,
+        )
 
     def test_stage_ordering_enforced(self, config):
         system = CalTrain(config)

@@ -5,7 +5,11 @@ import pytest
 
 from repro.core.partition import PartitionedNetwork
 from repro.crypto.aead import AesGcm
-from repro.errors import AuthenticationError, PartitionError
+from repro.errors import (
+    AuthenticationError,
+    PartitionError,
+    TransferIntegrityError,
+)
 from repro.nn.optimizers import Sgd
 from repro.nn.zoo import tiny_testnet
 
@@ -157,6 +161,39 @@ class TestCostAccounting:
             return platform.clock.now - start
 
         assert epoch_cost(True) < epoch_cost(False)
+
+
+class TestBoundaryChecksum:
+    """``_cross_boundary`` checksums the tensor's buffer (no bytes copy),
+    strided senders included, and still fails closed on one flipped bit."""
+
+    @pytest.fixture
+    def strided(self, generator):
+        tensor = generator.random((4, 6, 6, 6)).astype(np.float32)[..., ::2]
+        assert not tensor.flags.c_contiguous
+        return tensor
+
+    def test_untapped_transfer_returns_the_tensor_itself(self, tiny_net,
+                                                         enclave, strided):
+        partitioned = PartitionedNetwork(tiny_net, 2, enclave)
+        kept = strided.copy()
+        assert partitioned._cross_boundary("ir", strided) is strided
+        np.testing.assert_array_equal(strided, kept)
+
+    def test_one_flipped_bit_in_flight_fails_closed(self, tiny_net, enclave,
+                                                    strided):
+        def flip_one_bit(site, tensor):
+            corrupted = tensor.copy()
+            corrupted.view(np.uint32)[1, 2, 3, 1] ^= 1
+            return corrupted
+
+        partitioned = PartitionedNetwork(tiny_net, 2, enclave)
+        partitioned.boundary_tap = flip_one_bit
+        with pytest.raises(TransferIntegrityError):
+            partitioned._cross_boundary("ir", strided)
+        partitioned.boundary_tap = lambda site, tensor: tensor.copy()
+        np.testing.assert_array_equal(
+            partitioned._cross_boundary("ir", strided), strided)
 
 
 class TestModelRelease:

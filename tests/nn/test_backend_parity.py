@@ -10,6 +10,8 @@ one stays in float32).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.nn.backends import (
@@ -22,7 +24,9 @@ from repro.nn.backends import (
     maxpool_scatter,
     set_default_backend,
 )
+from repro.nn.backends.base import BufferPool
 from repro.nn.gradcheck import check_gradients
+from repro.nn.initializers import gaussian_init
 from repro.nn.layers import (
     AvgPoolLayer,
     ConvLayer,
@@ -32,6 +36,7 @@ from repro.nn.layers import (
     MaxPoolLayer,
     SoftmaxLayer,
 )
+from repro.nn.layers.activations import _LEAKY_SLOPE
 from repro.nn.model_io import model_from_bytes, model_to_bytes
 from repro.nn.network import Network
 from repro.nn.optimizers import Adam, Sgd
@@ -222,6 +227,193 @@ class TestMaxPoolParity:
         fast = maxpool_scatter(delta, argmax, input_shape, size, stride)
         slow = maxpool_backward_loop(delta, argmax, input_shape, size, stride)
         np.testing.assert_array_equal(fast, slow)
+
+
+def _masked_act_backward(out2d, delta2d, activation):
+    """The masked-copy kernel ``_act_backward`` replaced, written out as
+    the bitwise oracle for the select forms."""
+    dz = np.empty(out2d.shape, np.result_type(delta2d.dtype, out2d.dtype))
+    if activation == "relu":
+        dz.fill(0)
+    else:
+        np.multiply(delta2d, _LEAKY_SLOPE, out=dz)
+    np.copyto(dz, delta2d, where=out2d > 0)
+    return dz
+
+
+def _salted(gen, shape, dtype, salts):
+    """Random normals with every tenth element drawn from ``salts``."""
+    a = gen.normal(size=shape).astype(dtype)
+    flat = a.reshape(-1)
+    flat[::10] = gen.choice(np.asarray(salts, dtype=dtype), size=flat[::10].size)
+    return a
+
+
+_NON_FINITE = (np.inf, -np.inf, np.nan, -0.0)
+
+
+class TestActBackwardSelect:
+    """The leaky/relu gradient is selected exactly — bit for bit the
+    masked copy it replaced, non-finite deltas and signed zeros included."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", ["leaky", "relu"])
+    def test_bitwise_equal_to_masked_copy(self, activation, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        out_salts = (0.0, -0.0, tiny, -tiny)
+        gen = np.random.default_rng(50)
+        out = _salted(gen, (257, 15), dtype, out_salts)
+        delta = _salted(gen, (257, 15), dtype, _NON_FINITE)
+        # Every (out salt, delta salt) pair, so a multiply-by-mask rewrite
+        # (0 * inf = NaN, -x * 0 = -0.0) cannot pass by sampling luck.
+        out[:4, :4] = np.asarray(out_salts, dtype=dtype)[:, None]
+        delta[:4, :4] = np.asarray(_NON_FINITE, dtype=dtype)[None, :]
+        kept = delta.copy()
+        got = OptimizedBackend()._act_backward(BufferPool(), out, delta,
+                                               activation)
+        expected = _masked_act_backward(out, delta, activation)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        assert delta.tobytes() == kept.tobytes()  # residual blocks reuse it
+
+    def test_relu_is_not_delta_times_mask(self):
+        """The oracle itself tells the two apart on this table."""
+        out = np.array([[-1.0, -1.0, 1.0]], dtype=np.float32)
+        delta = np.array([[np.inf, -2.0, -0.0]], dtype=np.float32)
+        got = OptimizedBackend()._act_backward(BufferPool(), out, delta,
+                                               "relu")
+        assert got.tobytes() == np.array([[0.0, 0.0, -0.0]],
+                                         dtype=np.float32).tobytes()
+        with np.errstate(invalid="ignore"):
+            assert got.tobytes() != (delta * (out > 0)).tobytes()
+
+
+def _indexed_scatter(delta, argmax, input_shape, size, stride):
+    """The fancy-index assignment ``maxpool_scatter`` replaced (valid for
+    non-overlapping windows), written out as the bitwise oracle."""
+    n, h, w, c = input_shape
+    oh, ow = delta.shape[1:3]
+    dx = np.zeros(input_shape, dtype=delta.dtype)
+    ni, ii, jj, ci = np.ogrid[:n, :oh, :ow, :c]
+    dx[ni, ii * stride + argmax // size, jj * stride + argmax % size, ci] = delta
+    return dx
+
+
+@st.composite
+def _pool_cases(draw):
+    size = draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 5))  # < size overlaps, > size leaves gaps
+    n = draw(st.integers(1, 3))
+    c = draw(st.integers(1, 4))
+    h = draw(st.integers(size, size + 9))  # non-dividing extents included
+    w = draw(st.integers(size, size + 9))
+    return n, h, w, c, size, stride, draw(st.integers(0, 2**16))
+
+
+class TestMaxPoolSelect:
+    """The unsigned-arithmetic argmax and the strided bit-select scatter
+    against the reference backend, the loop oracle and the replaced
+    fancy-index scatter."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_pool_cases(), ties=st.booleans())
+    def test_forward_and_argmax_match_reference(self, case, ties):
+        n, h, w, c, size, stride, seed = case
+        x = np.random.default_rng(seed).normal(
+            size=(n, h, w, c)).astype(np.float32)
+        if ties:
+            x = np.round(x)  # duplicated maxima: first occurrence must win
+        outs, argmaxes = [], []
+        for backend in BACKENDS:
+            layer = MaxPoolLayer(size, stride)
+            layer.set_backend(backend)
+            outs.append(layer.forward(x, training=True))
+            argmaxes.append(layer._cache["argmax"].copy())
+        np.testing.assert_array_equal(outs[0], outs[1])
+        np.testing.assert_array_equal(argmaxes[0], argmaxes[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_pool_cases(), narrow=st.booleans())
+    def test_scatter_matches_both_oracles(self, case, narrow):
+        n, h, w, c, size, stride, seed = case
+        gen = np.random.default_rng(seed)
+        oh, ow = (h - size) // stride + 1, (w - size) // stride + 1
+        argmax = gen.integers(0, size * size, size=(n, oh, ow, c)).astype(
+            np.uint8 if narrow else np.intp)
+        finite = gen.normal(size=argmax.shape).astype(np.float32)
+        args = (argmax, (n, h, w, c), size, stride)
+        np.testing.assert_array_equal(
+            maxpool_scatter(finite, *args), maxpool_backward_loop(finite, *args))
+        if stride < size:
+            return  # overlapping windows keep the loop itself
+        # The loop multiplies (a routed -0.0 becomes +0.0, an unrouted inf
+        # NaN); the replaced scatter and the bit-select do neither.
+        salted = _salted(gen, argmax.shape, np.float32, _NON_FINITE)
+        got = maxpool_scatter(salted, *args)
+        assert got.tobytes() == _indexed_scatter(salted, *args).tobytes()
+        covered = np.zeros((h, w), dtype=bool)
+        for i in range(size):
+            for j in range(size):
+                covered[i : i + oh * stride : stride,
+                        j : j + ow * stride : stride] = True
+        assert not got[:, ~covered, :].view(np.uint32).any()  # exactly +0.0
+
+    @pytest.mark.parametrize("size", [16, 17])
+    def test_wide_windows_pick_a_wider_argmax(self, size):
+        """k*k - 1 is 255 at 16x16 (the last value a uint8 holds) and 288
+        at 17x17; the maximum sits on the last window position, so a
+        wrapped index would show."""
+        x = np.random.default_rng(51).normal(
+            size=(2, 2 * size, 2 * size, 2)).astype(np.float32)
+        x[:, size - 1 :: size, size - 1 :: size, :] = 100.0
+        argmaxes, deltas = [], []
+        for backend in BACKENDS:
+            layer = MaxPoolLayer(size, size)
+            layer.set_backend(backend)
+            out = layer.forward(x, training=True)
+            argmaxes.append(layer._cache["argmax"].copy())
+            deltas.append(layer.backward(np.ones_like(out)))
+        np.testing.assert_array_equal(argmaxes[1], size * size - 1)
+        np.testing.assert_array_equal(argmaxes[0], argmaxes[1])
+        assert argmaxes[1].dtype.itemsize == (1 if size == 16 else 2)
+        assert deltas[0].tobytes() == deltas[1].tobytes()
+
+    def test_nan_window_yields_argmax_zero(self):
+        """No position equals a NaN maximum: the no-match case stays 0."""
+        x = np.random.default_rng(52).normal(
+            size=(1, 4, 4, 2)).astype(np.float32)
+        x[0, :2, :2, 0] = np.nan      # an all-NaN window
+        x[0, 2, 3, 1] = np.nan        # one NaN poisons its window's maximum
+        layer = MaxPoolLayer(2, 2)
+        layer.set_backend("optimized")
+        out = layer.forward(x, training=True)
+        argmax = layer._cache["argmax"]
+        assert np.isnan(out[0, 0, 0, 0]) and argmax[0, 0, 0, 0] == 0
+        assert np.isnan(out[0, 1, 1, 1]) and argmax[0, 1, 1, 1] == 0
+
+
+class TestAccumulateGrads:
+    """The GEMM-shaped weight and bias reductions, at the benchmark's
+    first two layers (25,088 rows; fan-in 27 and 135; 15 filters)."""
+
+    @pytest.mark.parametrize("in_channels", [3, 15])
+    def test_matches_float64_and_accumulates_in_place(self, in_channels):
+        gen = np.random.default_rng(53)
+        layer = ConvLayer(15, 3, 1)
+        layer.build(in_channels, gaussian_init(gen))
+        a = gen.normal(size=(25088, 9 * in_channels)).astype(np.float32)
+        dz = gen.normal(size=(25088, 15)).astype(np.float32)
+        exact_w = (a.astype(np.float64).T @ dz.astype(np.float64)).reshape(
+            layer.weights.shape)
+        exact_b = dz.astype(np.float64).sum(axis=0)
+        grad_w, grad_b = layer._grad_w, layer._grad_b
+        backend = OptimizedBackend()
+        for calls in (1, 2):  # the second call adds to the first
+            backend._accumulate_grads(layer, a, dz)
+            assert layer._grad_w is grad_w and layer._grad_b is grad_b
+            for got, exact in ((grad_w, exact_w), (grad_b, exact_b)):
+                assert np.abs(got - calls * exact).max() <= (
+                    1e-5 * calls * np.abs(exact).max())
 
 
 class TestGemmThreading:
