@@ -26,6 +26,7 @@ CI hosts are scheduling-noise dominated.
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -181,6 +182,9 @@ def test_growth_storm_zero_evictions(bench_rng, tmp_path_factory):
 # -- claim 2: compaction churn keeps p99 within 2x quiescent --------------------
 
 
+REPETITIONS = 5  # alternated quiescent/churn phases behind the p99 ratio
+
+
 def _p99(samples):
     return float(np.percentile(np.asarray(samples, dtype=np.float64), 99))
 
@@ -209,14 +213,11 @@ def test_compaction_keeps_p99_bounded(bench_rng, tmp_path_factory):
             latencies.append(time.perf_counter() - started)
         return latencies
 
-    measure()  # warm-up
-    quiescent = _p99(measure())
-
     # Churn: append + refresh between query stretches with the background
     # compactor running, so merges overlap the measured searches.
     ggen = rng.child("growth").fork_generator()
-    index.start_compaction()
-    try:
+
+    def measure_churn():
         latencies = []
         chunk = max(1, rounds // 6)
         for start in range(0, rounds, chunk):
@@ -231,12 +232,29 @@ def test_compaction_keeps_p99_bounded(bench_rng, tmp_path_factory):
                 index.search_batch(queries[i:i + 1],
                                    int(query_labels[i]), k=K)
                 latencies.append(time.perf_counter() - started)
-        churn = _p99(latencies)
-    finally:
-        index.stop_compaction()
-    ratio = churn / quiescent if quiescent else float("inf")
+        return latencies
 
-    print(f"\ncompaction churn p99, {RECORDS} records, {rounds} queries")
+    # One shot of churn p99 / quiescent p99 is a ratio of two
+    # sub-millisecond tail samples: on a shared 2-vCPU host a single
+    # scheduling hiccup in either decides it. Alternate the two phases
+    # and hold the bar on the median ratio.
+    measure()  # warm-up
+    pairs = []
+    for _ in range(REPETITIONS):
+        calm = _p99(measure())
+        index.start_compaction()
+        try:
+            pairs.append((calm, _p99(measure_churn())))
+        finally:
+            index.stop_compaction()
+        index.compact_now()  # the next quiescent phase starts compacted
+    quiescent = statistics.median(calm for calm, _ in pairs)
+    churn = statistics.median(busy for _, busy in pairs)
+    ratio = statistics.median(
+        busy / calm if calm else float("inf") for calm, busy in pairs)
+
+    print(f"\ncompaction churn p99, {RECORDS} records, {rounds} queries, "
+          f"medians of {REPETITIONS} alternated repetitions")
     print(f"  quiescent p99  {quiescent * 1e3:>8.2f}ms")
     print(f"  churn p99      {churn * 1e3:>8.2f}ms")
     print(f"  ratio          {ratio:>8.2f}x  (bar: <= 2x"
@@ -245,7 +263,7 @@ def test_compaction_keeps_p99_bounded(bench_rng, tmp_path_factory):
 
     _update_trajectory("incremental_compaction_p99", {
         "config": {"records": RECORDS, "rounds": rounds, "k": K,
-                   "max_segments": 2},
+                   "max_segments": 2, "repetitions": REPETITIONS},
         "quiescent_p99_ms": round(quiescent * 1e3, 3),
         "churn_p99_ms": round(churn * 1e3, 3),
         "ratio": round(ratio, 3),

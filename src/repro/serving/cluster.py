@@ -77,7 +77,8 @@ from repro.errors import (ConfigurationError, DeadlineExceeded,
                           IndexIntegrityError, NoHealthyReplica, QueryError,
                           QueryRejected, ServingError, StaleIndexError,
                           StoreError)
-from repro.serving.engine import EngineConfig, ServingEngine
+from repro.serving.engine import (EngineConfig, ServingEngine,
+                                  label_blocks)
 from repro.serving.index import IndexHit, ShardedAnnIndex
 from repro.serving.store import LinkageStore
 from repro.serving.telemetry import ClusterTelemetry, ServingTelemetry
@@ -757,20 +758,19 @@ class ServingCluster:
                    ) -> List[ClusterResult]:
         """Route a batch under one overall deadline.
 
-        Fast path: submit everything up front (preserving each engine's
-        micro-batch coalescing), then gather with the remaining budget.
-        Any per-query failure falls back to the full single-query retry
-        / hedge / degrade machinery with whatever budget is left.
+        Fast path: group the batch by label and deal whole label blocks
+        over the replicas — one submission, one search, one future per
+        block — then gather with the remaining budget. Any per-query
+        failure falls back to the full single-query retry / hedge /
+        degrade machinery with whatever budget is left.
         """
         if not self._started:
             raise ServingError("cluster is not running — call start()")
-        fingerprints = np.asarray(fingerprints, dtype=np.float32)
+        fingerprints, by_label = label_blocks(fingerprints, labels)
         n = fingerprints.shape[0]
-        fingerprints = fingerprints.reshape(n, -1)
-        if len(labels) != n:
-            raise ServingError(f"{n} fingerprints but {len(labels)} labels")
         budget = deadline_s if deadline_s is not None else self.config.deadline_s
-        deadline = self._clock() + budget
+        started = self._clock()  # every answer's latency counts from here
+        deadline = started + budget
         self._shed_check(n)
         try:
             # One rotation snapshot for the whole batch: per-query _pick
@@ -780,75 +780,86 @@ class ServingCluster:
             candidates = [r for r in self.replicas
                           if r.healthy and r.breaker.allow()]
             rotation = next(self._rr)
-            submitted: List[Optional[Tuple[object, ServingReplica]]] = []
-            for i in range(n):
-                entry = None
-                if candidates:
-                    replica = candidates[(rotation + i) % len(candidates)]
-                    try:
-                        entry = (replica.engine.submit(
-                            fingerprints[i], int(labels[i]), k), replica)
-                    except (QueryRejected, ServingError):
-                        entry = None
-                submitted.append(entry)
+            blocks = list(by_label.items()) if candidates else []
+            reroute: List[int] = [] if candidates else list(range(n))
+            if blocks and len(blocks) < len(candidates):
+                # Fewer labels than replicas: split, so that none idles.
+                pieces = -(-len(candidates) // len(blocks))
+                blocks = [(label, part.tolist()) for label, rows in blocks
+                          for part in np.array_split(rows, pieces)
+                          if part.size]
+            submitted = []
+            for position, (label, rows) in enumerate(blocks):
+                replica = candidates[(rotation + position) % len(candidates)]
+                try:
+                    future = replica.engine.submit(fingerprints[rows],
+                                                   label, k)
+                except (QueryRejected, ServingError):
+                    reroute.extend(rows)
+                    continue
+                # The answering thread stamps the block's completion on
+                # the cluster clock before it wakes the gather loop, so a
+                # block's latency does not depend on gather order.
+                finished: List[float] = []
+                answered = threading.Event()
+                future.add_done_callback(
+                    lambda _, finished=finished, answered=answered:
+                    (finished.append(self._clock()), answered.set()))
+                submitted.append((rows, replica, future, finished, answered))
             # Gather raw answers with the remaining budget; verification
             # and bookkeeping run batched afterwards so the per-query
             # Python cost stays off the routing-overhead budget.
-            answers: List[Optional[Tuple[Tuple[IndexHit, ...],
-                                         ServingReplica, float]]] = [None] * n
-            reroute: List[int] = []
-            for i in range(n):
-                started = self._clock()
-                remaining = deadline - started
-                entry = submitted[i]
-                if entry is None or remaining <= 0:
-                    reroute.append(i)
+            results: List[Optional[ClusterResult]] = [None] * n
+            owners: Dict[int, ServingReplica] = {}
+            for rows, replica, future, finished, answered in submitted:
+                remaining = deadline - self._clock()
+                if remaining <= 0:
+                    reroute.extend(rows)
                     continue
-                future, replica = entry
                 try:
-                    # Preserve EngineAnswer provenance attributes for the
-                    # batched verification below.
-                    hits = future.result(timeout=remaining)
+                    if not answered.wait(remaining):
+                        raise FuturesTimeoutError(
+                            "deadline expired waiting on a label block")
+                    # EngineAnswers: verification below reads their provenance.
+                    block = future.result(timeout=0)
                 except Exception as exc:  # noqa: BLE001 — reroute below
                     self._replica_failure(replica, exc)
                     if _is_caller_error(exc):
                         self.telemetry.count("queries")
                         self.telemetry.count("caller_errors")
                         raise
-                    reroute.append(i)
+                    # One failure per unanswered query, as when each had
+                    # a future of its own.
+                    for _ in rows[1:]:
+                        self._replica_failure(replica, exc)
+                    reroute.extend(rows)
                     continue
-                answers[i] = (hits, replica, self._clock() - started)
-            gathered = [i for i in range(n) if answers[i] is not None]
+                for row, hits in zip(rows, block):
+                    owners[row] = replica
+                    results[row] = ClusterResult(
+                        hits=hits, replica=replica.name,
+                        latency_s=finished[0] - started)
+            gathered = sorted(owners)
             if gathered:
                 verdicts = self.verifier.verify(
                     fingerprints[gathered],
-                    [answers[i][0] for i in gathered],
+                    [results[i].hits for i in gathered],
                     [labels[i] for i in gathered], k,
-                    [answers[i][1].index.generation for i in gathered])
+                    [owners[i].index.generation for i in gathered])
                 for problem, i in zip(verdicts, gathered):
-                    if problem is None:
-                        continue
-                    _, replica, _ = answers[i]
-                    answers[i] = None
-                    self._replica_failure(replica, problem)
-                    reroute.append(i)
-                gathered = [i for i in gathered if answers[i] is not None]
-            if gathered:
-                self.telemetry.count("queries", len(gathered))
-                self.telemetry.count("queries_ok", len(gathered))
+                    if problem is not None:
+                        results[i] = None
+                        self._replica_failure(owners.pop(i), problem)
+                        reroute.append(i)
+            if owners:
+                latencies = [results[i].latency_s for i in owners]
+                self.telemetry.count("queries", len(owners))
+                self.telemetry.count("queries_ok", len(owners))
                 with self._latency_lock:
-                    self._latencies.extend(answers[i][2] for i in gathered)
-                for replica in {answers[i][1].name: answers[i][1]
-                                for i in gathered}.values():
+                    self._latencies.extend(latencies)
+                for replica in set(owners.values()):
                     replica.breaker.record_success()
-                self.telemetry.observe_many(
-                    "route", [answers[i][2] for i in gathered])
-            results: List[Optional[ClusterResult]] = [
-                None if entry is None else ClusterResult(
-                    hits=entry[0], replica=entry[1].name,
-                    latency_s=entry[2])
-                for entry in answers
-            ]
+                self.telemetry.observe_many("route", latencies)
             # Slow path: the single-query router owns retries/degrade.
             for i in sorted(reroute):
                 results[i] = self._route(

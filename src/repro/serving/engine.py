@@ -1,10 +1,11 @@
 """The batched, cached, audited query engine.
 
-This is the traffic-facing layer: callers submit (fingerprint, label, k)
-queries and get futures back. Internally the engine
+This is the traffic-facing layer: callers submit a **label block** — the
+(n, d) fingerprints of n queries for one (label, k), a single query
+being a block of one — and get one future back. Internally the engine
 
 * **micro-batches** — worker threads drain the bounded request queue and
-  coalesce concurrent same-(label, k) queries into one vectorized
+  coalesce concurrent same-(label, k) blocks into one vectorized
   distance computation against the sharded index;
 * **caches** — an LRU keyed by (fingerprint digest, label, k) absorbs
   repeated queries (the same viral misprediction queried by thousands of
@@ -28,6 +29,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from queue import Empty, Full, Queue
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -74,8 +76,8 @@ class EngineConfig:
     """Tuning knobs for the serving engine."""
 
     workers: int = 2            # worker threads draining the queue
-    max_batch: int = 64         # micro-batch coalescing bound
-    queue_depth: int = 256      # bounded queue = the backpressure limit
+    max_batch: int = 64         # queries per drained batch; blocks stay whole
+    queue_depth: int = 256      # queued submissions = the backpressure limit
     cache_size: int = 4096      # LRU entries; 0 disables the cache
     poll_interval: float = 0.02  # worker wait for the first queue item
     drain_timeout: Optional[float] = None  # stop(drain=True) bound; None = wait
@@ -119,19 +121,41 @@ class _LruCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
 
 @dataclass
 class _Pending:
-    key: tuple
-    fingerprint: np.ndarray
+    """One submitted label block: ``answers`` holds its cache hits, and
+    ``None`` for every query a worker still has to search."""
+
+    keys: List[tuple]
+    fingerprints: np.ndarray  # (n, d)
     label: int
     k: int
-    future: "Future[Tuple[IndexHit, ...]]"
+    answers: List[Optional[EngineAnswer]]
+    single: bool  # submitted as one 1-D query: resolve to its answer
+    future: Future
     enqueued_at: float = field(default_factory=time.perf_counter)
+
+    def resolve(self) -> None:
+        # A bounded-drain stop may have failed this future while the worker
+        # was wedged; a late completion must not raise InvalidStateError.
+        if not self.future.done():
+            self.future.set_result(
+                self.answers[0] if self.single else self.answers)
+
+
+def label_blocks(fingerprints: np.ndarray, labels: Sequence[int]
+                 ) -> Tuple[np.ndarray, Dict[int, List[int]]]:
+    """A mixed batch as ``(n, d)`` float32 plus its positions grouped by
+    label, in first-appearance order — one block per label."""
+    fingerprints = np.asarray(fingerprints, dtype=np.float32)
+    n = fingerprints.shape[0]
+    if len(labels) != n:
+        raise ServingError(f"{n} fingerprints but {len(labels)} labels")
+    blocks: Dict[int, List[int]] = {}
+    for position, label in enumerate(labels):
+        blocks.setdefault(int(label), []).append(position)
+    return fingerprints.reshape(n, -1), blocks
 
 
 class ServingEngine:
@@ -184,7 +208,7 @@ class ServingEngine:
         content digest (or, for legacy indexes, the build + store
         versions), so entries cached before a stop can never answer for
         a label that has since gained rows — they simply never match
-        again (see :meth:`_key`).
+        again (see :meth:`_keys`).
         """
         if self._started:
             raise ServingError("engine already started")
@@ -218,6 +242,12 @@ class ServingEngine:
                 self._queue.all_tasks_done.wait(remaining)
         return True
 
+    def _fail(self, pending: _Pending, counter: str, exc: Exception) -> None:
+        """Fail one block's waiter, counting every query in it, once."""
+        if not pending.future.done():
+            self.telemetry.count(counter, len(pending.keys))
+            pending.future.set_exception(exc)
+
     def _fail_abandoned(self, message: str) -> None:
         """Resolve queued + in-flight futures so no caller blocks forever."""
         while True:
@@ -225,16 +255,12 @@ class ServingEngine:
                 pending = self._queue.get_nowait()
             except Empty:
                 break
-            self.telemetry.count("abandoned")
-            if not pending.future.done():
-                pending.future.set_exception(ServingError(message))
+            self._fail(pending, "abandoned", ServingError(message))
             self._queue.task_done()
         with self._in_flight_lock:
             stuck = [p for batch in self._in_flight.values() for p in batch]
         for pending in stuck:
-            if not pending.future.done():
-                self.telemetry.count("abandoned")
-                pending.future.set_exception(ServingError(message))
+            self._fail(pending, "abandoned", ServingError(message))
 
     def stop(self, drain: bool = True,
              drain_timeout: Optional[float] = None) -> None:
@@ -333,18 +359,19 @@ class ServingEngine:
 
     # -- submission --------------------------------------------------------------
 
-    def _key(self, fingerprint: np.ndarray, label: int, k: int) -> tuple:
+    def _keys(self, block: np.ndarray, label: int, k: int) -> List[tuple]:
         # Keyed by the *per-label* content digest: growth in other labels
         # leaves these entries warm, while a label that actually gains
         # rows gets a new digest, so its old entries simply never match
         # again. Indexes without per-label identity fall back to the
         # coarse (build version, store version) pair, which invalidates
         # everything on any append — correct, just colder.
-        return (stable_hash(fingerprint), int(label), int(k),
-                self._label_scope(label))
+        scope = self._label_scope(label)
+        return [(stable_hash(row), int(label), int(k), scope)
+                for row in block]
 
     def _label_scope(self, label: int):
-        """The content scope :meth:`_key` embeds for ``label`` right now."""
+        """The content scope :meth:`_keys` embeds for ``label`` right now."""
         getter = getattr(self.index, "label_digest", None)
         scope = getter(int(label)) if callable(getter) else None
         if scope is None:
@@ -353,10 +380,8 @@ class ServingEngine:
                              "version", None))
         return scope
 
-    def _revalidate(self, key: tuple,
-                    cached: Tuple[IndexHit, ...]
-                    ) -> Optional[Tuple[IndexHit, ...]]:
-        """Re-stamp a cache hit with the live generation's snapshot.
+    def _cached(self, key: tuple) -> Optional[Tuple[IndexHit, ...]]:
+        """The cached answer for ``key``, citing the live snapshot.
 
         Cached answers cite the snapshot of the generation that filled
         them, but the index keeps only a bounded generation history —
@@ -365,9 +390,10 @@ class ServingEngine:
         check, evicting a healthy replica for a correct answer. The cache
         key already embeds the per-label content scope, so a hit proves
         the label's row set is unchanged in the live generation: the live
-        snapshot is an equally true citation. Returns ``None`` (treat as
-        a miss) when an adoption raced in and moved the label's scope
+        snapshot is an equally true citation. Returns ``None`` (a miss)
+        also when an adoption raced in and moved the label's scope
         between key computation and now."""
+        cached = self._cache.get(key)
         snapshot = getattr(cached, "snapshot", None)
         live = getattr(self.index, "snapshot_digest", None)
         if snapshot is None or live is None or live == snapshot:
@@ -381,39 +407,44 @@ class ServingEngine:
         self._cache.put(key, answer)
         return answer
 
-    def _audit_event(self, key: tuple, served_by: str,
-                     hits: Tuple[IndexHit, ...]) -> None:
-        result_digest = stable_hash(
-            [[hit.index, hit.distance] for hit in hits]
-        )
-        details = dict(
-            query_digest=key[0].hex(),
-            label=key[1],
-            k=key[2],
-            served_by=served_by,
-            results=result_digest.hex(),
-            num_results=len(hits),
-        )
-        snapshot = getattr(hits, "snapshot", None)
-        if snapshot is not None:
-            # Which data generation answered — the audit chain commits to
-            # the exact index snapshot, so a verifier can replay the
-            # answer against that committed store prefix.
-            details["index_snapshot"] = snapshot
-            details["label_rows"] = getattr(hits, "label_rows", None)
-        if self.promotion is not None:
-            # Promoted deployments stamp the run identity into every
-            # answer: the audit chain proves which run served it.
-            details["run_key"] = self.promotion.run_key
-        with self._audit_lock:
-            self.audit.append("serving-query", **details)
+    def _audit_answers(self, served_by: str, answered) -> None:
+        """One ``serving-query`` event per ``(key, hits)`` answered."""
+        events = []
+        for key, hits in answered:
+            details = dict(
+                query_digest=key[0].hex(),
+                label=key[1],
+                k=key[2],
+                served_by=served_by,
+                results=stable_hash(
+                    [[hit.index, hit.distance] for hit in hits]).hex(),
+                num_results=len(hits),
+            )
+            snapshot = getattr(hits, "snapshot", None)
+            if snapshot is not None:
+                # Which data generation answered — the audit chain commits
+                # to the exact index snapshot, so a verifier can replay the
+                # answer against that committed store prefix.
+                details["index_snapshot"] = snapshot
+                details["label_rows"] = getattr(hits, "label_rows", None)
+            if self.promotion is not None:
+                # Promoted deployments stamp the run identity into every
+                # answer: the audit chain proves which run served it.
+                details["run_key"] = self.promotion.run_key
+            events.append(details)
+        with self._audit_lock:  # once per block, not once per answer
+            for details in events:
+                self.audit.append("serving-query", **details)
 
-    def submit(self, fingerprint: np.ndarray, label: int,
-               k: int = 9) -> "Future[Tuple[IndexHit, ...]]":
-        """Enqueue one query; returns a future of the hit tuple.
+    def submit(self, fingerprints: np.ndarray, label: int,
+               k: int = 9) -> Future:
+        """Enqueue one label block; returns the future of its answers.
 
-        Raises :class:`QueryRejected` immediately if the engine is
-        overloaded — rejected queries are counted, never silently dropped.
+        A 2-D ``(n, d)`` array is n queries for ``label`` and resolves to
+        the list of their hit tuples, in order; anything else is one query
+        — a block of one — and resolves to its hit tuple. Cache hits are
+        answered here. Raises :class:`QueryRejected` immediately if the
+        engine is overloaded — counted, never silently dropped.
         """
         if self._crashed:
             # Crashed replicas refuse instantly — the router's analogue of
@@ -422,39 +453,43 @@ class ServingEngine:
             raise ServingError("engine crashed — replica is down")
         if not self._started:
             raise ServingError("engine is not running — call start()")
-        fingerprint = np.ascontiguousarray(
-            np.asarray(fingerprint, dtype=np.float32).ravel()
-        )
+        block = np.asarray(fingerprints, dtype=np.float32)
+        single = block.ndim != 2
+        block = np.ascontiguousarray(block.reshape(1, -1) if single else block)
         dimension = getattr(self.index, "dimension", None)
-        if dimension is not None and fingerprint.shape[0] != dimension:
+        if dimension is not None and block.shape[1] != dimension:
             raise QueryError(
-                f"fingerprint dimension {fingerprint.shape[0]} does not "
+                f"fingerprint dimension {block.shape[1]} does not "
                 f"match index dimension {dimension}"
             )
-        key = self._key(fingerprint, label, k)
-        self.telemetry.count("queries")
-        future: "Future[Tuple[IndexHit, ...]]" = Future()
-        cached = self._cache.get(key)
-        if cached is not None:
-            cached = self._revalidate(key, cached)
-        if cached is not None:
-            self.telemetry.count("cache_hits")
-            self._audit_event(key, "cache", cached)
-            future.set_result(cached)
-            return future
-        self.telemetry.count("cache_misses")
-        pending = _Pending(key=key, fingerprint=fingerprint,
-                           label=int(label), k=int(k), future=future)
-        try:
-            self._queue.put_nowait(pending)
-        except Full:
-            self.telemetry.count("rejected")
-            raise QueryRejected(
-                f"serving queue full ({self.config.queue_depth} pending); "
-                f"retry after {self._retry_after():.3f}s",
-                retry_after_s=self._retry_after(),
-            ) from None
-        return future
+        keys = self._keys(block, label, k)
+        answers = [self._cached(key) for key in keys]
+        misses = answers.count(None)
+        self.telemetry.count("queries", len(keys))
+        if misses < len(keys):
+            self.telemetry.count("cache_hits", len(keys) - misses)
+        pending = _Pending(keys=keys, fingerprints=block, label=int(label),
+                           k=int(k), answers=answers, single=single,
+                           future=Future())
+        if misses:
+            self.telemetry.count("cache_misses", misses)
+            try:
+                self._queue.put_nowait(pending)
+            except Full:
+                self.telemetry.count("rejected", len(keys))
+                raise QueryRejected(
+                    f"serving queue full ({self.config.queue_depth} pending); "
+                    f"retry after {self._retry_after():.3f}s",
+                    retry_after_s=self._retry_after(),
+                ) from None
+        # Audited only once the block is accepted: a rejected block was
+        # not answered, cache hits included.
+        self._audit_answers("cache", [(key, answer) for key, answer
+                                      in zip(keys, answers)
+                                      if answer is not None])
+        if not misses:
+            pending.resolve()
+        return pending.future
 
     def _retry_after(self) -> float:
         # How long until the backlog plausibly clears: full queue drained
@@ -471,40 +506,30 @@ class ServingEngine:
               k: int = 9, timeout: Optional[float] = None
               ) -> Tuple[IndexHit, ...]:
         """Blocking single query."""
-        return self.submit(fingerprint, label, k).result(timeout=timeout)
+        return self.submit(np.ravel(fingerprint), label,
+                           k).result(timeout=timeout)
 
     def query_many(self, fingerprints: np.ndarray, labels: Sequence[int],
                    k: int = 9, timeout: Optional[float] = None
                    ) -> List[Tuple[IndexHit, ...]]:
-        """Submit a batch and gather results in submission order.
+        """Submit a batch, one block per label; results in batch order.
 
         ``timeout`` is one overall deadline for the whole batch, not a
-        per-future allowance: each future is waited with the *remaining*
-        time, so the total wait is bounded by ``timeout`` rather than
-        by N × timeout.
+        per-block allowance.
         """
-        fingerprints = np.asarray(fingerprints, dtype=np.float32)
-        n = fingerprints.shape[0]
-        fingerprints = fingerprints.reshape(n, -1)
-        if len(labels) != n:
-            raise ServingError(
-                f"{n} fingerprints but {len(labels)} labels"
+        fingerprints, blocks = label_blocks(fingerprints, labels)
+        futures = {self.submit(fingerprints[rows], label, k): rows
+                   for label, rows in blocks.items()}
+        _, late = futures_wait(futures, timeout=timeout)
+        if late:
+            raise FuturesTimeoutError(
+                f"query_many deadline of {timeout}s expired with "
+                f"{sum(len(futures[f]) for f in late)} queries unanswered"
             )
-        futures = [
-            self.submit(fingerprints[i], int(labels[i]), k) for i in range(n)
-        ]
-        deadline = (None if timeout is None
-                    else time.perf_counter() + timeout)
-        results = []
-        for future in futures:
-            remaining = (None if deadline is None
-                         else deadline - time.perf_counter())
-            if remaining is not None and remaining <= 0:
-                raise FuturesTimeoutError(
-                    f"query_many deadline of {timeout}s expired with "
-                    f"{len(futures) - len(results)} queries unanswered"
-                )
-            results.append(future.result(timeout=remaining))
+        results = [None] * len(fingerprints)
+        for future, rows in futures.items():
+            for row, answer in zip(rows, future.result()):
+                results[row] = answer
         return results
 
     # -- the worker side ---------------------------------------------------------
@@ -516,11 +541,13 @@ class ServingEngine:
             return []
         started = time.perf_counter()
         batch = [first]
-        while len(batch) < self.config.max_batch:
+        queries = len(first.keys)
+        while queries < self.config.max_batch:
             try:
                 batch.append(self._queue.get_nowait())
             except Empty:
                 break
+            queries += len(batch[-1].keys)
         # Coalescing time only — the blocking wait for the first request is
         # idle time, not assembly work.
         self.telemetry.observe("assemble", time.perf_counter() - started)
@@ -539,7 +566,8 @@ class ServingEngine:
                 self._in_flight[ident] = batch
             try:
                 self.telemetry.count("batches")
-                self.telemetry.count("batched_queries", len(batch))
+                self.telemetry.count("batched_queries", sum(
+                    pending.answers.count(None) for pending in batch))
                 self.telemetry.observe("queue_occupancy", self._queue.qsize())
                 groups: Dict[Tuple[int, int], List[_Pending]] = {}
                 for pending in batch:
@@ -549,9 +577,7 @@ class ServingEngine:
                     self._answer_group(label, k, members)
             except Exception as exc:
                 for pending in batch:
-                    if not pending.future.done():
-                        self.telemetry.count("errors")
-                        pending.future.set_exception(exc)
+                    self._fail(pending, "errors", exc)
             finally:
                 with self._in_flight_lock:
                     self._in_flight.pop(ident, None)
@@ -560,37 +586,35 @@ class ServingEngine:
 
     def _answer_group(self, label: int, k: int,
                       members: List[_Pending]) -> None:
+        """Search the cache misses of same-(label, k) blocks together."""
         started = time.perf_counter()
+        misses = [[i for i, answer in enumerate(member.answers)
+                   if answer is None] for member in members]
         try:
-            matrix = np.stack([m.fingerprint for m in members])
+            matrix = np.concatenate([member.fingerprints[rows]
+                                     for member, rows in zip(members, misses)])
             result = self.index.search_batch(matrix, label, k)
         except Exception as exc:  # typed errors propagate to each caller
             for member in members:
-                if member.future.done():
-                    continue  # already failed by a bounded-drain stop
-                self.telemetry.count("errors")
-                member.future.set_exception(exc)
+                self._fail(member, "errors", exc)
             return
-        elapsed = time.perf_counter() - started
-        self.telemetry.observe("search", elapsed)
+        now = time.perf_counter()
+        self.telemetry.observe("search", now - started)
         self.telemetry.count("candidates_scanned", result.candidates_scanned)
         self.telemetry.count("brute_equivalent_rows",
-                             result.shard_rows * len(members))
-        now = time.perf_counter()
-        snapshot = getattr(result, "snapshot", None)
-        label_rows = getattr(result, "shard_rows", None)
-        for member, hits in zip(members, result.hits):
-            answer = EngineAnswer(hits, snapshot=snapshot,
-                                  label_rows=label_rows,
-                                  requested_k=member.k)
-            self._cache.put(member.key, answer)
-            self._audit_event(member.key, "index", answer)
-            self.telemetry.observe("total", now - member.enqueued_at)
-            if not member.future.done():
-                # A bounded-drain stop may have already failed this future
-                # while the worker was wedged; a late completion must not
-                # raise InvalidStateError.
-                member.future.set_result(answer)
+                             result.shard_rows * matrix.shape[0])
+        found = iter(result.hits)
+        for member, rows in zip(members, misses):
+            for i in rows:
+                member.answers[i] = EngineAnswer(
+                    next(found), snapshot=result.snapshot,
+                    label_rows=result.shard_rows, requested_k=member.k)
+                self._cache.put(member.keys[i], member.answers[i])
+            self._audit_answers(
+                "index", [(member.keys[i], member.answers[i]) for i in rows])
+            self.telemetry.observe_many(
+                "total", [now - member.enqueued_at] * len(rows))
+            member.resolve()
 
     # -- verification ------------------------------------------------------------
 

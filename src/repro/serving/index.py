@@ -122,8 +122,6 @@ class ShardedAnnIndex:
         self.refreshes = 0
         self.compactions = 0
         self.compaction_failures = 0
-        self.generation_adoptions = 0
-        self.segments_built = 0
         self._compactor: Optional[threading.Thread] = None
         self._compact_stop = threading.Event()
 
@@ -153,7 +151,6 @@ class ShardedAnnIndex:
             self._generation = generation
             self.built_version = generation.store_version
             self._built = True
-            self.generation_adoptions += 1
             return generation
 
     def build(self) -> "ShardedAnnIndex":
@@ -169,7 +166,6 @@ class ShardedAnnIndex:
             segments = (segment,) if total else ()
             self._adopt(segments, params)
             self.full_builds += 1
-            self.segments_built += len(segments)
         return self
 
     def refresh(self) -> bool:
@@ -197,7 +193,6 @@ class ShardedAnnIndex:
             )
             self._adopt(generation.segments + (segment,), generation.params)
             self.refreshes += 1
-            self.segments_built += 1
         return True
 
     def store_prefix_ok(self) -> bool:
@@ -263,7 +258,6 @@ class ShardedAnnIndex:
             segs[i:i + 2] = [merged]
             self._adopt(tuple(segs), params)
             self.compactions += 1
-            self.segments_built += 1
         return True
 
     def compact_now(self, max_steps: Optional[int] = None) -> int:

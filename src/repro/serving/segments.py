@@ -25,15 +25,12 @@ incremental instead:
 
 Exact-mode parity with a from-scratch build is structural, not
 statistical: per-pair L2 distances do not depend on how the row matrix is
-partitioned, each shard returns its top-k sorted stably by (distance,
-ascending global index), and the k-way merge re-sorts by the same key —
-so membership *and* tie-break ordering are bitwise identical to brute
-force over the union.
+partitioned, and :meth:`IndexGeneration.search_batch` merges per-part
+top-k by the explicit key (distance, ascending global index).
 """
 
 from __future__ import annotations
 
-import heapq
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -119,6 +116,8 @@ class SegmentBuildParams:
 
 
 class _BruteShard:
+    """Rows below ``shard_threshold``; scanned whole, stacked per label."""
+
     def __init__(self, matrix: np.ndarray, indices: np.ndarray) -> None:
         self.matrix = matrix
         self.indices = indices
@@ -126,20 +125,6 @@ class _BruteShard:
     @property
     def rows(self) -> int:
         return self.matrix.shape[0]
-
-    def search(self, batch: np.ndarray, k: int) -> ShardSearchResult:
-        positions, distances = exact_top_k(batch, self.matrix, k)
-        hits = [
-            [IndexHit(index, distance) for index, distance in zip(ids, row)]
-            for ids, row in zip(self.indices[positions].tolist(),
-                                distances.tolist())
-        ]
-        return ShardSearchResult(
-            hits=hits,
-            candidates_scanned=batch.shape[0] * self.rows,
-            shard_rows=self.rows,
-            requested_k=k,
-        )
 
 
 class _ClusteredShard:
@@ -197,37 +182,34 @@ class _ClusteredShard:
         ub_k = upper[np.arange(q), order[np.arange(q), first]]
         return lower <= ub_k[:, None]
 
-    def search(self, batch: np.ndarray, k: int,
-               probes: Optional[int]) -> ShardSearchResult:
+    def search(self, batch: np.ndarray, k: int, probes: Optional[int]
+               ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Top ``min(k, rows)`` of every query over its *own* candidates.
+
+        Returns ``(global ids, float64 distances, pairs scanned)``, rows
+        ordered by (distance, ascending global id). Never one ``cdist``
+        over the block's candidate union: that computes every pair some
+        *other* query needed and grows quadratically with the block.
+        """
         k_eff = min(k, self.rows)
-        dc = cdist(batch, self.centroids)
-        mask = self._candidate_mask(dc, k, probes)
-        union_buckets = np.flatnonzero(mask.any(axis=0))
-        # One vectorized distance computation over the union of candidates,
-        # with rows sorted ascending so stable ties match brute force.
-        union_rows = np.sort(
-            np.concatenate([self.buckets[b] for b in union_buckets])
-        )
-        bucket_of_row = np.empty(self.rows, dtype=np.int64)
-        for bucket, rows in enumerate(self.buckets):
-            bucket_of_row[rows] = bucket
-        union_bucket_ids = bucket_of_row[union_rows]
-        distances = cdist(batch, self.matrix[union_rows])
-        hits: List[List[IndexHit]] = []
+        mask = self._candidate_mask(cdist(batch, self.centroids), k, probes)
+        ids = np.empty((batch.shape[0], k_eff), dtype=self.indices.dtype)
+        distances = np.empty((batch.shape[0], k_eff), dtype=np.float64)
         scanned = 0
         for row in range(batch.shape[0]):
-            columns = np.flatnonzero(mask[row][union_bucket_ids])
-            scanned += columns.shape[0]
-            own = distances[row, columns]
-            take = min(k_eff, columns.shape[0])
-            order = np.argsort(own, kind="stable")[:take]
-            rows_hit = union_rows[columns[order]]
-            hits.append([
-                IndexHit(int(self.indices[r]), float(d))
-                for r, d in zip(rows_hit, own[order])
-            ])
-        return ShardSearchResult(hits=hits, candidates_scanned=scanned,
-                                 shard_rows=self.rows, requested_k=k)
+            rows = np.concatenate(
+                [self.buckets[b] for b in mask[row].nonzero()[0]])
+            rows.sort()  # ascending global id: the tie-break order
+            scanned += rows.shape[0]
+            own = cdist(batch[row:row + 1], self.matrix.take(rows, axis=0))[0]
+            # What a stable argsort of ``own`` would put first, without
+            # ordering the rest: everything up to the k-th smallest
+            # distance, ties included, ranked stably among themselves.
+            near = (own <= np.partition(own, k_eff - 1)[k_eff - 1]).nonzero()[0]
+            order = near[own[near].argsort(kind="stable")[:k_eff]]
+            ids[row] = self.indices[rows[order]]
+            distances[row] = own[order]
+        return ids, distances, scanned
 
 
 def _cluster(matrix: np.ndarray, indices: np.ndarray,
@@ -358,22 +340,6 @@ class IndexSegment:
             rows=int(matrix.shape[0]),
         )
 
-    def count(self, label: int) -> int:
-        shard = self.shards.get(int(label))
-        return 0 if shard is None else shard.rows
-
-    def labels(self) -> List[int]:
-        return sorted(self.shards)
-
-    def search_label(self, batch: np.ndarray, label: int, k: int,
-                     probes: Optional[int]) -> Optional[ShardSearchResult]:
-        shard = self.shards.get(int(label))
-        if shard is None:
-            return None
-        if isinstance(shard, _BruteShard):
-            return shard.search(batch, k)
-        return shard.search(batch, k, probes)
-
     def verify_checksums(self) -> None:
         """Raise :class:`IndexIntegrityError` if any shard matrix drifted."""
         for label, shard in self.shards.items():
@@ -475,41 +441,46 @@ class IndexGeneration:
 
     def search_batch(self, batch: np.ndarray, label: int, k: int,
                      probes: Optional[int]) -> ShardSearchResult:
-        """Search every segment holding ``label`` and k-way merge.
+        """Answer one label block: every part once, one array merge.
 
-        Exactness of the merge: each per-segment result is the stable
-        top-k of its own rows sorted by (distance, ascending global
-        index); global indices are disjoint across segments and ascend
-        within each, so re-sorting the union of per-segment top-k by the
-        same key reproduces brute force over all rows — membership and
-        tie-break order both.
+        Parts are the label's clustered shards and one
+        :func:`exact_top_k` over its brute shards stacked in segment
+        order — ascending global id, so the stable sort over the stack
+        *is* the merged per-segment answer. Every part returns its top-k
+        ordered by (distance, ascending global index) and global indices
+        are disjoint across parts, so sorting the union of the per-part
+        top-k by that explicit key reproduces brute force over all rows
+        — membership and tie-break order both.
         """
         label = int(label)
-        results = [r for r in (seg.search_label(batch, label, k, probes)
-                               for seg in self.segments) if r is not None]
-        if not results:
+        shards = [seg.shards[label] for seg in self.segments
+                  if label in seg.shards]
+        if not shards:
             raise QueryError(
                 f"no training fingerprints indexed for label {label}"
             )
+        found = [shard.search(batch, k, probes) for shard in shards
+                 if isinstance(shard, _ClusteredShard)]
+        brute = [shard for shard in shards if isinstance(shard, _BruteShard)]
+        if brute:
+            # Stacked per call (microseconds), not memoised: generations
+            # linger in the index's history and would each keep a copy.
+            matrix = np.concatenate([shard.matrix for shard in brute])
+            indices = np.concatenate([shard.indices for shard in brute])
+            positions, distances = exact_top_k(batch, matrix, k)
+            found.append((indices[positions], distances,
+                          batch.shape[0] * matrix.shape[0]))
         total_rows = self.label_rows[label]
-        if len(results) == 1:
-            only = results[0]
-            only.shard_rows = total_rows
-            only.requested_k = k
-            only.snapshot = self.snapshot
-            return only
-        k_eff = min(k, total_rows)
-        merged: List[List[IndexHit]] = []
-        for row in range(batch.shape[0] if batch.ndim > 1 else 1):
-            per_segment = [r.hits[row] for r in results]
-            best = heapq.merge(
-                *per_segment, key=lambda hit: (hit.distance, hit.index)
-            )
-            merged.append([IndexHit(int(h.index), float(h.distance))
-                           for _, h in zip(range(k_eff), best)])
+        ids = np.concatenate([part[0] for part in found], axis=1)
+        distances = np.concatenate([part[1] for part in found], axis=1)
+        order = np.lexsort((ids, distances), axis=1)[:, :min(k, total_rows)]
+        query = np.arange(order.shape[0])[:, None]
         return ShardSearchResult(
-            hits=merged,
-            candidates_scanned=sum(r.candidates_scanned for r in results),
+            hits=[list(map(IndexHit, row_ids, row_distances))
+                  for row_ids, row_distances
+                  in zip(ids[query, order].tolist(),
+                         distances[query, order].tolist())],
+            candidates_scanned=sum(part[2] for part in found),
             shard_rows=total_rows,
             requested_k=k,
             snapshot=self.snapshot,

@@ -7,6 +7,7 @@ one smoke test keeps the real monitor thread.
 """
 
 import dataclasses
+import threading
 import time
 
 import numpy as np
@@ -493,6 +494,156 @@ class TestCircuitBreaker:
             for i in range(6):
                 result = cluster.query(fingerprints[i], int(labels[i]), k=3)
                 assert result.replica != "replica-0"
+
+
+class _Watch:
+    """Test-side wrappers around each replica's ``index.search_batch`` and
+    ``engine.submit`` (instance shadows, nothing added to ``src/``).
+
+    Records every search as ``(replica name, rows)``; every worker is held
+    inside ``search_batch`` until ``release_after`` submissions were made,
+    so what is counted does not depend on when a worker wakes. ``before``
+    runs in the worker, after the hold, before the real search."""
+
+    def __init__(self, cluster, release_after=0, before=None):
+        self.searches = []
+        self._lock = threading.Lock()
+        self._pending = release_after
+        self.released = threading.Event()
+        if not release_after:
+            self.released.set()
+        for replica in cluster.replicas:
+            self._shadow(replica, before)
+
+    def _shadow(self, replica, before):
+        search, submit = replica.index.search_batch, replica.engine.submit
+
+        def counted_submit(*args, **kwargs):
+            with self._lock:
+                self._pending -= 1
+                if self._pending == 0:
+                    self.released.set()
+            return submit(*args, **kwargs)
+
+        def counted_search(batch, label, k=9):
+            assert self.released.wait(timeout=5)
+            if before is not None:
+                before(replica)
+            with self._lock:
+                self.searches.append((replica.name, len(batch)))
+            return search(batch, label, k)
+
+        replica.engine.submit = counted_submit
+        replica.index.search_batch = counted_search
+
+    def on(self, name):
+        return [rows for replica, rows in self.searches if replica == name]
+
+
+class TestLabelBlocks:
+    @pytest.fixture
+    def eight(self, tmp_path, generator):
+        fingerprints, labels = clustered_corpus(generator, 960, labels=8)
+        store = fill_store(LinkageStore.create(tmp_path / "eight-store"),
+                           fingerprints, labels, segment_records=400)
+        return fingerprints, labels, store
+
+    def test_one_search_per_label_block(self, eight):
+        fingerprints, labels, store = eight
+        rows = np.concatenate([np.flatnonzero(labels == label)[:8]
+                               for label in range(8)])
+        with _cluster_for(store, replicas=2) as cluster:
+            watch = _Watch(cluster, release_after=8)
+            results = cluster.query_many(fingerprints[rows] + 0.01,
+                                         labels[rows], k=3)
+            assert sorted(watch.searches) == (
+                [("replica-0", 8)] * 4 + [("replica-1", 8)] * 4)
+            for i, result in zip(rows, results):
+                query, label = fingerprints[i] + 0.01, int(labels[i])
+                assert [h.index for h in result.hits] == _brute_truth(
+                    fingerprints, labels, query, label, 3)
+
+    def test_single_label_batch_reaches_every_replica(self, eight):
+        fingerprints, labels, store = eight
+        rows = np.flatnonzero(labels == 5)[:64]
+        with _cluster_for(store, replicas=2) as cluster:
+            watch = _Watch(cluster, release_after=2)
+            results = cluster.query_many(fingerprints[rows] + 0.01,
+                                         [5] * 64, k=3)
+            assert sorted(watch.searches) == [("replica-0", 32),
+                                              ("replica-1", 32)]
+            assert {r.replica for r in results} == {"replica-0", "replica-1"}
+
+    def test_failed_block_reroutes_exactly_its_queries(self, eight):
+        fingerprints, labels, store = eight
+        rows = np.concatenate([np.flatnonzero(labels == label)[:4]
+                               for label in range(4)])
+        queries = fingerprints[rows] + 0.01
+
+        def fail_replica_0(replica):
+            if replica.name == "replica-0":
+                raise ServingError("replica-0 lost this block")
+
+        # The first failure opens the breaker, so every re-routed query
+        # goes straight to replica-1, one search each.
+        with _cluster_for(store, replicas=2, breaker_threshold=1,
+                          revive=False) as cluster:
+            watch = _Watch(cluster, release_after=4, before=fail_replica_0)
+            results = cluster.query_many(queries, labels[rows], k=3)
+            assert watch.on("replica-0") == []  # raised before searching
+            assert sorted(watch.on("replica-1")) == [1] * 8 + [4] * 2
+            assert all(r.replica == "replica-1" and not r.degraded
+                       for r in results)
+            assert cluster.telemetry.counter("evictions") == 0
+            other = cluster.replicas[1].index
+            for query, label, result in zip(queries, labels[rows], results):
+                assert list(result.hits) == other.search(query, int(label),
+                                                         k=3)
+
+    def test_block_searches_its_misses_and_audits_every_answer(self, eight):
+        fingerprints, labels, store = eight
+        rows = np.flatnonzero(labels == 2)[:4]
+        queries = fingerprints[rows] + 0.01
+        with _cluster_for(store, replicas=1) as cluster:
+            first = cluster.query(queries[0], 2, k=3)  # now cached
+            watch = _Watch(cluster)
+            audit = cluster.replicas[0].engine.audit
+            before = len(audit.events("serving-query"))
+            results = cluster.query_many(queries, [2] * 4, k=3)
+            assert watch.searches == [("replica-0", 3)]
+            events = audit.events("serving-query")[before:]
+            assert sorted(e.details["served_by"] for e in events) == [
+                "cache", "index", "index", "index"]
+            assert results[0].hits == first.hits
+            assert cluster.replicas[0].engine.verify_audit_chain()
+
+    def test_latency_is_measured_from_block_submission(self, eight):
+        # Two blocks, answered 10 ms and 30 ms after they were submitted:
+        # every member reports its block's latency (the gather loop used
+        # to start each query's clock when it reached its future, so all
+        # but the first answer per replica read ~0) and the hedge trigger
+        # is their p99, not the floor.
+        fingerprints, labels, store = eight
+        rows = np.flatnonzero(labels == 1)[:64]
+        clock = [0.0]
+
+        def answer_at(replica):
+            if replica.name == "replica-0":
+                clock[0] = 0.010
+            else:
+                # Not before replica-0's block is stamped and resolved.
+                cluster.replicas[0].engine._queue.join()
+                clock[0] = 0.030
+
+        with _cluster_for(store, replicas=2, clock=lambda: clock[0],
+                          hedge_min_s=0.001) as cluster:
+            _Watch(cluster, release_after=2, before=answer_at)
+            results = cluster.query_many(fingerprints[rows] + 0.01,
+                                         [1] * 64, k=3)
+            assert sorted({(r.replica, r.latency_s) for r in results}) == [
+                ("replica-0", 0.010), ("replica-1", 0.030)]
+            assert cluster._hedge_delay() == 0.030
+            assert cluster.telemetry.stage("route").count == 64
 
 
 class TestObservability:

@@ -1,8 +1,14 @@
 """Incremental index segments: content addressing, refresh, compaction."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.query import exact_top_k
 from repro.errors import (CompactionCrash, ConfigurationError,
                           IndexIntegrityError)
 from repro.serving import (IndexGeneration, IndexSegment, LinkageStore,
@@ -271,3 +277,70 @@ class TestIntegrity:
         assert result.shard_rows == rows
         assert len(result.hits[0]) == rows
         assert result.snapshot == index.snapshot_digest
+
+
+class TestMergeIsBruteForce:
+    """The (distance, global id) merge over any segmentation, as a property.
+
+    Fingerprints are small-integer vectors, so exact duplicate rows — and
+    therefore exact distance ties inside and across segments — are the
+    common case, not the corner case.
+    """
+
+    K = 5  # label 2 is drawn with fewer rows than this
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           store_segments=st.integers(1, 9),
+           index_segments=st.integers(1, 5),
+           block=st.integers(1, 17),
+           k=st.integers(1, 12))
+    def test_any_segmentation_any_block(self, seed, store_segments,
+                                        index_segments, block, k):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(4, 40, size=store_segments)
+        total = int(sizes.sum())
+        fingerprints = rng.integers(0, 3, size=(total, 3)).astype(np.float32)
+        labels = rng.integers(0, 2, size=total)
+        labels[rng.choice(total, size=min(self.K - 1, total // 4),
+                          replace=False)] = 2  # a label shorter than K
+        # Cut the store segments into 1..5 contiguous index segments; a
+        # label is brute in the small ones and clustered in the big ones,
+        # in whatever order the cuts fall — and absent from some.
+        cuts = sorted(rng.choice(np.arange(1, store_segments),
+                                 size=min(index_segments, store_segments) - 1,
+                                 replace=False).tolist())
+        bounds = list(zip([0] + cuts, cuts + [store_segments]))
+        params = SegmentBuildParams(shard_threshold=12, seed=int(seed % 97))
+        queries = np.concatenate([
+            fingerprints[rng.integers(0, total, size=block // 2)],
+            rng.integers(0, 3, size=(block - block // 2, 3)),
+        ]).astype(np.float32)
+        with tempfile.TemporaryDirectory() as scratch:
+            store = LinkageStore.create(Path(scratch) / "store")
+            start = 0
+            for size in sizes.tolist():
+                store.append(fingerprints[start:start + size],
+                             labels[start:start + size].tolist(),
+                             ["p0"] * size, [b"h" * 32] * size)
+                start += size
+            generation = IndexGeneration(
+                [IndexSegment.build(store, lo, hi, params)
+                 for lo, hi in bounds],
+                params, store_version=store.version)
+            for label in np.unique(labels).tolist():
+                rows = np.flatnonzero(labels == label)  # global-id order
+                positions, distances = exact_top_k(
+                    queries, fingerprints[rows], k)
+                result = generation.search_batch(queries, label, k, None)
+                assert [[hit.index for hit in hits]
+                        for hits in result.hits] == rows[positions].tolist()
+                assert [[hit.distance for hit in hits]
+                        for hits in result.hits] == distances.tolist()
+                assert result.shard_rows == rows.shape[0]
+                assert result.candidates_scanned <= rows.shape[0] * block
+                # A block of n is n blocks of one.
+                assert result.hits == [
+                    generation.search_batch(queries[i:i + 1], label, k,
+                                            None).hits[0]
+                    for i in range(block)]
