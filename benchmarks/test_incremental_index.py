@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.resilience import ServingFaultPlan, ServingFaultSpec
+from repro.resilience.faults import ServingFaultPlan, ServingFaultSpec
 from repro.serving import (ClusterConfig, EngineConfig, LinkageStore,
                            ServingCluster, ShardedAnnIndex)
 

@@ -27,8 +27,8 @@ from repro.data.datasets import synthetic_cifar
 from repro.enclave.platform import SgxPlatform
 from repro.nn.optimizers import Sgd
 from repro.nn.zoo import tiny_testnet
-from repro.resilience import (CheckpointManager, FaultPlan, FaultSpec,
-                              ResilientTrainer)
+from repro.resilience import CheckpointManager, ResilientTrainer
+from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.utils.rng import RngStream
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -90,9 +90,10 @@ class TestResilienceOverhead:
             return enclave
 
         resilient = ResilientTrainer(trainer, CheckpointManager(tmp_path),
-                                     enclave_factory=rebuild,
-                                     fault_plan=plan)
-        resilient.run(train.x, train.y, EPOCHS, checkpoint_every_batches=2)
+                                     enclave_factory=rebuild)
+        with plan:
+            resilient.run(train.x, train.y, EPOCHS,
+                          checkpoint_every_batches=2)
         snapshot = resilient.telemetry.snapshot()
         assert snapshot["counters"]["enclave_rebuilds"] == 1
         restore = snapshot["stages"]["checkpoint_restore"]

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.errors import (DeadlineExceeded, NoHealthyReplica, QueryRejected,
                           ServingError)
-from repro.resilience import ServingFaultPlan, ServingFaultSpec
+from repro.resilience.faults import ServingFaultPlan, ServingFaultSpec
 from repro.serving import (ClusterConfig, EngineConfig, LinkageStore,
                            ServingCluster, ServingEngine, ShardedAnnIndex)
 

@@ -23,9 +23,9 @@ import tempfile
 
 from repro import CalTrain, CalTrainConfig
 from repro.data import synthetic_cifar
-from repro.distributed import WorkerInjection
 from repro.federation import TrainingParticipant
 from repro.nn.zoo import tiny_testnet
+from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.utils.rng import RngStream
 
 NUM_CLASSES = 4
@@ -59,14 +59,14 @@ def main() -> None:
     print("=== distributed CalTrain: 4 enclave workers, 1 straggler ===\n")
     print(f"training-enclave MRENCLAVE  {system.expected_measurement.hex()}")
 
-    reports = system.train(
-        test_x=test.x, test_y=test.y,
-        workers=WORKERS,
-        checkpoint_dir=tempfile.mkdtemp(prefix="distributed-example-"),
-        # Round 1: worker w2's local epoch runs 6x too long. The deadline
-        # drops it; its masks are rebuilt from the escrowed shares.
-        injections=(WorkerInjection("straggle", "w2", 1, factor=6.0),),
-    )
+    # Round 1: worker w2's local epoch runs 6x too long. The deadline
+    # drops it; its masks are rebuilt from the escrowed shares.
+    with FaultPlan([FaultSpec("worker-straggle", 1, worker="w2", factor=6.0)]):
+        reports = system.train(
+            test_x=test.x, test_y=test.y,
+            workers=WORKERS,
+            checkpoint_dir=tempfile.mkdtemp(prefix="distributed-example-"),
+        )
 
     coordinator = system.coordinator
     print(f"aggregator-enclave MRENCLAVE {coordinator.aggregator.mrenclave.hex()}")

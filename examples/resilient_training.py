@@ -25,7 +25,8 @@ from repro.data import synthetic_cifar
 from repro.errors import TrainingAborted
 from repro.federation import TrainingParticipant
 from repro.nn.zoo import tiny_testnet
-from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
+from repro.resilience import RetryPolicy
+from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.utils.rng import RngStream
 
 NUM_CLASSES = 4
@@ -73,9 +74,10 @@ def main() -> None:
         FaultSpec("checkpoint-crash", epoch=0, batch=1),
     ])
     chaos, test = make_world()
-    chaos_reports = chaos.train(test_x=test.x, test_y=test.y,
-                                checkpoint_dir=chaos_dir,
-                                checkpoint_every_batches=2, fault_plan=plan)
+    with plan:  # armed from outside; train() has no fault parameter
+        chaos_reports = chaos.train(test_x=test.x, test_y=test.y,
+                                    checkpoint_dir=chaos_dir,
+                                    checkpoint_every_batches=2)
     print(chaos.run_telemetry.render())
     assert [r.mean_loss for r in chaos_reports] == \
         [r.mean_loss for r in base_reports]
@@ -86,11 +88,11 @@ def main() -> None:
     resume_dir = tempfile.mkdtemp(prefix="caltrain-resume-")
     doomed, test = make_world()
     try:
-        doomed.train(test_x=test.x, test_y=test.y,
-                     checkpoint_dir=resume_dir, checkpoint_every_batches=2,
-                     fault_plan=FaultPlan(
-                         [FaultSpec("enclave-abort", epoch=2, batch=0)]),
-                     retry_policy=RetryPolicy(max_retries=0))
+        with FaultPlan([FaultSpec("enclave-abort", epoch=2, batch=0)]):
+            doomed.train(test_x=test.x, test_y=test.y,
+                         checkpoint_dir=resume_dir,
+                         checkpoint_every_batches=2,
+                         retry_policy=RetryPolicy(max_retries=0))
     except TrainingAborted as exc:
         print(f"  run killed: {exc}")
 

@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from repro.resilience import ServingFaultPlan, ServingFaultSpec
+from repro.resilience.faults import ServingFaultPlan, ServingFaultSpec
 from repro.serving import (ClusterConfig, EngineConfig, LinkageStore,
                            ServingCluster, ShardedAnnIndex)
 from repro.utils.rng import RngStream

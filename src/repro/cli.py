@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
 import numpy as np
@@ -359,18 +360,26 @@ def _write_trace(tracer, path: str, time_unit: str = "s") -> None:
           f"{attribution})")
 
 
+def _split_fault_spec(text):
+    """``HEAD@N[:EXTRA]`` -> ``(head, n, extra)``; ``ValueError`` if not."""
+    head, at, where = text.partition("@")
+    number, _, extra = where.partition(":")
+    if not (head and at):
+        raise ValueError(text)
+    return head, int(number), extra
+
+
 def _parse_fault_specs(specs):
     from repro.errors import ConfigurationError
-    from repro.resilience import FaultPlan, FaultSpec
+    from repro.resilience.faults import FaultPlan, FaultSpec
 
     if not specs:
         return None
     faults = []
     for text in specs:
         try:
-            kind, _, where = text.partition("@")
-            epoch, _, batch = where.partition(":")
-            faults.append(FaultSpec(kind=kind, epoch=int(epoch),
+            kind, epoch, batch = _split_fault_spec(text)
+            faults.append(FaultSpec(kind=kind, epoch=epoch,
                                     batch=int(batch) if batch else 0))
         except ValueError as exc:
             raise ConfigurationError(
@@ -408,14 +417,14 @@ def _cmd_train(args) -> int:
         # Simulated platform seconds, not wall time: the trace is part of
         # the deterministic run, identical for identical seeds.
         tracer = Tracer(clock=lambda: system.platform.clock.now)
-    reports = system.train(
-        test_x=test.x, test_y=test.y,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        checkpoint_every_batches=args.checkpoint_every,
-        fault_plan=_parse_fault_specs(args.inject),
-        tracer=tracer,
-    )
+    with _parse_fault_specs(args.inject) or nullcontext():
+        reports = system.train(
+            test_x=test.x, test_y=test.y,
+            checkpoint_dir=args.checkpoint_dir,
+            resume=args.resume,
+            checkpoint_every_batches=args.checkpoint_every,
+            tracer=tracer,
+        )
     summary = system.decryption_summary
     print(f"accepted {summary.accepted} records "
           f"({summary.rejected_tampered} tampered, "
@@ -436,33 +445,30 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _parse_worker_injections(args):
-    from repro.distributed import WorkerInjection
+def _parse_worker_faults(args):
     from repro.errors import ConfigurationError
+    from repro.resilience.faults import FaultPlan, FaultSpec
 
-    injections = []
-
-    def parse(text, kind, arg_name, arg_cast):
-        try:
-            worker, _, where = text.partition("@")
-            round_text, _, extra = where.partition(":")
-            spec = {"kind": kind, "worker": worker, "round": int(round_text)}
-            if extra:
-                spec[arg_name] = arg_cast(extra)
-            return WorkerInjection(**spec)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"bad --{kind if kind != 'crash' else 'kill'} spec "
-                f"{text!r}; expected WORKER@ROUND[:{arg_name.upper()}]"
-            ) from exc
-
-    for text in args.kill:
-        injections.append(parse(text, "crash", "batch", int))
-    for text in args.straggle:
-        injections.append(parse(text, "straggle", "factor", float))
-    for text in args.corrupt:
-        injections.append(parse(text, "corrupt", "batch", int))
-    return tuple(injections)
+    faults = []
+    for flag, kind, extra_name, cast in (
+            ("kill", "worker-crash", "batch", int),
+            ("straggle", "worker-straggle", "factor", float),
+            ("corrupt", "worker-corrupt", None, None)):
+        expected = "WORKER@ROUND" + (
+            f"[:{extra_name.upper()}]" if extra_name else "")
+        for text in getattr(args, flag):
+            try:
+                worker, round_index, extra = _split_fault_spec(text)
+                if extra and extra_name is None:
+                    raise ValueError(text)
+                faults.append(FaultSpec(
+                    kind, round_index, worker=worker,
+                    **({extra_name: cast(extra)} if extra else {})))
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"bad --{flag} spec {text!r}; expected {expected}"
+                ) from exc
+    return FaultPlan(faults) if faults else None
 
 
 def _cmd_train_distributed(args) -> int:
@@ -494,15 +500,15 @@ def _cmd_train_distributed(args) -> int:
 
         tracer = Tracer(clock=lambda: system.coordinator.clock.now
                         if system.coordinator is not None else 0.0)
-    reports = system.train(
-        test_x=test.x, test_y=test.y,
-        workers=args.workers,
-        straggler_factor=args.straggler_factor,
-        blacklist_after=args.blacklist_after,
-        injections=_parse_worker_injections(args),
-        checkpoint_dir=args.checkpoint_dir,
-        tracer=tracer,
-    )
+    with _parse_worker_faults(args) or nullcontext():
+        reports = system.train(
+            test_x=test.x, test_y=test.y,
+            workers=args.workers,
+            straggler_factor=args.straggler_factor,
+            blacklist_after=args.blacklist_after,
+            checkpoint_dir=args.checkpoint_dir,
+            tracer=tracer,
+        )
     coordinator = system.coordinator
     print(f"aggregator MRENCLAVE: {coordinator.aggregator.mrenclave.hex()}")
     print(f"shards: " + "  ".join(
@@ -800,19 +806,16 @@ def _cmd_serve_queries(args) -> int:
 
 def _parse_serving_injections(specs, queries, dim, growth_records=200):
     """Parse ``KIND@QUERY[:REPLICA]`` CLI fault specs."""
-    from repro.resilience import ServingFaultSpec
+    from repro.resilience.faults import ServingFaultSpec
 
     parsed = []
     for raw in specs:
-        if "@" not in raw:
-            raise SystemExit(
-                f"--inject {raw!r}: expected KIND@QUERY[:REPLICA]")
-        kind, _, rest = raw.partition("@")
-        at_query, _, replica = rest.partition(":")
         try:
-            ordinal = int(at_query)
+            kind, ordinal, replica = _split_fault_spec(raw)
         except ValueError:
-            raise SystemExit(f"--inject {raw!r}: query ordinal must be an int")
+            raise SystemExit(
+                f"--inject {raw!r}: expected KIND@QUERY[:REPLICA] with an "
+                "int query ordinal")
         if ordinal >= queries:
             raise SystemExit(
                 f"--inject {raw!r}: ordinal {ordinal} is past "
@@ -832,7 +835,7 @@ def _cmd_serve_cluster(args) -> int:
 
     from repro.errors import (CalTrainError, DeadlineExceeded,
                               NoHealthyReplica, QueryRejected)
-    from repro.resilience import ServingFaultPlan
+    from repro.resilience.faults import ServingFaultPlan
     from repro.serving import (ClusterConfig, EngineConfig, LinkageStore,
                                ServingCluster, ShardedAnnIndex)
 

@@ -50,7 +50,6 @@ from repro.nn.zoo import cifar10_10layer, cifar10_18layer, face_recognition_net
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import Tracer
 from repro.resilience.checkpoint import CheckpointManager, TrainingState
-from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import ResilientTrainer, RetryPolicy
 from repro.resilience.telemetry import RunTelemetry
 from repro.utils.logging import get_logger
@@ -367,34 +366,31 @@ class CalTrain:
               checkpoint_dir: Optional[str] = None,
               resume: bool = False,
               checkpoint_every_batches: Optional[int] = None,
-              fault_plan: Optional[FaultPlan] = None,
               retry_policy: Optional[RetryPolicy] = None,
               tracer: Optional[Tracer] = None,
               workers: Optional[int] = None,
               straggler_factor: float = 2.5,
               blacklist_after: int = 2,
-              injections: tuple = (),
               ) -> List[EpochReport]:
         """Run the full training stage on everything submitted so far.
 
         With ``checkpoint_dir`` set, training runs under the resilience
         runtime: sealed checkpoints at every epoch boundary (and every
         ``checkpoint_every_batches`` batches mid-epoch), supervised
-        recovery from enclave/transfer/checkpoint faults (optionally
-        injected via ``fault_plan``), and ``resume=True`` continuing a
-        previous run bitwise-identically from its newest valid
-        checkpoint — including the checkpointed audit-log history.
+        recovery from enclave/transfer/checkpoint faults, and
+        ``resume=True`` continuing a previous run bitwise-identically
+        from its newest valid checkpoint — including the checkpointed
+        audit-log history.
 
         With ``workers=N`` the training stage runs data-parallel across
         N enclave workers under :mod:`repro.distributed`: the encrypted
         submissions are sharded, each epoch becomes one round of local
         training plus secure FrontNet aggregation, and
-        ``straggler_factor`` / ``blacklist_after`` / ``injections``
-        govern the straggler and fault machinery. The distributed path
-        carries its own per-round sealed checkpoints, so the
-        single-enclave resilience options (``resume``, ``fault_plan``,
-        ``checkpoint_every_batches``, ``retry_policy``,
-        ``keep_snapshots``) are rejected alongside it.
+        ``straggler_factor`` / ``blacklist_after`` govern the straggler
+        and blacklist machinery. The distributed path carries its own
+        per-round sealed checkpoints, so the single-enclave resilience
+        options (``resume``, ``checkpoint_every_batches``,
+        ``retry_policy``, ``keep_snapshots``) are rejected alongside it.
 
         ``tracer`` (optional) records the run as nested spans — epochs
         over batches over enclave/boundary-crossing/untrusted phases.
@@ -403,7 +399,6 @@ class CalTrain:
         if workers is not None:
             incompatible = {
                 "resume": resume,
-                "fault_plan": fault_plan is not None,
                 "checkpoint_every_batches": checkpoint_every_batches is not None,
                 "retry_policy": retry_policy is not None,
                 "keep_snapshots": keep_snapshots,
@@ -425,7 +420,6 @@ class CalTrain:
                 test_x, test_y, workers=workers,
                 straggler_factor=straggler_factor,
                 blacklist_after=blacklist_after,
-                injections=injections,
                 checkpoint_dir=checkpoint_dir,
                 tracer=tracer,
             )
@@ -469,10 +463,8 @@ class CalTrain:
         )
         self.trainer.bind_observability(tracer=tracer, metrics=self.metrics)
         if checkpoint_dir is None:
-            if resume or fault_plan is not None:
-                raise ConfigurationError(
-                    "resume/fault injection need checkpoint_dir set"
-                )
+            if resume:
+                raise ConfigurationError("resume needs checkpoint_dir set")
             reports = self.trainer.train(
                 x, y, self.config.epochs, test_x=test_x, test_y=test_y,
                 keep_snapshots=keep_snapshots,
@@ -480,7 +472,7 @@ class CalTrain:
         else:
             reports = self._train_supervised(
                 x, y, test_x, test_y, keep_snapshots, checkpoint_dir,
-                resume, checkpoint_every_batches, fault_plan, retry_policy,
+                resume, checkpoint_every_batches, retry_policy,
             )
         self.audit_log.append(
             "training-complete",
@@ -526,7 +518,7 @@ class CalTrain:
 
     def _train_supervised(self, x, y, test_x, test_y, keep_snapshots,
                           checkpoint_dir, resume, checkpoint_every_batches,
-                          fault_plan, retry_policy) -> List[EpochReport]:
+                          retry_policy) -> List[EpochReport]:
         manager = CheckpointManager(
             checkpoint_dir,
             config_digest=self.config_digest,
@@ -553,7 +545,6 @@ class CalTrain:
             expected_mrenclave=self.expected_measurement,
             attestation_service=self.attestation_service,
             policy=retry_policy,
-            fault_plan=fault_plan,
             telemetry=RunTelemetry(registry=self.metrics),
             audit_provider=lambda: self.audit_log,
             on_enclave_rebuilt=self._adopt_enclave,
@@ -588,7 +579,7 @@ class CalTrain:
 
     def _train_distributed(self, test_x, test_y, *, workers: int,
                            straggler_factor: float, blacklist_after: int,
-                           injections, checkpoint_dir: Optional[str],
+                           checkpoint_dir: Optional[str],
                            tracer: Optional[Tracer]) -> List[EpochReport]:
         """Data-parallel training across ``workers`` enclave workers.
 
@@ -636,7 +627,6 @@ class CalTrain:
             config_digest=self.config_digest,
             straggler_factor=straggler_factor,
             blacklist_after=blacklist_after,
-            injections=injections,
             metrics=self.metrics,
             tracer=tracer,
             epc_bytes=self.config.epc_bytes,

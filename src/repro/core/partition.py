@@ -16,7 +16,7 @@ FrontNet working set exceeds the EPC.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -69,13 +69,6 @@ class PartitionedNetwork:
                  enclave: Optional[Enclave] = None) -> None:
         self.network = network
         self.enclave = enclave
-        #: Verify a CRC over every IR/delta tensor crossing the boundary;
-        #: a mismatch raises :class:`TransferIntegrityError` fail-closed.
-        self.transfer_checksums = True
-        #: Fault-injection tap ``(site, tensor) -> tensor`` applied while a
-        #: tensor is "in flight" between the checksum and its verification
-        #: (models corruption in the untrusted ECALL/OCALL copy path).
-        self.boundary_tap: Optional[Callable[[str, np.ndarray], np.ndarray]] = None
         #: Optional observability sinks; see :meth:`bind_observability`.
         self.tracer: Optional["Tracer"] = None
         self.metrics: Optional["MetricsRegistry"] = None
@@ -186,25 +179,22 @@ class PartitionedNetwork:
     # -- execution -----------------------------------------------------------------
 
     def _cross_boundary(self, site: str, tensor: np.ndarray) -> np.ndarray:
-        """Checksum one boundary transfer; detect in-flight corruption.
+        """Carry one IR/delta tensor across the enclave boundary.
 
-        The sending side computes a CRC before the tensor leaves, the
-        receiving side re-verifies after the copy (where ``boundary_tap``
-        may have corrupted it). SGX itself authenticates EPC memory but
-        the untrusted marshalling buffers are fair game — a flipped bit
-        there must fail closed, not silently poison training.
+        The sending side computes a CRC before the tensor leaves; the
+        receiving side re-verifies after the copy. SGX itself
+        authenticates EPC memory but the untrusted marshalling buffers
+        are fair game — a flipped bit there must fail closed, not
+        silently poison training.
         """
-        if not self.transfer_checksums and self.boundary_tap is None:
-            return tensor
-        checksum = None
-        if self.transfer_checksums:
-            # crc32 reads the contiguous array's buffer; no bytes copy.
-            checksum = zlib.crc32(np.ascontiguousarray(tensor))
-        if self.boundary_tap is not None:
-            tensor = self.boundary_tap(site, tensor)
-        if checksum is not None and checksum != zlib.crc32(
-            np.ascontiguousarray(tensor)
-        ):
+        # crc32 reads the contiguous array's buffer; no bytes copy.
+        return self._receive(site, tensor,
+                             zlib.crc32(np.ascontiguousarray(tensor)))
+
+    def _receive(self, site: str, tensor: np.ndarray,
+                 checksum: int) -> np.ndarray:
+        """The receiving side of a crossing: verify, then accept."""
+        if checksum != zlib.crc32(np.ascontiguousarray(tensor)):
             raise TransferIntegrityError(
                 f"{site} tensor failed its transfer checksum crossing the "
                 "enclave boundary"

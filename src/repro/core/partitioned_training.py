@@ -101,6 +101,20 @@ class ConfidentialTrainer:
         self.tracer = tracer
         self.partitioned.bind_observability(tracer=tracer, metrics=metrics)
 
+    def rebind_enclave(self, enclave) -> None:
+        """Re-point the whole training stack at a freshly built enclave.
+
+        The recovery path after an enclave-class fault: the partitioned
+        network, dropout, augmentation and batch shuffling all draw from
+        the replacement's trusted RNG from here on (a checkpoint restore
+        then rewinds those streams to their saved states).
+        """
+        self.partitioned.rebind_enclave(enclave)
+        self.partitioned.network.set_dropout_rng(enclave.trusted_rng.generator)
+        if self.augmenter is not None:
+            self.augmenter.rng = enclave.trusted_rng.generator
+        self.batch_rng = enclave.trusted_rng.stream.child("batches").generator
+
     def _simulated_now(self) -> float:
         if self.partitioned.enclave is None:
             return 0.0
@@ -127,7 +141,7 @@ class ConfidentialTrainer:
 
         ``batch_callback(phase, epoch, batch, losses)`` fires with phase
         ``"start"`` before and ``"end"`` after every batch — the resilience
-        runtime's fault-injection and mid-epoch checkpoint hook.
+        runtime's mid-epoch checkpoint hook.
         """
         frozen = False
         if self.freeze_schedule is not None:

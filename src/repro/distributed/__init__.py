@@ -16,7 +16,7 @@ from repro.distributed.aggregator import AggregatorEnclave
 from repro.distributed.channels import (decode_vector, encode_vector,
                                         open_attested_channel)
 from repro.distributed.coordinator import (DistributedCoordinator,
-                                           RoundReport, WorkerInjection)
+                                           RoundReport)
 from repro.distributed.telemetry import DistributedTelemetry
 from repro.distributed.worker import EnclaveWorker
 
@@ -26,7 +26,6 @@ __all__ = [
     "DistributedTelemetry",
     "EnclaveWorker",
     "RoundReport",
-    "WorkerInjection",
     "decode_vector",
     "encode_vector",
     "open_attested_channel",

@@ -66,37 +66,11 @@ from repro.observability.tracing import Tracer
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
 
-__all__ = ["WorkerInjection", "RoundReport", "DistributedCoordinator"]
+__all__ = ["RoundReport", "DistributedCoordinator"]
 
 _LOG = get_logger("distributed.coordinator")
 
 _NO_SPAN = nullcontext()
-
-
-@dataclass(frozen=True)
-class WorkerInjection:
-    """Deterministic per-round fault injection for tests and drills.
-
-    Kinds: ``crash`` (enclave torn down at the start of ``batch``),
-    ``straggle`` (the worker's clock stretched by ``factor``), and
-    ``corrupt`` (one byte of its upload record flipped in the
-    coordinator's relay path).
-    """
-
-    kind: str
-    worker: str
-    round: int
-    batch: int = 0
-    factor: float = 4.0
-
-    _KINDS = ("crash", "straggle", "corrupt")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ConfigurationError(
-                f"unknown injection kind {self.kind!r}; pick one of "
-                f"{self._KINDS}"
-            )
 
 
 @dataclass
@@ -139,7 +113,6 @@ class DistributedCoordinator:
                  augment: bool = False,
                  straggler_factor: float = 2.5,
                  blacklist_after: int = 2,
-                 injections: Sequence[WorkerInjection] = (),
                  config_digest: Optional[bytes] = None,
                  metrics=None,
                  tracer: Optional[Tracer] = None,
@@ -154,7 +127,6 @@ class DistributedCoordinator:
         self.provisioner = provisioner
         self.straggler_factor = straggler_factor
         self.blacklist_after = blacklist_after
-        self.injections = list(injections)
         self.tracer = tracer
         self.telemetry = DistributedTelemetry(registry=metrics)
         #: The coordinator's own wall clock: rounds advance it by the
@@ -247,37 +219,6 @@ class DistributedCoordinator:
             {w.worker_id: w.examples for w in self.workers},
         )
 
-    # -- fault injection ---------------------------------------------------------
-
-    def _injection(self, kind: str, worker_id: str,
-                   round_index: int) -> Optional[WorkerInjection]:
-        for spec in self.injections:
-            if (spec.kind == kind and spec.worker == worker_id
-                    and spec.round == round_index):
-                return spec
-        return None
-
-    def _crash_callback(self, worker: EnclaveWorker,
-                        round_index: int) -> Optional[Callable]:
-        spec = self._injection("crash", worker.worker_id, round_index)
-        if spec is None:
-            return None
-
-        def callback(phase: str, epoch: int, batch: int, losses) -> None:
-            if phase == "start" and batch == spec.batch:
-                worker.crash()
-
-        return callback
-
-    def _tamper(self, record: bytes, worker_id: str,
-                round_index: int) -> bytes:
-        """The corrupt injection: flip one payload byte in the relay."""
-        if self._injection("corrupt", worker_id, round_index) is None:
-            return record
-        flipped = bytearray(record)
-        flipped[len(flipped) // 2] ^= 0x01
-        return bytes(flipped)
-
     # -- the round loop ----------------------------------------------------------
 
     def run(self, rounds: int) -> List[RoundReport]:
@@ -328,15 +269,12 @@ class DistributedCoordinator:
         losses: Dict[str, float] = {}
         faulted: List[str] = []
         for worker in active:
-            callback = self._crash_callback(worker, round_index)
             try:
                 with self._span(
                     f"{worker.worker_id}/round-{round_index}", "enclave",
                     examples=worker.examples,
                 ):
-                    loss, duration = worker.run_round(
-                        round_index, batch_callback=callback
-                    )
+                    loss, duration = worker.run_round(round_index)
             except EnclaveError as exc:
                 faulted.append(worker.worker_id)
                 self.telemetry.count("worker_faults")
@@ -344,13 +282,6 @@ class DistributedCoordinator:
                 _LOG.warning("worker %s faulted in round %d: %s",
                              worker.worker_id, round_index, exc)
                 continue
-            straggle = self._injection("straggle", worker.worker_id,
-                                       round_index)
-            if straggle is not None:
-                worker.platform.clock.advance(
-                    duration * (straggle.factor - 1.0)
-                )
-                duration *= straggle.factor
             durations[worker.worker_id] = duration
             losses[worker.worker_id] = loss
         if not durations:
@@ -382,7 +313,6 @@ class DistributedCoordinator:
         for wid in list(participating):
             worker = self._by_id[wid]
             record = worker.upload_record(masked=masked)
-            record = self._tamper(record, wid, round_index)
             try:
                 with self._span(f"{wid}/upload", "boundary-crossing",
                                 bytes=len(record)):

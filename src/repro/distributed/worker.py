@@ -35,7 +35,7 @@ from repro.enclave.attestation import AttestationService
 from repro.enclave.enclave import Enclave
 from repro.enclave.memory import EPC_USABLE_BYTES
 from repro.enclave.platform import SgxPlatform
-from repro.errors import CheckpointError, ConfigurationError, EnclaveAbort
+from repro.errors import CheckpointError, ConfigurationError
 from repro.federation.secure_agg import SecureAggregationClient
 from repro.federation.server import DecryptionSummary, TrainingServer
 from repro.nn.network import Network
@@ -224,9 +224,7 @@ class EnclaveWorker:
         self.manager.save(state, self.enclave)
         self.manager.prune(keep_last=2)
 
-    def run_round(self, round_index: int,
-                  batch_callback: Optional[Callable] = None,
-                  ) -> Tuple[float, float]:
+    def run_round(self, round_index: int) -> Tuple[float, float]:
         """One local epoch over the shard; returns (mean_loss, duration).
 
         Snapshots the round-start weights first — deltas and the
@@ -234,9 +232,7 @@ class EnclaveWorker:
         """
         self._round_weights = self.partitioned.network.get_weights()
         start = self.platform.clock.now
-        mean_loss, _ = self.trainer.train_epoch(
-            self.x, self.y, round_index, batch_callback=batch_callback
-        )
+        mean_loss, _ = self.trainer.train_epoch(self.x, self.y, round_index)
         return mean_loss, self.platform.clock.now - start
 
     def front_delta(self) -> np.ndarray:
@@ -349,14 +345,7 @@ class EnclaveWorker:
     def replica_weights(self) -> List[Dict[str, np.ndarray]]:
         return self.partitioned.network.get_weights()
 
-    # -- fault injection + recovery ----------------------------------------------
-
-    def crash(self) -> None:
-        """Tear the enclave down mid-round (EPC eviction, power loss...)."""
-        self.enclave.destroy()
-        raise EnclaveAbort(
-            f"worker {self.worker_id}: enclave torn down mid-round"
-        )
+    # -- recovery -----------------------------------------------------------------
 
     def recover(self, provisioner: Callable[[Enclave], None],
                 aggregator) -> int:
@@ -377,13 +366,7 @@ class EnclaveWorker:
             expected_mrenclave=self.expected_mrenclave,
         )
         self.enclave = replacement
-        self.partitioned.rebind_enclave(replacement)
-        self.model.set_dropout_rng(replacement.trusted_rng.generator)
-        if self.trainer.augmenter is not None:
-            self.trainer.augmenter.rng = replacement.trusted_rng.generator
-        self.trainer.batch_rng = (
-            replacement.trusted_rng.stream.child("batches").generator
-        )
+        self.trainer.rebind_enclave(replacement)
         provisioner(replacement)
         self.server.decrypt_submissions(cipher=self.cipher)
         self.x, self.y, _, _ = self.server.staged_training_data()

@@ -1,19 +1,19 @@
 """repro.resilience — fault-tolerant partitioned training.
 
-Sealed checkpoint/resume (:mod:`repro.resilience.checkpoint`),
-deterministic fault injection for training and — from outside the victim —
-for the serving cluster (:mod:`repro.resilience.faults`),
-the supervised retry runtime (:mod:`repro.resilience.supervisor`), and
-run telemetry (:mod:`repro.resilience.telemetry`).
+Sealed checkpoint/resume (:mod:`repro.resilience.checkpoint`), the
+supervised retry runtime (:mod:`repro.resilience.supervisor`), and run
+telemetry (:mod:`repro.resilience.telemetry`).
+
+:mod:`repro.resilience.faults` — deterministic fault injection for the
+training, distributed and serving planes, applied from outside the
+victim — is deliberately not re-exported here: nothing in this package
+(or any other production package) imports it; drills import it by its
+full name.
 """
 
 from repro.resilience.checkpoint import (CheckpointInfo, CheckpointManager,
                                          TrainingState, capture_state,
                                          restore_state)
-from repro.resilience.faults import (FAULT_KINDS, SERVING_FAULT_APPLIERS,
-                                     SERVING_FAULT_KINDS, FaultPlan,
-                                     FaultSpec, ServingFaultPlan,
-                                     ServingFaultSpec)
 from repro.resilience.supervisor import (ResilientTrainer, RetryPolicy,
                                          classify_fault)
 from repro.resilience.telemetry import RunTelemetry
@@ -24,13 +24,6 @@ __all__ = [
     "TrainingState",
     "capture_state",
     "restore_state",
-    "FAULT_KINDS",
-    "FaultPlan",
-    "FaultSpec",
-    "SERVING_FAULT_KINDS",
-    "SERVING_FAULT_APPLIERS",
-    "ServingFaultPlan",
-    "ServingFaultSpec",
     "ResilientTrainer",
     "RetryPolicy",
     "classify_fault",

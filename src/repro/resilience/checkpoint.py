@@ -243,14 +243,9 @@ class CheckpointManager:
             hyperparameters); recorded in every manifest and verified on
             load, so a checkpoint can never restore into a different
             training agreement.
-        write_fault_hook: Test/fault-injection hook ``(stage, dir)``
-            called before the data files (``stage="data"``) and before
-            the manifest (``stage="manifest"``); raising there models a
-            crash mid-write and leaves a torn directory behind.
     """
 
     def __init__(self, directory, config_digest: Optional[bytes] = None,
-                 write_fault_hook: Optional[Callable[[str, Path], None]] = None,
                  run_key: Optional[str] = None) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -259,7 +254,6 @@ class CheckpointManager:
         #: recorded in every manifest so the promotion gate can bind a
         #: checkpoint chain to the training run that produced it.
         self.run_key = run_key
-        self.write_fault_hook = write_fault_hook
         #: Optional :class:`~repro.observability.MetricsRegistry`; when set,
         #: save/load publish ``repro_checkpoint_*`` histograms and counters.
         self.metrics = None
@@ -293,8 +287,6 @@ class CheckpointManager:
 
         sealed_bytes = self._seal_frontnet(state, enclave, seq)
         state_bytes, optimizer_meta = self._plain_state_bytes(state)
-        if self.write_fault_hook is not None:
-            self.write_fault_hook("data", path)
         atomic_write_bytes(path / _FRONTNET_FILE, sealed_bytes)
         atomic_write_bytes(path / _STATE_FILE, state_bytes)
 
@@ -325,8 +317,6 @@ class CheckpointManager:
                 "clock_now": state.clock_now,
             },
         }
-        if self.write_fault_hook is not None:
-            self.write_fault_hook("manifest", path)
         atomic_write_text(
             path / _MANIFEST_FILE,
             json.dumps(manifest, sort_keys=True, indent=1),

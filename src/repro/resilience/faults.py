@@ -1,7 +1,11 @@
-"""Deterministic fault injection for the training stage.
+"""Deterministic fault injection — applied from outside, on all planes.
+
+This module is the only place in ``src/`` that knows how a fault is
+*applied*. The victim does not cooperate: no production class carries an
+injection hook, fault flag or tap, and none of them imports this module.
 
 A :class:`FaultPlan` is a seeded, reproducible schedule of failures the
-resilience runtime must survive:
+training planes must survive:
 
 * ``enclave-abort`` — the training enclave is destroyed out from under
   the host process (machine reboot, enclave-killing microcode update,
@@ -9,14 +13,22 @@ resilience runtime must survive:
 * ``epc-pressure`` — EPC paging escalates into an enclave-fatal
   thrashing storm (models sustained memory pressure on the platform);
 * ``ir-corrupt`` / ``delta-corrupt`` — one boundary tensor is flipped in
-  the untrusted marshalling buffer, which the transfer checksums in
-  :class:`~repro.core.partition.PartitionedNetwork` must catch;
+  the untrusted marshalling buffer, which the receiving side's CRC check
+  in :class:`~repro.core.partition.PartitionedNetwork` must catch;
 * ``checkpoint-crash`` — the process dies mid-checkpoint-write, leaving
-  a torn directory that recovery must skip.
+  a torn directory that recovery must skip;
+* ``worker-crash`` / ``worker-straggle`` / ``worker-corrupt`` — one
+  named :class:`~repro.distributed.worker.EnclaveWorker` loses its
+  enclave at a batch of a round (a round is an epoch), has its round
+  stretched by ``factor``, or has one byte of its masked upload flipped
+  in the coordinator's relay.
 
-Every fault fires exactly once at its scheduled point, so the same plan
-replayed against the same seed produces the same failure trace — the
-property the crash/resume parity tests build on.
+``with plan:`` arms it: for the life of the block, class-level wrappers
+sit on the calls in :attr:`FaultPlan.TARGETS` (the way ``bench/layers.py``
+installs its spans), and every original is restored on exit. Every fault
+fires exactly once at its scheduled point, so the same plan replayed
+against the same seed produces the same failure trace — the property the
+crash/resume parity tests build on.
 
 The serving plane gets the same treatment: a :class:`ServingFaultPlan`
 schedules :class:`ServingFaultSpec` injections (replica crash/hang,
@@ -24,10 +36,6 @@ latency, index/store byte corruption, torn manifests, growth storms,
 compaction crashes) keyed by query ordinal instead of (epoch, batch) —
 so the availability benchmark, the test suite, and the CLI
 ``serve-cluster --inject`` drill all replay the exact same fault storm.
-
-This module is the only place that knows how a serving fault is
-*applied*. The victim does not cooperate: ``repro.serving`` has no
-injection hook, fault flag or wrapper, and never imports this package.
 Each kind in :data:`SERVING_FAULT_KINDS` has one applier in
 :data:`SERVING_FAULT_APPLIERS` that acts on a running cluster from
 outside, through what the production classes expose anyway — the
@@ -40,6 +48,7 @@ inside the cluster's ``with`` block.
 
 from __future__ import annotations
 
+import functools
 import sys
 import threading
 import time
@@ -49,8 +58,12 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.partition import PartitionedNetwork
+from repro.core.partitioned_training import ConfidentialTrainer
+from repro.distributed.coordinator import DistributedCoordinator
+from repro.distributed.worker import EnclaveWorker
 from repro.errors import (CheckpointWriteCrash, CompactionCrash,
                           ConfigurationError, EnclaveAbort, EpcPressureError)
+from repro.resilience import checkpoint as _checkpoint
 from repro.utils.logging import get_logger
 from repro.utils.serialization import canonical_digest
 
@@ -60,22 +73,32 @@ __all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan",
 
 _LOG = get_logger("resilience.faults")
 
-FAULT_KINDS = (
+_ENCLAVE_KINDS = (
     "enclave-abort",
     "epc-pressure",
     "ir-corrupt",
     "delta-corrupt",
     "checkpoint-crash",
 )
+_WORKER_KINDS = ("worker-crash", "worker-straggle", "worker-corrupt")
+FAULT_KINDS = _ENCLAVE_KINDS + _WORKER_KINDS
+#: Kinds that raise at their firing point; two at one point cannot both.
+_RAISING_KINDS = ("enclave-abort", "epc-pressure", "worker-crash")
 
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One scheduled fault: fire ``kind`` at batch ``batch`` of ``epoch``."""
+    """One scheduled fault: fire ``kind`` at batch ``batch`` of ``epoch``.
+
+    The ``worker-*`` kinds name their victim in ``worker`` and read
+    ``epoch`` as the round; ``factor`` sizes a ``worker-straggle``.
+    """
 
     kind: str
     epoch: int
     batch: int = 0
+    worker: Optional[str] = None
+    factor: float = 4.0
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -84,10 +107,20 @@ class FaultSpec:
             )
         if self.epoch < 0 or self.batch < 0:
             raise ConfigurationError("fault epoch/batch must be >= 0")
+        if (self.kind in _WORKER_KINDS) != (self.worker is not None):
+            raise ConfigurationError(
+                f"{self.kind} {'needs' if self.worker is None else 'takes no'}"
+                " worker"
+            )
 
     @property
-    def point(self) -> Tuple[int, int]:
-        return (self.epoch, self.batch)
+    def point(self) -> tuple:
+        return _point(self.epoch, self.batch, self.worker)
+
+
+def _point(epoch: int, batch: int, worker: Optional[str]) -> tuple:
+    """Where a fault fires: ``(epoch, batch)``, plus the worker if any."""
+    return (epoch, batch) if worker is None else (epoch, batch, worker)
 
 
 class _OneShotSchedule:
@@ -133,28 +166,41 @@ class _OneShotSchedule:
 class FaultPlan(_OneShotSchedule):
     """A deterministic schedule of :class:`FaultSpec` injections.
 
-    Wire it into a run by calling :meth:`attach` on the partitioned
-    network (installs the boundary corruption tap), passing
-    :meth:`before_batch` as the trainer's batch callback hook, and
-    :meth:`on_checkpoint_write` as the checkpoint manager's write fault
-    hook — the resilience runtime does all three when given a plan.
+    Arm it around the run it should disturb::
+
+        with plan:
+            system.train(checkpoint_dir=...)
+
+    Inside the block every batch start, boundary crossing, checkpoint
+    manifest write, worker round and worker upload passes through the
+    wrappers in :attr:`TARGETS`; outside it nothing is patched.
     """
 
     def __init__(self, faults: Sequence[FaultSpec] = ()) -> None:
         super().__init__(faults)
+        for point, specs in self._pending.items():
+            if sum(spec.kind in _RAISING_KINDS for spec in specs) > 1:
+                raise ConfigurationError(
+                    f"two raising faults scheduled at {point}; only one "
+                    "could fire"
+                )
+        self._originals: list = []
         self._armed_corruption: Optional[str] = None
         self._armed_checkpoint_crash = False
-        self._partitioned: Optional[PartitionedNetwork] = None
+        self._armed_straggle: Optional[float] = None
+        self._armed_uploads: set = set()
+        #: The worker whose round is running (``None`` outside one).
+        self._worker: Optional[str] = None
 
     @classmethod
     def seeded(cls, seed: int, epochs: int, batches_per_epoch: int,
                n_faults: int = 3,
-               kinds: Sequence[str] = FAULT_KINDS) -> "FaultPlan":
+               kinds: Sequence[str] = _ENCLAVE_KINDS) -> "FaultPlan":
         """A reproducible random schedule (same seed, same faults)."""
         if epochs <= 0 or batches_per_epoch <= 0:
             raise ConfigurationError("seeded plan needs positive dimensions")
         for kind in kinds:
-            if kind not in FAULT_KINDS:
+            if kind not in _ENCLAVE_KINDS:
                 raise ConfigurationError(f"unknown fault kind {kind!r}")
         rng = np.random.default_rng(seed)
         return cls(cls._draw_distinct(n_faults, lambda: FaultSpec(
@@ -163,23 +209,35 @@ class FaultPlan(_OneShotSchedule):
             batch=int(rng.integers(0, batches_per_epoch)),
         )))
 
-    def attach(self, partitioned: PartitionedNetwork) -> None:
-        """Install the boundary corruption tap on the partitioned network."""
-        self._partitioned = partitioned
-        partitioned.boundary_tap = self._tap
+    # -- arming ------------------------------------------------------------------
 
-    # -- injection points --------------------------------------------------------
+    def __enter__(self) -> "FaultPlan":
+        if self._originals:
+            raise ConfigurationError("fault plan is already armed")
+        for owner, attribute, around in self.TARGETS:
+            original = vars(owner)[attribute]
+            self._originals.append((owner, attribute, original))
+            setattr(owner, attribute,
+                    functools.wraps(original)(around(self, original)))
+        return self
 
-    def before_batch(self, epoch: int, batch: int) -> None:
-        """Fire any faults scheduled at this (epoch, batch).
+    def __exit__(self, *exc_info) -> None:
+        while self._originals:
+            owner, attribute, original = self._originals.pop()
+            setattr(owner, attribute, original)
 
-        Abort-class faults raise immediately; corruption faults arm the
-        boundary tap for this batch's transfers; checkpoint crashes arm
-        the next checkpoint write.
+    # -- the one firing instant: a batch is about to start -----------------------
+
+    def _before_batch(self, trainer: ConfidentialTrainer, epoch: int,
+                      batch: int) -> None:
+        """Fire any faults scheduled at this (epoch, batch[, worker]).
+
+        Abort-class faults raise immediately; the rest arm a wrapper
+        further along: this batch's boundary transfers, the next
+        checkpoint manifest write, this round's duration or upload.
         """
-        specs = self._due((epoch, batch))
         raising: Optional[FaultSpec] = None
-        for spec in specs:
+        for spec in self._due(_point(epoch, batch, self._worker)):
             _LOG.info("injecting fault %s at epoch %d batch %d",
                       spec.kind, epoch, batch)
             self.fired.append(spec)
@@ -187,40 +245,117 @@ class FaultPlan(_OneShotSchedule):
                 self._armed_corruption = spec.kind.split("-", 1)[0]
             elif spec.kind == "checkpoint-crash":
                 self._armed_checkpoint_crash = True
+            elif spec.kind == "worker-straggle":
+                self._armed_straggle = spec.factor
+            elif spec.kind == "worker-corrupt":
+                self._armed_uploads.add(spec.worker)
             else:
                 raising = spec
         if raising is None:
             return
-        if raising.kind == "enclave-abort":
-            if (self._partitioned is not None
-                    and self._partitioned.enclave is not None):
-                # The enclave really is gone: secrets unreachable, every
-                # subsequent ECALL fails until a rebuild + re-attest.
-                self._partitioned.enclave.destroy()
-            raise EnclaveAbort(
-                f"injected enclave abort at epoch {epoch} batch {batch}"
+        if raising.kind == "epc-pressure":
+            raise EpcPressureError(
+                f"injected EPC thrashing storm at epoch {epoch} batch {batch}"
             )
-        raise EpcPressureError(
-            f"injected EPC thrashing storm at epoch {epoch} batch {batch}"
+        # The enclave really is gone: secrets unreachable, every
+        # subsequent ECALL fails until a rebuild + re-attest.
+        trainer.partitioned.enclave.destroy()
+        raise EnclaveAbort(
+            f"injected enclave abort at epoch {epoch} batch {batch}"
         )
 
-    def _tap(self, site: str, tensor: np.ndarray) -> np.ndarray:
-        if self._armed_corruption != site:
-            return tensor
-        self._armed_corruption = None
-        corrupted = np.array(tensor, copy=True)
-        flat = corrupted.reshape(-1)
-        flat[0] = flat[0] + 1.0 if np.isfinite(flat[0]) else 0.0
-        _LOG.info("corrupting %s tensor in flight", site)
-        return corrupted
+    # -- the wrappers ``with plan:`` installs ------------------------------------
 
-    def on_checkpoint_write(self, stage: str, path) -> None:
-        """Crash (once) between the data files and the manifest write."""
-        if stage == "manifest" and self._armed_checkpoint_crash:
-            self._armed_checkpoint_crash = False
-            raise CheckpointWriteCrash(
-                f"injected crash while writing checkpoint {path}"
-            )
+    def _around_train_epoch(self, original):
+        def train_epoch(trainer, *args, batch_callback=None, **kwargs):
+            def callback(phase, epoch, batch, losses):
+                if phase == "start":
+                    self._before_batch(trainer, epoch, batch)
+                if batch_callback is not None:
+                    batch_callback(phase, epoch, batch, losses)
+
+            return original(trainer, *args, batch_callback=callback, **kwargs)
+
+        return train_epoch
+
+    def _around_receive(self, original):
+        def _receive(network, site, tensor, checksum):
+            if self._armed_corruption == site:
+                # Corrupt the copy "in flight"; the production CRC check
+                # behind this wrapper is what has to notice.
+                self._armed_corruption = None
+                tensor = np.array(tensor, copy=True)
+                flat = tensor.reshape(-1)
+                flat[0] = flat[0] + 1.0 if np.isfinite(flat[0]) else 0.0
+                _LOG.info("corrupting %s tensor in flight", site)
+            return original(network, site, tensor, checksum)
+
+        return _receive
+
+    def _around_manifest_write(self, original):
+        def atomic_write_text(path, text):
+            # The manifest is the only text file a checkpoint writes, and
+            # it goes last: dying here leaves the data files torn.
+            if self._armed_checkpoint_crash:
+                self._armed_checkpoint_crash = False
+                raise CheckpointWriteCrash(
+                    f"injected crash while writing checkpoint {path.parent}"
+                )
+            return original(path, text)
+
+        return atomic_write_text
+
+    def _around_run(self, original):
+        def run(coordinator, rounds):
+            known = {worker.worker_id for worker in coordinator.workers}
+            for spec in self.scheduled():
+                if spec.worker is not None and spec.worker not in known:
+                    raise ConfigurationError(
+                        f"no worker named {spec.worker!r}")
+            return original(coordinator, rounds)
+
+        return run
+
+    def _around_run_round(self, original):
+        def run_round(worker, round_index):
+            self._worker = worker.worker_id
+            self._armed_straggle = None
+            self._armed_uploads.discard(worker.worker_id)
+            try:
+                loss, duration = original(worker, round_index)
+            finally:
+                self._worker = None
+            if self._armed_straggle is not None:
+                worker.platform.clock.advance(
+                    duration * (self._armed_straggle - 1.0))
+                duration *= self._armed_straggle
+            return loss, duration
+
+        return run_round
+
+    def _around_upload_record(self, original):
+        def upload_record(worker, masked):
+            record = original(worker, masked)
+            if worker.worker_id in self._armed_uploads:
+                # One payload byte flipped in the coordinator's relay.
+                self._armed_uploads.discard(worker.worker_id)
+                flipped = bytearray(record)
+                flipped[len(flipped) // 2] ^= 0x01
+                record = bytes(flipped)
+            return record
+
+        return upload_record
+
+    #: (owner, attribute, wrapper factory): everything ``with plan:``
+    #: patches, and nothing else in ``src/`` is ever patched by a plan.
+    TARGETS = (
+        (ConfidentialTrainer, "train_epoch", _around_train_epoch),
+        (PartitionedNetwork, "_receive", _around_receive),
+        (_checkpoint, "atomic_write_text", _around_manifest_write),
+        (DistributedCoordinator, "run", _around_run),
+        (EnclaveWorker, "run_round", _around_run_round),
+        (EnclaveWorker, "upload_record", _around_upload_record),
+    )
 
 
 # -- serving-side fault injection ------------------------------------------------

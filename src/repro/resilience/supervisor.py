@@ -37,7 +37,6 @@ from repro.errors import (AttestationError, CheckpointError,
 from repro.resilience.checkpoint import (CheckpointInfo, CheckpointManager,
                                          TrainingState, capture_state,
                                          restore_state)
-from repro.resilience.faults import FaultPlan
 from repro.resilience.telemetry import RunTelemetry
 from repro.utils.logging import get_logger
 from repro.utils.rng import get_generator_state
@@ -117,7 +116,6 @@ class ResilientTrainer:
             re-attested (quote verification) before it touches sealed
             state — recovery is held to the same bar as registration.
         policy: Retry/degradation bounds.
-        fault_plan: Optional injection schedule (tests, chaos drills).
         telemetry: Counter sink; one is created if omitted.
         audit_provider: Returns the live audit log so fault/recovery
             events land on the accountability chain and checkpoints
@@ -136,7 +134,6 @@ class ResilientTrainer:
                  expected_mrenclave: Optional[bytes] = None,
                  attestation_service: Optional[AttestationService] = None,
                  policy: Optional[RetryPolicy] = None,
-                 fault_plan: Optional[FaultPlan] = None,
                  telemetry: Optional[RunTelemetry] = None,
                  audit_provider: Optional[Callable[[], AuditLog]] = None,
                  on_enclave_rebuilt: Optional[Callable[[Enclave], None]] = None,
@@ -147,7 +144,6 @@ class ResilientTrainer:
         self.enclave_factory = enclave_factory
         self.attestation_service = attestation_service
         self.policy = policy or RetryPolicy()
-        self.fault_plan = fault_plan
         self.telemetry = telemetry or RunTelemetry()
         if self.manager.metrics is None:
             # Checkpoint I/O metrics land in the same registry as the run
@@ -204,8 +200,6 @@ class ResilientTrainer:
     def _batch_callback(self, phase: str, epoch: int, batch: int,
                         losses: List[float]) -> None:
         if phase == "start":
-            if self.fault_plan is not None:
-                self.fault_plan.before_batch(epoch, batch)
             return
         done = batch + 1
         if (self._checkpoint_every
@@ -237,16 +231,7 @@ class ResilientTrainer:
                 "rebuilt enclave measurement differs from the agreed "
                 "MRENCLAVE; aborting fail-closed"
             )
-        trainer = self.trainer
-        trainer.partitioned.rebind_enclave(replacement)
-        trainer.partitioned.network.set_dropout_rng(
-            replacement.trusted_rng.generator
-        )
-        if trainer.augmenter is not None:
-            trainer.augmenter.rng = replacement.trusted_rng.generator
-        trainer.batch_rng = (
-            replacement.trusted_rng.stream.child("batches").generator
-        )
+        self.trainer.rebind_enclave(replacement)
         self.telemetry.count("enclave_rebuilds")
         self._audit("enclave-rebuilt",
                     mrenclave=replacement.mrenclave.hex())
@@ -304,9 +289,6 @@ class ResilientTrainer:
                 "checkpoint_every_batches must be positive"
             )
         trainer = self.trainer
-        if self.fault_plan is not None:
-            self.fault_plan.attach(trainer.partitioned)
-            self.manager.write_fault_hook = self.fault_plan.on_checkpoint_write
         self._checkpoint_every = checkpoint_every_batches
         self._n_examples = int(x.shape[0])
         self._original_batch_size = trainer.batch_size

@@ -37,9 +37,8 @@ content no longer matches what the index was built against.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -80,8 +79,6 @@ class ShardedAnnIndex:
         max_segments: per-query segment fan-out bound; the compactor
             merges the cheapest adjacent pair whenever it is exceeded.
         compaction_interval_s: background compactor poll interval.
-        compaction_rows_per_s: optional rate limit on compaction work so
-            merges never starve foreground queries of CPU.
     """
 
     def __init__(self, store: LinkageStore, shard_threshold: int = 2048,
@@ -90,8 +87,7 @@ class ShardedAnnIndex:
                  kmeans_iterations: int = 6,
                  kmeans_sample: int = 20000,
                  max_segments: int = 8,
-                 compaction_interval_s: float = 0.05,
-                 compaction_rows_per_s: Optional[float] = None) -> None:
+                 compaction_interval_s: float = 0.05) -> None:
         if probes is not None and probes < 1:
             raise ConfigurationError("probes must be >= 1 (or None for exact)")
         if shard_threshold < 1:
@@ -107,7 +103,6 @@ class ShardedAnnIndex:
         self.kmeans_sample = kmeans_sample
         self.max_segments = max_segments
         self.compaction_interval_s = compaction_interval_s
-        self.compaction_rows_per_s = compaction_rows_per_s
         self.built_version: Optional[int] = None
         self._built = False
         # The live generation: one attribute read pins a consistent
@@ -210,30 +205,13 @@ class ShardedAnnIndex:
 
     # -- compaction --------------------------------------------------------------
 
-    def _throttle(self) -> Optional[Callable[[int], None]]:
-        rate = self.compaction_rows_per_s
-        if not rate:
-            return None
-        state = {"start": time.perf_counter(), "rows": 0}
-
-        def pace(rows: int) -> None:
-            state["rows"] += rows
-            target = state["start"] + state["rows"] / rate
-            while not self._compact_stop.is_set():
-                delay = target - time.perf_counter()
-                if delay <= 0:
-                    break
-                time.sleep(min(delay, 0.05))
-
-        return pace
-
     def _compact_step(self) -> bool:
         """One bounded unit of compaction; returns True if work was done.
 
-        The merged segment is built *outside* the mutate lock (it can be
-        rate-limited for seconds) and adopted under it only if the pair
-        is still live — refresh appends at the tail, so positions of
-        existing segments never shift underneath the build.
+        The merged segment is built *outside* the mutate lock (it can
+        take seconds) and adopted under it only if the pair is still
+        live — refresh appends at the tail, so positions of existing
+        segments never shift underneath the build.
         """
         with self._mutate_lock:
             generation = self._generation
@@ -244,8 +222,7 @@ class ShardedAnnIndex:
                 return False
             left, right = generation.segments[pos], generation.segments[pos + 1]
             params = generation.params
-        merged = merge_segments(self.store, left, right, params,
-                                throttle=self._throttle())
+        merged = merge_segments(self.store, left, right, params)
         with self._mutate_lock:
             current = self._generation
             segs = list(current.segments)

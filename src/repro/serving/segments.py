@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -294,13 +294,8 @@ class IndexSegment:
 
     @classmethod
     def build(cls, store, start: int, stop: int, params: SegmentBuildParams,
-              throttle: Optional[Callable[[int], None]] = None
               ) -> "IndexSegment":
-        """Build one immutable segment from store segments ``[start, stop)``.
-
-        ``throttle`` (rows-processed callback) lets the background
-        compactor pace itself so foreground query latency stays bounded.
-        """
+        """Build one immutable segment from store segments ``[start, stop)``."""
         parts = [store.segment_slice(pos, pos + 1)
                  for pos in range(start, stop)]
         store_digests = tuple(p[3][0] for p in parts)
@@ -331,8 +326,6 @@ class IndexSegment:
                 shards[int(label)] = _cluster(
                     sub, idx, params, params.seed + int(label) + start
                 )
-            if throttle is not None:
-                throttle(int(sub.shape[0]))
         return cls(
             start=start, stop=stop, params=params,
             store_digests=store_digests, shards=shards,
@@ -512,17 +505,14 @@ def plan_merge(segments: Sequence[IndexSegment],
 
 
 def merge_segments(store, left: IndexSegment, right: IndexSegment,
-                   params: SegmentBuildParams,
-                   throttle: Optional[Callable[[int], None]] = None
-                   ) -> IndexSegment:
+                   params: SegmentBuildParams) -> IndexSegment:
     """Rebuild ``[left.start, right.stop)`` as one segment from the store."""
     if left.stop != right.start:
         raise ConfigurationError(
             f"cannot merge non-adjacent segments [{left.start},{left.stop}) "
             f"and [{right.start},{right.stop})"
         )
-    return IndexSegment.build(store, left.start, right.stop, params,
-                              throttle=throttle)
+    return IndexSegment.build(store, left.start, right.stop, params)
 
 
 # -- lineage verification (shared by the cluster and the promotion gate) --------

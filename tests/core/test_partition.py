@@ -182,16 +182,21 @@ class TestBoundaryChecksum:
 
     def test_one_flipped_bit_in_flight_fails_closed(self, tiny_net, enclave,
                                                     strided):
-        def flip_one_bit(site, tensor):
+        def flip_one_bit(tensor):
             corrupted = tensor.copy()
             corrupted.view(np.uint32)[1, 2, 3, 1] ^= 1
             return corrupted
 
+        # The copy between sender and receiver is where the untrusted
+        # host sits: shadow the receiving side from outside.
         partitioned = PartitionedNetwork(tiny_net, 2, enclave)
-        partitioned.boundary_tap = flip_one_bit
+        receive = partitioned._receive
+        partitioned._receive = lambda site, tensor, checksum: receive(
+            site, flip_one_bit(tensor), checksum)
         with pytest.raises(TransferIntegrityError):
             partitioned._cross_boundary("ir", strided)
-        partitioned.boundary_tap = lambda site, tensor: tensor.copy()
+        partitioned._receive = lambda site, tensor, checksum: receive(
+            site, tensor.copy(), checksum)
         np.testing.assert_array_equal(
             partitioned._cross_boundary("ir", strided), strided)
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.caltrain import CalTrain, CalTrainConfig
 from repro.data.datasets import synthetic_cifar
-from repro.distributed import WorkerInjection
 from repro.errors import ConfigurationError
 from repro.federation.participant import TrainingParticipant
 from repro.nn.zoo import tiny_testnet
@@ -79,11 +78,9 @@ class TestCalTrainDistributed:
 
     def test_injections_flow_through_facade(self, tmp_path):
         system, _ = make_world()
-        system.train(
-            workers=2, checkpoint_dir=str(tmp_path),
-            injections=(WorkerInjection("crash", "w1", 1, batch=1),),
-            blacklist_after=3,
-        )
+        with FaultPlan([FaultSpec("worker-crash", 1, 1, worker="w1")]):
+            system.train(workers=2, checkpoint_dir=str(tmp_path),
+                         blacklist_after=3)
         assert system.round_reports[1].faulted == ["w1"]
         assert system.round_reports[1].recovered == ["w1"]
 
@@ -92,11 +89,6 @@ class TestCalTrainDistributed:
         with pytest.raises(ConfigurationError, match="incompatible"):
             system.train(workers=2, resume=True,
                          checkpoint_dir=str(tmp_path))
-        with pytest.raises(ConfigurationError, match="incompatible"):
-            system.train(
-                workers=2, checkpoint_dir=str(tmp_path),
-                fault_plan=FaultPlan([FaultSpec("enclave-abort", 0, 1)]),
-            )
         with pytest.raises(ConfigurationError, match="incompatible"):
             system.train(workers=2, keep_snapshots=True)
 

@@ -9,12 +9,13 @@ crashes over a bad record.
 import numpy as np
 import pytest
 
-from repro.distributed import WorkerInjection, decode_vector, encode_vector
+from repro.distributed import decode_vector, encode_vector
 from repro.distributed.channels import open_attested_channel
 from repro.errors import (AttestationError, AuthenticationError,
                           ChannelIntegrityError, RoundAborted)
 
-from tests.distributed.worlds import assert_same_weights, make_coordinator
+from tests.distributed.worlds import (assert_same_weights, make_coordinator,
+                                      run_faulted, worker_fault)
 
 
 class TestVectorRecords:
@@ -105,11 +106,11 @@ class TestMidRoundCorruption:
             self, tmp_path):
         """The headline failure mode: one flipped byte in the relay path
         drops that worker from the round; everyone else aggregates."""
-        coordinator, _ = make_coordinator(
-            tmp_path, num_workers=3,
-            injections=(WorkerInjection("corrupt", "w1", 0),),
-        )
-        report = coordinator.run(1)[0]  # must not raise
+        coordinator, _ = make_coordinator(tmp_path, num_workers=3)
+        report = run_faulted(
+            coordinator, 1,
+            worker_fault("corrupt", "w1", 0),
+        )[0]  # must not raise
         assert report.corrupted == ["w1"]
         assert sorted(report.participating) == ["w0", "w2"]
         assert report.recovered_masks == 1
@@ -117,39 +118,30 @@ class TestMidRoundCorruption:
         assert coordinator.telemetry.counter("worker_faults") == 1
 
     def test_corrupted_worker_converges_at_broadcast(self, tmp_path):
-        coordinator, _ = make_coordinator(
-            tmp_path, num_workers=3,
-            injections=(WorkerInjection("corrupt", "w2", 0),),
-        )
-        coordinator.run(1)
+        coordinator, _ = make_coordinator(tmp_path, num_workers=3)
+        run_faulted(coordinator, 1, worker_fault("corrupt", "w2", 0))
         reference = coordinator.workers[0].replica_weights()
         assert_same_weights(coordinator.workers[2].replica_weights(),
                             reference)
 
     def test_corrupted_worker_rejoins_next_round(self, tmp_path):
-        coordinator, _ = make_coordinator(
-            tmp_path, num_workers=2,
-            injections=(WorkerInjection("corrupt", "w0", 0),),
-        )
-        reports = coordinator.run(2)
+        coordinator, _ = make_coordinator(tmp_path, num_workers=2)
+        reports = run_faulted(coordinator, 2, worker_fault("corrupt", "w0", 0))
         assert reports[0].corrupted == ["w0"]
         assert sorted(reports[1].participating) == ["w0", "w1"]
 
     def test_every_upload_corrupted_aborts_fail_closed(self, tmp_path):
-        coordinator, _ = make_coordinator(
-            tmp_path, num_workers=2,
-            injections=(WorkerInjection("corrupt", "w0", 0),
-                        WorkerInjection("corrupt", "w1", 0)),
-        )
+        coordinator, _ = make_coordinator(tmp_path, num_workers=2)
         with pytest.raises(RoundAborted, match="no upload survived"):
-            coordinator.run(1)
+            run_faulted(
+                coordinator, 1,
+                worker_fault("corrupt", "w0", 0),
+                worker_fault("corrupt", "w1", 0),
+            )
 
     def test_aggregator_audit_names_the_dropout(self, tmp_path):
-        coordinator, _ = make_coordinator(
-            tmp_path, num_workers=3,
-            injections=(WorkerInjection("corrupt", "w1", 0),),
-        )
-        coordinator.run(1)
+        coordinator, _ = make_coordinator(tmp_path, num_workers=3)
+        run_faulted(coordinator, 1, worker_fault("corrupt", "w1", 0))
         event = coordinator.audit.events("aggregation")[0]
         assert event.details["dropped"] == ["w1"]
         assert coordinator.audit.verify_chain()

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.data.encryption import EncryptedDataset
-from repro.distributed import DistributedCoordinator, WorkerInjection
+from repro.distributed import DistributedCoordinator
 from repro.errors import ConfigurationError, RoundAborted
 
 from tests.distributed.worlds import (assert_same_weights, losses,
-                                      make_coordinator)
+                                      make_coordinator, run_faulted,
+                                      worker_fault)
 
 
 class TestSharding:
@@ -138,11 +139,11 @@ class TestRounds:
 
 class TestStragglers:
     def test_straggler_excluded_by_deadline(self, tmp_path):
-        coordinator, _ = make_coordinator(
-            tmp_path, num_workers=3,
-            injections=(WorkerInjection("straggle", "w2", 0, factor=5.0),),
-        )
-        report = coordinator.run(1)[0]
+        coordinator, _ = make_coordinator(tmp_path, num_workers=3)
+        report = run_faulted(
+            coordinator, 1,
+            worker_fault("straggle", "w2", 0, factor=5.0),
+        )[0]
         assert report.stragglers == ["w2"]
         assert sorted(report.participating) == ["w0", "w1"]
         assert report.recovered_masks == 1
@@ -150,32 +151,34 @@ class TestStragglers:
     def test_straggler_converges_at_broadcast(self, tmp_path):
         """The straggler's local progress is discarded; it still applies
         the agreed update and stays bitwise consistent."""
-        coordinator, _ = make_coordinator(
-            tmp_path, num_workers=3,
-            injections=(WorkerInjection("straggle", "w1", 0, factor=5.0),),
+        coordinator, _ = make_coordinator(tmp_path, num_workers=3)
+        run_faulted(
+            coordinator, 1,
+            worker_fault("straggle", "w1", 0, factor=5.0),
         )
-        coordinator.run(1)
         reference = coordinator.workers[0].replica_weights()
         assert_same_weights(coordinator.workers[1].replica_weights(),
                             reference)
 
     def test_straggler_round_costs_the_deadline(self, tmp_path):
-        coordinator, _ = make_coordinator(
-            tmp_path, num_workers=2,
-            injections=(WorkerInjection("straggle", "w1", 0, factor=9.0),),
-        )
-        report = coordinator.run(1)[0]
+        coordinator, _ = make_coordinator(tmp_path, num_workers=2)
+        report = run_faulted(
+            coordinator, 1,
+            worker_fault("straggle", "w1", 0, factor=9.0),
+        )[0]
         assert report.stragglers == ["w1"]
         assert report.train_seconds == pytest.approx(report.deadline_seconds)
 
     def test_telemetry_counts_stragglers(self, tmp_path):
         coordinator, _ = make_coordinator(
             tmp_path, num_workers=2,
-            injections=(WorkerInjection("straggle", "w1", 0, factor=9.0),
-                        WorkerInjection("straggle", "w1", 1, factor=9.0)),
             blacklist_after=5,
         )
-        coordinator.run(2)
+        run_faulted(
+            coordinator, 2,
+            worker_fault("straggle", "w1", 0, factor=9.0),
+            worker_fault("straggle", "w1", 1, factor=9.0),
+        )
         assert coordinator.telemetry.counter("stragglers") == 2
         assert coordinator.telemetry.counter("partial_aggregations") == 2
 
@@ -183,13 +186,14 @@ class TestStragglers:
 class TestBlacklisting:
     def test_repeat_straggler_blacklisted_and_shard_reassigned(self, tmp_path):
         coordinator, _ = make_coordinator(
-            tmp_path, num_workers=3, blacklist_after=2,
-            injections=(WorkerInjection("straggle", "w2", 0, factor=9.0),
-                        WorkerInjection("straggle", "w2", 1, factor=9.0)),
-        )
+            tmp_path, num_workers=3, blacklist_after=2)
         before = coordinator._by_id["w2"].examples
         assert before > 0
-        reports = coordinator.run(3)
+        reports = run_faulted(
+            coordinator, 3,
+            worker_fault("straggle", "w2", 0, factor=9.0),
+            worker_fault("straggle", "w2", 1, factor=9.0),
+        )
         assert reports[1].blacklisted == ["w2"]
         assert "w2" in coordinator.blacklisted
         # The shard moved to the survivors; nothing was lost.
@@ -200,11 +204,12 @@ class TestBlacklisting:
 
     def test_offender_streak_resets_on_good_round(self, tmp_path):
         coordinator, _ = make_coordinator(
-            tmp_path, num_workers=2, blacklist_after=2,
-            injections=(WorkerInjection("straggle", "w1", 0, factor=9.0),
-                        WorkerInjection("straggle", "w1", 2, factor=9.0)),
+            tmp_path, num_workers=2, blacklist_after=2)
+        reports = run_faulted(
+            coordinator, 3,
+            worker_fault("straggle", "w1", 0, factor=9.0),
+            worker_fault("straggle", "w1", 2, factor=9.0),
         )
-        reports = coordinator.run(3)
         assert coordinator.blacklisted == set()
         assert all(not r.blacklisted for r in reports)
 
@@ -218,7 +223,15 @@ class TestBlacklisting:
 class TestInjectionSpecs:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
-            WorkerInjection("explode", "w0", 0)
+            worker_fault("explode", "w0", 0)
+
+    def test_unknown_worker_rejected_when_armed(self, tmp_path):
+        """A fault that names no worker of this coordinator could never
+        fire; the drill fails loudly instead of passing vacuously."""
+        coordinator, _ = make_coordinator(tmp_path, num_workers=2)
+        with pytest.raises(ConfigurationError, match="no worker named 'w9'"):
+            run_faulted(coordinator, 1, worker_fault("crash", "w9", 0))
+        assert coordinator.reports == []
 
     def test_constructor_validation(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -2,22 +2,22 @@
 
 import pytest
 
-from repro.distributed import WorkerInjection
 from repro.errors import CheckpointError
 
 from tests.distributed.worlds import (assert_same_weights, losses,
-                                      make_coordinator)
+                                      make_coordinator, run_faulted,
+                                      worker_fault)
 
 
 class TestCrashRecovery:
     def test_round_completes_via_partial_aggregation(self, tmp_path):
         """The acceptance drill: a killed worker's round still aggregates
         from the survivors, with the dropout's masks reconstructed."""
-        coordinator, _ = make_coordinator(
-            tmp_path, num_workers=3,
-            injections=(WorkerInjection("crash", "w1", 0, batch=1),),
-        )
-        report = coordinator.run(1)[0]
+        coordinator, _ = make_coordinator(tmp_path, num_workers=3)
+        report = run_faulted(
+            coordinator, 1,
+            worker_fault("crash", "w1", 0, batch=1),
+        )[0]
         assert report.faulted == ["w1"]
         assert sorted(report.participating) == ["w0", "w2"]
         assert report.recovered == ["w1"]
@@ -29,61 +29,54 @@ class TestCrashRecovery:
         """After recovery + broadcast the crashed replica is bitwise
         identical to the survivors — the sealed checkpoint restored the
         exact round-start state."""
-        coordinator, _ = make_coordinator(
-            tmp_path, num_workers=3,
-            injections=(WorkerInjection("crash", "w1", 0, batch=1),),
-        )
-        coordinator.run(1)
+        coordinator, _ = make_coordinator(tmp_path, num_workers=3)
+        run_faulted(coordinator, 1, worker_fault("crash", "w1", 0, batch=1))
         reference = coordinator.workers[0].replica_weights()
         assert_same_weights(coordinator.workers[1].replica_weights(),
                             reference)
 
     def test_recovered_worker_participates_next_round(self, tmp_path):
-        coordinator, _ = make_coordinator(
-            tmp_path, num_workers=2,
-            injections=(WorkerInjection("crash", "w1", 0, batch=1),),
+        coordinator, _ = make_coordinator(tmp_path, num_workers=2)
+        reports = run_faulted(
+            coordinator, 2,
+            worker_fault("crash", "w1", 0, batch=1),
         )
-        reports = coordinator.run(2)
         assert reports[0].faulted == ["w1"]
         assert sorted(reports[1].participating) == ["w0", "w1"]
         assert reports[1].faulted == []
 
     def test_crash_run_is_deterministic(self, tmp_path):
         """Same seed + same injection -> identical losses and weights."""
-        injections = (WorkerInjection("crash", "w1", 1, batch=2),)
-        a, _ = make_coordinator(tmp_path / "a", seed=23,
-                                injections=injections)
-        b, _ = make_coordinator(tmp_path / "b", seed=23,
-                                injections=injections)
-        assert losses(a.run(3)) == losses(b.run(3))
+        fault = worker_fault("crash", "w1", 1, batch=2)
+        a, _ = make_coordinator(tmp_path / "a", seed=23)
+        b, _ = make_coordinator(tmp_path / "b", seed=23)
+        assert (losses(run_faulted(a, 3, fault))
+                == losses(run_faulted(b, 3, fault)))
         assert_same_weights(a.final_weights(), b.final_weights())
 
     def test_lone_worker_crash_aborts_round(self, tmp_path):
         from repro.errors import RoundAborted
 
-        coordinator, _ = make_coordinator(
-            tmp_path, num_workers=1,
-            injections=(WorkerInjection("crash", "w0", 0, batch=1),),
-        )
+        coordinator, _ = make_coordinator(tmp_path, num_workers=1)
         with pytest.raises(RoundAborted, match="no worker finished"):
-            coordinator.run(1)
+            run_faulted(
+                coordinator, 1,
+                worker_fault("crash", "w0", 0, batch=1),
+            )
 
     def test_training_continues_after_crash_and_learns(self, tmp_path):
-        coordinator, _ = make_coordinator(
-            tmp_path, num_workers=2,
-            injections=(WorkerInjection("crash", "w0", 1, batch=1),),
+        coordinator, _ = make_coordinator(tmp_path, num_workers=2)
+        reports = run_faulted(
+            coordinator, 3,
+            worker_fault("crash", "w0", 1, batch=1),
         )
-        reports = coordinator.run(3)
         assert reports[-1].mean_loss < reports[0].mean_loss
 
     def test_recovery_without_checkpoint_fails_closed(self, tmp_path):
         coordinator, _ = make_coordinator(tmp_path, num_workers=2)
         worker = coordinator.workers[0]
         # Crash before any round ran: nothing was ever sealed.
-        try:
-            worker.crash()
-        except Exception:
-            pass
+        worker.enclave.destroy()
         with pytest.raises(CheckpointError, match="no valid checkpoint"):
             worker.recover(coordinator.provisioner, coordinator.aggregator)
 
@@ -171,10 +164,7 @@ class TestShareEscrowLifecycle:
         of rebuilding a dropout's masks from forged material."""
         from repro.errors import RoundAborted
 
-        coordinator, _ = make_coordinator(
-            tmp_path, num_workers=3,
-            injections=(WorkerInjection("crash", "w1", 0, batch=1),),
-        )
+        coordinator, _ = make_coordinator(tmp_path, num_workers=3)
         original = coordinator.aggregator.reduce
 
         def tampering_reduce(round_index, **kwargs):
@@ -189,4 +179,7 @@ class TestShareEscrowLifecycle:
 
         coordinator.aggregator.reduce = tampering_reduce
         with pytest.raises(RoundAborted, match="failed closed"):
-            coordinator.run(1)
+            run_faulted(
+                coordinator, 1,
+                worker_fault("crash", "w1", 0, batch=1),
+            )

@@ -9,6 +9,7 @@ from repro.federation.participant import TrainingParticipant
 from repro.federation.provisioning import provision_key
 from repro.nn.config import network_to_config
 from repro.nn.zoo import tiny_testnet
+from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.utils.rng import RngStream
 from repro.utils.serialization import stable_hash
 
@@ -23,7 +24,7 @@ def tiny_factory(generator):
 
 
 def make_coordinator(tmp_path, seed=7, num_workers=2, participants=2,
-                     injections=(), straggler_factor=2.5, blacklist_after=2,
+                     straggler_factor=2.5, blacklist_after=2,
                      num_train=N_TRAIN, tracer=None):
     """A standalone coordinator over freshly encrypted submissions.
 
@@ -66,11 +67,22 @@ def make_coordinator(tmp_path, seed=7, num_workers=2, participants=2,
         config_digest=stable_hash(network_config, HYPER),
         straggler_factor=straggler_factor,
         blacklist_after=blacklist_after,
-        injections=injections,
         tracer=tracer,
     )
     coordinator.distribute(datasets)
     return coordinator, rng
+
+
+def worker_fault(kind, worker, round_index, batch=0, factor=4.0):
+    """``crash`` / ``straggle`` / ``corrupt`` aimed at one worker's round."""
+    return FaultSpec(f"worker-{kind}", round_index, batch, worker=worker,
+                     factor=factor)
+
+
+def run_faulted(coordinator, rounds, *faults):
+    """``coordinator.run(rounds)`` with ``faults`` armed from outside."""
+    with FaultPlan(faults):
+        return coordinator.run(rounds)
 
 
 def losses(reports):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, TrainingAborted
-from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
+from repro.errors import ConfigurationError, EnclaveAbort, TrainingAborted
+from repro.resilience import RetryPolicy
+from repro.resilience.faults import FaultPlan, FaultSpec
 
 from tests.resilience.worlds import (assert_same_weights, losses,
                                      make_caltrain_world)
@@ -39,9 +40,10 @@ class TestCheckpointedTraining:
             FaultSpec("ir-corrupt", epoch=2, batch=1),
             FaultSpec("checkpoint-crash", epoch=0, batch=1),
         ])
-        reports = system.train(test_x=test.x, test_y=test.y,
-                               checkpoint_dir=tmp_path,
-                               checkpoint_every_batches=2, fault_plan=plan)
+        with plan:
+            reports = system.train(test_x=test.x, test_y=test.y,
+                                   checkpoint_dir=tmp_path,
+                                   checkpoint_every_batches=2)
         assert losses(reports) == base_losses
         assert_same_weights(system.model.get_weights(), base_weights)
         counters = system.run_telemetry.snapshot()["counters"]
@@ -62,9 +64,9 @@ class TestCheckpointedTraining:
         base_losses, base_weights = baseline
         first, test = make_caltrain_world()
         plan = FaultPlan([FaultSpec("enclave-abort", epoch=2, batch=0)])
-        with pytest.raises(TrainingAborted):
+        with pytest.raises(TrainingAborted), plan:
             first.train(test_x=test.x, test_y=test.y,
-                        checkpoint_dir=tmp_path, fault_plan=plan,
+                        checkpoint_dir=tmp_path,
                         retry_policy=RetryPolicy(max_retries=0))
 
         second, test = make_caltrain_world()
@@ -81,8 +83,9 @@ class TestCheckpointedTraining:
         still be available for the accountability fingerprint pass."""
         system, test = make_caltrain_world()
         plan = FaultPlan([FaultSpec("enclave-abort", epoch=1, batch=1)])
-        system.train(test_x=test.x, test_y=test.y, checkpoint_dir=tmp_path,
-                     fault_plan=plan)
+        with plan:
+            system.train(test_x=test.x, test_y=test.y,
+                         checkpoint_dir=tmp_path)
         database = system.fingerprint_stage()
         assert len(database) > 0
 
@@ -111,8 +114,11 @@ class TestWiringValidation:
         with pytest.raises(ConfigurationError):
             system.train(test_x=test.x, test_y=test.y, resume=True)
 
-    def test_fault_plan_requires_checkpoint_dir(self):
+    def test_unsupervised_run_dies_on_an_injected_fault(self):
+        """No checkpoint_dir, no supervisor: the fault reaches the caller
+        raw — ``train`` has no parameter through which to know a drill is
+        on, so there is nothing for it to reject up front."""
         system, test = make_caltrain_world()
-        with pytest.raises(ConfigurationError):
-            system.train(test_x=test.x, test_y=test.y,
-                         fault_plan=FaultPlan([]))
+        with pytest.raises(EnclaveAbort), \
+                FaultPlan([FaultSpec("enclave-abort", epoch=0, batch=1)]):
+            system.train(test_x=test.x, test_y=test.y)

@@ -7,8 +7,8 @@ from repro.enclave.enclave import EnclaveState
 from repro.errors import (CheckpointWriteCrash, ConfigurationError,
                           EnclaveAbort, EpcPressureError,
                           TransferIntegrityError)
-from repro.resilience import (FAULT_KINDS, CheckpointManager, FaultPlan,
-                              FaultSpec, capture_state)
+from repro.resilience import CheckpointManager, capture_state
+from repro.resilience.faults import FaultPlan, FaultSpec
 
 from tests.resilience.worlds import SupervisedWorld
 
@@ -61,65 +61,87 @@ class TestSeededPlans:
                    for group in plan._pending.values() for s in group)
 
 
+class TestCollisions:
+    @pytest.mark.parametrize("second", ["enclave-abort", "epc-pressure"])
+    def test_two_raising_faults_at_one_point_rejected(self, second):
+        """Only one of them could raise; the other would be recorded as
+        fired without ever happening."""
+        with pytest.raises(ConfigurationError, match="two raising faults"):
+            FaultPlan([FaultSpec("enclave-abort", epoch=1, batch=2),
+                       FaultSpec(second, epoch=1, batch=2)])
+        with pytest.raises(ConfigurationError, match="two raising faults"):
+            FaultPlan([FaultSpec("worker-crash", 0, 1, worker="w1"),
+                       FaultSpec("worker-crash", 0, 1, worker="w1")])
+
+    def test_raising_and_arming_faults_may_share_a_point(self):
+        plan = FaultPlan([FaultSpec("epc-pressure", epoch=1, batch=2),
+                          FaultSpec("checkpoint-crash", epoch=1, batch=2),
+                          FaultSpec("enclave-abort", epoch=1, batch=3)])
+        assert plan.remaining == 3
+
+    def test_worker_kinds_need_a_worker_and_the_rest_take_none(self):
+        with pytest.raises(ConfigurationError):
+            FaultSpec("worker-crash", epoch=0)
+        with pytest.raises(ConfigurationError):
+            FaultSpec("enclave-abort", epoch=0, worker="w0")
+
+
+def _train_epoch(world, epoch):
+    return world.trainer.train_epoch(world.train.x, world.train.y, epoch)
+
+
 class TestInjectionPoints:
     def test_enclave_abort_destroys_enclave_and_fires_once(self):
         world = SupervisedWorld()
         plan = FaultPlan([FaultSpec("enclave-abort", epoch=0, batch=1)])
-        plan.attach(world.trainer.partitioned)
-        plan.before_batch(0, 0)  # not scheduled: no-op
-        assert plan.remaining == 1
-        with pytest.raises(EnclaveAbort):
-            plan.before_batch(0, 1)
-        assert world.enclave.state is EnclaveState.DESTROYED
-        assert plan.remaining == 0
-        assert [s.kind for s in plan.fired] == ["enclave-abort"]
-        plan.before_batch(0, 1)  # already fired: no-op
+        with plan:
+            assert plan.remaining == 1
+            with pytest.raises(EnclaveAbort):
+                _train_epoch(world, 0)  # batch 0 passes, batch 1 aborts
+            assert world.enclave.state is EnclaveState.DESTROYED
+            assert plan.remaining == 0
+            assert [s.kind for s in plan.fired] == ["enclave-abort"]
+            world.trainer.rebind_enclave(world.rebuild_enclave())
+            _train_epoch(world, 0)  # already fired: no-op
 
     def test_epc_pressure_raises(self):
-        plan = FaultPlan([FaultSpec("epc-pressure", epoch=2, batch=0)])
-        with pytest.raises(EpcPressureError):
-            plan.before_batch(2, 0)
+        world = SupervisedWorld()
+        with FaultPlan([FaultSpec("epc-pressure", epoch=2, batch=0)]):
+            with pytest.raises(EpcPressureError):
+                _train_epoch(world, 2)
 
     @pytest.mark.parametrize("kind", ["ir-corrupt", "delta-corrupt"])
     def test_boundary_corruption_caught_by_transfer_checksums(self, kind):
         world = SupervisedWorld()
-        partitioned = world.trainer.partitioned
-        plan = FaultPlan([FaultSpec(kind, epoch=0, batch=0)])
-        plan.attach(partitioned)
-        plan.before_batch(0, 0)  # arms the tap, does not raise
-        x = world.train.x[:4]
-        with pytest.raises(TransferIntegrityError):
-            probs = partitioned.forward(x, training=True)
-            if kind == "delta-corrupt":
-                delta = np.zeros_like(probs)
-                delta[:, 0] = 1.0
-                partitioned.backward(delta)
+        with FaultPlan([FaultSpec(kind, epoch=0, batch=0)]):
+            # Raised by PartitionedNetwork._receive, not by the injector.
+            with pytest.raises(TransferIntegrityError,
+                               match=kind.split("-")[0]):
+                _train_epoch(world, 0)
 
     def test_corruption_fires_once_then_transfers_recover(self):
         world = SupervisedWorld()
         partitioned = world.trainer.partitioned
-        plan = FaultPlan([FaultSpec("ir-corrupt", epoch=0, batch=0)])
-        plan.attach(partitioned)
-        plan.before_batch(0, 0)
-        with pytest.raises(TransferIntegrityError):
+        with FaultPlan([FaultSpec("ir-corrupt", epoch=0, batch=0)]):
+            with pytest.raises(TransferIntegrityError):
+                _train_epoch(world, 0)
+            # Disarmed after one strike: the retry goes through clean.
             partitioned.forward(world.train.x[:4], training=True)
-        # Disarmed after one strike: the retry goes through clean.
-        partitioned.forward(world.train.x[:4], training=True)
 
     def test_checkpoint_crash_leaves_torn_directory(self, tmp_path):
         world = SupervisedWorld()
         world.trainer.train(world.train.x, world.train.y, 1)
-        plan = FaultPlan([FaultSpec("checkpoint-crash", epoch=0, batch=0)])
-        manager = CheckpointManager(tmp_path,
-                                    write_fault_hook=plan.on_checkpoint_write)
-        plan.before_batch(0, 0)  # arms the crash
-        state = capture_state(world.trainer, epoch=1, batch=0)
-        with pytest.raises(CheckpointWriteCrash):
-            manager.save(state, world.enclave)
-        # Torn directory on disk, but not a valid checkpoint.
-        assert len(list(tmp_path.iterdir())) == 1
-        assert manager.checkpoints() == []
-        # The crash fires once; the retry succeeds under a fresh seq.
-        path = manager.save(state, world.enclave)
+        plan = FaultPlan([FaultSpec("checkpoint-crash", epoch=1, batch=0)])
+        manager = CheckpointManager(tmp_path)
+        with plan:
+            _train_epoch(world, 1)  # arms the crash
+            state = capture_state(world.trainer, epoch=2, batch=0)
+            with pytest.raises(CheckpointWriteCrash):
+                manager.save(state, world.enclave)
+            # Torn directory on disk, but not a valid checkpoint.
+            assert len(list(tmp_path.iterdir())) == 1
+            assert manager.checkpoints() == []
+            # The crash fires once; the retry succeeds under a fresh seq.
+            path = manager.save(state, world.enclave)
         assert manager.latest() is not None
         assert path.name.startswith("ckpt-000001")

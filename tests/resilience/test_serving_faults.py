@@ -8,9 +8,11 @@ replaced by a recording fake, so only the schedule is under test.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.resilience import (SERVING_FAULT_APPLIERS, SERVING_FAULT_KINDS,
-                              FaultPlan, FaultSpec, ServingFaultPlan,
-                              ServingFaultSpec, faults)
+from repro.resilience import faults
+from repro.resilience.faults import (SERVING_FAULT_APPLIERS,
+                                     SERVING_FAULT_KINDS, FaultPlan,
+                                     FaultSpec, ServingFaultPlan,
+                                     ServingFaultSpec)
 
 
 @pytest.fixture

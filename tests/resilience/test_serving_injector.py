@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.errors import CompactionCrash, NoHealthyReplica
-from repro.resilience import SERVING_FAULT_KINDS
+from repro.resilience.faults import SERVING_FAULT_KINDS
 from repro.serving import (ClusterConfig, EngineConfig, LinkageStore,
                            ServingCluster, ShardedAnnIndex)
 

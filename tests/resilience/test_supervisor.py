@@ -1,5 +1,7 @@
 """Supervised retry runtime tests: parity, recovery, budgets, degradation."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.enclave.attestation import AttestationService
@@ -7,8 +9,9 @@ from repro.errors import (CheckpointWriteCrash, ConfigurationError,
                           EnclaveAbort, EnclaveLifecycleError,
                           EnclaveMemoryError, EpcPressureError,
                           TrainingAborted, TransferIntegrityError)
-from repro.resilience import (CheckpointManager, FaultPlan, FaultSpec,
-                              ResilientTrainer, RetryPolicy, classify_fault)
+from repro.resilience import (CheckpointManager, ResilientTrainer,
+                              RetryPolicy, classify_fault)
+from repro.resilience.faults import FaultPlan, FaultSpec
 
 from tests.resilience.worlds import (EPOCHS, SupervisedWorld,
                                      assert_same_weights, losses)
@@ -30,9 +33,12 @@ def _supervised(world, tmp_path, **kwargs):
     )
 
 
-def _run(resilient, world, **kwargs):
-    return resilient.run(world.train.x, world.train.y, EPOCHS,
-                         test_x=world.test.x, test_y=world.test.y, **kwargs)
+def _run(resilient, world, plan=None, **kwargs):
+    """Run under supervision, with ``plan`` armed from outside."""
+    with plan or nullcontext():
+        return resilient.run(world.train.x, world.train.y, EPOCHS,
+                             test_x=world.test.x, test_y=world.test.y,
+                             **kwargs)
 
 
 class TestClassification:
@@ -73,8 +79,8 @@ class TestParity:
             FaultSpec("checkpoint-crash", epoch=1, batch=1),
             FaultSpec("delta-corrupt", epoch=2, batch=4),
         ])
-        resilient = _supervised(world, tmp_path, fault_plan=plan)
-        reports = _run(resilient, world, checkpoint_every_batches=2)
+        resilient = _supervised(world, tmp_path)
+        reports = _run(resilient, world, plan, checkpoint_every_batches=2)
         assert losses(reports) == base_losses
         assert_same_weights(world.weights(), base_weights)
         assert plan.remaining == 0
@@ -87,8 +93,8 @@ class TestParity:
         base_losses, base_weights = baseline
         world = SupervisedWorld()
         plan = FaultPlan([FaultSpec("enclave-abort", epoch=1, batch=3)])
-        resilient = _supervised(world, tmp_path, fault_plan=plan)
-        reports = _run(resilient, world, checkpoint_every_batches=2)
+        resilient = _supervised(world, tmp_path)
+        reports = _run(resilient, world, plan, checkpoint_every_batches=2)
         assert losses(reports) == base_losses
         assert_same_weights(world.weights(), base_weights)
         assert resilient.telemetry.counter("enclave_rebuilds") == 1
@@ -99,9 +105,9 @@ class TestParity:
         first = SupervisedWorld()
         plan = FaultPlan([FaultSpec("enclave-abort", epoch=1, batch=3)])
         with pytest.raises(TrainingAborted):
-            _run(_supervised(first, tmp_path, fault_plan=plan,
+            _run(_supervised(first, tmp_path,
                              policy=RetryPolicy(max_retries=0)),
-                 first, checkpoint_every_batches=2)
+                 first, plan, checkpoint_every_batches=2)
         second = SupervisedWorld()  # identically-seeded fresh process
         reports = _run(_supervised(second, tmp_path), second, resume=True,
                        checkpoint_every_batches=2)
@@ -115,8 +121,8 @@ class TestParity:
         first = SupervisedWorld()
         plan = FaultPlan([FaultSpec("enclave-abort", epoch=epoch, batch=0)])
         with pytest.raises(TrainingAborted):
-            _run(_supervised(first, tmp_path, fault_plan=plan,
-                             policy=RetryPolicy(max_retries=0)), first)
+            _run(_supervised(first, tmp_path,
+                             policy=RetryPolicy(max_retries=0)), first, plan)
         second = SupervisedWorld()
         reports = _run(_supervised(second, tmp_path), second, resume=True)
         assert losses(reports) == base_losses
@@ -128,8 +134,8 @@ class TestFailClosed:
         world = SupervisedWorld()
         plan = FaultPlan([FaultSpec("ir-corrupt", epoch=0, batch=1)])
         with pytest.raises(TrainingAborted, match="retry budget"):
-            _run(_supervised(world, tmp_path, fault_plan=plan,
-                             policy=RetryPolicy(max_retries=0)), world)
+            _run(_supervised(world, tmp_path,
+                             policy=RetryPolicy(max_retries=0)), world, plan)
 
     def test_non_fault_exceptions_re_raised(self, tmp_path):
         world = SupervisedWorld()
@@ -146,10 +152,10 @@ class TestFailClosed:
         world = SupervisedWorld()
         plan = FaultPlan([FaultSpec("enclave-abort", epoch=0, batch=1)])
         resilient = ResilientTrainer(
-            world.trainer, CheckpointManager(tmp_path), fault_plan=plan,
+            world.trainer, CheckpointManager(tmp_path),
         )
         with pytest.raises(TrainingAborted, match="factory"):
-            _run(resilient, world)
+            _run(resilient, world, plan)
 
     def test_rebuilt_enclave_measurement_must_match(self, tmp_path):
         world = SupervisedWorld()
@@ -162,10 +168,10 @@ class TestFailClosed:
 
         resilient = ResilientTrainer(
             world.trainer, CheckpointManager(tmp_path),
-            enclave_factory=imposter_factory, fault_plan=plan,
+            enclave_factory=imposter_factory,
         )
         with pytest.raises(TrainingAborted, match="MRENCLAVE"):
-            _run(resilient, world)
+            _run(resilient, world, plan)
 
     def test_rebuilt_enclave_is_re_attested(self, tmp_path):
         world = SupervisedWorld()
@@ -182,10 +188,9 @@ class TestFailClosed:
         resilient = ResilientTrainer(
             world.trainer, CheckpointManager(tmp_path),
             enclave_factory=imposter_factory, attestation_service=service,
-            fault_plan=plan,
         )
         with pytest.raises(TrainingAborted, match="re-attestation"):
-            _run(resilient, world)
+            _run(resilient, world, plan)
 
     def test_no_usable_checkpoint_aborts(self, tmp_path):
         world = SupervisedWorld()
@@ -206,8 +211,7 @@ class TestDegradation:
         plan = FaultPlan([FaultSpec("epc-pressure", epoch=1, batch=2)])
         policy = RetryPolicy(degrade_after_epc_faults=1, min_batch_size=8,
                              restore_batch_size_after=1)
-        resilient = _supervised(world, tmp_path, fault_plan=plan,
-                                policy=policy)
+        resilient = _supervised(world, tmp_path, policy=policy)
         sizes = []
         original_run_epoch = world.trainer.run_epoch
 
@@ -216,7 +220,7 @@ class TestDegradation:
             return original_run_epoch(*args, **kwargs)
 
         world.trainer.run_epoch = spying_run_epoch
-        reports = _run(resilient, world)
+        reports = _run(resilient, world, plan)
         assert len(reports) == EPOCHS
         assert 8 in sizes  # degraded under EPC pressure
         assert world.trainer.batch_size == 16  # restored once stable
@@ -230,7 +234,7 @@ class TestDegradation:
         world = SupervisedWorld()
         plan = FaultPlan([FaultSpec("ir-corrupt", epoch=0, batch=1)])
         before = world.platform.clock.now
-        _run(_supervised(world, tmp_path, fault_plan=plan,
+        _run(_supervised(world, tmp_path,
                          policy=RetryPolicy(backoff_base_seconds=7.0)),
-             world)
+             world, plan)
         assert world.platform.clock.now >= before + 7.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.resilience import ServingFaultPlan, ServingFaultSpec
+from repro.resilience.faults import ServingFaultPlan, ServingFaultSpec
 from repro.serving import LinkageStore
 
 DIM = 8

@@ -175,7 +175,7 @@ class TestGrowthStorm:
 
     def test_growth_storm_fault_spec_round_trip(self, world):
         fingerprints, labels, store = world
-        from repro.resilience import ServingFaultPlan, ServingFaultSpec
+        from repro.resilience.faults import ServingFaultPlan, ServingFaultSpec
         plan = ServingFaultPlan([
             ServingFaultSpec(kind="growth-storm", at_query=0, records=64),
         ])

@@ -112,6 +112,28 @@ class TestServingCommands:
         ])
         assert code == 0
 
+    def test_worker_fault_that_can_never_fire_is_rejected(self):
+        from repro.errors import ConfigurationError
+
+        base = ["--seed", "3", "train-distributed", "--workers", "2",
+                "--rounds", "1", "--width-scale", "0.05", "--train-size",
+                "40", "--test-size", "10", "--participants", "2"]
+        with pytest.raises(ConfigurationError, match="no worker named 'w9'"):
+            main(base + ["--kill", "w9@0"])
+        # --corrupt takes no :EXTRA; it used to be parsed and ignored.
+        with pytest.raises(ConfigurationError,
+                           match=r"bad --corrupt spec 'w1@0:5'; expected "
+                                 r"WORKER@ROUND$"):
+            main(base + ["--corrupt", "w1@0:5"])
+        with pytest.raises(ConfigurationError,
+                           match=r"bad --kill spec 'w1@x'; expected "
+                                 r"WORKER@ROUND\[:BATCH\]"):
+            main(base + ["--kill", "w1@x"])
+        with pytest.raises(ConfigurationError,
+                           match=r"bad --straggle spec 'w1'; expected "
+                                 r"WORKER@ROUND\[:FACTOR\]"):
+            main(base + ["--straggle", "w1"])
+
 
 class TestIngestCommands:
     def _ingest_args(self, tmp_path, *extra):
