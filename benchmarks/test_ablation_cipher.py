@@ -5,7 +5,7 @@ paper's hardware-accelerated AES-GCM handles bulk training data, while an
 AES-GCM without AES instructions cannot keep up. This bench quantifies the
 substitution: the from-scratch AES-GCM (bit-exact, table-driven and
 vectorised over a message's blocks; used for control messages and enclave
-seals) vs the HMAC-CTR bulk AEAD (used for tensor payloads), at the three
+seals) vs the SHAKE-256 bulk AEAD (used for tensor payloads), at the three
 sizes the system actually seals — one block (a provisioned key), 11 KB (a
 sealed FrontNet checkpoint) and one 28x28x3 training record — plus the
 check that both reject the same forgeries.
@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from repro.crypto.aead import AesGcm, HmacCtrAead
+from repro.crypto.aead import AesGcm, ShakeHmacAead
 from repro.errors import AuthenticationError
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -60,10 +60,10 @@ def test_cipher_throughput(benchmark):
         ("28x28x3 record (9.4 KB)", record),
     ]
     gcm = AesGcm(key)
-    bulk = HmacCtrAead(key)
+    bulk = ShakeHmacAead(key)
 
     print("\nA9 - AEAD seal / open throughput, MB/s")
-    print(f"  {'payload':<26}{'AES-128-GCM':>18}{'HMAC-CTR':>18}{'ratio':>8}")
+    print(f"  {'payload':<26}{'AES-128-GCM':>18}{'SHAKE256-HMAC':>18}{'ratio':>8}")
     rates = {}
     for name, payload in payloads:
         gcm_seal, gcm_open = _seal_open_mbps(gcm, payload)
@@ -73,11 +73,13 @@ def test_cipher_throughput(benchmark):
               f"{bulk_seal:>9.1f} /{bulk_open:>7.1f}"
               f"{rates[name][1] / rates[name][0]:>7.0f}x")
 
-    # Claim 1: on a training record the bulk path is still an order of
+    # Claim 1: on a training record the bulk path is well over an order of
     # magnitude faster — the reason the substitution exists. (Measured
-    # ~15x; it was ~220x before the AES-GCM core was vectorised.)
+    # ~59x with the keystream one XOF call; the HMAC-CTR cipher it replaced,
+    # one interpreter-level hash call per 32-byte block, measured ~16x, so
+    # a return to a per-block loop fails here.)
     gcm_record, bulk_record = rates["28x28x3 record (9.4 KB)"]
-    assert bulk_record > 4 * gcm_record
+    assert bulk_record > 20 * gcm_record
 
     # Claim 2: AES-GCM is fast enough for what it seals — a checkpoint
     # blob is milliseconds, not a visible share of a training pass.

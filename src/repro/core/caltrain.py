@@ -34,6 +34,7 @@ from repro.core.linkage import LinkageDatabase, instance_digest
 from repro.core.partition import PartitionedNetwork
 from repro.core.partitioned_training import ConfidentialTrainer, EpochReport
 from repro.core.query import QueryService
+from repro.crypto.aead import BULK_CIPHER
 from repro.data.augmentation import Augmenter
 from repro.enclave.attestation import AttestationService
 from repro.enclave.enclave import Enclave
@@ -97,7 +98,7 @@ class CalTrainConfig:
     momentum: float = 0.9
     partition: int = 2
     epc_bytes: int = EPC_USABLE_BYTES
-    cipher: str = "hmac-ctr"
+    cipher: str = BULK_CIPHER
     augment: bool = True
     reassess_every_epoch: bool = False
     assess_samples: int = 2

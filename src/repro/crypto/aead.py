@@ -13,9 +13,9 @@ Two interchangeable ciphers sit behind the :class:`Aead` interface:
   bit-serial reference it is tested against lives in
   ``tests/crypto/scalar_gcm.py``.
 
-* :class:`HmacCtrAead` — an encrypt-then-MAC construction (SHA-256 based
-  counter-mode keystream + HMAC-SHA256 tag) that vectorises well enough to
-  protect multi-megabyte tensor payloads. It provides the same
+* :class:`ShakeHmacAead` — an encrypt-then-MAC construction (SHAKE-256
+  keystream from one XOF call + HMAC-SHA256 tag) fast enough to protect
+  multi-megabyte tensor payloads. It provides the same
   authenticate-then-decrypt semantics the training server relies on to
   reject forged or unregistered batches.
 
@@ -29,17 +29,20 @@ import hashlib
 import struct
 from functools import reduce
 from operator import getitem, xor
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.crypto.hashing import constant_time_equal, hmac_sha256
 from repro.errors import AuthenticationError, ConfigurationError
 
-__all__ = ["Aead", "AesGcm", "HmacCtrAead", "new_aead", "TAG_LEN", "NONCE_LEN"]
+__all__ = ["Aead", "AesGcm", "ShakeHmacAead", "new_aead", "BULK_CIPHER",
+           "TAG_LEN", "NONCE_LEN"]
 
 TAG_LEN = 16
 NONCE_LEN = 12
+#: Name of the bulk cipher: the default wherever records are sealed or opened.
+BULK_CIPHER = "shake256-hmac"
 
 # ---------------------------------------------------------------------------
 # AES-128 block cipher
@@ -281,57 +284,39 @@ class AesGcm(Aead):
         return (np.frombuffer(prefix, dtype=np.uint8) ^ stream).tobytes()
 
 
-class HmacCtrAead(Aead):
+class ShakeHmacAead(Aead):
     """Encrypt-then-MAC AEAD for bulk tensor payloads.
 
-    Keystream blocks are ``SHA256(enc_key || nonce || counter)``; the tag is
-    ``HMAC-SHA256(mac_key, nonce || len(aad) || aad || ciphertext)[:16]``.
-    Encryption and MAC keys are domain-separated from the single input key.
-    This trades AES fidelity for throughput while keeping identical
-    authenticate-then-decrypt semantics — documented in DESIGN.md as the
-    bulk-data substitution for hardware-accelerated AES-GCM.
+    The keystream is ``SHAKE256(enc_key || nonce)`` squeezed to the message
+    length — one call, and an XOF's output is prefix-consistent, so a
+    shorter keystream is a prefix of a longer one. A sponge absorbs its key
+    ahead of the nonce with no length-extension to guard against, so the
+    keystream needs no HMAC-style nesting. The tag is
+    ``HMAC-SHA256(mac_key, nonce || len(aad) || aad || ciphertext)[:16]``
+    and is verified before any keystream exists. Both subkeys are derived
+    from the single input key under labels that carry the cipher's name, so
+    a record sealed by another construction under the same key fails its
+    tag instead of decrypting to noise. This trades AES fidelity for
+    throughput while keeping identical authenticate-then-decrypt semantics
+    — documented in DESIGN.md as the bulk-data substitution for
+    hardware-accelerated AES-GCM.
     """
 
-    name = "hmac-ctr"
+    name = BULK_CIPHER
 
     def __init__(self, key: bytes) -> None:
         if len(key) < 16:
-            raise ConfigurationError("HmacCtrAead requires a key of >= 16 bytes")
-        self._enc_key = hmac_sha256(key, b"enc")
-        self._mac_key = hmac_sha256(key, b"mac")
-        # Partially-hashed keystream prefix: SHA-256 state fed the 32-byte
-        # enc_key. ``.copy()`` then costs one state clone instead of
-        # re-hashing the key for every keystream block.
-        self._ks_prefix = hashlib.sha256(self._enc_key)
-        self._counters: List[bytes] = []
-
-    def _counter_bytes(self, nblocks: int) -> List[bytes]:
-        """The packed block counters ``0..nblocks-1``, cached across calls
-        (bulk sealing reuses one list for every same-length record)."""
-        while len(self._counters) < nblocks:
-            self._counters.append(struct.pack("<Q", len(self._counters)))
-        return self._counters[:nblocks]
+            raise ConfigurationError(f"{self.name} requires a key of >= 16 bytes")
+        label = self.name.encode()
+        self._enc_key = hmac_sha256(key, label + b"/enc")
+        self._mac_key = hmac_sha256(key, label + b"/mac")
 
     def _keystream(self, nonce: bytes, length: int) -> bytes:
-        # Equivalent to SHA256(enc_key || nonce || counter) per 32-byte
-        # block, built from cloned partial-hash states.
-        record_prefix = self._ks_prefix.copy()
-        record_prefix.update(nonce)
-        blocks = []
-        for counter in self._counter_bytes((length + 31) // 32):
-            h = record_prefix.copy()
-            h.update(counter)
-            blocks.append(h.digest())
-        return b"".join(blocks)[:length]
-
-    @staticmethod
-    def _xor_bytes(data: bytes, keystream: bytes) -> bytes:
-        a = np.frombuffer(data, dtype=np.uint8)
-        b = np.frombuffer(keystream, dtype=np.uint8)
-        return (a ^ b).tobytes()
+        return hashlib.shake_256(self._enc_key + nonce).digest(length)
 
     def _xor(self, nonce: bytes, data: bytes) -> bytes:
-        return self._xor_bytes(data, self._keystream(nonce, len(data)))
+        stream = np.frombuffer(self._keystream(nonce, len(data)), dtype=np.uint8)
+        return (np.frombuffer(data, dtype=np.uint8) ^ stream).tobytes()
 
     def _tag(self, nonce: bytes, ciphertext: bytes, aad: bytes) -> bytes:
         return hmac_sha256(
@@ -342,39 +327,11 @@ class HmacCtrAead(Aead):
         ciphertext = self._xor(nonce, plaintext)
         return ciphertext + self._tag(nonce, ciphertext, aad)
 
-    def seal_many(
-        self, items: Sequence[Tuple[bytes, bytes, bytes]]
-    ) -> List[bytes]:
-        """Seal a batch of ``(nonce, plaintext, aad)`` records.
-
-        Byte-identical to calling :meth:`seal` per record, but the
-        plaintext/keystream XOR runs once over the whole batch as a single
-        vectorised operation and the per-block counter encodings are shared
-        across records. Tags remain strictly per record.
-        """
-        if not items:
-            return []
-        lengths = [len(plaintext) for _, plaintext, _ in items]
-        keystreams = [
-            self._keystream(nonce, length)
-            for (nonce, _, _), length in zip(items, lengths)
-        ]
-        big_ct = self._xor_bytes(
-            b"".join(plaintext for _, plaintext, _ in items),
-            b"".join(keystreams),
-        )
-        sealed, offset = [], 0
-        for (nonce, _, aad), length in zip(items, lengths):
-            ciphertext = big_ct[offset : offset + length]
-            offset += length
-            sealed.append(ciphertext + self._tag(nonce, ciphertext, aad))
-        return sealed
-
     def open_prefix(self, nonce: bytes, sealed: bytes, aad: bytes,
                     length: int) -> bytes:
         ciphertext, tag = _split_tag(sealed)
         if not constant_time_equal(tag, self._tag(nonce, ciphertext, aad)):
-            raise AuthenticationError("HMAC-CTR tag mismatch")
+            raise AuthenticationError(f"{self.name} tag mismatch")
         return self._xor(nonce, ciphertext[:length])
 
 
@@ -384,13 +341,13 @@ def new_aead(key: bytes, bulk: bool = True, cipher: Optional[str] = None) -> Aea
     Args:
         key: Symmetric key material (16 bytes for AES-GCM, >=16 otherwise).
         bulk: When True (default), pick the fast bulk cipher.
-        cipher: Explicit cipher name (``"aes-128-gcm"`` or ``"hmac-ctr"``),
-            overriding ``bulk``.
+        cipher: Explicit cipher name (``AesGcm.name`` or
+            :data:`BULK_CIPHER`), overriding ``bulk``.
     """
     if cipher is None:
-        cipher = HmacCtrAead.name if bulk else AesGcm.name
+        cipher = BULK_CIPHER if bulk else AesGcm.name
     if cipher == AesGcm.name:
         return AesGcm(key)
-    if cipher == HmacCtrAead.name:
-        return HmacCtrAead(key)
+    if cipher == BULK_CIPHER:
+        return ShakeHmacAead(key)
     raise ConfigurationError(f"unknown AEAD cipher {cipher!r}")

@@ -17,7 +17,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.crypto.aead import TAG_LEN, Aead, new_aead
+from repro.crypto.aead import BULK_CIPHER, TAG_LEN, Aead, new_aead
 from repro.crypto.keys import SymmetricKey
 from repro.data.datasets import Dataset
 from repro.utils.serialization import (
@@ -65,25 +65,14 @@ def record_aad(source_id: str, index: int, label: int) -> bytes:
     return canonical_json({"source": source_id, "index": index, "label": label})
 
 
-#: Records sealed per bulk-AEAD batch; bounds both the memory the batched
-#: XOR touches and the latency before the first record streams out.
-_BULK_CHUNK = 256
-
-
 def iter_encrypted_records(dataset: Dataset, key: SymmetricKey, source_id: str,
-                           cipher: str = "hmac-ctr", start_index: int = 0,
-                           bulk_chunk: int = 1) -> Iterator[EncryptedRecord]:
+                           cipher: str = BULK_CIPHER,
+                           start_index: int = 0) -> Iterator[EncryptedRecord]:
     """Lazily seal ``dataset``, streaming records out as they are produced.
 
     Unlike :func:`encrypt_dataset`, nothing is materialised beyond one
-    chunk: records are produced on demand, so a million-record dataset
-    streams through a chunked upload with O(chunk) memory. The default
-    ``bulk_chunk=1`` keeps the strict laziness contract — pulling one
-    record consumes exactly one nonce. With ``bulk_chunk > 1`` and a
-    cipher exposing ``seal_many`` (the HMAC-CTR bulk cipher), records are
-    sealed in vectorised batches — byte-identical output, but each chunk's
-    nonces are consumed when its first record is pulled. AES-GCM always
-    takes the record-at-a-time path.
+    record: a million-record dataset streams through a chunked upload with
+    O(1) memory, and pulling one record consumes exactly one nonce.
 
     ``start_index`` supports resuming an interrupted upload: records before
     it are skipped without being re-encrypted (the caller is responsible
@@ -91,47 +80,26 @@ def iter_encrypted_records(dataset: Dataset, key: SymmetricKey, source_id: str,
     :meth:`~repro.crypto.keys.SymmetricKey.advance_past`).
     """
     aead = new_aead(key.material, cipher=cipher)
-    if bulk_chunk <= 1 or not hasattr(aead, "seal_many"):
-        for i in range(start_index, len(dataset)):
-            nonce = key.next_nonce()
-            label = int(dataset.y[i])
-            sealed = aead.seal(
-                nonce, array_to_bytes(dataset.x[i]),
-                record_aad(source_id, i, label),
-            )
-            yield EncryptedRecord(
-                source_id=source_id, index=i, label=label, nonce=nonce,
-                sealed=sealed,
-            )
-        return
-    for chunk_start in range(start_index, len(dataset), bulk_chunk):
-        chunk = range(chunk_start, min(chunk_start + bulk_chunk, len(dataset)))
-        nonces = [key.next_nonce() for _ in chunk]
-        labels = [int(dataset.y[i]) for i in chunk]
-        sealed_chunk = aead.seal_many([
-            (nonce, array_to_bytes(dataset.x[i]),
-             record_aad(source_id, i, label))
-            for nonce, label, i in zip(nonces, labels, chunk)
-        ])
-        for nonce, label, i, sealed in zip(nonces, labels, chunk, sealed_chunk):
-            yield EncryptedRecord(
-                source_id=source_id, index=i, label=label, nonce=nonce,
-                sealed=sealed,
-            )
+    for i in range(start_index, len(dataset)):
+        nonce = key.next_nonce()
+        label = int(dataset.y[i])
+        sealed = aead.seal(
+            nonce, array_to_bytes(dataset.x[i]),
+            record_aad(source_id, i, label),
+        )
+        yield EncryptedRecord(
+            source_id=source_id, index=i, label=label, nonce=nonce,
+            sealed=sealed,
+        )
 
 
 def encrypt_dataset(dataset: Dataset, key: SymmetricKey, source_id: str,
-                    cipher: str = "hmac-ctr") -> EncryptedDataset:
-    """Seal every instance of ``dataset`` under the participant's key.
-
-    Materialises everything anyway, so it always drives the bulk
-    ``seal_many`` path when the cipher supports it.
-    """
+                    cipher: str = BULK_CIPHER) -> EncryptedDataset:
+    """Seal every instance of ``dataset`` under the participant's key."""
     return EncryptedDataset(
         source_id=source_id,
         records=list(iter_encrypted_records(dataset, key, source_id,
-                                            cipher=cipher,
-                                            bulk_chunk=_BULK_CHUNK)),
+                                            cipher=cipher)),
     )
 
 

@@ -50,6 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.crypto.aead import BULK_CIPHER
 from repro.data.encryption import EncryptedDataset
 from repro.distributed.aggregator import AggregatorEnclave
 from repro.distributed.telemetry import DistributedTelemetry
@@ -109,7 +110,7 @@ class DistributedCoordinator:
                  provisioner: Callable[[Enclave], None],
                  init_generator_factory: Callable[[], np.random.Generator],
                  checkpoint_root,
-                 cipher: str = "hmac-ctr",
+                 cipher: str = BULK_CIPHER,
                  augment: bool = False,
                  straggler_factor: float = 2.5,
                  blacklist_after: int = 2,

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.partition import PartitionedNetwork
 from repro.core.partitioned_training import ConfidentialTrainer
+from repro.crypto.aead import BULK_CIPHER
 from repro.crypto.shamir import Share, encode_share
 from repro.crypto.tls import SecureChannel
 from repro.data.augmentation import Augmenter
@@ -100,7 +101,7 @@ class EnclaveWorker:
                  rng: RngStream,
                  attestation_service: AttestationService,
                  checkpoint_dir,
-                 cipher: str = "hmac-ctr",
+                 cipher: str = BULK_CIPHER,
                  augment: bool = False,
                  config_digest: Optional[bytes] = None,
                  epc_bytes: int = EPC_USABLE_BYTES) -> None:

@@ -6,6 +6,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.crypto.aead import BULK_CIPHER
 from repro.crypto.keys import SymmetricKey, random_key
 from repro.data.datasets import Dataset
 from repro.data.encryption import EncryptedDataset, encrypt_dataset
@@ -36,7 +37,7 @@ class TrainingParticipant:
             rng.child("data-key"), key_id=f"{participant_id}/data-key"
         )
 
-    def encrypt_dataset(self, cipher: str = "hmac-ctr") -> EncryptedDataset:
+    def encrypt_dataset(self, cipher: str = BULK_CIPHER) -> EncryptedDataset:
         """Seal the private training data for submission to the server."""
         return encrypt_dataset(self.dataset, self.key, self.participant_id, cipher=cipher)
 

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.crypto.aead import new_aead
+from repro.crypto.aead import BULK_CIPHER, new_aead
 from repro.data.encryption import EncryptedDataset, decrypt_record
 from repro.enclave.attestation import AttestationService
 from repro.enclave.enclave import Enclave
@@ -88,7 +88,7 @@ def _ecall_decrypt_datasets(enclave: Enclave, datasets: List[EncryptedDataset],
                 summary.accepted_by_source.get(record.source_id, 0) + 1
             )
     if summary.accepted:
-        x = np.stack(images).astype(np.float32)
+        x = np.stack(images).astype(np.float32, copy=False)
         y = np.asarray(labels, dtype=np.int64)
         enclave.trusted_put("training/x", x, nbytes=x.nbytes)
         enclave.trusted_put("training/y", y, nbytes=y.nbytes)
@@ -210,7 +210,7 @@ class TrainingServer:
                   staged, len(by_source))
         return staged
 
-    def decrypt_submissions(self, cipher: str = "hmac-ctr") -> DecryptionSummary:
+    def decrypt_submissions(self, cipher: str = BULK_CIPHER) -> DecryptionSummary:
         """Authenticate + decrypt everything submitted, inside the enclave."""
         if self.enclave is None:
             raise TrainingError("build_training_enclave() must run first")

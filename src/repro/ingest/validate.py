@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.audit import AuditLog
-from repro.crypto.aead import new_aead
+from repro.crypto.aead import BULK_CIPHER, new_aead
 from repro.data.encryption import EncryptedRecord, authenticated_shape
 from repro.enclave.enclave import Enclave
 from repro.errors import AuthenticationError, ConfigurationError
@@ -88,7 +88,7 @@ class ValidationConfig:
     input_shape: Tuple[int, ...]       # agreed instance tensor shape
     workers: int = 2                   # validation worker threads
     batch_records: int = 128           # records per ECALL batch
-    cipher: str = "hmac-ctr"
+    cipher: str = BULK_CIPHER
 
     def __post_init__(self) -> None:
         if self.num_classes < 1:

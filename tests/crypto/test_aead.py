@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aead import AesGcm, HmacCtrAead, _Aes128, _Ghash, new_aead
+from repro.crypto.aead import (BULK_CIPHER, AesGcm, ShakeHmacAead, _Aes128,
+                               _Ghash, new_aead)
+from repro.crypto.hashing import hmac_sha256
 from repro.errors import AuthenticationError, ConfigurationError
 
-from tests.crypto import scalar_gcm
+from tests.crypto import legacy_hmac_ctr, scalar_gcm, scalar_keccak
 
 
 class TestAesGcmVectors:
@@ -153,7 +155,10 @@ class TestVectorisedCoreAgainstScalarOracle:
         assert stream.tobytes() == expected
 
 
-@pytest.mark.parametrize("cipher_cls", [AesGcm, HmacCtrAead])
+# The bulk slot keeps the id its tests were first recorded under (the name of
+# the cipher SHAKE replaced), so the suite's pass history reads through.
+@pytest.mark.parametrize("cipher_cls", [
+    AesGcm, pytest.param(ShakeHmacAead, id="HmacCtrAead")])
 class TestAeadSemantics:
     def _cipher(self, cipher_cls):
         return cipher_cls(bytes(range(16)))
@@ -250,100 +255,89 @@ class TestAeadSemantics:
 
 
 class TestHmacCtrSpecifics:
+    """Bulk-cipher specifics (the class keeps its recorded name)."""
+
     def test_distinct_nonces_distinct_ciphertexts(self):
-        cipher = HmacCtrAead(bytes(16))
+        cipher = ShakeHmacAead(bytes(16))
         c1 = cipher.seal(b"\x01" * 12, b"same message")
         c2 = cipher.seal(b"\x02" * 12, b"same message")
         assert c1[:-16] != c2[:-16]
 
     def test_large_payload(self):
-        cipher = HmacCtrAead(bytes(16))
+        cipher = ShakeHmacAead(bytes(16))
         payload = np.arange(100_000, dtype=np.uint8).tobytes()
         sealed = cipher.seal(b"\x09" * 12, payload)
         assert cipher.open(b"\x09" * 12, sealed) == payload
 
     def test_short_key_rejected(self):
         with pytest.raises(ConfigurationError):
-            HmacCtrAead(b"short")
+            ShakeHmacAead(b"short")
 
 
 class TestFactory:
     def test_default_is_bulk(self):
-        assert isinstance(new_aead(bytes(16)), HmacCtrAead)
+        assert isinstance(new_aead(bytes(16)), ShakeHmacAead)
 
     def test_control_path(self):
         assert isinstance(new_aead(bytes(16), bulk=False), AesGcm)
 
     def test_explicit_cipher(self):
         assert isinstance(new_aead(bytes(16), cipher="aes-128-gcm"), AesGcm)
+        assert isinstance(new_aead(bytes(16), cipher="shake256-hmac"),
+                          ShakeHmacAead)
 
     def test_unknown_cipher(self):
-        with pytest.raises(ConfigurationError):
-            new_aead(bytes(16), cipher="rot13")
+        """Exactly two names are accepted; the removed cipher's is not one."""
+        for name in ("rot13", "hmac-ctr", "shake128-hmac", ""):
+            with pytest.raises(ConfigurationError):
+                new_aead(bytes(16), cipher=name)
 
     def test_interop_within_cipher(self):
-        a = new_aead(bytes(16), cipher="hmac-ctr")
-        b = new_aead(bytes(16), cipher="hmac-ctr")
+        a = new_aead(bytes(16), cipher=BULK_CIPHER)
+        b = new_aead(bytes(16), cipher=BULK_CIPHER)
         assert b.open(b"\x01" * 12, a.seal(b"\x01" * 12, b"x")) == b"x"
 
 
-class TestBulkSealMany:
-    """The vectorised batch path must be byte-identical to per-record seal."""
+class TestShakeKeystreamAgainstScalarOracle:
+    """The keystream is SHAKE256(enc_key || nonce), and ``seal`` is that
+    keystream XOR the plaintext, then the HMAC tag — checked against a
+    sponge that shares nothing with ``src/`` or ``hashlib``."""
 
-    _LENGTHS = [0, 1, 31, 32, 33, 1000, 9408]
+    _KEY = bytes(range(16))
+    _ENC_KEY = hmac_sha256(_KEY, b"shake256-hmac/enc")
+    _MAC_KEY = hmac_sha256(_KEY, b"shake256-hmac/mac")
 
-    def _items(self):
-        return [
-            (bytes([i]) * 12, bytes(range(256)) * (length // 256)
-             + bytes(range(length % 256)), b"aad-%d" % i)
-            for i, length in enumerate(self._LENGTHS)
-        ]
+    def test_oracle_reproduces_the_published_empty_message_digest(self):
+        assert scalar_keccak.shake256(b"", 32).hex() == (
+            "46b9dd2b0ba88d13233b3feb743eeb243fcd52ea62b81b82b50c27646ed5762f")
 
-    def test_matches_per_record_seal(self):
-        bulk = HmacCtrAead(bytes(range(16)))
-        one_by_one = HmacCtrAead(bytes(range(16)))
-        sealed = bulk.seal_many(self._items())
-        for (nonce, plaintext, aad), got in zip(self._items(), sealed):
-            assert got == one_by_one.seal(nonce, plaintext, aad)
+    # Both sides of the 136-byte rate, and one training record.
+    @pytest.mark.parametrize("length", [0, 1, 135, 136, 137, 272, 9447])
+    @settings(max_examples=3, deadline=None)
+    @given(nonce=st.binary(min_size=12, max_size=12))
+    def test_keystream_matches_oracle(self, length, nonce):
+        cipher = ShakeHmacAead(self._KEY)
+        assert cipher._keystream(nonce, length) == scalar_keccak.shake256(
+            self._ENC_KEY + nonce, length)
 
-    def test_sealed_records_open(self):
-        cipher = HmacCtrAead(bytes(range(16)))
-        for (nonce, plaintext, aad), sealed in zip(
-            self._items(), cipher.seal_many(self._items())
-        ):
-            assert cipher.open(nonce, sealed, aad) == plaintext
-
-    def test_empty_batch(self):
-        assert HmacCtrAead(bytes(16)).seal_many([]) == []
-
-    def test_keystream_matches_definition(self):
-        """The partial-hash prefix trick must still produce
-        SHA256(enc_key || nonce || counter) per 32-byte block."""
-        import hashlib
-        import struct
-
-        from repro.crypto.hashing import hmac_sha256
-
-        cipher = HmacCtrAead(bytes(range(16)))
-        enc_key = hmac_sha256(bytes(range(16)), b"enc")
-        nonce = b"\x07" * 12
-        length = 100
-        expected = b"".join(
-            hashlib.sha256(enc_key + nonce + struct.pack("<Q", i)).digest()
-            for i in range((length + 31) // 32)
-        )[:length]
-        assert cipher._keystream(nonce, length) == expected
-
-    def test_aes_gcm_has_no_bulk_path(self):
-        """encryption.py gates bulk sealing on hasattr(aead, "seal_many")."""
-        assert not hasattr(AesGcm(bytes(16)), "seal_many")
+    @settings(max_examples=10, deadline=None)
+    @given(nonce=st.binary(min_size=12, max_size=12),
+           plaintext=st.binary(max_size=300), aad=st.binary(max_size=40))
+    def test_seal_is_oracle_keystream_xor_plaintext_then_hmac_tag(
+            self, nonce, plaintext, aad):
+        stream = scalar_keccak.shake256(self._ENC_KEY + nonce, len(plaintext))
+        ciphertext = bytes(p ^ k for p, k in zip(plaintext, stream))
+        tag = hmac_sha256(self._MAC_KEY, nonce,
+                          len(aad).to_bytes(8, "little"), aad, ciphertext)[:16]
+        assert ShakeHmacAead(self._KEY).seal(nonce, plaintext, aad) == (
+            ciphertext + tag)
 
 
 class TestHmacCtrPrefixCost:
     def test_open_prefix_generates_only_the_prefix_keystream(self, monkeypatch):
-        """The point of ``open_prefix``: 64 bytes of keystream for a 9 KB
-        record, not 9 KB."""
-        cipher = HmacCtrAead(bytes(range(16)))
+        """The point of ``open_prefix``: 64 bytes asked of the XOF for a
+        9 KB record, not 9 KB."""
+        cipher = ShakeHmacAead(bytes(range(16)))
         sealed = cipher.seal(b"\x01" * 12, bytes(9431))
         asked = []
         keystream = cipher._keystream
@@ -354,16 +348,38 @@ class TestHmacCtrPrefixCost:
         cipher.open_prefix(b"\x01" * 12, sealed, b"", 64)
         assert asked == [64]
 
+    @pytest.mark.parametrize("position", [0, 5000, -17, -1])
+    def test_forged_record_raises_before_the_keystream_function_is_called(
+            self, monkeypatch, position):
+        cipher = ShakeHmacAead(bytes(range(16)))
+        sealed = bytearray(cipher.seal(b"\x01" * 12, bytes(9431), b"aad"))
+        sealed[position] ^= 0x01
+        monkeypatch.setattr(
+            cipher, "_keystream",
+            lambda nonce, length: pytest.fail("keystream for a forged record"),
+        )
+        with pytest.raises(AuthenticationError):
+            cipher.open(b"\x01" * 12, bytes(sealed), b"aad")
+        with pytest.raises(AuthenticationError):
+            cipher.open_prefix(b"\x01" * 12, bytes(sealed), b"aad", 64)
+
 
 class TestParentCommitVectors:
-    """Bytes sealed by the commit before the vectorised core (pure-Python
-    AES-GCM, HMAC-CTR without ``open_prefix``): they must open now, and
-    sealing the same input must reproduce them."""
+    """Bytes sealed by earlier commits. The AES-GCM vector predates the
+    vectorised core and the SHAKE vector is the commit that introduced the
+    cipher: they must open now, and sealing the same input must reproduce
+    them. The HMAC-CTR vector was sealed by the bulk cipher SHAKE replaced,
+    under the same key: it must fail its tag, not decrypt to noise."""
 
     _KEY = bytes(range(16))
     _NONCE = bytes(range(50, 62))
     _PLAINTEXT = bytes(range(100))
     _AAD = b"source=p0"
+    _HMAC_CTR_SEALED = bytes.fromhex(
+        "9af4a4a63573ecd1067121e9a86072a1327de50e3ccfa00fa9afcb8406508a57"
+        "37f6815e5778a3beb2582497cf15295a3c23b795a41f9c367bd1018736a02ab2"
+        "98347197d569d439e3645c16ef302948098eb5a6d4d0daaf069188983af1e859"
+        "a65320b45caf95d61cb1b1facddbff5228404d95")
 
     @pytest.mark.parametrize("cipher_cls, sealed_hex", [
         (AesGcm,
@@ -371,14 +387,24 @@ class TestParentCommitVectors:
          "ba996d5560086fb1e836d0f1c4df92020d2b9b82c63d014335f32df2f401ea10"
          "cf5ff9d8e06de2abb672909cc9610ceed006ae3d6bb665bd56f076ea90603eca"
          "9c75ec5097ff7cf2abb520d1691811ecb0f1a556"),
-        (HmacCtrAead,
-         "9af4a4a63573ecd1067121e9a86072a1327de50e3ccfa00fa9afcb8406508a57"
-         "37f6815e5778a3beb2582497cf15295a3c23b795a41f9c367bd1018736a02ab2"
-         "98347197d569d439e3645c16ef302948098eb5a6d4d0daaf069188983af1e859"
-         "a65320b45caf95d61cb1b1facddbff5228404d95"),
+        (ShakeHmacAead,
+         "3c67bbd8ea63f734dc98505c77b9040b3aee1942184e2cb73fe1d4814c7c78bc"
+         "c12fea80f6f1267377ae21666ecff2ef3c2a90689c46b8c5f9262b2e31b2c4da"
+         "5c3e7242bfed4015bb5c3bb143d86c8cb19e06a88e21b990d87605905f2989bb"
+         "7d9d46cc6b616d69f962673fe17d309b265f880a"),
     ])
     def test_roundtrip_against_parent_bytes(self, cipher_cls, sealed_hex):
         cipher = cipher_cls(self._KEY)
         sealed = bytes.fromhex(sealed_hex)
         assert cipher.seal(self._NONCE, self._PLAINTEXT, self._AAD) == sealed
         assert cipher.open(self._NONCE, sealed, self._AAD) == self._PLAINTEXT
+
+    def test_removed_cipher_vector_fails_its_tag(self):
+        assert legacy_hmac_ctr.seal(
+            self._KEY, self._NONCE, self._PLAINTEXT, self._AAD
+        ) == self._HMAC_CTR_SEALED
+        cipher = ShakeHmacAead(self._KEY)
+        with pytest.raises(AuthenticationError):
+            cipher.open(self._NONCE, self._HMAC_CTR_SEALED, self._AAD)
+        with pytest.raises(AuthenticationError):
+            cipher.open_prefix(self._NONCE, self._HMAC_CTR_SEALED, self._AAD, 64)

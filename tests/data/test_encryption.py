@@ -8,9 +8,11 @@ import pytest
 from repro.crypto.aead import new_aead
 from repro.crypto.keys import SymmetricKey
 from repro.data.datasets import Dataset
-from repro.data.encryption import (decrypt_record, encrypt_dataset,
-                                   iter_encrypted_records)
+from repro.data.encryption import (EncryptedRecord, decrypt_record,
+                                   encrypt_dataset, iter_encrypted_records,
+                                   record_aad)
 from repro.errors import AuthenticationError
+from repro.utils.serialization import array_to_bytes
 
 
 @pytest.fixture
@@ -29,7 +31,7 @@ def key():
 class TestEncryptDecrypt:
     def test_roundtrip(self, dataset, key):
         encrypted = encrypt_dataset(dataset, key, "p0")
-        aead = new_aead(key.material, cipher="hmac-ctr")
+        aead = new_aead(key.material)
         for i, record in enumerate(encrypted.records):
             image, label = decrypt_record(record, aead)
             np.testing.assert_array_equal(image, dataset.x[i])
@@ -59,11 +61,14 @@ class TestStreamingEncryption:
         assert streamed == encrypt_dataset(dataset, fresh, "p0").records
 
     def test_lazy(self, dataset, key):
-        """Nothing is sealed until the stream is pulled."""
+        """Nothing is sealed until the stream is pulled, and pulling one
+        record consumes exactly one nonce."""
         stream = iter_encrypted_records(dataset, key, "p0")
         assert key._counter == 0
         next(stream)
         assert key._counter == 1
+        next(stream)
+        assert key._counter == 2
 
     def test_start_index_skips_without_spending_nonces(self, dataset, key):
         full = list(iter_encrypted_records(dataset, key, "p0"))
@@ -74,7 +79,7 @@ class TestStreamingEncryption:
         assert tail == full[4:]
 
     def test_decryptable(self, dataset, key):
-        aead = new_aead(key.material, cipher="hmac-ctr")
+        aead = new_aead(key.material)
         for i, record in enumerate(iter_encrypted_records(dataset, key, "p0")):
             image, label = decrypt_record(record, aead)
             np.testing.assert_array_equal(image, dataset.x[i])
@@ -82,41 +87,20 @@ class TestStreamingEncryption:
 
 
 class TestBulkParity:
-    """encrypt_dataset's vectorised path vs the record-at-a-time oracle."""
-
-    def _record_at_a_time(self, dataset, key, source_id, cipher="hmac-ctr"):
-        return list(iter_encrypted_records(dataset, key, source_id,
-                                           cipher=cipher, bulk_chunk=1))
+    """encrypt_dataset against sealing each record by hand."""
 
     def test_bulk_matches_record_at_a_time(self, dataset, key):
         bulk = encrypt_dataset(dataset, key, "p0")
         fresh = SymmetricKey(key_id=key.key_id, material=key.material)
-        assert bulk.records == self._record_at_a_time(dataset, fresh, "p0")
-
-    def test_chunk_boundaries(self, dataset, key, monkeypatch):
-        """Identical bytes when records straddle bulk-chunk boundaries."""
-        import repro.data.encryption as encryption
-
-        monkeypatch.setattr(encryption, "_BULK_CHUNK", 4)
-        chunked = encrypt_dataset(dataset, key, "p0")
-        fresh = SymmetricKey(key_id=key.key_id, material=key.material)
-        assert chunked.records == self._record_at_a_time(dataset, fresh, "p0")
-
-    def test_bulk_chunk_streaming_matches(self, dataset, key):
-        chunked = list(iter_encrypted_records(dataset, key, "p0",
-                                              bulk_chunk=2))
-        fresh = SymmetricKey(key_id=key.key_id, material=key.material)
-        assert chunked == self._record_at_a_time(dataset, fresh, "p0")
-
-    def test_aes_gcm_ignores_bulk_chunk(self, dataset, key):
-        """AES-GCM has no seal_many; the per-record path must kick in."""
-        small = dataset.subset([0, 1, 2])
-        chunked = list(iter_encrypted_records(small, key, "p0",
-                                              cipher="aes-128-gcm",
-                                              bulk_chunk=2))
-        fresh = SymmetricKey(key_id=key.key_id, material=key.material)
-        assert chunked == self._record_at_a_time(small, fresh, "p0",
-                                                 cipher="aes-128-gcm")
+        aead = new_aead(key.material)
+        for i, record in enumerate(bulk.records):
+            nonce = fresh.next_nonce()
+            label = int(dataset.y[i])
+            assert record == EncryptedRecord(
+                source_id="p0", index=i, label=label, nonce=nonce,
+                sealed=aead.seal(nonce, array_to_bytes(dataset.x[i]),
+                                 record_aad("p0", i, label)),
+            )
 
 
 class TestTamperDetection:
@@ -127,7 +111,7 @@ class TestTamperDetection:
             record, sealed=bytes([record.sealed[0] ^ 1]) + record.sealed[1:]
         )
         with pytest.raises(AuthenticationError):
-            decrypt_record(forged, new_aead(key.material, cipher="hmac-ctr"))
+            decrypt_record(forged, new_aead(key.material))
 
     def test_label_relabelling_detected(self, dataset, key):
         """Flipping the cleartext label breaks the AAD binding."""
@@ -135,23 +119,23 @@ class TestTamperDetection:
         record = encrypted.records[0]
         forged = dataclasses.replace(record, label=(record.label + 1) % 3)
         with pytest.raises(AuthenticationError):
-            decrypt_record(forged, new_aead(key.material, cipher="hmac-ctr"))
+            decrypt_record(forged, new_aead(key.material))
 
     def test_source_spoofing_detected(self, dataset, key):
         encrypted = encrypt_dataset(dataset, key, "p0")
         forged = dataclasses.replace(encrypted.records[0], source_id="p1")
         with pytest.raises(AuthenticationError):
-            decrypt_record(forged, new_aead(key.material, cipher="hmac-ctr"))
+            decrypt_record(forged, new_aead(key.material))
 
     def test_record_splicing_detected(self, dataset, key):
         """Moving a record to another index breaks the AAD binding."""
         encrypted = encrypt_dataset(dataset, key, "p0")
         forged = dataclasses.replace(encrypted.records[0], index=3)
         with pytest.raises(AuthenticationError):
-            decrypt_record(forged, new_aead(key.material, cipher="hmac-ctr"))
+            decrypt_record(forged, new_aead(key.material))
 
     def test_wrong_key_detected(self, dataset, key):
         encrypted = encrypt_dataset(dataset, key, "p0")
-        wrong = new_aead(bytes(range(1, 17)), cipher="hmac-ctr")
+        wrong = new_aead(bytes(range(1, 17)))
         with pytest.raises(AuthenticationError):
             decrypt_record(encrypted.records[0], wrong)

@@ -14,6 +14,9 @@ from repro.errors import DuplicateSubmissionError, LedgerError, TrainingError
 from repro.federation.participant import TrainingParticipant
 from repro.federation.provisioning import provision_key
 from repro.federation.server import TrainingServer
+from repro.utils.serialization import array_to_bytes
+
+from tests.crypto import legacy_hmac_ctr
 
 
 @pytest.fixture
@@ -97,6 +100,28 @@ class TestDecryption:
         assert summary.accepted == 5
         assert summary.rejected_tampered == 1
         assert server.staged_training_data()[0].shape == (5, 2, 2, 1)
+
+    def test_records_sealed_by_the_removed_cipher_discarded(
+            self, server, rng, attestation_service):
+        """Right key, right AAD, but sealed by the HMAC-CTR cipher SHAKE
+        replaced: the tag fails, the record is counted and never staged."""
+        p = _participant(rng, "p0")
+        provision_key(p, server.enclave, attestation_service,
+                      expected_mrenclave=server.enclave.mrenclave)
+        encrypted = p.encrypt_dataset()
+        for i in (0, 4):
+            rec = encrypted.records[i]
+            encrypted.records[i] = dataclasses.replace(
+                rec, sealed=legacy_hmac_ctr.seal(
+                    p.key.material, rec.nonce, array_to_bytes(p.dataset.x[i]),
+                    record_aad("p0", rec.index, rec.label)))
+        server.submit(encrypted)
+        summary = server.decrypt_submissions()
+        assert summary.accepted == 3
+        assert summary.rejected_tampered == 2
+        x, _, _, indices = server.staged_training_data()
+        assert indices.tolist() == [1, 2, 3]
+        np.testing.assert_array_equal(x, p.dataset.x[1:4])
 
     def test_relabelled_records_discarded(self, server, rng, attestation_service):
         p = _participant(rng, "p0")

@@ -5,13 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.crypto.aead import AesGcm, HmacCtrAead, new_aead
+from repro.crypto.aead import BULK_CIPHER, AesGcm, ShakeHmacAead, new_aead
 from repro.data.datasets import Dataset
 from repro.data.encryption import (EncryptedRecord, iter_encrypted_records,
                                    record_aad)
 from repro.ingest import ValidationConfig, ValidationPool
 from repro.utils.serialization import array_to_bytes
 
+from tests.crypto import legacy_hmac_ctr
 from tests.ingest.conftest import CLASSES, SHAPE
 
 
@@ -24,7 +25,7 @@ def _seal_plaintext(contributor, index, plaintext, label=0):
     """What only a *provisioned* contributor can make: any bytes at all
     under a tag that verifies."""
     nonce = contributor.key.next_nonce()
-    sealed = new_aead(contributor.key.material, cipher="hmac-ctr").seal(
+    sealed = new_aead(contributor.key.material).seal(
         nonce, plaintext, record_aad(contributor.participant_id, index, label)
     )
     return EncryptedRecord(source_id=contributor.participant_id, index=index,
@@ -67,6 +68,30 @@ class TestGates:
         report = validator.validate("c0", records)
         assert len(report.accepted) == len(records) - 1
         assert report.quarantined_by_reason == {"tampered": 1}
+
+    def test_record_sealed_by_the_removed_cipher_is_tampered(
+            self, validator, contributors, monkeypatch):
+        """A contributor still sealing with the HMAC-CTR cipher SHAKE
+        replaced holds the right key, yet fails the tag — quarantine lane,
+        before any keystream is generated, never decrypted to noise."""
+        contributor = contributors[0]
+        records = _records(contributor)
+        old = records[1]
+        records[1] = dataclasses.replace(old, sealed=legacy_hmac_ctr.seal(
+            contributor.key.material, old.nonce,
+            array_to_bytes(contributor.dataset.x[1]),
+            record_aad("c0", old.index, old.label)))
+        keystream = ShakeHmacAead._keystream
+        asked = []
+        monkeypatch.setattr(
+            ShakeHmacAead, "_keystream",
+            lambda self, nonce, length: asked.append(length)
+            or keystream(self, nonce, length))
+        report = validator.validate("c0", records)
+        assert report.accepted == records[:1] + records[2:]
+        assert [(q.record, q.reason) for q in report.quarantined] == [
+            (records[1], "tampered")]
+        assert len(asked) == len(records) - 1
 
     def test_relabelled_record_quarantined_not_crashed(self, validator,
                                                        contributors):
@@ -160,7 +185,9 @@ class TestAdmissionNeverMaterialisesPlaintext:
     """Confidentiality invariant: admission authenticates and reads the
     tensor header; the instance is first decrypted at the training ECALL."""
 
-    @pytest.mark.parametrize("cipher", ["hmac-ctr", "aes-128-gcm"])
+    # The bulk slot keeps the id it was first recorded under.
+    @pytest.mark.parametrize("cipher", [
+        pytest.param(BULK_CIPHER, id="hmac-ctr"), "aes-128-gcm"])
     def test_only_the_header_prefix_is_ever_decrypted(
             self, server, ledger, contributors, monkeypatch, cipher):
         contributor = contributors[0]
@@ -169,7 +196,7 @@ class TestAdmissionNeverMaterialisesPlaintext:
         payload = len(records[0].sealed) - 16
         assert payload > 64
         asked = []
-        for cls in (HmacCtrAead, AesGcm):
+        for cls in (ShakeHmacAead, AesGcm):
             keystream = cls._keystream
 
             def spy(self, nonce, length, _keystream=keystream):
