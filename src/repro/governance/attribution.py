@@ -156,18 +156,18 @@ class Attributor:
         audit_event = queries[-1]
         query_audit = dict(audit_event.payload, chain=audit_event.chain_hash.hex())
 
+        records = [self.store.record(hit.index) for hit in hits]
+        try:
+            # One ledger walk for the whole report, not one per hit.
+            located = self.ledger.locate_records(
+                [(record.source, record.source_index) for record in records]
+            )
+        except LedgerError as exc:
+            raise AttributionError(
+                f"a linkage hit has no ledger backing: {exc}"
+            ) from exc
         evidence: List[Dict[str, Any]] = []
-        for hit in hits:
-            record = self.store.record(hit.index)
-            try:
-                ledger_evidence = self.ledger.locate_record(
-                    record.source, record.source_index
-                )
-            except LedgerError as exc:
-                raise AttributionError(
-                    f"linkage hit (store index {hit.index}) has no ledger "
-                    f"backing: {exc}"
-                ) from exc
+        for hit, record, ledger_evidence in zip(hits, records, located):
             if ledger_evidence["lane"] != "committed":
                 raise AttributionError(
                     f"linkage hit (store index {hit.index}) resolves to the "

@@ -354,23 +354,20 @@ class IngestGateway:
             # cannot both commit it. Whatever the lock-side gate refuses
             # is quarantined and audited like any pipeline refusal.
             segment, duplicates = self.ledger.commit_deduplicated(
-                report.accepted, contributor
+                report.accepted, contributor, report.accepted_digests
             )
             if duplicates:
-                refused_ids = {id(r) for r in duplicates}
-                report.accepted = [r for r in report.accepted
-                                   if id(r) not in refused_ids]
-                report.quarantined.extend(
-                    self.validator.quarantine_at_commit(contributor,
-                                                        duplicates)
-                )
+                self.validator.quarantine_at_commit(report, duplicates)
             if report.accepted:
                 self.telemetry.count("records_committed",
                                      len(report.accepted))
-            for reason, count in sorted(report.quarantined_by_reason.items()):
-                refused = [q.record for q in report.quarantined
+            for reason in sorted(report.quarantined_by_reason):
+                refused = [q for q in report.quarantined
                            if q.reason == reason]
-                self.ledger.quarantine(refused, contributor, reason)
+                self.ledger.quarantine(
+                    [q.record for q in refused], contributor, reason,
+                    [q.digest for q in refused],
+                )
             with self._lock:
                 self._committed_records[contributor] = (
                     self._committed_records.get(contributor, 0)

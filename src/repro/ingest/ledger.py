@@ -4,9 +4,12 @@ Validated encrypted records are the system of record for training: a
 segment is written once — at upload-session commit — and never modified.
 The format mirrors :class:`repro.serving.store.LinkageStore`:
 
-* **append-only segments** — a ``.bin`` file of concatenated sealed
-  payloads plus a canonical-JSON metadata sidecar carrying sources,
-  indices, labels, nonces, payload offsets, and per-record digests;
+* **append-only segments** — a ``.bin`` file of packed records (each
+  one's source, index, label, nonce and sealed payload, length-prefixed)
+  plus a canonical-JSON metadata sidecar carrying ``contributor``,
+  ``records`` (the count), ``digests`` (one hex content digest per
+  record, in payload order) and ``reason`` (quarantine lane only); both
+  files are durable before the manifest names them;
 * **content addressing** — each segment is identified by a SHA-256 digest
   over its payload bytes and metadata; the manifest lists committed
   segments and quarantined segments in separate lanes, and the whole
@@ -37,7 +40,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.data.encryption import EncryptedRecord
 from repro.errors import LedgerError, SealingError
-from repro.utils.fileio import atomic_write_text
+from repro.utils.fileio import atomic_write_bytes, atomic_write_text
 from repro.utils.serialization import canonical_digest, canonical_json
 
 __all__ = [
@@ -60,6 +63,19 @@ def record_digest(record: EncryptedRecord) -> bytes:
          "label": record.label, "nonce": record.nonce.hex()},
         record.sealed,
     )
+
+
+def _digests_beside(records: Sequence[EncryptedRecord],
+                    digests: Optional[Sequence[bytes]]) -> Sequence[bytes]:
+    """The content digests a caller carried beside ``records`` — or, for
+    a caller with bare records, computed here, once, at the ledger's door."""
+    if digests is None:
+        return [record_digest(record) for record in records]
+    if len(digests) != len(records):
+        raise LedgerError(
+            f"{len(digests)} digests carried beside {len(records)} records"
+        )
+    return digests
 
 
 def pack_records(records: Sequence[EncryptedRecord]) -> bytes:
@@ -134,10 +150,11 @@ class ContributionLedger:
         # governance log can read the ledger identity as a cheap accessor
         # instead of re-hashing the manifest on every event.
         self._digest_memo: Optional[Tuple[int, bytes]] = None
-        self._digests: Set[str] = set()
+        self._digests: Set[bytes] = set()
         for entry in manifest["segments"]:
-            for digest in self._segment_record_digests(entry["name"]):
-                self._digests.add(digest)
+            self._digests.update(
+                map(bytes.fromhex, self._segment_record_digests(entry["name"]))
+            )
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -178,7 +195,8 @@ class ContributionLedger:
     # -- writes ------------------------------------------------------------------
 
     def _append_segment(self, lane: str, records: Sequence[EncryptedRecord],
-                        contributor: str, reason: str = "") -> LedgerSegmentInfo:
+                        digests: Sequence[bytes], contributor: str,
+                        reason: str = "") -> LedgerSegmentInfo:
         if not records:
             raise LedgerError("a segment needs at least one record")
         with self._lock:
@@ -190,12 +208,15 @@ class ContributionLedger:
             meta = {
                 "contributor": contributor,
                 "records": len(records),
-                "digests": [record_digest(r).hex() for r in records],
+                "digests": [digest.hex() for digest in digests],
                 "reason": reason,
             }
             meta_bytes = canonical_json(meta)
-            (self.path / f"{name}.bin").write_bytes(payload)
-            (self.path / f"{name}.meta.json").write_bytes(meta_bytes)
+            # Payload and sidecar must be durable BEFORE the manifest
+            # names them: once it does, the session's spool is discarded
+            # and these files are the only copy of the contribution.
+            atomic_write_bytes(self.path / f"{name}.bin", payload)
+            atomic_write_bytes(self.path / f"{name}.meta.json", meta_bytes)
             info = LedgerSegmentInfo(
                 name=name, records=len(records), contributor=contributor,
                 digest=canonical_digest(payload, meta_bytes).hex(),
@@ -209,23 +230,30 @@ class ContributionLedger:
             self._manifest["version"] += 1
             self._write_manifest()
             if lane == "committed":
-                for digest in meta["digests"]:
-                    self._digests.add(digest)
+                self._digests.update(digests)
             return info
 
-    def append(self, records: Sequence[EncryptedRecord],
-               contributor: str) -> LedgerSegmentInfo:
-        """Commit one validated segment; returns its manifest entry."""
-        return self._append_segment("committed", records, contributor)
+    def append(self, records: Sequence[EncryptedRecord], contributor: str,
+               digests: Optional[Sequence[bytes]] = None) -> LedgerSegmentInfo:
+        """Commit one validated segment; returns its manifest entry.
+        ``digests``: the records' content digests, if the caller holds them."""
+        return self._append_segment(
+            "committed", records, _digests_beside(records, digests),
+            contributor,
+        )
 
     def quarantine(self, records: Sequence[EncryptedRecord], contributor: str,
-                   reason: str) -> LedgerSegmentInfo:
+                   reason: str,
+                   digests: Optional[Sequence[bytes]] = None) -> LedgerSegmentInfo:
         """Preserve refused records in the quarantine lane with the reason."""
-        return self._append_segment("quarantine", records, contributor,
-                                    reason=reason)
+        return self._append_segment(
+            "quarantine", records, _digests_beside(records, digests),
+            contributor, reason=reason,
+        )
 
     def commit_deduplicated(
         self, records: Sequence[EncryptedRecord], contributor: str,
+        digests: Optional[Sequence[bytes]] = None,
     ) -> Tuple[Optional[LedgerSegmentInfo], List[EncryptedRecord]]:
         """Atomically dedup-check and commit one session's records.
 
@@ -235,18 +263,21 @@ class ContributionLedger:
         copies come back in the duplicates list for the caller to
         quarantine. Returns ``(segment_or_None, duplicates)``.
         """
+        digests = _digests_beside(records, digests)
         with self._lock:
             fresh: List[EncryptedRecord] = []
+            fresh_digests: List[bytes] = []
             duplicates: List[EncryptedRecord] = []
-            batch: Set[str] = set()
-            for record in records:
-                digest = record_digest(record).hex()
+            batch: Set[bytes] = set()
+            for record, digest in zip(records, digests):
                 if digest in self._digests or digest in batch:
                     duplicates.append(record)
                 else:
                     batch.add(digest)
                     fresh.append(record)
-            segment = (self._append_segment("committed", fresh, contributor)
+                    fresh_digests.append(digest)
+            segment = (self._append_segment("committed", fresh, fresh_digests,
+                                            contributor)
                        if fresh else None)
             return segment, duplicates
 
@@ -299,16 +330,20 @@ class ContributionLedger:
             raise LedgerError(f"segment {name} metadata is missing on disk")
         return json.loads(meta_path.read_text())["digests"]
 
-    def has_ciphertext(self, digest: bytes) -> bool:
-        """Has a record with this content digest already been committed?
+    def known_ciphertexts(self, digests: Sequence[bytes]) -> Set[bytes]:
+        """Which of these content digests have already been committed?
 
-        The validation pipeline uses this as an early, advisory check;
-        the authoritative, race-free gate is
+        The validation pipeline asks once per session, as an early,
+        advisory check; the authoritative, race-free gate is
         :meth:`commit_deduplicated`, which re-checks under the ledger
         lock at commit time.
         """
         with self._lock:
-            return digest.hex() in self._digests
+            return self._digests.intersection(digests)
+
+    def has_ciphertext(self, digest: bytes) -> bool:
+        """Has a record with this content digest already been committed?"""
+        return bool(self.known_ciphertexts((digest,)))
 
     def iter_records(self, lane: str = "committed") -> Iterator[EncryptedRecord]:
         """Yield records in commit order (training's read path).
@@ -367,25 +402,33 @@ class ContributionLedger:
                 self._digest_memo = (version, digest)
             return self._digest_memo[1]
 
-    def locate_record(self, source_id: str, index: int) -> Dict[str, object]:
-        """Resolve one ``(contributor, record index)`` to ledger evidence.
+    def locate_records(
+        self, pairs: Sequence[Tuple[str, int]],
+    ) -> List[Dict[str, object]]:
+        """Resolve ``(contributor, record index)`` pairs to ledger evidence.
 
         Attribution walks linkage hits back to the ledger through this:
-        the result names the lane, segment, segment digest, quarantine
-        reason, and the record's own content digest. Raises
-        :class:`~repro.errors.LedgerError` when no lane holds the record
+        each result names the lane, segment, segment digest, quarantine
+        reason, and the record's own content digest. All pairs resolve in
+        one walk over the segments, committed lane first. Raises
+        :class:`~repro.errors.LedgerError` when no lane holds a record
         — a linkage hit with no ledger backing means the linkage store
         and ledger have diverged.
         """
         with self._lock:
             lanes = (("committed", list(self._manifest["segments"])),
                      ("quarantine", list(self._manifest["quarantine"])))
+        wanted = set(pairs)
+        found: Dict[Tuple[str, int], Dict[str, object]] = {}
         for lane, entries in lanes:
             for entry in entries:
+                if len(found) == len(wanted):
+                    break
                 blob = (self.path / f"{entry['name']}.bin").read_bytes()
                 for record in unpack_records(blob):
-                    if record.source_id == source_id and record.index == index:
-                        return {
+                    pair = (record.source_id, record.index)
+                    if pair in wanted and pair not in found:
+                        found[pair] = {
                             "lane": lane,
                             "segment": entry["name"],
                             "segment_digest": entry["digest"],
@@ -394,9 +437,16 @@ class ContributionLedger:
                             "record_digest": record_digest(record).hex(),
                             "label": record.label,
                         }
-        raise LedgerError(
-            f"no ledger record for source {source_id!r} index {index}"
-        )
+        for source_id, index in pairs:
+            if (source_id, index) not in found:
+                raise LedgerError(
+                    f"no ledger record for source {source_id!r} index {index}"
+                )
+        return [found[pair] for pair in pairs]
+
+    def locate_record(self, source_id: str, index: int) -> Dict[str, object]:
+        """:meth:`locate_records` for one pair."""
+        return self.locate_records([(source_id, index)])[0]
 
     def seal_manifest(self, enclave):
         """Seal the manifest digest to ``enclave``'s identity."""

@@ -21,6 +21,10 @@ Batches are fanned out across a worker pool, and every decision — accept
 or quarantine, with the reason — appends a hash-chained event to the
 ingest :class:`~repro.core.audit.AuditLog`, so the admission history is
 itself tamper-evident.
+
+A record's content digest (its dedup, audit and ledger-sidecar identity)
+is computed once per session, in :meth:`ValidationPool._gate_batch`; the
+report carries it beside every record and the ledger is handed it at commit.
 """
 
 from __future__ import annotations
@@ -105,6 +109,7 @@ class QuarantinedRecord:
 
     record: EncryptedRecord
     reason: str  # "tampered" | "label-domain" | "shape" | "duplicate"
+    digest: bytes  # the record's content digest, as computed at the gate
 
 
 @dataclass
@@ -113,6 +118,8 @@ class ValidationReport:
 
     contributor: str
     accepted: List[EncryptedRecord] = field(default_factory=list)
+    #: Content digests of ``accepted``, position for position.
+    accepted_digests: List[bytes] = field(default_factory=list)
     quarantined: List[QuarantinedRecord] = field(default_factory=list)
 
     @property
@@ -204,54 +211,66 @@ class ValidationPool:
             )
             results = [item for batch in gated for item in batch]
         # Duplicate detection is cross-batch and cross-contributor state,
-        # so it runs single-threaded over the gated stream: first within
-        # this session, then against everything the ledger ever committed.
-        seen: Set[bytes] = set()
+        # so it runs single-threaded over the gated stream: against
+        # everything the ledger ever committed (asked once, for the whole
+        # session), then within this session.
+        seen: Set[bytes] = set() if self.ledger is None else (
+            self.ledger.known_ciphertexts([digest for _, _, digest in results])
+        )
         for record, verdict, digest in results:
+            if verdict == "ok" and digest in seen:
+                verdict = "duplicate"
             if verdict == "ok":
-                duplicate = digest in seen or (
-                    self.ledger is not None and self.ledger.has_ciphertext(digest)
-                )
-                if duplicate:
-                    verdict = "duplicate"
-                else:
-                    seen.add(digest)
-            if verdict == "ok":
+                seen.add(digest)
                 report.accepted.append(record)
-                self.telemetry.count("records_accepted")
+                report.accepted_digests.append(digest)
             else:
                 report.quarantined.append(
-                    QuarantinedRecord(record=record, reason=verdict)
+                    QuarantinedRecord(record, verdict, digest)
                 )
-                self.telemetry.count("records_quarantined")
-                self.telemetry.count(f"quarantined_{verdict.replace('-', '_')}")
             self._audit_record(contributor, digest, verdict)
+        self._count_verdicts(len(report.accepted),
+                             report.quarantined_by_reason)
         self.telemetry.observe("validate", time.perf_counter() - started)
         return report
 
-    def quarantine_at_commit(
-        self, contributor: str, records: Sequence[EncryptedRecord],
-        reason: str = "duplicate",
-    ) -> List[QuarantinedRecord]:
-        """Re-verdict records the ledger refused at commit time.
+    def quarantine_at_commit(self, report: ValidationReport,
+                             refused: Sequence[EncryptedRecord],
+                             reason: str = "duplicate") -> None:
+        """Re-verdict accepted records the ledger refused at commit time.
 
         The in-pipeline duplicate check is advisory; the authoritative
         gate runs under the ledger lock at commit
         (:meth:`~repro.ingest.ledger.ContributionLedger.commit_deduplicated`).
         When that gate catches a race the pipeline could not see — two
         sessions committing the same ciphertext concurrently — the loser's
-        records come through here so the audit chain and telemetry record
+        records move from ``report.accepted`` to ``report.quarantined``
+        here, digests with them, so the audit chain and telemetry record
         the refusal exactly like any other quarantine.
         """
-        out = []
-        for record in records:
-            digest = record_digest(record)
-            self.telemetry.count("records_accepted", -1)
-            self.telemetry.count("records_quarantined")
-            self.telemetry.count(f"quarantined_{reason.replace('-', '_')}")
-            self._audit_record(contributor, digest, reason)
-            out.append(QuarantinedRecord(record=record, reason=reason))
-        return out
+        refused_ids = {id(record) for record in refused}
+        accepted, report.accepted = report.accepted, []
+        digests, report.accepted_digests = report.accepted_digests, []
+        for record, digest in zip(accepted, digests):
+            if id(record) in refused_ids:
+                report.quarantined.append(
+                    QuarantinedRecord(record, reason, digest)
+                )
+                self._audit_record(report.contributor, digest, reason)
+            else:
+                report.accepted.append(record)
+                report.accepted_digests.append(digest)
+        moved = len(accepted) - len(report.accepted)
+        self._count_verdicts(-moved, {reason: moved})
+
+    def _count_verdicts(self, accepted: int, refused: Dict[str, int]) -> None:
+        """One counter update per verdict per session, not per record."""
+        if accepted:
+            self.telemetry.count("records_accepted", accepted)
+        for reason, count in refused.items():
+            self.telemetry.count("records_quarantined", count)
+            self.telemetry.count(f"quarantined_{reason.replace('-', '_')}",
+                                 count)
 
     def _audit_record(self, contributor: str, digest: bytes,
                       verdict: str) -> None:

@@ -10,11 +10,11 @@ aimed at it must refuse, not report.
 import numpy as np
 import pytest
 
-from repro.errors import AttributionError
+from repro.errors import AttributionError, LedgerError
 from repro.governance import Attributor
 from repro.serving import EngineConfig, ServingEngine, ShardedAnnIndex
 
-from tests.governance.conftest import DIM, QUARANTINE_OFFSET
+from tests.governance.conftest import DIM, QUARANTINE_OFFSET, make_records
 
 
 @pytest.fixture
@@ -136,3 +136,73 @@ class TestRefusals:
         with pytest.raises(AttributionError,
                            match="promoted lineage no longer verifies"):
             attributor.attribute(fingerprint, label)
+
+
+class TestOneLedgerWalk:
+    """A report's hits resolve in one walk over the ledger's segments,
+    with the evidence the one-pair lookup gives for each."""
+
+    @pytest.fixture
+    def wide(self, store, ledger, rng):
+        """A third committed segment, its records in the store, and an
+        engine over an index that covers them: label 0 now has three
+        records in each of three segments, plus the quarantined one."""
+        generator = rng.child("wide").generator
+        extra = make_records(generator, 12, "c2")
+        ledger.append(extra, contributor="c2")
+        store.append(
+            generator.standard_normal((12, DIM)).astype(np.float32),
+            [r.label for r in extra], ["c2"] * 12, [b"h" * 32] * 12,
+            source_indices=[r.index for r in extra],
+        )
+        engine = ServingEngine(
+            ShardedAnnIndex(store, shard_threshold=1024, seed=5).build(),
+            EngineConfig(workers=2),
+        )
+        engine.start()
+        yield engine
+        engine.stop()
+
+    def _count_unpacks(self, monkeypatch):
+        from repro.ingest import ledger as ledger_module
+
+        real, calls = ledger_module.unpack_records, []
+        monkeypatch.setattr(
+            ledger_module, "unpack_records",
+            lambda blob: calls.append(len(blob)) or real(blob))
+        return calls
+
+    def test_hits_over_three_segments_resolve_in_one_walk(
+            self, wide, store, ledger, log, monkeypatch):
+        attributor = Attributor(wide, store, ledger, log)
+        calls = self._count_unpacks(monkeypatch)
+        report = attributor.attribute(np.zeros(DIM, dtype=np.float32),
+                                      label=0, k=9)
+        assert len(calls) == 3  # one per committed segment, not one per hit
+        assert {hit["ledger"]["segment"] for hit in report.hits} == {
+            "segment-000000", "segment-000001", "segment-000002"}
+        for hit in report.hits:
+            assert hit["ledger"] == ledger.locate_record(
+                hit["source"], hit["source_index"])
+            assert hit["ledger"]["contributor"] == hit["source"]
+
+    def test_a_quarantined_hit_among_committed_ones_refuses_the_report(
+            self, wide, store, ledger, log, monkeypatch):
+        attributor = Attributor(wide, store, ledger, log)
+        calls = self._count_unpacks(monkeypatch)
+        with pytest.raises(AttributionError, match="quarantine lane"):
+            attributor.attribute(np.zeros(DIM, dtype=np.float32),
+                                 label=0, k=10)
+        assert len(calls) == 4  # three committed segments + the quarantine
+
+    def test_locate_records_matches_the_one_pair_lookup(self, ledger):
+        pairs = [("c1", 7), ("evil", 1), ("c0", 0), ("c1", 7), ("c0", 11)]
+        located = ledger.locate_records(pairs)
+        assert located == [ledger.locate_record(*pair) for pair in pairs]
+        assert [e["lane"] for e in located] == [
+            "committed", "quarantine", "committed", "committed", "committed"]
+        assert located[1]["reason"] == "tampered"
+        assert ledger.locate_records([]) == []
+        with pytest.raises(LedgerError,
+                           match="no ledger record for source 'c0' index 99"):
+            ledger.locate_records([("c1", 3), ("c0", 99), ("ghost", 1)])

@@ -1,5 +1,6 @@
 """Gateway tests: attestation gate, backpressure, quotas, rate limits."""
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from repro.crypto.keys import SymmetricKey
 from repro.data.encryption import iter_encrypted_records
 from repro.errors import ConfigurationError, IngestError, UploadRejected
-from repro.ingest import GatewayConfig, IngestGateway, TokenBucket
+from repro.ingest import (GatewayConfig, IngestGateway, TokenBucket,
+                          record_digest)
 
 
 def _records(contributor):
@@ -330,4 +332,105 @@ class TestConcurrentCompletion:
                    for r in receipts)
         assert len(ledger) == 24
         assert ledger.verify()
+        assert validator.verify_audit_chain()
+
+
+def _count_content_digests(monkeypatch):
+    """Count every content-digest computation, from outside: both modules
+    that can compute one call ``record_digest`` through their own global
+    name, so a counting stand-in under each name sees them all."""
+    from repro.ingest import ledger as ledger_module
+    from repro.ingest import validate as validate_module
+
+    real = ledger_module.record_digest
+    digested = []
+
+    def counting(record):
+        digested.append(record)
+        return real(record)
+
+    monkeypatch.setattr(ledger_module, "record_digest", counting)
+    monkeypatch.setattr(validate_module, "record_digest", counting)
+    return digested
+
+
+class TestOneDigestPerRecord:
+    """A record's content digest is computed once per session, at the
+    validation gate, and carried as a value to the dedup gate, the
+    sidecar and the audit event (the parent recomputed it at each: ≈ 3n)."""
+
+    def test_hostile_session_digests_each_journaled_record_once(
+            self, gateway, ledger, validator, contributors, monkeypatch):
+        records = _records(contributors[0])
+        earlier = gateway.open_session("c0", "earlier")
+        earlier.send_chunk(records[:4])
+        earlier.complete()
+        # A ciphertext the earlier session committed, sent again.
+        records = records[4:] + [records[0]]
+        tampered = dataclasses.replace(
+            records[2], sealed=bytes([records[2].sealed[0] ^ 0xFF])
+            + records[2].sealed[1:])
+        relabelled = dataclasses.replace(
+            records[5], label=(records[5].label + 1) % 3)
+        records[2], records[5] = tampered, relabelled
+
+        digested = _count_content_digests(monkeypatch)
+        session = gateway.open_session("c0")
+        for start in range(0, len(records), 4):
+            session.send_chunk(records[start : start + 4])
+        receipt = session.complete()
+
+        assert receipt.committed == 6 and receipt.quarantined == 3
+        assert [(q.reason, q.records) for q in ledger.quarantined] == [
+            ("duplicate", 1), ("tampered", 2)]
+        assert len(digested) == len(records)
+        assert sorted(r.nonce + r.sealed for r in digested) == \
+            sorted(r.nonce + r.sealed for r in records)
+        # The one digest is the one every consumer shows.
+        events = validator.audit.events("ingest-validate")[-len(records):]
+        assert [e.details["record_digest"] for e in events] == \
+            [record_digest(r).hex() for r in records]
+        assert ledger.verify() and validator.verify_audit_chain()
+
+    def test_in_session_duplicates_are_digested_once_each(
+            self, ledger, validator, contributors, monkeypatch):
+        """The journal's nonce barrier refuses a repeated record before
+        it is spooled, so this case enters where the journal hands over:
+        ``validate`` then the commit, as ``_complete_session`` runs them."""
+        records = _records(contributors[0])
+        sent = records + [records[0], records[3]]
+        digested = _count_content_digests(monkeypatch)
+        report = validator.validate("c0", sent)
+        segment, duplicates = ledger.commit_deduplicated(
+            report.accepted, "c0", report.accepted_digests)
+        ledger.quarantine([q.record for q in report.quarantined], "c0",
+                          "duplicate", [q.digest for q in report.quarantined])
+        assert len(digested) == len(sent)
+        assert segment.records == len(records) and duplicates == []
+        assert report.quarantined_by_reason == {"duplicate": 2}
+        assert [q.digest for q in report.quarantined] == \
+            [record_digest(records[0]), record_digest(records[3])]
+
+    def test_commit_race_loser_keeps_its_carried_digests(
+            self, ledger, validator, contributors, monkeypatch):
+        """The advisory gate passed, the gate under the lock refused:
+        the refused records move to the report's quarantine list with
+        the digests computed at the gate — nothing is digested again."""
+        records = _records(contributors[0])
+        report = validator.validate("c0", records)
+        ledger.append(records[:5], "c1")  # the racing winner
+        digested = _count_content_digests(monkeypatch)
+        segment, duplicates = ledger.commit_deduplicated(
+            report.accepted, "c0", report.accepted_digests)
+        validator.quarantine_at_commit(report, duplicates)
+        assert digested == []
+        assert duplicates == records[:5] and segment.records == 7
+        assert report.accepted == records[5:]
+        assert report.accepted_digests == \
+            [record_digest(r) for r in records[5:]]
+        assert [(q.record, q.reason, q.digest) for q in report.quarantined] \
+            == [(r, "duplicate", record_digest(r)) for r in records[:5]]
+        telemetry = validator.telemetry
+        assert telemetry.counter("records_accepted") == 7
+        assert telemetry.counter("quarantined_duplicate") == 5
         assert validator.verify_audit_chain()

@@ -1,13 +1,22 @@
 """Contribution-ledger tests: lanes, content addressing, sealing."""
 
+import hashlib
+import json
+import os
+import struct
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.data.encryption import iter_encrypted_records
+from repro.data.encryption import EncryptedRecord, iter_encrypted_records
 from repro.errors import LedgerError
 from repro.ingest import (ContributionLedger, pack_records, record_digest,
                           unpack_records)
+from repro.ingest.transfer import UploadTransfer
 
 
 def _records(contributor, n=None):
@@ -108,6 +117,82 @@ class TestCommitDeduplicated:
         assert ledger.verify()
 
 
+def _oracle_digest(record):
+    """The content digest, assembled by hand: SHA-256 over length-prefixed
+    canonical JSON (sorted keys, no whitespace) then the length-prefixed
+    sealed bytes. Shares no code with ``repro``: if the identity's bytes
+    ever drift, this is the side that does not move."""
+    meta = ('{"index":%d,"label":%d,"nonce":"%s","source":"%s"}' % (
+        record.index, record.label, record.nonce.hex(), record.source_id,
+    )).encode("ascii")
+    return hashlib.sha256(
+        struct.pack("<Q", len(meta)) + meta
+        + struct.pack("<Q", len(record.sealed)) + record.sealed
+    ).digest()
+
+
+#: Twelve distinct synthetic records from three contributors; sessions
+#: draw from this pool with repeats.
+_POOL = [
+    EncryptedRecord(source_id=f"c{i % 3}", index=i, label=i % 4,
+                    nonce=bytes([i]) * 12, sealed=bytes([i, 255 - i]) * 24)
+    for i in range(12)
+]
+
+_sessions = st.lists(
+    st.tuples(st.sampled_from(["c0", "c1", "c2"]),
+              st.lists(st.integers(0, len(_POOL) - 1), max_size=10),
+              st.booleans()),
+    min_size=1, max_size=5,
+)
+
+
+class TestDedupModel:
+    def test_oracle_agrees_with_record_digest_today(self, contributors):
+        for record in _records(contributors[0], 3) + _POOL:
+            assert record_digest(record) == _oracle_digest(record)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sessions=_sessions)
+    def test_committed_lane_is_first_occurrences(self, sessions):
+        """Any sequence of sessions, any contributors, any repeats: the
+        committed lane is each record's first occurrence in arrival
+        order, ``duplicates`` is everything else, and every sidecar
+        digest is the oracle's — whether the caller carried digests
+        beside the records or handed the ledger bare ones."""
+        with tempfile.TemporaryDirectory() as root:
+            ledger = ContributionLedger.create(Path(root) / "ledger")
+            committed, seen = [], set()
+            for contributor, picks, carried in sessions:
+                records = [_POOL[i] for i in picks]
+                fresh, repeats = [], []
+                for i in picks:
+                    (repeats if i in seen else fresh).append(_POOL[i])
+                    seen.add(i)
+                segment, duplicates = ledger.commit_deduplicated(
+                    records, contributor,
+                    [_oracle_digest(r) for r in records] if carried else None,
+                )
+                assert duplicates == repeats
+                assert (segment.records if segment else 0) == len(fresh)
+                if segment is not None:
+                    sidecar = json.loads(
+                        (ledger.path / f"{segment.name}.meta.json").read_text())
+                    assert sidecar["digests"] == [
+                        _oracle_digest(r).hex() for r in fresh]
+                committed.extend(fresh)
+            assert list(ledger.iter_records()) == committed
+            reopened = ContributionLedger.open(ledger.path)
+            assert reopened.manifest_digest() == ledger.manifest_digest()
+            for record in _POOL:
+                assert reopened.has_ciphertext(_oracle_digest(record)) == (
+                    record in committed)
+
+    def test_carried_digests_must_pair_with_the_records(self, ledger):
+        with pytest.raises(LedgerError, match="digests carried beside"):
+            ledger.append(_POOL[:3], "c0", [_oracle_digest(_POOL[0])])
+
+
 class TestConcurrency:
     def test_concurrent_appends_keep_ledger_consistent(self, ledger,
                                                        contributors):
@@ -130,6 +215,48 @@ class TestConcurrency:
 
 
 class TestDurability:
+    def test_segment_is_durable_before_the_manifest_names_it(
+            self, gateway, ledger, contributors, monkeypatch):
+        """Crash window: once the manifest names a segment the spool is
+        discarded, so payload and sidecar must already be on disk —
+        fsynced, renamed into place, the rename itself fsynced — before
+        the manifest's own replace, and ``discard()`` comes last."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+        real_discard = UploadTransfer.discard
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", Path(dst).name))
+            real_replace(src, dst)
+
+        def discard(transfer):
+            events.append(("discard",))
+            real_discard(transfer)
+
+        session = gateway.open_session("c0")
+        session.send_chunk(_records(contributors[0], 4))
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(UploadTransfer, "discard", discard)
+        segment = session.complete().segment
+        monkeypatch.undo()
+
+        directory = os.stat(ledger.path).st_ino
+        named = events.index(("replace", "manifest.json"))
+        for name in (f"{segment.name}.bin", f"{segment.name}.meta.json"):
+            inode = os.stat(ledger.path / name).st_ino
+            synced = events.index(("fsync", inode))
+            renamed = events.index(("replace", name))
+            assert synced < renamed < named
+            assert ("fsync", directory) in events[renamed:named]
+        assert ("fsync", directory) in events[named:]
+        assert events[-1] == ("discard",)
+        assert events.count(("replace", "manifest.json")) == 1
+
     def test_reopen_preserves_state(self, ledger, contributors, tmp_path):
         records = _records(contributors[0])
         ledger.append(records, "c0")
