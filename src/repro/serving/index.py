@@ -11,12 +11,13 @@ distance and re-ranks candidates with exact L2).
 Two candidate-selection modes:
 
 * ``probes=None`` (the default, *exact* mode) — triangle-inequality
-  pruning. A bucket with centroid ``c`` and radius ``r`` can only contain
-  a top-k hit if ``d(q, c) - r <= ub_k``, where ``ub_k`` is a proven
-  upper bound on the k-th nearest distance. Pruned points are *strictly*
-  farther than the k-th neighbour, so top-k membership — and, with the
-  stable insertion-order tie-break, the exact ordering — is identical to
-  brute force. Recall is 1.0 by construction.
+  pruning. A bucket with centroid ``c`` and radius ``r`` (the largest
+  float64 ``cdist`` from ``c`` to a member) can only contain a top-k hit
+  if ``d(q, c) - r <= ub_k`` (up to a few ulps of rounding slack), where
+  ``ub_k`` is a proven upper bound on the k-th nearest distance. Pruned
+  points are *strictly* farther than the k-th neighbour, so top-k
+  membership — and, with the stable insertion-order tie-break, the exact
+  ordering — is identical to brute force. Recall is 1.0 by construction.
 * ``probes=p`` (approximate mode) — scan only the ``p`` buckets with the
   nearest centroids (expanding while fewer than ``k`` candidates are
   reachable). The documented floor, enforced by the test suite, is
@@ -29,9 +30,10 @@ only for *newly committed* store segments and atomically adopts a new
 :class:`~repro.serving.segments.IndexGeneration`; ``search_batch`` pins
 the generation it starts on (snapshot isolation), and a background
 compactor (:meth:`start_compaction`) keeps per-query segment fan-out
-bounded with rate-limited merges. :class:`~repro.errors.StaleIndexError`
-is reserved for genuine digest mismatch — a covered store segment whose
-content no longer matches what the index was built against.
+bounded by merging one adjacent pair per step.
+:class:`~repro.errors.StaleIndexError` is reserved for genuine digest
+mismatch — a covered store segment whose content no longer matches what
+the index was built against.
 """
 
 from __future__ import annotations
@@ -208,10 +210,11 @@ class ShardedAnnIndex:
     def _compact_step(self) -> bool:
         """One bounded unit of compaction; returns True if work was done.
 
-        The merged segment is built *outside* the mutate lock (it can
-        take seconds) and adopted under it only if the pair is still
-        live — refresh appends at the tail, so positions of existing
-        segments never shift underneath the build.
+        The merged segment is built *outside* the mutate lock (a label
+        above ``shard_threshold`` re-runs k-means over the merged rows)
+        and adopted under it only if the pair is still live — refresh
+        appends at the tail, so positions of existing segments never
+        shift underneath the build.
         """
         with self._mutate_lock:
             generation = self._generation

@@ -20,8 +20,9 @@ incremental instead:
 * queries pin the generation they started on (snapshot isolation — a
   concurrent refresh or compaction never changes an in-flight answer),
   and :func:`plan_merge` + :func:`merge_segments` give the background
-  compactor bounded, rate-limitable work units that keep per-query
-  segment fan-out — and therefore p99 — bounded during growth storms.
+  compactor bounded work units (one adjacent pair each) that keep
+  per-query segment fan-out — and therefore p99 — bounded during growth
+  storms.
 
 Exact-mode parity with a from-scratch build is structural, not
 statistical: per-pair L2 distances do not depend on how the row matrix is
@@ -151,7 +152,18 @@ class _ClusteredShard:
 
     def _candidate_mask(self, dc: np.ndarray, k: int,
                         probes: Optional[int]) -> np.ndarray:
-        """(q, m) bool — which buckets each query must scan."""
+        """(q, m) bool — which buckets each query must scan.
+
+        Exact mode cannot prune a top-k row. ``cdist``'s value ``δ`` is
+        within ``η·D`` of the true distance ``D``, ``η = (d + 4)·u``,
+        ``u = 2⁻⁵³`` (:func:`_nearest`), and a radius is ``max δ(member,
+        centroid)``. The triangle inequality on ``D`` then puts every row
+        of a bucket at ``δ(q, x) ≥ lower − (2η + u)·dc`` and at least k
+        rows at ``δ(q, y) ≤ ub_k·(1 + 2η + 2u)``, so a bucket dropped
+        because ``lower > ub_k + τ·(dc + ub_k)``, ``τ = (4d + 16)·u``
+        (twice what that needs), holds only rows strictly farther than
+        the k-th: brute force over the same ``δ`` ranks none of them.
+        """
         q = dc.shape[0]
         m = len(self.buckets)
         k_eff = min(k, self.rows)
@@ -179,8 +191,9 @@ class _ClusteredShard:
         cum = np.cumsum(self.sizes[order], axis=1)
         # First column where the cumulative bucket population reaches k.
         first = np.argmax(cum >= k_eff, axis=1)
-        ub_k = upper[np.arange(q), order[np.arange(q), first]]
-        return lower <= ub_k[:, None]
+        ub_k = upper[np.arange(q), order[np.arange(q), first]][:, None]
+        tau = (4 * self.centroids.shape[1] + 16) * np.finfo(np.float64).eps / 2
+        return lower <= ub_k + tau * (dc + ub_k)
 
     def search(self, batch: np.ndarray, k: int, probes: Optional[int]
                ) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -212,8 +225,52 @@ class _ClusteredShard:
         return ids, distances, scanned
 
 
+def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``np.argmin(cdist(points, centroids), axis=1)``, from one GEMM.
+
+    Ranks ``S_j = ‖c_j‖² − 2·x·c_j`` in float64 (``‖x − c_j‖²`` less the
+    row's constant ``‖x‖²``). A row whose runner-up gap is ``≤ T =
+    (16d + 32)·u·s``, ``s = ‖x‖² + max ‖c‖²``, ``u = 2⁻⁵³``, is re-decided
+    by ``cdist``, so every answer, ties to the lowest bucket included, is
+    ``cdist``'s. The bound (``γ_n = n·u/(1 − n·u)`` covers n roundings in
+    any order, BLAS blocking and FMA included; no overflow or underflow):
+    float32 products are exact in float64, so ``|S_j − (D_j² − ‖x‖²)| ≤
+    γ_d·(‖c‖² + 2‖x‖‖c‖) ≤ 2γ_d·s`` for the true distance ``D_j``;
+    ``cdist`` rounds each difference, square and addition, so its sum
+    ``q_j`` is within ``γ_{d+1}·D_j² ≤ 2γ_{d+1}·s``. A gap above ``T``
+    leaves ``q_j − q_best > (8d + 28)·u·s``, well over the ``11u·s`` a
+    gap needs to stay a strict ``<`` through the rounded square root:
+    ``cdist``'s best bucket is the GEMM's, untied.
+    """
+    wide = points.astype(np.float64)
+    narrow = centroids.astype(np.float64)
+    norms = np.einsum("ij,ij->i", narrow, narrow)
+    scores = wide @ (-2.0 * narrow).T
+    scores += norms
+    best = scores.argmin(axis=1)
+    rows = np.arange(points.shape[0])
+    top = scores[rows, best]
+    scores[rows, best] = np.inf
+    gap = scores.min(axis=1) - top
+    scale = np.einsum("ij,ij->i", wide, wide) + norms.max()
+    u = np.finfo(np.float64).eps / 2
+    close = np.flatnonzero(gap <= (16 * points.shape[1] + 32) * u * scale)
+    if close.shape[0]:
+        best[close] = np.argmin(cdist(points[close], centroids), axis=1)
+    return best
+
+
 def _cluster(matrix: np.ndarray, indices: np.ndarray,
              params: SegmentBuildParams, seed: int) -> _ClusteredShard:
+    """Seeded Lloyd k-means; buckets hold row ids ascending.
+
+    A bucket's members are one slice of one stably argsorted gather: the
+    rows a boolean mask picks, in its order, so ``mean(axis=0)`` returns
+    the mask loop's float32 bits (``np.add.reduceat`` / weighted
+    ``bincount`` sums do not: their reduction order differs). A radius
+    is the float64 max of the search's own kernel, ``cdist(members,
+    centroid)``.
+    """
     n = matrix.shape[0]
     m = params.buckets_per_shard or int(np.ceil(np.sqrt(n)))
     m = max(1, min(m, n))
@@ -227,28 +284,25 @@ def _cluster(matrix: np.ndarray, indices: np.ndarray,
     m = min(m, fit.shape[0])
     centroids = fit[rng.choice(fit.shape[0], size=m, replace=False)].copy()
     for _ in range(params.kmeans_iterations):
-        assign = np.argmin(cdist(fit, centroids), axis=1)
-        for bucket in range(m):
-            members = fit[assign == bucket]
-            if members.shape[0]:
-                centroids[bucket] = members.mean(axis=0)
-            else:
+        assign = _nearest(fit, centroids)
+        grouped = fit[np.argsort(assign, kind="stable")]
+        start = 0
+        for bucket, stop in enumerate(
+                np.cumsum(np.bincount(assign, minlength=m)).tolist()):
+            if stop > start:
+                centroids[bucket] = grouped[start:stop].mean(axis=0)
+            else:  # empty: reseed from the rng, in bucket order
                 centroids[bucket] = fit[rng.integers(fit.shape[0])]
-    assign = np.argmin(cdist(matrix, centroids), axis=1)
-    buckets: List[np.ndarray] = []
-    radii = np.zeros(m, dtype=np.float64)
-    keep: List[int] = []
-    for bucket in range(m):
-        rows = np.flatnonzero(assign == bucket)
-        if rows.shape[0] == 0:
-            continue
-        keep.append(bucket)
-        buckets.append(rows)
-        deltas = matrix[rows] - centroids[bucket]
-        radii[bucket] = float(np.sqrt((deltas * deltas).sum(axis=1)).max())
-    centroids = centroids[keep]
-    radii = radii[keep]
-    return _ClusteredShard(matrix, indices, centroids, buckets, radii)
+            start = stop
+    assign = _nearest(matrix, centroids)
+    order = np.argsort(assign, kind="stable")
+    counts = np.bincount(assign, minlength=m)
+    keep = np.flatnonzero(counts)  # empty buckets are dropped
+    buckets = [order[stop - size:stop] for stop, size in
+               zip(np.cumsum(counts)[keep].tolist(), counts[keep].tolist())]
+    radii = np.array([cdist(matrix[rows], centroids[b:b + 1]).max()
+                      for b, rows in zip(keep.tolist(), buckets)])
+    return _ClusteredShard(matrix, indices, centroids[keep], buckets, radii)
 
 
 def _checksum(matrix: np.ndarray) -> int:

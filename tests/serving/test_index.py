@@ -36,23 +36,41 @@ def _queries(generator, fingerprints, labels, count, noise=0.2):
     return queries, labels[sample]
 
 
+def _exact_case(generator, corpus):
+    """(fingerprints, labels, queries, query labels, build kwargs, k)."""
+    if corpus == "boundary":
+        # Rows 1 and 2 are 5e-8 apart from the query. A float32 bucket
+        # radius fell below row 2's float64 distance to its centroid, so
+        # the bucket was pruned and the index answered row 1.
+        rows = np.array([[-0.07313989, 0.48848414, 3.5594978, -0.5908484],
+                         [-2.96461, 3.0740044, 1.787504, 2.5159383],
+                         [-3.9917731, -34.74541, -8.065626, 4.614875]],
+                        dtype=np.float32)
+        query = np.array([[28.32199, -24.902122, 20.961023, -31.10045]],
+                         dtype=np.float32)
+        zeros = np.zeros(3, dtype=np.int64)
+        return (rows, zeros, query, zeros[:1],
+                dict(shard_threshold=2, buckets_per_shard=2), 2)
+    make = clustered_corpus if corpus == "clustered" else random_corpus
+    fingerprints, labels = make(generator, 3000)
+    queries, query_labels = _queries(generator, fingerprints, labels, 40)
+    return (fingerprints, labels, queries, query_labels,
+            dict(shard_threshold=200), 7)
+
+
 class TestExactMode:
-    @pytest.mark.parametrize("corpus", ["clustered", "random"])
+    @pytest.mark.parametrize("corpus", ["clustered", "random", "boundary"])
     def test_topk_identical_to_brute_force(self, tmp_path, generator, corpus):
-        make = clustered_corpus if corpus == "clustered" else random_corpus
-        fingerprints, labels = make(generator, 3000)
-        index = _built_index(tmp_path, fingerprints, labels,
-                             shard_threshold=200)
+        fingerprints, labels, queries, query_labels, build, k = _exact_case(
+            generator, corpus)
+        index = _built_index(tmp_path, fingerprints, labels, **build)
         brute = _brute_service(fingerprints, labels)
-        queries, query_labels = _queries(generator, fingerprints, labels, 40)
-        for i in range(40):
-            expected = brute.query(queries[i], int(query_labels[i]), k=7)
-            got = index.search(queries[i], int(query_labels[i]), k=7)
-            assert [h.index for h in got] == [n.record_index for n in expected]
-            np.testing.assert_allclose(
-                [h.distance for h in got],
-                [n.distance for n in expected], rtol=1e-5,
-            )
+        for query, label in zip(queries, query_labels.tolist()):
+            # One float64 cdist kernel on both sides: equal, not close.
+            assert [(h.index, h.distance)
+                    for h in index.search(query, label, k=k)] == [
+                (n.record_index, n.distance)
+                for n in brute.query(query, label, k=k)]
 
     def test_small_shards_fall_back_to_brute(self, tmp_path, generator):
         fingerprints, labels = clustered_corpus(generator, 300)
