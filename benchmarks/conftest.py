@@ -1,7 +1,7 @@
 """Session-scoped fixtures for the benchmark harness.
 
 The expensive experiment artifacts (trained models, trojaned models,
-linkage databases) are built once per session and shared by every bench
+linkage stores) are built once per session and shared by every bench
 that needs them; each bench then measures a representative kernel with
 pytest-benchmark and asserts the paper's shape claims on the shared
 artifacts.
@@ -107,16 +107,17 @@ def oracle(bench_rng, cifar):
 
 
 @pytest.fixture(scope="session")
-def trojan_world(bench_rng):
+def trojan_world(bench_rng, tmp_path_factory):
     """The Experiment-IV world: a trained face model, the Trojaning
     attack run against it, mislabeled injections, and the merged linkage
-    database over three participants (one malicious)."""
+    store over three participants (one malicious)."""
     from repro.attacks.mislabel import inject_mislabeled
     from repro.attacks.trojan import TrojanAttack
     from repro.core.fingerprint import Fingerprinter
-    from repro.core.linkage import LinkageDatabase, instance_digest
+    from repro.core.linkage import instance_digest
     from repro.data.batching import iterate_minibatches
     from repro.data.datasets import Dataset
+    from repro.serving import LinkageStore
 
     rng = bench_rng.child("trojan")
     # 16 identities: the fingerprint space is one-dimension-per-class (as
@@ -146,10 +147,10 @@ def trojan_world(bench_rng):
     mislabeled = inject_mislabeled(train, target_label=0, count=n_mislabeled,
                                    rng=rng.child("mislabel").generator)
 
-    # Linkage database: normal train data from honest participants p0/p1,
+    # Linkage store: normal train data from honest participants p0/p1,
     # poisoned + mislabeled data submitted by the malicious participant.
     fingerprinter = Fingerprinter(outcome.trojaned_model)
-    db = LinkageDatabase()
+    store = LinkageStore.create(tmp_path_factory.mktemp("trojan") / "store")
 
     def add(dataset, source, kind_flag=None):
         fps = fingerprinter.fingerprint(dataset.x)
@@ -159,7 +160,7 @@ def trojan_world(bench_rng):
             if kind_flag and dataset.flags.get(kind_flag, np.zeros(len(dataset), bool))[i]:
                 kind = kind_flag
             kinds.append(kind)
-        db.add_batch(
+        store.append(
             fps, dataset.y.tolist(), [source] * len(dataset),
             [instance_digest(dataset.x[i]) for i in range(len(dataset))],
             source_indices=list(range(len(dataset))), kinds=kinds,
@@ -180,5 +181,5 @@ def trojan_world(bench_rng):
         "test": test,
         "mislabeled": mislabeled,
         "fingerprinter": fingerprinter,
-        "database": db,
+        "store": store,
     }

@@ -33,12 +33,13 @@ def _precision_at_k(query_fps, pool_fps, pool_is_bad, k=K):
 
 def test_ablation_fingerprint_layer(trojan_world, benchmark):
     model = trojan_world["model"]
-    db = trojan_world["database"]
+    store = trojan_world["store"]
     trojaned_test = trojan_world["outcome"].trojaned_test
 
     # Candidate pool: all class-0 linkage records, reconstructed per layer.
-    class0_fps, class0_indices = db.by_label(0)
-    is_bad = np.array([db.record(i).kind != "normal" for i in class0_indices])
+    class0_fps, class0_indices = store.by_label(0)
+    is_bad = np.array([store.record(i).kind != "normal"
+                       for i in class0_indices])
 
     # Rebuild the class-0 pool inputs from the experiment's datasets so we
     # can fingerprint them at arbitrary layers.

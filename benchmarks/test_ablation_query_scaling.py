@@ -3,31 +3,38 @@
 The paper's query stage (implemented with SciPy) must serve one
 misprediction query against all same-class training fingerprints. At
 VGG-Face scale that is ~2.6M fingerprints of 2622 dims. This bench
-measures how the brute-force :class:`QueryService` and the exact-mode
-:class:`ShardedAnnIndex` (bound-pruned k-means shards over a persisted
-:class:`LinkageStore`) scale with database size, checks they agree
-exactly, and benchmarks the operating point.
+measures how a brute-force :func:`~repro.core.query.exact_top_k` scan
+over :meth:`LinkageStore.by_label` and the exact-mode
+:class:`ShardedAnnIndex` (bound-pruned k-means shards over the same
+persisted store) scale with database size, checks they agree exactly,
+and benchmarks the operating point.
 """
 
 import time
 
 import numpy as np
 
-from repro.core.linkage import LinkageDatabase, LinkageRecord
-from repro.core.query import QueryService
+from repro.core.linkage import LinkageTable
+from repro.core.query import exact_top_k
 from repro.serving import LinkageStore, ShardedAnnIndex
 
 
-def _database(rng, size, dim=64, labels=10):
+def _store(rng, path, size, dim=64, labels=10):
     generator = rng.fork_generator()
-    db = LinkageDatabase()
-    fingerprints = generator.standard_normal((size, dim)).astype(np.float32)
-    for i in range(size):
-        db.add(LinkageRecord(
-            fingerprint=fingerprints[i], label=i % labels,
-            source=f"p{i % 4}", digest=b"h" * 32, source_index=i,
-        ))
-    return db
+    table = LinkageTable(
+        generator.standard_normal((size, dim)).astype(np.float32),
+        np.arange(size) % labels, [f"p{i % 4}" for i in range(size)],
+        [b"h" * 32] * size, source_indices=range(size),
+    )
+    return LinkageStore.from_database(path, table)
+
+
+def _brute_search(store):
+    def search(query, label, k=9):
+        matrix, indices = store.by_label(label)
+        positions, _ = exact_top_k(query[None, :], matrix, k)
+        return [indices[p] for p in positions[0]]
+    return search
 
 
 def _timed_queries(query, queries, label, k=9, repeats=3):
@@ -36,13 +43,6 @@ def _timed_queries(query, queries, label, k=9, repeats=3):
         for q in queries:
             query(q, label, k=k)
     return (time.perf_counter() - start) / (repeats * len(queries))
-
-
-def _index_for(tmp_path, db, size):
-    store = LinkageStore.from_database(tmp_path / f"store-{size}", db)
-    # 256 keeps the 1k corpus on brute shards and puts the 4k / 16k
-    # corpora (400 / 1600 rows per label) on clustered ones.
-    return ShardedAnnIndex(store, shard_threshold=256, seed=1).build()
 
 
 def test_query_scaling(bench_rng, benchmark, tmp_path):
@@ -54,18 +54,21 @@ def test_query_scaling(bench_rng, benchmark, tmp_path):
     print("\nA8 - query latency vs database size (per query, label-scoped)")
     print(f"{'records':>9} {'brute (ms)':>12} {'index (ms)':>12} {'shards':>10}")
     for size in (1_000, 4_000, 16_000):
-        db = _database(rng.child(f"db{size}"), size)
-        brute = QueryService(db)
-        # The index is built once outside the timing (amortized in practice).
-        index = _index_for(tmp_path, db, size)
-        t_brute = _timed_queries(brute.query, queries, label=0) * 1e3
+        store = _store(rng.child(f"db{size}"), tmp_path / f"store-{size}",
+                       size)
+        brute = _brute_search(store)
+        # The index is built once outside the timing (amortized in
+        # practice). 256 keeps the 1k corpus on brute shards and puts the
+        # 4k / 16k corpora (400 / 1600 rows per label) on clustered ones.
+        index = ShardedAnnIndex(store, shard_threshold=256, seed=1).build()
+        t_brute = _timed_queries(brute, queries, label=0) * 1e3
         t_index = _timed_queries(index.search, queries, label=0) * 1e3
         print(f"{size:>9} {t_brute:>12.3f} {t_index:>12.3f} "
               f"{index.shard_kind(0):>10}")
         # Exact mode is exact at every size: same records, same order.
         for q in queries:
-            expected = [n.record_index for n in brute.query(q, 0, k=9)]
-            assert [hit.index for hit in index.search(q, 0, k=9)] == expected
+            assert [hit.index for hit in index.search(q, 0, k=9)] == \
+                brute(q, 0, k=9)
 
     # Claim: both paths answer sub-second at 16k records — query cost is
     # no obstacle to the paper's on-demand forensics model.

@@ -1,6 +1,6 @@
 """Fig. 8 — nearest-neighbour accountability queries for mispredictions.
 
-Paper claim: querying the linkage database with a trojaned test input's
+Paper claim: querying the linkage store with a trojaned test input's
 fingerprint returns closest training neighbours that are dominated by the
 poisoned (and mislabeled) training data responsible for the misprediction;
 their sources identify the malicious participant; hash digests verify the
@@ -16,15 +16,14 @@ import numpy as np
 
 from repro.analysis.metrics import precision_recall_f1
 from repro.analysis.reporting import render_neighbor_table
-from repro.core.query import QueryService
+from repro.core.query import exact_top_k
 
 K = 9  # the paper displays the nine closest neighbours
 
 
 def test_fig8(trojan_world, benchmark):
-    db = trojan_world["database"]
+    store = trojan_world["store"]
     fingerprinter = trojan_world["fingerprinter"]
-    service = QueryService(db)
     trojaned_test = trojan_world["outcome"].trojaned_test
 
     # Query every trojaned test input (all mispredicted into class 0).
@@ -33,15 +32,24 @@ def test_fig8(trojan_world, benchmark):
     )
     assert np.mean(labels == 0) > 0.8  # the backdoor fires
 
-    neighbor_lists = service.query_batch(fingerprints, labels, k=K)
+    # One full scan of each query's class rows in the store.
+    neighbor_lists = []
+    for fingerprint, label in zip(fingerprints, labels):
+        matrix, indices = store.by_label(int(label))
+        positions, distances = exact_top_k(fingerprint[None, :], matrix, K)
+        neighbor_lists.append([
+            {"index": indices[p], "distance": float(d),
+             "record": store.record(indices[p])}
+            for p, d in zip(positions[0], distances[0])
+        ])
 
     tables = []
     for qi in range(min(3, len(neighbor_lists))):
         tables.append({
             "name": f"trojaned test input #{qi} (classified as class 0)",
             "neighbors": [
-                {"distance": n.distance, "source": n.record.source,
-                 "kind": n.record.kind}
+                {"distance": n["distance"], "source": n["record"].source,
+                 "kind": n["record"].kind}
                 for n in neighbor_lists[qi]
             ],
         })
@@ -51,16 +59,17 @@ def test_fig8(trojan_world, benchmark):
     # Shape claim 1: among all returned neighbours, bad training data
     # (poisoned or mislabeled) dominate.
     all_neighbors = [n for lst in neighbor_lists for n in lst]
-    bad = [n for n in all_neighbors if n.record.kind != "normal"]
+    bad = [n for n in all_neighbors if n["record"].kind != "normal"]
     bad_fraction = len(bad) / len(all_neighbors)
     print(f"  bad-data fraction among neighbours: {bad_fraction:.2%}")
     assert bad_fraction > 0.7
 
     # Shape claim 2: discovery metrics over the class-0 candidate pool.
-    flagged = {n.record_index for n in all_neighbors}
-    class0_indices = db.by_label(0)[1]
+    flagged = {n["index"] for n in all_neighbors}
+    class0_fps, class0_indices = store.by_label(0)
     predicted = np.array([i in flagged for i in class0_indices])
-    actual = np.array([db.record(i).kind != "normal" for i in class0_indices])
+    actual = np.array([store.record(i).kind != "normal"
+                       for i in class0_indices])
     metrics = precision_recall_f1(predicted, actual)
     print(f"  poison discovery: precision={metrics['precision']:.2f} "
           f"recall={metrics['recall']:.2f} f1={metrics['f1']:.2f}")
@@ -69,7 +78,8 @@ def test_fig8(trojan_world, benchmark):
     # Shape claim 3: the malicious participant is the top attributed source.
     source_counts = {}
     for n in all_neighbors:
-        source_counts[n.record.source] = source_counts.get(n.record.source, 0) + 1
+        source = n["record"].source
+        source_counts[source] = source_counts.get(source, 0) + 1
     top_source = max(source_counts, key=source_counts.get)
     print(f"  source attribution: {source_counts}")
     assert top_source == "attacker"
@@ -102,15 +112,12 @@ def test_fig8(trojan_world, benchmark):
           f"{target_to_normal:.3f} vs other-stamped {other_to_normal:.3f}")
     assert target_to_normal < 0.6 * other_to_normal
 
-    # Shape claim 5: every returned record carries a verifiable digest H
-    # and is covered by the database's Merkle commitment (full disclosure
-    # verification is exercised in the core and integration tests).
-    commitment = db.merkle_commitment()
-    for n in all_neighbors[:5]:
-        record = db.record(n.record_index)
-        assert len(record.digest) == 32
-        proof = db.prove_record(commitment, n.record_index)
-        assert db.verify_record_inclusion(commitment.root, n.record_index, proof)
+    # Shape claim 5: every returned record carries a digest H, and the
+    # store that serves it still verifies against its segment digests
+    # (disclosure against H is exercised in the governance and
+    # integration tests).
+    assert all(len(n["record"].digest) == 32 for n in all_neighbors)
+    assert store.verify()
 
-    # Benchmark kernel: one fingerprint query against the full database.
-    benchmark(service.query, fingerprints[0], int(labels[0]), K)
+    # Benchmark kernel: one fingerprint query against its whole class.
+    benchmark(exact_top_k, fingerprints[:1], class0_fps, K)

@@ -4,8 +4,9 @@ The ROADMAP north star is a query stage that absorbs heavy traffic. This
 bench builds clustered fingerprint corpora at 10k / 100k (and 1M when
 ``REPRO_BENCH_LARGE=1``), then measures:
 
-* brute single-query throughput through the paper-faithful
-  :class:`QueryService` (the baseline every prior experiment used),
+* brute single-query throughput: the paper-faithful full scan,
+  :func:`~repro.core.query.exact_top_k` over the query's class rows
+  from :meth:`LinkageStore.by_label`,
 * the :mod:`repro.serving` engine answering the same workload batched
   through the sharded ANN index in exact mode.
 
@@ -24,8 +25,7 @@ import time
 
 import numpy as np
 
-from repro.core.linkage import LinkageDatabase, LinkageRecord
-from repro.core.query import QueryService
+from repro.core.query import exact_top_k
 from repro.serving import (EngineConfig, LinkageStore, ServingEngine,
                            ShardedAnnIndex)
 
@@ -56,20 +56,18 @@ def _store_for(tmp_path_factory, name, fingerprints, labels):
     return store
 
 
-def _database_for(fingerprints, labels):
-    db = LinkageDatabase()
-    for i in range(fingerprints.shape[0]):
-        db.add(LinkageRecord(fingerprint=fingerprints[i],
-                             label=int(labels[i]), source="p0",
-                             digest=b"h" * 32, source_index=i))
-    return db
+def _brute_query(store, query, label):
+    """Record indices of the exact top-K by full scan of the label's rows."""
+    matrix, indices = store.by_label(label)
+    positions, _ = exact_top_k(query[None, :], matrix, K)
+    return [indices[p] for p in positions[0]]
 
 
-def _single_query_qps(service, queries, query_labels, repeats=1):
+def _single_query_qps(store, queries, query_labels, repeats=1):
     start = time.perf_counter()
     for _ in range(repeats):
         for i in range(queries.shape[0]):
-            service.query(queries[i], int(query_labels[i]), k=K)
+            _brute_query(store, queries[i], int(query_labels[i]))
     elapsed = time.perf_counter() - start
     return repeats * queries.shape[0] / elapsed
 
@@ -106,12 +104,9 @@ def test_serving_throughput(bench_rng, tmp_path_factory, benchmark):
             (192, DIM)).astype(np.float32) * 0.1
         query_labels = labels[sample]
 
-        db = _database_for(fingerprints, labels)
-        brute = QueryService(db)
-        qps_brute = _single_query_qps(brute, queries[:48], query_labels[:48])
-
         store = _store_for(tmp_path_factory, f"serving{size}", fingerprints,
                            labels)
+        qps_brute = _single_query_qps(store, queries[:48], query_labels[:48])
         index = ShardedAnnIndex(store, shard_threshold=2048, seed=1).build()
         engine = ServingEngine(
             index, EngineConfig(workers=4, max_batch=64, queue_depth=192,
@@ -127,7 +122,7 @@ def test_serving_throughput(bench_rng, tmp_path_factory, benchmark):
         print(f"{size:>9} {qps_brute:>10.0f} "
               f"{qps_engine:>10.0f} {speedup:>7.1f}x {scan:>7.1%}")
         results[size] = (qps_brute, qps_engine, fingerprints, labels, queries,
-                         query_labels, brute, store, index)
+                         query_labels, store, index)
 
     # Claim 1: >= 5x brute single-query throughput at 100k (full runs only;
     # the smoke configuration keeps the parity/audit claims at 10k).
@@ -139,11 +134,10 @@ def test_serving_throughput(bench_rng, tmp_path_factory, benchmark):
         )
 
     # Claim 2: exact parity — recall 1.0 at the default re-rank width.
-    _, _, fingerprints, labels, queries, query_labels, brute, store, index = \
+    _, _, fingerprints, labels, queries, query_labels, store, index = \
         results[claim_size]
     for i in range(32):
-        expected = [n.record_index
-                    for n in brute.query(queries[i], int(query_labels[i]), k=K)]
+        expected = _brute_query(store, queries[i], int(query_labels[i]))
         got = [hit.index for hit in index.search(queries[i],
                                                  int(query_labels[i]), k=K)]
         assert got == expected

@@ -16,9 +16,11 @@ timeline:
    checkpoint chain, linkage store, governance log — and signs a
    `PromotionRecord` under a key derived from the enclave identity
    (the untrusted host can read every artifact but cannot mint one),
-4. the serving engine refuses to start without a verifying record, and a
+4. the serving engine refuses to start without a verifying record, a
    flagged prediction is attributed through the promoted store back to
-   the ledger segments and contributors that back it,
+   the ledger segments and contributors that back it, and those
+   contributors disclose only the hit instances, each checked against
+   the digest H the store committed (the paper's summon-and-verify step),
 5. the tamper drill: ONE byte of a committed ledger segment is flipped
    after promotion, and the same serving engine now fails closed with a
    typed `PromotionError` — the accountability chain is not advisory.
@@ -138,6 +140,9 @@ def main() -> None:
             print(f"    hit: store #{hit['store_index']} → "
                   f"{hit['ledger']['segment']} "
                   f"({hit['ledger']['lane']}) of {hit['source']}")
+        verified = attributor.disclose(report, system.participants)
+        print(f"  disclosure: {len(verified)}/{len(report.hits)} hit "
+              "instances summoned and verified against H")
 
     print("\n== 5. the tamper drill: one byte, after promotion ==")
     victim = sorted(root.glob("ledger/segment-*.bin"))[0]

@@ -16,13 +16,17 @@ contributor under CalTrain.
 Run:  python examples/collaborative_training.py
 """
 
+import tempfile
+
 import numpy as np
 
 from repro import CalTrain, CalTrainConfig
 from repro.attacks import BadNetsAttack
+from repro.core.query import exact_top_k
 from repro.data import synthetic_cifar
 from repro.federation import DistributedSelectiveSgd, FedAvgTrainer, TrainingParticipant
 from repro.nn.zoo import tiny_testnet
+from repro.serving import LinkageStore
 from repro.utils.rng import RngStream
 
 NUM_CLASSES = 4
@@ -90,19 +94,25 @@ def main() -> None:
     print(f"  DSSGD     : {ds_acc:.2%}")
 
     # ---- Accountability: only CalTrain can answer "who did this?" ---------
-    system.fingerprint_stage(kinds_by_source=kinds)
-    investigator = system.investigator()
-    mispredicted = stamped_test.subset(range(6))
-    result = investigator.investigate(mispredicted.x, participants=participants)
-    print("\nCalTrain investigation of the backdoored predictions:")
-    print(f"  suspicion per source: {result.source_counts}")
-    print(f"  implicated sources:   {result.implicated_sources}")
-    db = system.linkage_db
-    bad_hits = sum(
-        1 for i in result.suspicious_records if db.record(i).kind != "normal"
-    )
+    store = LinkageStore.from_database(
+        tempfile.mkdtemp(prefix="collaborative-store-"),
+        system.fingerprint_stage(kinds_by_source=kinds))
+    labels, _, fingerprints = system.fingerprinter.predict_with_fingerprint(
+        stamped_test.x[:6])
+    flagged = set()
+    for fingerprint, label in zip(fingerprints, labels):
+        matrix, indices = store.by_label(int(label))
+        positions, _ = exact_top_k(fingerprint[None, :], matrix, 9)
+        flagged.update(indices[p] for p in positions[0])
+    records = [store.record(i) for i in sorted(flagged)]
+    source_counts = {}
+    for record in records:
+        source_counts[record.source] = source_counts.get(record.source, 0) + 1
+    bad_hits = sum(1 for record in records if record.kind != "normal")
+    print("\nCalTrain linkage query for the backdoored predictions:")
+    print(f"  nearest training records per source: {source_counts}")
     print(f"  flagged records that are truly poisoned: "
-          f"{bad_hits}/{len(result.suspicious_records)}")
+          f"{bad_hits}/{len(records)}")
     print("\nFedAvg offers no equivalent: the server only ever saw opaque "
           "weight updates from hospital-2.")
 

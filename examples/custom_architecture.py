@@ -14,14 +14,18 @@ confidentially:
 Run:  python examples/custom_architecture.py
 """
 
+import tempfile
+
 import numpy as np
 
 from repro import CalTrain, CalTrainConfig
+from repro.core.query import exact_top_k
 from repro.data import synthetic_cifar
 from repro.federation import TrainingParticipant
 from repro.nn.config import network_from_config
 from repro.nn.pruning import prune_by_magnitude, sparsity
 from repro.nn.quantization import quantize_weights
+from repro.serving import LinkageStore
 from repro.utils.rng import RngStream
 
 CUSTOM_CONFIG = """
@@ -95,10 +99,11 @@ def main() -> None:
         frozen = "  [frontnet frozen]" if report.frontnet_frozen else ""
         print(f"epoch {report.epoch + 1}: top-1 {report.top1:.2%}{frozen}")
 
-    # Fingerprint before compressing (the linkage DB refers to the model
-    # that actually trained).
-    database = system.fingerprint_stage()
-    print(f"\nlinkage database: {len(database)} records")
+    # Fingerprint before compressing (the linkage store refers to the
+    # model that actually trained).
+    store = LinkageStore.from_database(
+        tempfile.mkdtemp(prefix="custom-arch-store-"), system.fingerprint_stage())
+    print(f"\nlinkage store: {len(store)} records")
 
     # Compress the released model for edge inference.
     model = system.model
@@ -115,13 +120,14 @@ def main() -> None:
 
     # Accountability still works: query the compressed model's predictions
     # against the pre-compression fingerprints.
-    service = system.query_service()
     labels, _, fingerprints = system.fingerprinter.predict_with_fingerprint(
         test.x[:1]
     )
-    neighbors = service.query(fingerprints[0], int(labels[0]), k=3)
+    matrix, indices = store.by_label(int(labels[0]))
+    positions, distances = exact_top_k(fingerprints[:1], matrix, 3)
+    nearest = store.record(indices[positions[0, 0]])
     print(f"\nsample query still answers: nearest distance "
-          f"{neighbors[0].distance:.3f} from {neighbors[0].record.source}")
+          f"{distances[0, 0]:.3f} from {nearest.source}")
 
 
 if __name__ == "__main__":

@@ -8,12 +8,14 @@ training instances and contributors.
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
+import tempfile
 
 from repro import CalTrain, CalTrainConfig
+from repro.core.query import exact_top_k
 from repro.data import synthetic_cifar
 from repro.federation import TrainingParticipant
 from repro.nn.zoo import tiny_testnet
+from repro.serving import LinkageStore
 from repro.utils.rng import RngStream
 
 
@@ -52,29 +54,28 @@ def main() -> None:
               f"top-1 {report.top1:.2%}  top-2 {report.top2:.2%}  "
               f"(simulated {report.simulated_seconds * 1e3:.1f} ms)")
 
-    # Fingerprinting stage: one Omega = [F, Y, S, H] tuple per instance.
-    database = system.fingerprint_stage()
-    print(f"\nlinkage database: {len(database)} records, "
-          f"fingerprint dimension {database.dimension}")
+    # Fingerprinting stage: one Omega = [F, Y, S, H] tuple per instance,
+    # persisted as the linkage store.
+    store = LinkageStore.from_database(
+        tempfile.mkdtemp(prefix="quickstart-store-"), system.fingerprint_stage())
+    print(f"\nlinkage store: {len(store)} records, "
+          f"fingerprint dimension {store.dimension}")
 
     # Query stage: trace one test prediction to its closest training data.
-    service = system.query_service()
     labels, _, fingerprints = system.fingerprinter.predict_with_fingerprint(
         test.x[:1]
     )
+    matrix, indices = store.by_label(int(labels[0]))
+    positions, distances = exact_top_k(fingerprints[:1], matrix, 5)
     print(f"\ntest instance predicted as class {labels[0]}; closest training "
           "instances:")
-    for neighbor in service.query(fingerprints[0], int(labels[0]), k=5):
-        print(f"  #{neighbor.rank}: L2 {neighbor.distance:.3f}  "
-              f"source {neighbor.record.source}")
-
-    # Forensics: demand + hash-verify the suspicious instances.
-    investigator = system.investigator()
-    result = investigator.investigate(test.x[:1],
-                                      participants=system.participants)
-    verified = sum(result.verified_disclosures.values())
-    print(f"\ndisclosed and hash-verified instances: "
-          f"{verified}/{len(result.verified_disclosures)}")
+    for rank, (position, distance) in enumerate(
+            zip(positions[0], distances[0]), start=1):
+        record = store.record(indices[position])
+        print(f"  #{rank}: L2 {distance:.3f}  source {record.source}")
+    # The governed path — promotion, attribution, and contributors
+    # disclosing the hit instances for a check against H — is
+    # examples/accountability_end_to_end.py.
 
 
 if __name__ == "__main__":

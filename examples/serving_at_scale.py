@@ -22,8 +22,7 @@ import time
 
 import numpy as np
 
-from repro.core.linkage import LinkageDatabase, LinkageRecord
-from repro.core.query import QueryService
+from repro.core.query import exact_top_k
 from repro.enclave.platform import SgxPlatform
 from repro.errors import QueryRejected
 from repro.serving import (EngineConfig, LinkageStore, ServingEngine,
@@ -105,16 +104,10 @@ def main() -> None:
     print(engine.telemetry.render())
 
     # -- 5. exactness + the audit trail ------------------------------------
-    database = LinkageDatabase()
-    for i in range(records):
-        database.add(LinkageRecord(fingerprint=fingerprints[i],
-                                   label=int(labels[i]),
-                                   source=f"participant-{i % 5}",
-                                   digest=b"h" * 32, source_index=i))
-    brute = QueryService(database)
     for i in range(25):
-        expected = [n.record_index
-                    for n in brute.query(queries[i], int(query_labels[i]), k=5)]
+        matrix, indices = store.by_label(int(query_labels[i]))
+        positions, _ = exact_top_k(queries[i : i + 1], matrix, 5)
+        expected = [indices[p] for p in positions[0]]
         assert [hit.index for hit in results[i]] == expected
     print("exactness: engine top-5 identical to brute force on 25 samples")
 

@@ -9,18 +9,21 @@ and attributes them to the malicious contributor.
 Run:  python examples/trojan_forensics.py
 """
 
+import tempfile
+
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from repro.attacks import TrojanAttack, inject_mislabeled
 from repro.analysis.lle import locally_linear_embedding
 from repro.core.fingerprint import Fingerprinter
-from repro.core.linkage import LinkageDatabase, instance_digest
-from repro.core.query import QueryService
+from repro.core.linkage import instance_digest
+from repro.core.query import exact_top_k
 from repro.data import synthetic_faces
 from repro.data.batching import iterate_minibatches
 from repro.nn.optimizers import Sgd
 from repro.nn.zoo import face_recognition_net
+from repro.serving import LinkageStore
 from repro.utils.rng import RngStream
 
 
@@ -59,7 +62,7 @@ def main() -> None:
 
     # --- Fingerprinting stage ------------------------------------------------
     fingerprinter = Fingerprinter(outcome.trojaned_model)
-    database = LinkageDatabase()
+    store = LinkageStore.create(tempfile.mkdtemp(prefix="trojan-store-"))
 
     def record(dataset, source, kind_key=None):
         fps = fingerprinter.fingerprint(dataset.x)
@@ -67,7 +70,7 @@ def main() -> None:
             kind_key if kind_key and dataset.flags[kind_key][i] else "normal"
             for i in range(len(dataset))
         ] if kind_key else ["normal"] * len(dataset)
-        database.add_batch(
+        store.append(
             fps, dataset.y.tolist(), [source] * len(dataset),
             [instance_digest(dataset.x[i]) for i in range(len(dataset))],
             source_indices=list(range(len(dataset))), kinds=kinds,
@@ -76,7 +79,7 @@ def main() -> None:
     record(train, "honest-pool")
     record(outcome.poisoned_train, "malicious-participant", "poisoned")
     record(mislabeled, "malicious-participant", "mislabeled")
-    print(f"linkage database: {len(database)} Omega tuples")
+    print(f"linkage store: {len(store)} Omega tuples")
 
     # --- Fig. 7: the embedding picture ---------------------------------------
     f_normal = fingerprinter.fingerprint(train.of_class(0).x)
@@ -92,25 +95,32 @@ def main() -> None:
           "(overlapping clusters, as in the paper's Fig. 7)")
 
     # --- Fig. 8: the query ----------------------------------------------------
-    service = QueryService(database)
+    def nearest(fingerprint, label, k=9):
+        """(L2 distance, Omega record) of the k closest same-class rows."""
+        matrix, indices = store.by_label(int(label))
+        positions, distances = exact_top_k(fingerprint[None, :], matrix, k)
+        return [(d, store.record(indices[p]))
+                for p, d in zip(positions[0], distances[0])]
+
     labels, _, fps = fingerprinter.predict_with_fingerprint(
         outcome.trojaned_test.x[:3]
     )
     for qi in range(3):
         print(f"\nmisprediction #{qi} (classified as class {labels[qi]}); "
               "nine closest training instances:")
-        for neighbor in service.query(fps[qi], int(labels[qi]), k=9):
-            print(f"  #{neighbor.rank}: L2 {neighbor.distance:.3f}  "
-                  f"{neighbor.record.kind:<10} from {neighbor.record.source}")
+        for rank, (distance, hit) in enumerate(nearest(fps[qi], labels[qi]),
+                                               start=1):
+            print(f"  #{rank}: L2 {distance:.3f}  "
+                  f"{hit.kind:<10} from {hit.source}")
 
     # Aggregate attribution across all trojaned mispredictions.
     all_labels, _, all_fps = fingerprinter.predict_with_fingerprint(
         outcome.trojaned_test.x
     )
     counts = {}
-    for i in range(len(all_fps)):
-        for neighbor in service.query(all_fps[i], int(all_labels[i]), k=9):
-            counts[neighbor.record.source] = counts.get(neighbor.record.source, 0) + 1
+    for fingerprint, label in zip(all_fps, all_labels):
+        for _, hit in nearest(fingerprint, label):
+            counts[hit.source] = counts.get(hit.source, 0) + 1
     print(f"\nsource attribution over all mispredictions: {counts}")
     print("=> the malicious participant is identified; its suspicious "
           "instances can now be demanded and hash-verified against H.")

@@ -16,11 +16,9 @@ from repro.core import (
     CalTrainConfig,
     ExposureAssessor,
     Fingerprinter,
-    Investigator,
-    LinkageDatabase,
     LinkageRecord,
+    LinkageTable,
     PartitionedNetwork,
-    QueryService,
 )
 
 __all__ = [
@@ -30,8 +28,6 @@ __all__ = [
     "PartitionedNetwork",
     "ExposureAssessor",
     "Fingerprinter",
-    "Investigator",
-    "LinkageDatabase",
     "LinkageRecord",
-    "QueryService",
+    "LinkageTable",
 ]

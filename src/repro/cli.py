@@ -439,9 +439,9 @@ def _cmd_train(args) -> int:
               f"{'VERIFIED' if system.audit_log.verify_chain() else 'BROKEN'}")
     if tracer is not None:
         _write_trace(tracer, args.trace, time_unit="s")
-    database = system.fingerprint_stage()
-    print(f"linkage database: {len(database)} records "
-          f"(dimension {database.dimension})")
+    table = system.fingerprint_stage()
+    print(f"linkage database: {len(table)} records "
+          f"(dimension {table.dimension})")
     return 0
 
 
@@ -607,14 +607,17 @@ def _cmd_assess(args) -> int:
 
 
 def _cmd_forensics(args) -> int:
+    import tempfile
+
     from repro.attacks.trojan import TrojanAttack
     from repro.core.fingerprint import Fingerprinter
-    from repro.core.linkage import LinkageDatabase, instance_digest
-    from repro.core.query import QueryService
+    from repro.core.linkage import instance_digest
+    from repro.core.query import exact_top_k
     from repro.data.batching import iterate_minibatches
     from repro.data.datasets import synthetic_faces
     from repro.nn.optimizers import Sgd
     from repro.nn.zoo import face_recognition_net
+    from repro.serving import LinkageStore
     from repro.utils.rng import RngStream
 
     rng = RngStream(args.seed, name="cli-forensics")
@@ -636,29 +639,35 @@ def _cmd_forensics(args) -> int:
     print(f"attack success rate: {attack.attack_success_rate(outcome):.2%}")
 
     fingerprinter = Fingerprinter(outcome.trojaned_model)
-    database = LinkageDatabase()
-    for dataset, source, kind_key in ((train, "honest", None),
-                                      (outcome.poisoned_train, "attacker",
-                                       "poisoned")):
-        fingerprints = fingerprinter.fingerprint(dataset.x)
-        kinds = [
-            "poisoned" if kind_key and dataset.flags[kind_key][i] else "normal"
-            for i in range(len(dataset))
-        ]
-        database.add_batch(
-            fingerprints, dataset.y.tolist(), [source] * len(dataset),
-            [instance_digest(dataset.x[i]) for i in range(len(dataset))],
-            source_indices=list(range(len(dataset))), kinds=kinds,
+    with tempfile.TemporaryDirectory(prefix="caltrain-forensics-") as scratch:
+        store = LinkageStore.create(scratch)
+        for dataset, source, kind_key in ((train, "honest", None),
+                                          (outcome.poisoned_train, "attacker",
+                                           "poisoned")):
+            fingerprints = fingerprinter.fingerprint(dataset.x)
+            kinds = [
+                "poisoned" if kind_key and dataset.flags[kind_key][i]
+                else "normal"
+                for i in range(len(dataset))
+            ]
+            store.append(
+                fingerprints, dataset.y.tolist(), [source] * len(dataset),
+                [instance_digest(dataset.x[i]) for i in range(len(dataset))],
+                source_indices=list(range(len(dataset))), kinds=kinds,
+            )
+        labels, _, fingerprints = fingerprinter.predict_with_fingerprint(
+            outcome.trojaned_test.x[: args.queries]
         )
-    service = QueryService(database)
-    labels, _, fingerprints = fingerprinter.predict_with_fingerprint(
-        outcome.trojaned_test.x[: args.queries]
-    )
-    for qi in range(args.queries):
-        print(f"misprediction #{qi}: closest training instances")
-        for neighbor in service.query(fingerprints[qi], int(labels[qi]), k=5):
-            print(f"  #{neighbor.rank}: L2 {neighbor.distance:.3f}  "
-                  f"{neighbor.record.kind} / {neighbor.record.source}")
+        for qi in range(args.queries):
+            print(f"misprediction #{qi}: closest training instances")
+            matrix, indices = store.by_label(int(labels[qi]))
+            positions, distances = exact_top_k(fingerprints[qi : qi + 1],
+                                               matrix, 5)
+            for rank, (position, distance) in enumerate(
+                    zip(positions[0], distances[0]), start=1):
+                record = store.record(indices[position])
+                print(f"  #{rank}: L2 {distance:.3f}  "
+                      f"{record.kind} / {record.source}")
     return 0
 
 
@@ -1249,8 +1258,8 @@ def _cmd_govern(args) -> int:
           f"{system.run_key[:16]}… (final loss "
           f"{reports[-1].mean_loss:.4f})")
 
-    database = system.fingerprint_stage()
-    store = LinkageStore.from_database(root / "store", database)
+    store = LinkageStore.from_database(root / "store",
+                                       system.fingerprint_stage())
     print(f"linkage store: {len(store)} fingerprints "
           f"({store.manifest_digest().hex()[:16]}…)")
 

@@ -14,8 +14,11 @@ Wires the whole pipeline of Fig. 2:
 4. **Fingerprinting stage** — a dedicated enclave holds the whole trained
    model, extracts fingerprints of all accepted training instances, and
    records the Omega linkage tuples.
-5. **Query stage** — the query service and investigator answer runtime
-   misprediction queries and attribute them to contributors.
+5. **Query stage** — the tuples go into a
+   :class:`~repro.serving.store.LinkageStore`, where
+   :class:`~repro.governance.attribution.Attributor` answers runtime
+   misprediction queries, attributes them to contributors and has those
+   contributors disclose the hit instances for a check against H.
 """
 
 from __future__ import annotations
@@ -25,15 +28,13 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.accountability import Investigator
 from repro.core.assessment import ExposureAssessor
 from repro.core.audit import AuditLog
 from repro.core.fingerprint import Fingerprinter
 from repro.core.freezing import FreezeSchedule
-from repro.core.linkage import LinkageDatabase, instance_digest
+from repro.core.linkage import LinkageTable, instance_digest, segment_digest
 from repro.core.partition import PartitionedNetwork
 from repro.core.partitioned_training import ConfidentialTrainer, EpochReport
-from repro.core.query import QueryService
 from repro.crypto.aead import BULK_CIPHER
 from repro.data.augmentation import Augmenter
 from repro.enclave.attestation import AttestationService
@@ -41,7 +42,6 @@ from repro.enclave.enclave import Enclave
 from repro.enclave.memory import EPC_USABLE_BYTES
 from repro.enclave.platform import SgxPlatform
 from repro.errors import ConfigurationError, TrainingError
-from repro.federation.participant import TrainingParticipant
 from repro.federation.provisioning import provision_key
 from repro.federation.server import DecryptionSummary, TrainingServer
 from repro.nn.config import network_to_config
@@ -103,7 +103,6 @@ class CalTrainConfig:
     reassess_every_epoch: bool = False
     assess_samples: int = 2
     freeze_at_epoch: Optional[int] = None
-    neighbors_per_query: int = 9
     network_factory: Optional[Callable[[np.random.Generator], Network]] = None
     backend: Optional[str] = None
 
@@ -137,7 +136,8 @@ class CalTrain:
         self.config_digest = canonical_digest(
             self.network_config, self._hyperparameters()
         )
-        self.participants: Dict[str, TrainingParticipant] = {}
+        #: Registered contributors (``TrainingParticipant``) by id.
+        self.participants: Dict[str, object] = {}
         #: Hash-chained record of every pipeline event (sealable).
         self.audit_log = AuditLog()
         self.audit_log.append(
@@ -150,7 +150,6 @@ class CalTrain:
         self.model: Optional[Network] = None
         self.partitioned: Optional[PartitionedNetwork] = None
         self.trainer: Optional[ConfidentialTrainer] = None
-        self.linkage_db: Optional[LinkageDatabase] = None
         self.fingerprinter: Optional[Fingerprinter] = None
         self._assessor: Optional[ExposureAssessor] = None
         self.decryption_summary: Optional[DecryptionSummary] = None
@@ -217,7 +216,7 @@ class CalTrain:
         the published enclave code and the agreed config/hyperparameters)."""
         return self.training_enclave.mrenclave
 
-    def register_participant(self, participant: TrainingParticipant) -> None:
+    def register_participant(self, participant) -> None:
         """Attested-TLS key provisioning for one participant."""
         provision_key(
             participant,
@@ -230,7 +229,7 @@ class CalTrain:
                               participant=participant.participant_id)
         _LOG.info("registered participant %s", participant.participant_id)
 
-    def submit_data(self, participant: TrainingParticipant) -> None:
+    def submit_data(self, participant) -> None:
         """Encrypt the participant's dataset and submit it to the server."""
         encrypted = participant.encrypt_dataset(cipher=self.config.cipher)
         self.server.submit(encrypted)
@@ -741,8 +740,12 @@ class CalTrain:
     # -- stage 4: fingerprinting ------------------------------------------------------
 
     def fingerprint_stage(self, kinds_by_source: Optional[Dict[str, np.ndarray]] = None,
-                          ) -> LinkageDatabase:
-        """Fingerprint every accepted training instance into the linkage DB.
+                          ) -> LinkageTable:
+        """Fingerprint every accepted training instance into one Omega table.
+
+        The audit event commits to the table with the digest a
+        :class:`~repro.serving.store.LinkageStore` segment holding exactly
+        these rows carries.
 
         Args:
             kinds_by_source: Optional ground-truth instance kinds per source
@@ -770,31 +773,12 @@ class CalTrain:
                 if sources[i] in kinds_by_source else "normal"
                 for i in range(x.shape[0])
             ]
-        database = LinkageDatabase()
-        database.add_batch(
-            fingerprints, y.tolist(), sources, digests,
-            source_indices=indices.tolist(), kinds=kinds,
-        )
-        self.linkage_db = database
+        table = LinkageTable(fingerprints, y, sources, digests,
+                             source_indices=indices, kinds=kinds)
         self.audit_log.append(
             "fingerprint-stage",
-            records=len(database),
-            dimension=database.dimension,
-            commitment=database.merkle_commitment().root.hex(),
+            records=len(table),
+            dimension=table.dimension,
+            commitment=segment_digest(table.fingerprints, table.metadata()),
         )
-        return database
-
-    # -- stage 5: query ------------------------------------------------------------------
-
-    def query_service(self) -> QueryService:
-        if self.linkage_db is None:
-            raise TrainingError("fingerprint_stage() must run before queries")
-        return QueryService(self.linkage_db)
-
-    def investigator(self) -> Investigator:
-        if self.fingerprinter is None:
-            raise TrainingError("fingerprint_stage() must run first")
-        return Investigator(
-            self.fingerprinter, self.query_service(),
-            neighbors_per_query=self.config.neighbors_per_query,
-        )
+        return table

@@ -1,4 +1,4 @@
-"""The 4-tuple linkage structure Omega = [F, Y, S, H] and its database.
+"""The 4-tuple linkage structure Omega = [F, Y, S, H].
 
 For every training instance CalTrain records:
 
@@ -9,23 +9,26 @@ For every training instance CalTrain records:
 
 Y narrows queries to one class, S attributes instances to contributors, H
 verifies that an instance a participant later turns in is bit-identical to
-what was trained on. The database serializes to bytes so the fingerprinting
-enclave can seal it between the fingerprinting and query stages.
+what was trained on. The fingerprint stage emits the tuples as one frozen
+:class:`LinkageTable`; :class:`~repro.serving.store.LinkageStore` is their
+one persistent home, and every store segment is committed by
+:func:`segment_digest` over exactly the bytes :meth:`LinkageTable.metadata`
+writes — so the fingerprint stage's audit commitment and the store's
+segment digest are the same value.
 """
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import LinkageError
-from repro.utils.serialization import stable_hash
+from repro.utils.serialization import canonical_json, stable_hash
 
-__all__ = ["LinkageRecord", "LinkageDatabase", "instance_digest"]
+__all__ = ["LinkageRecord", "LinkageTable", "instance_digest",
+           "segment_digest"]
 
 
 def instance_digest(image: np.ndarray) -> bytes:
@@ -33,12 +36,17 @@ def instance_digest(image: np.ndarray) -> bytes:
     return stable_hash(image)
 
 
+def segment_digest(fingerprints: np.ndarray, metadata: bytes) -> str:
+    """Hex SHA-256 over a float32 fingerprint matrix ‖ its metadata JSON."""
+    return stable_hash(fingerprints, metadata).hex()
+
+
 @dataclass(frozen=True)
 class LinkageRecord:
     """One Omega tuple plus bookkeeping for evaluation.
 
     ``source_index`` is the instance's index within its contributor's local
-    dataset (what the investigator asks the participant to disclose);
+    dataset (what a contributor is asked to disclose);
     ``kind`` is ground-truth metadata used only by the evaluation harness
     (``"normal"``, ``"poisoned"``, ``"mislabeled"``) — a deployment would
     not have it.
@@ -52,152 +60,67 @@ class LinkageRecord:
     kind: str = "normal"
 
 
-class LinkageDatabase:
-    """Stores Omega tuples, indexed by class label for fast queries."""
+@dataclass(frozen=True)
+class LinkageTable:
+    """Omega tuples as columns, one row per fingerprinted instance.
 
-    def __init__(self) -> None:
-        self._records: List[LinkageRecord] = []
-        self._by_label: Dict[int, List[int]] = {}
-        self._dimension: Optional[int] = None
+    Columns are coerced (float32 ``(n, d)`` fingerprints, int64 labels and
+    source indices, tuples of strings and digests) and length-checked once,
+    here; ``source_indices`` defaults to -1 and ``kinds`` to ``"normal"``.
+    """
+
+    fingerprints: np.ndarray
+    labels: Sequence[int]
+    sources: Sequence[str]
+    digests: Sequence[bytes]
+    source_indices: Optional[Sequence[int]] = None
+    kinds: Optional[Sequence[str]] = None
+
+    def __post_init__(self) -> None:
+        fingerprints = np.ascontiguousarray(
+            np.asarray(self.fingerprints, dtype=np.float32))
+        if fingerprints.ndim != 2:
+            raise LinkageError("fingerprints must be an (n, d) matrix")
+        n = fingerprints.shape[0]
+        columns = {
+            "labels": np.asarray(self.labels, dtype=np.int64).reshape(-1),
+            "sources": tuple(str(s) for s in self.sources),
+            "digests": tuple(bytes(d) for d in self.digests),
+            "source_indices": (
+                np.full(n, -1, dtype=np.int64) if self.source_indices is None
+                else np.asarray(self.source_indices,
+                                dtype=np.int64).reshape(-1)),
+            "kinds": (("normal",) * n if self.kinds is None
+                      else tuple(str(k) for k in self.kinds)),
+        }
+        for name, column in columns.items():
+            if len(column) != n:
+                raise LinkageError(
+                    f"{name} has {len(column)} entries for {n} records")
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "fingerprints", fingerprints)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self.fingerprints.shape[0]
 
     @property
-    def dimension(self) -> Optional[int]:
-        return self._dimension
+    def dimension(self) -> int:
+        return self.fingerprints.shape[1]
 
-    def add(self, record: LinkageRecord) -> None:
-        fingerprint = np.asarray(record.fingerprint, dtype=np.float32).ravel()
-        if self._dimension is None:
-            self._dimension = fingerprint.shape[0]
-        elif fingerprint.shape[0] != self._dimension:
-            raise LinkageError(
-                f"fingerprint dimension {fingerprint.shape[0]} does not match "
-                f"database dimension {self._dimension}"
-            )
-        index = len(self._records)
-        self._records.append(record)
-        self._by_label.setdefault(int(record.label), []).append(index)
-
-    def add_batch(self, fingerprints: np.ndarray, labels: Sequence[int],
-                  sources: Sequence[str], digests: Sequence[bytes],
-                  source_indices: Optional[Sequence[int]] = None,
-                  kinds: Optional[Sequence[str]] = None) -> None:
-        n = fingerprints.shape[0]
-        if not (len(labels) == len(sources) == len(digests) == n):
-            raise LinkageError("batch columns have mismatched lengths")
-        for i in range(n):
-            self.add(
-                LinkageRecord(
-                    fingerprint=fingerprints[i],
-                    label=int(labels[i]),
-                    source=sources[i],
-                    digest=digests[i],
-                    source_index=(
-                        int(source_indices[i]) if source_indices is not None else -1
-                    ),
-                    kind=kinds[i] if kinds is not None else "normal",
-                )
-            )
-
-    def record(self, index: int) -> LinkageRecord:
-        return self._records[index]
-
-    def records(self) -> List[LinkageRecord]:
-        return list(self._records)
-
-    def labels(self) -> List[int]:
-        return sorted(self._by_label)
-
-    def count(self, label: int) -> int:
-        """Number of records for one class label (O(1), no matrix copy)."""
-        return len(self._by_label.get(int(label), []))
-
-    def by_label(self, label: int) -> Tuple[np.ndarray, List[int]]:
-        """(fingerprint matrix, record indices) for one class label."""
-        indices = self._by_label.get(int(label), [])
-        if not indices:
-            return np.zeros((0, self._dimension or 0), dtype=np.float32), []
-        matrix = np.stack([self._records[i].fingerprint for i in indices]).astype(
-            np.float32
-        )
-        return matrix, indices
-
-    def verify_instance(self, index: int, image: np.ndarray) -> bool:
-        """Check a disclosed instance against the recorded digest ``H``."""
-        return instance_digest(image) == self._records[index].digest
-
-    # -- verifiable commitment ---------------------------------------------------
-
-    def _record_leaf(self, record: LinkageRecord) -> bytes:
-        return stable_hash(
-            np.asarray(record.fingerprint, dtype=np.float32),
-            int(record.label), record.source, record.digest,
+    def slice(self, start: int, stop: int) -> "LinkageTable":
+        """Rows ``[start, stop)`` as a table of column views."""
+        return LinkageTable(
+            self.fingerprints[start:stop], self.labels[start:stop],
+            self.sources[start:stop], self.digests[start:stop],
+            self.source_indices[start:stop], self.kinds[start:stop],
         )
 
-    def merkle_commitment(self):
-        """A Merkle tree over all Omega tuples (in insertion order).
-
-        The fingerprinting enclave can publish the root (e.g. inside its
-        attestation quote's report data) so model users can verify that
-        query answers come from the committed database.
-        """
-        from repro.crypto.merkle import MerkleTree
-
-        if not self._records:
-            raise LinkageError("cannot commit to an empty database")
-        return MerkleTree([self._record_leaf(r) for r in self._records])
-
-    def prove_record(self, tree, index: int):
-        """An inclusion proof for record ``index`` against ``tree``."""
-        return tree.prove(index)
-
-    def verify_record_inclusion(self, tree_root: bytes, index: int,
-                                proof) -> bool:
-        """Model-user-side check of a query answer against the root."""
-        return proof.verify(self._record_leaf(self._records[index]), tree_root)
-
-    # -- serialization (for enclave sealing / persistence) ---------------------
-
-    def to_bytes(self) -> bytes:
-        fingerprints = (
-            np.stack([r.fingerprint for r in self._records]).astype(np.float32)
-            if self._records else np.zeros((0, 0), dtype=np.float32)
-        )
-        meta = [
-            {
-                "label": int(r.label),
-                "source": r.source,
-                "digest": r.digest.hex(),
-                "source_index": r.source_index,
-                "kind": r.kind,
-            }
-            for r in self._records
-        ]
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            fingerprints=fingerprints,
-            meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        )
-        return buffer.getvalue()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "LinkageDatabase":
-        db = cls()
-        with np.load(io.BytesIO(blob)) as data:
-            fingerprints = data["fingerprints"]
-            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        for fp, m in zip(fingerprints, meta):
-            db.add(
-                LinkageRecord(
-                    fingerprint=fp,
-                    label=m["label"],
-                    source=m["source"],
-                    digest=bytes.fromhex(m["digest"]),
-                    source_index=m["source_index"],
-                    kind=m["kind"],
-                )
-            )
-        return db
+    def metadata(self) -> bytes:
+        """The canonical-JSON sidecar a store segment of these rows holds."""
+        return canonical_json({
+            "labels": self.labels.tolist(),
+            "sources": list(self.sources),
+            "digests": [d.hex() for d in self.digests],
+            "source_indices": self.source_indices.tolist(),
+            "kinds": list(self.kinds),
+        })

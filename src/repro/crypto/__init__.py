@@ -15,7 +15,6 @@ from repro.crypto.dh import DhKeyPair, DhParams, MODP_2048
 from repro.crypto.hashing import hmac_sha256, sha256
 from repro.crypto.hkdf import hkdf, hkdf_expand, hkdf_extract
 from repro.crypto.keys import SymmetricKey, random_key, random_nonce
-from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.crypto.shamir import Share, reconstruct_secret, split_secret
 from repro.crypto.tls import SecureChannel, TlsClient, TlsServer
 
@@ -33,8 +32,6 @@ __all__ = [
     "hkdf_extract",
     "hkdf_expand",
     "SymmetricKey",
-    "MerkleTree",
-    "MerkleProof",
     "Share",
     "split_secret",
     "reconstruct_secret",

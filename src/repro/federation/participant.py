@@ -62,7 +62,7 @@ class TrainingParticipant:
         """Hand over one original training instance for an investigation.
 
         Participants agreed (threat model) to turn in demanded instances
-        when erroneous predictions are being debugged; the investigator
+        when erroneous predictions are being debugged; the attributor
         verifies the returned instance's hash digest against the linkage
         record before trusting it.
         """

@@ -14,7 +14,13 @@ segment → contributor — and assembles a JSON report carrying every link:
 4. the **governance events** for the run (train-start/complete,
    promotion), and
 5. the contributor ranking with the implicated set (hit-share
-   threshold, same idiom as :class:`~repro.core.accountability.Investigator`).
+   threshold).
+
+:meth:`Attributor.disclose` then runs the paper's summon-and-verify step
+(§IV-C): only the report's hit instances are demanded from their
+contributors, and each must hash to the ``H`` the store committed before
+the verified indices are chained into the log as a ``disclosure`` event —
+minimum data exposure, checkable by a party that produced none of it.
 
 The walk is fail-closed (:class:`~repro.errors.AttributionError`): a
 governance log that does not verify, a promotion that no longer matches
@@ -28,12 +34,13 @@ retroactively rewritten either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping
 
 import numpy as np
 
+from repro.core.linkage import instance_digest
 from repro.errors import (AttributionError, GovernanceLogError, LedgerError,
-                          PromotionError)
+                          PromotionError, QueryError)
 from repro.governance.log import GovernanceLog
 from repro.utils.logging import get_logger
 from repro.utils.serialization import canonical_digest, canonical_json
@@ -124,18 +131,72 @@ class Attributor:
                 "serving query audit chain failed verification"
             )
 
-    def attribute(self, fingerprint: np.ndarray, label: int,
-                  k: int = 9) -> AttributionReport:
-        """Attribute one flagged prediction; returns the chained report."""
+    def _counted(self, counter: str, step, *args):
         try:
-            report = self._attribute(fingerprint, label, k)
+            result = step(*args)
         except AttributionError:
             if self.telemetry is not None:
                 self.telemetry.count("attributions_refused")
             raise
         if self.telemetry is not None:
-            self.telemetry.count("attributions")
-        return report
+            self.telemetry.count(counter)
+        return result
+
+    def attribute(self, fingerprint: np.ndarray, label: int,
+                  k: int = 9) -> AttributionReport:
+        """Attribute one flagged prediction; returns the chained report."""
+        return self._counted("attributions", self._attribute, fingerprint,
+                             label, k)
+
+    def disclose(self, report: AttributionReport,
+                 participants: Mapping[str, Any]) -> List[int]:
+        """Summon the report's hit instances and check each against H.
+
+        ``participants`` maps contributor ids to objects with
+        ``disclose_instance(source_index)``. Only the hit rows are
+        demanded. A contributor that is absent, cannot produce the
+        instance, or turns in anything whose digest differs from the
+        store's ``H`` refuses the disclosure and leaves the log unchanged;
+        otherwise one ``disclosure`` event is chained and the verified
+        store indices are returned.
+        """
+        return self._counted("disclosures", self._disclose, report,
+                             participants)
+
+    def _disclose(self, report: AttributionReport,
+                  participants: Mapping[str, Any]) -> List[int]:
+        verified: List[int] = []
+        for hit in report.hits:
+            index = int(hit["store_index"])
+            record = self.store.record(index)
+            participant = participants.get(record.source)
+            if participant is None:
+                raise AttributionError(
+                    f"contributor {record.source!r} of store index {index} "
+                    "was not summoned — its instance cannot be verified"
+                )
+            try:
+                instance = participant.disclose_instance(record.source_index)
+            except QueryError as exc:
+                raise AttributionError(
+                    f"contributor {record.source!r} could not disclose "
+                    f"store index {index}: {exc}"
+                ) from exc
+            if instance_digest(instance) != record.digest:
+                raise AttributionError(
+                    f"the instance {record.source!r} disclosed for store "
+                    f"index {index} does not match the committed digest H"
+                )
+            verified.append(index)
+        self.log.append(
+            "disclosure",
+            run_key=report.run_key,
+            report_digest=report.report_digest,
+            verified=verified,
+        )
+        _LOG.info("disclosure for report %s: %d instances verified",
+                  report.report_digest[:16], len(verified))
+        return verified
 
     def _attribute(self, fingerprint: np.ndarray, label: int,
                    k: int) -> AttributionReport:

@@ -54,6 +54,7 @@ EVENT_KINDS = (
     "checkpoint",
     "promotion",
     "attribution",
+    "disclosure",
 )
 
 

@@ -7,9 +7,9 @@ latency alongside training and serving metrics.
 
 Counters: ``events`` (governance-log appends), ``verifications`` /
 ``verifications_refused`` (gate walks), ``promotions``,
-``serving_refusals`` (fail-closed engine starts), ``attributions`` /
-``attributions_refused``. Stage: ``gate_verify`` (full lineage-walk
-latency).
+``serving_refusals`` (fail-closed engine starts), ``attributions``,
+``disclosures`` and ``attributions_refused`` (either one refused).
+Stage: ``gate_verify`` (full lineage-walk latency).
 """
 
 from __future__ import annotations

@@ -1,17 +1,18 @@
 """Persistent, versioned on-disk linkage store.
 
-The in-memory :class:`~repro.core.linkage.LinkageDatabase` holds every
-Omega tuple as a Python object — fine for the paper's experiments, fatal
-at millions of fingerprints. :class:`LinkageStore` keeps the bulk data on
-disk instead:
+:class:`LinkageStore` is the one home of the Omega tuples the fingerprint
+stage produces (:class:`~repro.core.linkage.LinkageTable`), kept on disk
+so it scales to millions of fingerprints:
 
 * **append-only segments** — every :meth:`LinkageStore.append` writes one
   immutable segment: a fingerprint matrix (``.npy``, reopened
   memory-mapped) plus a canonical-JSON metadata sidecar with the labels,
-  sources, instance digests, source indices, and kinds;
-* **content addressing** — each segment is identified by a SHA-256 digest
-  over its matrix and metadata; the manifest lists segments in order and
-  the whole store state is committed by :meth:`manifest_digest`;
+  sources, instance digests, source indices, and kinds; both are durable
+  (fsynced and renamed into place) before the manifest names them;
+* **content addressing** — each segment is identified by
+  :func:`~repro.core.linkage.segment_digest` over its matrix and
+  metadata; the manifest lists segments in order and the whole store
+  state is committed by :meth:`manifest_digest`;
 * **sealing boundary** — the fingerprinting enclave can seal the manifest
   digest to its identity (:meth:`seal_manifest`), so a verifier can later
   check that the out-of-enclave serving plane answers queries from
@@ -24,6 +25,7 @@ Integrity checks are fail-closed: :meth:`verify` raises
 from __future__ import annotations
 
 import bisect
+import io
 import json
 import os
 import threading
@@ -33,11 +35,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.linkage import LinkageDatabase, LinkageRecord
-from repro.errors import SealingError, StoreError
-from repro.utils.fileio import atomic_write_text
-from repro.utils.serialization import (canonical_digest, canonical_json,
-                                       stable_hash)
+from repro.core.linkage import LinkageRecord, LinkageTable, segment_digest
+from repro.errors import LinkageError, SealingError, StoreError
+from repro.utils.fileio import atomic_write_bytes, atomic_write_text
+from repro.utils.serialization import canonical_digest
 
 __all__ = ["SegmentInfo", "LinkageStore"]
 
@@ -167,49 +168,39 @@ class LinkageStore:
                source_indices: Optional[Sequence[int]] = None,
                kinds: Optional[Sequence[str]] = None) -> SegmentInfo:
         """Write one immutable segment; returns its manifest entry."""
-        matrix = np.ascontiguousarray(
-            np.asarray(fingerprints, dtype=np.float32)
-        )
-        if matrix.ndim != 2 or matrix.shape[0] == 0:
+        try:
+            table = LinkageTable(fingerprints, labels, sources, digests,
+                                 source_indices, kinds)
+        except LinkageError as exc:
+            raise StoreError(f"segment columns do not line up: {exc}") from exc
+        return self._append(table)
+
+    def _append(self, table: LinkageTable) -> SegmentInfo:
+        if len(table) == 0:
             raise StoreError("a segment needs a non-empty (n, d) matrix")
-        n = matrix.shape[0]
-        if not (len(labels) == len(sources) == len(digests) == n):
-            raise StoreError("segment columns have mismatched lengths")
-        if source_indices is not None and len(source_indices) != n:
-            raise StoreError(
-                f"source_indices has {len(source_indices)} entries "
-                f"for {n} records"
-            )
-        if kinds is not None and len(kinds) != n:
-            raise StoreError(f"kinds has {len(kinds)} entries for {n} records")
         with self._lock:
             dimension = self._manifest["dimension"]
             if dimension is None:
-                self._manifest["dimension"] = int(matrix.shape[1])
-            elif matrix.shape[1] != dimension:
+                self._manifest["dimension"] = table.dimension
+            elif table.dimension != dimension:
                 raise StoreError(
-                    f"fingerprint dimension {matrix.shape[1]} does not match "
+                    f"fingerprint dimension {table.dimension} does not match "
                     f"store dimension {dimension}"
                 )
-        meta = {
-            "labels": [int(label) for label in labels],
-            "sources": [str(s) for s in sources],
-            "digests": [bytes(d).hex() for d in digests],
-            "source_indices": (
-                [int(i) for i in source_indices]
-                if source_indices is not None else [-1] * n
-            ),
-            "kinds": [str(k) for k in kinds] if kinds is not None
-                     else ["normal"] * n,
-        }
-        meta_bytes = canonical_json(meta)
+        meta_bytes = table.metadata()
+        matrix_bytes = io.BytesIO()
+        np.save(matrix_bytes, table.fingerprints)
         with self._lock:
             name = f"segment-{len(self._segments):06d}"
-            np.save(self.path / f"{name}.npy", matrix)
-            (self.path / f"{name}.meta.json").write_bytes(meta_bytes)
+            # Both files are durable before the manifest names them: a
+            # crash in between leaves an unnamed orphan, never a store
+            # that open() refuses.
+            atomic_write_bytes(self.path / f"{name}.npy",
+                               matrix_bytes.getvalue())
+            atomic_write_bytes(self.path / f"{name}.meta.json", meta_bytes)
             info = SegmentInfo(
-                name=name, records=n,
-                digest=stable_hash(matrix, meta_bytes).hex(),
+                name=name, records=len(table),
+                digest=segment_digest(table.fingerprints, meta_bytes),
             )
             self._manifest["segments"].append(
                 {"name": info.name, "records": info.records,
@@ -225,21 +216,16 @@ class LinkageStore:
         return info
 
     @classmethod
-    def from_database(cls, path: os.PathLike, database: LinkageDatabase,
+    def from_database(cls, path: os.PathLike, table: LinkageTable,
                       segment_records: int = 65536) -> "LinkageStore":
-        """Persist an in-memory database, chunked into segments."""
+        """Persist the fingerprint stage's table, chunked into segments.
+
+        A table of at most ``segment_records`` rows becomes one segment
+        whose digest is the fingerprint stage's audit commitment.
+        """
         store = cls.create(path)
-        records = database.records()
-        for start in range(0, len(records), segment_records):
-            chunk = records[start : start + segment_records]
-            store.append(
-                np.stack([r.fingerprint for r in chunk]).astype(np.float32),
-                [r.label for r in chunk],
-                [r.source for r in chunk],
-                [r.digest for r in chunk],
-                source_indices=[r.source_index for r in chunk],
-                kinds=[r.kind for r in chunk],
-            )
+        for start in range(0, len(table), segment_records):
+            store._append(table.slice(start, start + segment_records))
         return store
 
     # -- reads -------------------------------------------------------------------
@@ -318,7 +304,7 @@ class LinkageStore:
         """(fingerprint matrix, global record indices) for one label.
 
         Rows are gathered from the memory-mapped segments in insertion
-        order, matching :meth:`LinkageDatabase.by_label` semantics.
+        order, so a stable ranking over them breaks ties by record index.
         """
         with self._lock:
             locations = list(self._by_label.get(int(label), []))
@@ -392,13 +378,6 @@ class LinkageStore:
             kind=segment.kinds[row],
         )
 
-    def to_database(self) -> LinkageDatabase:
-        """Load the whole store back into an in-memory database."""
-        database = LinkageDatabase()
-        for index in range(len(self)):
-            database.add(self.record(index))
-        return database
-
     # -- integrity and the sealing boundary --------------------------------------
 
     def verify(self) -> bool:
@@ -412,7 +391,7 @@ class LinkageStore:
             meta_bytes = (
                 self.path / f"{segment.info.name}.meta.json"
             ).read_bytes()
-            actual = stable_hash(matrix, meta_bytes).hex()
+            actual = segment_digest(matrix, meta_bytes)
             if actual != segment.info.digest:
                 raise StoreError(
                     f"segment {segment.info.name} failed its digest check "

@@ -9,7 +9,10 @@ from repro.data.datasets import synthetic_cifar
 from repro.errors import ConfigurationError, TrainingError
 from repro.federation.participant import TrainingParticipant
 from repro.nn.zoo import tiny_testnet
+from repro.serving import LinkageStore
 from repro.utils.rng import RngStream
+
+from tests.governed import governed_pipeline
 
 
 @pytest.fixture
@@ -22,7 +25,7 @@ def config():
     )
 
 
-def _two_contributor_world(config):
+def _two_contributor_world(config, submit=True):
     rng = RngStream(99, "world")
     train, test = synthetic_cifar(rng.child("data"), num_train=192, num_test=48,
                                   num_classes=4, shape=(8, 8, 3))
@@ -32,7 +35,8 @@ def _two_contributor_world(config):
                                        rng=rng.child("split").generator)):
         participant = TrainingParticipant(f"p{i}", ds, rng.child(f"p{i}"))
         system.register_participant(participant)
-        system.submit_data(participant)
+        if submit:
+            system.submit_data(participant)
         participants.append(participant)
     return system, participants, test
 
@@ -43,24 +47,30 @@ def world(config):
 
 
 class TestPipeline:
-    def test_full_pipeline(self, world):
-        system, participants, test = world
-        reports = system.train(test_x=test.x, test_y=test.y)
-        assert len(reports) == 2
-        assert system.decryption_summary.accepted == 192
+    def test_full_pipeline(self, config, tmp_path):
+        system, _, test = _two_contributor_world(config, submit=False)
+        with governed_pipeline(system, tmp_path, test_x=test.x,
+                               test_y=test.y) as world:
+            assert len(world.reports) == 2
+            assert system.decryption_summary.accepted == 192
+            assert len(world.store) == 192
+            labels, _, fps = system.fingerprinter.predict_with_fingerprint(
+                test.x[:2])
+            report = world.attributor.attribute(fps[0], int(labels[0]), k=3)
+            assert len(report.hits) == 3
+            verified = world.attributor.disclose(report, system.participants)
+        assert verified == [hit["store_index"] for hit in report.hits]
+        (event,) = world.log.events("disclosure")
+        assert event["details"]["verified"] == verified
 
-        db = system.fingerprint_stage()
-        assert len(db) == 192
-        service = system.query_service()
-        labels, _, fps = system.fingerprinter.predict_with_fingerprint(test.x[:2])
-        neighbors = service.query(fps[0], int(labels[0]), k=3)
-        assert len(neighbors) == 3
-
-        investigator = system.investigator()
-        result = investigator.investigate(
-            test.x[:2], participants=system.participants
-        )
-        assert all(result.verified_disclosures.values())
+    def test_store_segment_is_the_fingerprint_commitment(self, world,
+                                                         tmp_path):
+        system, _, _ = world
+        system.train()
+        table = system.fingerprint_stage()
+        store = LinkageStore.from_database(tmp_path / "store", table)
+        (event,) = system.audit_log.events("fingerprint-stage")
+        assert store.segment_digests() == [event.details["commitment"]]
 
     def test_fingerprint_pass_reuses_the_training_scratch(self, config):
         """At the training batch size the pass finds every pooled buffer at
@@ -93,10 +103,6 @@ class TestPipeline:
             system.train()  # nothing submitted
         with pytest.raises(TrainingError):
             system.fingerprint_stage()
-        with pytest.raises(TrainingError):
-            system.query_service()
-        with pytest.raises(TrainingError):
-            system.investigator()
 
     def test_unknown_architecture_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -119,10 +125,11 @@ class TestPipeline:
             "p0": np.array(["poisoned"] * 3 + ["normal"] * 93),
             "p1": np.array(["normal"] * 96),
         }
-        db = system.fingerprint_stage(kinds_by_source=kinds)
-        poisoned = [r for r in db.records() if r.kind == "poisoned"]
+        table = system.fingerprint_stage(kinds_by_source=kinds)
+        poisoned = [i for i, kind in enumerate(table.kinds)
+                    if kind == "poisoned"]
         assert len(poisoned) == 3
-        assert all(r.source == "p0" for r in poisoned)
+        assert all(table.sources[i] == "p0" for i in poisoned)
 
     def test_reassessment_hook(self, config):
         """With an assessor installed and reassess on, training adjusts the

@@ -1,112 +1,116 @@
-"""Linkage structure Omega = [F, Y, S, H] and database tests."""
+"""Linkage structure Omega = [F, Y, S, H]: the table and its one store."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.linkage import LinkageDatabase, LinkageRecord, instance_digest
+from repro.core.linkage import LinkageTable, instance_digest, segment_digest
 from repro.errors import LinkageError
+from repro.serving import LinkageStore
 
 
-def _record(label=0, source="p0", dim=4, seed=0, kind="normal"):
-    gen = np.random.default_rng(seed)
-    image = gen.random((2, 2, 1)).astype(np.float32)
-    return LinkageRecord(
-        fingerprint=gen.normal(size=dim).astype(np.float32),
-        label=label,
-        source=source,
-        digest=instance_digest(image),
-        source_index=seed,
-        kind=kind,
-    ), image
+def _table(labels, dim=4, kinds=None, sources=None):
+    """A table over random 2x2 images; returns (table, images)."""
+    gen = np.random.default_rng(len(labels))
+    images = gen.random((len(labels), 2, 2, 1)).astype(np.float32)
+    table = LinkageTable(
+        gen.normal(size=(len(labels), dim)), labels,
+        sources or [f"p{i % 3}" for i in range(len(labels))],
+        [instance_digest(image) for image in images],
+        source_indices=range(len(labels)), kinds=kinds,
+    )
+    return table, images
 
 
 class TestDatabase:
     def test_add_and_count(self):
-        db = LinkageDatabase()
-        record, _ = _record()
-        db.add(record)
-        assert len(db) == 1
-        assert db.dimension == 4
+        table, _ = _table([0])
+        assert len(table) == 1
+        assert table.dimension == 4
+        assert table.fingerprints.dtype == np.float32
+        assert table.kinds == ("normal",)
 
     def test_dimension_mismatch_rejected(self):
-        db = LinkageDatabase()
-        db.add(_record(dim=4)[0])
         with pytest.raises(LinkageError):
-            db.add(_record(dim=5)[0])
+            LinkageTable(np.zeros(4), [0], ["p0"], [b"h"])
 
-    def test_by_label_index(self):
-        db = LinkageDatabase()
-        for i, label in enumerate([0, 1, 0, 2, 0]):
-            db.add(_record(label=label, seed=i)[0])
-        matrix, indices = db.by_label(0)
+    def test_by_label_index(self, tmp_path):
+        table, _ = _table([0, 1, 0, 2, 0])
+        store = LinkageStore.from_database(tmp_path / "s", table)
+        matrix, indices = store.by_label(0)
         assert matrix.shape == (3, 4)
         assert indices == [0, 2, 4]
-        assert db.labels() == [0, 1, 2]
+        np.testing.assert_array_equal(matrix, table.fingerprints[[0, 2, 4]])
+        assert store.labels() == [0, 1, 2]
 
-    def test_by_label_missing(self):
-        db = LinkageDatabase()
-        db.add(_record(label=0)[0])
-        matrix, indices = db.by_label(9)
+    def test_by_label_missing(self, tmp_path):
+        table, _ = _table([0])
+        store = LinkageStore.from_database(tmp_path / "s", table)
+        matrix, indices = store.by_label(9)
         assert matrix.shape[0] == 0 and indices == []
 
     def test_add_batch_validates_lengths(self):
-        db = LinkageDatabase()
         with pytest.raises(LinkageError):
-            db.add_batch(np.zeros((2, 4)), [0], ["p0"], [b"h"])
+            LinkageTable(np.zeros((2, 4)), [0], ["p0"], [b"h"])
+        with pytest.raises(LinkageError):
+            LinkageTable(np.zeros((2, 4)), [0, 0], ["p0"] * 2, [b"h"] * 2,
+                         kinds=["normal"])
 
     def test_verify_instance(self):
-        db = LinkageDatabase()
-        record, image = _record()
-        db.add(record)
-        assert db.verify_instance(0, image)
-        assert not db.verify_instance(0, image + 1e-3)
+        table, images = _table([0])
+        assert instance_digest(images[0]) == table.digests[0]
+        assert instance_digest(images[0] + 1e-3) != table.digests[0]
 
 
 class TestSerialization:
-    def test_roundtrip(self):
-        db = LinkageDatabase()
-        for i in range(5):
-            db.add(_record(label=i % 2, source=f"p{i % 3}", seed=i,
-                           kind="poisoned" if i == 3 else "normal")[0])
-        restored = LinkageDatabase.from_bytes(db.to_bytes())
+    def test_roundtrip(self, tmp_path):
+        table, _ = _table([0, 1, 0, 1, 0],
+                          kinds=["poisoned" if i == 3 else "normal"
+                                 for i in range(5)])
+        LinkageStore.from_database(tmp_path / "s", table)
+        restored = LinkageStore.open(tmp_path / "s")
         assert len(restored) == 5
         for i in range(5):
-            original, back = db.record(i), restored.record(i)
-            np.testing.assert_allclose(original.fingerprint, back.fingerprint,
-                                       rtol=1e-6)
-            assert (original.label, original.source, original.digest,
-                    original.source_index, original.kind) == (
-                back.label, back.source, back.digest,
-                back.source_index, back.kind)
+            back = restored.record(i)
+            np.testing.assert_array_equal(back.fingerprint,
+                                          table.fingerprints[i])
+            assert (back.label, back.source, back.digest, back.source_index,
+                    back.kind) == (table.labels[i], table.sources[i],
+                                   table.digests[i], table.source_indices[i],
+                                   table.kinds[i])
 
-    def test_empty_roundtrip(self):
-        restored = LinkageDatabase.from_bytes(LinkageDatabase().to_bytes())
-        assert len(restored) == 0
+    def test_empty_roundtrip(self, tmp_path):
+        table = LinkageTable(np.zeros((0, 4)), [], [], [])
+        store = LinkageStore.from_database(tmp_path / "s", table)
+        assert len(LinkageStore.open(tmp_path / "s")) == len(store) == 0
 
-    def test_sealable_in_enclave(self, platform):
-        """The database survives seal/unseal in the fingerprinting enclave."""
+    def test_sealable_in_enclave(self, platform, tmp_path):
+        """The table's commitment survives seal/unseal in the fingerprinting
+        enclave and still names the store built from it."""
         from repro.enclave.sealing import seal, unseal
 
         enclave = platform.create_enclave("fp")
         enclave.init()
-        db = LinkageDatabase()
-        db.add(_record()[0])
-        blob = seal(enclave, db.to_bytes())
-        restored = LinkageDatabase.from_bytes(unseal(enclave, blob))
-        assert len(restored) == 1
+        table, _ = _table([0, 1])
+        commitment = segment_digest(table.fingerprints, table.metadata())
+        blob = seal(enclave, commitment.encode())
+        store = LinkageStore.from_database(tmp_path / "s", table)
+        assert store.segment_digests() == [unseal(enclave, blob).decode()]
 
     @settings(max_examples=10, deadline=None)
     @given(labels=st.lists(st.integers(min_value=0, max_value=3),
                            min_size=1, max_size=12))
     def test_label_index_partition_property(self, labels):
         """Every record appears in exactly one label bucket."""
-        db = LinkageDatabase()
-        for i, label in enumerate(labels):
-            db.add(_record(label=label, seed=i)[0])
-        total = sum(len(db.by_label(lab)[1]) for lab in db.labels())
-        assert total == len(labels)
+        import tempfile
+
+        table, _ = _table(labels)
+        with tempfile.TemporaryDirectory() as root:
+            store = LinkageStore.from_database(f"{root}/s", table)
+            buckets = [store.by_label(lab)[1] for lab in store.labels()]
+        assert sorted(i for bucket in buckets for i in bucket) == \
+            list(range(len(labels)))
 
 
 class TestInstanceDigest:

@@ -1,91 +1,100 @@
-"""Misprediction query service tests."""
+"""The one exact query path: ``exact_top_k`` over ``LinkageStore.by_label``."""
 
 import numpy as np
 import pytest
 
-from repro.core.linkage import LinkageDatabase, LinkageRecord
-from repro.core.query import QueryService, exact_top_k
-from repro.errors import QueryError
+from repro.core.linkage import LinkageTable
+from repro.core.query import exact_top_k
+from repro.serving import LinkageStore
 
 
-def _db(points, labels, sources=None):
-    db = LinkageDatabase()
-    sources = sources or [f"p{i % 2}" for i in range(len(points))]
-    for i, (point, label) in enumerate(zip(points, labels)):
-        db.add(LinkageRecord(
-            fingerprint=np.asarray(point, dtype=np.float32),
-            label=label, source=sources[i], digest=b"h" * 32, source_index=i,
-        ))
-    return db
+def _store(tmp_path, points, labels):
+    table = LinkageTable(
+        np.asarray(points, dtype=np.float32), labels,
+        [f"p{i % 2}" for i in range(len(labels))], [b"h" * 32] * len(labels),
+        source_indices=range(len(labels)),
+    )
+    return LinkageStore.from_database(tmp_path / "store", table)
+
+
+def _append(store, point, label):
+    store.append(np.asarray([point], dtype=np.float32), [label], ["p0"],
+                 [b"h" * 32])
+
+
+def _query_batch(store, fingerprints, label, k):
+    """[(record index, distance), ...] per query, nearest first."""
+    matrix, indices = store.by_label(label)
+    positions, distances = exact_top_k(
+        np.asarray(fingerprints, dtype=np.float32), matrix, k)
+    return [[(indices[p], float(d)) for p, d in zip(row, dist)]
+            for row, dist in zip(positions, distances)]
+
+
+def _query(store, fingerprint, label, k=9):
+    return _query_batch(store, [fingerprint], label, k)[0]
+
+
+def _ids(hits):
+    return [index for index, _ in hits]
 
 
 class TestQuery:
-    def test_nearest_first(self):
-        db = _db([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]], [0, 0, 0])
-        neighbors = QueryService(db).query(np.array([0.9, 0.0]), label=0, k=3)
-        assert [n.record_index for n in neighbors] == [1, 0, 2]
-        assert neighbors[0].distance == pytest.approx(0.1, abs=1e-6)
-        assert [n.rank for n in neighbors] == [1, 2, 3]
+    def test_nearest_first(self, tmp_path):
+        store = _store(tmp_path, [[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]],
+                       [0, 0, 0])
+        hits = _query(store, [0.9, 0.0], label=0, k=3)
+        assert _ids(hits) == [1, 0, 2]
+        assert hits[0][1] == pytest.approx(0.1, abs=1e-6)
 
-    def test_label_filtering(self):
-        db = _db([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]], [0, 1, 0])
-        neighbors = QueryService(db).query(np.array([0.0, 0.0]), label=0, k=9)
-        assert {n.record_index for n in neighbors} == {0, 2}
+    def test_label_filtering(self, tmp_path):
+        store = _store(tmp_path, [[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]],
+                       [0, 1, 0])
+        assert set(_ids(_query(store, [0.0, 0.0], label=0))) == {0, 2}
 
-    def test_k_limits_results(self):
-        db = _db([[float(i), 0.0] for i in range(10)], [0] * 10)
-        assert len(QueryService(db).query(np.zeros(2), label=0, k=4)) == 4
+    def test_k_limits_results(self, tmp_path):
+        store = _store(tmp_path, [[float(i), 0.0] for i in range(10)],
+                       [0] * 10)
+        assert len(_query(store, np.zeros(2), label=0, k=4)) == 4
 
-    def test_missing_label_rejected(self):
-        db = _db([[0.0, 0.0]], [0])
-        with pytest.raises(QueryError):
-            QueryService(db).query(np.zeros(2), label=7)
+    def test_dimension_mismatch_rejected(self, tmp_path):
+        store = _store(tmp_path, [[0.0, 0.0]], [0])
+        with pytest.raises(ValueError):
+            _query(store, np.zeros(5), label=0)
 
-    def test_dimension_mismatch_rejected(self):
-        db = _db([[0.0, 0.0]], [0])
-        with pytest.raises(QueryError):
-            QueryService(db).query(np.zeros(5), label=0)
+    def test_query_batch(self, tmp_path):
+        store = _store(tmp_path, [[0.0, 0.0], [1.0, 1.0], [0.9, 0.9]],
+                       [0, 1, 1])
+        assert _ids(_query(store, [0.1, 0.0], 0, k=1)) == [0]
+        assert _ids(_query(store, [1.0, 1.0], 1, k=1)) == [1]
 
-    def test_invalid_k(self):
-        db = _db([[0.0, 0.0]], [0])
-        with pytest.raises(QueryError):
-            QueryService(db).query(np.zeros(2), label=0, k=0)
-
-    def test_query_batch(self):
-        db = _db([[0.0, 0.0], [1.0, 1.0]], [0, 1])
-        results = QueryService(db).query_batch(
-            np.array([[0.1, 0.0], [0.9, 1.0]]), labels=[0, 1], k=1
-        )
-        assert results[0][0].record_index == 0
-        assert results[1][0].record_index == 1
-
-    def test_distances_monotone(self, generator):
+    def test_distances_monotone(self, tmp_path, generator):
         points = generator.normal(size=(30, 8))
-        db = _db(points.tolist(), [0] * 30)
-        neighbors = QueryService(db).query(generator.normal(size=8), label=0, k=30)
-        distances = [n.distance for n in neighbors]
+        store = _store(tmp_path, points, [0] * 30)
+        hits = _query(store, generator.normal(size=8), label=0, k=30)
+        distances = [d for _, d in hits]
         assert distances == sorted(distances)
 
 
 class TestStableTieBreaking:
-    def test_equal_distances_rank_in_insertion_order(self):
+    def test_equal_distances_rank_in_insertion_order(self, tmp_path):
         # Four records equidistant from the query: ranks must follow
         # insertion order so forensics reports are reproducible.
-        db = _db([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
-                 [0, 0, 0, 0])
-        neighbors = QueryService(db).query(np.zeros(2), label=0, k=4)
-        assert [n.record_index for n in neighbors] == [0, 1, 2, 3]
+        store = _store(tmp_path,
+                       [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                       [0, 0, 0, 0])
+        assert _ids(_query(store, np.zeros(2), label=0, k=4)) == [0, 1, 2, 3]
 
-    def test_partial_ties_keep_insertion_order(self):
-        db = _db([[2.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.5]],
-                 [0, 0, 0, 0])
-        neighbors = QueryService(db).query(np.zeros(2), label=0, k=4)
+    def test_partial_ties_keep_insertion_order(self, tmp_path):
+        store = _store(tmp_path,
+                       [[2.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.5]],
+                       [0, 0, 0, 0])
         # 0.5 first, then the two distance-1.0 ties in insertion order.
-        assert [n.record_index for n in neighbors] == [3, 1, 2, 0]
+        assert _ids(_query(store, np.zeros(2), label=0, k=4)) == [3, 1, 2, 0]
 
 
 class TestExactTopKKernel:
-    """The one ranking every exact path (service, brute shard, degraded
+    """The one ranking every exact path (store scan, brute shard, degraded
     cluster answer) goes through — tie-breaks are asserted here once."""
 
     def test_duplicated_points_rank_in_row_order(self):
@@ -108,90 +117,50 @@ class TestExactTopKKernel:
         assert distances.tolist() == [[1.0, 1.0, 3.0]]
 
 
-class TestRemovedOptions:
-    def test_index_option_is_gone_not_ignored(self):
-        db = _db([[0.0, 0.0]], [0])
-        with pytest.raises(TypeError):
-            QueryService(db, index="brute")
-
-
 class TestStaleIndexInvalidation:
-    def _record(self, point, label):
-        return LinkageRecord(
-            fingerprint=np.asarray(point, dtype=np.float32),
-            label=label, source="p0", digest=b"h" * 32,
-        )
+    def test_sees_records_added_after_first_query(self, tmp_path):
+        store = _store(tmp_path, [[0.0, 0.0], [4.0, 0.0]], [0, 0])
+        assert len(_query(store, np.zeros(2), label=0)) == 2
+        _append(store, [0.1, 0.0], 0)
+        hits = _query(store, np.zeros(2), label=0)
+        assert _ids(hits) == [0, 2, 1]  # the new record, d=0.1, second
 
-    def test_sees_records_added_after_first_query(self):
-        db = _db([[0.0, 0.0], [4.0, 0.0]], [0, 0])
-        service = QueryService(db)
-        assert len(service.query(np.zeros(2), label=0, k=9)) == 2
-        db.add(self._record([0.1, 0.0], 0))
-        neighbors = service.query(np.zeros(2), label=0, k=9)
-        assert len(neighbors) == 3
-        assert neighbors[0].record_index == 0
-        assert neighbors[1].record_index == 2  # the new record, d=0.1
-
-    def test_new_label_after_construction_is_queryable(self):
-        db = _db([[0.0, 0.0]], [0])
-        service = QueryService(db)
-        with pytest.raises(QueryError):
-            service.query(np.zeros(2), label=3)
-        db.add(self._record([1.0, 1.0], 3))
-        assert service.query(np.zeros(2), label=3, k=1)[0].record_index == 1
+    def test_new_label_after_construction_is_queryable(self, tmp_path):
+        store = _store(tmp_path, [[0.0, 0.0]], [0])
+        assert _query(store, np.zeros(2), label=3) == []
+        _append(store, [1.0, 1.0], 3)
+        assert _ids(_query(store, np.zeros(2), label=3, k=1)) == [1]
 
 
 class TestBatchVectorization:
-    def _loop_reference(self, service, fingerprints, labels, k):
-        return [service.query(fingerprints[i], int(labels[i]), k=k)
-                for i in range(fingerprints.shape[0])]
+    def _loop_reference(self, store, fingerprints, label, k):
+        return [_query(store, fingerprint, label, k)
+                for fingerprint in fingerprints]
 
-    def test_batch_parity_with_loop(self, generator):
+    def test_batch_parity_with_loop(self, tmp_path, generator):
         points = generator.normal(size=(80, 6)).astype(np.float32)
-        labels = [i % 4 for i in range(80)]
-        db = _db(points.tolist(), labels)
-        service = QueryService(db)
-        queries = points[:20] + generator.normal(
-            size=(20, 6)).astype(np.float32) * 0.1
-        query_labels = [labels[i] for i in range(20)]
-        batched = service.query_batch(queries, query_labels, k=5)
-        reference = self._loop_reference(service, queries, query_labels, k=5)
-        assert batched == reference
+        store = _store(tmp_path, points, [i % 4 for i in range(80)])
+        queries = points[:20:4] + generator.normal(
+            size=(5, 6)).astype(np.float32) * 0.1
+        assert _query_batch(store, queries, 0, k=5) == \
+            self._loop_reference(store, queries, 0, k=5)
 
-    def test_batch_parity_with_ties(self):
-        # Duplicate points => equal distances; grouping must not perturb
+    def test_batch_parity_with_ties(self, tmp_path):
+        # Duplicate points => equal distances; batching must not perturb
         # the stable insertion-order tie-break.
-        points = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
-        db = _db(points, [0, 0, 0, 0])
-        service = QueryService(db)
+        store = _store(tmp_path, [[1.0, 0.0], [0.0, 1.0]] * 2, [0] * 4)
         queries = np.zeros((3, 2), dtype=np.float32)
-        batched = service.query_batch(queries, [0, 0, 0], k=4)
-        reference = self._loop_reference(service, queries, [0, 0, 0], k=4)
-        assert batched == reference
-        assert [n.record_index for n in batched[0]] == [0, 1, 2, 3]
+        batched = _query_batch(store, queries, 0, k=4)
+        assert batched == self._loop_reference(store, queries, 0, k=4)
+        assert _ids(batched[0]) == [0, 1, 2, 3]
 
-    def test_batch_preserves_submission_order_across_labels(self, generator):
+    def test_batch_preserves_submission_order_across_labels(self, tmp_path,
+                                                            generator):
         points = generator.normal(size=(40, 4)).astype(np.float32)
         labels = [i % 3 for i in range(40)]
-        db = _db(points.tolist(), labels)
-        service = QueryService(db)
-        # Interleaved labels: results must come back in submission order.
-        order = [2, 0, 1, 1, 0, 2, 0]
-        queries = points[:7]
-        query_labels = [labels[i] for i in range(7)]
-        shuffled = np.stack([queries[i] for i in order])
-        shuffled_labels = [query_labels[i] for i in order]
-        batched = service.query_batch(shuffled, shuffled_labels, k=3)
+        store = _store(tmp_path, points, labels)
+        # Interleaved queries of one label come back in submission order.
+        order = [6, 0, 3, 9, 0]
+        batched = _query_batch(store, points[order], 0, k=3)
         for row, src in enumerate(order):
-            assert batched[row] == service.query(queries[src],
-                                                 query_labels[src], k=3)
-
-    def test_batch_length_mismatch_rejected(self):
-        db = _db([[0.0, 0.0]], [0])
-        with pytest.raises(QueryError):
-            QueryService(db).query_batch(np.zeros((2, 2)), labels=[0])
-
-    def test_batch_invalid_k_rejected(self):
-        db = _db([[0.0, 0.0]], [0])
-        with pytest.raises(QueryError):
-            QueryService(db).query_batch(np.zeros((1, 2)), labels=[0], k=0)
+            assert batched[row] == _query(store, points[src], 0, k=3)

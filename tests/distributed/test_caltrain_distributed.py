@@ -58,10 +58,8 @@ class TestCalTrainDistributed:
             self, tmp_path):
         system, _ = make_world()
         system.train(workers=2, checkpoint_dir=str(tmp_path))
-        database = system.fingerprint_stage()
-        assert len(database) == system.decryption_summary.accepted
-        service = system.query_service()
-        assert service is not None
+        table = system.fingerprint_stage()
+        assert len(table) == system.decryption_summary.accepted
 
     def test_distributed_audit_events_present(self, tmp_path):
         system, _ = make_world(epochs=2)

@@ -1,17 +1,22 @@
 """Fixtures for the governance control-plane suite.
 
 A small but complete accountability world: a two-contributor committed
-ledger with a quarantine lane, a linkage store whose records resolve
-into that ledger (plus one record that deliberately resolves into the
-*quarantine* lane — the divergence the attribution walk must refuse),
-a governance log, and a promotion gate anchored to a real enclave.
+ledger with a quarantine lane, the two contributors holding the
+instances behind it, a linkage store whose records resolve into that
+ledger and commit each instance's digest H (plus one record that
+deliberately resolves into the *quarantine* lane — the divergence the
+attribution walk must refuse), a governance log, and a promotion gate
+anchored to a real enclave.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.linkage import instance_digest
+from repro.data.datasets import Dataset
 from repro.data.encryption import EncryptedRecord
 from repro.enclave.platform import SgxPlatform
+from repro.federation.participant import TrainingParticipant
 from repro.governance import GovernanceLog, PromotionGate, compute_run_key
 from repro.ingest import ContributionLedger
 from repro.serving import LinkageStore
@@ -62,7 +67,22 @@ def ledger(tmp_path, rng):
 
 
 @pytest.fixture
-def store(tmp_path, rng, ledger):
+def participants(rng):
+    """c0 and c1, each holding the 12 instances its ledger records seal."""
+    generator = rng.child("instances").generator
+    return {
+        name: TrainingParticipant(
+            name,
+            Dataset(generator.random((12, 2, 2, 1)),
+                    np.arange(12) % NUM_LABELS),
+            rng.child(name),
+        )
+        for name in ("c0", "c1")
+    }
+
+
+@pytest.fixture
+def store(tmp_path, rng, ledger, participants):
     store = LinkageStore.create(tmp_path / "store")
     generator = rng.child("store").generator
     committed = list(ledger.iter_records())
@@ -73,7 +93,8 @@ def store(tmp_path, rng, ledger):
         fingerprints,
         [r.label for r in committed],
         [r.source_id for r in committed],
-        [b"h" * 32 for _ in committed],
+        [instance_digest(participants[r.source_id].dataset.x[r.index])
+         for r in committed],
         source_indices=[r.index for r in committed],
     )
     poisoned = next(ledger.iter_records(lane="quarantine"))

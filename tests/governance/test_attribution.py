@@ -138,6 +138,64 @@ class TestRefusals:
             attributor.attribute(fingerprint, label)
 
 
+class TestDisclosure:
+    """The paper's summon-and-verify step: only the hit instances are
+    demanded, and each must hash to the H the store committed."""
+
+    def _report(self, attributor, store):
+        fingerprint, label = _query_near(store, 0)
+        return attributor.attribute(fingerprint, label, k=5)
+
+    def test_honest_disclosure_verifies_every_hit(self, attributor, store,
+                                                  log, participants):
+        report = self._report(attributor, store)
+        before = len(log)
+        verified = attributor.disclose(report, participants)
+        assert verified == [hit["store_index"] for hit in report.hits]
+        assert len(log) == before + 1
+        entry = log.events()[-1]
+        assert entry["kind"] == "disclosure"
+        assert entry["details"]["report_digest"] == report.report_digest
+        assert entry["details"]["verified"] == verified
+        assert log.verify()
+
+    def test_one_altered_pixel_refuses(self, attributor, store, log,
+                                       participants):
+        report = self._report(attributor, store)
+        first = store.record(report.hits[0]["store_index"])
+        participants[first.source].dataset.x[first.source_index, 0, 0, 0] \
+            += 1e-3
+        before = len(log)
+        with pytest.raises(AttributionError, match="committed digest H"):
+            attributor.disclose(report, participants)
+        assert len(log) == before
+
+    def test_absent_contributor_refuses(self, attributor, store, log,
+                                        participants):
+        report = self._report(attributor, store)
+        absent = store.record(report.hits[0]["store_index"]).source
+        present = {name: p for name, p in participants.items()
+                   if name != absent}
+        before = len(log)
+        with pytest.raises(AttributionError, match="was not summoned"):
+            attributor.disclose(report, present)
+        assert len(log) == before
+
+    def test_refusal_is_counted(self, engine, store, ledger, log,
+                                participants):
+        from repro.governance import GovernanceTelemetry
+
+        telemetry = GovernanceTelemetry()
+        attributor = Attributor(engine, store, ledger, log,
+                                telemetry=telemetry)
+        report = self._report(attributor, store)
+        attributor.disclose(report, participants)
+        with pytest.raises(AttributionError):
+            attributor.disclose(report, {})
+        assert telemetry.counter("disclosures") == 1
+        assert telemetry.counter("attributions_refused") == 1
+
+
 class TestOneLedgerWalk:
     """A report's hits resolve in one walk over the ledger's segments,
     with the evidence the one-pair lookup gives for each."""

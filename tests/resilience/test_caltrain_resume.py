@@ -86,8 +86,8 @@ class TestCheckpointedTraining:
         with plan:
             system.train(test_x=test.x, test_y=test.y,
                          checkpoint_dir=tmp_path)
-        database = system.fingerprint_stage()
-        assert len(database) > 0
+        table = system.fingerprint_stage()
+        assert len(table) > 0
 
     def test_frontnet_sealed_in_every_checkpoint(self, tmp_path, baseline):
         _, base_weights = baseline

@@ -7,8 +7,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 import numpy as np
 import pytest
 
-from repro.core.linkage import LinkageDatabase, LinkageRecord
-from repro.core.query import QueryService
+from repro.core.query import exact_top_k
 from repro.errors import (ConfigurationError, QueryError, QueryRejected,
                           ServingError, StaleIndexError)
 from repro.serving import (EngineConfig, LinkageStore, ServingEngine,
@@ -46,20 +45,15 @@ class _GatedIndex:
 class TestCorrectness:
     def test_engine_matches_brute_force(self, world, generator):
         fingerprints, labels, store, index = world
-        database = LinkageDatabase()
-        for i in range(fingerprints.shape[0]):
-            database.add(LinkageRecord(
-                fingerprint=fingerprints[i], label=int(labels[i]),
-                source="p0", digest=b"h" * 32, source_index=i,
-            ))
-        brute = QueryService(database)
         sample = generator.integers(0, fingerprints.shape[0], size=30)
         queries = fingerprints[sample] + 0.05
         with ServingEngine(index, EngineConfig(workers=2)) as engine:
             results = engine.query_many(queries, labels[sample], k=5)
         for i in range(30):
-            expected = [n.record_index for n in
-                        brute.query(queries[i], int(labels[sample][i]), k=5)]
+            rows = np.flatnonzero(labels == labels[sample][i])
+            positions, _ = exact_top_k(queries[i:i + 1], fingerprints[rows],
+                                       5)
+            expected = rows[positions[0]].tolist()
             assert [hit.index for hit in results[i]] == expected
 
     def test_unknown_label_propagates_typed_error(self, world):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.linkage import LinkageDatabase, LinkageRecord
-from repro.core.query import QueryService
+from repro.core.query import exact_top_k
 from repro.errors import ConfigurationError, QueryError
 from repro.serving import LinkageStore, ShardedAnnIndex
 from repro.serving.index import RECALL_FLOOR
@@ -13,14 +12,12 @@ from tests.serving.conftest import (clustered_corpus, fill_store,
                                     random_corpus)
 
 
-def _brute_service(fingerprints, labels):
-    database = LinkageDatabase()
-    for i in range(fingerprints.shape[0]):
-        database.add(LinkageRecord(
-            fingerprint=fingerprints[i], label=int(labels[i]),
-            source="p0", digest=b"h" * 32, source_index=i,
-        ))
-    return QueryService(database)
+def _brute(fingerprints, labels, query, label, k):
+    """[(row, float64 distance)] of the exact top-k for ``label``."""
+    rows = np.flatnonzero(labels == label)
+    positions, distances = exact_top_k(query[None, :], fingerprints[rows], k)
+    return [(int(rows[p]), float(d))
+            for p, d in zip(positions[0], distances[0])]
 
 
 def _built_index(tmp_path, fingerprints, labels, **kwargs):
@@ -64,13 +61,11 @@ class TestExactMode:
         fingerprints, labels, queries, query_labels, build, k = _exact_case(
             generator, corpus)
         index = _built_index(tmp_path, fingerprints, labels, **build)
-        brute = _brute_service(fingerprints, labels)
         for query, label in zip(queries, query_labels.tolist()):
             # One float64 cdist kernel on both sides: equal, not close.
             assert [(h.index, h.distance)
-                    for h in index.search(query, label, k=k)] == [
-                (n.record_index, n.distance)
-                for n in brute.query(query, label, k=k)]
+                    for h in index.search(query, label, k=k)] == _brute(
+                fingerprints, labels, query, label, k)
 
     def test_small_shards_fall_back_to_brute(self, tmp_path, generator):
         fingerprints, labels = clustered_corpus(generator, 300)
@@ -110,13 +105,12 @@ class TestApproximateMode:
             fingerprints, labels = make(generator, 3000)
             index = _built_index(tmp_path / make.__name__, fingerprints,
                                  labels, shard_threshold=200, probes=4)
-            brute = _brute_service(fingerprints, labels)
             queries, query_labels = _queries(generator, fingerprints, labels,
                                              60, noise=noise)
             found = total = 0
             for i in range(60):
-                expected = {n.record_index for n in
-                            brute.query(queries[i], int(query_labels[i]), k=5)}
+                expected = {row for row, _ in _brute(
+                    fingerprints, labels, queries[i], query_labels[i], 5)}
                 got = {h.index for h in
                        index.search(queries[i], int(query_labels[i]), k=5)}
                 found += len(expected & got)
@@ -257,9 +251,9 @@ class TestBuildEdgeCases:
                              kmeans_sample=60)
         assert all(index.shard_kind(label) == "clustered"
                    for label in index.labels())
-        brute = _brute_service(fingerprints, labels)
         queries, query_labels = _queries(generator, fingerprints, labels, 10)
         for i in range(10):
-            expected = brute.query(queries[i], int(query_labels[i]), k=5)
+            expected = _brute(fingerprints, labels, queries[i],
+                              query_labels[i], 5)
             got = index.search(queries[i], int(query_labels[i]), k=5)
-            assert [h.index for h in got] == [n.record_index for n in expected]
+            assert [h.index for h in got] == [row for row, _ in expected]

@@ -1,9 +1,12 @@
 """Persistent linkage store tests: round-trips, integrity, sealing."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core.linkage import LinkageDatabase, LinkageRecord
+from repro.core.linkage import LinkageTable
 from repro.errors import StoreError
 from repro.serving import LinkageStore
 
@@ -54,37 +57,35 @@ class TestRoundTrip:
     def test_by_label_matches_database_semantics(self, store_path,
                                                  small_store):
         store, fingerprints, labels = small_store
-        database = LinkageDatabase()
-        for i in range(600):
-            database.add(LinkageRecord(
-                fingerprint=fingerprints[i], label=int(labels[i]),
-                source=f"p{i % 3}", digest=b"h" * 32, source_index=i,
-            ))
         reopened = LinkageStore.open(store_path)
-        assert reopened.labels() == database.labels()
-        for label in database.labels():
+        assert reopened.labels() == sorted(set(labels.tolist()))
+        for label in reopened.labels():
+            rows = np.flatnonzero(labels == label)
             store_matrix, store_indices = reopened.by_label(label)
-            db_matrix, db_indices = database.by_label(label)
-            np.testing.assert_array_equal(store_matrix, db_matrix)
-            assert store_indices == db_indices
-            assert reopened.count(label) == database.count(label)
+            np.testing.assert_array_equal(store_matrix, fingerprints[rows])
+            assert store_indices == rows.tolist()
+            assert reopened.count(label) == rows.size
 
     def test_from_database_and_back(self, tmp_path, generator):
         fingerprints, labels = clustered_corpus(generator, 120)
-        database = LinkageDatabase()
-        for i in range(120):
-            database.add(LinkageRecord(
-                fingerprint=fingerprints[i], label=int(labels[i]),
-                source="p0", digest=b"d" * 32, source_index=i,
-            ))
-        store = LinkageStore.from_database(tmp_path / "s", database,
+        table = LinkageTable(
+            fingerprints, labels, [f"p{i % 3}" for i in range(120)],
+            [bytes([i]) * 32 for i in range(120)],
+            source_indices=range(100, 220),
+            kinds=["poisoned" if i % 5 == 0 else "normal"
+                   for i in range(120)],
+        )
+        store = LinkageStore.from_database(tmp_path / "s", table,
                                            segment_records=50)
         assert len(store.segments) == 3
-        restored = store.to_database()
-        assert len(restored) == 120
-        for i in (0, 60, 119):
-            np.testing.assert_array_equal(restored.record(i).fingerprint,
-                                          database.record(i).fingerprint)
+        for i in range(120):
+            record = store.record(i)
+            np.testing.assert_array_equal(record.fingerprint,
+                                          table.fingerprints[i])
+            assert (record.label, record.source, record.digest,
+                    record.source_index, record.kind) == (
+                table.labels[i], table.sources[i], table.digests[i],
+                table.source_indices[i], table.kinds[i])
 
     def test_dimension_mismatch_rejected(self, small_store):
         store, _, _ = small_store
@@ -104,6 +105,42 @@ class TestRoundTrip:
         # Nothing was written or sealed into the manifest.
         assert (len(store), store.version) == before
         assert store.verify()
+
+
+class TestDurability:
+    def test_segment_is_durable_before_the_manifest_names_it(
+            self, small_store, store_path, monkeypatch):
+        """Crash window: once the manifest names a segment, open() insists
+        on both of its files — so matrix and sidecar must already be
+        fsynced and renamed into place, the rename itself fsynced, before
+        the manifest's own replace."""
+        store, fingerprints, labels = small_store
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        info = store.append(fingerprints[:5], labels[:5].tolist(),
+                            ["p0"] * 5, [b"h" * 32] * 5)
+        monkeypatch.undo()
+
+        directory = os.stat(store_path).st_ino
+        named = events.index(("replace", "manifest.json"))
+        for name in (f"{info.name}.npy", f"{info.name}.meta.json"):
+            inode = os.stat(store_path / name).st_ino
+            synced = events.index(("fsync", inode))
+            renamed = events.index(("replace", name))
+            assert synced < renamed < named
+            assert ("fsync", directory) in events[renamed:named]
+        assert events.count(("replace", "manifest.json")) == 1
 
 
 class TestIntegrity:

@@ -2,7 +2,7 @@
 
 These tests exercise full multi-subsystem flows that no single module test
 covers: the audited pipeline, a poisoned participant caught end-to-end,
-the sealed linkage database surviving an enclave restart, and hub training
+the sealed linkage store surviving an enclave restart, and hub training
 feeding the accountability stage.
 """
 
@@ -14,6 +14,8 @@ from repro.data.datasets import Dataset, synthetic_cifar
 from repro.federation.participant import TrainingParticipant
 from repro.nn.zoo import tiny_testnet
 from repro.utils.rng import RngStream
+
+from tests.governed import governed_pipeline
 
 
 @pytest.fixture
@@ -86,10 +88,10 @@ class TestAuditedPipeline:
 
 
 class TestPoisonedParticipantEndToEnd:
-    def test_badnets_participant_is_implicated(self, world):
+    def test_badnets_participant_is_implicated(self, world, tmp_path):
         """The headline accountability flow against BadNets poisoning, on
-        the full facade: attack -> training -> fingerprints -> query ->
-        implication -> verified disclosure."""
+        the governed pipeline: attack -> ledger -> training -> promoted
+        store -> attribution -> verified disclosure of every hit."""
         from repro.attacks.badnets import BadNetsAttack
 
         rng, train, test = world
@@ -102,32 +104,34 @@ class TestPoisonedParticipantEndToEnd:
         for i, share in enumerate(shares):
             participant = TrainingParticipant(f"p{i}", share, rng.child(f"p{i}"))
             system.register_participant(participant)
-            system.submit_data(participant)
             flags = share.flags.get("poisoned", np.zeros(len(share), bool))
             kinds[f"p{i}"] = np.where(flags, "poisoned", "normal")
-        system.train()
-        system.fingerprint_stage(kinds_by_source=kinds)
 
         stamped = attack.stamp_test_set(test)
-        result = system.investigator().investigate(
-            stamped.x[:6], participants=system.participants,
-        )
-        assert "p1" in result.implicated_sources
-        assert all(result.verified_disclosures.values())
-        # Most flagged records genuinely carry the trigger.
-        db = system.linkage_db
-        flagged_kinds = [db.record(i).kind for i in result.suspicious_records]
-        assert flagged_kinds.count("poisoned") > len(flagged_kinds) / 2
+        with governed_pipeline(system, tmp_path, kinds) as world_:
+            labels, _, fingerprints = \
+                system.fingerprinter.predict_with_fingerprint(stamped.x[:6])
+            hit_kinds = []
+            for fingerprint, label in zip(fingerprints, labels):
+                report = world_.attributor.attribute(fingerprint, int(label))
+                assert "p1" in report.implicated
+                verified = world_.attributor.disclose(report,
+                                                      system.participants)
+                assert verified == [h["store_index"] for h in report.hits]
+                hit_kinds += [world_.store.record(i).kind for i in verified]
+        assert len(world_.log.events("disclosure")) == 6
+        # Most hits genuinely carry the trigger.
+        assert hit_kinds.count("poisoned") > len(hit_kinds) / 2
 
 
 class TestSealedLinkagePersistence:
-    def test_linkage_db_survives_enclave_restart(self, world):
-        """Fingerprinting enclave seals the DB; an identically-built
-        enclave on the same platform unseals it and answers queries with
-        a verifiable Merkle commitment."""
-        from repro.core.linkage import LinkageDatabase
-        from repro.core.query import QueryService
+    def test_linkage_db_survives_enclave_restart(self, world, tmp_path):
+        """The fingerprinting enclave seals the store's manifest; an
+        identically-built enclave on the same platform unseals it against
+        the reopened store, whose one segment is the audit commitment."""
+        from repro.core.query import exact_top_k
         from repro.enclave.sealing import seal, unseal
+        from repro.serving import LinkageStore
 
         rng, train, test = world
         system = _system()
@@ -135,39 +139,37 @@ class TestSealedLinkagePersistence:
         system.register_participant(participant)
         system.submit_data(participant)
         system.train()
-        database = system.fingerprint_stage()
-        commitment = database.merkle_commitment()
+        store = LinkageStore.from_database(tmp_path / "store",
+                                           system.fingerprint_stage())
 
         # Seal in one fingerprint enclave...
         enclave_a = system.platform.create_enclave("fp-store")
         enclave_a.init()
-        blob = seal(enclave_a, database.to_bytes())
+        blob = seal(enclave_a, store.manifest_digest())
         # ...restart: an identical enclave unseals.
         enclave_b = system.platform.create_enclave("fp-store")
         enclave_b.init()
-        restored = LinkageDatabase.from_bytes(unseal(enclave_b, blob))
-        assert len(restored) == len(database)
-        # Queries over the restored DB verify against the old commitment.
-        service = QueryService(restored)
+        restored = LinkageStore.open(tmp_path / "store")
+        assert unseal(enclave_b, blob) == restored.manifest_digest()
+        (event,) = system.audit_log.events("fingerprint-stage")
+        assert restored.segment_digests() == [event.details["commitment"]]
         labels, _, fps = system.fingerprinter.predict_with_fingerprint(
             test.x[:1]
         )
-        neighbors = service.query(fps[0], int(labels[0]), k=3)
-        for neighbor in neighbors:
-            proof = restored.prove_record(commitment, neighbor.record_index)
-            assert restored.verify_record_inclusion(
-                commitment.root, neighbor.record_index, proof
-            )
+        matrix, _ = restored.by_label(int(labels[0]))
+        positions, _ = exact_top_k(fps[:1], matrix, 3)
+        assert positions.shape == (1, 3)
 
 
 class TestHubsFeedAccountability:
-    def test_hub_trained_model_supports_fingerprinting(self, world):
+    def test_hub_trained_model_supports_fingerprinting(self, world, tmp_path):
         """A model trained by the hub aggregator plugs into the
         fingerprint/query stages like a single-enclave model."""
         from repro.core.fingerprint import Fingerprinter
-        from repro.core.linkage import LinkageDatabase, instance_digest
-        from repro.core.query import QueryService
+        from repro.core.linkage import instance_digest
+        from repro.core.query import exact_top_k
         from repro.federation.hubs import HubAggregator, LearningHub
+        from repro.serving import LinkageStore
 
         rng, train, test = world
         from repro.enclave.platform import SgxPlatform
@@ -185,13 +187,14 @@ class TestHubsFeedAccountability:
         model = HubAggregator(hubs, global_model=factory()).train(rounds=3)
 
         fingerprinter = Fingerprinter(model)
-        database = LinkageDatabase()
-        fingerprints = fingerprinter.fingerprint(train.x)
-        database.add_batch(
-            fingerprints, train.y.tolist(), ["pool"] * len(train),
+        store = LinkageStore.create(tmp_path / "store")
+        store.append(
+            fingerprinter.fingerprint(train.x), train.y.tolist(),
+            ["pool"] * len(train),
             [instance_digest(train.x[i]) for i in range(len(train))],
             source_indices=list(range(len(train))),
         )
         labels, _, fps = fingerprinter.predict_with_fingerprint(test.x[:2])
-        neighbors = QueryService(database).query(fps[0], int(labels[0]), k=5)
-        assert len(neighbors) == 5
+        matrix, _ = store.by_label(int(labels[0]))
+        positions, _ = exact_top_k(fps[:1], matrix, 5)
+        assert positions.shape == (1, 5)

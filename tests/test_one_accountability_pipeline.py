@@ -1,0 +1,74 @@
+"""One linkage store, one query path, one accountability pipeline.
+
+The fingerprint stage's Omega tuples live only in ``LinkageStore``,
+``exact_top_k`` over its rows is the one full-scan ranking, and
+``governance.Attributor`` is the one class that ranks contributors and
+has them disclose what they trained on. The in-memory second pipeline
+(database, query service, investigator, Merkle commitment) must not grow
+back under any name it used to have.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TREES = ("src", "tests", "benchmarks", "examples")
+#: Names of the removed second pipeline.
+GONE = {
+    "LinkageDatabase", "QueryService", "Neighbor", "Investigator",
+    "InvestigationResult", "MerkleTree", "to_database", "query_service",
+    "investigator", "linkage_db",
+}
+
+
+def _modules():
+    modules = sorted(p for tree in TREES for p in (ROOT / tree).rglob("*.py"))
+    assert modules, f"no modules found under {ROOT}"
+    return modules
+
+
+def _names(node):
+    """Identifiers ``node`` defines, imports or references."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                         ast.AsyncFunctionDef)):
+        yield node.name
+    elif isinstance(node, ast.alias):
+        yield node.name.rsplit(".", 1)[-1]
+        if node.asname:
+            yield node.asname
+    elif isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.arg):
+        yield node.arg
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_second_pipeline_name():
+    hits = sorted({
+        f"{path.relative_to(ROOT)}:{getattr(node, 'lineno', '?')}: {name}"
+        for path in _modules()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in _names(node) if name in GONE
+    })
+    assert not hits, hits
+
+
+def test_core_does_not_import_the_participant():
+    core = sorted((ROOT / "src" / "repro" / "core").rglob("*.py"))
+    assert core
+    offenders = [
+        str(path.relative_to(ROOT)) for path in core
+        if any(module.startswith("repro.federation.participant")
+               for module in _imported_modules(ast.parse(path.read_text())))
+    ]
+    assert not offenders, offenders
