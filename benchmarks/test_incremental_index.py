@@ -111,8 +111,7 @@ def test_growth_storm_zero_evictions(bench_rng, tmp_path_factory):
     cluster = ServingCluster(
         store, replicas=3,
         config=ClusterConfig(deadline_s=5.0, health_interval_s=0.05,
-                             breaker_reset_s=0.25, stop_timeout_s=0.5,
-                             auto_refresh=True, refresh_stagger=1),
+                             breaker_reset_s=0.25, stop_timeout_s=0.5),
         engine_config=EngineConfig(workers=2, max_batch=32, queue_depth=128,
                                    poll_interval=0.005),
         index_factory=lambda s: ShardedAnnIndex(

@@ -8,8 +8,8 @@ in-memory database. This example runs the production-shaped path instead:
 2. seal the store's manifest digest to the fingerprinting enclave's
    identity — the attestation boundary between the enclave and the
    out-of-enclave serving plane,
-3. build the per-label sharded ANN index (exact mode: provably identical
-   top-k to brute force),
+3. build the per-label sharded ANN index (provably identical top-k to
+   brute force),
 4. drive a bursty query workload through the micro-batching engine with
    its LRU cache and bounded-queue backpressure, and
 5. verify the hash-chained audit trail the engine kept of every answer.
@@ -69,8 +69,7 @@ def main() -> None:
     stats = index.stats()
     clustered = sum(1 for s in stats["shards"].values()
                     if s["kind"] == "clustered")
-    print(f"index: {stats['labels']} shards ({clustered} clustered), "
-          f"mode {stats['mode']}")
+    print(f"index: {stats['labels']} shards ({clustered} clustered)")
 
     # -- 4. bursty traffic through the engine ------------------------------
     num_queries = 1_000

@@ -172,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queries", type=int, default=512)
     serve.add_argument("--k", type=int, default=5)
     serve.add_argument("--workers", type=int, default=2)
-    serve.add_argument("--probes", type=int, default=None,
-                       help="ANN probe count (default: exact mode)")
     serve.add_argument("--trace", default=None, metavar="PATH",
                        help="record the serving run as a wall-clock span "
                             "tree (.json = structured, else rendered text)")
@@ -716,7 +714,7 @@ def _cmd_build_index(args) -> int:
     index = ShardedAnnIndex(store, shard_threshold=args.shard_threshold,
                             seed=args.seed).build()
     stats = index.stats()
-    print(f"index: {stats['labels']} label shards, mode {stats['mode']}")
+    print(f"index: {stats['labels']} label shards")
     for label, shard in stats["shards"].items():
         detail = (f"{shard['buckets']} buckets, mean radius "
                   f"{shard['mean_radius']:.2f}"
@@ -750,7 +748,7 @@ def _cmd_serve_queries(args) -> int:
     print(f"serving {len(store)} fingerprints "
           f"(dimension {store.dimension}, version {store.version})")
     index = ShardedAnnIndex(store, shard_threshold=1024,
-                            probes=args.probes, seed=args.seed).build()
+                            seed=args.seed).build()
     # Mispredictions land near training fingerprints, so draw queries as
     # perturbed stored records (this is also what lets the ANN bounds prune).
     sample = generator.integers(0, len(store), size=args.queries)
@@ -882,11 +880,8 @@ def _cmd_serve_cluster(args) -> int:
         tracer = Tracer()
 
     sample = generator.integers(0, len(store), size=args.queries)
-    queries = np.stack(
-        [store.fingerprint_at(int(i)) for i in sample]
-    ).astype(np.float32)
+    queries, query_labels = store.fingerprints_at(sample)
     queries += generator.standard_normal(queries.shape).astype(np.float32) * 0.1
-    query_labels = [store.record(int(i)).label for i in sample]
 
     cluster = ServingCluster(
         store, replicas=args.replicas,

@@ -19,9 +19,8 @@ package grows it into a serving subsystem that can absorb heavy traffic:
   ``index-snapshot`` digest and answers with snapshot isolation.
 * :mod:`repro.serving.index` — a per-label sharded ANN index over a
   generation of segments: coarse k-means bucketing with exact L2
-  re-ranking. In its default (exact) mode, triangle-inequality bounds
-  guarantee top-k results identical to brute force; a probing mode
-  trades a documented recall floor for speed. Store growth is adopted
+  re-ranking. Triangle-inequality bounds guarantee top-k results (ids
+  and float64 distances) identical to brute force. Store growth is adopted
   incrementally (:meth:`ShardedAnnIndex.refresh` builds segments only
   for new store segments) and a background merge/compaction thread
   bounds segment fan-out.

@@ -29,8 +29,8 @@ while the host misbehaves:
 * **incremental refresh, not eviction, on benign growth** — appends to
   the shared store leave each replica's pinned generation valid for the
   prefix it covers; the health sweep adopts new segments via staggered
-  :meth:`ServingCluster.refresh` (at most ``refresh_stagger`` replicas
-  per sweep), and eviction for staleness is reserved for genuine history
+  :meth:`ServingCluster.refresh` (one replica per sweep), and eviction
+  for staleness is reserved for genuine history
   rewrites (:meth:`ShardedAnnIndex.store_prefix_ok` returning False);
 * **health sweeps + self-healing** — a background monitor re-verifies
   each replica's audit-chain suffix and index shard checksums, evicts
@@ -114,8 +114,6 @@ class ClusterConfig:
     degraded_allowed: bool = True  # audited brute-force fallback
     revive: bool = True            # background revival of evicted replicas
     stop_timeout_s: float = 1.0    # bound on per-engine eviction/stop drains
-    auto_refresh: bool = True      # health sweeps adopt store growth
-    refresh_stagger: int = 1       # replicas refreshed per sweep (at most)
 
     def __post_init__(self) -> None:
         if self.deadline_s <= 0:
@@ -137,8 +135,6 @@ class ClusterConfig:
             raise ConfigurationError("health_interval_s must be positive")
         if self.stop_timeout_s <= 0:
             raise ConfigurationError("stop_timeout_s must be positive")
-        if self.refresh_stagger < 1:
-            raise ConfigurationError("refresh_stagger must be >= 1")
 
 
 class CircuitBreaker:
@@ -513,18 +509,15 @@ class ServingCluster:
             )
         return changed
 
-    def refresh(self, max_replicas: Optional[int] = None) -> int:
+    def refresh(self, max_replicas: int = 1) -> int:
         """Staggered generation adoption across the cluster.
 
         Refreshes the most-behind healthy replicas, at most
-        ``max_replicas`` (default ``config.refresh_stagger``) per call —
-        so the cluster never takes the build cost on every replica at
-        once and quorum keeps serving the prior snapshot. The health
-        sweep calls this every interval; tests and the CLI may call it
-        directly. Returns the number of replicas that adopted a new
-        generation."""
-        limit = (self.config.refresh_stagger if max_replicas is None
-                 else int(max_replicas))
+        ``max_replicas`` per call — so the cluster never takes the build
+        cost on every replica at once and quorum keeps serving the prior
+        snapshot. The health sweep calls this every interval; tests and
+        the CLI may call it directly. Returns the number of replicas that
+        adopted a new generation."""
         # Compare covered-segment counts, not the manifest version
         # counter: the two coincide only while every version bump is an
         # append, and a future non-append bump (format migration, reseal)
@@ -539,7 +532,7 @@ class ServingCluster:
                   if r.healthy and covered(r) < target]
         behind.sort(key=covered)
         refreshed = 0
-        for replica in behind[:max(0, limit)]:
+        for replica in behind[:max(0, max_replicas)]:
             if self._refresh_replica(replica, cause="growth"):
                 refreshed += 1
         return refreshed
@@ -889,10 +882,9 @@ class ServingCluster:
             elif replica.healthy:
                 self._check_replica(replica)
             states[replica.name] = replica.state
-        if self.config.auto_refresh and self._started:
-            # Staggered catch-up: at most ``refresh_stagger`` replicas
-            # adopt the grown store per sweep, so the cluster never
-            # rebuilds everywhere at once.
+        if self._started:
+            # Staggered catch-up: one replica adopts the grown store per
+            # sweep, so the cluster never rebuilds everywhere at once.
             try:
                 self.refresh()
             except Exception:  # noqa: BLE001 — the sweep must survive
@@ -951,9 +943,8 @@ class ServingCluster:
             engine.index.build()
             engine.start()
             try:
-                probe_label = fresh_store.labels()[0]
-                probe_fp = fresh_store.fingerprint_at(0)
-                engine.query(probe_fp, probe_label, k=1,
+                probe, probe_label = fresh_store.fingerprints_at([0])
+                engine.query(probe[0], int(probe_label[0]), k=1,
                              timeout=_PROBE_TIMEOUT_S)
             except Exception:
                 engine.stop(drain=False,

@@ -205,8 +205,7 @@ class ServingEngine:
 
         A stopped engine may be restarted; its snapshot-keyed cache
         carries over safely because every cache key embeds the per-label
-        content digest (or, for legacy indexes, the build + store
-        versions), so entries cached before a stop can never answer for
+        content digest, so entries cached before a stop can never answer for
         a label that has since gained rows — they simply never match
         again (see :meth:`_keys`).
         """
@@ -338,12 +337,9 @@ class ServingEngine:
         In-flight queries are untouched (they pinned the old
         generation); returns ``True`` when a new generation was adopted.
         """
-        refresher = getattr(self.index, "refresh", None)
-        if refresher is None:
-            return False
-        before = getattr(self.index, "snapshot_digest", None)
+        before = self.index.snapshot_digest
         started = time.perf_counter()
-        changed = refresher()
+        changed = self.index.refresh()
         self.telemetry.observe("refresh", time.perf_counter() - started)
         if changed:
             self.telemetry.count("refreshes")
@@ -351,9 +347,8 @@ class ServingEngine:
                 self.audit.append(
                     "index-refresh",
                     snapshot_before=before,
-                    snapshot_after=getattr(self.index, "snapshot_digest",
-                                           None),
-                    built_version=getattr(self.index, "built_version", None),
+                    snapshot_after=self.index.snapshot_digest,
+                    built_version=self.index.built_version,
                 )
         return changed
 
@@ -362,23 +357,10 @@ class ServingEngine:
     def _keys(self, block: np.ndarray, label: int, k: int) -> List[tuple]:
         # Keyed by the *per-label* content digest: growth in other labels
         # leaves these entries warm, while a label that actually gains
-        # rows gets a new digest, so its old entries simply never match
-        # again. Indexes without per-label identity fall back to the
-        # coarse (build version, store version) pair, which invalidates
-        # everything on any append — correct, just colder.
-        scope = self._label_scope(label)
+        # rows gets a new digest, so its old entries simply never match.
+        scope = self.index.label_digest(label)
         return [(stable_hash(row), int(label), int(k), scope)
                 for row in block]
-
-    def _label_scope(self, label: int):
-        """The content scope :meth:`_keys` embeds for ``label`` right now."""
-        getter = getattr(self.index, "label_digest", None)
-        scope = getter(int(label)) if callable(getter) else None
-        if scope is None:
-            scope = (getattr(self.index, "built_version", None),
-                     getattr(getattr(self.index, "store", None),
-                             "version", None))
-        return scope
 
     def _cached(self, key: tuple) -> Optional[Tuple[IndexHit, ...]]:
         """The cached answer for ``key``, citing the live snapshot.
@@ -394,16 +376,14 @@ class ServingEngine:
         also when an adoption raced in and moved the label's scope
         between key computation and now."""
         cached = self._cache.get(key)
-        snapshot = getattr(cached, "snapshot", None)
-        live = getattr(self.index, "snapshot_digest", None)
-        if snapshot is None or live is None or live == snapshot:
+        live = self.index.snapshot_digest
+        if cached is None or cached.snapshot == live:
             return cached
-        if self._label_scope(key[1]) != key[3]:
+        if self.index.label_digest(key[1]) != key[3]:
             return None
         answer = EngineAnswer(tuple(cached), snapshot=live,
-                              label_rows=getattr(cached, "label_rows", None),
-                              requested_k=getattr(cached, "requested_k",
-                                                  None))
+                              label_rows=cached.label_rows,
+                              requested_k=cached.requested_k)
         self._cache.put(key, answer)
         return answer
 
@@ -419,14 +399,12 @@ class ServingEngine:
                 results=stable_hash(
                     [[hit.index, hit.distance] for hit in hits]).hex(),
                 num_results=len(hits),
-            )
-            snapshot = getattr(hits, "snapshot", None)
-            if snapshot is not None:
                 # Which data generation answered — the audit chain commits
                 # to the exact index snapshot, so a verifier can replay the
                 # answer against that committed store prefix.
-                details["index_snapshot"] = snapshot
-                details["label_rows"] = getattr(hits, "label_rows", None)
+                index_snapshot=hits.snapshot,
+                label_rows=hits.label_rows,
+            )
             if self.promotion is not None:
                 # Promoted deployments stamp the run identity into every
                 # answer: the audit chain proves which run served it.
@@ -456,7 +434,7 @@ class ServingEngine:
         block = np.asarray(fingerprints, dtype=np.float32)
         single = block.ndim != 2
         block = np.ascontiguousarray(block.reshape(1, -1) if single else block)
-        dimension = getattr(self.index, "dimension", None)
+        dimension = self.index.dimension
         if dimension is not None and block.shape[1] != dimension:
             raise QueryError(
                 f"fingerprint dimension {block.shape[1]} does not "

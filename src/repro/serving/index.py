@@ -8,20 +8,16 @@ distances) or a **clustered shard** (coarse k-means buckets with
 per-bucket centroids and radii; a query ranks buckets by centroid
 distance and re-ranks candidates with exact L2).
 
-Two candidate-selection modes:
-
-* ``probes=None`` (the default, *exact* mode) — triangle-inequality
-  pruning. A bucket with centroid ``c`` and radius ``r`` (the largest
-  float64 ``cdist`` from ``c`` to a member) can only contain a top-k hit
-  if ``d(q, c) - r <= ub_k`` (up to a few ulps of rounding slack), where
-  ``ub_k`` is a proven upper bound on the k-th nearest distance. Pruned
-  points are *strictly* farther than the k-th neighbour, so top-k
-  membership — and, with the stable insertion-order tie-break, the exact
-  ordering — is identical to brute force. Recall is 1.0 by construction.
-* ``probes=p`` (approximate mode) — scan only the ``p`` buckets with the
-  nearest centroids (expanding while fewer than ``k`` candidates are
-  reachable). The documented floor, enforced by the test suite, is
-  ``RECALL_FLOOR``.
+Candidates are selected by triangle-inequality pruning. A bucket with
+centroid ``c`` and radius ``r`` (the largest float64 ``cdist`` from ``c``
+to a member) can only contain a top-k hit if ``d(q, c) - r <= ub_k`` (up
+to a few ulps of rounding slack), where ``ub_k`` is a proven upper bound
+on the k-th nearest distance. Pruned points are *strictly* farther than
+the k-th neighbour, so top-k membership — and, with the stable
+insertion-order tie-break, the exact ordering and every float64
+distance — is identical to brute force. A query has exactly one correct
+answer, which is what lets the cluster check a replica's answer with
+``==``.
 
 What changed with the incremental rewrite: the index no longer fails
 closed when the store grows. :meth:`ShardedAnnIndex.build` makes one
@@ -52,11 +48,7 @@ from repro.serving.segments import (IndexGeneration, IndexHit, IndexSegment,
                                     plan_merge)
 from repro.serving.store import LinkageStore
 
-__all__ = ["IndexHit", "ShardSearchResult", "ShardedAnnIndex", "RECALL_FLOOR"]
-
-# The documented recall floor for approximate (probing) mode with the
-# default build parameters, enforced by tests/serving/test_index.py.
-RECALL_FLOOR = 0.9
+__all__ = ["IndexHit", "ShardSearchResult", "ShardedAnnIndex"]
 
 # How many adopted generations to keep addressable by snapshot digest —
 # enough for the cluster to verify answers produced just before an
@@ -74,9 +66,6 @@ class ShardedAnnIndex:
         shard_threshold: labels with fewer records stay brute-force.
         buckets_per_shard: number of k-means buckets, or ``None`` for
             ``ceil(sqrt(n))`` per shard.
-        probes: ``None`` for the exact bound-pruned mode (recall 1.0);
-            an integer for approximate probing (recall >= ``RECALL_FLOOR``
-            on clustered data with default build parameters).
         seed: k-means initialisation seed (build is deterministic).
         max_segments: per-query segment fan-out bound; the compactor
             merges the cheapest adjacent pair whenever it is exceeded.
@@ -84,14 +73,11 @@ class ShardedAnnIndex:
     """
 
     def __init__(self, store: LinkageStore, shard_threshold: int = 2048,
-                 buckets_per_shard: Optional[int] = None,
-                 probes: Optional[int] = None, seed: int = 0,
+                 buckets_per_shard: Optional[int] = None, seed: int = 0,
                  kmeans_iterations: int = 6,
                  kmeans_sample: int = 20000,
                  max_segments: int = 8,
                  compaction_interval_s: float = 0.05) -> None:
-        if probes is not None and probes < 1:
-            raise ConfigurationError("probes must be >= 1 (or None for exact)")
         if shard_threshold < 1:
             raise ConfigurationError("shard_threshold must be >= 1")
         if max_segments < 1:
@@ -99,7 +85,6 @@ class ShardedAnnIndex:
         self.store = store
         self.shard_threshold = shard_threshold
         self.buckets_per_shard = buckets_per_shard
-        self.probes = probes
         self.seed = seed
         self.kmeans_iterations = kmeans_iterations
         self.kmeans_sample = kmeans_sample
@@ -128,7 +113,6 @@ class ShardedAnnIndex:
         return SegmentBuildParams(
             shard_threshold=self.shard_threshold,
             buckets_per_shard=self.buckets_per_shard,
-            probes=self.probes,
             seed=self.seed,
             kmeans_iterations=self.kmeans_iterations,
             kmeans_sample=self.kmeans_sample,
@@ -391,7 +375,7 @@ class ShardedAnnIndex:
                 f"fingerprint dimension {batch.shape[1]} does not match "
                 f"index dimension {dimension}"
             )
-        return generation.search_batch(batch, label, k, self.probes)
+        return generation.search_batch(batch, label, k)
 
     def search(self, fingerprint: np.ndarray, label: int,
                k: int = 9) -> List[IndexHit]:
@@ -424,7 +408,6 @@ class ShardedAnnIndex:
                 shards[int(label)] = entry
         return {
             "labels": len(shards),
-            "mode": "exact" if self.probes is None else f"probes={self.probes}",
             "built_version": self.built_version,
             "segments": 0 if generation is None else generation.segment_count,
             "generation": None if generation is None else generation.ordinal,

@@ -24,7 +24,7 @@ incremental instead:
   per-query segment fan-out — and therefore p99 — bounded during growth
   storms.
 
-Exact-mode parity with a from-scratch build is structural, not
+Parity with a from-scratch build is structural, not
 statistical: per-pair L2 distances do not depend on how the row matrix is
 partitioned, and :meth:`IndexGeneration.search_batch` merges per-part
 top-k by the explicit key (distance, ascending global index).
@@ -87,14 +87,11 @@ class SegmentBuildParams:
 
     shard_threshold: int = 2048
     buckets_per_shard: Optional[int] = None
-    probes: Optional[int] = None
     seed: int = 0
     kmeans_iterations: int = 6
     kmeans_sample: int = 20000
 
     def __post_init__(self) -> None:
-        if self.probes is not None and self.probes < 1:
-            raise ConfigurationError("probes must be >= 1 (or None for exact)")
         if self.shard_threshold < 1:
             raise ConfigurationError("shard_threshold must be >= 1")
 
@@ -103,7 +100,6 @@ class SegmentBuildParams:
             "shard_threshold": int(self.shard_threshold),
             "buckets_per_shard": (None if self.buckets_per_shard is None
                                   else int(self.buckets_per_shard)),
-            "probes": None if self.probes is None else int(self.probes),
             "seed": int(self.seed),
             "kmeans_iterations": int(self.kmeans_iterations),
             "kmeans_sample": int(self.kmeans_sample),
@@ -150,11 +146,10 @@ class _ClusteredShard:
     def rows(self) -> int:
         return self.matrix.shape[0]
 
-    def _candidate_mask(self, dc: np.ndarray, k: int,
-                        probes: Optional[int]) -> np.ndarray:
+    def _candidate_mask(self, dc: np.ndarray, k: int) -> np.ndarray:
         """(q, m) bool — which buckets each query must scan.
 
-        Exact mode cannot prune a top-k row. ``cdist``'s value ``δ`` is
+        The prune cannot drop a top-k row. ``cdist``'s value ``δ`` is
         within ``η·D`` of the true distance ``D``, ``η = (d + 4)·u``,
         ``u = 2⁻⁵³`` (:func:`_nearest`), and a radius is ``max δ(member,
         centroid)``. The triangle inequality on ``D`` then puts every row
@@ -165,24 +160,8 @@ class _ClusteredShard:
         the k-th: brute force over the same ``δ`` ranks none of them.
         """
         q = dc.shape[0]
-        m = len(self.buckets)
         k_eff = min(k, self.rows)
-        if probes is not None:
-            # Approximate: the `probes` nearest centroids, expanded per
-            # query until at least k candidates are reachable.
-            order = np.argsort(dc, axis=1, kind="stable")
-            mask = np.zeros((q, m), dtype=bool)
-            for row in range(q):
-                needed = 0
-                taken = 0
-                for bucket in order[row]:
-                    if taken >= probes and needed >= k_eff:
-                        break
-                    mask[row, bucket] = True
-                    needed += self.sizes[bucket]
-                    taken += 1
-            return mask
-        # Exact: bound the k-th nearest distance from above with the
+        # Bound the k-th nearest distance from above with the
         # smallest-upper-bound buckets jointly holding >= k points, then
         # keep every bucket whose lower bound does not exceed it.
         upper = dc + self.radii[None, :]
@@ -195,7 +174,7 @@ class _ClusteredShard:
         tau = (4 * self.centroids.shape[1] + 16) * np.finfo(np.float64).eps / 2
         return lower <= ub_k + tau * (dc + ub_k)
 
-    def search(self, batch: np.ndarray, k: int, probes: Optional[int]
+    def search(self, batch: np.ndarray, k: int
                ) -> Tuple[np.ndarray, np.ndarray, int]:
         """Top ``min(k, rows)`` of every query over its *own* candidates.
 
@@ -205,7 +184,7 @@ class _ClusteredShard:
         *other* query needed and grows quadratically with the block.
         """
         k_eff = min(k, self.rows)
-        mask = self._candidate_mask(cdist(batch, self.centroids), k, probes)
+        mask = self._candidate_mask(cdist(batch, self.centroids), k)
         ids = np.empty((batch.shape[0], k_eff), dtype=self.indices.dtype)
         distances = np.empty((batch.shape[0], k_eff), dtype=np.float64)
         scanned = 0
@@ -486,8 +465,8 @@ class IndexGeneration:
     def count(self, label: int) -> int:
         return self.label_rows.get(int(label), 0)
 
-    def search_batch(self, batch: np.ndarray, label: int, k: int,
-                     probes: Optional[int]) -> ShardSearchResult:
+    def search_batch(self, batch: np.ndarray, label: int,
+                     k: int) -> ShardSearchResult:
         """Answer one label block: every part once, one array merge.
 
         Parts are the label's clustered shards and one
@@ -506,7 +485,7 @@ class IndexGeneration:
             raise QueryError(
                 f"no training fingerprints indexed for label {label}"
             )
-        found = [shard.search(batch, k, probes) for shard in shards
+        found = [shard.search(batch, k) for shard in shards
                  if isinstance(shard, _ClusteredShard)]
         brute = [shard for shard in shards if isinstance(shard, _BruteShard)]
         if brute:

@@ -319,33 +319,21 @@ class LinkageStore:
             indices.append(segment.offset + row)
         return matrix, indices
 
-    def fingerprint_at(self, index: int) -> np.ndarray:
-        """One fingerprint row by global index, straight off the mmap.
+    def fingerprints_at(self, indices: Sequence[int]
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """(fingerprint rows, labels) by global index, one gather per
+        segment, straight off the mmap.
 
         Much cheaper than :meth:`record` (no metadata decode, no
         LinkageRecord construction) — this is the authoritative-read
-        primitive the cluster router uses to re-verify every served
-        hit's distance against the store the enclave sealed.
-        """
-        with self._lock:
-            if not 0 <= index < len(self):
-                raise StoreError(f"record index {index} out of range")
-            seg_pos = bisect.bisect_right(self._offsets, index) - 1
-            segment = self._segments[seg_pos]
-        return np.asarray(segment.fingerprints[index - segment.offset],
-                          dtype=np.float32)
-
-    def fingerprints_at(self, indices: Sequence[int]) -> np.ndarray:
-        """Many fingerprint rows by global index, one gather per segment.
-
-        The batched form of :meth:`fingerprint_at`: the cluster router
-        re-verifies every hit of a whole ``query_many`` batch in a
-        single vectorised pass, so the per-row bisect/copy cost of the
-        scalar primitive would dominate the routing overhead budget.
+        primitive the cluster router uses to re-verify every hit of a
+        whole ``query_many`` batch, distance and label, in a single
+        vectorised pass against the store the enclave sealed.
         """
         idx = np.asarray(indices, dtype=np.int64).ravel()
         if idx.size == 0:
-            return np.zeros((0, self.dimension or 0), dtype=np.float32)
+            return (np.zeros((0, self.dimension or 0), dtype=np.float32),
+                    np.zeros(0, dtype=np.int64))
         with self._lock:
             offsets = list(self._offsets)
             segments = list(self._segments)
@@ -353,13 +341,16 @@ class LinkageStore:
         if int(idx.min()) < 0 or int(idx.max()) >= total:
             raise StoreError("record index out of range")
         out = np.empty((idx.size, self.dimension), dtype=np.float32)
+        labels = np.empty(idx.size, dtype=np.int64)
         seg_pos = np.searchsorted(offsets, idx, side="right") - 1
         for pos in np.unique(seg_pos):
             segment = segments[pos]
             mask = seg_pos == pos
-            out[mask] = np.asarray(segment.fingerprints, dtype=np.float32)[
-                idx[mask] - segment.offset]
-        return out
+            rows = idx[mask] - segment.offset
+            out[mask] = np.asarray(segment.fingerprints,
+                                   dtype=np.float32)[rows]
+            labels[mask] = segment.labels[rows]
+        return out, labels
 
     def record(self, index: int) -> LinkageRecord:
         """Materialise one Omega tuple by its global record index."""

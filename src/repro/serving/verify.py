@@ -3,8 +3,9 @@
 Replicas are *untrusted* accelerators over the sealed store; the store's
 content-addressed segments are the root of trust. :class:`AnswerVerifier`
 is the one place that decides whether an answer a replica produced may be
-handed to a caller, by re-deriving every claim it makes (distances, hit
-count, label rows, cited index snapshot) from the authoritative store.
+handed to a caller, by re-deriving every claim it makes (rows, labels,
+distances, order, hit count, label rows, cited index snapshot) from the
+authoritative store.
 
 It holds no router state and starts no thread: store and telemetry in,
 one ``Optional[IndexIntegrityError]`` per answer out. What to do with a
@@ -25,20 +26,40 @@ from repro.serving.segments import IndexGeneration, generation_lineage_error
 from repro.serving.store import LinkageStore
 from repro.serving.telemetry import ClusterTelemetry
 
-__all__ = ["AnswerVerifier", "VERIFY_TOLERANCE"]
-
-#: Relative tolerance on a recomputed hit distance (float32 index
-#: matrices against a float64 re-derivation).
-VERIFY_TOLERANCE = 1e-3
+__all__ = ["AnswerVerifier"]
 
 # Lineage-verified snapshot digests kept for the per-answer fast path.
 _TRUSTED_SNAPSHOTS = 128
 
+# Per-hit failures, in the order a bad answer is blamed for them.
 _DISTANCE_MISMATCH = ("served hit distance disagrees with the authoritative "
                       "store — replica index corruption")
+_FOREIGN_LABEL = ("served hit is a stored row of another label — not a "
+                  "neighbour within the queried class")
+_DISORDERED = ("served hits are not strictly increasing in (distance, "
+               "index) — reordered or repeated hits")
 
 #: ``replica.index.generation``: snapshot digest -> adopted generation.
 GenerationLookup = Callable[[str], Optional[IndexGeneration]]
+
+
+def _pair_distances(queries: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``cdist(queries[i:i+1], rows[i:i+1])[0, 0]`` for every ``i``, exactly.
+
+    Every search path ranks with scipy's float64 ``cdist``, which widens
+    both operands and adds the squared differences one dimension after
+    another. This pass does the same arithmetic in the same order, so an
+    honest distance compares ``==``. The order matters and is spelled
+    out as a loop: numpy's ``sum`` adds pairwise along a contiguous axis
+    (``sum(axis=1)``, or ``sum(axis=0)`` of a one-pair block), which
+    rounds differently on a few percent of pairs.
+    """
+    squares = rows.T.astype(np.float64) - queries.T.astype(np.float64)
+    squares *= squares
+    total = squares[0].copy()
+    for column in squares[1:]:
+        total += column
+    return np.sqrt(total)
 
 
 class AnswerVerifier:
@@ -63,12 +84,12 @@ class AnswerVerifier:
 
         ``fingerprints[i]`` is the query ``answers[i]`` claims to answer
         for ``labels[i]`` at ``k``; ``generations[i]`` resolves the
-        snapshot it cites on the replica that produced it. The distance
-        pass runs once over the whole batch; provenance is then checked
-        for the answers that survived it, so a bad answer is counted in
+        snapshot it cites on the replica that produced it. The hit pass
+        runs once over the whole batch; provenance is then checked for
+        the answers that survived it, so a bad answer is counted in
         ``verify_failures`` exactly once.
         """
-        verdicts = self._distance_errors(fingerprints, answers)
+        verdicts = self._hit_errors(fingerprints, answers, labels)
         for i, answer in enumerate(answers):
             if verdicts[i] is None:
                 verdicts[i] = self._provenance_error(
@@ -106,16 +127,19 @@ class AnswerVerifier:
             self._trusted_snapshots.move_to_end(snapshot)
             return True
 
-    def _distance_errors(self, fingerprints: np.ndarray,
-                         answers: Sequence[tuple]
-                         ) -> List[Optional[IndexIntegrityError]]:
-        """Recompute every hit's distance against the authoritative store.
+    def _hit_errors(self, fingerprints: np.ndarray, answers: Sequence[tuple],
+                    labels: Sequence[int]
+                    ) -> List[Optional[IndexIntegrityError]]:
+        """Re-derive every hit of every answer from the authoritative store.
 
         The replicas' in-memory matrices are untrusted copies; the mmap
-        store (content-addressed, sealable) is the ground truth. Any
-        mismatch means the replica's index drifted. One store gather +
-        one distance pass for every hit of every answer, metering one
-        verification per non-empty answer and one failure per bad answer.
+        store (content-addressed, sealable) is the ground truth. A hit
+        must cite a stored row of the queried label at exactly the
+        distance the search kernel gives it, and an answer's hits must
+        be strictly increasing in ``(distance, index)``, so none repeats.
+        One store gather (rows and labels) + one distance pass for the
+        whole batch, metering one verification per non-empty answer and
+        one failure per bad answer.
         """
         verdicts: List[Optional[IndexIntegrityError]] = [None] * len(answers)
         counts = [len(hits) for hits in answers]
@@ -127,27 +151,34 @@ class AnswerVerifier:
                            dtype=np.int64)
         claimed = np.array([h.distance for hits in answers for h in hits],
                            dtype=np.float64)
+        owner = np.repeat(np.arange(len(answers)), counts)
         # A hit may cite a record the store does not hold at all; gather
         # row 0 in its place and fail the answer regardless of distance.
         held = (indices >= 0) & (indices < len(self.store))
-        rows = self.store.fingerprints_at(np.where(held, indices, 0))
-        owner = np.repeat(np.arange(len(answers)), counts)
-        deltas = rows - np.asarray(fingerprints)[owner]
-        actual = np.sqrt((deltas * deltas).sum(axis=1))
-        tolerance = VERIFY_TOLERANCE * np.maximum(1.0, actual)
-        bad = ~held | (np.abs(actual - claimed) > tolerance)
-        if np.any(bad):
-            failed = np.unique(owner[bad])
-            for position in failed:
-                verdicts[int(position)] = IndexIntegrityError(
-                    _DISTANCE_MISMATCH)
-            self.telemetry.count("verify_failures", len(failed))
+        rows, stored = self.store.fingerprints_at(np.where(held, indices, 0))
+        queries = np.asarray(fingerprints, dtype=np.float32)[owner]
+        follows = owner[1:] == owner[:-1]
+        ascending = (claimed[1:] > claimed[:-1]) | (
+            (claimed[1:] == claimed[:-1]) & (indices[1:] > indices[:-1]))
+        failures = (
+            (_DISTANCE_MISMATCH,
+             ~held | (_pair_distances(queries, rows) != claimed)),
+            (_FOREIGN_LABEL, stored != np.asarray(labels)[owner]),
+            (_DISORDERED, np.append(False, follows & ~ascending)),
+        )
+        for reason, bad in failures:
+            for position in np.unique(owner[bad]).tolist():
+                if verdicts[position] is None:
+                    verdicts[position] = IndexIntegrityError(reason)
+        failed = len(answers) - verdicts.count(None)
+        if failed:
+            self.telemetry.count("verify_failures", failed)
         return verdicts
 
     def _provenance_error(self, hits: tuple, label: int, k: int,
                           generation_of: GenerationLookup
                           ) -> Optional[IndexIntegrityError]:
-        """Check an answer's provenance claims, not just its distances.
+        """Check an answer's provenance claims, not just its hits.
 
         * the answer must carry provenance at all (``label_rows`` and
           ``snapshot``) — one without it fails closed;
@@ -190,9 +221,9 @@ class AnswerVerifier:
             # lineage-verified that snapshot against the authoritative
             # store, the citation is proven without the replica — the
             # remaining claims (hit count and label_rows bound above,
-            # distances elsewhere) are checked against the store itself.
-            # Only an unknown AND unverifiable snapshot is an integrity
-            # failure.
+            # rows, labels, distances and order elsewhere) are checked
+            # against the store itself. Only an unknown AND unverifiable
+            # snapshot is an integrity failure.
             if not self._is_trusted(snapshot):
                 return failed(
                     "answer cites an index snapshot the replica cannot "

@@ -186,7 +186,7 @@ def test_growth_storm_is_refreshed_not_evicted(world):
         plan = inject(cluster, "growth-storm", records=64)
         assert len(world.store) == records + 64
         world.assert_correct(cluster)  # pinned snapshots keep answering
-        for _ in cluster.replicas:  # refresh_stagger=1: one per sweep
+        for _ in cluster.replicas:  # one replica refreshes per sweep
             cluster.health_check_now()
         assert all(r.index.built_version == world.store.version
                    for r in cluster.replicas)

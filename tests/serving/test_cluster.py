@@ -113,12 +113,14 @@ class TestRouting:
 
     @pytest.mark.parametrize("option", [
         "verify_hits", "hedging", "verify_tolerance", "jitter_seed",
-        "latency_window", "probe_timeout_s"])
+        "latency_window", "probe_timeout_s", "auto_refresh",
+        "refresh_stagger"])
     def test_never_set_options_are_not_settable(self, option):
-        # Verification and hedging are always on; the rest are constants.
+        # Verification, hedging and the one-replica-a-sweep refresh are
+        # always on; the rest are constants.
         with pytest.raises(TypeError):
             ClusterConfig(**{option: False})
-        assert len(dataclasses.fields(ClusterConfig)) == 14
+        assert len(dataclasses.fields(ClusterConfig)) == 12
 
     def test_replica_index_is_the_factory_s_object(self, world):
         _, _, store = world
@@ -332,7 +334,7 @@ class TestStaleness:
             # snapshots simply don't include the new record yet.
             result = cluster.query(query, label, k=2)
             assert not result.degraded
-            # refresh_stagger=1: each sweep catches one replica up.
+            # Each sweep catches one replica up.
             for _ in cluster.replicas:
                 cluster.health_check_now()
             assert all(

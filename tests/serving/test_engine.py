@@ -26,7 +26,8 @@ def world(tmp_path, generator):
 
 
 class _GatedIndex:
-    """Wraps an index; search blocks until the gate opens (for backpressure).
+    """The real index, but search blocks until the gate opens (for
+    backpressure); every other attribute is the wrapped index's.
 
     ``entered`` is set once a worker is inside ``search_batch`` — what a
     test waits on to know the worker picked a query up and is blocked."""
@@ -35,6 +36,9 @@ class _GatedIndex:
         self.inner = inner
         self.gate = threading.Event()
         self.entered = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
     def search_batch(self, batch, label, k=9):
         self.entered.set()
@@ -146,12 +150,14 @@ class TestRobustness:
             assert len(hits) == 3
 
     def test_worker_survives_malformed_coalesced_batch(self, world):
-        # The wrapper hides `dimension`, bypassing submit-time validation,
-        # so a same-(label, k) micro-batch can mix fingerprint dimensions.
+        # With no dimension to check against (an index over an empty
+        # store reports None), submit-time validation is bypassed, so a
+        # same-(label, k) micro-batch can mix fingerprint dimensions.
         # The batch must fail per-future — not kill the worker thread or
         # wedge stop(drain=True) on queue.join().
         fingerprints, labels, _, index = world
         gated = _GatedIndex(index)
+        gated.dimension = None
         config = EngineConfig(workers=1, max_batch=8, cache_size=0,
                               poll_interval=0.005)
         engine = ServingEngine(gated, config).start()

@@ -39,8 +39,7 @@ def _cluster_for(store, seed=0):
     return ServingCluster(
         store, replicas=3,
         config=ClusterConfig(deadline_s=5.0, health_interval_s=0.02,
-                             breaker_reset_s=0.05,
-                             auto_refresh=True, refresh_stagger=1),
+                             breaker_reset_s=0.05),
         engine_config=EngineConfig(workers=2, poll_interval=0.002),
         index_factory=lambda s: ShardedAnnIndex(
             s, shard_threshold=256, seed=seed, max_segments=4,
@@ -160,7 +159,7 @@ class TestGrowthStorm:
             extra, extra_labels = clustered_corpus(generator, 80)
             store.append(extra, extra_labels.tolist(), ["p9"] * 80,
                          [b"x" * 32] * 80)
-            # One manual sweep adopts on at most refresh_stagger replicas.
+            # One manual refresh adopts on one replica.
             adopted = cluster.refresh()
             assert adopted == 1
             behind = [r for r in cluster.replicas

@@ -1,12 +1,11 @@
-"""Sharded ANN index tests: exactness, recall floor, batching parity."""
+"""Sharded ANN index tests: exactness, batching parity, staleness."""
 
 import numpy as np
 import pytest
 
 from repro.core.query import exact_top_k
-from repro.errors import ConfigurationError, QueryError
+from repro.errors import QueryError
 from repro.serving import LinkageStore, ShardedAnnIndex
-from repro.serving.index import RECALL_FLOOR
 
 from tests.serving.conftest import (clustered_corpus, fill_store,
                                     random_corpus)
@@ -100,35 +99,11 @@ class TestExactMode:
 
 
 class TestApproximateMode:
-    def test_recall_floor_on_clustered_and_random(self, tmp_path, generator):
-        for make, noise in ((clustered_corpus, 0.1), (random_corpus, 0.05)):
-            fingerprints, labels = make(generator, 3000)
-            index = _built_index(tmp_path / make.__name__, fingerprints,
-                                 labels, shard_threshold=200, probes=4)
-            queries, query_labels = _queries(generator, fingerprints, labels,
-                                             60, noise=noise)
-            found = total = 0
-            for i in range(60):
-                expected = {row for row, _ in _brute(
-                    fingerprints, labels, queries[i], query_labels[i], 5)}
-                got = {h.index for h in
-                       index.search(queries[i], int(query_labels[i]), k=5)}
-                found += len(expected & got)
-                total += len(expected)
-            assert found / total >= RECALL_FLOOR
-
-    def test_probes_expand_to_cover_k(self, tmp_path, generator):
-        fingerprints, labels = clustered_corpus(generator, 3000)
-        index = _built_index(tmp_path, fingerprints, labels,
-                             shard_threshold=200, probes=1)
-        label = int(labels[0])
-        hits = index.search(fingerprints[0], label, k=500)
-        assert len(hits) == min(500, index.store.count(label))
-
     def test_invalid_probes_rejected(self, small_store):
+        # There is no approximate mode: every search is exact.
         store, _, _ = small_store
-        with pytest.raises(ConfigurationError):
-            ShardedAnnIndex(store, probes=0)
+        with pytest.raises(TypeError):
+            ShardedAnnIndex(store, **{"probes": 1})
 
 
 class TestBatching:

@@ -332,7 +332,7 @@ class TestMergeIsBruteForce:
                 rows = np.flatnonzero(labels == label)  # global-id order
                 positions, distances = exact_top_k(
                     queries, fingerprints[rows], k)
-                result = generation.search_batch(queries, label, k, None)
+                result = generation.search_batch(queries, label, k)
                 assert [[hit.index for hit in hits]
                         for hits in result.hits] == rows[positions].tolist()
                 assert [[hit.distance for hit in hits]
@@ -341,6 +341,6 @@ class TestMergeIsBruteForce:
                 assert result.candidates_scanned <= rows.shape[0] * block
                 # A block of n is n blocks of one.
                 assert result.hits == [
-                    generation.search_batch(queries[i:i + 1], label, k,
-                                            None).hits[0]
+                    generation.search_batch(queries[i:i + 1], label,
+                                            k).hits[0]
                     for i in range(block)]

@@ -77,6 +77,13 @@ class TestServingCommands:
         assert "cache_hit_rate" in out
         assert "chain VERIFIED" in out
 
+    def test_serve_queries_has_no_probes_option(self, capsys):
+        # Serving answers one way, exactly: no approximate probe count.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-queries", "--probes", "4"])
+        assert exit_info.value.code == 2
+        assert "--probes" in capsys.readouterr().err
+
     def test_serve_cluster_fault_drill(self, capsys):
         # The CI chaos drill: kill one replica and corrupt one replica's
         # index mid-run; the cluster must keep >= 99% availability with

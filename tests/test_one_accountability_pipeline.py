@@ -5,7 +5,9 @@ The fingerprint stage's Omega tuples live only in ``LinkageStore``,
 ``governance.Attributor`` is the one class that ranks contributors and
 has them disclose what they trained on. The in-memory second pipeline
 (database, query service, investigator, Merkle commitment) must not grow
-back under any name it used to have.
+back under any name it used to have. Nor may a second way to answer a
+query: serving is exact, so an answer is checked with ``==`` and there
+is no approximate mode, recall floor or distance tolerance.
 """
 
 import ast
@@ -13,12 +15,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "benchmarks", "examples")
-#: Names of the removed second pipeline.
+#: Names of the removed second pipeline, of the approximate search mode
+#: and the verifier's tolerance, and of options that never varied.
 GONE = {
     "LinkageDatabase", "QueryService", "Neighbor", "Investigator",
     "InvestigationResult", "MerkleTree", "to_database", "query_service",
-    "investigator", "linkage_db",
+    "investigator", "linkage_db", "RECALL_FLOOR", "VERIFY_TOLERANCE",
+    "fingerprint_at", "auto_refresh", "refresh_stagger",
 }
+#: Removed parameter / attribute names, matched only where they name a
+#: parameter, keyword argument, attribute or class field.
+GONE_ARGUMENTS = {"probes"}
 
 
 def _modules():
@@ -44,6 +51,20 @@ def _names(node):
         yield node.arg
 
 
+def _argument_names(node):
+    """Parameter, keyword, attribute and class-field names ``node`` binds
+    or reads."""
+    if isinstance(node, ast.arg):
+        yield node.arg
+    elif isinstance(node, ast.keyword) and node.arg:
+        yield node.arg
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                        ast.Name):
+        yield node.target.id
+
+
 def _imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -59,6 +80,16 @@ def test_no_second_pipeline_name():
         for path in _modules()
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         for name in _names(node) if name in GONE
+    })
+    assert not hits, hits
+
+
+def test_no_probing_mode_argument():
+    hits = sorted({
+        f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+        for path in _modules()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in _argument_names(node) if name in GONE_ARGUMENTS
     })
     assert not hits, hits
 
