@@ -157,10 +157,14 @@ def test_serving_throughput(bench_rng, tmp_path_factory, benchmark):
             )
     finally:
         audit_engine.stop()
-    assert len(audit_engine.audit) == 1_000
+    # Each answered label block is one event; each answer is committed
+    # in it once, by query digest and answer digest.
+    committed = sum(len(e.details["query_digests"])
+                    for e in audit_engine.audit.events("serving-query"))
+    assert committed == 1_000
     assert audit_engine.verify_audit_chain()
-    print(f"audit: 1000 events, chain verified "
-          f"(head {audit_engine.audit.head.hex()[:16]}…)")
+    print(f"audit: 1000 answers committed in {len(audit_engine.audit)} "
+          f"events, chain verified (head {audit_engine.audit.head.hex()[:16]}…)")
 
     # Operating point for pytest-benchmark: one coalesced 64-query batch.
     bench_engine = ServingEngine(

@@ -111,8 +111,12 @@ def main() -> None:
     print("exactness: engine top-5 identical to brute force on 25 samples")
 
     assert engine.verify_audit_chain()
-    print(f"audit: {len(engine.audit)} hash-chained query events, "
-          f"chain verified (head {engine.audit.head.hex()[:16]}…)")
+    committed = sum(len(e.details["query_digests"])
+                    for e in engine.audit.events("serving-query"))
+    assert committed == num_queries + 200  # every answer, exactly once
+    print(f"audit: {committed} answers committed in {len(engine.audit)} "
+          f"hash-chained events, chain verified "
+          f"(head {engine.audit.head.hex()[:16]}…)")
 
 
 if __name__ == "__main__":

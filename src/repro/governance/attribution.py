@@ -7,7 +7,8 @@ walks each hit all the way back — linkage record → committed ledger
 segment → contributor — and assembles a JSON report carrying every link:
 
 1. the **query audit entry** the serving engine chained for the flagged
-   query (so the answer itself is tamper-evident),
+   query, checked against the answer's digest (so the answer itself is
+   tamper-evident),
 2. the **linkage hits** (store indices, distances, record digests),
 3. the **ledger evidence** per hit (segment name, segment digest, lane,
    contributor, record content digest),
@@ -42,8 +43,10 @@ from repro.core.linkage import instance_digest
 from repro.errors import (AttributionError, GovernanceLogError, LedgerError,
                           PromotionError, QueryError)
 from repro.governance.log import GovernanceLog
+from repro.serving.engine import answer_digest
 from repro.utils.logging import get_logger
-from repro.utils.serialization import canonical_digest, canonical_json
+from repro.utils.serialization import (canonical_digest, canonical_json,
+                                       stable_hash)
 
 __all__ = ["AttributionReport", "Attributor"]
 
@@ -208,14 +211,27 @@ class Attributor:
                 "serving query audit chain failed verification after the "
                 "flagged query"
             )
-        queries = self.engine.audit.events("serving-query")
-        if not queries:
+        # Anchor to the newest event committing *this* query — other
+        # callers' answers may have been chained since it was answered.
+        digest = stable_hash(np.asarray(fingerprint, np.float32).ravel()).hex()
+        for audit_event in reversed(self.engine.audit.events("serving-query")):
+            details = audit_event.details
+            if (details["label"] == label and details["k"] == k
+                    and digest in details["query_digests"]):
+                break
+        else:
             raise AttributionError(
                 "the flagged query left no audit entry — refusing to build "
                 "an unanchored report"
             )
-        audit_event = queries[-1]
-        query_audit = dict(audit_event.payload, chain=audit_event.chain_hash.hex())
+        position = details["query_digests"].index(digest)
+        if details["results"][position] != answer_digest(hits):
+            raise AttributionError(
+                "the flagged query's answer does not match the digest its "
+                "audit entry committed"
+            )
+        query_audit = dict(audit_event.payload, position=position,
+                           chain=audit_event.chain_hash.hex())
 
         records = [self.store.record(hit.index) for hit in hits]
         try:
@@ -270,7 +286,7 @@ class Attributor:
         body = {
             "run_key": run_key,
             "label": int(label),
-            "query_digest": query_audit["details"]["query_digest"],
+            "query_digest": digest,
             "query_audit": query_audit,
             "hits": evidence,
             "contributors": contributors,

@@ -15,15 +15,19 @@ being a block of one — and get one future back. Internally the engine
   :class:`~repro.errors.QueryRejected` *at submission time* rather than
   silently dropping work (fail-closed, like the audited control plane
   exemplar this subsystem follows);
-* **audits itself** — every answered query (cache hit or miss) appends a
-  hash-chained event to an :class:`~repro.core.audit.AuditLog`, recording
-  the query digest, the result digest, and how it was served. Forensic
-  queries are thereby themselves accountable: a verifier can replay the
-  chain and detect any retroactively altered answer.
+* **audits itself** — every answered label block appends one
+  hash-chained ``serving-query`` event to an
+  :class:`~repro.core.audit.AuditLog` (one per snapshot its answers cite),
+  committing each answer — cache hit or miss — by its query digest and
+  its binary :func:`answer_digest`, and recording how it was served.
+  Forensic queries are thereby themselves accountable: a verifier can
+  replay the chain and detect any retroactively altered answer.
 """
 
 from __future__ import annotations
 
+import hashlib
+import struct
 import threading
 import time
 from collections import OrderedDict
@@ -43,7 +47,25 @@ from repro.serving.index import IndexHit, ShardedAnnIndex
 from repro.serving.telemetry import ServingTelemetry
 from repro.utils.serialization import stable_hash
 
-__all__ = ["EngineConfig", "EngineAnswer", "ServingEngine"]
+__all__ = ["EngineConfig", "EngineAnswer", "ServingEngine", "answer_digest"]
+
+#: Names the byte layout :func:`answer_digest` hashes; every
+#: ``serving-query`` event carries it so a verifier knows what to recompute.
+ANSWER_FORMAT = "sha256(u64 n|i64 indices|f64 distances, le)"
+
+
+def answer_digest(hits) -> str:
+    """Hex SHA-256 committing to one answer's hits, in rank order, over the
+    8 + 16n little-endian, unpadded bytes (``n = len(hits)``)::
+
+        uint64 n | int64 index × n | float64 distance × n
+
+    Distances are the exact float64 values served, so anyone holding the
+    answer recomputes the digest."""
+    n = len(hits)
+    return hashlib.sha256(struct.pack(
+        f"<Q{n}q{n}d", n, *[hit.index for hit in hits],
+        *[hit.distance for hit in hits])).hexdigest()
 
 
 class EngineAnswer(tuple):
@@ -388,30 +410,29 @@ class ServingEngine:
         return answer
 
     def _audit_answers(self, served_by: str, answered) -> None:
-        """One ``serving-query`` event per ``(key, hits)`` answered."""
-        events = []
+        """Chain one block's ``(key, hits)`` answers, in block order, as one
+        ``serving-query`` event per snapshot they cite (normally one)."""
+        events: Dict[Tuple[Optional[str], Optional[int]], dict] = {}
         for key, hits in answered:
-            details = dict(
-                query_digest=key[0].hex(),
-                label=key[1],
-                k=key[2],
-                served_by=served_by,
-                results=stable_hash(
-                    [[hit.index, hit.distance] for hit in hits]).hex(),
-                num_results=len(hits),
+            details = events.get((hits.snapshot, hits.label_rows))
+            if details is None:
                 # Which data generation answered — the audit chain commits
                 # to the exact index snapshot, so a verifier can replay the
-                # answer against that committed store prefix.
-                index_snapshot=hits.snapshot,
-                label_rows=hits.label_rows,
-            )
-            if self.promotion is not None:
-                # Promoted deployments stamp the run identity into every
-                # answer: the audit chain proves which run served it.
-                details["run_key"] = self.promotion.run_key
-            events.append(details)
-        with self._audit_lock:  # once per block, not once per answer
-            for details in events:
+                # answers against that committed store prefix.
+                details = events[hits.snapshot, hits.label_rows] = dict(
+                    label=key[1], k=key[2], served_by=served_by,
+                    index_snapshot=hits.snapshot, label_rows=hits.label_rows,
+                    answer_format=ANSWER_FORMAT, query_digests=[],
+                    results=[], num_results=[])
+                if self.promotion is not None:
+                    # Promoted deployments stamp the run identity into every
+                    # event: the audit chain proves which run served it.
+                    details["run_key"] = self.promotion.run_key
+            details["query_digests"].append(key[0].hex())
+            details["results"].append(answer_digest(hits))
+            details["num_results"].append(len(hits))
+        with self._audit_lock:
+            for details in events.values():
                 self.audit.append("serving-query", **details)
 
     def submit(self, fingerprints: np.ndarray, label: int,

@@ -285,7 +285,8 @@ def _cluster(matrix: np.ndarray, indices: np.ndarray,
 
 
 def _checksum(matrix: np.ndarray) -> int:
-    return zlib.crc32(np.ascontiguousarray(matrix).tobytes())
+    # crc32 reads the contiguous array's buffer; no bytes copy.
+    return zlib.crc32(np.ascontiguousarray(matrix))
 
 
 # -- immutable index segments ---------------------------------------------------

@@ -7,12 +7,16 @@ attribution that only ever queries honest space never sees it; a query
 aimed at it must refuse, not report.
 """
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
 from repro.errors import AttributionError, LedgerError
 from repro.governance import Attributor
-from repro.serving import EngineConfig, ServingEngine, ShardedAnnIndex
+from repro.serving import (EngineConfig, IndexHit, ServingEngine,
+                           ShardedAnnIndex)
+from repro.utils.serialization import stable_hash
 
 from tests.governance.conftest import DIM, QUARANTINE_OFFSET, make_records
 
@@ -63,6 +67,30 @@ class TestReports:
         assert entry == report.governance_entry
         assert log.verify()
 
+    def test_report_anchors_to_its_own_answer(self, attributor, engine,
+                                              store):
+        # Another caller's answer is chained after the flagged query's and
+        # before the report reads the audit: the report must still cite
+        # the flagged query's own event, not the newest one.
+        fingerprint, label = _query_near(store, 0)
+        other, other_label = _query_near(store, 1, seed=4)
+        submit = engine.submit
+
+        def racing(block, flagged_label, k=9):
+            future = submit(block, flagged_label, k)
+            future.result()
+            submit(other, other_label, k).result()
+            return future
+
+        engine.submit = racing
+        report = attributor.attribute(fingerprint, label, k=3)
+        digest = stable_hash(np.asarray(fingerprint, np.float32)).hex()
+        assert report.query_digest == digest
+        audit = report.query_audit
+        assert audit["details"]["query_digests"][audit["position"]] == digest
+        newest = engine.audit.events("serving-query")[-1]
+        assert digest not in newest.details["query_digests"]
+
     def test_nearest_contributor_dominates(self, attributor, store):
         fingerprint, label = _query_near(store, 0, scale=0.01)
         report = attributor.attribute(fingerprint, label, k=1)
@@ -90,6 +118,25 @@ class TestRefusals:
                 np.full(DIM, QUARANTINE_OFFSET, dtype=np.float32),
                 label=0, k=1,
             )
+
+    def test_answer_unlike_its_audit_entry_refused(self, attributor, engine,
+                                                  store, log):
+        # The caller is handed an answer other than the one the chain
+        # committed: the report would rest on an unaudited answer.
+        submit = engine.submit
+
+        def forging(block, label, k=9):
+            answer = submit(block, label, k).result()
+            forged = Future()
+            forged.set_result(tuple(IndexHit(hit.index, hit.distance + 1.0)
+                                    for hit in answer))
+            return forged
+
+        engine.submit = forging
+        before = len(log)
+        with pytest.raises(AttributionError, match="does not match the digest"):
+            attributor.attribute(*_query_near(store, 0), k=3)
+        assert len(log) == before
 
     def test_broken_governance_log_refused(self, attributor, store,
                                            tmp_path):

@@ -18,6 +18,8 @@ from repro.errors import (ConfigurationError, NoHealthyReplica, QueryError,
 from repro.observability import Tracer
 from repro.serving import (CircuitBreaker, ClusterConfig, EngineConfig,
                            LinkageStore, ServingCluster, ShardedAnnIndex)
+from repro.serving.engine import answer_digest
+from repro.utils.serialization import stable_hash
 
 from tests.serving.conftest import brute_truth as _brute_truth
 from tests.serving.conftest import clustered_corpus, fill_store, inject
@@ -613,9 +615,16 @@ class TestLabelBlocks:
             before = len(audit.events("serving-query"))
             results = cluster.query_many(queries, [2] * 4, k=3)
             assert watch.searches == [("replica-0", 3)]
+            # One event for the block's cache hit, one for its searched
+            # misses; each answer committed once, by what the caller got.
             events = audit.events("serving-query")[before:]
-            assert sorted(e.details["served_by"] for e in events) == [
-                "cache", "index", "index", "index"]
+            served = {e.details["served_by"]: list(zip(
+                e.details["query_digests"], e.details["results"]))
+                for e in events}
+            assert len(events) == len(served) == 2
+            committed = [(stable_hash(q).hex(), answer_digest(r.hits))
+                         for q, r in zip(queries, results)]
+            assert served == {"cache": committed[:1], "index": committed[1:]}
             assert results[0].hits == first.hits
             assert cluster.replicas[0].engine.verify_audit_chain()
 

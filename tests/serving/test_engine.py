@@ -1,17 +1,23 @@
 """Query engine tests: correctness, caching, backpressure, audit."""
 
+import hashlib
+import struct
 import threading
 import time
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.query import exact_top_k
 from repro.errors import (ConfigurationError, QueryError, QueryRejected,
                           ServingError, StaleIndexError)
-from repro.serving import (EngineConfig, LinkageStore, ServingEngine,
-                           ShardedAnnIndex)
+from repro.serving import (EngineConfig, IndexHit, LinkageStore,
+                           ServingEngine, ShardedAnnIndex)
+from repro.serving.engine import ANSWER_FORMAT, answer_digest
+from repro.utils.serialization import stable_hash
 
 from tests.serving.conftest import clustered_corpus, fill_store
 
@@ -408,19 +414,91 @@ class TestRestart:
             engine.stop()
 
 
+def _committed(audit):
+    """Every answer the chain commits: ``(query digest, answer digest)``."""
+    return [pair for event in audit.events("serving-query")
+            for pair in zip(event.details["query_digests"],
+                            event.details["results"])]
+
+
+@pytest.fixture(scope="module")
+def shared_index(tmp_path_factory):
+    """One read-only index for the property test's many engines."""
+    fingerprints, labels = clustered_corpus(np.random.default_rng(31), 600)
+    store = fill_store(
+        LinkageStore.create(tmp_path_factory.mktemp("audit") / "store"),
+        fingerprints, labels)
+    return fingerprints, labels, ShardedAnnIndex(store,
+                                                 shard_threshold=100).build()
+
+
 class TestAuditTrail:
+    def test_answer_digest_known_answer(self):
+        hits = (IndexHit(7, 0.5), IndexHit(-2, 1.25), IndexHit(2**40, 3.0))
+        layout = (struct.pack("<Q", 3)
+                  + struct.pack("<q", 7) + struct.pack("<q", -2)
+                  + struct.pack("<q", 2**40)
+                  + struct.pack("<d", 0.5) + struct.pack("<d", 1.25)
+                  + struct.pack("<d", 3.0))
+        assert len(layout) == 8 + 16 * 3
+        assert answer_digest(hits) == hashlib.sha256(layout).hexdigest()
+        assert answer_digest(()) == hashlib.sha256(
+            struct.pack("<Q", 0)).hexdigest()
+
     def test_every_query_appends_a_verifiable_event(self, world, generator):
+        # One chained event per answered label block; every answer in it
+        # is committed exactly once, by query digest and answer digest.
         fingerprints, labels, _, index = world
         sample = generator.integers(0, fingerprints.shape[0], size=40)
+        queries = fingerprints[sample] + 0.01
         with ServingEngine(index, EngineConfig(workers=3)) as engine:
-            engine.query_many(fingerprints[sample] + 0.01, labels[sample],
-                              k=4)
-        assert len(engine.audit) == 40
+            results = engine.query_many(queries, labels[sample], k=4)
         assert engine.verify_audit_chain()
-        for event in engine.audit.events("serving-query"):
+        events = engine.audit.events("serving-query")
+        assert len(events) == len(engine.audit) == len(set(labels[sample]))
+        assert sorted(_committed(engine.audit)) == sorted(
+            (stable_hash(query).hex(), answer_digest(answer))
+            for query, answer in zip(queries, results))
+        for event in events:
             assert event.details["k"] == 4
-            assert event.details["served_by"] in ("index", "cache")
-            assert len(event.details["results"]) == 64  # hex sha256
+            assert event.details["served_by"] == "index"
+            assert event.details["answer_format"] == ANSWER_FORMAT
+            assert event.details["num_results"] == [4] * len(
+                event.details["query_digests"])
+            assert all(len(r) == 64 for r in event.details["results"])
+
+    @settings(max_examples=25, deadline=None)
+    @given(blocks=st.lists(st.tuples(
+               st.integers(0, 3), st.sampled_from([1, 3, 5]),
+               st.lists(st.integers(0, 4), min_size=1, max_size=6)),
+               min_size=1, max_size=6),
+           data=st.data())
+    def test_every_answer_is_committed_once(self, shared_index, blocks,
+                                            data):
+        # Blocks repeat queries (so some are part cache hits) and mix k;
+        # whatever the split, each answer is committed exactly once, by
+        # the digest of what its caller received.
+        fingerprints, labels, index = shared_index
+        pools = {label: fingerprints[np.flatnonzero(labels == label)[:5]]
+                 + 0.01 for label in range(4)}
+        expected = []
+        with ServingEngine(index, EngineConfig(workers=2)) as engine:
+            for label, k, rows in blocks:
+                block = pools[label][rows]
+                answers = engine.submit(block, label, k).result(timeout=10)
+                expected += [(stable_hash(row).hex(), answer_digest(answer))
+                             for row, answer in zip(block, answers)]
+        assert sorted(_committed(engine.audit)) == sorted(expected)
+        assert engine.verify_audit_chain()
+        events = engine.audit.events("serving-query")
+        position = data.draw(st.integers(0, len(expected) - 1))
+        for event in events:
+            results = event.details["results"]
+            if position < len(results):
+                results[position] = "0" * 64
+                break
+            position -= len(results)
+        assert not engine.verify_audit_chain()
 
     def test_tampered_audit_event_breaks_the_chain(self, world):
         fingerprints, labels, _, index = world

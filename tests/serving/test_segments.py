@@ -1,6 +1,7 @@
 """Incremental index segments: content addressing, refresh, compaction."""
 
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.serving import (IndexGeneration, IndexSegment, LinkageStore,
                            SegmentBuildParams, ShardedAnnIndex,
                            generation_lineage_error, merge_segments,
                            plan_merge)
+from repro.serving.segments import _checksum
 
 from tests.serving.conftest import clustered_corpus, fill_store, inject
 
@@ -265,6 +267,16 @@ class TestIntegrity:
         shard.matrix[0, 0] += 1.0
         with pytest.raises(IndexIntegrityError):
             index.verify_checksums()
+
+    def test_checksum_is_the_crc_of_the_c_order_bytes(self):
+        # Pinned values: hashing the buffer instead of a bytes copy must
+        # not move a checksum, whatever the input's layout.
+        matrix = np.arange(24, dtype=np.float32).reshape(4, 6)
+        assert _checksum(matrix) == zlib.crc32(matrix.tobytes()) == 1859928450
+        assert _checksum(matrix[:, ::2]) == 1737119235
+        assert _checksum(np.asfortranarray(matrix.T)) == 71300556
+        matrix.setflags(write=False)
+        assert _checksum(matrix) == 1859928450
 
     def test_short_shard_answers_are_explicit(self, tmp_path, generator):
         store, fingerprints, labels = _segmented_store(tmp_path, generator)
