@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.chain import HashChain
 from repro.errors import LinkageError
@@ -80,29 +80,32 @@ class AuditLog:
             (e.payload, e.chain_hash) for e in self._events
         )
 
-    def verify_from(self, sequence: int, head: bytes) -> bool:
+    def verify_from(self, sequence: int, head: bytes
+                    ) -> Optional[Tuple[int, bytes]]:
         """Incrementally verify events appended after a trusted mark.
 
         ``head`` must be the chain hash observed at ``sequence`` events
         (``genesis`` for 0). Recomputes only the suffix, so a health
         checker can re-verify a long-lived serving audit trail at every
-        sweep without O(total-events) work: verify the suffix, then
-        advance its mark to ``(len(log), log.head)``. Returns False if
-        the suffix does not chain from ``head`` — including when the log
-        shrank below ``sequence`` (a truncation is tampering too)."""
+        sweep without O(total-events) work. Returns the next mark: the
+        ``(sequence, head)`` the verified suffix ends at, so events
+        appended meanwhile wait for the next call. ``None`` if the suffix
+        does not chain from ``head`` — including when the log shrank
+        below ``sequence`` (a truncation is tampering too)."""
         if sequence < 0 or sequence > len(self._events):
-            return False
+            return None
         if sequence > 0 and self._events[sequence - 1].chain_hash != head:
-            return False
+            return None
         if sequence == 0 and head != self._CHAIN.genesis:
-            return False
+            return None
+        suffix = self._events[sequence:]
         running = head
-        for event in self._events[sequence:]:
+        for event in suffix:
             expected = self._CHAIN.entry_hash(running, event.payload)
             if event.chain_hash != expected:
-                return False
+                return None
             running = expected
-        return True
+        return sequence + len(suffix), running
 
     # -- persistence -----------------------------------------------------------
 

@@ -261,13 +261,6 @@ class ChannelIntegrityError(DistributedError):
     channel, detected before the payload could poison aggregation."""
 
 
-class WorkerFault(DistributedError):
-    """One enclave worker failed mid-round and was excluded from the
-    round's aggregate (crash, corrupted channel record, or a straggle
-    past the deadline). The round itself continues via partial
-    aggregation; only the worker is at fault."""
-
-
 class RoundAborted(DistributedError):
     """A distributed training round could not complete safely: no worker
     survived to aggregate, replicas diverged, or dropout masks could not

@@ -319,31 +319,3 @@ class PromotionGate:
                     self.telemetry.count("serving_refusals")
                 raise
         return _guard
-
-    def verify_index_snapshot(self, generation) -> None:
-        """Extend the lineage walk down to the serving index itself.
-
-        A promoted store attests *what* may be served; an
-        :class:`~repro.serving.segments.IndexGeneration` attests *how*
-        it is being served right now. This walk checks that the
-        generation's covered store digests are a committed prefix of the
-        gate's bound store and that its ``index-snapshot`` digest
-        recomputes from those digests plus the build parameters — so an
-        index built over a rewritten history, or one whose snapshot
-        digest was forged, refuses promotion-grade service.
-        """
-        if self.store is None:
-            raise PromotionError(
-                "no linkage store bound — cannot verify an index snapshot "
-                "without the authoritative store"
-            )
-        from repro.serving.segments import generation_lineage_error
-        problem = generation_lineage_error(generation, self.store)
-        if problem is not None:
-            if self.telemetry is not None:
-                self.telemetry.count("index_refusals")
-            raise PromotionError(
-                f"index snapshot failed the lineage walk: {problem}"
-            )
-        if self.telemetry is not None:
-            self.telemetry.count("index_verifications")

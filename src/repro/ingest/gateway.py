@@ -286,10 +286,6 @@ class IngestGateway:
 
     # -- the chunk path --------------------------------------------------------------
 
-    def _quota_remaining(self, contributor: str) -> int:
-        committed = self._committed_records.get(contributor, 0)
-        return self.config.max_records_per_contributor - committed
-
     def _accept_chunk(self, session: UploadSession,
                       records: Sequence[EncryptedRecord]) -> ChunkReceipt:
         started = time.perf_counter()

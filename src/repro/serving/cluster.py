@@ -897,13 +897,13 @@ class ServingCluster:
             self._evict(replica, "crash")
             return
         # Incremental audit-chain verification: only the suffix since the
-        # last sweep's mark (satellite: AuditLog.verify_from).
-        mark_seq, mark_head = replica.audit_mark
-        log = replica.engine.audit
-        if not log.verify_from(mark_seq, mark_head):
+        # last sweep's mark. The next mark is where that verified suffix
+        # ended, never a fresh read of a log the worker keeps appending to.
+        mark = replica.engine.audit.verify_from(*replica.audit_mark)
+        if mark is None:
             self._evict(replica, "audit-chain-break")
             return
-        replica.audit_mark = (len(log), log.head)
+        replica.audit_mark = mark
         try:
             replica.index.verify_checksums()
         except IndexIntegrityError:

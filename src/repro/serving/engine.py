@@ -45,7 +45,7 @@ from repro.errors import (ConfigurationError, QueryError, QueryRejected,
                           ServingError)
 from repro.serving.index import IndexHit, ShardedAnnIndex
 from repro.serving.telemetry import ServingTelemetry
-from repro.utils.serialization import stable_hash
+from repro.utils.serialization import row_digests
 
 __all__ = ["EngineConfig", "EngineAnswer", "ServingEngine", "answer_digest"]
 
@@ -66,6 +66,18 @@ def answer_digest(hits) -> str:
     return hashlib.sha256(struct.pack(
         f"<Q{n}q{n}d", n, *[hit.index for hit in hits],
         *[hit.distance for hit in hits])).hexdigest()
+
+
+def answer_digests(ids: np.ndarray, distances: np.ndarray) -> List[str]:
+    """:func:`answer_digest` of every row of a searched block, from its
+    ``(q, n)`` ids and float64 distances: one ``(q, 8 + 16n)``
+    little-endian byte matrix, then one SHA-256 per row."""
+    q, n = ids.shape
+    packed = np.empty((q, 8 + 16 * n), dtype=np.uint8)
+    packed[:, :8] = np.frombuffer(struct.pack("<Q", n), dtype=np.uint8)
+    packed[:, 8:8 + 8 * n] = ids.astype("<i8").view(np.uint8)
+    packed[:, 8 + 8 * n:] = distances.astype("<f8").view(np.uint8)
+    return [hashlib.sha256(row).hexdigest() for row in packed]
 
 
 class EngineAnswer(tuple):
@@ -381,8 +393,8 @@ class ServingEngine:
         # leaves these entries warm, while a label that actually gains
         # rows gets a new digest, so its old entries simply never match.
         scope = self.index.label_digest(label)
-        return [(stable_hash(row), int(label), int(k), scope)
-                for row in block]
+        return [(digest, int(label), int(k), scope)
+                for digest in row_digests(block)]
 
     def _cached(self, key: tuple) -> Optional[Tuple[IndexHit, ...]]:
         """The cached answer for ``key``, citing the live snapshot.
@@ -410,10 +422,11 @@ class ServingEngine:
         return answer
 
     def _audit_answers(self, served_by: str, answered) -> None:
-        """Chain one block's ``(key, hits)`` answers, in block order, as one
-        ``serving-query`` event per snapshot they cite (normally one)."""
+        """Chain one block's ``(key, hits, answer digest)`` answers, in
+        block order, as one ``serving-query`` event per snapshot they cite
+        (normally one)."""
         events: Dict[Tuple[Optional[str], Optional[int]], dict] = {}
-        for key, hits in answered:
+        for key, hits, digest in answered:
             details = events.get((hits.snapshot, hits.label_rows))
             if details is None:
                 # Which data generation answered — the audit chain commits
@@ -429,7 +442,7 @@ class ServingEngine:
                     # event: the audit chain proves which run served it.
                     details["run_key"] = self.promotion.run_key
             details["query_digests"].append(key[0].hex())
-            details["results"].append(answer_digest(hits))
+            details["results"].append(digest)
             details["num_results"].append(len(hits))
         with self._audit_lock:
             for details in events.values():
@@ -483,8 +496,8 @@ class ServingEngine:
                 ) from None
         # Audited only once the block is accepted: a rejected block was
         # not answered, cache hits included.
-        self._audit_answers("cache", [(key, answer) for key, answer
-                                      in zip(keys, answers)
+        self._audit_answers("cache", [(key, answer, answer_digest(answer))
+                                      for key, answer in zip(keys, answers)
                                       if answer is not None])
         if not misses:
             pending.resolve()
@@ -602,15 +615,17 @@ class ServingEngine:
         self.telemetry.count("candidates_scanned", result.candidates_scanned)
         self.telemetry.count("brute_equivalent_rows",
                              result.shard_rows * matrix.shape[0])
-        found = iter(result.hits)
+        found = zip(result.hits,
+                    answer_digests(result.ids, result.distances))
         for member, rows in zip(members, misses):
-            for i in rows:
+            answered = []
+            for i, (hits, digest) in zip(rows, found):
                 member.answers[i] = EngineAnswer(
-                    next(found), snapshot=result.snapshot,
+                    hits, snapshot=result.snapshot,
                     label_rows=result.shard_rows, requested_k=member.k)
                 self._cache.put(member.keys[i], member.answers[i])
-            self._audit_answers(
-                "index", [(member.keys[i], member.answers[i]) for i in rows])
+                answered.append((member.keys[i], member.answers[i], digest))
+            self._audit_answers("index", answered)
             self.telemetry.observe_many(
                 "total", [now - member.enqueued_at] * len(rows))
             member.resolve()

@@ -74,6 +74,8 @@ class ShardSearchResult:
     shard_rows: int          # label rows in the answering snapshot
     requested_k: Optional[int] = None
     snapshot: Optional[str] = None
+    ids: Optional[np.ndarray] = None        # (q, k') int64, as ``hits``
+    distances: Optional[np.ndarray] = None  # (q, k') float64, as ``hits``
 
 
 @dataclass(frozen=True)
@@ -125,12 +127,7 @@ class _BruteShard:
 
 
 class _ClusteredShard:
-    """Coarse k-means buckets over one label's fingerprints.
-
-    Rows inside the concatenated bucket layout are scanned ascending by
-    global index, so a stable argsort over candidate distances tie-breaks
-    identically to brute force over the full shard.
-    """
+    """Coarse k-means buckets over one label's fingerprints."""
 
     def __init__(self, matrix: np.ndarray, indices: np.ndarray,
                  centroids: np.ndarray, buckets: List[np.ndarray],
@@ -174,32 +171,44 @@ class _ClusteredShard:
         tau = (4 * self.centroids.shape[1] + 16) * np.finfo(np.float64).eps / 2
         return lower <= ub_k + tau * (dc + ub_k)
 
-    def search(self, batch: np.ndarray, k: int
+    def search(self, batch: np.ndarray, k: int, tail: "_BruteShard"
                ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Top ``min(k, rows)`` of every query over its *own* candidates.
+        """Top ``min(k, rows + tail.rows)`` of every query over its *own*
+        candidates plus every ``tail`` row.
 
         Returns ``(global ids, float64 distances, pairs scanned)``, rows
-        ordered by (distance, ascending global id). Never one ``cdist``
-        over the block's candidate union: that computes every pair some
-        *other* query needed and grows quadratically with the block.
+        ordered by (distance, ascending global id). The tail is scanned
+        by one block ``cdist``; own candidates never by one ``cdist``
+        over the block's union, which computes every pair some *other*
+        query needed and grows quadratically with the block.
+
+        Exact: the prune keeps every row of this shard's own top k
+        (:meth:`_candidate_mask`), and extra candidates can only lower
+        the combined k-th, so every own row the combined top k holds
+        survives it. A pair's ``cdist`` value does not depend on what
+        else is in the call, and the rank key (distance, global id) is
+        explicit, so neither the order candidates are gathered in nor
+        the tail's place among them can change an answer.
         """
-        k_eff = min(k, self.rows)
+        k_eff = min(k, self.rows + tail.rows)
         mask = self._candidate_mask(cdist(batch, self.centroids), k)
-        ids = np.empty((batch.shape[0], k_eff), dtype=self.indices.dtype)
+        near_tail = cdist(batch, tail.matrix)
+        ids = np.empty((batch.shape[0], k_eff), dtype=np.int64)
         distances = np.empty((batch.shape[0], k_eff), dtype=np.float64)
-        scanned = 0
+        scanned = batch.shape[0] * tail.rows
         for row in range(batch.shape[0]):
             rows = np.concatenate(
                 [self.buckets[b] for b in mask[row].nonzero()[0]])
-            rows.sort()  # ascending global id: the tie-break order
             scanned += rows.shape[0]
-            own = cdist(batch[row:row + 1], self.matrix.take(rows, axis=0))[0]
-            # What a stable argsort of ``own`` would put first, without
-            # ordering the rest: everything up to the k-th smallest
-            # distance, ties included, ranked stably among themselves.
+            found = np.concatenate((self.indices[rows], tail.indices))
+            own = np.concatenate((cdist(batch[row:row + 1],
+                                        self.matrix.take(rows, axis=0))[0],
+                                  near_tail[row]))
+            # Everything up to the k-th smallest distance, ties included,
+            # then ranked by the explicit key.
             near = (own <= np.partition(own, k_eff - 1)[k_eff - 1]).nonzero()[0]
-            order = near[own[near].argsort(kind="stable")[:k_eff]]
-            ids[row] = self.indices[rows[order]]
+            order = near[np.lexsort((found[near], own[near]))[:k_eff]]
+            ids[row] = found[order]
             distances[row] = own[order]
         return ids, distances, scanned
 
@@ -468,16 +477,14 @@ class IndexGeneration:
 
     def search_batch(self, batch: np.ndarray, label: int,
                      k: int) -> ShardSearchResult:
-        """Answer one label block: every part once, one array merge.
+        """Answer one label block: one scan per query across every part.
 
-        Parts are the label's clustered shards and one
-        :func:`exact_top_k` over its brute shards stacked in segment
-        order — ascending global id, so the stable sort over the stack
-        *is* the merged per-segment answer. Every part returns its top-k
-        ordered by (distance, ascending global index) and global indices
-        are disjoint across parts, so sorting the union of the per-part
-        top-k by that explicit key reproduces brute force over all rows
-        — membership and tie-break order both.
+        The label's brute shards, stacked in segment order (ascending
+        global id, so :func:`exact_top_k`'s stable sort over them is the
+        (distance, global id) order when no clustered shard exists), ride
+        the first clustered shard's scan. Parts return their top-k by
+        that key over disjoint global ids, so sorting their union by it
+        reproduces brute force over all rows, ties included.
         """
         label = int(label)
         shards = [seg.shards[label] for seg in self.segments
@@ -486,31 +493,43 @@ class IndexGeneration:
             raise QueryError(
                 f"no training fingerprints indexed for label {label}"
             )
-        found = [shard.search(batch, k) for shard in shards
-                 if isinstance(shard, _ClusteredShard)]
+        clustered = [shard for shard in shards
+                     if isinstance(shard, _ClusteredShard)]
         brute = [shard for shard in shards if isinstance(shard, _BruteShard)]
-        if brute:
-            # Stacked per call (microseconds), not memoised: generations
-            # linger in the index's history and would each keep a copy.
-            matrix = np.concatenate([shard.matrix for shard in brute])
-            indices = np.concatenate([shard.indices for shard in brute])
-            positions, distances = exact_top_k(batch, matrix, k)
-            found.append((indices[positions], distances,
-                          batch.shape[0] * matrix.shape[0]))
+        # Stacked per call (microseconds), not memoised: generations
+        # linger in the index's history and would each keep a copy.
+        tail = _BruteShard(
+            np.concatenate([shard.matrix for shard in brute]
+                           or [np.empty((0, batch.shape[1]), np.float32)]),
+            np.concatenate([shard.indices for shard in brute]
+                           or [np.empty(0, np.int64)]))
+        if clustered:
+            tails = [tail] + [_BruteShard(tail.matrix[:0], tail.indices[:0])
+                              ] * (len(clustered) - 1)
+            found = [shard.search(batch, k, part_tail)
+                     for shard, part_tail in zip(clustered, tails)]
+        else:
+            positions, distances = exact_top_k(batch, tail.matrix, k)
+            found = [(tail.indices[positions], distances,
+                      batch.shape[0] * tail.rows)]
         total_rows = self.label_rows[label]
         ids = np.concatenate([part[0] for part in found], axis=1)
         distances = np.concatenate([part[1] for part in found], axis=1)
-        order = np.lexsort((ids, distances), axis=1)[:, :min(k, total_rows)]
-        query = np.arange(order.shape[0])[:, None]
+        if len(found) > 1:
+            order = np.lexsort((ids, distances), axis=1)[
+                :, :min(k, total_rows)]
+            ids, distances = (np.take_along_axis(part, order, axis=1)
+                              for part in (ids, distances))
         return ShardSearchResult(
             hits=[list(map(IndexHit, row_ids, row_distances))
                   for row_ids, row_distances
-                  in zip(ids[query, order].tolist(),
-                         distances[query, order].tolist())],
+                  in zip(ids.tolist(), distances.tolist())],
             candidates_scanned=sum(part[2] for part in found),
             shard_rows=total_rows,
             requested_k=k,
             snapshot=self.snapshot,
+            ids=ids,
+            distances=distances,
         )
 
     def verify_checksums(self) -> None:

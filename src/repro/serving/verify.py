@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -87,16 +87,26 @@ class AnswerVerifier:
         snapshot it cites on the replica that produced it. The hit pass
         runs once over the whole batch; provenance is then checked for
         the answers that survived it, so a bad answer is counted in
-        ``verify_failures`` exactly once.
+        ``verify_failures`` exactly once. Answers making the same
+        provenance claims share that check; its counters count each one.
         """
         verdicts = self._hit_errors(fingerprints, answers, labels)
+        claims: Dict[tuple, List[int]] = {}
         for i, answer in enumerate(answers):
             if verdicts[i] is None:
-                verdicts[i] = self._provenance_error(
-                    answer, int(labels[i]), int(k), generations[i])
+                claims.setdefault((
+                    generations[i], getattr(answer, "snapshot", None),
+                    getattr(answer, "label_rows", None), int(labels[i]),
+                    len(answer)), []).append(i)
+        for (generation_of, _, _, label, _), members in claims.items():
+            problem = self._provenance_error(
+                answers[members[0]], label, int(k), generation_of,
+                len(members))
+            for i in members:
+                verdicts[i] = problem
         return verdicts
 
-    def _lineage_error(self, generation: IndexGeneration
+    def _lineage_error(self, generation: IndexGeneration, answers: int
                        ) -> Optional[IndexIntegrityError]:
         """Walk a generation's lineage against the authoritative store.
 
@@ -109,7 +119,7 @@ class AnswerVerifier:
             return None
         problem = generation_lineage_error(generation, self.store)
         if problem is not None:
-            self.telemetry.count("snapshot_failures")
+            self.telemetry.count("snapshot_failures", answers)
             return IndexIntegrityError(
                 f"index snapshot failed the lineage walk: {problem}"
             )
@@ -176,9 +186,12 @@ class AnswerVerifier:
         return verdicts
 
     def _provenance_error(self, hits: tuple, label: int, k: int,
-                          generation_of: GenerationLookup
+                          generation_of: GenerationLookup, answers: int
                           ) -> Optional[IndexIntegrityError]:
         """Check an answer's provenance claims, not just its hits.
+
+        The verdict stands for ``answers`` answers making the same
+        claims, and the counters count each of them. The checks:
 
         * the answer must carry provenance at all (``label_rows`` and
           ``snapshot``) — one without it fails closed;
@@ -191,7 +204,7 @@ class AnswerVerifier:
           the lineage walk against the store manifest."""
 
         def failed(reason: str) -> IndexIntegrityError:
-            self.telemetry.count("verify_failures")
+            self.telemetry.count("verify_failures", answers)
             return IndexIntegrityError(reason)
 
         label_rows = getattr(hits, "label_rows", None)
@@ -228,10 +241,10 @@ class AnswerVerifier:
                 return failed(
                     "answer cites an index snapshot the replica cannot "
                     "produce and the cluster has never verified")
-            self.telemetry.count("trusted_snapshot_answers")
+            self.telemetry.count("trusted_snapshot_answers", answers)
             return None
         if generation.count(label) != label_rows:
             return failed(
                 f"answer claims {label_rows} rows for label {label} but "
                 f"its cited generation holds {generation.count(label)}")
-        return self._lineage_error(generation)
+        return self._lineage_error(generation, answers)

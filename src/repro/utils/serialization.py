@@ -13,7 +13,7 @@ import json
 import math
 import re
 import struct
-from typing import Any, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "array_from_bytes",
     "canonical_digest",
     "canonical_json",
+    "row_digests",
     "stable_hash",
 ]
 
@@ -127,3 +128,20 @@ def stable_hash(*parts: Any) -> bytes:
     name verify under both.
     """
     return canonical_digest(*parts)
+
+
+def row_digests(matrix: np.ndarray) -> List[bytes]:
+    """``[stable_hash(row) for row in matrix]``, byte for byte: the rows
+    share one encoding header, hashed once, and each row then costs one
+    SHA-256 continuation over its C-order bytes."""
+    rows = np.ascontiguousarray(matrix)
+    blank = np.zeros(rows.shape[1:], dtype=rows.dtype)
+    encoded = array_to_bytes(blank)
+    prefix = hashlib.sha256(struct.pack("<Q", len(encoded))
+                            + encoded[:len(encoded) - blank.nbytes])
+    digests = []
+    for row in rows:
+        hasher = prefix.copy()
+        hasher.update(row)
+        digests.append(hasher.digest())
+    return digests

@@ -245,6 +245,60 @@ class TestFailover:
                        for e in cluster.audit.events("replica-evicted")]
             assert "audit-chain-break" in reasons
 
+    def test_event_appended_during_a_sweep_is_verified_by_the_next(
+            self, world):
+        fingerprints, labels, store = world
+        with _cluster_for(store) as cluster:
+            cluster.query(fingerprints[0], int(labels[0]), k=3)
+            victim = next(r for r in cluster.replicas
+                          if len(r.engine.audit) > 0)
+            log = victim.engine.audit
+            verify_from = log.verify_from
+
+            def appended_meanwhile(sequence, head):
+                # The worker appends past the suffix being verified, and
+                # that event is then altered.
+                mark = verify_from(sequence, head)
+                event = log.append("serving-query", label=int(labels[0]))
+                object.__setattr__(event, "details", {"label": 999})
+                return mark
+
+            log.verify_from = appended_meanwhile
+            cluster.health_check_now()
+            del log.verify_from
+            assert not log.verify_chain()
+            cluster.health_check_now()
+            assert victim.state == "evicted"
+            assert victim.evicted_reason == "audit-chain-break"
+
+    def test_append_between_reads_does_not_evict_an_intact_chain(
+            self, world):
+        fingerprints, labels, store = world
+        with _cluster_for(store) as cluster:
+            cluster.query(fingerprints[0], int(labels[0]), k=3)
+            victim = next(r for r in cluster.replicas
+                          if len(r.engine.audit) > 0)
+            log = victim.engine.audit
+            honest = type(log)
+
+            class AppendedBeforeHeadRead(honest):
+                @property
+                def head(self):
+                    # An honest append lands after any length read and
+                    # before this head read, once.
+                    self.__class__ = honest
+                    self.append("serving-query", label=int(labels[0]))
+                    return self.head
+
+            log.__class__ = AppendedBeforeHeadRead
+            cluster.health_check_now()
+            log.__class__ = honest
+            log.append("serving-query", label=int(labels[0]))
+            cluster.health_check_now()
+            assert log.verify_chain()
+            assert victim.state == "healthy"
+            assert not cluster.audit.events("replica-evicted")
+
 
 class TestDegradedMode:
     def test_all_replicas_down_serves_degraded_and_audited(self, world):

@@ -16,7 +16,7 @@ from repro.errors import (ConfigurationError, QueryError, QueryRejected,
                           ServingError, StaleIndexError)
 from repro.serving import (EngineConfig, IndexHit, LinkageStore,
                            ServingEngine, ShardedAnnIndex)
-from repro.serving.engine import ANSWER_FORMAT, answer_digest
+from repro.serving.engine import ANSWER_FORMAT, answer_digest, answer_digests
 from repro.utils.serialization import stable_hash
 
 from tests.serving.conftest import clustered_corpus, fill_store
@@ -444,6 +444,26 @@ class TestAuditTrail:
         assert answer_digest(hits) == hashlib.sha256(layout).hexdigest()
         assert answer_digest(()) == hashlib.sha256(
             struct.pack("<Q", 0)).hexdigest()
+
+    @pytest.mark.parametrize("beyond_label_rows", [False, True])
+    def test_block_digests_are_answer_digests(self, shared_index,
+                                              beyond_label_rows):
+        # Searched answers are committed from the block's arrays; a short
+        # answer (label_rows < k) commits its shorter layout.
+        fingerprints, labels, index = shared_index
+        for label in range(4):
+            block = fingerprints[np.flatnonzero(labels == label)[:7]] + 0.01
+            rows = index.search_batch(block, label, 1).shard_rows
+            k = rows + 3 if beyond_label_rows else 9
+            result = index.search_batch(block, label, k)
+            assert {len(hits) for hits in result.hits} == {
+                min(k, result.shard_rows)}
+            assert answer_digests(result.ids, result.distances) == [
+                answer_digest(hits) for hits in result.hits]
+        hits = (IndexHit(7, 0.5), IndexHit(-2, 1.25), IndexHit(2**40, 3.0))
+        assert answer_digests(np.array([[7, -2, 2**40]]),
+                              np.array([[0.5, 1.25, 3.0]])) == [
+            answer_digest(hits)]
 
     def test_every_query_appends_a_verifiable_event(self, world, generator):
         # One chained event per answered label block; every answer in it

@@ -16,6 +16,7 @@ from repro.serving import (IndexGeneration, IndexSegment, LinkageStore,
                            SegmentBuildParams, ShardedAnnIndex,
                            generation_lineage_error, merge_segments,
                            plan_merge)
+from repro.serving import segments
 from repro.serving.segments import _checksum
 
 from tests.serving.conftest import clustered_corpus, fill_store, inject
@@ -356,3 +357,44 @@ class TestMergeIsBruteForce:
                     generation.search_batch(queries[i:i + 1], label,
                                             k).hits[0]
                     for i in range(block)]
+
+
+class TestOneScanPerQuery:
+    def test_brute_tail_rides_the_clustered_scan(self, tmp_path, generator,
+                                                 monkeypatch):
+        # A label with clustered and brute parts is answered by the
+        # clustered shard's scan alone; an all-brute label still ranks
+        # with exact_top_k. Both equal brute force over the label.
+        store, fingerprints, labels = _segmented_store(tmp_path, generator)
+        ranked = []
+
+        def counted(batch, matrix, k):
+            ranked.append(matrix.shape[0])
+            return exact_top_k(batch, matrix, k)
+
+        monkeypatch.setattr(segments, "exact_top_k", counted)
+        queries = np.concatenate([fingerprints[:6] + np.float32(0.05),
+                                  fingerprints[-6:]])
+        for threshold, kinds, calls in ((60, {"_ClusteredShard",
+                                              "_BruteShard"}, 0),
+                                        (1000, {"_BruteShard"}, 1)):
+            params = SegmentBuildParams(shard_threshold=threshold)
+            generation = IndexGeneration(
+                [IndexSegment.build(store, 0, 3, params),
+                 IndexSegment.build(store, 3, 4, params)],
+                params, store_version=store.version)
+            for label in np.unique(labels).tolist():
+                assert {type(seg.shards[label]).__name__
+                        for seg in generation.segments} == kinds
+                rows = np.flatnonzero(labels == label)
+                positions, distances = exact_top_k(
+                    queries, fingerprints[rows], 9)
+                ranked.clear()
+                result = generation.search_batch(queries, label, 9)
+                assert len(ranked) == calls
+                assert result.ids.tolist() == rows[positions].tolist()
+                assert result.distances.tolist() == distances.tolist()
+                assert [[hit.index for hit in hits] for hits in result.hits
+                        ] == rows[positions].tolist()
+                assert [[hit.distance for hit in hits]
+                        for hits in result.hits] == distances.tolist()

@@ -181,6 +181,23 @@ class TestVerdicts:
             [world.restamp(tuple(world.honest)[:-1])], lookup=pruned)
         assert "short or padded" in str(verdict)
 
+    def test_a_block_citing_a_pruned_trusted_snapshot_counts_each(
+            self, world):
+        def pruned(snapshot):
+            return None
+
+        assert world.verdicts([world.honest]) == [None]  # walks the lineage
+        assert world.verdicts([world.honest] * 5, lookup=pruned) == [None] * 5
+        assert world.counter("trusted_snapshot_answers") == 5
+
+    def test_a_block_with_forged_label_rows_counts_each(self, world):
+        forged = world.restamp(label_rows=world.honest.label_rows - 1)
+        verdicts = world.verdicts([forged, world.honest] * 5)
+        assert verdicts[1::2] == [None] * 5
+        for verdict in verdicts[::2]:
+            assert "its cited generation holds" in str(verdict)
+        assert world.counter("verify_failures") == 5
+
     def test_a_generation_off_the_store_s_history_fails_the_walk(
             self, world, tmp_path):
         foreign = _foreign_generation(world, tmp_path)

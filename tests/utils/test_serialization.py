@@ -11,6 +11,7 @@ from repro.utils.serialization import (
     array_header,
     array_to_bytes,
     canonical_json,
+    row_digests,
     stable_hash,
 )
 
@@ -108,3 +109,18 @@ class TestStableHash:
     def test_mixed_parts(self):
         digest = stable_hash(np.arange(3), b"raw", {"k": 1})
         assert isinstance(digest, bytes) and len(digest) == 32
+
+
+class TestRowDigests:
+    @given(
+        hnp.arrays(dtype=st.sampled_from([np.float32, np.float64]),
+                   shape=st.tuples(st.integers(0, 40), st.integers(1, 64))),
+        st.sampled_from(["C", "F", "strided"]),
+    )
+    def test_equals_stable_hash_of_each_row(self, matrix, layout):
+        if layout == "F":
+            matrix = np.asfortranarray(matrix)
+        elif layout == "strided":
+            matrix = np.repeat(np.repeat(matrix, 2, axis=0), 2,
+                               axis=1)[::2, ::2]
+        assert row_digests(matrix) == [stable_hash(row) for row in matrix]
