@@ -180,8 +180,8 @@ def test_ingest_throughput(bench_rng, tmp_path_factory, benchmark):
     receipt = session.complete()
     assert receipt.quarantined == 2 and receipt.committed == CHUNK - 2
     assert hledger.quarantined_records == 2
-    verdicts = [e.details["verdict"]
-                for e in hvalidator.audit.events("ingest-validate")]
+    verdicts = [v for e in hvalidator.audit.events("ingest-validate")
+                for v in e.details["verdicts"]]
     assert verdicts.count("tampered") == 2  # relabelling breaks the AAD tag
     assert hvalidator.verify_audit_chain()
     committed_digests = {r.nonce for r in hledger.iter_records()}

@@ -133,8 +133,11 @@ def main() -> None:
     print(f"ledger manifest digest sealed to MRENCLAVE "
           f"{enclave.mrenclave.hex()[:16]}… and verified")
     assert validator.verify_audit_chain()
-    print(f"ingest audit: {len(validator.audit)} hash-chained admission "
-          "decisions, chain verified")
+    decisions = sum(len(event.details["verdicts"])
+                    for event in validator.audit.events("ingest-validate"))
+    assert decisions == len(contributors) * RECORDS_PER  # one per record
+    print(f"ingest audit: {decisions} admission decisions committed in "
+          f"{len(validator.audit)} hash-chained events, chain verified")
 
     staged = server.from_ledger(ledger)
     summary = server.decrypt_submissions()

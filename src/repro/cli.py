@@ -1045,7 +1045,10 @@ def _cmd_ingest(args) -> int:
     print(f"manifest sealed to enclave identity: "
           f"{'valid' if ledger.verify_sealed_manifest(enclave, sealed) else 'INVALID'}")
     chain_ok = validator.verify_audit_chain()
-    print(f"ingest audit trail: {len(validator.audit)} events, chain "
+    decisions = sum(len(event.details["verdicts"])
+                    for event in validator.audit.events("ingest-validate"))
+    print(f"ingest audit trail: {len(validator.audit)} events committing "
+          f"{decisions} admission decisions, chain "
           f"{'VERIFIED' if chain_ok else 'BROKEN'}")
 
     staged = server.from_ledger(ledger)

@@ -343,14 +343,15 @@ class IngestGateway:
         started = time.perf_counter()
         contributor = session.contributor
         try:
-            records = session.transfer.finalize()
-            report = self.validator.validate(contributor, records)
+            records, headers = session.transfer.finalize()
+            report = self.validator.validate(contributor, records, headers)
             # The dedup gate and the append are atomic under the ledger
             # lock: concurrent completions racing on the same ciphertext
             # cannot both commit it. Whatever the lock-side gate refuses
             # is quarantined and audited like any pipeline refusal.
             segment, duplicates = self.ledger.commit_deduplicated(
-                report.accepted, contributor, report.accepted_digests
+                report.accepted, contributor, report.accepted_digests,
+                report.accepted_headers,
             )
             if duplicates:
                 self.validator.quarantine_at_commit(report, duplicates)
@@ -362,7 +363,7 @@ class IngestGateway:
                            if q.reason == reason]
                 self.ledger.quarantine(
                     [q.record for q in refused], contributor, reason,
-                    [q.digest for q in refused],
+                    [q.digest for q in refused], [q.header for q in refused],
                 )
             with self._lock:
                 self._committed_records[contributor] = (

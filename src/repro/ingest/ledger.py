@@ -30,6 +30,7 @@ Integrity checks are fail-closed: :meth:`verify` raises
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -50,6 +51,9 @@ __all__ = [
     "pack_records",
     "unpack_records",
     "record_digest",
+    "unpack_headed",
+    "record_header",
+    "header_digest",
 ]
 
 _MANIFEST = "manifest.json"
@@ -65,17 +69,36 @@ def record_digest(record: EncryptedRecord) -> bytes:
     )
 
 
-def _digests_beside(records: Sequence[EncryptedRecord],
-                    digests: Optional[Sequence[bytes]]) -> Sequence[bytes]:
-    """The content digests a caller carried beside ``records`` — or, for
-    a caller with bare records, computed here, once, at the ledger's door."""
+def record_header(record: EncryptedRecord) -> bytes:
+    """A record's canonical header: the ``meta-json`` of its packed frame."""
+    return canonical_json({"source": record.source_id, "index": record.index,
+                           "label": record.label, "nonce": record.nonce.hex()})
+
+
+def header_digest(header: bytes, sealed: bytes) -> bytes:
+    """:func:`record_digest` from the record's canonical header, byte for
+    byte, with no JSON: SHA-256 over ``Q(len h) | h | Q(len s) | sealed``."""
+    hasher = hashlib.sha256(struct.pack("<Q", len(header)) + header
+                            + struct.pack("<Q", len(sealed)))
+    hasher.update(sealed)
+    return hasher.digest()
+
+
+def _carried(records: Sequence[EncryptedRecord],
+             digests: Optional[Sequence[bytes]],
+             headers: Optional[Sequence[bytes]]):
+    """The content digests and canonical headers a caller carried beside
+    ``records`` — or, for a caller with bare records, computed here, once,
+    at the ledger's door."""
+    if headers is None:
+        headers = [record_header(record) for record in records]
     if digests is None:
-        return [record_digest(record) for record in records]
-    if len(digests) != len(records):
-        raise LedgerError(
-            f"{len(digests)} digests carried beside {len(records)} records"
-        )
-    return digests
+        digests = [header_digest(header, record.sealed)
+                   for header, record in zip(headers, records)]
+    if not len(digests) == len(headers) == len(records):
+        raise LedgerError(f"{len(digests)} digests carried beside "
+                          f"{len(records)} records, {len(headers)} headers")
+    return digests, headers
 
 
 def pack_records(records: Sequence[EncryptedRecord]) -> bytes:
@@ -98,15 +121,28 @@ def pack_records(records: Sequence[EncryptedRecord]) -> bytes:
     return b"".join(out)
 
 
-def unpack_records(blob: bytes) -> List[EncryptedRecord]:
-    """Inverse of :func:`pack_records`."""
+def _pack_headed(records: Sequence[EncryptedRecord],
+                 headers: Sequence[bytes]) -> bytes:
+    """:func:`pack_records`, byte for byte, from headers already encoded."""
+    out = [struct.pack("<I", len(records))]
+    for record, header in zip(records, headers):
+        out += (struct.pack("<I", len(header)), header,
+                struct.pack("<Q", len(record.sealed)), record.sealed)
+    return b"".join(out)
+
+
+def unpack_headed(blob: bytes) -> Tuple[List[EncryptedRecord], List[bytes]]:
+    """Inverse of :func:`pack_records`, plus each record's canonical header:
+    the ``meta-json`` bytes of its frame, copied out of ``blob``."""
     (count,) = struct.unpack_from("<I", blob, 0)
     offset = 4
     records: List[EncryptedRecord] = []
+    headers: List[bytes] = []
     for _ in range(count):
         (meta_len,) = struct.unpack_from("<I", blob, offset)
         offset += 4
-        meta = json.loads(blob[offset : offset + meta_len].decode("utf-8"))
+        header = blob[offset : offset + meta_len]
+        meta = json.loads(header.decode("utf-8"))
         offset += meta_len
         (sealed_len,) = struct.unpack_from("<Q", blob, offset)
         offset += 8
@@ -117,9 +153,15 @@ def unpack_records(blob: bytes) -> List[EncryptedRecord]:
             label=meta["label"], nonce=bytes.fromhex(meta["nonce"]),
             sealed=sealed,
         ))
+        headers.append(header)
     if offset != len(blob):
         raise LedgerError("trailing bytes after the last packed record")
-    return records
+    return records, headers
+
+
+def unpack_records(blob: bytes) -> List[EncryptedRecord]:
+    """Inverse of :func:`pack_records`."""
+    return unpack_headed(blob)[0]
 
 
 @dataclass(frozen=True)
@@ -195,7 +237,8 @@ class ContributionLedger:
     # -- writes ------------------------------------------------------------------
 
     def _append_segment(self, lane: str, records: Sequence[EncryptedRecord],
-                        digests: Sequence[bytes], contributor: str,
+                        digests: Sequence[bytes], headers: Sequence[bytes],
+                        contributor: str,
                         reason: str = "") -> LedgerSegmentInfo:
         if not records:
             raise LedgerError("a segment needs at least one record")
@@ -204,7 +247,7 @@ class ContributionLedger:
                                      else "quarantine"]
             prefix = "segment" if lane == "committed" else "quarantine"
             name = f"{prefix}-{len(entries):06d}"
-            payload = pack_records(records)
+            payload = _pack_headed(records, headers)
             meta = {
                 "contributor": contributor,
                 "records": len(records),
@@ -238,22 +281,24 @@ class ContributionLedger:
         """Commit one validated segment; returns its manifest entry.
         ``digests``: the records' content digests, if the caller holds them."""
         return self._append_segment(
-            "committed", records, _digests_beside(records, digests),
+            "committed", records, *_carried(records, digests, None),
             contributor,
         )
 
     def quarantine(self, records: Sequence[EncryptedRecord], contributor: str,
-                   reason: str,
-                   digests: Optional[Sequence[bytes]] = None) -> LedgerSegmentInfo:
+                   reason: str, digests: Optional[Sequence[bytes]] = None,
+                   headers: Optional[Sequence[bytes]] = None,
+                   ) -> LedgerSegmentInfo:
         """Preserve refused records in the quarantine lane with the reason."""
         return self._append_segment(
-            "quarantine", records, _digests_beside(records, digests),
+            "quarantine", records, *_carried(records, digests, headers),
             contributor, reason=reason,
         )
 
     def commit_deduplicated(
         self, records: Sequence[EncryptedRecord], contributor: str,
         digests: Optional[Sequence[bytes]] = None,
+        headers: Optional[Sequence[bytes]] = None,
     ) -> Tuple[Optional[LedgerSegmentInfo], List[EncryptedRecord]]:
         """Atomically dedup-check and commit one session's records.
 
@@ -263,21 +308,23 @@ class ContributionLedger:
         copies come back in the duplicates list for the caller to
         quarantine. Returns ``(segment_or_None, duplicates)``.
         """
-        digests = _digests_beside(records, digests)
+        digests, headers = _carried(records, digests, headers)
         with self._lock:
             fresh: List[EncryptedRecord] = []
             fresh_digests: List[bytes] = []
+            fresh_headers: List[bytes] = []
             duplicates: List[EncryptedRecord] = []
             batch: Set[bytes] = set()
-            for record, digest in zip(records, digests):
+            for record, digest, header in zip(records, digests, headers):
                 if digest in self._digests or digest in batch:
                     duplicates.append(record)
                 else:
                     batch.add(digest)
                     fresh.append(record)
                     fresh_digests.append(digest)
+                    fresh_headers.append(header)
             segment = (self._append_segment("committed", fresh, fresh_digests,
-                                            contributor)
+                                            fresh_headers, contributor)
                        if fresh else None)
             return segment, duplicates
 

@@ -36,11 +36,11 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.data.encryption import EncryptedRecord
 from repro.errors import TransferError
-from repro.ingest.ledger import pack_records, unpack_records
+from repro.ingest.ledger import pack_records, unpack_headed, unpack_records
 from repro.utils.serialization import stable_hash
 
 __all__ = ["ChunkReceipt", "UploadTransfer", "chunk_stream"]
@@ -274,24 +274,35 @@ class UploadTransfer:
 
     # -- finalize ----------------------------------------------------------------
 
-    def iter_records(self) -> Iterator[EncryptedRecord]:
-        """Yield every journaled record in chunk order."""
+    def _chunks(self) -> Iterator[bytes]:
+        """Every journaled chunk blob, in order, checked against its digest."""
         for entry in self._entries:
             blob = (self.path / self._chunk_name(entry.seq)).read_bytes()
             if stable_hash(blob).hex() != entry.digest:
                 raise TransferError(
                     f"chunk {entry.seq} failed its digest check at read time"
                 )
-            for record in unpack_records(blob):
-                yield record
+            yield blob
 
-    def finalize(self) -> List[EncryptedRecord]:
-        """Close the transfer and hand all journaled records downstream."""
+    def iter_records(self) -> Iterator[EncryptedRecord]:
+        """Yield every journaled record in chunk order."""
+        for blob in self._chunks():
+            yield from unpack_records(blob)
+
+    def finalize(self) -> Tuple[List[EncryptedRecord], List[bytes]]:
+        """Close the transfer and hand all journaled records downstream,
+        each beside its canonical header — the bytes ``append_chunk``
+        encoded, verified here under the chunk digest — as
+        ``(records, headers)``."""
         if self._finalized:
             raise TransferError("transfer already finalized")
-        records = list(self.iter_records())
+        records, headers = [], []
+        for blob in self._chunks():
+            chunk_records, chunk_headers = unpack_headed(blob)
+            records += chunk_records
+            headers += chunk_headers
         self._finalized = True
-        return records
+        return records, headers
 
     def discard(self) -> None:
         """Delete the spool (after the session committed or was aborted)."""

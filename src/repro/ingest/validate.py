@@ -18,13 +18,15 @@ Every journaled record must pass four gates before it is committed:
    even without forging a single byte.
 
 Batches are fanned out across a worker pool, and every decision — accept
-or quarantine, with the reason — appends a hash-chained event to the
-ingest :class:`~repro.core.audit.AuditLog`, so the admission history is
-itself tamper-evident.
+or quarantine, with the reason — is committed to the ingest
+:class:`~repro.core.audit.AuditLog`: one hash-chained event per session
+lists each record's digest and verdict in journal order, and a commit-time
+refusal appends one more, so the admission history is itself tamper-evident.
 
 A record's content digest (its dedup, audit and ledger-sidecar identity)
-is computed once per session, in :meth:`ValidationPool._gate_batch`; the
-report carries it beside every record and the ledger is handed it at commit.
+is computed once per session, in :meth:`ValidationPool._gate_batch`, from
+the canonical header the journal encoded; the report carries digest and
+header beside every record and the ledger is handed both at commit.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from repro.data.encryption import EncryptedRecord, authenticated_shape
 from repro.enclave.enclave import Enclave
 from repro.errors import AuthenticationError, ConfigurationError
 from repro.federation.provisioning import provisioned_key
-from repro.ingest.ledger import ContributionLedger, record_digest
+from repro.ingest.ledger import (ContributionLedger, header_digest,
+                                 record_header)
 from repro.ingest.telemetry import IngestTelemetry
 
 __all__ = ["ValidationConfig", "QuarantinedRecord", "ValidationReport",
@@ -110,6 +113,7 @@ class QuarantinedRecord:
     record: EncryptedRecord
     reason: str  # "tampered" | "label-domain" | "shape" | "duplicate"
     digest: bytes  # the record's content digest, as computed at the gate
+    header: bytes  # the record's canonical header, as the journal encoded it
 
 
 @dataclass
@@ -118,8 +122,9 @@ class ValidationReport:
 
     contributor: str
     accepted: List[EncryptedRecord] = field(default_factory=list)
-    #: Content digests of ``accepted``, position for position.
+    #: Digests and canonical headers of ``accepted``, position for position.
     accepted_digests: List[bytes] = field(default_factory=list)
+    accepted_headers: List[bytes] = field(default_factory=list)
     quarantined: List[QuarantinedRecord] = field(default_factory=list)
 
     @property
@@ -162,31 +167,34 @@ class ValidationPool:
         self.telemetry.observe("authenticate", time.perf_counter() - started)
         return verdicts
 
-    def _gate_batch(self, contributor: str, batch: Sequence[EncryptedRecord],
-                    verdicts) -> List[Tuple[EncryptedRecord, str, bytes]]:
-        """Apply the label/shape gates; returns (record, verdict, digest)."""
+    def _gate_batch(self, batch: Sequence[EncryptedRecord],
+                    headers: Sequence[bytes], verdicts,
+                    ) -> List[Tuple[EncryptedRecord, str, bytes, bytes]]:
+        """Label/shape gates; returns (record, verdict, digest, header)."""
         started = time.perf_counter()
         out = []
-        for record, (verdict, shape, label) in zip(batch, verdicts):
-            digest = record_digest(record)
+        for record, header, (verdict, shape, label) in zip(batch, headers,
+                                                           verdicts):
+            digest = header_digest(header, record.sealed)
             if verdict != "ok":
-                out.append((record, "tampered", digest))
-                continue
-            if not 0 <= label < self.config.num_classes:
-                out.append((record, "label-domain", digest))
-                continue
-            if shape != tuple(self.config.input_shape):
-                out.append((record, "shape", digest))
-                continue
-            out.append((record, "ok", digest))
+                verdict = "tampered"
+            elif not 0 <= label < self.config.num_classes:
+                verdict = "label-domain"
+            elif shape != tuple(self.config.input_shape):
+                verdict = "shape"
+            out.append((record, verdict, digest, header))
         self.telemetry.observe("gate", time.perf_counter() - started)
         return out
 
     # -- the pipeline -------------------------------------------------------------
 
-    def validate(self, contributor: str,
-                 records: Sequence[EncryptedRecord]) -> ValidationReport:
+    def validate(self, contributor: str, records: Sequence[EncryptedRecord],
+                 headers: Optional[Sequence[bytes]] = None,
+                 ) -> ValidationReport:
         """Run every gate over ``records``; never raises on bad data.
+
+        ``headers``: the records' canonical headers as the journal
+        encoded them; encoded here for a caller with bare records.
 
         Tampered, relabelled, out-of-domain, misshapen, and duplicated
         records land in the report's quarantine list (and the audit
@@ -195,17 +203,20 @@ class ValidationPool:
         """
         if not records:
             return ValidationReport(contributor=contributor)
+        if headers is None:
+            headers = [record_header(record) for record in records]
         started = time.perf_counter()
+        size = self.config.batch_records
         batches = [
-            records[start : start + self.config.batch_records]
-            for start in range(0, len(records), self.config.batch_records)
+            (records[start : start + size], headers[start : start + size])
+            for start in range(0, len(records), size)
         ]
         report = ValidationReport(contributor=contributor)
         with ThreadPoolExecutor(max_workers=self.config.workers,
                                 thread_name_prefix="ingest-validate") as pool:
             gated = pool.map(
                 lambda batch: self._gate_batch(
-                    contributor, batch, self._verify_batch(contributor, batch)
+                    *batch, self._verify_batch(contributor, batch[0])
                 ),
                 batches,
             )
@@ -214,21 +225,25 @@ class ValidationPool:
         # so it runs single-threaded over the gated stream: against
         # everything the ledger ever committed (asked once, for the whole
         # session), then within this session.
+        digests = [digest for _, _, digest, _ in results]
         seen: Set[bytes] = set() if self.ledger is None else (
-            self.ledger.known_ciphertexts([digest for _, _, digest in results])
+            self.ledger.known_ciphertexts(digests)
         )
-        for record, verdict, digest in results:
+        verdicts = []
+        for record, verdict, digest, header in results:
             if verdict == "ok" and digest in seen:
                 verdict = "duplicate"
             if verdict == "ok":
                 seen.add(digest)
                 report.accepted.append(record)
                 report.accepted_digests.append(digest)
+                report.accepted_headers.append(header)
             else:
                 report.quarantined.append(
-                    QuarantinedRecord(record, verdict, digest)
+                    QuarantinedRecord(record, verdict, digest, header)
                 )
-            self._audit_record(contributor, digest, verdict)
+            verdicts.append(verdict)
+        self._audit_decisions(contributor, digests, verdicts)
         self._count_verdicts(len(report.accepted),
                              report.quarantined_by_reason)
         self.telemetry.observe("validate", time.perf_counter() - started)
@@ -245,23 +260,26 @@ class ValidationPool:
         When that gate catches a race the pipeline could not see — two
         sessions committing the same ciphertext concurrently — the loser's
         records move from ``report.accepted`` to ``report.quarantined``
-        here, digests with them, so the audit chain and telemetry record
-        the refusal exactly like any other quarantine.
+        here, digests and headers with them, and one audit event commits
+        the refusals exactly like any other quarantine.
         """
         refused_ids = {id(record) for record in refused}
         accepted, report.accepted = report.accepted, []
         digests, report.accepted_digests = report.accepted_digests, []
-        for record, digest in zip(accepted, digests):
+        headers, report.accepted_headers = report.accepted_headers, []
+        moved: List[bytes] = []
+        for record, digest, header in zip(accepted, digests, headers):
             if id(record) in refused_ids:
                 report.quarantined.append(
-                    QuarantinedRecord(record, reason, digest)
+                    QuarantinedRecord(record, reason, digest, header)
                 )
-                self._audit_record(report.contributor, digest, reason)
+                moved.append(digest)
             else:
                 report.accepted.append(record)
                 report.accepted_digests.append(digest)
-        moved = len(accepted) - len(report.accepted)
-        self._count_verdicts(-moved, {reason: moved})
+                report.accepted_headers.append(header)
+        self._audit_decisions(report.contributor, moved, [reason] * len(moved))
+        self._count_verdicts(-len(moved), {reason: len(moved)})
 
     def _count_verdicts(self, accepted: int, refused: Dict[str, int]) -> None:
         """One counter update per verdict per session, not per record."""
@@ -272,14 +290,15 @@ class ValidationPool:
             self.telemetry.count(f"quarantined_{reason.replace('-', '_')}",
                                  count)
 
-    def _audit_record(self, contributor: str, digest: bytes,
-                      verdict: str) -> None:
+    def _audit_decisions(self, contributor: str, digests: Sequence[bytes],
+                         verdicts: List[str]) -> None:
+        """One chained event commits a call's decisions, in journal order."""
         with self._audit_lock:
             self.audit.append(
                 "ingest-validate",
                 contributor=contributor,
-                record_digest=digest.hex(),
-                verdict=verdict,
+                record_digests=[digest.hex() for digest in digests],
+                verdicts=verdicts,
             )
 
     def verify_audit_chain(self) -> bool:

@@ -87,10 +87,6 @@ class Layer:
             grad[...] = 0.0
 
     @property
-    def has_weights(self) -> bool:
-        return bool(self.params())
-
-    @property
     def num_params(self) -> int:
         return sum(p.size for p in self.params().values())
 

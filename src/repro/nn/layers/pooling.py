@@ -63,9 +63,6 @@ class AvgPoolLayer(Layer):
             delta[:, None, None, :] / (h * w), (n, h, w, c)
         ).astype(delta.dtype).copy()
 
-    def backward_requires_cache(self) -> bool:
-        return True
-
     def output_shape(self, input_shape: Shape) -> Shape:
         return (input_shape[-1],)
 

@@ -123,8 +123,9 @@ class TestHostileTraffic:
         quarantined = list(ledger.iter_records(lane="quarantine"))
         assert sorted(r.index for r in quarantined) == [1, 5]
         assert all(q.reason == "tampered" for q in ledger.quarantined)
-        verdicts = [e.details["verdict"]
-                    for e in gateway.validator.audit.events("ingest-validate")]
+        events = gateway.validator.audit.events("ingest-validate")
+        assert len(events) == 2  # one per validated session
+        verdicts = [v for e in events for v in e.details["verdicts"]]
         assert verdicts.count("tampered") == 2
         assert gateway.validator.verify_audit_chain()
 

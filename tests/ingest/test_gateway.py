@@ -10,6 +10,7 @@ from repro.data.encryption import iter_encrypted_records
 from repro.errors import ConfigurationError, IngestError, UploadRejected
 from repro.ingest import (GatewayConfig, IngestGateway, TokenBucket,
                           record_digest)
+from repro.ingest.ledger import record_header
 
 
 def _records(contributor):
@@ -337,27 +338,36 @@ class TestConcurrentCompletion:
 
 def _count_content_digests(monkeypatch):
     """Count every content-digest computation, from outside: both modules
-    that can compute one call ``record_digest`` through their own global
-    name, so a counting stand-in under each name sees them all."""
+    that can compute one call ``header_digest`` (the one digest function,
+    over a record's canonical header) through their own global name, so a
+    counting stand-in under each name sees them all. The JSON-path
+    ``record_digest`` is counted apart: the session path never calls it."""
     from repro.ingest import ledger as ledger_module
     from repro.ingest import validate as validate_module
 
-    real = ledger_module.record_digest
-    digested = []
+    real = ledger_module.header_digest
+    digested, json_digested = [], []
 
-    def counting(record):
-        digested.append(record)
-        return real(record)
+    def counting(header, sealed):
+        digested.append((header, sealed))
+        return real(header, sealed)
 
-    monkeypatch.setattr(ledger_module, "record_digest", counting)
-    monkeypatch.setattr(validate_module, "record_digest", counting)
-    return digested
+    def json_counting(record):
+        json_digested.append(record)
+        return record_digest(record)
+
+    for module in (ledger_module, validate_module):
+        monkeypatch.setattr(module, "header_digest", counting)
+        monkeypatch.setattr(module, "record_digest", json_counting,
+                            raising=False)
+    return digested, json_digested
 
 
 class TestOneDigestPerRecord:
     """A record's content digest is computed once per session, at the
-    validation gate, and carried as a value to the dedup gate, the
-    sidecar and the audit event (the parent recomputed it at each: ≈ 3n)."""
+    validation gate, from the canonical header the journal encoded, and
+    carried as a value to the dedup gate, the sidecar and the audit event
+    (recomputing it at each would cost ≈ 3n)."""
 
     def test_hostile_session_digests_each_journaled_record_once(
             self, gateway, ledger, validator, contributors, monkeypatch):
@@ -374,7 +384,7 @@ class TestOneDigestPerRecord:
             records[5], label=(records[5].label + 1) % 3)
         records[2], records[5] = tampered, relabelled
 
-        digested = _count_content_digests(monkeypatch)
+        digested, json_digested = _count_content_digests(monkeypatch)
         session = gateway.open_session("c0")
         for start in range(0, len(records), 4):
             session.send_chunk(records[start : start + 4])
@@ -383,12 +393,12 @@ class TestOneDigestPerRecord:
         assert receipt.committed == 6 and receipt.quarantined == 3
         assert [(q.reason, q.records) for q in ledger.quarantined] == [
             ("duplicate", 1), ("tampered", 2)]
-        assert len(digested) == len(records)
-        assert sorted(r.nonce + r.sealed for r in digested) == \
-            sorted(r.nonce + r.sealed for r in records)
+        assert len(digested) == len(records) and json_digested == []
+        assert sorted(digested) == sorted(
+            (record_header(r), r.sealed) for r in records)
         # The one digest is the one every consumer shows.
-        events = validator.audit.events("ingest-validate")[-len(records):]
-        assert [e.details["record_digest"] for e in events] == \
+        event = validator.audit.events("ingest-validate")[-1]
+        assert event.details["record_digests"] == \
             [record_digest(r).hex() for r in records]
         assert ledger.verify() and validator.verify_audit_chain()
 
@@ -399,7 +409,7 @@ class TestOneDigestPerRecord:
         ``validate`` then the commit, as ``_complete_session`` runs them."""
         records = _records(contributors[0])
         sent = records + [records[0], records[3]]
-        digested = _count_content_digests(monkeypatch)
+        digested, _ = _count_content_digests(monkeypatch)
         report = validator.validate("c0", sent)
         segment, duplicates = ledger.commit_deduplicated(
             report.accepted, "c0", report.accepted_digests)
@@ -419,11 +429,12 @@ class TestOneDigestPerRecord:
         records = _records(contributors[0])
         report = validator.validate("c0", records)
         ledger.append(records[:5], "c1")  # the racing winner
-        digested = _count_content_digests(monkeypatch)
+        digested, json_digested = _count_content_digests(monkeypatch)
         segment, duplicates = ledger.commit_deduplicated(
-            report.accepted, "c0", report.accepted_digests)
+            report.accepted, "c0", report.accepted_digests,
+            report.accepted_headers)
         validator.quarantine_at_commit(report, duplicates)
-        assert digested == []
+        assert digested == [] and json_digested == []
         assert duplicates == records[:5] and segment.records == 7
         assert report.accepted == records[5:]
         assert report.accepted_digests == \

@@ -16,6 +16,8 @@ from repro.data.encryption import EncryptedRecord, iter_encrypted_records
 from repro.errors import LedgerError
 from repro.ingest import (ContributionLedger, pack_records, record_digest,
                           unpack_records)
+from repro.ingest.ledger import (_pack_headed, header_digest, record_header,
+                                 unpack_headed)
 from repro.ingest.transfer import UploadTransfer
 
 
@@ -131,6 +133,19 @@ def _oracle_digest(record):
     ).digest()
 
 
+def _oracle_digest_any(record):
+    """:func:`_oracle_digest` for any source id: the header through the
+    stdlib encoder (sorted keys, no whitespace, ASCII escapes)."""
+    meta = json.dumps({"index": record.index, "label": record.label,
+                       "nonce": record.nonce.hex(),
+                       "source": record.source_id},
+                      separators=(",", ":")).encode("ascii")
+    return hashlib.sha256(
+        struct.pack("<Q", len(meta)) + meta
+        + struct.pack("<Q", len(record.sealed)) + record.sealed
+    ).digest()
+
+
 #: Twelve distinct synthetic records from three contributors; sessions
 #: draw from this pool with repeats.
 _POOL = [
@@ -191,6 +206,61 @@ class TestDedupModel:
     def test_carried_digests_must_pair_with_the_records(self, ledger):
         with pytest.raises(LedgerError, match="digests carried beside"):
             ledger.append(_POOL[:3], "c0", [_oracle_digest(_POOL[0])])
+
+
+_hostile_records = st.lists(
+    st.builds(
+        EncryptedRecord,
+        source_id=st.one_of(st.text(max_size=12),
+                            st.sampled_from(['"', 'c"0', "é\\'\"", "源-7"])),
+        index=st.integers(0, 2 ** 40),
+        label=st.integers(-2 ** 31, 2 ** 31),
+        nonce=st.binary(min_size=12, max_size=12),
+        sealed=st.one_of(st.binary(max_size=64),
+                         st.binary(min_size=1, max_size=20_480)),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+class TestHeaderIdentity:
+    """The journal's canonical header stands in for the JSON path: the
+    digest derived from it is :func:`record_digest` and the segment payload
+    re-packed from it is :func:`pack_records`, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=_hostile_records)
+    def test_header_path_is_the_json_path(self, records):
+        blob = pack_records(records)
+        unpacked, headers = unpack_headed(blob)
+        assert unpacked == records
+        assert headers == [record_header(r) for r in records]
+        assert [header_digest(h, r.sealed)
+                for h, r in zip(headers, unpacked)] == \
+            [record_digest(r) for r in records] == \
+            [_oracle_digest_any(r) for r in records]
+        assert _pack_headed(unpacked, headers) == blob
+
+    def test_known_answer(self, tmp_path):
+        record = EncryptedRecord(source_id='c"é源', index=2 ** 40, label=7,
+                                 nonce=bytes(range(12)),
+                                 sealed=bytes(range(256)) * 3)
+        blob = pack_records([record])
+        _, headers = unpack_headed(blob)
+        assert headers == [
+            b'{"index":1099511627776,"label":7,'
+            b'"nonce":"000102030405060708090a0b",'
+            b'"source":"c\\"\\u00e9\\u6e90"}']
+        assert header_digest(headers[0], record.sealed).hex() == (
+            "290bf498085deb90b09cce575f7b095a"
+            "10259ac828c45647e121f7e2c8ed8e66")
+        ledger = ContributionLedger.create(tmp_path / "kat")
+        segment, _ = ledger.commit_deduplicated([record], "c0",
+                                                headers=headers)
+        payload = (ledger.path / f"{segment.name}.bin").read_bytes()
+        assert hashlib.sha256(payload).hexdigest() == (
+            "ab650f80199066f128f5a8a3178ba363"
+            "1c38f3768db813562def8a154a376e82")
 
 
 class TestConcurrency:

@@ -7,6 +7,7 @@ import pytest
 from repro.data.encryption import iter_encrypted_records
 from repro.errors import TransferError
 from repro.ingest import UploadTransfer, chunk_stream
+from repro.ingest.ledger import record_header
 
 
 @pytest.fixture
@@ -164,7 +165,9 @@ class TestFinalize:
     def test_finalize_closes_transfer(self, tmp_path, records):
         transfer = UploadTransfer.create(tmp_path / "t")
         transfer.append_chunk(records[:4])
-        assert transfer.finalize() == records[:4]
+        finalized, headers = transfer.finalize()
+        assert finalized == records[:4]
+        assert headers == [record_header(r) for r in records[:4]]
         with pytest.raises(TransferError):
             transfer.append_chunk(records[4:8])
         with pytest.raises(TransferError):

@@ -1,15 +1,20 @@
 """Validation-pipeline tests: gates, quarantine lanes, audit chain."""
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.aead import BULK_CIPHER, AesGcm, ShakeHmacAead, new_aead
 from repro.data.datasets import Dataset
 from repro.data.encryption import (EncryptedRecord, iter_encrypted_records,
                                    record_aad)
-from repro.ingest import ValidationConfig, ValidationPool
+from repro.ingest import (ContributionLedger, ValidationConfig,
+                          ValidationPool, record_digest)
 from repro.utils.serialization import array_to_bytes
 
 from tests.crypto import legacy_hmac_ctr
@@ -167,8 +172,8 @@ class TestAuthenticNonTensors:
         assert [(q.record, q.reason) for q in report.quarantined] == [
             (bad, "shape")]
         assert validator.telemetry.counter("quarantined_shape") == 1
-        verdicts = [e.details["verdict"]
-                    for e in validator.audit.events("ingest-validate")]
+        verdicts = [v for e in validator.audit.events("ingest-validate")
+                    for v in e.details["verdicts"]]
         assert verdicts.count("shape") == 1
         assert validator.verify_audit_chain()
 
@@ -237,7 +242,114 @@ class TestDeduplication:
         assert report.quarantined_by_reason == {"duplicate": len(records)}
 
 
+_KINDS = {"honest": "ok", "tampered": "tampered", "relabelled": "tampered",
+          "label-domain": "label-domain", "shape": "shape"}
+
+#: Sessions of (contributor, picks): each pick is a kind of record and an
+#: index into that contributor's pool of six, so repeats are common.
+_mixes = st.lists(
+    st.tuples(st.sampled_from([0, 1]),
+              st.lists(st.tuples(st.sampled_from(sorted(_KINDS)),
+                                 st.integers(0, 5)),
+                       min_size=1, max_size=8)),
+    min_size=1, max_size=3,
+)
+
+
+def _hostile_pool(contributor):
+    honest = _records(contributor)[:6]
+    return {
+        "honest": honest,
+        "tampered": [dataclasses.replace(
+            r, sealed=bytes([r.sealed[0] ^ 0xFF]) + r.sealed[1:])
+            for r in honest],
+        "relabelled": [dataclasses.replace(r, label=(r.label + 1) % CLASSES)
+                       for r in honest],
+        "label-domain": [_seal_plaintext(contributor, 50 + i, _GOOD,
+                                         label=CLASSES) for i in range(6)],
+        "shape": [_seal_plaintext(contributor, 70 + i, MALFORMED["bad-magic"])
+                  for i in range(6)],
+    }
+
+
 class TestAudit:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mixes=_mixes, race=st.integers(1, 4), data=st.data())
+    def test_every_decision_is_committed_once(self, server, contributors,
+                                              mixes, race, data):
+        """Hostile mixes, then one commit-time race. Each ``validate``
+        call commits its decisions in one chained event: every journaled
+        record's digest once, with its verdict, in journal order. A
+        refusal at commit appears in exactly one later event, and
+        altering any one verdict breaks the chain."""
+        pools = [_hostile_pool(c) for c in contributors]
+        with tempfile.TemporaryDirectory() as root:
+            ledger = ContributionLedger.create(Path(root) / "ledger")
+            validator = ValidationPool(
+                server.enclave,
+                ValidationConfig(num_classes=CLASSES, input_shape=SHAPE,
+                                 workers=2, batch_records=3),
+                ledger=ledger,
+            )
+            expected, committed = [], set()
+            for who, picks in mixes:
+                name = contributors[who].participant_id
+                records = [pools[who][kind][i] for kind, i in picks]
+                digests = [record_digest(r) for r in records]
+                verdicts, seen = [], set(committed)
+                for (kind, _), digest in zip(picks, digests):
+                    verdict = _KINDS[kind]
+                    if verdict == "ok" and digest in seen:
+                        verdict = "duplicate"
+                    if verdict == "ok":
+                        seen.add(digest)
+                    verdicts.append(verdict)
+                report = validator.validate(name, records)
+                ledger.commit_deduplicated(report.accepted, name,
+                                           report.accepted_digests,
+                                           report.accepted_headers)
+                committed = seen
+                expected.append(
+                    (name, [d.hex() for d in digests], verdicts))
+
+            # Two sessions pass the advisory gate with the same fresh
+            # records before either commits; the ledger lock refuses the
+            # second's copies.
+            fresh = [_seal_plaintext(contributors[1], 90 + i, _GOOD)
+                     for i in range(race)]
+            winner = validator.validate("c1", fresh)
+            loser = validator.validate("c1", fresh)
+            ledger.commit_deduplicated(winner.accepted, "c1",
+                                       winner.accepted_digests,
+                                       winner.accepted_headers)
+            _, refused = ledger.commit_deduplicated(
+                loser.accepted, "c1", loser.accepted_digests,
+                loser.accepted_headers)
+            validator.quarantine_at_commit(loser, refused)
+            assert refused == fresh and loser.accepted == []
+            hexes = [record_digest(r).hex() for r in fresh]
+            expected += [("c1", hexes, ["ok"] * race)] * 2
+            expected.append(("c1", hexes, ["duplicate"] * race))
+
+            events = validator.audit.events("ingest-validate")
+            assert [(e.details["contributor"], e.details["record_digests"],
+                     e.details["verdicts"]) for e in events] == expected
+            refusals = [e for e in events
+                        if set(hexes) & set(e.details["record_digests"])
+                        and "duplicate" in e.details["verdicts"]]
+            assert refusals == [events[-1]]
+            assert validator.verify_audit_chain()
+
+            event = data.draw(st.sampled_from(events))
+            at = data.draw(st.integers(0, len(event.details["verdicts"]) - 1))
+            original = event.details["verdicts"][at]
+            event.details["verdicts"][at] = (
+                "tampered" if original == "ok" else "ok")
+            assert not validator.verify_audit_chain()
+            event.details["verdicts"][at] = original
+            assert validator.verify_audit_chain()
+
     def test_every_decision_audited_and_chained(self, validator, contributors):
         records = _records(contributors[0])
         bad = records[1]
@@ -246,9 +358,12 @@ class TestAudit:
         )
         validator.validate("c0", records)
         events = validator.audit.events("ingest-validate")
-        assert len(events) == len(records)
-        verdicts = [e.details["verdict"] for e in events]
-        assert verdicts.count("tampered") == 1
+        assert len(events) == 1  # one chained event commits the session
+        assert events[0].details["contributor"] == "c0"
+        assert events[0].details["record_digests"] == [
+            record_digest(r).hex() for r in records]
+        verdicts = events[0].details["verdicts"]
+        assert verdicts[1] == "tampered"
         assert verdicts.count("ok") == len(records) - 1
         assert validator.verify_audit_chain()
 

@@ -156,7 +156,9 @@ class TestIngestCommands:
         assert "2 contributors provisioned over attested TLS" in out
         assert "c0: committed 22, quarantined 2" in out
         assert "manifest sealed to enclave identity: valid" in out
-        assert "chain VERIFIED" in out
+        # One event per session commits each of its 24 records' decisions.
+        assert ("ingest audit trail: 2 events committing 48 admission "
+                "decisions, chain VERIFIED") in out
         assert "staged 44 ledger records" in out
         assert "0 tampered slipped through" in out
 
