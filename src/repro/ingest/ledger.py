@@ -30,7 +30,6 @@ Integrity checks are fail-closed: :meth:`verify` raises
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
@@ -51,22 +50,11 @@ __all__ = [
     "pack_records",
     "unpack_records",
     "record_digest",
-    "unpack_headed",
-    "record_header",
-    "header_digest",
+    "unpack_headed", "record_header", "header_digest",
 ]
 
 _MANIFEST = "manifest.json"
 LEDGER_FORMAT = 1
-
-
-def record_digest(record: EncryptedRecord) -> bytes:
-    """Content address of one encrypted record (dedup + audit identity)."""
-    return canonical_digest(
-        {"source": record.source_id, "index": record.index,
-         "label": record.label, "nonce": record.nonce.hex()},
-        record.sealed,
-    )
 
 
 def record_header(record: EncryptedRecord) -> bytes:
@@ -76,20 +64,20 @@ def record_header(record: EncryptedRecord) -> bytes:
 
 
 def header_digest(header: bytes, sealed: bytes) -> bytes:
-    """:func:`record_digest` from the record's canonical header, byte for
-    byte, with no JSON: SHA-256 over ``Q(len h) | h | Q(len s) | sealed``."""
-    hasher = hashlib.sha256(struct.pack("<Q", len(header)) + header
-                            + struct.pack("<Q", len(sealed)))
-    hasher.update(sealed)
-    return hasher.digest()
+    """A record's content digest from its canonical header, with no JSON."""
+    return canonical_digest(header, sealed)
+
+
+def record_digest(record: EncryptedRecord) -> bytes:
+    """Content address of one encrypted record (dedup + audit identity)."""
+    return header_digest(record_header(record), record.sealed)
 
 
 def _carried(records: Sequence[EncryptedRecord],
              digests: Optional[Sequence[bytes]],
              headers: Optional[Sequence[bytes]]):
-    """The content digests and canonical headers a caller carried beside
-    ``records`` — or, for a caller with bare records, computed here, once,
-    at the ledger's door."""
+    """The digests and canonical headers carried beside ``records`` — or,
+    for bare records, computed here, once, at the ledger's door."""
     if headers is None:
         headers = [record_header(record) for record in records]
     if digests is None:
@@ -101,29 +89,16 @@ def _carried(records: Sequence[EncryptedRecord],
     return digests, headers
 
 
-def pack_records(records: Sequence[EncryptedRecord]) -> bytes:
+def pack_records(records: Sequence[EncryptedRecord],
+                 headers: Optional[Sequence[bytes]] = None) -> bytes:
     """Serialize records to one canonical blob (chunk and segment payloads).
 
     Layout: ``count | (meta-len | meta-json | sealed-len | sealed)...`` —
     everything length-prefixed, so equal record sequences always produce
-    equal bytes.
+    equal bytes. ``meta-json`` is ``headers``, else :func:`record_header`.
     """
-    out = [struct.pack("<I", len(records))]
-    for record in records:
-        meta = canonical_json({
-            "source": record.source_id, "index": record.index,
-            "label": record.label, "nonce": record.nonce.hex(),
-        })
-        out.append(struct.pack("<I", len(meta)))
-        out.append(meta)
-        out.append(struct.pack("<Q", len(record.sealed)))
-        out.append(record.sealed)
-    return b"".join(out)
-
-
-def _pack_headed(records: Sequence[EncryptedRecord],
-                 headers: Sequence[bytes]) -> bytes:
-    """:func:`pack_records`, byte for byte, from headers already encoded."""
+    if headers is None:
+        headers = [record_header(record) for record in records]
     out = [struct.pack("<I", len(records))]
     for record, header in zip(records, headers):
         out += (struct.pack("<I", len(header)), header,
@@ -132,8 +107,7 @@ def _pack_headed(records: Sequence[EncryptedRecord],
 
 
 def unpack_headed(blob: bytes) -> Tuple[List[EncryptedRecord], List[bytes]]:
-    """Inverse of :func:`pack_records`, plus each record's canonical header:
-    the ``meta-json`` bytes of its frame, copied out of ``blob``."""
+    """Inverse of :func:`pack_records`, plus each frame's ``meta-json``."""
     (count,) = struct.unpack_from("<I", blob, 0)
     offset = 4
     records: List[EncryptedRecord] = []
@@ -247,7 +221,7 @@ class ContributionLedger:
                                      else "quarantine"]
             prefix = "segment" if lane == "committed" else "quarantine"
             name = f"{prefix}-{len(entries):06d}"
-            payload = _pack_headed(records, headers)
+            payload = pack_records(records, headers)
             meta = {
                 "contributor": contributor,
                 "records": len(records),

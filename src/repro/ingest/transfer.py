@@ -132,7 +132,8 @@ class UploadTransfer:
         missing or fails the digest was journaled but never acknowledged
         durably — the journal is truncated back to the last consistent
         entry so the session stays resumable. The same failure behind the
-        head is post-acknowledgement corruption and fail-closes.
+        head is post-acknowledgement corruption and fail-closes, as does a
+        chunk that matches its digest but is not packed canonically.
         """
         path = Path(session_dir)
         journal_path = path / _JOURNAL
@@ -159,6 +160,10 @@ class UploadTransfer:
                 if stable_hash(blob).hex() != entry.digest:
                     failure = (f"journaled chunk {entry.seq} failed its "
                                "digest check")
+                elif pack_records(unpack_records(blob)) != blob:
+                    # A re-encoded header would be a second record identity.
+                    raise TransferError(f"journaled chunk {entry.seq} is "
+                                        "not canonically packed")
                 elif not entry.nbytes:
                     # Journal line predates byte accounting: recompute so
                     # quota checks never undercount a resumed session.
@@ -274,30 +279,18 @@ class UploadTransfer:
 
     # -- finalize ----------------------------------------------------------------
 
-    def _chunks(self) -> Iterator[bytes]:
-        """Every journaled chunk blob, in order, checked against its digest."""
+    def finalize(self) -> Tuple[List[EncryptedRecord], List[bytes]]:
+        """Close the transfer; return ``(records, headers)``: every journaled
+        record beside its canonical header, checked under the chunk digest."""
+        if self._finalized:
+            raise TransferError("transfer already finalized")
+        records, headers = [], []
         for entry in self._entries:
             blob = (self.path / self._chunk_name(entry.seq)).read_bytes()
             if stable_hash(blob).hex() != entry.digest:
                 raise TransferError(
                     f"chunk {entry.seq} failed its digest check at read time"
                 )
-            yield blob
-
-    def iter_records(self) -> Iterator[EncryptedRecord]:
-        """Yield every journaled record in chunk order."""
-        for blob in self._chunks():
-            yield from unpack_records(blob)
-
-    def finalize(self) -> Tuple[List[EncryptedRecord], List[bytes]]:
-        """Close the transfer and hand all journaled records downstream,
-        each beside its canonical header — the bytes ``append_chunk``
-        encoded, verified here under the chunk digest — as
-        ``(records, headers)``."""
-        if self._finalized:
-            raise TransferError("transfer already finalized")
-        records, headers = [], []
-        for blob in self._chunks():
             chunk_records, chunk_headers = unpack_headed(blob)
             records += chunk_records
             headers += chunk_headers

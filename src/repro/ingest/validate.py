@@ -18,10 +18,9 @@ Every journaled record must pass four gates before it is committed:
    even without forging a single byte.
 
 Batches are fanned out across a worker pool, and every decision — accept
-or quarantine, with the reason — is committed to the ingest
-:class:`~repro.core.audit.AuditLog`: one hash-chained event per session
-lists each record's digest and verdict in journal order, and a commit-time
-refusal appends one more, so the admission history is itself tamper-evident.
+or quarantine, with the reason — is in one hash-chained event per session
+(plus one for commit-time refusals) of the ingest
+:class:`~repro.core.audit.AuditLog`, so admission history is tamper-evident.
 
 A record's content digest (its dedup, audit and ledger-sidecar identity)
 is computed once per session, in :meth:`ValidationPool._gate_batch`, from
@@ -191,10 +190,9 @@ class ValidationPool:
     def validate(self, contributor: str, records: Sequence[EncryptedRecord],
                  headers: Optional[Sequence[bytes]] = None,
                  ) -> ValidationReport:
-        """Run every gate over ``records``; never raises on bad data.
-
-        ``headers``: the records' canonical headers as the journal
-        encoded them; encoded here for a caller with bare records.
+        """Run every gate over ``records`` (beside the canonical ``headers``
+        the journal encoded, if the caller holds them); never raises on bad
+        data.
 
         Tampered, relabelled, out-of-domain, misshapen, and duplicated
         records land in the report's quarantine list (and the audit

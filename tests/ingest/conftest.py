@@ -5,6 +5,8 @@ provisioned contributors (and one who never provisioned), a fresh
 contribution ledger, validation pool, and gateway over a tmp spool.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,30 @@ from repro.federation.provisioning import provision_key
 from repro.federation.server import TrainingServer
 from repro.ingest import (ContributionLedger, GatewayConfig, IngestGateway,
                           ValidationConfig, ValidationPool)
+from repro.ingest.ledger import pack_records, record_header, unpack_records
+from repro.utils.serialization import stable_hash
 
 SHAPE = (4, 4, 3)
 CLASSES = 3
+
+
+def rewrite_chunk_headers(spool, seq):
+    """Re-encode every header of chunk ``seq`` with the same fields in
+    non-canonical JSON (spaced), and re-point its journal line at the new
+    bytes, as a writer with the spool's disk could."""
+    chunk = spool / f"chunk-{seq:06d}.bin"
+    records = unpack_records(chunk.read_bytes())
+    headers = [json.dumps(json.loads(record_header(r))).encode()
+               for r in records]
+    assert headers != [record_header(r) for r in records]
+    blob = pack_records(records, headers)
+    chunk.write_bytes(blob)
+    journal = spool / "journal.jsonl"
+    lines = journal.read_text().splitlines()
+    entry = json.loads(lines[seq])
+    entry["digest"] = stable_hash(blob).hex()
+    lines[seq] = json.dumps(entry)
+    journal.write_text("\n".join(lines) + "\n")
 
 
 def make_participant(rng, name, n=12):

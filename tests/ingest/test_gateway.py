@@ -7,10 +7,12 @@ import pytest
 
 from repro.crypto.keys import SymmetricKey
 from repro.data.encryption import iter_encrypted_records
-from repro.errors import ConfigurationError, IngestError, UploadRejected
+from repro.errors import (ConfigurationError, IngestError, TransferError,
+                          UploadRejected)
 from repro.ingest import (GatewayConfig, IngestGateway, TokenBucket,
                           record_digest)
 from repro.ingest.ledger import record_header
+from tests.ingest.conftest import rewrite_chunk_headers
 
 
 def _records(contributor):
@@ -265,6 +267,26 @@ class TestLifecycle:
         receipt = resumed.complete()
         assert receipt.committed == 12
         assert gateway.telemetry.counter("sessions_resumed") == 1
+
+    def test_re_encoded_spool_commits_no_second_copy(
+            self, gateway, ledger, contributors, tmp_path):
+        """A spool that re-sends committed records under headers with the
+        same fields in other bytes would give each a second identity past
+        both dedup gates; resume refuses it and the ledger keeps one copy."""
+        contributor = contributors[0].participant_id
+        records = _records(contributors[0])
+        earlier = gateway.open_session(contributor, "earlier")
+        earlier.send_chunk(records[:4])
+        earlier.complete()
+        session = gateway.open_session(contributor)
+        session.send_chunk(records[:4])
+        gateway.evict_session(contributor)
+        [spool] = {p.parent for p in (tmp_path / "spool").rglob("*.bin")}
+        rewrite_chunk_headers(spool, 0)
+        with pytest.raises(TransferError, match="not canonically packed"):
+            gateway.resume_session(contributor)
+        assert [s.records for s in ledger.segments] == [4]
+        assert ledger.verify()
 
     def test_evict_unknown_session(self, gateway):
         assert not gateway.evict_session("nobody")

@@ -16,7 +16,7 @@ from repro.data.encryption import EncryptedRecord, iter_encrypted_records
 from repro.errors import LedgerError
 from repro.ingest import (ContributionLedger, pack_records, record_digest,
                           unpack_records)
-from repro.ingest.ledger import (_pack_headed, header_digest, record_header,
+from repro.ingest.ledger import (header_digest, record_header,
                                  unpack_headed)
 from repro.ingest.transfer import UploadTransfer
 
@@ -239,7 +239,7 @@ class TestHeaderIdentity:
                 for h, r in zip(headers, unpacked)] == \
             [record_digest(r) for r in records] == \
             [_oracle_digest_any(r) for r in records]
-        assert _pack_headed(unpacked, headers) == blob
+        assert pack_records(unpacked, headers) == blob
 
     def test_known_answer(self, tmp_path):
         record = EncryptedRecord(source_id='c"é源', index=2 ** 40, label=7,

@@ -99,7 +99,7 @@ class TestJournalDiscipline:
         receipt = transfer.append_chunk(records[:4])
         assert receipt.replayed
         assert transfer.acked_records == 4
-        assert [r.nonce for r in transfer.iter_records()] == \
+        assert [r.nonce for r in transfer.finalize()[0]] == \
             [r.nonce for r in records[:4]]
 
     def test_replay_survives_the_crash_window(self, contributor, tmp_path):

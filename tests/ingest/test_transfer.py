@@ -8,6 +8,7 @@ from repro.data.encryption import iter_encrypted_records
 from repro.errors import TransferError
 from repro.ingest import UploadTransfer, chunk_stream
 from repro.ingest.ledger import record_header
+from tests.ingest.conftest import rewrite_chunk_headers
 
 
 @pytest.fixture
@@ -36,7 +37,7 @@ class TestAppend:
         assert (r0.seq, r1.seq) == (0, 1)
         assert transfer.next_seq == 2
         assert transfer.acked_records == 8
-        assert list(transfer.iter_records()) == records[:8]
+        assert transfer.finalize()[0] == records[:8]
 
     def test_empty_chunk_rejected(self, tmp_path):
         transfer = UploadTransfer.create(tmp_path / "t")
@@ -50,7 +51,7 @@ class TestAppend:
         receipt = transfer.append_chunk(records[:4])
         assert receipt.replayed and receipt.seq == 0
         assert transfer.acked_records == 4
-        assert list(transfer.iter_records()) == records[:4]
+        assert transfer.finalize()[0] == records[:4]
 
     def test_nonce_replay_under_new_seq_rejected(self, tmp_path, records):
         """Old records smuggled into a fresh chunk are a protocol breach."""
@@ -75,7 +76,7 @@ class TestResume:
         assert resumed.acked_records == 8
         assert resumed.max_nonce() == max(r.nonce for r in records[:8])
         resumed.append_chunk(records[8:])
-        assert list(resumed.iter_records()) == records
+        assert resumed.finalize()[0] == records
 
     def test_torn_unjournaled_chunk_discarded(self, tmp_path, records):
         """A chunk file written but never journaled (the crash window) is
@@ -99,6 +100,17 @@ class TestResume:
         blob[8] ^= 0xFF
         chunk.write_bytes(bytes(blob))
         with pytest.raises(TransferError):
+            UploadTransfer.resume(tmp_path / "t")
+
+    def test_non_canonical_chunk_fails_closed(self, tmp_path, records):
+        """A chunk whose headers carry the same fields in other bytes,
+        with its journal line rewritten to match, is no crash window: even
+        at the tail, resume refuses it instead of handing the re-encoded
+        headers on as record identities."""
+        transfer = UploadTransfer.create(tmp_path / "t")
+        transfer.append_chunk(records[:4])
+        rewrite_chunk_headers(tmp_path / "t", 0)
+        with pytest.raises(TransferError, match="not canonically packed"):
             UploadTransfer.resume(tmp_path / "t")
 
     def test_missing_acked_chunk_fails_closed(self, tmp_path, records):
@@ -130,7 +142,7 @@ class TestResume:
         # The client re-sends the dropped chunk and the stream continues.
         resumed.append_chunk(records[4:8])
         resumed.append_chunk(records[8:])
-        assert list(resumed.iter_records()) == records
+        assert resumed.finalize()[0] == records
 
     def test_missing_tail_chunk_truncates_journal(self, tmp_path, records):
         transfer = UploadTransfer.create(tmp_path / "t")
