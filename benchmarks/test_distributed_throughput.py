@@ -33,7 +33,7 @@ from repro.federation.provisioning import provision_key
 from repro.nn.config import network_to_config
 from repro.nn.zoo import tiny_testnet
 from repro.utils.rng import RngStream
-from repro.utils.serialization import stable_hash
+from repro.utils.serialization import canonical_digest
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 N_TRAIN = 128 if SMOKE else 256
@@ -79,7 +79,7 @@ def _run(tmp_path, num_workers, seed=4242):
         provisioner=provisioner,
         init_generator_factory=lambda: rng.child("model-init").generator,
         checkpoint_root=tmp_path / f"n{num_workers}",
-        config_digest=stable_hash(network_config, hyper),
+        config_digest=canonical_digest(network_config, hyper),
     )
     coordinator.distribute(datasets)
     wall_started = time.perf_counter()

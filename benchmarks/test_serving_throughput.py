@@ -117,7 +117,7 @@ def test_serving_throughput(bench_rng, tmp_path_factory, benchmark):
             qps_engine = _engine_qps(engine, queries, query_labels, repeats=3)
         finally:
             engine.stop()
-        scan = engine.telemetry.scan_fraction
+        scan = engine.telemetry.snapshot()["scan_fraction"]
         speedup = qps_engine / qps_brute
         print(f"{size:>9} {qps_brute:>10.0f} "
               f"{qps_engine:>10.0f} {speedup:>7.1f}x {scan:>7.1%}")

@@ -24,8 +24,8 @@ from repro import CalTrain, CalTrainConfig
 from repro.data import synthetic_cifar
 from repro.federation import TrainingParticipant
 from repro.nn.zoo import tiny_testnet
-from repro.observability import (MetricsRegistry, Tracer, parse_prometheus)
-from repro.serving import ServingTelemetry
+from repro.observability import (MetricsRegistry, SubsystemTelemetry, Tracer,
+                                 parse_prometheus)
 from repro.utils.rng import RngStream
 
 NUM_CLASSES = 4
@@ -101,15 +101,16 @@ def main() -> None:
 
     print("\n=== 4. the serving side speaks the same language ===")
     registry = MetricsRegistry()
-    telemetry = ServingTelemetry(registry=registry)
+    telemetry = SubsystemTelemetry("serving", registry=registry)
     generator = np.random.default_rng(0)
     telemetry.count("queries", 128)
     telemetry.count("cache_hits", 32)
     telemetry.count("cache_misses", 96)
     for _ in range(96):
         telemetry.observe("search", float(generator.uniform(1e-4, 3e-3)))
-    print(f"  cache hit rate {telemetry.cache_hit_rate:.1%}, "
-          f"search p95 {telemetry.stage('search').p95 * 1e3:.3f}ms")
+    served = telemetry.snapshot()
+    print(f"  cache hit rate {served['cache_hit_rate']:.1%}, "
+          f"search p95 {served['stages']['search']['p95'] * 1e3:.3f}ms")
     exported = parse_prometheus(registry.render_prometheus())
     assert exported["repro_serving_queries_total"]["samples"][""] == 128
     print("  repro_serving_* metrics exported from the shared registry")

@@ -37,9 +37,6 @@ class EvaluationReport:
     def macro_f1(self) -> float:
         return float(np.mean([c.f1 for c in self.per_class]))
 
-    def worst_class(self) -> ClassReport:
-        return min(self.per_class, key=lambda c: c.f1)
-
     def render(self, class_names: Optional[Sequence[str]] = None) -> str:
         names = class_names or [str(c.label) for c in self.per_class]
         lines = [f"accuracy: {self.accuracy:.2%}   macro-F1: {self.macro_f1():.3f}",

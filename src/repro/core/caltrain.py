@@ -48,11 +48,11 @@ from repro.nn.config import network_to_config
 from repro.nn.network import Network
 from repro.nn.optimizers import Sgd
 from repro.nn.zoo import cifar10_10layer, cifar10_18layer, face_recognition_net
+from repro.observability.adapter import SubsystemTelemetry
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import Tracer
 from repro.resilience.checkpoint import CheckpointManager, TrainingState
 from repro.resilience.supervisor import ResilientTrainer, RetryPolicy
-from repro.resilience.telemetry import RunTelemetry
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
 from repro.utils.serialization import canonical_digest
@@ -154,7 +154,7 @@ class CalTrain:
         self._assessor: Optional[ExposureAssessor] = None
         self.decryption_summary: Optional[DecryptionSummary] = None
         #: Fault/retry/checkpoint counters of the last supervised run.
-        self.run_telemetry: Optional[RunTelemetry] = None
+        self.run_telemetry: Optional[SubsystemTelemetry] = None
         #: Distributed-run state (populated by ``train(workers=N)``).
         self.coordinator = None
         self.distributed_telemetry = None
@@ -246,10 +246,9 @@ class CalTrain:
         and checkpoints are chained into the governance timeline (with
         cross-references into this deployment's audit chain).
         """
-        from repro.governance.telemetry import GovernanceTelemetry
-
         self.governance = log
-        self.governance_telemetry = GovernanceTelemetry(registry=self.metrics)
+        self.governance_telemetry = SubsystemTelemetry("governance",
+                                                       registry=self.metrics)
 
     def _govern(self, kind: str, **details) -> None:
         if self.governance is not None:
@@ -545,7 +544,7 @@ class CalTrain:
             expected_mrenclave=self.expected_measurement,
             attestation_service=self.attestation_service,
             policy=retry_policy,
-            telemetry=RunTelemetry(registry=self.metrics),
+            telemetry=SubsystemTelemetry("resilience", registry=self.metrics),
             audit_provider=lambda: self.audit_log,
             on_enclave_rebuilt=self._adopt_enclave,
             on_restore=_on_restore,

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import LinkageError
-from repro.utils.serialization import canonical_json, stable_hash
+from repro.utils.serialization import canonical_digest, canonical_json
 
 __all__ = ["LinkageRecord", "LinkageTable", "instance_digest",
            "segment_digest"]
@@ -33,12 +33,12 @@ __all__ = ["LinkageRecord", "LinkageTable", "instance_digest",
 
 def instance_digest(image: np.ndarray) -> bytes:
     """The canonical hash digest ``H`` of one training instance."""
-    return stable_hash(image)
+    return canonical_digest(image)
 
 
 def segment_digest(fingerprints: np.ndarray, metadata: bytes) -> str:
     """Hex SHA-256 over a float32 fingerprint matrix ‖ its metadata JSON."""
-    return stable_hash(fingerprints, metadata).hex()
+    return canonical_digest(fingerprints, metadata).hex()
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,11 @@ from repro.distributed.channels import (decode_vector, encode_vector,
                                         open_attested_channel)
 from repro.distributed.coordinator import (DistributedCoordinator,
                                            RoundReport)
-from repro.distributed.telemetry import DistributedTelemetry
 from repro.distributed.worker import EnclaveWorker
 
 __all__ = [
     "AggregatorEnclave",
     "DistributedCoordinator",
-    "DistributedTelemetry",
     "EnclaveWorker",
     "RoundReport",
     "decode_vector",

@@ -53,7 +53,6 @@ import numpy as np
 from repro.crypto.aead import BULK_CIPHER
 from repro.data.encryption import EncryptedDataset
 from repro.distributed.aggregator import AggregatorEnclave
-from repro.distributed.telemetry import DistributedTelemetry
 from repro.distributed.worker import EnclaveWorker
 from repro.enclave.attestation import AttestationService
 from repro.enclave.enclave import Enclave
@@ -63,6 +62,7 @@ from repro.errors import (AggregationError, AuthenticationError,
                           ChannelIntegrityError, ConfigurationError,
                           EnclaveError, RoundAborted)
 from repro.nn.network import Network
+from repro.observability.adapter import SubsystemTelemetry
 from repro.observability.tracing import Tracer
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
@@ -129,7 +129,7 @@ class DistributedCoordinator:
         self.straggler_factor = straggler_factor
         self.blacklist_after = blacklist_after
         self.tracer = tracer
-        self.telemetry = DistributedTelemetry(registry=metrics)
+        self.telemetry = SubsystemTelemetry("distributed", registry=metrics)
         #: The coordinator's own wall clock: rounds advance it by the
         #: slowest participating worker plus aggregation, because the
         #: workers run concurrently on separate platforms.

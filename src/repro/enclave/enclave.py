@@ -32,7 +32,7 @@ from repro.enclave.attestation import Quote
 from repro.enclave.memory import EpcMemory
 from repro.enclave.platform import SgxPlatform, TrustedRng
 from repro.errors import EnclaveLifecycleError
-from repro.utils.serialization import stable_hash
+from repro.utils.serialization import canonical_digest
 
 __all__ = ["EnclaveState", "Enclave"]
 
@@ -87,7 +87,7 @@ class Enclave:
     def add_data(self, name: str, value: Any, nbytes: Optional[int] = None) -> None:
         """Load initial data (architecture, hyperparameters) into the EPC."""
         self._require_state(EnclaveState.CREATED, "add data")
-        content_hash = stable_hash(value if value is not None else b"")
+        content_hash = canonical_digest(value if value is not None else b"")
         self._extend(b"EADD-DATA:" + name.encode("utf-8"), content_hash)
         self.epc.alloc(f"data/{name}", nbytes if nbytes is not None else 4096)
         self._storage[name] = value

@@ -13,7 +13,7 @@ from repro.data.encryption import EncryptedDataset, encrypt_dataset
 from repro.errors import QueryError
 from repro.nn.network import Network
 from repro.utils.rng import RngStream
-from repro.utils.serialization import stable_hash
+from repro.utils.serialization import canonical_digest
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with repro.core
     from repro.core.assessment import AssessmentResult, ExposureAssessor
@@ -74,4 +74,4 @@ class TrainingParticipant:
 
     def instance_digest(self, index: int) -> bytes:
         """The hash digest of a local instance (as recorded at training)."""
-        return stable_hash(self.dataset.x[index])
+        return canonical_digest(self.dataset.x[index])

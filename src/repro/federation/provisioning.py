@@ -17,8 +17,6 @@ inside the enclave.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.crypto.hashing import constant_time_equal, sha256
 from repro.crypto.tls import ClientHello, Finished, SecureChannel, TlsServer
 from repro.enclave.attestation import AttestationService, Quote
@@ -131,12 +129,3 @@ def provisioned_key(enclave: Enclave, participant_id: str) -> bytes:
     if not enclave.trusted_has(key_name):
         raise ProvisioningError(f"no key provisioned for {participant_id!r}")
     return enclave.trusted_get(key_name)
-
-
-def registered_participants(enclave: Enclave) -> Tuple[str, ...]:
-    """Trusted-code helper: all participant ids with provisioned keys."""
-    return tuple(
-        name[len(_KEY_PREFIX):]
-        for name in list(enclave._storage)
-        if name.startswith(_KEY_PREFIX)
-    )

@@ -13,13 +13,11 @@ from repro.governance.gate import PromotionGate, PromotionRecord
 from repro.governance.identity import (code_version, compute_run_key,
                                        submissions_digest)
 from repro.governance.log import GovernanceLog
-from repro.governance.telemetry import GovernanceTelemetry
 
 __all__ = [
     "AttributionReport",
     "Attributor",
     "GovernanceLog",
-    "GovernanceTelemetry",
     "PromotionGate",
     "PromotionRecord",
     "code_version",

@@ -45,8 +45,7 @@ from repro.errors import (AttributionError, GovernanceLogError, LedgerError,
 from repro.governance.log import GovernanceLog
 from repro.serving.engine import answer_digest
 from repro.utils.logging import get_logger
-from repro.utils.serialization import (canonical_digest, canonical_json,
-                                       stable_hash)
+from repro.utils.serialization import canonical_digest, canonical_json
 
 __all__ = ["AttributionReport", "Attributor"]
 
@@ -213,7 +212,8 @@ class Attributor:
             )
         # Anchor to the newest event committing *this* query — other
         # callers' answers may have been chained since it was answered.
-        digest = stable_hash(np.asarray(fingerprint, np.float32).ravel()).hex()
+        digest = canonical_digest(
+            np.asarray(fingerprint, np.float32).ravel()).hex()
         for audit_event in reversed(self.engine.audit.events("serving-query")):
             details = audit_event.details
             if (details["label"] == label and details["k"] == k

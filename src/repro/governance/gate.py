@@ -99,7 +99,7 @@ class PromotionGate:
         ledger: The committed contribution ledger training consumed.
         checkpoints: Optional :class:`CheckpointManager` of the run.
         store: The :class:`LinkageStore` the serving index answers from.
-        telemetry: Optional :class:`GovernanceTelemetry`.
+        telemetry: Optional ``SubsystemTelemetry("governance")``.
     """
 
     def __init__(self, enclave: Enclave, log: GovernanceLog, *,

@@ -23,9 +23,7 @@ traffic from many concurrent contributors:
 * :mod:`repro.ingest.validate` — a concurrent pipeline that
   AEAD-authenticates every record inside the enclave, gates labels and
   tensor shapes, deduplicates ciphertexts across contributors, and
-  hash-chains every admission decision into an audit trail;
-* :mod:`repro.ingest.telemetry` — per-stage counters and latencies for
-  the whole plane.
+  hash-chains every admission decision into an audit trail.
 
 Training then consumes the ledger through
 :meth:`repro.federation.server.TrainingServer.from_ledger` instead of
@@ -37,7 +35,6 @@ from repro.ingest.gateway import (GatewayConfig, IngestGateway, IngestReceipt,
 from repro.ingest.ledger import (LEDGER_FORMAT, ContributionLedger,
                                  LedgerSegmentInfo, pack_records,
                                  record_digest, unpack_records)
-from repro.ingest.telemetry import IngestTelemetry
 from repro.ingest.transfer import ChunkReceipt, UploadTransfer, chunk_stream
 from repro.ingest.validate import (QuarantinedRecord, ValidationConfig,
                                    ValidationPool, ValidationReport,
@@ -63,5 +60,4 @@ __all__ = [
     "ValidationPool",
     "ValidationReport",
     "install_ingest_ecalls",
-    "IngestTelemetry",
 ]

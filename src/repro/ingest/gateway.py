@@ -36,9 +36,9 @@ from repro.errors import (ConfigurationError, IngestError, TransferError,
                           UploadRejected)
 from repro.federation.provisioning import provisioned_key, ProvisioningError
 from repro.ingest.ledger import ContributionLedger, LedgerSegmentInfo
-from repro.ingest.telemetry import IngestTelemetry
 from repro.ingest.transfer import ChunkReceipt, UploadTransfer
 from repro.ingest.validate import ValidationPool
+from repro.observability.adapter import SubsystemTelemetry
 
 __all__ = ["GatewayConfig", "TokenBucket", "IngestReceipt", "UploadSession",
            "IngestGateway"]
@@ -162,7 +162,7 @@ class IngestGateway:
 
     def __init__(self, ledger: ContributionLedger, validator: ValidationPool,
                  spool_dir, config: Optional[GatewayConfig] = None,
-                 telemetry: Optional[IngestTelemetry] = None,
+                 telemetry: Optional[SubsystemTelemetry] = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.ledger = ledger
         self.validator = validator

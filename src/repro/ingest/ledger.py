@@ -362,10 +362,6 @@ class ContributionLedger:
         with self._lock:
             return self._digests.intersection(digests)
 
-    def has_ciphertext(self, digest: bytes) -> bool:
-        """Has a record with this content digest already been committed?"""
-        return bool(self.known_ciphertexts((digest,)))
-
     def iter_records(self, lane: str = "committed") -> Iterator[EncryptedRecord]:
         """Yield records in commit order (training's read path).
 
@@ -464,10 +460,6 @@ class ContributionLedger:
                     f"no ledger record for source {source_id!r} index {index}"
                 )
         return [found[pair] for pair in pairs]
-
-    def locate_record(self, source_id: str, index: int) -> Dict[str, object]:
-        """:meth:`locate_records` for one pair."""
-        return self.locate_records([(source_id, index)])[0]
 
     def seal_manifest(self, enclave):
         """Seal the manifest digest to ``enclave``'s identity."""

@@ -41,7 +41,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.data.encryption import EncryptedRecord
 from repro.errors import TransferError
 from repro.ingest.ledger import pack_records, unpack_headed, unpack_records
-from repro.utils.serialization import stable_hash
+from repro.utils.serialization import canonical_digest
 
 __all__ = ["ChunkReceipt", "UploadTransfer", "chunk_stream"]
 
@@ -157,7 +157,7 @@ class UploadTransfer:
             failure = None
             if chunk_path.exists():
                 blob = chunk_path.read_bytes()
-                if stable_hash(blob).hex() != entry.digest:
+                if canonical_digest(blob).hex() != entry.digest:
                     failure = (f"journaled chunk {entry.seq} failed its "
                                "digest check")
                 elif pack_records(unpack_records(blob)) != blob:
@@ -237,7 +237,7 @@ class UploadTransfer:
         if not records:
             raise TransferError("a chunk needs at least one record")
         payload = pack_records(records)
-        digest = stable_hash(payload).hex()
+        digest = canonical_digest(payload).hex()
         for entry in self._entries:
             if entry.digest == digest:
                 # Idempotent resend of an acknowledged chunk (the client
@@ -287,7 +287,7 @@ class UploadTransfer:
         records, headers = [], []
         for entry in self._entries:
             blob = (self.path / self._chunk_name(entry.seq)).read_bytes()
-            if stable_hash(blob).hex() != entry.digest:
+            if canonical_digest(blob).hex() != entry.digest:
                 raise TransferError(
                     f"chunk {entry.seq} failed its digest check at read time"
                 )

@@ -44,7 +44,7 @@ from repro.errors import AuthenticationError, ConfigurationError
 from repro.federation.provisioning import provisioned_key
 from repro.ingest.ledger import (ContributionLedger, header_digest,
                                  record_header)
-from repro.ingest.telemetry import IngestTelemetry
+from repro.observability.adapter import SubsystemTelemetry
 
 __all__ = ["ValidationConfig", "QuarantinedRecord", "ValidationReport",
            "ValidationPool", "install_ingest_ecalls"]
@@ -140,12 +140,13 @@ class ValidationPool:
     def __init__(self, enclave: Enclave, config: ValidationConfig,
                  ledger: Optional[ContributionLedger] = None,
                  audit: Optional[AuditLog] = None,
-                 telemetry: Optional[IngestTelemetry] = None) -> None:
+                 telemetry: Optional[SubsystemTelemetry] = None) -> None:
         self.enclave = enclave
         self.config = config
         self.ledger = ledger
         self.audit = audit if audit is not None else AuditLog()
-        self.telemetry = telemetry if telemetry is not None else IngestTelemetry()
+        self.telemetry = telemetry if telemetry is not None else (
+            SubsystemTelemetry("ingest"))
         self._audit_lock = threading.Lock()
         self._ecall_lock = threading.Lock()
 

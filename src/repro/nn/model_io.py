@@ -18,7 +18,7 @@ from repro.errors import NetworkDefinitionError
 from repro.nn.config import network_from_config, network_to_config
 from repro.nn.network import Network
 from repro.utils.fileio import atomic_write_bytes
-from repro.utils.serialization import stable_hash
+from repro.utils.serialization import canonical_digest
 
 __all__ = ["save_model", "load_model", "model_to_bytes", "model_from_bytes"]
 
@@ -29,7 +29,7 @@ def model_to_bytes(network: Network) -> bytes:
     """Serialize a network (architecture + weights + state) to bytes."""
     config_text = network_to_config(network)
     weights_blob = network.weights_to_bytes()
-    digest = stable_hash(config_text, weights_blob)
+    digest = canonical_digest(config_text, weights_blob)
     buffer = io.BytesIO()
     np.savez(
         buffer,
@@ -53,7 +53,7 @@ def model_from_bytes(blob: bytes,
         config_text = bytes(data["config"]).decode("utf-8")
         weights_blob = bytes(data["weights"])
         digest = bytes(data["digest"])
-    if stable_hash(config_text, weights_blob) != digest:
+    if canonical_digest(config_text, weights_blob) != digest:
         raise NetworkDefinitionError("model file failed its integrity check")
     network = network_from_config(
         config_text, rng=rng if rng is not None else np.random.default_rng(0)

@@ -9,16 +9,18 @@ The shared substrate under every subsystem's telemetry:
 * :mod:`repro.observability.tracing` — :class:`Tracer` producing nested
   spans with explicit enclave-boundary kinds (``enclave`` /
   ``untrusted`` / ``boundary-crossing``) on an injectable clock;
-* :mod:`repro.observability.adapter` — the legacy-compatible
-  :class:`SubsystemTelemetry` base that ``ServingTelemetry``,
-  ``IngestTelemetry``, and ``RunTelemetry`` are thin subclasses of.
+* :mod:`repro.observability.adapter` — :class:`SubsystemTelemetry`,
+  the one telemetry type every plane constructs with its subsystem
+  name (``SubsystemTelemetry("serving")``, ``"ingest"``, ...); each
+  plane's derived rates are rows of the adapter's ``DERIVED`` table,
+  not code.
 
 Metric naming scheme: ``repro_<subsystem>_<what>[_unit]`` — counters end
 ``_total``, latency histograms ``_seconds``, stage histograms are
 ``repro_<subsystem>_stage_<stage>_seconds``.
 """
 
-from repro.observability.adapter import StageStats, SubsystemTelemetry
+from repro.observability.adapter import SubsystemTelemetry
 from repro.observability.metrics import (Counter, Gauge, Histogram,
                                          MetricsRegistry,
                                          default_latency_buckets,
@@ -37,6 +39,5 @@ __all__ = [
     "ManualClock",
     "Span",
     "Tracer",
-    "StageStats",
     "SubsystemTelemetry",
 ]

@@ -1,86 +1,82 @@
-"""Legacy telemetry API re-implemented over the shared registry.
+"""One telemetry type for every plane, over the shared registry.
 
-``ServingTelemetry``, ``IngestTelemetry``, and ``RunTelemetry`` each
-used to carry a private copy of the same counters + ``StageStats``
-implementation. :class:`SubsystemTelemetry` is the one shared base: the
-legacy surface (``count``/``observe``/``counter``/``stage``/
-``snapshot``/``render``) is preserved verbatim, but every write lands in
-a :class:`~repro.observability.metrics.MetricsRegistry` under the
-``repro_<subsystem>_*`` naming scheme — so one registry can aggregate
-serving, ingest, and training metrics and export them together.
-
-:class:`StageStats` is now an *immutable point-in-time snapshot* (the
-old mutable live object could be observed mid-update by a concurrent
-reader and yield torn count/total pairs); it keeps the legacy
-``count``/``total``/``maximum``/``mean``/``as_dict`` surface and gains
-bucket-derived p50/p95/p99.
+:class:`SubsystemTelemetry` keeps short-named counters and per-stage
+histograms in a :class:`~repro.observability.metrics.MetricsRegistry`
+under the ``repro_<subsystem>_*`` naming scheme, so one registry can
+aggregate serving, ingest, training and governance metrics and export
+them together. What differs between planes is data, not code:
+:data:`DERIVED` names each subsystem's derived values, which
+:meth:`SubsystemTelemetry.snapshot` computes from one read of the
+counters and :meth:`SubsystemTelemetry.render` prints.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.observability.metrics import Histogram, MetricsRegistry
+from repro.observability.metrics import MetricsRegistry
 
-__all__ = ["StageStats", "SubsystemTelemetry"]
+__all__ = ["SubsystemTelemetry"]
 
+# The total faults observed across kinds: every ``fault_*`` counter.
+_FAULT_COUNT = ("fault_count", "fault_", None)
 
-class StageStats:
-    """Immutable latency statistics for one pipeline stage.
-
-    A frozen copy taken from the backing histogram under its lock; safe
-    to read from any thread, impossible to tear.
-    """
-
-    __slots__ = ("count", "total", "maximum", "p50", "p95", "p99")
-
-    def __init__(self, count: int, total: float, maximum: float,
-                 p50: float = 0.0, p95: float = 0.0, p99: float = 0.0) -> None:
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "maximum", maximum)
-        object.__setattr__(self, "p50", p50)
-        object.__setattr__(self, "p95", p95)
-        object.__setattr__(self, "p99", p99)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("StageStats snapshots are immutable")
-
-    @classmethod
-    def from_histogram(cls, histogram: Histogram) -> "StageStats":
-        summary = histogram.summary()
-        return cls(count=summary.count, total=summary.sum,
-                   maximum=summary.maximum, p50=summary.percentile(50),
-                   p95=summary.percentile(95), p99=summary.percentile(99))
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {"count": self.count, "mean": self.mean,
-                "max": self.maximum, "total": self.total,
-                "p50": self.p50, "p95": self.p95, "p99": self.p99}
+# Derived values per subsystem, as ``(name, numerator, denominators)``:
+# the numerator counter over the sum of the denominator counters, 0.0
+# when that sum is 0. ``denominators`` None instead sums every counter
+# whose name starts with ``numerator``.
+DERIVED: Dict[str, Tuple[Tuple[str, str, Optional[Tuple[str, ...]]], ...]] = {
+    "serving": (
+        ("cache_hit_rate", "cache_hits", ("cache_hits", "cache_misses")),
+        ("mean_batch_size", "batched_queries", ("batches",)),
+        # Candidate rows actually scanned vs. a full brute-force scan.
+        ("scan_fraction", "candidates_scanned", ("brute_equivalent_rows",)),
+    ),
+    "serving_cluster": (
+        ("success_rate", "queries_ok", ("queries_ok", "queries_failed")),
+        ("degraded_fraction", "degraded_answers", ("queries_ok",)),
+        ("hedge_win_rate", "hedges_won", ("hedges_launched",)),
+    ),
+    "ingest": (
+        ("quarantine_rate", "records_quarantined",
+         ("records_accepted", "records_quarantined")),
+        ("mean_chunk_records", "chunk_records", ("chunks",)),
+    ),
+    "governance": (
+        ("refusal_rate", "verifications_refused",
+         ("verifications", "verifications_refused")),
+    ),
+    "resilience": (_FAULT_COUNT,),
+    "distributed": (_FAULT_COUNT,),
+}
 
 
 def _sanitize(name: str) -> str:
     return name.replace("-", "_").replace("/", "_").replace(".", "_")
 
 
-class SubsystemTelemetry:
-    """Shared counters + per-stage latency over a metrics registry.
+def _derive(counters: Dict[str, int], numerator: str,
+            denominators: Optional[Tuple[str, ...]]):
+    if denominators is None:
+        return sum(value for name, value in counters.items()
+                   if name.startswith(numerator))
+    total = sum(counters.get(name, 0) for name in denominators)
+    return counters.get(numerator, 0) / total if total else 0.0
 
-    Subclasses set :attr:`subsystem` (the metric-name namespace) and add
-    their derived rates and ``render``. Passing an existing ``registry``
-    shares one export surface across subsystems; by default each
-    instance gets a private registry, matching the legacy behaviour of
-    independent telemetry objects.
+
+class SubsystemTelemetry:
+    """Counters + per-stage latency for one subsystem over a registry.
+
+    ``subsystem`` is the metric-name namespace and picks the plane's
+    :data:`DERIVED` entries. Passing an existing ``registry`` shares one
+    export surface across subsystems; by default each instance gets a
+    private registry.
     """
 
-    subsystem = "repro"
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, subsystem: str,
+                 registry: Optional[MetricsRegistry] = None) -> None:
+        self.subsystem = subsystem
         self.registry = registry if registry is not None else MetricsRegistry()
         self._names_lock = threading.Lock()
         self._counter_names: Dict[str, str] = {}
@@ -94,7 +90,7 @@ class SubsystemTelemetry:
         self._counter_cache: Dict[str, object] = {}
         self._stage_cache: Dict[str, object] = {}
 
-    # -- name mapping (legacy short name <-> registry metric name) ---------------
+    # -- name mapping (short name <-> registry metric name) -------------------
 
     def counter_metric_name(self, name: str) -> str:
         return f"repro_{self.subsystem}_{_sanitize(name)}_total"
@@ -105,7 +101,7 @@ class SubsystemTelemetry:
         unit = "" if stage.endswith("occupancy") else "_seconds"
         return f"repro_{self.subsystem}_stage_{_sanitize(stage)}{unit}"
 
-    # -- the legacy write/read surface -------------------------------------------
+    # -- the write/read surface ------------------------------------------------
 
     def _counter_instrument(self, name: str):
         instrument = self._counter_cache.get(name)
@@ -143,18 +139,11 @@ class SubsystemTelemetry:
             return 0
         return self.registry.counter(metric).value
 
-    def stage(self, name: str) -> Optional[StageStats]:
-        """An immutable snapshot of one stage's statistics, or ``None``."""
-        with self._names_lock:
-            metric = self._stage_names.get(name)
-        if metric is None:
-            return None
-        return StageStats.from_histogram(self.registry.histogram(metric))
-
-    # -- snapshots ----------------------------------------------------------------
+    # -- snapshot and render ---------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """Legacy-shaped snapshot: short-named counters and stage dicts."""
+        """Short-named counters, one ``Histogram.as_dict()`` per stage (a
+        single summary each, so no stage tears), and the derived values."""
         with self._names_lock:
             counter_names = dict(self._counter_names)
             stage_names = dict(self._stage_names)
@@ -163,28 +152,37 @@ class SubsystemTelemetry:
             for short, metric in counter_names.items()
         }
         stages = {
-            short: StageStats.from_histogram(
-                self.registry.histogram(metric)
-            ).as_dict()
+            short: self.registry.histogram(metric).as_dict()
             for short, metric in stage_names.items()
         }
-        return {"counters": counters, "stages": stages}
+        snapshot: Dict[str, object] = {"counters": counters, "stages": stages}
+        for name, numerator, denominators in DERIVED.get(self.subsystem, ()):
+            snapshot[name] = _derive(counters, numerator, denominators)
+        return snapshot
 
-    def _render_stage_lines(self, stages: Dict[str, Dict[str, float]],
-                            width: int = 16) -> list:
-        lines = []
+    def render(self) -> str:
+        snapshot = self.snapshot()
+        counters = snapshot["counters"]
+        lines = [f"{self.subsystem} telemetry"]
+        for name in sorted(counters):
+            lines.append(f"  {name:<26} {counters[name]:>10}")
+        for name, _, _ in DERIVED.get(self.subsystem, ()):
+            value = snapshot[name]
+            spec = ">10.4f" if isinstance(value, float) else ">10"
+            lines.append(f"  {name:<26} {value:{spec}}")
+        stages = snapshot["stages"]
         for name in sorted(stages):
             stage = stages[name]
             if name.endswith("occupancy"):
                 lines.append(
-                    f"  stage {name:<{width}} n={stage['count']:<7} "
+                    f"  stage {name:<18} n={stage['count']:<7} "
                     f"mean={stage['mean']:8.1f}   max={stage['max']:8.1f}"
                 )
             else:
                 lines.append(
-                    f"  stage {name:<{width}} n={stage['count']:<7} "
+                    f"  stage {name:<18} n={stage['count']:<7} "
                     f"mean={stage['mean'] * 1e3:8.3f}ms "
                     f"p95={stage['p95'] * 1e3:8.3f}ms "
                     f"max={stage['max'] * 1e3:8.3f}ms"
                 )
-        return lines
+        return "\n".join(lines)

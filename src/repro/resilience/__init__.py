@@ -1,8 +1,7 @@
 """repro.resilience — fault-tolerant partitioned training.
 
-Sealed checkpoint/resume (:mod:`repro.resilience.checkpoint`), the
-supervised retry runtime (:mod:`repro.resilience.supervisor`), and run
-telemetry (:mod:`repro.resilience.telemetry`).
+Sealed checkpoint/resume (:mod:`repro.resilience.checkpoint`) and the
+supervised retry runtime (:mod:`repro.resilience.supervisor`).
 
 :mod:`repro.resilience.faults` — deterministic fault injection for the
 training, distributed and serving planes, applied from outside the
@@ -16,7 +15,6 @@ from repro.resilience.checkpoint import (CheckpointInfo, CheckpointManager,
                                          restore_state)
 from repro.resilience.supervisor import (ResilientTrainer, RetryPolicy,
                                          classify_fault)
-from repro.resilience.telemetry import RunTelemetry
 
 __all__ = [
     "CheckpointInfo",
@@ -27,5 +25,4 @@ __all__ = [
     "ResilientTrainer",
     "RetryPolicy",
     "classify_fault",
-    "RunTelemetry",
 ]

@@ -34,10 +34,10 @@ from repro.errors import (AttestationError, CheckpointError,
                           EnclaveAbort, EnclaveError, EnclaveMemoryError,
                           EpcPressureError, TrainingAborted,
                           TransferIntegrityError)
+from repro.observability.adapter import SubsystemTelemetry
 from repro.resilience.checkpoint import (CheckpointInfo, CheckpointManager,
                                          TrainingState, capture_state,
                                          restore_state)
-from repro.resilience.telemetry import RunTelemetry
 from repro.utils.logging import get_logger
 from repro.utils.rng import get_generator_state
 
@@ -134,7 +134,7 @@ class ResilientTrainer:
                  expected_mrenclave: Optional[bytes] = None,
                  attestation_service: Optional[AttestationService] = None,
                  policy: Optional[RetryPolicy] = None,
-                 telemetry: Optional[RunTelemetry] = None,
+                 telemetry: Optional[SubsystemTelemetry] = None,
                  audit_provider: Optional[Callable[[], AuditLog]] = None,
                  on_enclave_rebuilt: Optional[Callable[[Enclave], None]] = None,
                  on_restore: Optional[Callable[[TrainingState], None]] = None,
@@ -144,7 +144,7 @@ class ResilientTrainer:
         self.enclave_factory = enclave_factory
         self.attestation_service = attestation_service
         self.policy = policy or RetryPolicy()
-        self.telemetry = telemetry or RunTelemetry()
+        self.telemetry = telemetry or SubsystemTelemetry("resilience")
         if self.manager.metrics is None:
             # Checkpoint I/O metrics land in the same registry as the run
             # telemetry, so one export covers the whole resilient run.

@@ -28,8 +28,6 @@ package grows it into a serving subsystem that can absorb heavy traffic:
   LRU result cache, a worker pool, bounded-queue backpressure (typed
   :class:`~repro.errors.QueryRejected` on overload), and a hash-chained
   audit trail so every forensic query is itself accountable.
-* :mod:`repro.serving.telemetry` — per-stage latency / hit-rate /
-  occupancy counters for the whole plane.
 * :mod:`repro.serving.verify` — :class:`AnswerVerifier`, the one unit
   that decides whether an answer may leave the router (pure: store +
   telemetry in, one verdict per answer out).
@@ -55,7 +53,6 @@ from repro.serving.segments import (IndexGeneration, IndexSegment,
                                     generation_lineage_error, merge_segments,
                                     plan_merge)
 from repro.serving.store import LinkageStore, SegmentInfo
-from repro.serving.telemetry import ClusterTelemetry, ServingTelemetry
 from repro.serving.verify import AnswerVerifier
 
 __all__ = [
@@ -73,8 +70,6 @@ __all__ = [
     "plan_merge",
     "LinkageStore",
     "SegmentInfo",
-    "ServingTelemetry",
-    "ClusterTelemetry",
     "AnswerVerifier",
     "ClusterConfig",
     "ClusterResult",

@@ -77,11 +77,11 @@ from repro.errors import (ConfigurationError, DeadlineExceeded,
                           IndexIntegrityError, NoHealthyReplica, QueryError,
                           QueryRejected, ServingError, StaleIndexError,
                           StoreError)
+from repro.observability.adapter import SubsystemTelemetry
 from repro.serving.engine import (EngineConfig, ServingEngine,
                                   label_blocks)
 from repro.serving.index import IndexHit, ShardedAnnIndex
 from repro.serving.store import LinkageStore
-from repro.serving.telemetry import ClusterTelemetry, ServingTelemetry
 from repro.serving.verify import AnswerVerifier
 
 __all__ = ["ClusterConfig", "CircuitBreaker", "ClusterResult",
@@ -240,7 +240,7 @@ class ServingCluster:
                  engine_config: Optional[EngineConfig] = None,
                  index_factory: Optional[Callable[..., ShardedAnnIndex]] = None,
                  promotion=None, promotion_verifier=None,
-                 telemetry: Optional[ClusterTelemetry] = None,
+                 telemetry: Optional[SubsystemTelemetry] = None,
                  tracer=None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if replicas < 1:
@@ -251,7 +251,8 @@ class ServingCluster:
         self.index_factory = index_factory or ShardedAnnIndex
         self.promotion = promotion
         self.promotion_verifier = promotion_verifier
-        self.telemetry = telemetry if telemetry is not None else ClusterTelemetry()
+        self.telemetry = telemetry if telemetry is not None else (
+            SubsystemTelemetry("serving_cluster"))
         self.tracer = tracer
         self.audit = AuditLog()  # notable routing events, hash-chained
         self._audit_lock = threading.Lock()
@@ -282,7 +283,8 @@ class ServingCluster:
         """A not-yet-started engine over a not-yet-built private index."""
         return ServingEngine(
             self.index_factory(store), config=self.engine_config,
-            telemetry=ServingTelemetry(registry=self.telemetry.registry),
+            telemetry=SubsystemTelemetry("serving",
+                                         registry=self.telemetry.registry),
             promotion=self.promotion,
             promotion_verifier=self.promotion_verifier,
         )

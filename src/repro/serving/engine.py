@@ -43,8 +43,8 @@ import numpy as np
 from repro.core.audit import AuditLog
 from repro.errors import (ConfigurationError, QueryError, QueryRejected,
                           ServingError)
+from repro.observability.adapter import SubsystemTelemetry
 from repro.serving.index import IndexHit, ShardedAnnIndex
-from repro.serving.telemetry import ServingTelemetry
 from repro.utils.serialization import row_digests
 
 __all__ = ["EngineConfig", "EngineAnswer", "ServingEngine", "answer_digest"]
@@ -204,12 +204,13 @@ class ServingEngine:
     def __init__(self, index: ShardedAnnIndex,
                  config: Optional[EngineConfig] = None,
                  audit: Optional[AuditLog] = None,
-                 telemetry: Optional[ServingTelemetry] = None,
+                 telemetry: Optional[SubsystemTelemetry] = None,
                  promotion=None, promotion_verifier=None) -> None:
         self.index = index
         self.config = config or EngineConfig()
         self.audit = audit if audit is not None else AuditLog()
-        self.telemetry = telemetry if telemetry is not None else ServingTelemetry()
+        self.telemetry = telemetry if telemetry is not None else (
+            SubsystemTelemetry("serving"))
         #: Optional :class:`~repro.governance.gate.PromotionRecord` this
         #: engine serves under; its ``run_key`` is stamped into every
         #: query audit event so answers are attributable to one run.

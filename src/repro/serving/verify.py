@@ -22,9 +22,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import IndexIntegrityError
+from repro.observability.adapter import SubsystemTelemetry
 from repro.serving.segments import IndexGeneration, generation_lineage_error
 from repro.serving.store import LinkageStore
-from repro.serving.telemetry import ClusterTelemetry
 
 __all__ = ["AnswerVerifier"]
 
@@ -66,7 +66,7 @@ class AnswerVerifier:
     """Re-derives every served answer from the authoritative store."""
 
     def __init__(self, store: LinkageStore,
-                 telemetry: ClusterTelemetry) -> None:
+                 telemetry: SubsystemTelemetry) -> None:
         self.store = store
         self.telemetry = telemetry
         # Index snapshots whose lineage already verified against the

@@ -13,7 +13,6 @@ from repro.utils.serialization import (
     array_to_bytes,
     canonical_digest,
     canonical_json,
-    stable_hash,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "array_to_bytes",
     "canonical_digest",
     "canonical_json",
-    "stable_hash",
 ]

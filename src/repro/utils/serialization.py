@@ -24,7 +24,6 @@ __all__ = [
     "canonical_digest",
     "canonical_json",
     "row_digests",
-    "stable_hash",
 ]
 
 _MAGIC = b"RPR1"
@@ -120,18 +119,8 @@ def canonical_digest(*parts: Any) -> bytes:
     return hasher.digest()
 
 
-def stable_hash(*parts: Any) -> bytes:
-    """Compatibility alias for :func:`canonical_digest`.
-
-    Pre-governance call sites hash through this name; the bytes are
-    identical, so sealed manifests and checkpoints written under either
-    name verify under both.
-    """
-    return canonical_digest(*parts)
-
-
 def row_digests(matrix: np.ndarray) -> List[bytes]:
-    """``[stable_hash(row) for row in matrix]``, byte for byte: the rows
+    """``[canonical_digest(row) for row in matrix]``, byte for byte: the rows
     share one encoding header, hashed once, and each row then costs one
     SHA-256 continuation over its C-order bytes."""
     rows = np.ascontiguousarray(matrix)

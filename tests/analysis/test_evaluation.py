@@ -40,7 +40,6 @@ class TestEvaluateClassifier:
         class1 = report.per_class[1]
         assert class1.precision == pytest.approx(2 / 3)
         assert class1.recall == 1.0
-        assert report.worst_class().label == 0
         assert report.per_class[0].support == 2
 
     def test_absent_class_zero_scores(self):

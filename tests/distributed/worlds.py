@@ -11,7 +11,7 @@ from repro.nn.config import network_to_config
 from repro.nn.zoo import tiny_testnet
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.utils.rng import RngStream
-from repro.utils.serialization import stable_hash
+from repro.utils.serialization import canonical_digest
 
 N_TRAIN = 64
 BATCH_SIZE = 16
@@ -64,7 +64,7 @@ def make_coordinator(tmp_path, seed=7, num_workers=2, participants=2,
         provisioner=provisioner,
         init_generator_factory=lambda: rng.child("model-init").generator,
         checkpoint_root=tmp_path,
-        config_digest=stable_hash(network_config, HYPER),
+        config_digest=canonical_digest(network_config, HYPER),
         straggler_factor=straggler_factor,
         blacklist_after=blacklist_after,
         tracer=tracer,

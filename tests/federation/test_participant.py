@@ -6,7 +6,7 @@ import pytest
 from repro.data.datasets import Dataset
 from repro.errors import QueryError
 from repro.federation.participant import TrainingParticipant
-from repro.utils.serialization import stable_hash
+from repro.utils.serialization import canonical_digest
 
 
 @pytest.fixture
@@ -41,4 +41,5 @@ class TestParticipant:
             participant.disclose_instance(99)
 
     def test_instance_digest_matches_canonical_hash(self, participant):
-        assert participant.instance_digest(1) == stable_hash(participant.dataset.x[1])
+        assert participant.instance_digest(1) == canonical_digest(
+            participant.dataset.x[1])

@@ -11,7 +11,6 @@ from repro.federation.provisioning import (
     install_provisioning_ecalls,
     provision_key,
     provisioned_key,
-    registered_participants,
 )
 
 
@@ -37,8 +36,8 @@ class TestProvisioning:
                       expected_mrenclave=training_enclave.mrenclave)
         assert provisioned_key(training_enclave, "alice") == participant.key.material
 
-    def test_registered_participants_listing(self, rng, training_enclave,
-                                             attestation_service):
+    def test_each_provisioned_participant_is_held(self, rng, training_enclave,
+                                                  attestation_service):
         for name in ("alice", "bob"):
             p = TrainingParticipant(
                 name, Dataset(x=np.zeros((2, 2, 2, 1)), y=np.zeros(2)),
@@ -46,7 +45,9 @@ class TestProvisioning:
             )
             provision_key(p, training_enclave, attestation_service,
                           expected_mrenclave=training_enclave.mrenclave)
-        assert set(registered_participants(training_enclave)) == {"alice", "bob"}
+        for name in ("alice", "bob"):
+            assert training_enclave.trusted_has(f"participant-key/{name}")
+        assert not training_enclave.trusted_has("participant-key/carol")
 
     def test_wrong_mrenclave_refused(self, participant, training_enclave,
                                      attestation_service):

@@ -14,9 +14,10 @@ import pytest
 
 from repro.errors import AttributionError, LedgerError
 from repro.governance import Attributor
+from repro.observability import SubsystemTelemetry
 from repro.serving import (EngineConfig, IndexHit, ServingEngine,
                            ShardedAnnIndex)
-from repro.utils.serialization import stable_hash
+from repro.utils.serialization import canonical_digest
 
 from tests.governance.conftest import DIM, QUARANTINE_OFFSET, make_records
 
@@ -84,7 +85,7 @@ class TestReports:
 
         engine.submit = racing
         report = attributor.attribute(fingerprint, label, k=3)
-        digest = stable_hash(np.asarray(fingerprint, np.float32)).hex()
+        digest = canonical_digest(np.asarray(fingerprint, np.float32)).hex()
         assert report.query_digest == digest
         audit = report.query_audit
         assert audit["details"]["query_digests"][audit["position"]] == digest
@@ -230,9 +231,7 @@ class TestDisclosure:
 
     def test_refusal_is_counted(self, engine, store, ledger, log,
                                 participants):
-        from repro.governance import GovernanceTelemetry
-
-        telemetry = GovernanceTelemetry()
+        telemetry = SubsystemTelemetry("governance")
         attributor = Attributor(engine, store, ledger, log,
                                 telemetry=telemetry)
         report = self._report(attributor, store)
@@ -287,8 +286,8 @@ class TestOneLedgerWalk:
         assert {hit["ledger"]["segment"] for hit in report.hits} == {
             "segment-000000", "segment-000001", "segment-000002"}
         for hit in report.hits:
-            assert hit["ledger"] == ledger.locate_record(
-                hit["source"], hit["source_index"])
+            assert hit["ledger"] == ledger.locate_records(
+                [(hit["source"], hit["source_index"])])[0]
             assert hit["ledger"]["contributor"] == hit["source"]
 
     def test_a_quarantined_hit_among_committed_ones_refuses_the_report(
@@ -303,7 +302,8 @@ class TestOneLedgerWalk:
     def test_locate_records_matches_the_one_pair_lookup(self, ledger):
         pairs = [("c1", 7), ("evil", 1), ("c0", 0), ("c1", 7), ("c0", 11)]
         located = ledger.locate_records(pairs)
-        assert located == [ledger.locate_record(*pair) for pair in pairs]
+        assert located == [ledger.locate_records([pair])[0]
+                           for pair in pairs]
         assert [e["lane"] for e in located] == [
             "committed", "quarantine", "committed", "committed", "committed"]
         assert located[1]["reason"] == "tampered"

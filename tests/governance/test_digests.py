@@ -14,8 +14,7 @@ import pytest
 
 from repro.core.audit import AuditLog
 from repro.core.chain import HashChain
-from repro.utils.serialization import (canonical_digest, canonical_json,
-                                       stable_hash)
+from repro.utils.serialization import canonical_digest, canonical_json
 
 
 class TestCanonicalDigest:
@@ -50,12 +49,6 @@ class TestCanonicalDigest:
         assert canonical_digest(base) != canonical_digest(base.T)
         assert canonical_digest(base) != \
             canonical_digest(base.astype(np.float32))
-
-    def test_stable_hash_is_byte_identical(self):
-        # The compatibility alias: pre-governance call sites hash through
-        # stable_hash; sealed artifacts must verify under either name.
-        for parts in ([{"x": 1}], [b"raw"], [np.ones(3), "tag", 7]):
-            assert stable_hash(*parts) == canonical_digest(*parts)
 
 
 class TestCanonicalJson:

@@ -17,7 +17,7 @@ from repro.federation.server import TrainingServer
 from repro.ingest import (ContributionLedger, GatewayConfig, IngestGateway,
                           ValidationConfig, ValidationPool)
 from repro.ingest.ledger import pack_records, record_header, unpack_records
-from repro.utils.serialization import stable_hash
+from repro.utils.serialization import canonical_digest
 
 SHAPE = (4, 4, 3)
 CLASSES = 3
@@ -37,7 +37,7 @@ def rewrite_chunk_headers(spool, seq):
     journal = spool / "journal.jsonl"
     lines = journal.read_text().splitlines()
     entry = json.loads(lines[seq])
-    entry["digest"] = stable_hash(blob).hex()
+    entry["digest"] = canonical_digest(blob).hex()
     lines[seq] = json.dumps(entry)
     journal.write_text("\n".join(lines) + "\n")
 

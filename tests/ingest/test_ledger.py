@@ -63,13 +63,14 @@ class TestLanes:
         assert ledger.quarantined_records == 3
         assert ledger.quarantined[0].reason == "tampered"
 
-    def test_has_ciphertext_commits_only(self, ledger, contributors):
+    def test_known_ciphertexts_commits_only(self, ledger, contributors):
         good = _records(contributors[0], 3)
         bad = _records(contributors[1], 2)
         ledger.append(good, "c0")
         ledger.quarantine(bad, "c1", reason="duplicate")
-        assert ledger.has_ciphertext(record_digest(good[0]))
-        assert not ledger.has_ciphertext(record_digest(bad[0]))
+        good_digest, bad_digest = record_digest(good[0]), record_digest(bad[0])
+        assert ledger.known_ciphertexts([good_digest, bad_digest]) == {
+            good_digest}
 
     def test_empty_segment_rejected(self, ledger):
         with pytest.raises(LedgerError):
@@ -199,9 +200,9 @@ class TestDedupModel:
             assert list(ledger.iter_records()) == committed
             reopened = ContributionLedger.open(ledger.path)
             assert reopened.manifest_digest() == ledger.manifest_digest()
-            for record in _POOL:
-                assert reopened.has_ciphertext(_oracle_digest(record)) == (
-                    record in committed)
+            assert reopened.known_ciphertexts(
+                _oracle_digest(record) for record in _POOL) == {
+                _oracle_digest(record) for record in committed}
 
     def test_carried_digests_must_pair_with_the_records(self, ledger):
         with pytest.raises(LedgerError, match="digests carried beside"):
@@ -334,7 +335,8 @@ class TestDurability:
         reopened = ContributionLedger.open(tmp_path / "ledger")
         assert list(reopened.iter_records()) == records
         assert reopened.manifest_digest() == digest
-        assert reopened.has_ciphertext(record_digest(records[0]))
+        digest = record_digest(records[0])
+        assert reopened.known_ciphertexts([digest]) == {digest}
 
     def test_create_over_existing_rejected(self, ledger, tmp_path):
         with pytest.raises(LedgerError):

@@ -376,7 +376,7 @@ class TestAudit:
         assert validator.telemetry.counter("records_accepted") == len(records) - 1
         assert validator.telemetry.counter("records_quarantined") == 1
         assert validator.telemetry.counter("quarantined_tampered") == 1
-        assert 0 < validator.telemetry.quarantine_rate < 1
+        assert 0 < validator.telemetry.snapshot()["quarantine_rate"] < 1
 
 
 class TestConcurrency:

@@ -132,8 +132,8 @@ def test_latency_injection_slows_but_never_corrupts(world):
                     delay_s=0.05):
             results = world.assert_correct(cluster)
             assert "replica-0" in {r.replica for r in results}
-            searches = cluster.replicas[0].engine.telemetry.stage("search")
-            assert searches.maximum >= 0.05
+            snapshot = cluster.replicas[0].engine.telemetry.snapshot()
+            assert snapshot["stages"]["search"]["max"] >= 0.05
         assert "search_batch" not in vars(cluster.replicas[0].index)
         assert cluster.telemetry.counter("evictions") == 0
 

@@ -19,7 +19,7 @@ from repro.observability import Tracer
 from repro.serving import (CircuitBreaker, ClusterConfig, EngineConfig,
                            LinkageStore, ServingCluster, ShardedAnnIndex)
 from repro.serving.engine import answer_digest
-from repro.utils.serialization import stable_hash
+from repro.utils.serialization import canonical_digest
 
 from tests.serving.conftest import brute_truth as _brute_truth
 from tests.serving.conftest import clustered_corpus, fill_store, inject
@@ -676,7 +676,7 @@ class TestLabelBlocks:
                 e.details["query_digests"], e.details["results"]))
                 for e in events}
             assert len(events) == len(served) == 2
-            committed = [(stable_hash(q).hex(), answer_digest(r.hits))
+            committed = [(canonical_digest(q).hex(), answer_digest(r.hits))
                          for q, r in zip(queries, results)]
             assert served == {"cache": committed[:1], "index": committed[1:]}
             assert results[0].hits == first.hits
@@ -708,7 +708,8 @@ class TestLabelBlocks:
             assert sorted({(r.replica, r.latency_s) for r in results}) == [
                 ("replica-0", 0.010), ("replica-1", 0.030)]
             assert cluster._hedge_delay() == 0.030
-            assert cluster.telemetry.stage("route").count == 64
+            stages = cluster.telemetry.snapshot()["stages"]
+            assert stages["route"]["count"] == 64
 
 
 class TestObservability:

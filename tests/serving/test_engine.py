@@ -17,7 +17,7 @@ from repro.errors import (ConfigurationError, QueryError, QueryRejected,
 from repro.serving import (EngineConfig, IndexHit, LinkageStore,
                            ServingEngine, ShardedAnnIndex)
 from repro.serving.engine import ANSWER_FORMAT, answer_digest, answer_digests
-from repro.utils.serialization import stable_hash
+from repro.utils.serialization import canonical_digest
 
 from tests.serving.conftest import clustered_corpus, fill_store
 
@@ -477,7 +477,7 @@ class TestAuditTrail:
         events = engine.audit.events("serving-query")
         assert len(events) == len(engine.audit) == len(set(labels[sample]))
         assert sorted(_committed(engine.audit)) == sorted(
-            (stable_hash(query).hex(), answer_digest(answer))
+            (canonical_digest(query).hex(), answer_digest(answer))
             for query, answer in zip(queries, results))
         for event in events:
             assert event.details["k"] == 4
@@ -506,7 +506,7 @@ class TestAuditTrail:
             for label, k, rows in blocks:
                 block = pools[label][rows]
                 answers = engine.submit(block, label, k).result(timeout=10)
-                expected += [(stable_hash(row).hex(), answer_digest(answer))
+                expected += [(canonical_digest(row).hex(), answer_digest(answer))
                              for row, answer in zip(block, answers)]
         assert sorted(_committed(engine.audit)) == sorted(expected)
         assert engine.verify_audit_chain()

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from repro.errors import IndexIntegrityError
-from repro.serving import (AnswerVerifier, ClusterTelemetry, EngineAnswer,
-                           IndexHit, LinkageStore, ShardedAnnIndex)
+from repro.observability import SubsystemTelemetry
+from repro.serving import (AnswerVerifier, EngineAnswer, IndexHit,
+                           LinkageStore, ShardedAnnIndex)
 from repro.serving.verify import _pair_distances
 
 from tests.serving.conftest import fill_store
@@ -29,7 +30,7 @@ class World:
     def __init__(self, small_store):
         self.store, self.fingerprints, self.labels = small_store
         self.index = ShardedAnnIndex(self.store, shard_threshold=100).build()
-        self.telemetry = ClusterTelemetry()
+        self.telemetry = SubsystemTelemetry("serving_cluster")
         self.verifier = AnswerVerifier(self.store, self.telemetry)
         self.label = int(self.labels[0])
         self.query = self.fingerprints[0] + np.float32(0.02)

@@ -10,9 +10,9 @@ from repro.utils.serialization import (
     array_from_bytes,
     array_header,
     array_to_bytes,
+    canonical_digest,
     canonical_json,
     row_digests,
-    stable_hash,
 )
 
 
@@ -91,23 +91,23 @@ class TestCanonicalJson:
 class TestStableHash:
     def test_deterministic(self):
         arr = np.ones((3, 3), dtype=np.float32)
-        assert stable_hash(arr, "label", 5) == stable_hash(arr, "label", 5)
+        assert canonical_digest(arr, "label", 5) == canonical_digest(arr, "label", 5)
 
     def test_array_content_sensitivity(self):
         a = np.zeros(4, dtype=np.float32)
         b = np.zeros(4, dtype=np.float32)
         b[0] = 1e-6
-        assert stable_hash(a) != stable_hash(b)
+        assert canonical_digest(a) != canonical_digest(b)
 
     def test_dtype_sensitivity(self):
         a = np.zeros(4, dtype=np.float32)
-        assert stable_hash(a) != stable_hash(a.astype(np.float64))
+        assert canonical_digest(a) != canonical_digest(a.astype(np.float64))
 
     def test_length_prefixing_prevents_concat_collisions(self):
-        assert stable_hash(b"ab", b"c") != stable_hash(b"a", b"bc")
+        assert canonical_digest(b"ab", b"c") != canonical_digest(b"a", b"bc")
 
     def test_mixed_parts(self):
-        digest = stable_hash(np.arange(3), b"raw", {"k": 1})
+        digest = canonical_digest(np.arange(3), b"raw", {"k": 1})
         assert isinstance(digest, bytes) and len(digest) == 32
 
 
@@ -117,10 +117,10 @@ class TestRowDigests:
                    shape=st.tuples(st.integers(0, 40), st.integers(1, 64))),
         st.sampled_from(["C", "F", "strided"]),
     )
-    def test_equals_stable_hash_of_each_row(self, matrix, layout):
+    def test_equals_canonical_digest_of_each_row(self, matrix, layout):
         if layout == "F":
             matrix = np.asfortranarray(matrix)
         elif layout == "strided":
             matrix = np.repeat(np.repeat(matrix, 2, axis=0), 2,
                                axis=1)[::2, ::2]
-        assert row_digests(matrix) == [stable_hash(row) for row in matrix]
+        assert row_digests(matrix) == [canonical_digest(row) for row in matrix]
