@@ -8,6 +8,17 @@ the in-memory index can rot, and a caller has no recourse beyond waiting.
 whose job is to keep the accountability plane answering — correctly —
 while the host misbehaves:
 
+* **one build, private copies** — :meth:`ServingCluster.start` runs the
+  k-means build once per distinct
+  :class:`~repro.serving.segments.SegmentBuildParams`; every other
+  replica with those params starts from a private deep copy of that
+  generation (:meth:`ShardedAnnIndex.copy_from`: its own arrays, the
+  same segment addresses, the build-time checksums carried), adopted
+  only after its lineage checks against the replica's own store. Copies,
+  never shared references: each replica's index stays its own failure
+  domain, so in-memory rot in one evicts that replica alone. Every index
+  is derived before any thread starts, and a start that fails stops
+  whatever it had started before it re-raises;
 * **per-request deadlines** — every query carries one end-to-end budget;
   all retries, hedges, and fallbacks spend from it;
 * **bounded retry with jittered backoff** — retryable failures (crash,
@@ -81,6 +92,7 @@ from repro.observability.adapter import SubsystemTelemetry
 from repro.serving.engine import (EngineConfig, ServingEngine,
                                   label_blocks)
 from repro.serving.index import IndexHit, ShardedAnnIndex
+from repro.serving.segments import SegmentBuildParams
 from repro.serving.store import LinkageStore
 from repro.serving.verify import AnswerVerifier
 
@@ -303,18 +315,34 @@ class ServingCluster:
     def start(self) -> "ServingCluster":
         if self._started:
             raise ServingError("cluster already started")
+        # Every index is derived before any thread starts: one k-means
+        # build per distinct params, a private copy of it for the rest.
+        built: Dict[SegmentBuildParams, ShardedAnnIndex] = {}
         for replica in self.replicas:
-            replica.index.build()
-            replica.engine.start()
-            replica.index.start_compaction()
-            replica.audit_mark = (len(replica.engine.audit),
-                                  replica.engine.audit.head)
+            params = replica.index.build_params()
+            if params in built:
+                replica.index.copy_from(built[params])
+            else:
+                built[params] = replica.index.build()
+        try:
+            for replica in self.replicas:
+                replica.engine.start()
+                replica.index.start_compaction()
+                replica.audit_mark = (len(replica.engine.audit),
+                                      replica.engine.audit.head)
+            self._monitor_stop.clear()
+            self._monitor = threading.Thread(
+                target=self._monitor_loop, name="cluster-health", daemon=True
+            )
+            self._monitor.start()
+        except BaseException:
+            # A half-started cluster is never left running: stop() would
+            # not reach it, since it is not marked started. Stopping a
+            # replica that never started is a no-op.
+            for replica in self.replicas:
+                self._stop_replica(replica, drain=False)
+            raise
         self._started = True
-        self._monitor_stop.clear()
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="cluster-health", daemon=True
-        )
-        self._monitor.start()
         self._audit_event("cluster-started", replicas=len(self.replicas))
         return self
 
@@ -326,15 +354,18 @@ class ServingCluster:
             self._monitor.join(timeout=self.config.stop_timeout_s * 2)
             self._monitor = None
         for replica in self.replicas:
-            replica.index.stop_compaction()
-            try:
-                replica.engine.stop(
-                    drain=True, drain_timeout=self.config.stop_timeout_s
-                )
-            except ServingError:
-                pass  # abandoned futures already resolved with typed errors
+            self._stop_replica(replica, drain=True)
         self._started = False
         self._audit_event("cluster-stopped")
+
+    def _stop_replica(self, replica: ServingReplica, drain: bool) -> None:
+        """Stop one replica's compactor and engine, the drain bounded."""
+        replica.index.stop_compaction()
+        try:
+            replica.engine.stop(drain=drain,
+                                drain_timeout=self.config.stop_timeout_s)
+        except ServingError:
+            pass  # abandoned futures already resolved with typed errors
 
     def __enter__(self) -> "ServingCluster":
         return self.start()
@@ -439,12 +470,7 @@ class ServingCluster:
         # Shut the engine down without draining (an evicted replica's
         # answers are not trusted); the bounded stop resolves the futures
         # of a worker that never comes back.
-        replica.index.stop_compaction()
-        try:
-            replica.engine.stop(drain=False,
-                                drain_timeout=self.config.stop_timeout_s)
-        except ServingError:
-            pass
+        self._stop_replica(replica, drain=False)
 
     def _replica_failure(self, replica: ServingReplica, exc: Exception) -> None:
         """Classify one failure: breaker bookkeeping + eviction triggers."""

@@ -109,7 +109,7 @@ class ShardedAnnIndex:
 
     # -- build / refresh ---------------------------------------------------------
 
-    def _build_params(self) -> SegmentBuildParams:
+    def build_params(self) -> SegmentBuildParams:
         return SegmentBuildParams(
             shard_threshold=self.shard_threshold,
             buckets_per_shard=self.buckets_per_shard,
@@ -140,12 +140,40 @@ class ShardedAnnIndex:
         Kept for bootstrap and for genuine history rewrites; steady-state
         growth goes through :meth:`refresh` instead.
         """
-        params = self._build_params()
+        params = self.build_params()
         with self._mutate_lock:
             total = self.store.segment_count
             segment = IndexSegment.build(self.store, 0, total, params)
             segments = (segment,) if total else ()
             self._adopt(segments, params)
+            self.full_builds += 1
+        return self
+
+    def copy_from(self, source: "ShardedAnnIndex") -> "ShardedAnnIndex":
+        """Bootstrap from a private deep copy of ``source``'s live generation.
+
+        The k-means build is a pure function of the store and the params
+        (same inputs, same address), so a replica whose params equal an
+        already built index's need not repeat it. The copy owns every
+        array, keeps each segment's content address and build-time
+        checksums, and is adopted only if its lineage is a committed
+        prefix of *this* index's store. Counted as this index's one full
+        build.
+        """
+        params = self.build_params()
+        with self._mutate_lock:
+            generation = source._generation
+            if generation is None:
+                raise QueryError("source index not built — call build() first")
+            if generation.params != params:
+                raise ConfigurationError(
+                    "cannot copy an index built with other params: "
+                    f"{generation.params.payload()} != {params.payload()}")
+            problem = generation_lineage_error(generation, self.store)
+            if problem is not None:
+                raise StaleIndexError(problem)
+            self._adopt(tuple(seg.copy() for seg in generation.segments),
+                        params)
             self.full_builds += 1
         return self
 

@@ -125,6 +125,9 @@ class _BruteShard:
     def rows(self) -> int:
         return self.matrix.shape[0]
 
+    def copy(self) -> "_BruteShard":
+        return _BruteShard(self.matrix.copy(), self.indices.copy())
+
 
 class _ClusteredShard:
     """Coarse k-means buckets over one label's fingerprints."""
@@ -142,6 +145,12 @@ class _ClusteredShard:
     @property
     def rows(self) -> int:
         return self.matrix.shape[0]
+
+    def copy(self) -> "_ClusteredShard":
+        return _ClusteredShard(self.matrix.copy(), self.indices.copy(),
+                               self.centroids.copy(),
+                               [bucket.copy() for bucket in self.buckets],
+                               self.radii.copy())
 
     def _candidate_mask(self, dc: np.ndarray, k: int) -> np.ndarray:
         """(q, m) bool — which buckets each query must scan.
@@ -318,7 +327,8 @@ class IndexSegment:
                  store_digests: Tuple[str, ...],
                  shards: Dict[int, object],
                  label_presence: Dict[int, Tuple[str, ...]],
-                 rows: int) -> None:
+                 rows: int,
+                 checksums: Optional[Dict[int, int]] = None) -> None:
         self.start = start
         self.stop = stop
         self.params = params
@@ -332,8 +342,8 @@ class IndexSegment:
                 "params": params.payload(),
             }
         }).hex()
-        self.checksums = {label: _checksum(shard.matrix)
-                          for label, shard in shards.items()}
+        self.checksums = dict(checksums) if checksums is not None else {
+            label: _checksum(shard.matrix) for label, shard in shards.items()}
 
     @classmethod
     def build(cls, store, start: int, stop: int, params: SegmentBuildParams,
@@ -374,6 +384,21 @@ class IndexSegment:
             store_digests=store_digests, shards=shards,
             label_presence={lab: tuple(d) for lab, d in presence.items()},
             rows=int(matrix.shape[0]),
+        )
+
+    def copy(self) -> "IndexSegment":
+        """A private deep copy: its own arrays, the same content address.
+
+        The build-time checksums are carried, not recomputed, so a copy
+        taken of a matrix that drifted since build still fails
+        :meth:`verify_checksums`."""
+        return IndexSegment(
+            start=self.start, stop=self.stop, params=self.params,
+            store_digests=self.store_digests,
+            shards={label: shard.copy()
+                    for label, shard in self.shards.items()},
+            label_presence=self.label_presence, rows=self.rows,
+            checksums=self.checksums,
         )
 
     def verify_checksums(self) -> None:

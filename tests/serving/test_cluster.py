@@ -13,11 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import (ConfigurationError, NoHealthyReplica, QueryError,
+from repro.errors import (ConfigurationError, IndexIntegrityError,
+                          NoHealthyReplica, PromotionError, QueryError,
                           QueryRejected, ServingError)
 from repro.observability import Tracer
 from repro.serving import (CircuitBreaker, ClusterConfig, EngineConfig,
                            LinkageStore, ServingCluster, ShardedAnnIndex)
+from repro.serving import segments
 from repro.serving.engine import answer_digest
 from repro.utils.serialization import canonical_digest
 
@@ -137,6 +139,114 @@ class TestRouting:
         assert all(r.engine.index is r.index for r in cluster.replicas)
         with ServingCluster(store, replicas=1) as default:
             assert type(default.replicas[0].index) is ShardedAnnIndex
+
+
+def _shard_arrays(index):
+    for segment in index._generation.segments:
+        for shard in segment.shards.values():
+            yield shard.matrix
+            yield shard.indices
+            if isinstance(shard, segments._ClusteredShard):
+                yield shard.centroids
+                yield shard.radii
+                yield from shard.buckets
+
+
+class TestBuildOnce:
+    def test_one_kmeans_per_label_and_the_standalone_answers(
+            self, world, generator, monkeypatch):
+        fingerprints, labels, store = world
+        clustered = [label for label in np.unique(labels)
+                     if (labels == label).sum() > 100]
+        assert len(clustered) >= 2  # above _cluster_for's shard_threshold
+        calls = []
+        kmeans = segments._cluster
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kmeans(*args, **kwargs)
+
+        monkeypatch.setattr(segments, "_cluster", counting)
+        cluster = _cluster_for(store, replicas=3)
+        with cluster:
+            assert len(calls) == len(clustered)
+            standalone = ShardedAnnIndex(store, shard_threshold=100).build()
+            sample = generator.integers(0, fingerprints.shape[0], size=24)
+            queries = fingerprints[sample] + 0.01
+            results = cluster.query_many(queries, labels[sample], k=5)
+            for query, label, result in zip(queries, labels[sample], results):
+                truth = standalone.search_batch(query[None, :], label, k=5)
+                assert [h.index for h in result.hits] == truth.ids[0].tolist()
+                assert ([h.distance for h in result.hits]
+                        == truth.distances[0].tolist())
+            for replica in cluster.replicas:
+                assert replica.index.full_builds == 1
+                assert (replica.index._generation.snapshot
+                        == standalone._generation.snapshot)
+                for label in clustered:
+                    mine = replica.index.search_batch(queries, label, k=5)
+                    truth = standalone.search_batch(queries, label, k=5)
+                    assert mine.ids.tolist() == truth.ids.tolist()
+                    assert mine.distances.tolist() == truth.distances.tolist()
+
+    def test_replica_copies_share_no_memory_and_fail_alone(self, world):
+        fingerprints, labels, store = world
+        with _cluster_for(store, replicas=3) as cluster:
+            indexes = [replica.index for replica in cluster.replicas]
+            for i, mine in enumerate(indexes):
+                for other in indexes[i + 1:]:
+                    assert not any(
+                        np.shares_memory(a, b)
+                        for a in _shard_arrays(mine)
+                        for b in _shard_arrays(other))
+            inject(cluster, "index-corrupt", replica="replica-0",
+                   label=int(labels[0]), row=0)
+            with pytest.raises(IndexIntegrityError):
+                indexes[0].verify_checksums()
+            indexes[1].verify_checksums()
+            states = cluster.health_check_now()
+            assert states == {"replica-0": "evicted",
+                              "replica-1": "healthy",
+                              "replica-2": "healthy"}
+            assert cluster.telemetry.counter("evictions") == 1
+
+    def test_copy_carries_build_time_checksums(self, world):
+        _, labels, store = world
+        source = ShardedAnnIndex(store, shard_threshold=100).build()
+        shard = source._generation.segments[0].shards[int(labels[0])]
+        shard.matrix[0] += np.float32(1.0)
+        replica = ShardedAnnIndex(store, shard_threshold=100)
+        replica.copy_from(source)
+        with pytest.raises(IndexIntegrityError):
+            replica.verify_checksums()
+
+    def test_copy_refuses_other_params(self, world):
+        _, _, store = world
+        source = ShardedAnnIndex(store, shard_threshold=100).build()
+        with pytest.raises(ConfigurationError):
+            ShardedAnnIndex(store, shard_threshold=50).copy_from(source)
+
+    def test_failed_start_leaks_no_thread(self, world):
+        _, _, store = world
+        checks = []
+
+        def verifier(promotion):
+            checks.append(promotion)
+            if len(checks) == 2:
+                raise PromotionError("lineage no longer verifies")
+
+        cluster = ServingCluster(
+            store, replicas=3,
+            config=ClusterConfig(health_interval_s=60.0, stop_timeout_s=5.0),
+            engine_config=EngineConfig(workers=2, poll_interval=0.005),
+            index_factory=lambda s: ShardedAnnIndex(s, shard_threshold=100),
+            promotion_verifier=verifier,
+        )
+        before = set(threading.enumerate())
+        with pytest.raises(PromotionError):
+            cluster.start()
+        assert len(checks) == 2
+        assert set(threading.enumerate()) - before == set()
 
 
 class TestFailover:
