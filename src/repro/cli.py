@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--tamper", type=int, default=2,
                         help="records per contributor to tamper in transit")
     ingest.add_argument("--fault", action="store_true",
-                        help="kill one upload mid-transfer and resume it")
+                        help="kill one upload mid-transfer and resume it, "
+                             "then abort one more upload")
 
     status = sub.add_parser(
         "ingest-status",
@@ -1033,10 +1034,34 @@ def _cmd_ingest(args) -> int:
                 session.send_chunk(chunk)
         return session.complete()
 
+    def abort_drill(participant) -> bool:
+        """Open one more session, send a chunk, abort it: the spool must
+        go and the ledger must not move."""
+        before = (len(ledger), ledger.manifest_digest())
+        session = gateway.open_session(participant.participant_id,
+                                       "abort-drill")
+        session.send_chunk(next(chunk_stream(
+            iter_encrypted_records(participant.dataset, participant.key,
+                                   participant.participant_id),
+            args.chunk_records,
+        )))
+        print(f"  {participant.participant_id}: abort drill sent "
+              f"{session.acked_records} records, "
+              f"{gateway.open_sessions} session(s) open")
+        session.abort()
+        spool_gone = not session.transfer.path.exists()
+        unchanged = (len(ledger), ledger.manifest_digest()) == before
+        print(f"  {participant.participant_id}: aborted — spool "
+              f"{'removed' if spool_gone else 'LEFT BEHIND'}, ledger "
+              f"{'unchanged' if unchanged else 'CHANGED'}, "
+              f"{gateway.open_sessions} session(s) open")
+        return spool_gone and unchanged and gateway.open_sessions == 0
+
     for i, participant in enumerate(contributors):
         receipt = upload(participant, fault=args.fault and i == 0)
         print(f"  {participant.participant_id}: committed "
               f"{receipt.committed}, quarantined {receipt.quarantined}")
+    drill_ok = abort_drill(contributors[0]) if args.fault else True
 
     print(gateway.telemetry.render())
     print(f"ledger: {len(ledger)} records in {len(ledger.segments)} "
@@ -1056,7 +1081,8 @@ def _cmd_ingest(args) -> int:
     print(f"training intake: staged {staged} ledger records, enclave "
           f"accepted {summary.accepted} "
           f"({summary.rejected_tampered} tampered slipped through)")
-    return 0 if chain_ok and summary.rejected_tampered == 0 else 1
+    return 0 if chain_ok and summary.rejected_tampered == 0 and drill_ok \
+        else 1
 
 
 def _cmd_metrics(args) -> int:

@@ -28,6 +28,16 @@ The journal is also the replay barrier: re-sending an acknowledged chunk
 double-committed — while a *conflicting* replay (same sequence, different
 bytes) or a new chunk carrying already-journaled nonces raises the typed
 :class:`~repro.errors.TransferError`.
+
+The spool is read only by :meth:`UploadTransfer.resume`. While a session
+runs, the transfer holds each journaled chunk's records beside their
+canonical headers — the exact values whose packed digest the journal
+line holds, since a record is frozen and its ``sealed`` / ``nonce`` must
+be immutable ``bytes`` — and :meth:`UploadTransfer.finalize` hands that
+hold over without touching the disk. A resumed session fills the same
+hold from the chunks ``resume`` verifies. A spool altered after the ack
+therefore cannot change or block the commit of a live session; after a
+crash, ``resume`` still fails closed on it.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.data.encryption import EncryptedRecord
 from repro.errors import TransferError
-from repro.ingest.ledger import pack_records, unpack_headed, unpack_records
+from repro.ingest.ledger import pack_records, record_header, unpack_headed
 from repro.utils.serialization import canonical_digest
 
 __all__ = ["ChunkReceipt", "UploadTransfer", "chunk_stream"]
@@ -97,10 +107,14 @@ class UploadTransfer:
     """Server-side state of one chunked upload session."""
 
     def __init__(self, session_dir: os.PathLike, entries: List[_JournalEntry],
-                 nonces: Set[str]) -> None:
+                 nonces: Set[str], records: List[EncryptedRecord],
+                 headers: List[bytes]) -> None:
         self.path = Path(session_dir)
         self._entries = entries
         self._nonces = nonces
+        # The hold: every journaled record beside its canonical header.
+        self._records = records
+        self._headers = headers
         self._finalized = False
 
     # -- lifecycle ---------------------------------------------------------------
@@ -115,7 +129,7 @@ class UploadTransfer:
                 f"a transfer journal already exists at {path} — resume it"
             )
         (path / _JOURNAL).touch()
-        return cls(path, [], set())
+        return cls(path, [], set(), [], [])
 
     @classmethod
     def exists(cls, session_dir: os.PathLike) -> bool:
@@ -151,38 +165,42 @@ class UploadTransfer:
             ))
         entries: List[_JournalEntry] = []
         nonces: Set[str] = set()
+        records: List[EncryptedRecord] = []
+        headers: List[bytes] = []
         truncated = False
         for position, entry in enumerate(parsed):
             chunk_path = path / cls._chunk_name(entry.seq)
             failure = None
-            if chunk_path.exists():
+            if not chunk_path.exists():
+                failure = f"journaled chunk {entry.seq} is missing on disk"
+            else:
                 blob = chunk_path.read_bytes()
                 if canonical_digest(blob).hex() != entry.digest:
                     failure = (f"journaled chunk {entry.seq} failed its "
                                "digest check")
-                elif pack_records(unpack_records(blob)) != blob:
-                    # A re-encoded header would be a second record identity.
-                    raise TransferError(f"journaled chunk {entry.seq} is "
-                                        "not canonically packed")
-                elif not entry.nbytes:
-                    # Journal line predates byte accounting: recompute so
-                    # quota checks never undercount a resumed session.
-                    entry = _JournalEntry(
-                        seq=entry.seq, digest=entry.digest,
-                        records=entry.records,
-                        nbytes=sum(len(r.sealed)
-                                   for r in unpack_records(blob)),
-                        nonces=entry.nonces,
-                    )
-            else:
-                failure = f"journaled chunk {entry.seq} is missing on disk"
             if failure is not None:
                 if position == len(parsed) - 1:
                     truncated = True  # unacked tail: drop it, stay resumable
                     break
                 raise TransferError(failure)
+            chunk_records, chunk_headers = unpack_headed(blob)
+            if pack_records(chunk_records) != blob:
+                # A re-encoded header would be a second record identity.
+                raise TransferError(f"journaled chunk {entry.seq} is "
+                                    "not canonically packed")
+            if not entry.nbytes:
+                # Journal line predates byte accounting: recompute so
+                # quota checks never undercount a resumed session.
+                entry = _JournalEntry(
+                    seq=entry.seq, digest=entry.digest,
+                    records=entry.records,
+                    nbytes=sum(len(r.sealed) for r in chunk_records),
+                    nonces=entry.nonces,
+                )
             entries.append(entry)
             nonces.update(entry.nonces)
+            records += chunk_records
+            headers += chunk_headers
         if truncated:
             tmp = path / (_JOURNAL + ".tmp")
             with open(tmp, "w") as journal:
@@ -197,7 +215,7 @@ class UploadTransfer:
         for stray in path.glob("chunk-*.bin"):
             if stray.name not in acked:
                 stray.unlink()
-        return cls(path, entries, nonces)
+        return cls(path, entries, nonces, records, headers)
 
     @staticmethod
     def _chunk_name(seq: int) -> str:
@@ -230,13 +248,24 @@ class UploadTransfer:
 
         Raises :class:`TransferError` on protocol violations (replayed
         records under a new sequence number, or a conflicting resend of an
-        acknowledged one).
+        acknowledged one), and on a record whose ``sealed`` or ``nonce`` is
+        not immutable ``bytes``: the records themselves are what
+        :meth:`finalize` hands over, so they must stay the bytes the
+        journaled digest covers.
         """
         if self._finalized:
             raise TransferError("transfer already finalized")
         if not records:
             raise TransferError("a chunk needs at least one record")
-        payload = pack_records(records)
+        for record in records:
+            if not (isinstance(record.sealed, bytes)
+                    and isinstance(record.nonce, bytes)):
+                raise TransferError(
+                    f"record {record.index} carries a mutable sealed "
+                    "payload or nonce; send bytes"
+                )
+        headers = [record_header(record) for record in records]
+        payload = pack_records(records, headers)
         digest = canonical_digest(payload).hex()
         for entry in self._entries:
             if entry.digest == digest:
@@ -275,30 +304,28 @@ class UploadTransfer:
             os.fsync(journal.fileno())
         self._entries.append(entry)
         self._nonces.update(nonces)
+        self._records += records
+        self._headers += headers
         return ChunkReceipt(seq=seq, digest=digest, records=len(records))
 
     # -- finalize ----------------------------------------------------------------
 
     def finalize(self) -> Tuple[List[EncryptedRecord], List[bytes]]:
-        """Close the transfer; return ``(records, headers)``: every journaled
-        record beside its canonical header, checked under the chunk digest."""
+        """Close the transfer; hand over ``(records, headers)``: every
+        journaled record beside its canonical header, from the hold — the
+        values whose packed digest each journal line holds. The spool is
+        not read; only :meth:`resume` reads it."""
         if self._finalized:
             raise TransferError("transfer already finalized")
-        records, headers = [], []
-        for entry in self._entries:
-            blob = (self.path / self._chunk_name(entry.seq)).read_bytes()
-            if canonical_digest(blob).hex() != entry.digest:
-                raise TransferError(
-                    f"chunk {entry.seq} failed its digest check at read time"
-                )
-            chunk_records, chunk_headers = unpack_headed(blob)
-            records += chunk_records
-            headers += chunk_headers
         self._finalized = True
-        return records, headers
+        held = self._records, self._headers
+        self._records, self._headers = [], []
+        return held
 
     def discard(self) -> None:
-        """Delete the spool (after the session committed or was aborted)."""
+        """Delete the spool and drop the hold (after the session committed
+        or was aborted)."""
+        self._records, self._headers = [], []
         for stray in self.path.glob("chunk-*.bin"):
             stray.unlink()
         journal = self.path / _JOURNAL

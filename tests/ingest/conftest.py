@@ -23,6 +23,15 @@ SHAPE = (4, 4, 3)
 CLASSES = 3
 
 
+def flip_chunk_byte(spool, seq, offset=8):
+    """Flip one byte of chunk ``seq`` on disk, leaving its journal line as
+    it was: corruption of the spool after the chunk was acknowledged."""
+    chunk = spool / f"chunk-{seq:06d}.bin"
+    blob = bytearray(chunk.read_bytes())
+    blob[offset] ^= 0xFF
+    chunk.write_bytes(bytes(blob))
+
+
 def rewrite_chunk_headers(spool, seq):
     """Re-encode every header of chunk ``seq`` with the same fields in
     non-canonical JSON (spaced), and re-point its journal line at the new

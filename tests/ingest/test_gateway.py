@@ -1,6 +1,8 @@
 """Gateway tests: attestation gate, backpressure, quotas, rate limits."""
 
 import dataclasses
+import json
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -9,10 +11,11 @@ from repro.crypto.keys import SymmetricKey
 from repro.data.encryption import iter_encrypted_records
 from repro.errors import (ConfigurationError, IngestError, TransferError,
                           UploadRejected)
-from repro.ingest import (GatewayConfig, IngestGateway, TokenBucket,
+from repro.ingest import (ContributionLedger, GatewayConfig, IngestGateway,
+                          TokenBucket, UploadTransfer, ValidationPool,
                           record_digest)
 from repro.ingest.ledger import record_header
-from tests.ingest.conftest import rewrite_chunk_headers
+from tests.ingest.conftest import flip_chunk_byte, rewrite_chunk_headers
 
 
 def _records(contributor):
@@ -247,6 +250,7 @@ class TestLifecycle:
         assert gateway.open_sessions == 0
         assert not list((tmp_path / "spool").rglob("journal.jsonl"))
         assert gateway.telemetry.counter("sessions_aborted") == 1
+        assert session.transfer.finalize() == ([], [])  # the hold is gone
 
     def test_evict_then_resume(self, gateway, contributors, tmp_path):
         """A crashed client's slot is reclaimed; its journal survives for
@@ -287,6 +291,41 @@ class TestLifecycle:
             gateway.resume_session(contributor)
         assert [s.records for s in ledger.segments] == [4]
         assert ledger.verify()
+
+    def test_spool_altered_after_ack_changes_nothing(
+            self, gateway, ledger, validator, contributors, tmp_path):
+        """A live session commits the records it acknowledged, from
+        memory: a chunk byte flipped on disk after the ack neither changes
+        nor blocks the commit. After a crash the same spool still fails
+        closed on resume."""
+        records = _records(contributors[0])
+        session = gateway.open_session("c0")
+        session.send_chunk(records[:4])
+        session.send_chunk(records[4:8])
+        [spool] = {p.parent for p in (tmp_path / "spool").rglob("*.bin")}
+        flip_chunk_byte(spool, 0)
+        shutil.copytree(spool, tmp_path / "altered")
+        receipt = session.complete()
+
+        [segment] = ledger.segments
+        meta = json.loads(
+            (ledger.path / f"{segment.name}.meta.json").read_text())
+        assert meta["digests"] == [record_digest(r).hex()
+                                   for r in records[:8]]
+        twin_ledger = ContributionLedger.create(tmp_path / "twin-ledger")
+        twin = IngestGateway(
+            twin_ledger,
+            ValidationPool(validator.enclave, validator.config,
+                           ledger=twin_ledger),
+            spool_dir=tmp_path / "twin-spool", config=gateway.config,
+        )
+        twin_session = twin.open_session("c0")
+        twin_session.send_chunk(records[:4])
+        twin_session.send_chunk(records[4:8])
+        assert twin_session.complete().manifest_digest == \
+            receipt.manifest_digest
+        with pytest.raises(TransferError, match="digest check"):
+            UploadTransfer.resume(tmp_path / "altered")
 
     def test_evict_unknown_session(self, gateway):
         assert not gateway.evict_session("nobody")

@@ -1,5 +1,6 @@
 """Chunked-transfer tests: journal durability, resume, replay discipline."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from repro.data.encryption import iter_encrypted_records
 from repro.errors import TransferError
 from repro.ingest import UploadTransfer, chunk_stream
 from repro.ingest.ledger import record_header
-from tests.ingest.conftest import rewrite_chunk_headers
+from tests.ingest.conftest import flip_chunk_byte, rewrite_chunk_headers
 
 
 @pytest.fixture
@@ -65,6 +66,20 @@ class TestAppend:
         with pytest.raises(TransferError):
             transfer.append_chunk([records[0], records[0]])
 
+    @pytest.mark.parametrize("field", ["sealed", "nonce"])
+    def test_mutable_bytes_rejected(self, tmp_path, records, field):
+        """The journaled records are what ``finalize`` hands over, so a
+        buffer the caller could mutate after the ack is refused before
+        anything is journaled."""
+        transfer = UploadTransfer.create(tmp_path / "t")
+        mutable = dataclasses.replace(
+            records[1], **{field: bytearray(getattr(records[1], field))})
+        with pytest.raises(TransferError, match="send bytes"):
+            transfer.append_chunk([records[0], mutable])
+        assert transfer.next_seq == 0
+        assert not list((tmp_path / "t").glob("chunk-*.bin"))
+        assert (tmp_path / "t" / "journal.jsonl").read_text() == ""
+
 
 class TestResume:
     def test_resume_reports_journal_head(self, tmp_path, records):
@@ -76,7 +91,8 @@ class TestResume:
         assert resumed.acked_records == 8
         assert resumed.max_nonce() == max(r.nonce for r in records[:8])
         resumed.append_chunk(records[8:])
-        assert resumed.finalize()[0] == records
+        assert resumed.finalize() == (records,
+                                      [record_header(r) for r in records])
 
     def test_torn_unjournaled_chunk_discarded(self, tmp_path, records):
         """A chunk file written but never journaled (the crash window) is
@@ -95,10 +111,7 @@ class TestResume:
         transfer = UploadTransfer.create(tmp_path / "t")
         transfer.append_chunk(records[:4])
         transfer.append_chunk(records[4:8])
-        chunk = tmp_path / "t" / "chunk-000000.bin"
-        blob = bytearray(chunk.read_bytes())
-        blob[8] ^= 0xFF
-        chunk.write_bytes(bytes(blob))
+        flip_chunk_byte(tmp_path / "t", 0)
         with pytest.raises(TransferError):
             UploadTransfer.resume(tmp_path / "t")
 
@@ -129,10 +142,8 @@ class TestResume:
         transfer = UploadTransfer.create(tmp_path / "t")
         transfer.append_chunk(records[:4])
         transfer.append_chunk(records[4:8])
+        flip_chunk_byte(tmp_path / "t", 1)
         chunk = tmp_path / "t" / "chunk-000001.bin"
-        blob = bytearray(chunk.read_bytes())
-        blob[8] ^= 0xFF
-        chunk.write_bytes(bytes(blob))
         resumed = UploadTransfer.resume(tmp_path / "t")
         assert resumed.next_seq == 1
         assert resumed.acked_records == 4

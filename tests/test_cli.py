@@ -168,6 +168,10 @@ class TestIngestCommands:
         assert "c0: CRASH after 1 chunks (8 records acked)" in out
         assert "c0: resumed at chunk 1" in out
         assert "c0: committed 22, quarantined 2" in out
+        assert "c0: abort drill sent 8 records, 1 session(s) open" in out
+        assert ("c0: aborted — spool removed, ledger unchanged, "
+                "0 session(s) open") in out
+        assert not list((tmp_path / "ledger.spool").rglob("*.bin"))
 
     def test_ingest_status(self, capsys, tmp_path):
         assert main(self._ingest_args(tmp_path)) == 0

@@ -25,10 +25,6 @@ ALLOWED = {
         "workload or the CLI",
     "PartitionedNetwork.import_frontnet_encrypted":
         "the receiving half of the encrypted-FrontNet release",
-    "UploadSession.abort":
-        "the contributor-side cancel of an upload; no driver cancels yet",
-    "IngestGateway.open_sessions":
-        "operator view of in-flight uploads; no CLI command shows it yet",
     "CalTrain.set_assessor":
         "injects a pre-trained exposure assessor; only tests pre-train one",
     "ExposureAssessor.assess_training":
