@@ -343,8 +343,9 @@ class IngestGateway:
         started = time.perf_counter()
         contributor = session.contributor
         try:
-            records, headers = session.transfer.finalize()
-            report = self.validator.validate(contributor, records, headers)
+            records, headers, digests = session.transfer.finalize()
+            report = self.validator.validate(contributor, records, headers,
+                                             digests)
             # The dedup gate and the append are atomic under the ledger
             # lock: concurrent completions racing on the same ciphertext
             # cannot both commit it. Whatever the lock-side gate refuses

@@ -10,10 +10,14 @@ The format mirrors :class:`repro.serving.store.LinkageStore`:
   ``records`` (the count), ``digests`` (one hex content digest per
   record, in payload order) and ``reason`` (quarantine lane only); both
   files are durable before the manifest names them;
-* **content addressing** — each segment is identified by a SHA-256 digest
-  over its payload bytes and metadata; the manifest lists committed
-  segments and quarantined segments in separate lanes, and the whole
-  ledger state is committed by :meth:`manifest_digest`;
+* **content addressing** — a record is identified by its content digest
+  (:func:`header_digest` over its canonical header and sealed bytes),
+  the only SHA-256 pass over a record's bytes outside the enclave's tag
+  check; a segment is identified by the digest of its metadata sidecar,
+  which lists every record digest in payload order, so the segment
+  identity commits to every payload byte through them; the manifest
+  lists committed segments and quarantined segments in separate lanes,
+  and the whole ledger state is committed by :meth:`manifest_digest`;
 * **sealing boundary** — the training enclave can seal the manifest
   digest to its identity (:meth:`seal_manifest`), so a verifier can later
   prove training consumed exactly the records the validation pipeline
@@ -24,12 +28,16 @@ their own lane: they are preserved as forensic evidence with the reason
 they were refused, but :meth:`iter_records` — the path training reads —
 never yields them.
 
-Integrity checks are fail-closed: :meth:`verify` raises
-:class:`~repro.errors.LedgerError` on the first digest mismatch.
+Integrity checks are fail-closed: :meth:`verify` re-derives every
+record digest from the payload frames in place and raises
+:class:`~repro.errors.LedgerError` on the first mismatch with a sidecar,
+or on a sidecar that no longer matches its segment digest. A ledger
+written in an older format is refused the same way.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -50,11 +58,17 @@ __all__ = [
     "pack_records",
     "unpack_records",
     "record_digest",
-    "unpack_headed", "record_header", "header_digest",
+    "unpack_headed", "record_header", "header_digest", "record_identities",
+    "iter_packed", "packed_frames",
 ]
 
 _MANIFEST = "manifest.json"
-LEDGER_FORMAT = 1
+#: 2: a segment's digest is over its sidecar (which lists the record
+#: digests) rather than over the payload bytes and sidecar.
+LEDGER_FORMAT = 2
+
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
 
 
 def record_header(record: EncryptedRecord) -> bytes:
@@ -63,9 +77,17 @@ def record_header(record: EncryptedRecord) -> bytes:
                            "label": record.label, "nonce": record.nonce.hex()})
 
 
-def header_digest(header: bytes, sealed: bytes) -> bytes:
-    """A record's content digest from its canonical header, with no JSON."""
-    return canonical_digest(header, sealed)
+def header_digest(header, sealed) -> bytes:
+    """A record's content digest from its canonical header, with no JSON.
+
+    Byte for byte ``canonical_digest(header, sealed)``, over any buffers,
+    so a payload's frames are hashed where they lie.
+    """
+    hasher = hashlib.sha256(_U64.pack(len(header)))
+    hasher.update(header)
+    hasher.update(_U64.pack(len(sealed)))
+    hasher.update(sealed)
+    return hasher.digest()
 
 
 def record_digest(record: EncryptedRecord) -> bytes:
@@ -73,11 +95,11 @@ def record_digest(record: EncryptedRecord) -> bytes:
     return header_digest(record_header(record), record.sealed)
 
 
-def _carried(records: Sequence[EncryptedRecord],
-             digests: Optional[Sequence[bytes]],
-             headers: Optional[Sequence[bytes]]):
-    """The digests and canonical headers carried beside ``records`` — or,
-    for bare records, computed here, once, at the ledger's door."""
+def record_identities(records: Sequence[EncryptedRecord],
+                      digests: Optional[Sequence[bytes]] = None,
+                      headers: Optional[Sequence[bytes]] = None):
+    """``(digests, headers)``: those carried beside ``records`` — or, for
+    bare records, computed here, once, at the caller's door."""
     if headers is None:
         headers = [record_header(record) for record in records]
     if digests is None:
@@ -89,6 +111,17 @@ def _carried(records: Sequence[EncryptedRecord],
     return digests, headers
 
 
+def iter_packed(records: Sequence[EncryptedRecord],
+                headers: Optional[Sequence[bytes]] = None) -> Iterator[bytes]:
+    """:func:`pack_records`'s bytes, frame by frame, never joined."""
+    if headers is None:
+        headers = [record_header(record) for record in records]
+    yield _U32.pack(len(records))
+    for record, header in zip(records, headers):
+        yield _U32.pack(len(header)) + header + _U64.pack(len(record.sealed))
+        yield record.sealed
+
+
 def pack_records(records: Sequence[EncryptedRecord],
                  headers: Optional[Sequence[bytes]] = None) -> bytes:
     """Serialize records to one canonical blob (chunk and segment payloads).
@@ -97,39 +130,48 @@ def pack_records(records: Sequence[EncryptedRecord],
     everything length-prefixed, so equal record sequences always produce
     equal bytes. ``meta-json`` is ``headers``, else :func:`record_header`.
     """
-    if headers is None:
-        headers = [record_header(record) for record in records]
-    out = [struct.pack("<I", len(records))]
-    for record, header in zip(records, headers):
-        out += (struct.pack("<I", len(header)), header,
-                struct.pack("<Q", len(record.sealed)), record.sealed)
-    return b"".join(out)
+    return b"".join(iter_packed(records, headers))
+
+
+def packed_frames(blob: bytes) -> List[Tuple[memoryview, memoryview]]:
+    """A packed payload's ``(meta-json, sealed)`` frames, as views into
+    ``blob``: no JSON, no copies. Raises :class:`LedgerError` unless
+    ``blob`` is exactly ``count`` well-formed frames."""
+    view = memoryview(blob)
+    out: List[Tuple[memoryview, memoryview]] = []
+    try:
+        (count,) = _U32.unpack_from(view, 0)
+        offset = 4
+        for _ in range(count):
+            (meta_len,) = _U32.unpack_from(view, offset)
+            header = view[offset + 4 : offset + 4 + meta_len]
+            offset += 4 + meta_len
+            (sealed_len,) = _U64.unpack_from(view, offset)
+            sealed = view[offset + 8 : offset + 8 + sealed_len]
+            offset += 8 + sealed_len
+            if len(header) != meta_len or len(sealed) != sealed_len:
+                raise LedgerError("a packed frame runs past the payload end")
+            out.append((header, sealed))
+    except struct.error:
+        raise LedgerError("a packed payload is cut short") from None
+    if offset != len(view):
+        raise LedgerError("trailing bytes after the last packed record")
+    return out
 
 
 def unpack_headed(blob: bytes) -> Tuple[List[EncryptedRecord], List[bytes]]:
     """Inverse of :func:`pack_records`, plus each frame's ``meta-json``."""
-    (count,) = struct.unpack_from("<I", blob, 0)
-    offset = 4
     records: List[EncryptedRecord] = []
     headers: List[bytes] = []
-    for _ in range(count):
-        (meta_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        header = blob[offset : offset + meta_len]
+    for header, sealed in packed_frames(blob):
+        header = bytes(header)
         meta = json.loads(header.decode("utf-8"))
-        offset += meta_len
-        (sealed_len,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        sealed = blob[offset : offset + sealed_len]
-        offset += sealed_len
         records.append(EncryptedRecord(
             source_id=meta["source"], index=meta["index"],
             label=meta["label"], nonce=bytes.fromhex(meta["nonce"]),
-            sealed=sealed,
+            sealed=bytes(sealed),
         ))
         headers.append(header)
-    if offset != len(blob):
-        raise LedgerError("trailing bytes after the last packed record")
     return records, headers
 
 
@@ -145,7 +187,7 @@ class LedgerSegmentInfo:
     name: str
     records: int
     contributor: str
-    digest: str  # hex SHA-256 over (payload bytes, metadata JSON)
+    digest: str  # hex SHA-256 over the metadata sidecar's bytes
     lane: str = "committed"  # "committed" | "quarantine"
     reason: str = ""         # quarantine lane only
 
@@ -197,7 +239,8 @@ class ContributionLedger:
         manifest = json.loads(manifest_path.read_text())
         if manifest.get("format") != LEDGER_FORMAT:
             raise LedgerError(
-                f"unsupported ledger format {manifest.get('format')!r}"
+                f"unsupported ledger format {manifest.get('format')!r} "
+                f"(this build reads format {LEDGER_FORMAT} only)"
             )
         ledger = cls(root, manifest)
         if verify:
@@ -221,7 +264,6 @@ class ContributionLedger:
                                      else "quarantine"]
             prefix = "segment" if lane == "committed" else "quarantine"
             name = f"{prefix}-{len(entries):06d}"
-            payload = pack_records(records, headers)
             meta = {
                 "contributor": contributor,
                 "records": len(records),
@@ -231,12 +273,14 @@ class ContributionLedger:
             meta_bytes = canonical_json(meta)
             # Payload and sidecar must be durable BEFORE the manifest
             # names them: once it does, the session's spool is discarded
-            # and these files are the only copy of the contribution.
-            atomic_write_bytes(self.path / f"{name}.bin", payload)
+            # and these files are the only copy of the contribution. The
+            # payload goes down frame by frame, never joined.
+            atomic_write_bytes(self.path / f"{name}.bin",
+                               iter_packed(records, headers))
             atomic_write_bytes(self.path / f"{name}.meta.json", meta_bytes)
             info = LedgerSegmentInfo(
                 name=name, records=len(records), contributor=contributor,
-                digest=canonical_digest(payload, meta_bytes).hex(),
+                digest=canonical_digest(meta_bytes).hex(),
                 lane=lane, reason=reason,
             )
             entries.append({
@@ -255,7 +299,7 @@ class ContributionLedger:
         """Commit one validated segment; returns its manifest entry.
         ``digests``: the records' content digests, if the caller holds them."""
         return self._append_segment(
-            "committed", records, *_carried(records, digests, None),
+            "committed", records, *record_identities(records, digests),
             contributor,
         )
 
@@ -265,8 +309,9 @@ class ContributionLedger:
                    ) -> LedgerSegmentInfo:
         """Preserve refused records in the quarantine lane with the reason."""
         return self._append_segment(
-            "quarantine", records, *_carried(records, digests, headers),
-            contributor, reason=reason,
+            "quarantine", records,
+            *record_identities(records, digests, headers), contributor,
+            reason=reason,
         )
 
     def commit_deduplicated(
@@ -282,7 +327,7 @@ class ContributionLedger:
         copies come back in the duplicates list for the caller to
         quarantine. Returns ``(segment_or_None, duplicates)``.
         """
-        digests, headers = _carried(records, digests, headers)
+        digests, headers = record_identities(records, digests, headers)
         with self._lock:
             fresh: List[EncryptedRecord] = []
             fresh_digests: List[bytes] = []
@@ -349,7 +394,11 @@ class ContributionLedger:
         meta_path = self.path / f"{name}.meta.json"
         if not meta_path.exists():
             raise LedgerError(f"segment {name} metadata is missing on disk")
-        return json.loads(meta_path.read_text())["digests"]
+        try:
+            return json.loads(meta_path.read_bytes())["digests"]
+        except (ValueError, KeyError, TypeError):
+            raise LedgerError(f"segment {name} metadata is unreadable "
+                              "(tampered or corrupted)") from None
 
     def known_ciphertexts(self, digests: Sequence[bytes]) -> Set[bytes]:
         """Which of these content digests have already been committed?
@@ -379,23 +428,38 @@ class ContributionLedger:
     # -- integrity and the sealing boundary --------------------------------------
 
     def verify(self) -> bool:
-        """Recompute every segment digest from disk bytes; fail-closed."""
+        """Re-derive every segment's identity from disk bytes; fail-closed."""
         with self._lock:
             entries = (self._manifest["segments"]
                        + self._manifest["quarantine"])
         for entry in entries:
-            payload_path = self.path / f"{entry['name']}.bin"
-            meta_path = self.path / f"{entry['name']}.meta.json"
-            if not payload_path.exists() or not meta_path.exists():
-                raise LedgerError(f"segment {entry['name']} is missing on disk")
-            actual = canonical_digest(payload_path.read_bytes(),
-                                      meta_path.read_bytes()).hex()
-            if actual != entry["digest"]:
-                raise LedgerError(
-                    f"segment {entry['name']} failed its digest check "
-                    f"(tampered or corrupted)"
-                )
+            self._verify_segment(entry)
         return True
+
+    def _verify_segment(self, entry: dict) -> None:
+        """The sidecar must match the segment digest, and the payload must
+        be exactly the frames whose record digests the sidecar lists, in
+        order: every byte of both files is covered."""
+        name = entry["name"]
+        payload_path = self.path / f"{name}.bin"
+        meta_path = self.path / f"{name}.meta.json"
+        if not payload_path.exists() or not meta_path.exists():
+            raise LedgerError(f"segment {name} is missing on disk")
+        failed = LedgerError(f"segment {name} failed its digest check "
+                             "(tampered or corrupted)")
+        meta_bytes = meta_path.read_bytes()
+        if canonical_digest(meta_bytes).hex() != entry["digest"]:
+            raise failed
+        listed = json.loads(meta_bytes)["digests"]
+        try:
+            packed = packed_frames(payload_path.read_bytes())
+        except LedgerError:
+            raise failed from None
+        if len(packed) != len(listed) or entry["records"] != len(listed):
+            raise failed
+        for (header, sealed), digest in zip(packed, listed):
+            if header_digest(header, sealed).hex() != digest:
+                raise failed
 
     def manifest_digest(self) -> bytes:
         """A content address for the entire ledger state.

@@ -3,25 +3,33 @@
 A contributor streams encrypted records in size-bounded chunks. Each
 chunk is made durable *before* it is acknowledged:
 
-1. the packed chunk payload is written to ``chunk-NNNNNN.bin`` and
-   fsynced (the file and its directory), so the payload is on stable
-   storage before any journal entry can name it;
+1. the packed chunk payload is written to ``chunk-NNNNNN.bin`` through
+   the atomic writer (fsync, rename, directory fsync), so the payload is
+   on stable storage before any journal entry can name it;
 2. one line is appended to ``journal.jsonl`` — recording the sequence
    number, the chunk digest, the record count, the payload bytes, and
    every record nonce — and fsynced;
 3. only then does the server acknowledge the sequence number.
 
+The chunk digest is :func:`chunk_digest`: one digest over the record
+count and each record's content digest
+(:func:`~repro.ingest.ledger.header_digest`, the ledger's record
+identity). Those record digests are the only SHA-256 pass over a
+record's bytes outside the enclave's tag check; they travel with the
+records to validation and the ledger sidecar.
+
 A crashed upload therefore resumes exactly at the first unacknowledged
-chunk: :meth:`UploadTransfer.resume` replays the journal, re-verifies
-every chunk file against its journaled digest (fail-closed — a torn
-half-written chunk is discarded, not trusted), and reports
-``next_seq`` / ``max_nonce`` so the client can continue the stream
-without re-encrypting or re-sending acknowledged records. If the
-*tail* journal entry names a chunk that is missing or fails its digest
-(the crash landed between the two fsyncs), that entry was never
-acknowledged: resume truncates the journal back to the last consistent
-entry and the client re-sends the chunk. A failed chunk *behind* the
-journal head can only mean post-ack corruption, and stays fail-closed.
+chunk: :meth:`UploadTransfer.resume` replays the journal, re-derives
+every chunk's record digests from its file and checks them against the
+journaled digest (fail-closed — a torn half-written chunk is discarded,
+not trusted), and reports ``next_seq`` / ``max_nonce`` so the client can
+continue the stream without re-encrypting or re-sending acknowledged
+records. If the *tail* journal entry is torn, or names a chunk that is
+missing or fails its digest (the crash landed between or during the two
+fsyncs), that entry was never acknowledged: resume truncates the journal
+back to the last consistent entry and the client re-sends the chunk. A
+failure *behind* the journal head can only mean post-ack corruption, and
+stays fail-closed.
 
 The journal is also the replay barrier: re-sending an acknowledged chunk
 (same sequence, same digest) is idempotent — acknowledged again, never
@@ -31,13 +39,13 @@ bytes) or a new chunk carrying already-journaled nonces raises the typed
 
 The spool is read only by :meth:`UploadTransfer.resume`. While a session
 runs, the transfer holds each journaled chunk's records beside their
-canonical headers — the exact values whose packed digest the journal
-line holds, since a record is frozen and its ``sealed`` / ``nonce`` must
-be immutable ``bytes`` — and :meth:`UploadTransfer.finalize` hands that
-hold over without touching the disk. A resumed session fills the same
-hold from the chunks ``resume`` verifies. A spool altered after the ack
-therefore cannot change or block the commit of a live session; after a
-crash, ``resume`` still fails closed on it.
+canonical headers and record digests — the exact values the journal
+line's digest commits to, since a record is frozen and its ``sealed`` /
+``nonce`` must be immutable ``bytes`` — and :meth:`UploadTransfer.finalize`
+hands that hold over without touching the disk. A resumed session fills
+the same hold from the chunks ``resume`` verifies. A spool altered after
+the ack therefore cannot change or block the commit of a live session;
+after a crash, ``resume`` still fails closed on it.
 """
 
 from __future__ import annotations
@@ -49,24 +57,22 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.data.encryption import EncryptedRecord
-from repro.errors import TransferError
-from repro.ingest.ledger import pack_records, record_header, unpack_headed
+from repro.errors import LedgerError, TransferError
+from repro.ingest.ledger import (header_digest, iter_packed, packed_frames,
+                                 record_header, unpack_headed)
+from repro.utils.fileio import atomic_write_bytes, atomic_write_text
 from repro.utils.serialization import canonical_digest
 
-__all__ = ["ChunkReceipt", "UploadTransfer", "chunk_stream"]
+__all__ = ["ChunkReceipt", "UploadTransfer", "chunk_digest", "chunk_stream"]
 
 _JOURNAL = "journal.jsonl"
 
 
-def _fsync_dir(path: Path) -> None:
-    """Make a directory entry (new file name) durable."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fs without directory fsync
-        pass
-    finally:
-        os.close(fd)
+def chunk_digest(digests: Sequence[bytes]) -> bytes:
+    """A chunk's identity: one digest over its record count and its
+    records' content digests, in order. Every chunk byte is covered: the
+    record digests commit to each frame, the count to the framing."""
+    return canonical_digest(len(digests), b"".join(digests))
 
 
 @dataclass(frozen=True)
@@ -108,13 +114,15 @@ class UploadTransfer:
 
     def __init__(self, session_dir: os.PathLike, entries: List[_JournalEntry],
                  nonces: Set[str], records: List[EncryptedRecord],
-                 headers: List[bytes]) -> None:
+                 headers: List[bytes], digests: List[bytes]) -> None:
         self.path = Path(session_dir)
         self._entries = entries
         self._nonces = nonces
-        # The hold: every journaled record beside its canonical header.
+        # The hold: every journaled record beside its canonical header
+        # and its content digest.
         self._records = records
         self._headers = headers
+        self._digests = digests
         self._finalized = False
 
     # -- lifecycle ---------------------------------------------------------------
@@ -129,7 +137,7 @@ class UploadTransfer:
                 f"a transfer journal already exists at {path} — resume it"
             )
         (path / _JOURNAL).touch()
-        return cls(path, [], set(), [], [])
+        return cls(path, [], set(), [], [], [])
 
     @classmethod
     def exists(cls, session_dir: os.PathLike) -> bool:
@@ -140,34 +148,44 @@ class UploadTransfer:
     def resume(cls, session_dir: os.PathLike) -> "UploadTransfer":
         """Reopen a crashed transfer from its journal.
 
-        Every journaled chunk file is re-verified against its recorded
-        digest; a chunk written but never journaled (the crash window) is
-        deleted so the client re-sends it. A *tail* entry whose chunk is
-        missing or fails the digest was journaled but never acknowledged
-        durably — the journal is truncated back to the last consistent
-        entry so the session stays resumable. The same failure behind the
-        head is post-acknowledgement corruption and fail-closes, as does a
-        chunk that matches its digest but is not packed canonically.
+        Every journaled chunk's record digests are re-derived from its
+        file and checked against the journaled chunk digest; a chunk that
+        does not parse fails that check. A chunk written but never
+        journaled (the crash window) is deleted so the client re-sends it.
+        A *tail* entry that is torn mid-line, or whose chunk is missing or
+        fails the digest, was never acknowledged durably — the journal is
+        truncated back to the last consistent entry so the session stays
+        resumable. The same failures behind the head are
+        post-acknowledgement corruption and fail-close, as does a chunk
+        that matches its digest but is not packed canonically.
         """
         path = Path(session_dir)
         journal_path = path / _JOURNAL
         if not journal_path.exists():
             raise TransferError(f"no transfer journal at {path}")
-        lines = [line for line in journal_path.read_text().splitlines()
-                 if line.strip()]
+        text = journal_path.read_bytes().decode("utf-8", errors="replace")
+        lines = [line for line in text.splitlines() if line.strip()]
         parsed: List[_JournalEntry] = []
-        for line in lines:
-            raw = json.loads(line)
-            parsed.append(_JournalEntry(
-                seq=raw["seq"], digest=raw["digest"],
-                records=raw["records"], nbytes=raw.get("bytes", 0),
-                nonces=raw["nonces"],
-            ))
+        for position, line in enumerate(lines):
+            try:
+                raw = json.loads(line)
+                parsed.append(_JournalEntry(
+                    seq=raw["seq"], digest=raw["digest"],
+                    records=raw["records"], nbytes=raw["bytes"],
+                    nonces=raw["nonces"],
+                ))
+            except (ValueError, KeyError, TypeError) as exc:
+                if position < len(lines) - 1:
+                    raise TransferError(
+                        f"journal line {position} is malformed behind the "
+                        "journal head"
+                    ) from exc
+                # A line cut by a crash mid-append was never acked.
         entries: List[_JournalEntry] = []
         nonces: Set[str] = set()
         records: List[EncryptedRecord] = []
         headers: List[bytes] = []
-        truncated = False
+        digests: List[bytes] = []
         for position, entry in enumerate(parsed):
             chunk_path = path / cls._chunk_name(entry.seq)
             failure = None
@@ -175,47 +193,43 @@ class UploadTransfer:
                 failure = f"journaled chunk {entry.seq} is missing on disk"
             else:
                 blob = chunk_path.read_bytes()
-                if canonical_digest(blob).hex() != entry.digest:
+                try:
+                    chunk_digests = [header_digest(header, sealed)
+                                     for header, sealed in packed_frames(blob)]
+                except LedgerError:
+                    chunk_digests = None
+                if (chunk_digests is None
+                        or chunk_digest(chunk_digests).hex() != entry.digest):
                     failure = (f"journaled chunk {entry.seq} failed its "
                                "digest check")
             if failure is not None:
                 if position == len(parsed) - 1:
-                    truncated = True  # unacked tail: drop it, stay resumable
-                    break
+                    break  # unacked tail: drop it, stay resumable
                 raise TransferError(failure)
-            chunk_records, chunk_headers = unpack_headed(blob)
-            if pack_records(chunk_records) != blob:
+            try:
+                chunk_records, chunk_headers = unpack_headed(blob)
+                canonical = chunk_headers == [record_header(r)
+                                              for r in chunk_records]
+            except (ValueError, KeyError, TypeError):
+                canonical = False
+            if not canonical:
                 # A re-encoded header would be a second record identity.
                 raise TransferError(f"journaled chunk {entry.seq} is "
                                     "not canonically packed")
-            if not entry.nbytes:
-                # Journal line predates byte accounting: recompute so
-                # quota checks never undercount a resumed session.
-                entry = _JournalEntry(
-                    seq=entry.seq, digest=entry.digest,
-                    records=entry.records,
-                    nbytes=sum(len(r.sealed) for r in chunk_records),
-                    nonces=entry.nonces,
-                )
             entries.append(entry)
             nonces.update(entry.nonces)
             records += chunk_records
             headers += chunk_headers
-        if truncated:
-            tmp = path / (_JOURNAL + ".tmp")
-            with open(tmp, "w") as journal:
-                journal.writelines(line + "\n"
-                                   for line in lines[: len(entries)])
-                journal.flush()
-                os.fsync(journal.fileno())
-            os.replace(tmp, journal_path)
-            _fsync_dir(path)
+            digests += chunk_digests
+        if len(entries) < len(lines) or (text and not text.endswith("\n")):
+            atomic_write_text(journal_path, "".join(
+                line + "\n" for line in lines[: len(entries)]))
         # Drop any chunk file past the journal head: written, never acked.
         acked = {cls._chunk_name(e.seq) for e in entries}
-        for stray in path.glob("chunk-*.bin"):
+        for stray in path.glob("chunk-*"):  # a torn write's .tmp included
             if stray.name not in acked:
                 stray.unlink()
-        return cls(path, entries, nonces, records, headers)
+        return cls(path, entries, nonces, records, headers, digests)
 
     @staticmethod
     def _chunk_name(seq: int) -> str:
@@ -265,8 +279,9 @@ class UploadTransfer:
                     "payload or nonce; send bytes"
                 )
         headers = [record_header(record) for record in records]
-        payload = pack_records(records, headers)
-        digest = canonical_digest(payload).hex()
+        digests = [header_digest(header, record.sealed)
+                   for header, record in zip(headers, records)]
+        digest = chunk_digest(digests).hex()
         for entry in self._entries:
             if entry.digest == digest:
                 # Idempotent resend of an acknowledged chunk (the client
@@ -284,15 +299,11 @@ class UploadTransfer:
             raise TransferError("chunk contains duplicate record nonces")
         seq = self.next_seq
         nbytes = sum(len(r.sealed) for r in records)
-        chunk_path = self.path / self._chunk_name(seq)
         # Chunk bytes must be durable BEFORE the journal names them: a
         # power cut between the two steps must never leave a durable
         # journal line pointing at undurable chunk bytes.
-        with open(chunk_path, "wb") as chunk:
-            chunk.write(payload)
-            chunk.flush()
-            os.fsync(chunk.fileno())
-        _fsync_dir(self.path)
+        atomic_write_bytes(self.path / self._chunk_name(seq),
+                           iter_packed(records, headers))
         entry = _JournalEntry(seq=seq, digest=digest, records=len(records),
                               nbytes=nbytes, nonces=nonces)
         with open(self.path / _JOURNAL, "a") as journal:
@@ -306,27 +317,29 @@ class UploadTransfer:
         self._nonces.update(nonces)
         self._records += records
         self._headers += headers
+        self._digests += digests
         return ChunkReceipt(seq=seq, digest=digest, records=len(records))
 
     # -- finalize ----------------------------------------------------------------
 
-    def finalize(self) -> Tuple[List[EncryptedRecord], List[bytes]]:
-        """Close the transfer; hand over ``(records, headers)``: every
-        journaled record beside its canonical header, from the hold — the
-        values whose packed digest each journal line holds. The spool is
-        not read; only :meth:`resume` reads it."""
+    def finalize(self) -> Tuple[List[EncryptedRecord], List[bytes],
+                                List[bytes]]:
+        """Close the transfer; hand over ``(records, headers, digests)``:
+        every journaled record beside its canonical header and content
+        digest, from the hold — the values each journal line's digest
+        commits to. The spool is not read; only :meth:`resume` reads it."""
         if self._finalized:
             raise TransferError("transfer already finalized")
         self._finalized = True
-        held = self._records, self._headers
-        self._records, self._headers = [], []
+        held = self._records, self._headers, self._digests
+        self._records, self._headers, self._digests = [], [], []
         return held
 
     def discard(self) -> None:
         """Delete the spool and drop the hold (after the session committed
         or was aborted)."""
-        self._records, self._headers = [], []
-        for stray in self.path.glob("chunk-*.bin"):
+        self._records, self._headers, self._digests = [], [], []
+        for stray in self.path.glob("chunk-*"):
             stray.unlink()
         journal = self.path / _JOURNAL
         if journal.exists():

@@ -23,9 +23,11 @@ or quarantine, with the reason — is in one hash-chained event per session
 :class:`~repro.core.audit.AuditLog`, so admission history is tamper-evident.
 
 A record's content digest (its dedup, audit and ledger-sidecar identity)
-is computed once per session, in :meth:`ValidationPool._gate_batch`, from
-the canonical header the journal encoded; the report carries digest and
-header beside every record and the ledger is handed both at commit.
+is computed once per session, by the transfer as it journals the record
+(:meth:`~repro.ingest.transfer.UploadTransfer.append_chunk`), from the
+canonical header it encodes; :meth:`ValidationPool.validate` is handed
+both and computes neither, the report carries digest and header beside
+every record, and the ledger is handed both at commit.
 """
 
 from __future__ import annotations
@@ -42,8 +44,7 @@ from repro.data.encryption import EncryptedRecord, authenticated_shape
 from repro.enclave.enclave import Enclave
 from repro.errors import AuthenticationError, ConfigurationError
 from repro.federation.provisioning import provisioned_key
-from repro.ingest.ledger import (ContributionLedger, header_digest,
-                                 record_header)
+from repro.ingest.ledger import ContributionLedger, record_identities
 from repro.observability.adapter import SubsystemTelemetry
 
 __all__ = ["ValidationConfig", "QuarantinedRecord", "ValidationReport",
@@ -168,14 +169,14 @@ class ValidationPool:
         return verdicts
 
     def _gate_batch(self, batch: Sequence[EncryptedRecord],
-                    headers: Sequence[bytes], verdicts,
+                    headers: Sequence[bytes], digests: Sequence[bytes],
+                    verdicts,
                     ) -> List[Tuple[EncryptedRecord, str, bytes, bytes]]:
         """Label/shape gates; returns (record, verdict, digest, header)."""
         started = time.perf_counter()
         out = []
-        for record, header, (verdict, shape, label) in zip(batch, headers,
-                                                           verdicts):
-            digest = header_digest(header, record.sealed)
+        for record, header, digest, (verdict, shape, label) in zip(
+                batch, headers, digests, verdicts):
             if verdict != "ok":
                 verdict = "tampered"
             elif not 0 <= label < self.config.num_classes:
@@ -190,9 +191,11 @@ class ValidationPool:
 
     def validate(self, contributor: str, records: Sequence[EncryptedRecord],
                  headers: Optional[Sequence[bytes]] = None,
+                 digests: Optional[Sequence[bytes]] = None,
                  ) -> ValidationReport:
         """Run every gate over ``records`` (beside the canonical ``headers``
-        the journal encoded, if the caller holds them); never raises on bad
+        and content ``digests`` the journal holds, if the caller has them;
+        bare records are identified once, here); never raises on bad
         data.
 
         Tampered, relabelled, out-of-domain, misshapen, and duplicated
@@ -202,12 +205,12 @@ class ValidationPool:
         """
         if not records:
             return ValidationReport(contributor=contributor)
-        if headers is None:
-            headers = [record_header(record) for record in records]
+        digests, headers = record_identities(records, digests, headers)
         started = time.perf_counter()
         size = self.config.batch_records
         batches = [
-            (records[start : start + size], headers[start : start + size])
+            (records[start : start + size], headers[start : start + size],
+             digests[start : start + size])
             for start in range(0, len(records), size)
         ]
         report = ValidationReport(contributor=contributor)
@@ -224,7 +227,6 @@ class ValidationPool:
         # so it runs single-threaded over the gated stream: against
         # everything the ledger ever committed (asked once, for the whole
         # session), then within this session.
-        digests = [digest for _, _, digest, _ in results]
         seen: Set[bytes] = set() if self.ledger is None else (
             self.ledger.known_ciphertexts(digests)
         )

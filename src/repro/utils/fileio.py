@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Union
 
 __all__ = ["fsync_dir", "atomic_write_bytes", "atomic_write_text"]
+
+_WRITE_BUFFER = 1 << 20
 
 
 def fsync_dir(path: Union[str, os.PathLike]) -> None:
@@ -29,13 +31,21 @@ def fsync_dir(path: Union[str, os.PathLike]) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: Union[str, os.PathLike], data: bytes) -> None:
-    """Write ``data`` to ``path`` so a crash never leaves a torn file."""
+def atomic_write_bytes(path: Union[str, os.PathLike],
+                       data: Union[bytes, Iterable[bytes]]) -> None:
+    """Write ``data`` to ``path`` so a crash never leaves a torn file.
+
+    ``data`` is one buffer, or an iterable of buffers written in turn —
+    a large payload then never exists joined in memory.
+    """
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        data = (data,)
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
     try:
-        with open(tmp, "wb") as handle:
-            handle.write(data)
+        # A buffer this size turns many small parts into few large writes.
+        with open(tmp, "wb", buffering=_WRITE_BUFFER) as handle:
+            handle.writelines(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, target)

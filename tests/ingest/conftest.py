@@ -16,8 +16,9 @@ from repro.federation.provisioning import provision_key
 from repro.federation.server import TrainingServer
 from repro.ingest import (ContributionLedger, GatewayConfig, IngestGateway,
                           ValidationConfig, ValidationPool)
-from repro.ingest.ledger import pack_records, record_header, unpack_records
-from repro.utils.serialization import canonical_digest
+from repro.ingest.ledger import (header_digest, pack_records, record_header,
+                                 unpack_records)
+from repro.ingest.transfer import chunk_digest
 
 SHAPE = (4, 4, 3)
 CLASSES = 3
@@ -46,7 +47,8 @@ def rewrite_chunk_headers(spool, seq):
     journal = spool / "journal.jsonl"
     lines = journal.read_text().splitlines()
     entry = json.loads(lines[seq])
-    entry["digest"] = canonical_digest(blob).hex()
+    entry["digest"] = chunk_digest(
+        [header_digest(h, r.sealed) for h, r in zip(headers, records)]).hex()
     lines[seq] = json.dumps(entry)
     journal.write_text("\n".join(lines) + "\n")
 

@@ -250,7 +250,7 @@ class TestLifecycle:
         assert gateway.open_sessions == 0
         assert not list((tmp_path / "spool").rglob("journal.jsonl"))
         assert gateway.telemetry.counter("sessions_aborted") == 1
-        assert session.transfer.finalize() == ([], [])  # the hold is gone
+        assert session.transfer.finalize() == ([], [], [])  # hold is gone
 
     def test_evict_then_resume(self, gateway, contributors, tmp_path):
         """A crashed client's slot is reclaimed; its journal survives for
@@ -404,7 +404,7 @@ def _count_content_digests(monkeypatch):
     counting stand-in under each name sees them all. The JSON-path
     ``record_digest`` is counted apart: the session path never calls it."""
     from repro.ingest import ledger as ledger_module
-    from repro.ingest import validate as validate_module
+    from repro.ingest import transfer as transfer_module
 
     real = ledger_module.header_digest
     digested, json_digested = [], []
@@ -417,7 +417,7 @@ def _count_content_digests(monkeypatch):
         json_digested.append(record)
         return record_digest(record)
 
-    for module in (ledger_module, validate_module):
+    for module in (ledger_module, transfer_module):
         monkeypatch.setattr(module, "header_digest", counting)
         monkeypatch.setattr(module, "record_digest", json_counting,
                             raising=False)

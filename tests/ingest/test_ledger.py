@@ -19,6 +19,7 @@ from repro.ingest import (ContributionLedger, pack_records, record_digest,
 from repro.ingest.ledger import (header_digest, record_header,
                                  unpack_headed)
 from repro.ingest.transfer import UploadTransfer
+from repro.utils.serialization import canonical_digest
 
 
 def _records(contributor, n=None):
@@ -264,6 +265,29 @@ class TestHeaderIdentity:
             "1c38f3768db813562def8a154a376e82")
 
 
+class TestRecordIdentity:
+    """The record digest is the one pass over a record's bytes; every
+    identity above it is derived from it, so it must never move."""
+
+    def test_record_digest_pinned(self):
+        record = EncryptedRecord(source_id="c1", index=7, label=3,
+                                 nonce=bytes(range(12)),
+                                 sealed=bytes(range(200)))
+        assert record_digest(record).hex() == (
+            "03b4a6cdf015624d6d53383ba62f130c"
+            "6d16dcd550e27a497921c03bddaa8c35")
+
+    @settings(max_examples=80, deadline=None)
+    @given(header=st.binary(max_size=300),
+           sealed=st.binary(max_size=20_000))
+    def test_header_digest_is_canonical_digest(self, header, sealed):
+        expected = canonical_digest(header, sealed)
+        assert header_digest(header, sealed) == expected
+        # Frames of a payload are hashed in place, as views.
+        assert header_digest(memoryview(header), memoryview(sealed)) == \
+            expected
+
+
 class TestConcurrency:
     def test_concurrent_appends_keep_ledger_consistent(self, ledger,
                                                        contributors):
@@ -351,6 +375,33 @@ class TestDurability:
         target.write_bytes(bytes(blob))
         with pytest.raises(LedgerError):
             ContributionLedger.open(tmp_path / "ledger")
+
+    def test_every_byte_flip_is_refused(self, ledger):
+        """The segment digest covers the sidecar and the sidecar's record
+        digests cover the payload: flipping any single byte of either
+        file is refused, as it was when the digest ran over both."""
+        segment = ledger.append(_POOL[:2], "c0")
+        for suffix in (".bin", ".meta.json"):
+            target = ledger.path / f"{segment.name}{suffix}"
+            original = target.read_bytes()
+            for offset in range(len(original)):
+                flipped = bytearray(original)
+                flipped[offset] ^= 0xFF
+                target.write_bytes(bytes(flipped))
+                with pytest.raises(LedgerError):
+                    ledger.verify()
+                with pytest.raises(LedgerError):
+                    ContributionLedger.open(ledger.path)
+            target.write_bytes(original)
+        assert ContributionLedger.open(ledger.path).verify()
+
+    def test_older_format_refused(self, ledger, contributors):
+        ledger.append(_records(contributors[0], 2), "c0")
+        manifest = json.loads((ledger.path / "manifest.json").read_text())
+        manifest["format"] = 1
+        (ledger.path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(LedgerError, match="unsupported ledger format 1"):
+            ContributionLedger.open(ledger.path)
 
     def test_missing_segment_fails_closed(self, ledger, contributors,
                                           tmp_path):

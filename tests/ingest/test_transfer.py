@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from repro.data.encryption import iter_encrypted_records
+from repro.data.encryption import EncryptedRecord, iter_encrypted_records
 from repro.errors import TransferError
 from repro.ingest import UploadTransfer, chunk_stream
-from repro.ingest.ledger import record_header
+from repro.ingest.ledger import record_digest, record_header
 from tests.ingest.conftest import flip_chunk_byte, rewrite_chunk_headers
 
 
@@ -92,7 +92,8 @@ class TestResume:
         assert resumed.max_nonce() == max(r.nonce for r in records[:8])
         resumed.append_chunk(records[8:])
         assert resumed.finalize() == (records,
-                                      [record_header(r) for r in records])
+                                      [record_header(r) for r in records],
+                                      [record_digest(r) for r in records])
 
     def test_torn_unjournaled_chunk_discarded(self, tmp_path, records):
         """A chunk file written but never journaled (the crash window) is
@@ -103,6 +104,17 @@ class TestResume:
         resumed = UploadTransfer.resume(tmp_path / "t")
         assert resumed.next_seq == 1
         assert not (tmp_path / "t" / "chunk-000001.bin").exists()
+
+    def test_torn_chunk_write_discarded(self, tmp_path, records):
+        """A crash inside the chunk write leaves only its temporary file,
+        never a torn chunk under the final name; resume removes it."""
+        transfer = UploadTransfer.create(tmp_path / "t")
+        transfer.append_chunk(records[:4])
+        (tmp_path / "t" / "chunk-000001.bin.tmp").write_bytes(b"half")
+        resumed = UploadTransfer.resume(tmp_path / "t")
+        assert resumed.next_seq == 1
+        assert sorted(p.name for p in (tmp_path / "t").iterdir()) == [
+            "chunk-000000.bin", "journal.jsonl"]
 
     def test_corrupted_acked_chunk_fails_closed(self, tmp_path, records):
         """A failed chunk *behind* the journal head was acknowledged —
@@ -164,6 +176,72 @@ class TestResume:
         assert resumed.next_seq == 1
         assert resumed.max_nonce() == max(r.nonce for r in records[:4])
 
+    def test_torn_journal_tail_truncates(self, tmp_path, records):
+        """A crash during the journal append leaves the last line cut
+        mid-JSON: that chunk was never acknowledged, so resume drops the
+        line (and its chunk file) and the session stays resumable."""
+        transfer = UploadTransfer.create(tmp_path / "t")
+        transfer.append_chunk(records[:4])
+        transfer.append_chunk(records[4:8])
+        journal = tmp_path / "t" / "journal.jsonl"
+        lines = journal.read_text().splitlines()
+        journal.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2])
+        resumed = UploadTransfer.resume(tmp_path / "t")
+        assert resumed.next_seq == 1 and resumed.acked_records == 4
+        assert journal.read_text() == lines[0] + "\n"
+        assert not (tmp_path / "t" / "chunk-000001.bin").exists()
+        resumed.append_chunk(records[4:8])
+        resumed.append_chunk(records[8:])
+        assert resumed.finalize()[0] == records
+
+    def test_unterminated_journal_tail_kept_and_terminated(self, tmp_path,
+                                                           records):
+        """A whole last line that lost only its newline is a journaled
+        chunk; resume keeps it and terminates the line, so the next
+        append does not run into it."""
+        transfer = UploadTransfer.create(tmp_path / "t")
+        transfer.append_chunk(records[:4])
+        journal = tmp_path / "t" / "journal.jsonl"
+        journal.write_text(journal.read_text().rstrip("\n"))
+        resumed = UploadTransfer.resume(tmp_path / "t")
+        assert resumed.next_seq == 1
+        resumed.append_chunk(records[4:8])
+        assert UploadTransfer.resume(tmp_path / "t").next_seq == 2
+
+    def test_malformed_journal_line_behind_head_fails_closed(self, tmp_path,
+                                                             records):
+        transfer = UploadTransfer.create(tmp_path / "t")
+        transfer.append_chunk(records[:4])
+        transfer.append_chunk(records[4:8])
+        journal = tmp_path / "t" / "journal.jsonl"
+        lines = journal.read_text().splitlines()
+        journal.write_text(lines[0][:-3] + "\n" + lines[1] + "\n")
+        with pytest.raises(TransferError, match="malformed"):
+            UploadTransfer.resume(tmp_path / "t")
+
+    def test_every_byte_flip_behind_head_is_refused(self, tmp_path):
+        """The chunk digest is over the record digests, which cover each
+        frame, and the count, which covers the framing: flipping any
+        single byte of an acknowledged chunk fails resume closed, as it
+        did when the digest ran over the packed payload."""
+        pool = [EncryptedRecord(source_id="c0", index=i, label=i % 3,
+                                nonce=bytes([i]) * 12,
+                                sealed=bytes([i, 255 - i]) * 20)
+                for i in range(4)]
+        transfer = UploadTransfer.create(tmp_path / "t")
+        transfer.append_chunk(pool[:2])
+        transfer.append_chunk(pool[2:])
+        chunk = tmp_path / "t" / "chunk-000000.bin"
+        original = chunk.read_bytes()
+        for offset in range(len(original)):
+            flipped = bytearray(original)
+            flipped[offset] ^= 0xFF
+            chunk.write_bytes(bytes(flipped))
+            with pytest.raises(TransferError):
+                UploadTransfer.resume(tmp_path / "t")
+        chunk.write_bytes(original)
+        assert UploadTransfer.resume(tmp_path / "t").finalize()[0] == pool
+
     def test_journal_tracks_bytes(self, tmp_path, records):
         transfer = UploadTransfer.create(tmp_path / "t")
         transfer.append_chunk(records[:4])
@@ -188,9 +266,10 @@ class TestFinalize:
     def test_finalize_closes_transfer(self, tmp_path, records):
         transfer = UploadTransfer.create(tmp_path / "t")
         transfer.append_chunk(records[:4])
-        finalized, headers = transfer.finalize()
+        finalized, headers, digests = transfer.finalize()
         assert finalized == records[:4]
         assert headers == [record_header(r) for r in records[:4]]
+        assert digests == [record_digest(r) for r in records[:4]]
         with pytest.raises(TransferError):
             transfer.append_chunk(records[4:8])
         with pytest.raises(TransferError):

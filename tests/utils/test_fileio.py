@@ -37,6 +37,25 @@ class TestAtomicWrite:
         assert target.read_bytes() == b"stable"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
 
+    def test_writes_buffers_in_turn(self, tmp_path):
+        target = tmp_path / "artifact.bin"
+        atomic_write_bytes(target, (part for part in (b"a", b"bc", b"")))
+        assert target.read_bytes() == b"abc"
+
+    def test_failed_stream_preserves_old_file(self, tmp_path):
+        """A payload whose producer fails part-way never lands."""
+        target = tmp_path / "artifact.bin"
+        atomic_write_bytes(target, b"stable")
+
+        def parts():
+            yield b"half"
+            raise RuntimeError("producer failed")
+
+        with pytest.raises(RuntimeError):
+            atomic_write_bytes(target, parts())
+        assert target.read_bytes() == b"stable"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
+
     def test_text_wrapper_utf8(self, tmp_path):
         target = tmp_path / "manifest.json"
         atomic_write_text(target, "{\"ünïcode\": true}")
