@@ -318,11 +318,17 @@ class CalTrain:
         agreed = max(votes)
         limit = trainer.partitioned.network.penultimate_index()
         agreed = min(agreed, limit)
-        if agreed != trainer.partitioned.partition:
+        current = trainer.partitioned.partition
+        if agreed < current:
+            # Never shrink: the layers given up would have been trained in
+            # the enclave and would be released in the clear as BackNet.
+            self.audit_log.append("partition-vote-refused", epoch=epoch,
+                                  current=current, voted=agreed)
+        elif agreed > current:
             _LOG.info("epoch %d: re-partitioning %d -> %d layers in enclave",
-                      epoch, trainer.partitioned.partition, agreed)
+                      epoch, current, agreed)
             self.audit_log.append("partition-changed", epoch=epoch,
-                                  old=trainer.partitioned.partition, new=agreed)
+                                  old=current, new=agreed)
             trainer.partitioned.set_partition(agreed)
 
     def _rebuild_training_enclave(self) -> Enclave:

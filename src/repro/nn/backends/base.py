@@ -10,14 +10,17 @@ call site: ``PartitionedNetwork``, ``ResilientTrainer``, and the
 ``repro.distributed`` workers all inherit whichever backend the network was
 given.
 
-Scratch memory is owned by a per-layer :class:`BufferPool`, keyed by name,
-shape, and dtype, so the steady-state training loop reuses the same im2col
-columns, padded rings, and activation-gradient buffers batch after batch
-instead of reallocating them.
+Scratch memory is owned by a per-layer :class:`BufferPool` with one slot
+per buffer *lifetime*: a slot is a flat byte buffer that any shape or dtype
+fits into, so buffers that are never live at once (the forward's im2col
+columns and the backward's, say) share one slot, and the steady-state
+training loop reuses the same memory batch after batch instead of
+reallocating it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -33,14 +36,18 @@ Shape = Tuple[int, ...]
 
 
 class BufferPool:
-    """Named, shape/dtype-keyed reusable scratch buffers for one layer.
+    """Named reusable scratch slots for one layer.
 
-    ``get`` hands back the same array every call while the requested shape
-    and dtype are stable (the steady state of mini-batch training); a
-    changed shape — e.g. the smaller final batch of an epoch, or a float64
-    gradient check — transparently reallocates that slot. Buffers are
-    *scratch*: callers must never return them as layer outputs, which stay
-    freshly allocated so collected activations cannot alias.
+    A ``get`` slot is a flat byte buffer: every call returns a C-contiguous
+    view of its prefix in the requested shape and dtype, and the slot grows
+    only when a request needs more bytes than it holds. So a smaller final
+    batch, a float64 gradient check, or a second role whose lifetime does
+    not overlap the first all reuse one allocation, and the pool settles at
+    the largest request each slot has seen. ``zeros_on_alloc`` rings keep
+    an exact shape and dtype instead (their zero halo is a function of the
+    shape). Buffers are *scratch*: callers must never return them as layer
+    outputs, which stay freshly allocated so collected activations cannot
+    alias.
     """
 
     __slots__ = ("_buffers",)
@@ -50,11 +57,13 @@ class BufferPool:
 
     def get(self, name: str, shape: Shape, dtype) -> np.ndarray:
         """An uninitialised buffer (contents are stale; caller overwrites)."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
         buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = np.empty(shape, dtype=dtype)
+        if buf is None or buf.nbytes < size:
+            buf = np.empty(size, dtype=np.uint8)
             self._buffers[name] = buf
-        return buf
+        return buf[:size].view(dtype).reshape(shape)
 
     def zeros(self, name: str, shape: Shape, dtype) -> np.ndarray:
         """A buffer zero-filled on *every* call (accumulation targets)."""
@@ -63,11 +72,12 @@ class BufferPool:
         return buf
 
     def zeros_on_alloc(self, name: str, shape: Shape, dtype) -> np.ndarray:
-        """A buffer zeroed only when (re)allocated.
+        """An exact-shape buffer zeroed only when (re)allocated.
 
         For padded rings whose interior is overwritten every call while the
         halo must stay zero: the zero edges survive across calls because no
-        op ever writes them.
+        op ever writes them. A view of a larger slot would put stale interior
+        bytes where this shape's halo lies, so a changed shape reallocates.
         """
         buf = self._buffers.get(name)
         if buf is None or buf.shape != shape or buf.dtype != dtype:

@@ -3,9 +3,13 @@
 Same math as :class:`~repro.nn.backends.reference.ReferenceBackend`, spent
 differently:
 
-* **No steady-state allocations.** im2col columns, padded rings, and
-  activation-gradient buffers come from the layer's
+* **No steady-state allocations, one slot per lifetime.** im2col columns,
+  padded rings, and activation-gradient buffers come from the layer's
   :class:`~repro.nn.backends.base.BufferPool` and are reused every batch.
+  Scratch that is never live at once shares a slot: the backward builds
+  its column matrix (transposed-conv columns, or the strided ``dcols``) in
+  the forward's ``im2col.cols`` slot once the weight gradient has read the
+  forward's columns, and the forward leaky temporary borrows ``act.dz``.
   Layer *outputs* are still freshly allocated (so collected activations
   never alias) but are computed in place — GEMM straight into the output,
   bias and activation fused on top.
@@ -180,7 +184,8 @@ class OptimizedBackend(ComputeBackend):
             np.maximum(z2d, 0.0, out=z2d)
         elif activation == "leaky":
             # max(z, slope*z) == where(z > 0, z, slope*z) bitwise (slope < 1).
-            tmp = pool.get("act.tmp", z2d.shape, z2d.dtype)
+            # The temporary dies here, so it borrows the backward's dz slot.
+            tmp = pool.get("act.dz", z2d.shape, z2d.dtype)
             np.multiply(z2d, _LEAKY_SLOPE, out=tmp)
             np.maximum(z2d, tmp, out=z2d)
         elif activation == "tanh":
@@ -286,6 +291,8 @@ class OptimizedBackend(ComputeBackend):
             pool, out.reshape(-1, f), delta.reshape(-1, f), layer.activation
         )
         if not layer.frozen:
+            # Reads the forward's columns before the input gradient below
+            # rebuilds its own columns in the same "im2col.cols" slot.
             self._accumulate_grads(layer, cols, dz)
         if not need_input_grad:
             return None
@@ -293,7 +300,8 @@ class OptimizedBackend(ComputeBackend):
             return self._conv_input_grad_gemm(layer, pool, dz, input_shape,
                                               oh, ow)
         w_mat = layer.weights.reshape(-1, layer.filters)
-        dcols = pool.get("conv.dcols", (dz.shape[0], w_mat.shape[0]), dz.dtype)
+        dcols = pool.get("im2col.cols", (dz.shape[0], w_mat.shape[0]),
+                         dz.dtype)
         self.gemm(dz, _as_dtype(w_mat.T, dz.dtype), out=dcols)
         return self.col2im(pool, dcols, input_shape, oh, ow,
                            layer.size, layer.stride, layer._pad_amount())
@@ -327,7 +335,7 @@ class OptimizedBackend(ComputeBackend):
             np.copyto(dzp[:, q : q + oh, q : q + ow, :], dz4)
         else:
             dzp = dz4
-        dzcols = pool.get("convT.cols", (n * h * w, k * k * f), dz.dtype)
+        dzcols = pool.get("im2col.cols", (n * h * w, k * k * f), dz.dtype)
         windows = sliding_window_view(dzp, (k, k), axis=(1, 2))
         windows = windows.transpose(0, 1, 2, 4, 5, 3)
         np.copyto(dzcols.reshape(n, h, w, k, k, f), windows)

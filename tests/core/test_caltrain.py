@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.assessment import AssessmentResult
 from repro.core.caltrain import CalTrain, CalTrainConfig
 from repro.core.fingerprint import Fingerprinter
 from repro.data.datasets import synthetic_cifar
@@ -73,9 +74,9 @@ class TestPipeline:
         assert store.segment_digests() == [event.details["commitment"]]
 
     def test_fingerprint_pass_reuses_the_training_scratch(self, config):
-        """At the training batch size the pass finds every pooled buffer at
-        the shape training left it; a larger fingerprint batch would
-        reallocate the im2col/GEMM scratch (the lifecycle RSS peak)."""
+        """At the training batch size the pass finds every pooled slot big
+        enough and allocates no scratch; a larger fingerprint batch would
+        grow the im2col/GEMM scratch (the lifecycle RSS peak)."""
         config.batch_size = 32
         config.backend = "optimized"  # the reference backend pools nothing
         system, _, _ = _two_contributor_world(config)
@@ -88,7 +89,7 @@ class TestPipeline:
         assert after_training > 0
         database = system.fingerprint_stage()
         assert len(database) == 192  # a multiple of the batch: no short tail
-        assert pooled() <= after_training
+        assert pooled() == after_training
 
         x = system.server.staged_training_data()[0]
         np.testing.assert_allclose(
@@ -152,3 +153,45 @@ class TestPipeline:
         reports = system.train()
         assert len(reports) == 2
         assert 1 <= system.partitioned.partition <= system.model.penultimate_index()
+
+
+class _FixedVote:
+    """An assessor stub: every participant's assessment votes ``partition``."""
+
+    def __init__(self, partition):
+        self.partition = partition
+
+    def assess(self, model, sample):
+        return AssessmentResult(layers=[], uniform_baseline=0.0,
+                                optimal_partition=self.partition)
+
+
+class TestPartitionNeverShrinks:
+    """The FrontNet's layers were trained in the enclave; a lower vote would
+    move them into the BackNet that ``release_model`` ships in the clear."""
+
+    def _train(self, config, vote):
+        config.partition = 2
+        config.reassess_every_epoch = True
+        system, _, _ = _two_contributor_world(config)
+        system.set_assessor(_FixedVote(vote))
+        system.train()
+        return system
+
+    def test_lower_vote_is_logged_and_refused(self, config):
+        system = self._train(config, vote=1)
+        assert system.partitioned.partition == 2
+        refused = system.audit_log.events("partition-vote-refused")
+        assert [event.details for event in refused] == [
+            {"epoch": epoch, "current": 2, "voted": 1}
+            for epoch in range(config.epochs)
+        ]
+        assert system.audit_log.events("partition-changed") == []
+        assert system.audit_log.verify_chain()
+
+    def test_higher_vote_still_grows_the_partition(self, config):
+        system = self._train(config, vote=3)
+        assert system.partitioned.partition == 3
+        (changed,) = system.audit_log.events("partition-changed")
+        assert changed.details == {"epoch": 0, "old": 2, "new": 3}
+        assert system.audit_log.events("partition-vote-refused") == []
