@@ -1,17 +1,20 @@
-"""NN compute-backend throughput: ``optimized`` vs ``reference``.
+"""NN kernel throughput: the layers' kernels vs the reference oracle.
 
-The tentpole claim behind ``repro.nn.backends``: the optimized backend
+The claim behind ``repro.nn.backends``: the kernels every layer runs
 (pooled im2col/col2im scratch, fused bias+activation kernels, transposed-
 convolution input gradients, vectorised max-pool scatter, in-place
-optimizer updates) delivers at least **3x** the epoch throughput of the
-reference backend on the paper's Table I 10-layer CIFAR-10 architecture —
-the workload every accuracy and overhead figure trains.
+optimizer updates) deliver at least **3x** the epoch throughput of the
+original numpy layer bodies — kept as the parity oracle in
+``tests/nn/reference_backend.py`` — on the paper's Table I 10-layer
+CIFAR-10 architecture, the workload every accuracy and overhead figure
+trains.
 
-Both backends run the *same* ``Network.train_batch`` loop on the same
-data, weights, and optimizer; only the backend differs, so the ratio
-isolates the compute kernels. Results land in ``BENCH_nn.json`` at the
-repo root: samples/second per backend and the measured speedup, so a
-regression in either backend shows up as a moving ratio.
+Both runs use the *same* ``Network.train_batch`` loop on the same data,
+weights, and optimizer; only the kernels differ (the oracle is installed
+on every layer of the denominator's network), so the ratio isolates the
+compute kernels. Results land in ``BENCH_nn.json`` at the repo root:
+samples/second per run and the measured speedup, so a regression in
+either shows up as a moving ratio.
 
 Set ``REPRO_BENCH_SMOKE=1`` for the reduced CI configuration: fewer
 batches, and the speedup bar becomes *advisory* (a warning plus the
@@ -26,11 +29,12 @@ import time
 import warnings
 from pathlib import Path
 
-from repro.nn.backends import OptimizedBackend
 from repro.nn.optimizers import Sgd
 from repro.nn.zoo import cifar10_10layer
 
 import numpy as np
+
+from tests.nn.reference_backend import use_reference
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 WIDTH = 0.12        # same laptop-scale Table I width the figure benches use
@@ -52,7 +56,8 @@ def _run(backend):
     """Train the Table I net for TIMED_BATCHES; returns the run entry."""
     x, y = _workload()
     net = cifar10_10layer(np.random.default_rng(0), width_scale=WIDTH)
-    net.set_backend(backend)
+    if backend == "reference":
+        use_reference(net)
     optimizer = Sgd(0.02, momentum=0.9)
     losses = []
     for i in range(WARMUP_BATCHES):
@@ -95,7 +100,6 @@ class TestNnThroughput:
                 "batch_size": BATCH,
                 "timed_batches": TIMED_BATCHES,
                 "optimizer": "sgd(lr=0.02, momentum=0.9)",
-                "nn_threads": OptimizedBackend().threads,
             },
             "runs": [reference, optimized],
             "speedup_optimized_over_reference": round(speedup, 3),
@@ -114,14 +118,14 @@ class TestNnThroughput:
                 )
             return
         assert speedup >= SPEEDUP_BAR, (
-            f"optimized backend speedup {speedup:.2f}x below the "
-            f"{SPEEDUP_BAR}x bar"
+            f"kernel speedup {speedup:.2f}x over the reference oracle is "
+            f"below the {SPEEDUP_BAR}x bar"
         )
 
     def test_backends_train_to_comparable_loss(self):
         """Throughput must not come from computing something else: the
-        two backends' short-run losses stay within float drift of each
-        other (the reference backward promotes to float64)."""
+        kernels' and the oracle's short-run losses stay within float drift
+        of each other (the oracle's backward promotes to float64)."""
         reference = _run("reference")
         optimized = _run("optimized")
         assert abs(reference["final_loss"] - optimized["final_loss"]) < 1e-3

@@ -87,10 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(repeatable); kinds: enclave-abort, "
                             "epc-pressure, ir-corrupt, delta-corrupt, "
                             "checkpoint-crash")
-    train.add_argument("--backend", default=None,
-                       choices=["reference", "optimized"],
-                       help="nn compute backend (default: REPRO_NN_BACKEND "
-                            "or reference)")
     train.add_argument("--trace", default=None, metavar="PATH",
                        help="record the run as a span tree on the simulated "
                             "clock (.json = structured, else rendered text)")
@@ -131,10 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="WORKER@ROUND",
                       help="flip one byte of a worker's masked upload in "
                            "the coordinator relay (repeatable)")
-    dist.add_argument("--backend", default=None,
-                      choices=["reference", "optimized"],
-                      help="nn compute backend (default: REPRO_NN_BACKEND "
-                           "or reference)")
     dist.add_argument("--trace", default=None, metavar="PATH",
                       help="record the run as a span tree (.json = "
                            "structured, else rendered text)")
@@ -306,14 +298,7 @@ def _cmd_info(args) -> int:
     from repro.ingest import LEDGER_FORMAT
     from repro.nn.zoo import cifar10_10layer, cifar10_18layer
 
-    import os
-
-    from repro.nn.backends import ENV_VAR, available_backends, default_backend
-
     print(f"repro-caltrain {repro.__version__}")
-    print(f"backends: {', '.join(available_backends())} "
-          f"(default: {default_backend().name}; "
-          f"{ENV_VAR}={os.environ.get(ENV_VAR, '') or 'unset'})")
     print("\nTable I — 10-layer CIFAR-10 network:")
     print(cifar10_10layer(np.random.default_rng(0), width_scale=1.0).summary())
     print("\nTable II — 18-layer CIFAR-10 network:")
@@ -400,7 +385,6 @@ def _cmd_train(args) -> int:
         seed=args.seed, architecture=args.architecture,
         width_scale=args.width_scale, epochs=args.epochs,
         partition=args.partition, augment=False,
-        backend=args.backend,
     ))
     print(f"enclave MRENCLAVE: {system.expected_measurement.hex()}")
     fractions = [1.0 / args.participants] * args.participants
@@ -484,7 +468,6 @@ def _cmd_train_distributed(args) -> int:
         seed=args.seed, architecture=args.architecture,
         width_scale=args.width_scale, epochs=args.rounds,
         partition=args.partition, augment=False,
-        backend=args.backend,
     ))
     print(f"training enclave MRENCLAVE: {system.expected_measurement.hex()}")
     fractions = [1.0 / args.participants] * args.participants

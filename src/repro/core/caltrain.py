@@ -82,11 +82,11 @@ class CalTrainConfig:
             :attr:`CalTrain.set_assessor` before training.
         freeze_at_epoch: Optional bottom-up FrontNet freezing epoch.
         cipher: AEAD used for bulk training data.
-        backend: NN compute backend (``"reference"``/``"optimized"``) pinned
-            on every network this deployment builds — including distributed
-            worker replicas. ``None`` follows the process default
-            (``REPRO_NN_BACKEND``). An execution detail: it is not part of
-            the measured architecture or hyperparameters.
+        backend: Must be ``"optimized"``, the one set of NN kernels; any
+            other value is a :class:`ConfigurationError`. Nothing reads it.
+            It stays only because the benchmark workloads pass it, and a
+            later benchmark change deletes it together with
+            ``bench/sizes.py``'s ``backend`` key.
     """
 
     seed: int = 7
@@ -104,13 +104,18 @@ class CalTrainConfig:
     assess_samples: int = 2
     freeze_at_epoch: Optional[int] = None
     network_factory: Optional[Callable[[np.random.Generator], Network]] = None
-    backend: Optional[str] = None
+    backend: str = "optimized"
 
 
 class CalTrain:
     """One CalTrain deployment (see module docstring for the stages)."""
 
     def __init__(self, config: CalTrainConfig) -> None:
+        if config.backend != "optimized":
+            raise ConfigurationError(
+                f"unknown nn backend {config.backend!r}; the one set of "
+                "kernels is 'optimized'"
+            )
         self.config = config
         self.rng = RngStream(config.seed, name="caltrain")
         self.platform = SgxPlatform(
@@ -184,29 +189,15 @@ class CalTrain:
 
     def _resolve_factory(self) -> Callable[[np.random.Generator], Network]:
         if self.config.network_factory is not None:
-            base = self.config.network_factory
-        else:
-            factory = _ARCHITECTURES.get(self.config.architecture)
-            if factory is None:
-                raise ConfigurationError(
-                    f"unknown architecture {self.config.architecture!r}; pick "
-                    f"one of {sorted(_ARCHITECTURES)} or pass network_factory"
-                )
-            width = self.config.width_scale
-            base = lambda gen: factory(gen, width_scale=width)
-        backend = self.config.backend
-        if backend is None:
-            return base
-        from repro.nn.backends import get_backend
-
-        get_backend(backend)  # fail fast on unknown names
-
-        def with_backend(gen: np.random.Generator) -> Network:
-            net = base(gen)
-            net.set_backend(backend)
-            return net
-
-        return with_backend
+            return self.config.network_factory
+        factory = _ARCHITECTURES.get(self.config.architecture)
+        if factory is None:
+            raise ConfigurationError(
+                f"unknown architecture {self.config.architecture!r}; pick "
+                f"one of {sorted(_ARCHITECTURES)} or pass network_factory"
+            )
+        width = self.config.width_scale
+        return lambda gen: factory(gen, width_scale=width)
 
     # -- stage 2: registration and submission ------------------------------------
 

@@ -43,8 +43,6 @@ class EpochReport:
     partition: int
     simulated_seconds: float
     frontnet_frozen: bool = False
-    #: Compute backend that ran the epoch (``reference``/``optimized``).
-    backend: str = "reference"
 
 
 class ConfidentialTrainer:
@@ -223,7 +221,6 @@ class ConfidentialTrainer:
             partition=self.partitioned.partition,
             simulated_seconds=self._simulated_now() - clock_start,
             frontnet_frozen=frozen,
-            backend=self.partitioned.network.backend_name,
         )
         self.reports.append(report)
         if keep_snapshots:

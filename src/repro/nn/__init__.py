@@ -10,14 +10,6 @@ Data layout is NHWC (batch, height, width, channels), matching the paper's
 ``width x height / stride`` table notation.
 """
 
-from repro.nn.backends import (
-    ComputeBackend,
-    available_backends,
-    default_backend,
-    get_backend,
-    resolve_backend,
-    set_default_backend,
-)
 from repro.nn.config import network_from_config, network_to_config
 from repro.nn.initializers import gaussian_init, he_init, xavier_init
 from repro.nn.layers import (
@@ -91,10 +83,4 @@ __all__ = [
     "cifar10_18layer",
     "face_recognition_net",
     "tiny_testnet",
-    "ComputeBackend",
-    "available_backends",
-    "default_backend",
-    "get_backend",
-    "resolve_backend",
-    "set_default_backend",
 ]

@@ -1,107 +1,21 @@
-"""Pluggable compute backends for the NN hot paths.
+"""The NN kernels behind every layer's forward/backward.
 
-Two implementations ship: ``reference`` (the original numpy kernels,
-verbatim — the parity oracle) and ``optimized`` (buffer-pooled, fused,
-thread-capable — the fast path). Selection order, most specific wins:
-
-1. ``Network(..., backend=...)`` / ``network.set_backend(...)``
-2. the ``REPRO_NN_BACKEND`` environment variable
-3. the process-wide default (``reference``)
-
-Backends are stateless singletons; all per-layer scratch lives in each
+One implementation ships, :class:`OptimizedBackend` (buffer-pooled and
+fused), and every layer reaches its one shared instance through the
+``Layer.backend`` class attribute. All per-layer scratch lives in each
 layer's :class:`~repro.nn.backends.base.BufferPool`.
 """
 
-from __future__ import annotations
-
-import os
-from typing import Dict, Optional, Tuple, Union
-
-from repro.errors import ConfigurationError
 from repro.nn.backends.base import (
     BufferPool,
-    ComputeBackend,
     maxpool_backward_loop,
     maxpool_scatter,
 )
 from repro.nn.backends.optimized import OptimizedBackend
-from repro.nn.backends.reference import ReferenceBackend
 
 __all__ = [
     "BufferPool",
-    "ComputeBackend",
     "OptimizedBackend",
-    "ReferenceBackend",
-    "available_backends",
-    "default_backend",
-    "get_backend",
     "maxpool_backward_loop",
     "maxpool_scatter",
-    "resolve_backend",
-    "set_default_backend",
 ]
-
-ENV_VAR = "REPRO_NN_BACKEND"
-
-_REGISTRY = {
-    "reference": ReferenceBackend,
-    "optimized": OptimizedBackend,
-}
-
-_instances: Dict[str, ComputeBackend] = {}
-_default_name: Optional[str] = None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The registered backend names, in preference-documentation order."""
-    return tuple(_REGISTRY)
-
-
-def get_backend(name: str) -> ComputeBackend:
-    """The shared singleton for ``name`` (``reference`` / ``optimized``)."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown nn backend {name!r}; available: "
-            + ", ".join(available_backends())
-        ) from None
-    instance = _instances.get(name)
-    if instance is None:
-        instance = cls()
-        _instances[name] = instance
-    return instance
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Pin the process default (``None`` restores env-var/``reference``)."""
-    if name is not None:
-        get_backend(name)  # validate eagerly
-    global _default_name
-    _default_name = name
-
-
-def default_backend() -> ComputeBackend:
-    """The backend used by layers with no explicit assignment.
-
-    Re-reads ``REPRO_NN_BACKEND`` on every call so tests (and operators)
-    can flip the environment without re-importing anything.
-    """
-    if _default_name is not None:
-        return get_backend(_default_name)
-    env = os.environ.get(ENV_VAR, "").strip()
-    if env:
-        return get_backend(env)
-    return get_backend("reference")
-
-
-def resolve_backend(
-    backend: Union[None, str, ComputeBackend]
-) -> Optional[ComputeBackend]:
-    """Normalise a user-supplied backend spec; ``None`` stays ``None``
-    (meaning: follow :func:`default_backend` dynamically)."""
-    if backend is None:
-        return None
-    if isinstance(backend, ComputeBackend):
-        return backend
-    return get_backend(backend)

@@ -1,14 +1,4 @@
-"""The compute-backend interface for the NN hot paths.
-
-Every tensor op that dominates training wall-clock — ``im2col``/``col2im``,
-the batched GEMMs, fused bias+activation forward/backward, max-pool
-forward/argmax-backward, and the fused softmax+cost — sits behind
-:class:`ComputeBackend`. Layers delegate their ``forward``/``backward``
-bodies here, so swapping the implementation (the verbatim ``reference``
-numpy backend vs the buffer-pooled ``optimized`` backend) never changes a
-call site: ``PartitionedNetwork``, ``ResilientTrainer``, and the
-``repro.distributed`` workers all inherit whichever backend the network was
-given.
+"""Shared pieces of the NN kernels: the scratch pool and the pool scatter.
 
 Scratch memory is owned by a per-layer :class:`BufferPool` with one slot
 per buffer *lifetime*: a slot is a flat byte buffer that any shape or dtype
@@ -21,13 +11,12 @@ reallocating it.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 __all__ = [
     "BufferPool",
-    "ComputeBackend",
     "maxpool_scatter",
     "maxpool_backward_loop",
 ]
@@ -149,67 +138,3 @@ def maxpool_scatter(delta: np.ndarray, argmax: np.ndarray, input_shape: Shape,
                             j : j + ow * stride : stride, :],
             )
     return dx
-
-
-class ComputeBackend:
-    """Interface: the tensor ops behind every layer's forward/backward.
-
-    Composed, layer-facing ops (``conv_forward`` .. ``softmax_cost``) are
-    what the layers call; the finer-grained ops (``im2col``, ``col2im``,
-    ``gemm``) are exposed so subclasses can share and tests can target them
-    individually. Backends are stateless and shared process-wide — all
-    mutable scratch lives in each layer's :class:`BufferPool`.
-    """
-
-    name = "abstract"
-
-    # -- fine-grained ops ----------------------------------------------------
-
-    def im2col(self, pool: BufferPool, x: np.ndarray, size: int, stride: int,
-               pad: int) -> Tuple[np.ndarray, Tuple[int, int]]:
-        """Unfold conv windows into a ``(n*oh*ow, k*k*c)`` matrix."""
-        raise NotImplementedError
-
-    def col2im(self, pool: BufferPool, dcols: np.ndarray, input_shape: Shape,
-               oh: int, ow: int, size: int, stride: int,
-               pad: int) -> np.ndarray:
-        """Fold column gradients back onto the (padded) input grid."""
-        raise NotImplementedError
-
-    def gemm(self, a: np.ndarray, b: np.ndarray,
-             out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Matrix multiply ``a @ b`` (optionally into ``out``)."""
-        raise NotImplementedError
-
-    # -- composed layer ops --------------------------------------------------
-
-    def conv_forward(self, layer, x: np.ndarray, training: bool) -> np.ndarray:
-        raise NotImplementedError
-
-    def conv_backward(self, layer, delta: np.ndarray,
-                      need_input_grad: bool = True) -> Optional[np.ndarray]:
-        raise NotImplementedError
-
-    def dense_forward(self, layer, x: np.ndarray, training: bool) -> np.ndarray:
-        raise NotImplementedError
-
-    def dense_backward(self, layer, delta: np.ndarray,
-                       need_input_grad: bool = True) -> Optional[np.ndarray]:
-        raise NotImplementedError
-
-    def maxpool_forward(self, layer, x: np.ndarray, training: bool) -> np.ndarray:
-        raise NotImplementedError
-
-    def maxpool_backward(self, layer, delta: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def softmax(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def softmax_cost(self, probs: np.ndarray,
-                     labels: np.ndarray) -> Tuple[float, np.ndarray]:
-        """Fused cross-entropy loss and d(loss)/d(logits)."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name!r}>"

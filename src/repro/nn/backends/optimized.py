@@ -1,7 +1,7 @@
-"""The optimized backend: pooled buffers, fused kernels, threaded GEMM.
+"""The NN kernels: pooled buffers and fused ops.
 
-Same math as :class:`~repro.nn.backends.reference.ReferenceBackend`, spent
-differently:
+The original numpy layer bodies (kept as the parity oracle in the tests)
+computed the same math; these spend it differently:
 
 * **No steady-state allocations, one slot per lifetime.** im2col columns,
   padded rings, and activation-gradient buffers come from the layer's
@@ -14,7 +14,7 @@ differently:
   never alias) but are computed in place — GEMM straight into the output,
   bias and activation fused on top.
 
-* **float32 end to end.** The reference activation gradient promotes the
+* **float32 end to end.** The original activation gradient promoted the
   whole backward sweep to float64 via python-float ``np.where`` branches;
   here gradients are computed from the cached *outputs* in the input dtype
   (``out > 0`` decides the leaky/relu branch exactly as ``z > 0`` does,
@@ -25,110 +25,45 @@ differently:
   (zero-padded) output gradient with the 180-degree-rotated kernel. Strided
   convolutions keep the scatter fallback on pooled buffers.
 
-* **Thread-pooled batch GEMM.** When ``REPRO_NN_THREADS`` grants more than
-  one worker (threading is opt-in; the default is a single thread), the
-  big row-dimension (= minibatch-major) GEMMs are split into deterministic
-  contiguous row chunks dispatched to a shared thread pool, each writing a
-  disjoint slice of the output. The partition is a pure function of the
-  shape and thread count, so the single-thread default is bit-identical
-  across hosts, and threaded runs are reproducible for a fixed
-  ``REPRO_NN_THREADS`` (checkpoint-resume and distributed
-  replica-consistency both rely on this).
-
 * **Skippable input gradients.** ``train_batch`` does not need
-  d(loss)/d(input) of the first layer; backends receive
+  d(loss)/d(input) of the first layer; the kernels receive
   ``need_input_grad=False`` there and skip the dcols GEMM + fold entirely.
 
-Float outputs match the reference within tolerance (different but valid
-summation orders); integer/argmax paths — pool argmax and the routing of
-pool gradients — match bitwise.
+Every GEMM is one ``np.matmul`` call over the whole batch, so a result is a
+function of the shapes and the BLAS build (checkpoint resume and
+distributed replica consistency both rely on this). Float outputs match
+the oracle within tolerance (different but valid summation orders);
+integer/argmax paths — pool argmax and the routing of pool gradients —
+match bitwise.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ConfigurationError
-from repro.nn.backends.base import (
-    BufferPool,
-    ComputeBackend,
-    Shape,
-    maxpool_scatter,
-)
+from repro.nn.backends.base import BufferPool, Shape, maxpool_scatter
 from repro.nn.layers.activations import _LEAKY_SLOPE
 
 __all__ = ["OptimizedBackend"]
 
-#: Below this many output elements a GEMM is not worth dispatching to
-#: threads (chunk setup would dominate).
-_THREAD_MIN_OUT = 1 << 16
 
+class OptimizedBackend:
+    """Buffer-pooled, fused numpy kernels; stateless, so one instance
+    serves every layer."""
 
-def _env_threads() -> int:
-    # Threading is strictly opt-in: the row-chunk partition is a function of
-    # the thread count, so a cpu_count() default would silently change float
-    # summation shapes between hosts with different core counts. One thread
-    # keeps results host-independent unless the user explicitly asks.
-    raw = os.environ.get("REPRO_NN_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return 1
-
-
-class OptimizedBackend(ComputeBackend):
-    """Buffer-pooled, fused, optionally thread-parallel numpy kernels."""
-
-    name = "optimized"
-
-    def __init__(self, threads: Optional[int] = None) -> None:
-        self.threads = _env_threads() if threads is None else max(1, int(threads))
-        self._executor: Optional[ThreadPoolExecutor] = None
-
-    # -- threaded GEMM -------------------------------------------------------
-
-    def _row_chunks(self, rows: int) -> List[Tuple[int, int]]:
-        """Deterministic contiguous row partition: a function of shape only."""
-        t = min(self.threads, rows)
-        base, extra = divmod(rows, t)
-        bounds, lo = [], 0
-        for i in range(t):
-            hi = lo + base + (1 if i < extra else 0)
-            bounds.append((lo, hi))
-            lo = hi
-        return bounds
+    # -- GEMM ----------------------------------------------------------------
 
     def gemm(self, a: np.ndarray, b: np.ndarray,
-             out: Optional[np.ndarray] = None) -> np.ndarray:
-        """``a @ b``, row-chunked across the thread pool when it pays off."""
-        if out is None:
-            out = np.empty((a.shape[0], b.shape[1]),
-                           dtype=np.result_type(a.dtype, b.dtype))
+             out: np.ndarray) -> np.ndarray:
+        """``a @ b`` into ``out``."""
         if a.dtype != b.dtype or a.dtype != out.dtype:
             out[...] = a @ b  # mixed-dtype oddball: let numpy promote
             return out
-        rows = a.shape[0]
-        if (self.threads <= 1 or rows < 2 * self.threads
-                or rows * b.shape[1] < _THREAD_MIN_OUT):
-            np.matmul(a, b, out=out)
-            return out
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.threads, thread_name_prefix="repro-nn-gemm"
-            )
-        futures = [
-            self._executor.submit(np.matmul, a[lo:hi], b, out=out[lo:hi])
-            for lo, hi in self._row_chunks(rows)
-        ]
-        for future in futures:
-            future.result()  # propagate worker exceptions
+        np.matmul(a, b, out=out)
         return out
 
     # -- im2col / col2im -----------------------------------------------------

@@ -132,16 +132,8 @@ def _layer_from_section(name: str, options: Dict[str, str]) -> Layer:
 
 
 def network_from_config(text: str, initializer: Optional[Initializer] = None,
-                        rng: Optional[np.random.Generator] = None,
-                        backend=None) -> Network:
-    """Build a :class:`Network` from config text.
-
-    ``backend`` (a name or :class:`~repro.nn.backends.ComputeBackend`)
-    overrides any ``backend =`` option in the ``[net]`` section; both
-    default to the process-wide backend. The option is an execution detail:
-    it never participates in the measured architecture text
-    (:func:`network_to_config` does not emit it).
-    """
+                        rng: Optional[np.random.Generator] = None) -> Network:
+    """Build a :class:`Network` from config text."""
     sections = parse_config(text)
     head, options = sections[0]
     if head != "net":
@@ -150,13 +142,10 @@ def network_from_config(text: str, initializer: Optional[Initializer] = None,
         input_shape = tuple(int(d) for d in options["input"].split(","))
     except (KeyError, ValueError) as exc:
         raise NetworkDefinitionError("[net] needs input = H,W,C") from exc
-    if backend is None:
-        backend = options.get("backend") or None
     layers = [_layer_from_section(name, opts) for name, opts in sections[1:]]
     if not layers:
         raise NetworkDefinitionError("config defines no layers")
-    return Network(input_shape, layers, initializer=initializer, rng=rng,
-                   backend=backend)
+    return Network(input_shape, layers, initializer=initializer, rng=rng)
 
 
 def network_to_config(network: Network) -> str:

@@ -14,7 +14,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.nn.backends.base import BufferPool, ComputeBackend
+from repro.nn.backends.base import BufferPool
+from repro.nn.backends.optimized import OptimizedBackend
 
 __all__ = ["Layer"]
 
@@ -32,35 +33,14 @@ class Layer:
     #: ``train_batch`` sweep).
     supports_skip_input_grad = False
 
+    #: The kernels behind ``forward``/``backward``: one stateless instance
+    #: shared by every layer.
+    backend = OptimizedBackend()
+
     def __init__(self) -> None:
         self.frozen = False
         self._cache: dict = {}
-        self._backend: "ComputeBackend | None" = None
         self._pool = BufferPool()
-
-    # -- backend -------------------------------------------------------------
-
-    @property
-    def backend(self) -> ComputeBackend:
-        """The compute backend in effect: the explicitly assigned one, else
-        the process default (which follows ``REPRO_NN_BACKEND``)."""
-        if self._backend is not None:
-            return self._backend
-        from repro.nn.backends import default_backend
-
-        return default_backend()
-
-    def set_backend(self, backend: "ComputeBackend | str | None") -> None:
-        """Pin (or with ``None`` unpin) this layer's compute backend.
-
-        Scratch buffers and cached intermediates belong to the backend that
-        produced them, so both are dropped on every switch.
-        """
-        from repro.nn.backends import resolve_backend
-
-        self._backend = resolve_backend(backend)
-        self._pool.clear()
-        self._cache.clear()
 
     # -- compute ------------------------------------------------------------
 

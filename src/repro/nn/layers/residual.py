@@ -36,11 +36,6 @@ class ResidualBlockLayer(Layer):
 
     # -- setup ---------------------------------------------------------------
 
-    def set_backend(self, backend) -> None:
-        super().set_backend(backend)
-        for layer in self.inner:
-            layer.set_backend(backend)
-
     def build(self, in_channels: int, initializer) -> None:
         for layer in self.inner:
             if hasattr(layer, "build") and not layer.params():

@@ -29,15 +29,11 @@ class Network:
         layers: The layer stack, in order.
         initializer: Parameter initializer; defaults to the paper's
             Gaussian (He-scaled) initialization.
-        backend: Compute backend name or instance pinned onto every layer;
-            ``None`` lets layers follow the process default (which honours
-            the ``REPRO_NN_BACKEND`` environment variable).
     """
 
     def __init__(self, input_shape: Shape, layers: Sequence[Layer],
                  initializer: Optional[Initializer] = None,
-                 rng: Optional[np.random.Generator] = None,
-                 backend=None) -> None:
+                 rng: Optional[np.random.Generator] = None) -> None:
         if not layers:
             raise NetworkDefinitionError("a network needs at least one layer")
         self.input_shape = tuple(input_shape)
@@ -45,19 +41,6 @@ class Network:
         if initializer is None:
             initializer = gaussian_init(rng if rng is not None else np.random.default_rng(0))
         self._build(initializer)
-        if backend is not None:
-            self.set_backend(backend)
-
-    def set_backend(self, backend) -> None:
-        """Pin a compute backend (name or instance) on every layer;
-        ``None`` unpins, returning layers to the process default."""
-        for layer in self.layers:
-            layer.set_backend(backend)
-
-    @property
-    def backend_name(self) -> str:
-        """The backend the first layer would use right now."""
-        return self.layers[0].backend.name
 
     def _build(self, initializer: Initializer) -> None:
         shape = self.input_shape

@@ -53,7 +53,7 @@ __all__ = ["TrainingState", "CheckpointInfo", "CheckpointManager",
 
 _LOG = get_logger("resilience.checkpoint")
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _DIR_RE = re.compile(r"^ckpt-(\d{6})-e(\d{4})-b(\d{4})$")
 _FRONTNET_FILE = "frontnet.sealed"
 _STATE_FILE = "state.npz"
@@ -388,9 +388,10 @@ class CheckpointManager:
         """All *valid* checkpoints, oldest first.
 
         A checkpoint is valid when its directory name parses, its
-        manifest parses, and both data files hash to the manifest's
-        digests. Torn or tampered directories are skipped with a warning
-        — fail-closed, recovery falls back to the previous valid one.
+        manifest parses and names this format, and both data files hash
+        to the manifest's digests. Torn, tampered or other-format
+        directories are skipped with a warning — fail-closed, recovery
+        falls back to the previous valid one.
         """
         found: List[CheckpointInfo] = []
         for entry in sorted(self.directory.iterdir()):
@@ -412,6 +413,10 @@ class CheckpointManager:
                          path.name)
             return None
         try:
+            if manifest["format"] != _FORMAT_VERSION:
+                _LOG.warning("skipping checkpoint %s (format %r, expected %d)",
+                             path.name, manifest["format"], _FORMAT_VERSION)
+                return None
             for filename, expected in manifest["digests"].items():
                 actual = hashlib.sha256(
                     (path / filename).read_bytes()

@@ -78,7 +78,6 @@ class TestPipeline:
         enough and allocates no scratch; a larger fingerprint batch would
         grow the im2col/GEMM scratch (the lifecycle RSS peak)."""
         config.batch_size = 32
-        config.backend = "optimized"  # the reference backend pools nothing
         system, _, _ = _two_contributor_world(config)
         system.train()
 
@@ -108,6 +107,11 @@ class TestPipeline:
     def test_unknown_architecture_rejected(self):
         with pytest.raises(ConfigurationError):
             CalTrain(CalTrainConfig(architecture="resnet-9000"))
+
+    @pytest.mark.parametrize("backend", ["reference", None])
+    def test_only_the_one_kernel_set_is_accepted(self, backend):
+        with pytest.raises(ConfigurationError, match="optimized"):
+            CalTrain(CalTrainConfig(backend=backend))
 
     def test_named_architectures_resolve(self):
         system = CalTrain(CalTrainConfig(architecture="cifar10-10layer",

@@ -1,11 +1,18 @@
-"""The reference backend: the original numpy kernels, verbatim.
+"""The reference kernels: the original numpy layer bodies, verbatim.
 
-This is the implementation the layers carried before the backend split,
-moved here unchanged. It is the parity oracle for every other backend:
-integer/argmax paths must match it bitwise, float paths within tolerance.
-The only deliberate deviation is :meth:`maxpool_backward`, which routes
-through the vectorised :func:`~repro.nn.backends.base.maxpool_scatter`
-(itself regression-tested bitwise against the original k x k loop).
+This is the implementation the layers carried before their kernels were
+optimised, kept as the parity oracle for
+:class:`~repro.nn.backends.optimized.OptimizedBackend`: integer/argmax
+paths must match it bitwise, float paths within tolerance. The only
+deliberate deviation is :meth:`maxpool_backward`, which routes through the
+vectorised :func:`~repro.nn.backends.base.maxpool_scatter` (itself
+regression-tested bitwise against the original k x k loop). Slow on
+purpose; tests only.
+
+Layers reach their kernels through the ``Layer.backend`` class attribute.
+:func:`use_reference` installs the oracle from outside by shadowing that
+attribute on each layer of a network, residual blocks' inner layers
+included.
 """
 
 from __future__ import annotations
@@ -15,18 +22,13 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.nn.backends.base import (
-    BufferPool,
-    ComputeBackend,
-    Shape,
-    maxpool_scatter,
-)
+from repro.nn.backends.base import BufferPool, Shape, maxpool_scatter
 from repro.nn.layers.activations import activation_gradient, apply_activation
 
-__all__ = ["ReferenceBackend"]
+__all__ = ["ReferenceBackend", "use_reference"]
 
 
-class ReferenceBackend(ComputeBackend):
+class ReferenceBackend:
     """Plain numpy ops: fresh allocations per call, no fusion."""
 
     name = "reference"
@@ -153,3 +155,20 @@ class ReferenceBackend(ComputeBackend):
         delta = probs.copy()
         delta[np.arange(n), labels] -= 1.0
         return float(loss), delta / n
+
+
+REFERENCE = ReferenceBackend()
+
+
+def use_reference(target):
+    """Run ``target`` (a network or one layer) on the oracle kernels.
+
+    Sets ``backend`` on every layer, walking residual blocks' inner
+    stacks, and returns ``target``.
+    """
+    stack = list(getattr(target, "layers", [target]))
+    while stack:
+        layer = stack.pop()
+        layer.backend = REFERENCE
+        stack.extend(getattr(layer, "inner", ()))
+    return target

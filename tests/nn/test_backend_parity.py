@@ -1,11 +1,13 @@
-"""Reference-vs-optimized compute backend parity.
+"""The nn kernels against the reference oracle.
 
-The ``reference`` backend is the original numpy implementation extracted
-verbatim; ``optimized`` must agree with it — bitwise on the integer/argmax
-paths (max-pool bookkeeping, optimizer updates, checkpoint resume), and
-within float tolerance on the float compute paths (the reference backward
-pass promotes to float64 through the leaky-ReLU gradient, the optimized
-one stays in float32).
+``tests/nn/reference_backend.py`` holds the original numpy layer bodies,
+verbatim; the kernels the layers run (``OptimizedBackend``) must agree
+with them — bitwise on the integer/argmax paths (max-pool bookkeeping,
+optimizer updates, checkpoint resume), and within float tolerance on the
+float compute paths (the reference backward pass promotes to float64
+through the leaky-ReLU gradient, the kernels stay in float32). A
+"reference" case runs a network with the oracle installed on every layer
+by :func:`~tests.nn.reference_backend.use_reference`.
 """
 
 import numpy as np
@@ -13,16 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
 from repro.nn.backends import (
-    ENV_VAR,
     OptimizedBackend,
-    available_backends,
-    default_backend,
-    get_backend,
     maxpool_backward_loop,
     maxpool_scatter,
-    set_default_backend,
 )
 from repro.nn.backends.base import BufferPool
 from repro.nn.gradcheck import check_gradients
@@ -33,6 +29,7 @@ from repro.nn.layers import (
     CostLayer,
     DenseLayer,
     FlattenLayer,
+    Layer,
     MaxPoolLayer,
     SoftmaxLayer,
 )
@@ -42,7 +39,14 @@ from repro.nn.network import Network
 from repro.nn.optimizers import Adam, Sgd
 from repro.nn.zoo import tiny_testnet
 
+from tests.nn.reference_backend import use_reference
+
 BACKENDS = ["reference", "optimized"]
+
+
+def _on(backend, target):
+    """``target`` (a network or a layer) running ``backend``'s kernels."""
+    return use_reference(target) if backend == "reference" else target
 
 # Seed with no sampled coordinate on a leaky kink or pool tie (see
 # test_gradcheck.py) — finite differences are only valid off those
@@ -97,13 +101,13 @@ def _net_data(name):
 
 
 class TestGradcheck:
-    """Every layer type backpropagates correctly under BOTH backends."""
+    """Every layer type backpropagates correctly on the kernels and on
+    the oracle."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", list(_nets()))
     def test_gradients(self, name, backend):
-        net = _nets()[name]()
-        net.set_backend(backend)
+        net = _on(backend, _nets()[name]())
         x, y = _net_data(name)
         errors = check_gradients(net, x, y, samples_per_param=8,
                                  rng=np.random.default_rng(0))
@@ -116,8 +120,7 @@ class TestForwardParity:
         ref = _nets()[name]()
         opt = _nets()[name]()
         opt.set_weights(ref.get_weights())
-        ref.set_backend("reference")
-        opt.set_backend("optimized")
+        use_reference(ref)
         x, _ = _net_data(name)
         x = x.astype(np.float32)
         np.testing.assert_allclose(opt.forward(x), ref.forward(x),
@@ -134,8 +137,7 @@ class TestMaxPoolParity:
             size=(3, 9, 9, 4)).astype(np.float32)
         outs, argmaxes = [], []
         for backend in BACKENDS:
-            layer = MaxPoolLayer(size, stride)
-            layer.set_backend(backend)
+            layer = _on(backend, MaxPoolLayer(size, stride))
             outs.append(layer.forward(x, training=True))
             argmaxes.append(layer._cache["argmax"].copy())
         np.testing.assert_array_equal(outs[0], outs[1])
@@ -151,8 +153,7 @@ class TestMaxPoolParity:
         x = np.full((2, 9, 9, 4), fill, dtype=np.float32)
         argmaxes = []
         for backend in BACKENDS:
-            layer = MaxPoolLayer(size, stride)
-            layer.set_backend(backend)
+            layer = _on(backend, MaxPoolLayer(size, stride))
             layer.forward(x, training=True)
             argmaxes.append(layer._cache["argmax"].copy())
         np.testing.assert_array_equal(argmaxes[0], 0)
@@ -169,8 +170,7 @@ class TestMaxPoolParity:
         x[:, 1::2, 1::2, :] = 5.0
         argmaxes, deltas = [], []
         for backend in BACKENDS:
-            layer = MaxPoolLayer(2, 2)
-            layer.set_backend(backend)
+            layer = _on(backend, MaxPoolLayer(2, 2))
             out = layer.forward(x, training=True)
             argmaxes.append(layer._cache["argmax"].copy())
             delta = np.random.default_rng(13).normal(
@@ -190,8 +190,7 @@ class TestMaxPoolParity:
         x[x > 0] = np.round(x[x > 0], 1)           # duplicated maxima
         outs, argmaxes, deltas = [], [], []
         for backend in BACKENDS:
-            layer = MaxPoolLayer(size, stride)
-            layer.set_backend(backend)
+            layer = _on(backend, MaxPoolLayer(size, stride))
             out = layer.forward(x, training=True)
             outs.append(out)
             argmaxes.append(layer._cache["argmax"].copy())
@@ -208,8 +207,7 @@ class TestMaxPoolParity:
             size=(2, 10, 10, 3)).astype(np.float32)
         deltas = []
         for backend in BACKENDS:
-            layer = MaxPoolLayer(size, stride)
-            layer.set_backend(backend)
+            layer = _on(backend, MaxPoolLayer(size, stride))
             out = layer.forward(x, training=True)
             delta = np.random.default_rng(11).normal(
                 size=out.shape).astype(np.float32)
@@ -312,7 +310,7 @@ def _pool_cases(draw):
 
 class TestMaxPoolSelect:
     """The unsigned-arithmetic argmax and the strided bit-select scatter
-    against the reference backend, the loop oracle and the replaced
+    against the reference oracle, the loop oracle and the replaced
     fancy-index scatter."""
 
     @settings(max_examples=60, deadline=None)
@@ -325,8 +323,7 @@ class TestMaxPoolSelect:
             x = np.round(x)  # duplicated maxima: first occurrence must win
         outs, argmaxes = [], []
         for backend in BACKENDS:
-            layer = MaxPoolLayer(size, stride)
-            layer.set_backend(backend)
+            layer = _on(backend, MaxPoolLayer(size, stride))
             outs.append(layer.forward(x, training=True))
             argmaxes.append(layer._cache["argmax"].copy())
         np.testing.assert_array_equal(outs[0], outs[1])
@@ -368,8 +365,7 @@ class TestMaxPoolSelect:
         x[:, size - 1 :: size, size - 1 :: size, :] = 100.0
         argmaxes, deltas = [], []
         for backend in BACKENDS:
-            layer = MaxPoolLayer(size, size)
-            layer.set_backend(backend)
+            layer = _on(backend, MaxPoolLayer(size, size))
             out = layer.forward(x, training=True)
             argmaxes.append(layer._cache["argmax"].copy())
             deltas.append(layer.backward(np.ones_like(out)))
@@ -385,7 +381,6 @@ class TestMaxPoolSelect:
         x[0, :2, :2, 0] = np.nan      # an all-NaN window
         x[0, 2, 3, 1] = np.nan        # one NaN poisons its window's maximum
         layer = MaxPoolLayer(2, 2)
-        layer.set_backend("optimized")
         out = layer.forward(x, training=True)
         argmax = layer._cache["argmax"]
         assert np.isnan(out[0, 0, 0, 0]) and argmax[0, 0, 0, 0] == 0
@@ -416,35 +411,6 @@ class TestAccumulateGrads:
                     1e-5 * calls * np.abs(exact).max())
 
 
-class TestGemmThreading:
-    def test_threaded_gemm_bitwise_deterministic(self):
-        gen = np.random.default_rng(0)
-        a = gen.normal(size=(300, 40)).astype(np.float32)
-        b = gen.normal(size=(40, 256)).astype(np.float32)
-        threaded = OptimizedBackend(threads=2).gemm(a, b)
-        np.testing.assert_array_equal(threaded, a @ b)
-        np.testing.assert_array_equal(threaded,
-                                      OptimizedBackend(threads=2).gemm(a, b))
-
-    def test_small_problems_skip_the_pool(self):
-        gen = np.random.default_rng(1)
-        a = gen.normal(size=(4, 8)).astype(np.float32)
-        b = gen.normal(size=(8, 4)).astype(np.float32)
-        np.testing.assert_array_equal(OptimizedBackend(threads=4).gemm(a, b),
-                                      a @ b)
-
-    def test_threading_is_opt_in(self, monkeypatch):
-        """Without REPRO_NN_THREADS the backend must run single-threaded:
-        the row partition depends on the thread count, so a cpu-count
-        default would make results vary by host."""
-        monkeypatch.delenv("REPRO_NN_THREADS", raising=False)
-        assert OptimizedBackend().threads == 1
-        monkeypatch.setenv("REPRO_NN_THREADS", "3")
-        assert OptimizedBackend().threads == 3
-        monkeypatch.setenv("REPRO_NN_THREADS", "bogus")
-        assert OptimizedBackend().threads == 1
-
-
 def _train(net, x, y, optimizer, epochs=3, batch_size=16, shuffle_seed=42):
     losses = []
     for epoch in range(epochs):
@@ -465,8 +431,7 @@ class TestEndToEndTraining:
         y = gen.integers(0, 4, size=64)
         trajectories = []
         for backend in BACKENDS:
-            net = tiny_testnet(np.random.default_rng(5))
-            net.set_backend(backend)
+            net = _on(backend, tiny_testnet(np.random.default_rng(5)))
             trajectories.append(
                 _train(net, x, y, Sgd(0.05, momentum=0.9)))
         np.testing.assert_allclose(trajectories[0], trajectories[1],
@@ -474,7 +439,7 @@ class TestEndToEndTraining:
 
 
 class TestCheckpointResume:
-    """Interrupt-and-resume under ``optimized`` is bitwise-identical to
+    """Interrupt-and-resume on the kernels is bitwise-identical to
     the uninterrupted run (pooled scratch never leaks into state)."""
 
     @pytest.mark.parametrize("make_opt", [
@@ -488,13 +453,11 @@ class TestCheckpointResume:
         batches = [(x[i:i + 16], y[i:i + 16]) for i in range(0, 64, 16)]
 
         straight = tiny_testnet(np.random.default_rng(8))
-        straight.set_backend("optimized")
         opt = make_opt()
         for xb, yb in batches:
             straight.train_batch(xb, yb, opt)
 
         interrupted = tiny_testnet(np.random.default_rng(8))
-        interrupted.set_backend("optimized")
         opt1 = make_opt()
         for xb, yb in batches[:2]:
             interrupted.train_batch(xb, yb, opt1)
@@ -502,7 +465,6 @@ class TestCheckpointResume:
         opt_state = opt1.state_dict()
 
         resumed = model_from_bytes(blob)
-        resumed.set_backend("optimized")
         opt2 = make_opt()
         opt2.load_state_dict(opt_state)
         for xb, yb in batches[2:]:
@@ -557,7 +519,6 @@ class TestOptimizerBitwise:
         nets, opts = [], []
         for _ in range(2):
             net = tiny_testnet(np.random.default_rng(4))
-            net.set_backend("optimized")
             nets.append(net)
             opts.append(make_opt())
         gen = np.random.default_rng(44)
@@ -601,62 +562,20 @@ class TestOptimizerBitwise:
                 np.testing.assert_array_equal(got[name], expected[name])
 
 
-class TestBackendSelection:
-    def test_registry(self):
-        assert available_backends() == ("reference", "optimized")
-        assert get_backend("optimized").name == "optimized"
-        assert get_backend("optimized") is get_backend("optimized")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_backend("cuda")
-        with pytest.raises(ConfigurationError):
-            set_default_backend("cuda")
-        with pytest.raises(ConfigurationError):
-            tiny_testnet(np.random.default_rng(0)).set_backend("cuda")
-
-    def test_env_var_selects_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "optimized")
-        assert default_backend().name == "optimized"
-        net = tiny_testnet(np.random.default_rng(0))
-        assert net.backend_name == "optimized"
-        monkeypatch.delenv(ENV_VAR)
-        assert net.backend_name == "reference"
-
-    def test_set_default_backend_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "reference")
-        set_default_backend("optimized")
-        try:
-            assert default_backend().name == "optimized"
-        finally:
-            set_default_backend(None)
-        assert default_backend().name == "reference"
-
-    def test_explicit_network_backend_wins(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "optimized")
-        net = Network((8, 8, 3), [
-            ConvLayer(4, 3, 1), SoftmaxLayer(), CostLayer(),
-        ], rng=np.random.default_rng(0), backend="reference")
-        assert net.backend_name == "reference"
-
-
 class TestDistributedReplicaConsistency:
-    """The default-backend switch reaches distributed workers without any
-    call-site changes, and replicas stay bitwise in lockstep."""
+    """Distributed workers run the one set of kernels, and replicas stay
+    bitwise in lockstep."""
 
     def test_replicas_identical_under_optimized(self, tmp_path):
         from tests.distributed.worlds import (assert_same_weights,
                                               make_coordinator)
 
-        set_default_backend("optimized")
-        try:
-            coordinator, _ = make_coordinator(tmp_path, num_workers=2,
-                                              num_train=32)
-            coordinator.run(1)
-            for worker in coordinator.workers:
-                assert worker.partitioned.network.backend_name == "optimized"
-            reference = coordinator.workers[0].replica_weights()
-            assert_same_weights(coordinator.workers[1].replica_weights(),
-                                reference)
-        finally:
-            set_default_backend(None)
+        coordinator, _ = make_coordinator(tmp_path, num_workers=2,
+                                          num_train=32)
+        coordinator.run(1)
+        for worker in coordinator.workers:
+            for layer in worker.partitioned.network.layers:
+                assert layer.backend is Layer.backend
+        reference = coordinator.workers[0].replica_weights()
+        assert_same_weights(coordinator.workers[1].replica_weights(),
+                            reference)

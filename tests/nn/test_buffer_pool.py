@@ -16,6 +16,8 @@ from repro.nn.network import Network
 from repro.nn.optimizers import Sgd
 from repro.nn.zoo import cifar10_10layer
 
+from tests.nn.reference_backend import use_reference
+
 MIB = 1 << 20
 
 
@@ -112,9 +114,7 @@ class TestConvScratch:
 
     @pytest.fixture
     def net(self):
-        net = cifar10_10layer(np.random.default_rng(0), width_scale=0.12)
-        net.set_backend("optimized")
-        return net
+        return cifar10_10layer(np.random.default_rng(0), width_scale=0.12)
 
     def test_pooled_scratch_within_budget(self, net):
         (sizes,) = _bench_step(net, 1)
@@ -128,7 +128,7 @@ class TestConvScratch:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_input_gradient_in_the_shared_slot(self, stride):
         """The backward rebuilds columns in the forward's im2col slot; the
-        input gradient must still be the reference one."""
+        input gradient must still be the reference oracle's."""
         layers = {}
         for backend in ("reference", "optimized"):
             net = Network((9, 9, 3), [
@@ -137,7 +137,9 @@ class TestConvScratch:
                 AvgPoolLayer(),
                 SoftmaxLayer(),
                 CostLayer(),
-            ], rng=np.random.default_rng(3), backend=backend)
+            ], rng=np.random.default_rng(3))
+            if backend == "reference":
+                use_reference(net)
             layers[backend] = net.layers[1]
         gen = np.random.default_rng(4)
         x = gen.standard_normal((2, 9, 9, 4)).astype(np.float32)

@@ -1,5 +1,8 @@
 """Checkpoint manager tests: round-trip fidelity and fail-closed gates."""
 
+import json
+import logging
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,23 @@ class TestFailClosed:
         del newest
         (manager.latest().path / "manifest.json").unlink()
         assert [info.epoch for info in manager.checkpoints()] == [1]
+        assert manager.latest().epoch == 1
+
+    @pytest.mark.parametrize("other", [1, 3])
+    def test_other_format_listed_invalid(self, tmp_path, caplog, other):
+        """A manifest naming another format is never listed, so resume
+        falls back past it instead of reading its reports."""
+        world = _trained_world()
+        manager = CheckpointManager(tmp_path)
+        _checkpoint(world, manager, epoch=1)
+        _checkpoint(world, manager, epoch=2)
+        manifest_path = manager.latest().path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format"] = other
+        manifest_path.write_text(json.dumps(manifest))
+        with caplog.at_level(logging.WARNING):
+            assert [info.epoch for info in manager.checkpoints()] == [1]
+        assert f"format {other}, expected 2" in caplog.text
         assert manager.latest().epoch == 1
 
     def test_tampered_state_file_skipped(self, tmp_path):

@@ -84,6 +84,14 @@ class TestServingCommands:
         assert exit_info.value.code == 2
         assert "--probes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "train-distributed"])
+    def test_training_has_no_backend_option(self, capsys, command):
+        # Training runs one set of nn kernels: no backend to pick.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--backend", "optimized"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
     def test_serve_cluster_fault_drill(self, capsys):
         # The CI chaos drill: kill one replica and corrupt one replica's
         # index mid-run; the cluster must keep >= 99% availability with

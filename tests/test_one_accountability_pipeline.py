@@ -7,7 +7,9 @@ has them disclose what they trained on. The in-memory second pipeline
 (database, query service, investigator, Merkle commitment) must not grow
 back under any name it used to have. Nor may a second way to answer a
 query: serving is exact, so an answer is checked with ``==`` and there
-is no approximate mode, recall floor or distance tolerance.
+is no approximate mode, recall floor or distance tolerance. Nor a second
+numerics: the nn layers run one set of kernels, with no backend registry,
+selection call or threaded GEMM.
 """
 
 import ast
@@ -16,12 +18,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "benchmarks", "examples")
 #: Names of the removed second pipeline, of the approximate search mode
-#: and the verifier's tolerance, and of options that never varied.
+#: and the verifier's tolerance, of options that never varied, and of the
+#: nn backend selection and threading.
 GONE = {
     "LinkageDatabase", "QueryService", "Neighbor", "Investigator",
     "InvestigationResult", "MerkleTree", "to_database", "query_service",
     "investigator", "linkage_db", "RECALL_FLOOR", "VERIFY_TOLERANCE",
     "fingerprint_at", "auto_refresh", "refresh_stagger",
+    "set_backend", "set_default_backend", "default_backend",
+    "resolve_backend", "available_backends", "get_backend", "backend_name",
+    "ComputeBackend", "_env_threads", "_row_chunks",
 }
 #: Removed parameter / attribute names, matched only where they name a
 #: parameter, keyword argument, attribute or class field.
