@@ -71,9 +71,6 @@ def _run(tmp_path, num_workers, seed=4242):
         network_config=network_config,
         hyperparameters=hyper,
         partition=1,
-        batch_size=BATCH,
-        learning_rate=0.05,
-        momentum=0.9,
         rng=rng.child("distributed"),
         attestation_service=service,
         provisioner=provisioner,

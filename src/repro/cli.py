@@ -372,27 +372,37 @@ def _parse_fault_specs(specs):
     return FaultPlan(faults)
 
 
-def _cmd_train(args) -> int:
+def _training_world(args, name, epochs, enclave_label):
+    """A deployment with ``args.participants`` registered contributors,
+    each holding an equal share of a synthetic CIFAR training set.
+
+    Returns ``(system, test)``; prints the training enclave's MRENCLAVE.
+    """
     from repro.core.caltrain import CalTrain, CalTrainConfig
     from repro.data.datasets import synthetic_cifar
     from repro.federation.participant import TrainingParticipant
     from repro.utils.rng import RngStream
 
-    rng = RngStream(args.seed, name="cli-train")
+    rng = RngStream(args.seed, name=name)
     train, test = synthetic_cifar(rng.child("data"), num_train=args.train_size,
                                   num_test=args.test_size)
     system = CalTrain(CalTrainConfig(
         seed=args.seed, architecture=args.architecture,
-        width_scale=args.width_scale, epochs=args.epochs,
+        width_scale=args.width_scale, epochs=epochs,
         partition=args.partition, augment=False,
     ))
-    print(f"enclave MRENCLAVE: {system.expected_measurement.hex()}")
+    print(f"{enclave_label} MRENCLAVE: {system.expected_measurement.hex()}")
     fractions = [1.0 / args.participants] * args.participants
     for i, share in enumerate(train.split(fractions,
                                           rng=rng.child("split").generator)):
         participant = TrainingParticipant(f"p{i}", share, rng.child(f"p{i}"))
         system.register_participant(participant)
         system.submit_data(participant)
+    return system, test
+
+
+def _cmd_train(args) -> int:
+    system, test = _training_world(args, "cli-train", args.epochs, "enclave")
     tracer = None
     if args.trace:
         from repro.observability import Tracer
@@ -455,27 +465,8 @@ def _parse_worker_faults(args):
 
 
 def _cmd_train_distributed(args) -> int:
-    from repro.core.caltrain import CalTrain, CalTrainConfig
-    from repro.data.datasets import synthetic_cifar
-    from repro.federation.participant import TrainingParticipant
-    from repro.utils.rng import RngStream
-
-    rng = RngStream(args.seed, name="cli-train-distributed")
-    train, test = synthetic_cifar(rng.child("data"),
-                                  num_train=args.train_size,
-                                  num_test=args.test_size)
-    system = CalTrain(CalTrainConfig(
-        seed=args.seed, architecture=args.architecture,
-        width_scale=args.width_scale, epochs=args.rounds,
-        partition=args.partition, augment=False,
-    ))
-    print(f"training enclave MRENCLAVE: {system.expected_measurement.hex()}")
-    fractions = [1.0 / args.participants] * args.participants
-    for i, share in enumerate(train.split(fractions,
-                                          rng=rng.child("split").generator)):
-        participant = TrainingParticipant(f"p{i}", share, rng.child(f"p{i}"))
-        system.register_participant(participant)
-        system.submit_data(participant)
+    system, test = _training_world(args, "cli-train-distributed", args.rounds,
+                                   "training enclave")
     tracer = None
     if args.trace:
         from repro.observability import Tracer

@@ -23,7 +23,9 @@ Wires the whole pipeline of Fig. 2:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import tempfile
+from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -34,9 +36,9 @@ from repro.core.fingerprint import Fingerprinter
 from repro.core.freezing import FreezeSchedule
 from repro.core.linkage import LinkageTable, instance_digest, segment_digest
 from repro.core.partition import PartitionedNetwork
-from repro.core.partitioned_training import ConfidentialTrainer, EpochReport
+from repro.core.partitioned_training import (ConfidentialTrainer, EpochReport,
+                                             build_replica)
 from repro.crypto.aead import BULK_CIPHER
-from repro.data.augmentation import Augmenter
 from repro.enclave.attestation import AttestationService
 from repro.enclave.enclave import Enclave
 from repro.enclave.memory import EPC_USABLE_BYTES
@@ -46,7 +48,6 @@ from repro.federation.provisioning import provision_key
 from repro.federation.server import DecryptionSummary, TrainingServer
 from repro.nn.config import network_to_config
 from repro.nn.network import Network
-from repro.nn.optimizers import Sgd
 from repro.nn.zoo import cifar10_10layer, cifar10_18layer, face_recognition_net
 from repro.observability.adapter import SubsystemTelemetry
 from repro.observability.metrics import MetricsRegistry
@@ -209,16 +210,30 @@ class CalTrain:
 
     def register_participant(self, participant) -> None:
         """Attested-TLS key provisioning for one participant."""
-        provision_key(
-            participant,
-            self.training_enclave,
-            self.attestation_service,
-            expected_mrenclave=self.expected_measurement,
-        )
+        self._provision_enclave(self.training_enclave, [participant])
         self.participants[participant.participant_id] = participant
         self.audit_log.append("participant-registered",
                               participant=participant.participant_id)
         _LOG.info("registered participant %s", participant.participant_id)
+
+    def _provision_enclave(self, enclave: Enclave,
+                           participants=None) -> None:
+        """Provision each participant's key into ``enclave`` (default: every
+        registered one) over attested TLS.
+
+        Rebuilt and worker enclaves are built from the same published
+        code, agreed architecture config and hyperparameters as the
+        training enclave, so they carry the deployment's expected
+        measurement and the participants' attestation checks pass
+        unchanged.
+        """
+        if participants is None:
+            participants = self.participants.values()
+        for participant in participants:
+            provision_key(
+                participant, enclave, self.attestation_service,
+                expected_mrenclave=self.expected_measurement,
+            )
 
     def submit_data(self, participant) -> None:
         """Encrypt the participant's dataset and submit it to the server."""
@@ -346,11 +361,7 @@ class CalTrain:
         streams, so re-running it cannot perturb training determinism.
         """
         self.training_enclave = enclave
-        for participant in self.participants.values():
-            provision_key(
-                participant, enclave, self.attestation_service,
-                expected_mrenclave=self.expected_measurement,
-            )
+        self._provision_enclave(enclave)
         summary = self.server.decrypt_submissions(cipher=self.config.cipher)
         self.audit_log.append("recovery-restage",
                               participants=len(self.participants),
@@ -384,9 +395,11 @@ class CalTrain:
         training plus secure FrontNet aggregation, and
         ``straggler_factor`` / ``blacklist_after`` govern the straggler
         and blacklist machinery. The distributed path carries its own
-        per-round sealed checkpoints, so the single-enclave resilience
-        options (``resume``, ``checkpoint_every_batches``,
-        ``retry_policy``, ``keep_snapshots``) are rejected alongside it.
+        per-round sealed checkpoints (under ``checkpoint_dir``, or a
+        temporary directory removed when the run ends), so the
+        single-enclave resilience options (``resume``,
+        ``checkpoint_every_batches``, ``retry_policy``,
+        ``keep_snapshots``) are rejected alongside it.
 
         ``tracer`` (optional) records the run as nested spans — epochs
         over batches over enclave/boundary-crossing/untrusted phases.
@@ -411,17 +424,7 @@ class CalTrain:
                     "reassess_every_epoch is not supported with workers=N "
                     "(partition votes would diverge across replicas)"
                 )
-            self._begin_run(resume=False, workers=workers)
-            reports = self._train_distributed(
-                test_x, test_y, workers=workers,
-                straggler_factor=straggler_factor,
-                blacklist_after=blacklist_after,
-                checkpoint_dir=checkpoint_dir,
-                tracer=tracer,
-            )
-            self._complete_run(reports)
-            return reports
-        self._begin_run(resume=resume, workers=None)
+        self._begin_run(resume=resume, workers=workers)
         self.decryption_summary = self.server.decrypt_submissions(
             cipher=self.config.cipher
         )
@@ -433,43 +436,47 @@ class CalTrain:
         )
         if self.decryption_summary.accepted == 0:
             raise TrainingError("no training records survived authentication")
-        x, y, _, _ = self.server.staged_training_data()
 
-        self.model = self._network_factory(self.rng.child("model-init").generator)
-        self.model.set_dropout_rng(self.training_enclave.trusted_rng.generator)
-        self.partitioned = PartitionedNetwork(
-            self.model, self.config.partition, enclave=self.training_enclave
+        # The deployment's replica in the training enclave: it trains here,
+        # or hosts the converged weights of a distributed run.
+        self.trainer = build_replica(
+            self._network_factory, self._init_generator(),
+            self.training_enclave, partition=self.config.partition,
+            hyperparameters=self._hyperparameters(),
+            augment=self.config.augment,
+            freeze_schedule=(
+                FreezeSchedule(self.config.freeze_at_epoch)
+                if self.config.freeze_at_epoch is not None else None
+            ),
+            on_epoch_end=(self._reassess if self.config.reassess_every_epoch
+                          else None),
         )
-        augmenter = (
-            Augmenter(rng=self.training_enclave.trusted_rng.generator)
-            if self.config.augment else None
-        )
-        freeze = (
-            FreezeSchedule(self.config.freeze_at_epoch)
-            if self.config.freeze_at_epoch is not None else None
-        )
-        self.trainer = ConfidentialTrainer(
-            self.partitioned,
-            Sgd(self.config.learning_rate, self.config.momentum),
-            batch_rng=self.training_enclave.trusted_rng.stream.child("batches").generator,
-            augmenter=augmenter,
-            batch_size=self.config.batch_size,
-            freeze_schedule=freeze,
-            on_epoch_end=self._reassess if self.config.reassess_every_epoch else None,
-        )
-        self.trainer.bind_observability(tracer=tracer, metrics=self.metrics)
-        if checkpoint_dir is None:
-            if resume:
-                raise ConfigurationError("resume needs checkpoint_dir set")
-            reports = self.trainer.train(
-                x, y, self.config.epochs, test_x=test_x, test_y=test_y,
-                keep_snapshots=keep_snapshots,
+        self.partitioned = self.trainer.partitioned
+        self.model = self.partitioned.network
+        if workers is not None:
+            reports = self._train_distributed(
+                test_x, test_y, workers=workers,
+                straggler_factor=straggler_factor,
+                blacklist_after=blacklist_after,
+                checkpoint_dir=checkpoint_dir,
+                tracer=tracer,
             )
         else:
-            reports = self._train_supervised(
-                x, y, test_x, test_y, keep_snapshots, checkpoint_dir,
-                resume, checkpoint_every_batches, retry_policy,
-            )
+            x, y, _, _ = self.server.staged_training_data()
+            self.trainer.bind_observability(tracer=tracer,
+                                            metrics=self.metrics)
+            if checkpoint_dir is None:
+                if resume:
+                    raise ConfigurationError("resume needs checkpoint_dir set")
+                reports = self.trainer.train(
+                    x, y, self.config.epochs, test_x=test_x, test_y=test_y,
+                    keep_snapshots=keep_snapshots,
+                )
+            else:
+                reports = self._train_supervised(
+                    x, y, test_x, test_y, keep_snapshots, checkpoint_dir,
+                    resume, checkpoint_every_batches, retry_policy,
+                )
         self.audit_log.append(
             "training-complete",
             epochs=len(reports),
@@ -478,6 +485,11 @@ class CalTrain:
         )
         self._complete_run(reports)
         return reports
+
+    def _init_generator(self) -> np.random.Generator:
+        """The agreed model init: every replica, the deployment's own and
+        each distributed worker's, starts from these weights."""
+        return self.rng.child("model-init").generator
 
     def _begin_run(self, resume: bool, workers: Optional[int]) -> None:
         """Fix the run identity and chain the train-start/resume event."""
@@ -559,102 +571,53 @@ class CalTrain:
                          audit_head=self.audit_log.head.hex())
         return reports
 
-    def _provision_enclave(self, enclave: Enclave) -> None:
-        """Provision every registered participant's key into ``enclave``.
-
-        Worker enclaves are built from the same published code, agreed
-        architecture config, and hyperparameters as the main training
-        enclave, so they carry the deployment's expected measurement —
-        the participants' attestation checks pass unchanged.
-        """
-        for participant in self.participants.values():
-            provision_key(
-                participant, enclave, self.attestation_service,
-                expected_mrenclave=self.expected_measurement,
-            )
-
     def _train_distributed(self, test_x, test_y, *, workers: int,
                            straggler_factor: float, blacklist_after: int,
                            checkpoint_dir: Optional[str],
                            tracer: Optional[Tracer]) -> List[EpochReport]:
         """Data-parallel training across ``workers`` enclave workers.
 
-        The main training enclave still authenticates and stages the full
-        submission set first (the decryption audit event and the later
-        fingerprint stage read from it); the coordinator then re-shards
-        the *encrypted* submissions across the workers, which decrypt
-        only their own shard inside their own enclaves.
+        The main training enclave has already authenticated and staged the
+        full submission set (the fingerprint stage reads from it); the
+        coordinator re-shards the *encrypted* submissions across the
+        workers, which decrypt only their own shard inside their own
+        enclaves. The converged weights land in the deployment's replica.
         """
-        import tempfile
-
         from repro.distributed import DistributedCoordinator
 
-        self.decryption_summary = self.server.decrypt_submissions(
-            cipher=self.config.cipher
-        )
-        self.audit_log.append(
-            "decryption",
-            accepted=self.decryption_summary.accepted,
-            rejected_tampered=self.decryption_summary.rejected_tampered,
-            rejected_unregistered=self.decryption_summary.rejected_unregistered,
-        )
-        if self.decryption_summary.accepted == 0:
-            raise TrainingError("no training records survived authentication")
-        submissions = list(self.server.submissions)
-
-        root = checkpoint_dir or tempfile.mkdtemp(prefix="caltrain-dist-")
-        self.coordinator = DistributedCoordinator(
-            num_workers=workers,
-            network_factory=self._network_factory,
-            network_config=self.network_config,
-            hyperparameters=self._hyperparameters(),
-            partition=self.config.partition,
-            batch_size=self.config.batch_size,
-            learning_rate=self.config.learning_rate,
-            momentum=self.config.momentum,
-            cipher=self.config.cipher,
-            augment=self.config.augment,
-            rng=self.rng.child("distributed"),
-            attestation_service=self.attestation_service,
-            provisioner=self._provision_enclave,
-            init_generator_factory=lambda: self.rng.child(
-                "model-init").generator,
-            checkpoint_root=root,
-            config_digest=self.config_digest,
-            straggler_factor=straggler_factor,
-            blacklist_after=blacklist_after,
-            metrics=self.metrics,
-            tracer=tracer,
-            epc_bytes=self.config.epc_bytes,
-        )
-        self.distributed_telemetry = self.coordinator.telemetry
-        self.coordinator.distribute(submissions)
-        self.audit_log.append(
-            "distributed-setup", workers=workers,
-            aggregator_mrenclave=self.coordinator.aggregator.mrenclave.hex(),
-            shards={w.worker_id: w.examples
-                    for w in self.coordinator.workers},
-        )
-        self.round_reports = self.coordinator.run(self.config.epochs)
-
-        # Adopt the converged replica as *the* trained model, hosted by
-        # the main training enclave (fingerprint/query stages continue
-        # exactly as in the single-enclave pipeline).
-        self.model = self._network_factory(
-            self.rng.child("model-init").generator
-        )
+        with (nullcontext(checkpoint_dir) if checkpoint_dir
+              else tempfile.TemporaryDirectory(prefix="caltrain-dist-")
+              ) as root:
+            self.coordinator = DistributedCoordinator(
+                num_workers=workers,
+                network_factory=self._network_factory,
+                network_config=self.network_config,
+                hyperparameters=self._hyperparameters(),
+                partition=self.config.partition,
+                rng=self.rng.child("distributed"),
+                attestation_service=self.attestation_service,
+                provisioner=self._provision_enclave,
+                init_generator_factory=self._init_generator,
+                checkpoint_root=root,
+                cipher=self.config.cipher,
+                augment=self.config.augment,
+                config_digest=self.config_digest,
+                straggler_factor=straggler_factor,
+                blacklist_after=blacklist_after,
+                metrics=self.metrics,
+                tracer=tracer,
+                epc_bytes=self.config.epc_bytes,
+            )
+            self.distributed_telemetry = self.coordinator.telemetry
+            self.coordinator.distribute(list(self.server.submissions))
+            self.audit_log.append(
+                "distributed-setup", workers=workers,
+                aggregator_mrenclave=self.coordinator.aggregator.mrenclave.hex(),
+                shards={w.worker_id: w.examples
+                        for w in self.coordinator.workers},
+            )
+            self.round_reports = self.coordinator.run(self.config.epochs)
         self.model.set_weights(self.coordinator.final_weights())
-        self.model.set_dropout_rng(self.training_enclave.trusted_rng.generator)
-        self.partitioned = PartitionedNetwork(
-            self.model, self.config.partition, enclave=self.training_enclave
-        )
-        self.trainer = ConfidentialTrainer(
-            self.partitioned,
-            Sgd(self.config.learning_rate, self.config.momentum),
-            batch_rng=self.training_enclave.trusted_rng.stream.child(
-                "batches").generator,
-            batch_size=self.config.batch_size,
-        )
         accuracy = (
             self.trainer.evaluate(test_x, test_y)
             if test_x is not None and test_y is not None
@@ -679,12 +642,6 @@ class CalTrain:
                 faulted=report.faulted,
                 recovered_masks=report.recovered_masks,
             )
-        self.audit_log.append(
-            "training-complete",
-            epochs=len(reports),
-            final_loss=reports[-1].mean_loss,
-            final_partition=self.partitioned.partition,
-        )
         return reports
 
     def evaluate(self, test_x: np.ndarray, test_y: np.ndarray):

@@ -20,11 +20,12 @@ from repro.core.freezing import FreezeSchedule
 from repro.core.partition import PartitionedNetwork
 from repro.data.augmentation import Augmenter
 from repro.data.batching import iterate_minibatches
-from repro.nn.optimizers import Optimizer
+from repro.nn.network import Network
+from repro.nn.optimizers import Optimizer, Sgd
 from repro.observability.tracing import Tracer
 from repro.utils.logging import get_logger
 
-__all__ = ["EpochReport", "ConfidentialTrainer"]
+__all__ = ["EpochReport", "ConfidentialTrainer", "build_replica"]
 
 _LOG = get_logger("core.training")
 
@@ -108,6 +109,11 @@ class ConfidentialTrainer:
         then rewinds those streams to their saved states).
         """
         self.partitioned.rebind_enclave(enclave)
+        self._draw_from(enclave)
+
+    def _draw_from(self, enclave) -> None:
+        """Dropout, augmentation and batch shuffling draw from ``enclave``'s
+        trusted RNG."""
         self.partitioned.network.set_dropout_rng(enclave.trusted_rng.generator)
         if self.augmenter is not None:
             self.augmenter.rng = enclave.trusted_rng.generator
@@ -260,3 +266,34 @@ class ConfidentialTrainer:
             if self.stop_training:
                 break
         return self.reports
+
+
+def build_replica(network_factory: Callable[[np.random.Generator], Network],
+                  init_generator: np.random.Generator, enclave, *,
+                  partition: int, hyperparameters: Dict[str, float],
+                  augment: bool = False,
+                  freeze_schedule: Optional[FreezeSchedule] = None,
+                  on_epoch_end: Optional[
+                      Callable[[int, ConfidentialTrainer], None]] = None,
+                  ) -> ConfidentialTrainer:
+    """One training replica: the model, its FrontNet in ``enclave``, a trainer.
+
+    The model comes from ``init_generator``, so replicas built from equally
+    seeded generators start bitwise identical. Dropout, augmentation and
+    batch shuffling draw from the enclave's trusted RNG. Batch size,
+    learning rate and momentum are read from ``hyperparameters``, the dict
+    measured into the enclave's MRENCLAVE, so the attested agreement
+    describes the training that runs.
+    """
+    network = network_factory(init_generator)
+    trainer = ConfidentialTrainer(
+        PartitionedNetwork(network, partition, enclave=enclave),
+        Sgd(hyperparameters["learning_rate"], hyperparameters["momentum"]),
+        batch_rng=None,
+        augmenter=Augmenter(rng=None) if augment else None,
+        batch_size=hyperparameters["batch_size"],
+        freeze_schedule=freeze_schedule,
+        on_epoch_end=on_epoch_end,
+    )
+    trainer._draw_from(enclave)
+    return trainer

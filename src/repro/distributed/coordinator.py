@@ -102,9 +102,6 @@ class DistributedCoordinator:
                  network_config: str,
                  hyperparameters: Dict[str, float],
                  partition: int,
-                 batch_size: int,
-                 learning_rate: float,
-                 momentum: float,
                  rng: RngStream,
                  attestation_service: AttestationService,
                  provisioner: Callable[[Enclave], None],
@@ -145,9 +142,6 @@ class DistributedCoordinator:
                 network_config=network_config,
                 hyperparameters=hyperparameters,
                 partition=partition,
-                batch_size=batch_size,
-                learning_rate=learning_rate,
-                momentum=momentum,
                 rng=rng.child(f"worker-{i}"),
                 attestation_service=attestation_service,
                 checkpoint_dir=root / f"w{i}",

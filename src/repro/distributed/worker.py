@@ -24,11 +24,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.partition import PartitionedNetwork
-from repro.core.partitioned_training import ConfidentialTrainer
+from repro.core.partitioned_training import ConfidentialTrainer, build_replica
 from repro.crypto.aead import BULK_CIPHER
 from repro.crypto.shamir import Share, encode_share
 from repro.crypto.tls import SecureChannel
-from repro.data.augmentation import Augmenter
 from repro.data.encryption import EncryptedDataset
 from repro.distributed.channels import (decode_vector, encode_vector,
                                         open_attested_channel)
@@ -40,7 +39,6 @@ from repro.errors import CheckpointError, ConfigurationError
 from repro.federation.secure_agg import SecureAggregationClient
 from repro.federation.server import DecryptionSummary, TrainingServer
 from repro.nn.network import Network
-from repro.nn.optimizers import Sgd
 from repro.observability.tracing import Tracer
 from repro.resilience.checkpoint import CheckpointManager, capture_state, restore_state
 from repro.utils.logging import get_logger
@@ -95,9 +93,6 @@ class EnclaveWorker:
                  network_config: str,
                  hyperparameters: Dict[str, float],
                  partition: int,
-                 batch_size: int,
-                 learning_rate: float,
-                 momentum: float,
                  rng: RngStream,
                  attestation_service: AttestationService,
                  checkpoint_dir,
@@ -110,9 +105,6 @@ class EnclaveWorker:
         self.cipher = cipher
         self.augment = augment
         self.partition = partition
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.momentum = momentum
         self._network_factory = network_factory
         self._network_config = network_config
         self._hyperparameters = dict(hyperparameters)
@@ -133,8 +125,6 @@ class EnclaveWorker:
         self.manager = CheckpointManager(checkpoint_dir,
                                          config_digest=config_digest)
         self._shard: List[EncryptedDataset] = []
-        self.model: Optional[Network] = None
-        self.partitioned: Optional[PartitionedNetwork] = None
         self.trainer: Optional[ConfidentialTrainer] = None
         self.x: Optional[np.ndarray] = None
         self.y: Optional[np.ndarray] = None
@@ -174,23 +164,15 @@ class EnclaveWorker:
         baseline on the same master seed) start from the same weights —
         the invariant the per-round broadcast then preserves.
         """
-        self._init_generator_factory = init_generator_factory
-        self.model = self._network_factory(init_generator_factory())
-        self.model.set_dropout_rng(self.enclave.trusted_rng.generator)
-        self.partitioned = PartitionedNetwork(
-            self.model, self.partition, enclave=self.enclave
+        self.trainer = build_replica(
+            self._network_factory, init_generator_factory(), self.enclave,
+            partition=self.partition, hyperparameters=self._hyperparameters,
+            augment=self.augment,
         )
-        augmenter = (
-            Augmenter(rng=self.enclave.trusted_rng.generator)
-            if self.augment else None
-        )
-        self.trainer = ConfidentialTrainer(
-            self.partitioned,
-            Sgd(self.learning_rate, self.momentum),
-            batch_rng=self.enclave.trusted_rng.stream.child("batches").generator,
-            augmenter=augmenter,
-            batch_size=self.batch_size,
-        )
+
+    @property
+    def partitioned(self) -> PartitionedNetwork:
+        return self.trainer.partitioned
 
     def bind_observability(self, tracer: Optional[Tracer] = None,
                            metrics=None) -> None:

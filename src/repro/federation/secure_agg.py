@@ -3,14 +3,18 @@
 The paper's related work cites secure aggregation as the cryptographic
 alternative for protecting federated updates: the server learns only the
 *sum* of the clients' vectors, never an individual contribution. This
-module implements the core pairwise-masking protocol (without the
-dropout-recovery machinery):
+module implements the pairwise-masking protocol with t-of-n dropout
+recovery:
 
 * every client pair ``(i, j)`` agrees on a seed via Diffie-Hellman;
 * client ``i`` uploads ``x_i + sum_{j>i} PRG(s_ij) - sum_{j<i} PRG(s_ij)``;
-* summing all uploads cancels every mask, yielding ``sum_i x_i`` exactly.
+* summing all uploads cancels every mask, yielding ``sum_i x_i`` exactly;
+* a client that paired but never uploaded has its orphaned masks rebuilt
+  from Shamir-escrowed key shares (:func:`aggregate_with_dropouts`, the one
+  server-side sum, which fails closed instead of returning a biased one).
 
-It exists as a baseline for the accountability argument: even with secure
+The multi-enclave training path masks its FrontNet updates with it. It is
+also the baseline for the accountability argument: even with secure
 aggregation, the server cannot attribute a poisoned update — the masking
 that protects honest clients also hides the malicious one, which is
 precisely the confidentiality/accountability conflict CalTrain resolves.
@@ -33,9 +37,7 @@ from repro.utils.rng import RngStream
 
 __all__ = [
     "SecureAggregationClient",
-    "aggregate",
     "aggregate_with_dropouts",
-    "run_secure_aggregation",
     "recover_dropout",
 ]
 
@@ -195,16 +197,6 @@ def recover_dropout(dropped_id: int, shares: Sequence[Share],
     return total_mask.reshape(vector_shape)
 
 
-def aggregate(masked_updates: Sequence[np.ndarray]) -> np.ndarray:
-    """Server-side sum; pairwise masks cancel exactly."""
-    if not masked_updates:
-        raise ConfigurationError("nothing to aggregate")
-    total = np.zeros_like(masked_updates[0])
-    for update in masked_updates:
-        total += update
-    return total
-
-
 def aggregate_with_dropouts(
     uploads: Dict[int, np.ndarray],
     directory: Dict[int, int],
@@ -285,18 +277,3 @@ def aggregate_with_dropouts(
         total = total + mask.reshape(total.shape)
     return total
 
-
-def run_secure_aggregation(vectors: Sequence[np.ndarray],
-                           rng: RngStream) -> np.ndarray:
-    """Convenience: run the whole protocol over in-memory clients."""
-    if len(vectors) < 2:
-        raise ConfigurationError("secure aggregation needs >= 2 clients")
-    clients = [SecureAggregationClient(i, rng) for i in range(len(vectors))]
-    directory = {c.client_id: c.public_key for c in clients}
-    for client in clients:
-        client.establish_pairs(directory)
-    uploads = [
-        client.masked_update(vector)
-        for client, vector in zip(clients, vectors)
-    ]
-    return aggregate(uploads)

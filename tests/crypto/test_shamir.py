@@ -83,7 +83,7 @@ class TestDropoutRecovery:
 
         from repro.federation.secure_agg import (
             SecureAggregationClient,
-            aggregate,
+            aggregate_with_dropouts,
             recover_dropout,
         )
 
@@ -95,25 +95,30 @@ class TestDropoutRecovery:
             client.establish_pairs(directory)
         # Every client escrows its key, 2-of-3 among the others.
         escrow = {c.client_id: c.escrow_private_key(2, 3) for c in clients}
-        uploads = [c.masked_update(v) for c, v in zip(clients, vectors)]
+        uploads = {c.client_id: c.masked_update(v)
+                   for c, v in zip(clients, vectors)}
 
-        # Client 2 uploads and then drops: the naive aggregate over the
-        # SURVIVORS' uploads only would carry uncancelled masks; here the
-        # server has all 4 uploads but client 2 can no longer participate
-        # in any unmasking round, so its mask must be reconstructed.
-        naive = aggregate(uploads)
+        # Client 2 uploads and then drops: the server has all 4 uploads,
+        # so the masks already cancel without any reconstruction.
+        np.testing.assert_allclose(aggregate_with_dropouts(uploads, directory),
+                                   sum(vectors), atol=1e-6)
+
+        # The harder case: client 2's upload never arrived. The survivors'
+        # sum carries the masks client 2 would have cancelled; adding its
+        # reconstructed mask fixes it.
+        survivors = {i: u for i, u in uploads.items() if i != 2}
         mask = recover_dropout(2, escrow[2][:2], directory,
                                vector_shape=(30,))
-        recovered = naive  # all uploads present: masks already cancel
-        np.testing.assert_allclose(recovered, sum(vectors), atol=1e-6)
-
-        # The harder case: aggregate WITHOUT the dropped client's upload.
-        partial = aggregate([u for i, u in enumerate(uploads) if i != 2])
-        # partial = sum_{i != 2} x_i  - (masks client 2 would have
-        # cancelled) => adding the reconstructed mask fixes it.
-        fixed = partial + mask
         expected = sum(v for i, v in enumerate(vectors) if i != 2)
-        np.testing.assert_allclose(fixed, expected, atol=1e-6)
+        np.testing.assert_allclose(
+            sum(survivors.values()) + mask, expected, atol=1e-6
+        )
+        np.testing.assert_allclose(
+            aggregate_with_dropouts(survivors, directory, dropped=[2],
+                                    shares={2: escrow[2][:2]}, threshold=2,
+                                    vector_shape=(30,)),
+            expected, atol=1e-6,
+        )
 
     def test_bad_shares_detected(self, rng):
         from repro.federation.secure_agg import (

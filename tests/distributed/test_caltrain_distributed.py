@@ -1,22 +1,30 @@
 """CalTrain facade integration for the distributed training stage."""
 
+import hashlib
+import tempfile
+
 import numpy as np
 import pytest
 
 from repro.core.caltrain import CalTrain, CalTrainConfig
 from repro.data.datasets import synthetic_cifar
-from repro.errors import ConfigurationError
+from repro.enclave.attestation import AttestationService
+from repro.enclave.platform import SgxPlatform
+from repro.errors import ConfigurationError, RoundAborted
 from repro.federation.participant import TrainingParticipant
+from repro.federation.server import TrainingServer
 from repro.nn.zoo import tiny_testnet
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.utils.rng import RngStream
 
 
-def make_world(seed=7, epochs=3, participants=2):
+def make_world(seed=7, epochs=3, participants=2, batch_size=16, **config):
     config = CalTrainConfig(
-        seed=seed, epochs=epochs, batch_size=16, partition=1, augment=False,
+        seed=seed, epochs=epochs, batch_size=batch_size, partition=1,
+        augment=False,
         network_factory=lambda gen: tiny_testnet(
             gen, input_shape=(8, 8, 3), num_classes=4),
+        **config,
     )
     rng = RngStream(99, "dist-world")
     train, test = synthetic_cifar(rng.child("data"), num_train=64,
@@ -101,3 +109,77 @@ class TestCalTrainDistributed:
         system.train(workers=2, checkpoint_dir=str(tmp_path))
         assert system.distributed_telemetry.registry is system.metrics
         assert system.distributed_telemetry.counter("rounds") == 2
+
+
+def weights_digest(network):
+    """SHA-256 over every layer's parameter names and raw bytes."""
+    digest = hashlib.sha256()
+    for index, layer in enumerate(network.get_weights()):
+        for name in sorted(layer):
+            digest.update(f"{index}/{name}".encode())
+            digest.update(np.ascontiguousarray(layer[name]).tobytes())
+    return digest.hexdigest()
+
+
+class TestDistributedNumerics:
+    def test_two_worker_weights_pinned(self):
+        """The trained weights of a fixed two-worker world, bit for bit.
+
+        Sharding, replica init, local epochs, masked aggregation and the
+        broadcast all feed this digest; a change to any of them that moves
+        the numerics fails here instead of drifting silently.
+        """
+        system, _ = make_world(epochs=2)
+        reports = system.train(workers=2)
+        assert weights_digest(system.model) == (
+            "c1c81afa1dcf464d657d9829d41617f7"
+            "884c5ae3fb755137a57dcfb544229499")
+        assert reports[-1].mean_loss == 1.5051433444023132
+
+    def test_workers_train_with_the_measured_hyperparameters(self, tmp_path):
+        """Each worker's rate, momentum and batch size are the ones its
+        enclave was measured over, so the attested agreement describes the
+        training that ran."""
+        system, _ = make_world(epochs=1, batch_size=8, learning_rate=0.03,
+                               momentum=0.5)
+        system.train(workers=2, checkpoint_dir=str(tmp_path))
+        for worker in system.coordinator.workers:
+            trainer = worker.trainer
+            assert (trainer.batch_size, trainer.optimizer.learning_rate,
+                    trainer.optimizer.momentum) == (8, 0.03, 0.5)
+            ran = {"epochs": 1, "batch_size": trainer.batch_size,
+                   "learning_rate": trainer.optimizer.learning_rate,
+                   "momentum": trainer.optimizer.momentum}
+            rng = RngStream(1, "measure")
+            measured = TrainingServer(
+                SgxPlatform(rng=rng.child("platform")), AttestationService(),
+                rng.child("server"),
+            ).build_training_enclave(system.network_config,
+                                     hyperparameters=ran)
+            assert measured.mrenclave == worker.enclave.mrenclave
+
+
+class TestCheckpointRoot:
+    """Without ``checkpoint_dir`` the workers seal into a temporary
+    directory that the run removes, whether it succeeds or fails."""
+
+    def _leftovers(self, root):
+        return sorted(p.name for p in root.glob("caltrain-dist-*"))
+
+    def test_removed_after_a_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        system, _ = make_world(epochs=1)
+        system.train(workers=2)
+        manager = system.coordinator.workers[0].manager
+        assert tmp_path in manager.directory.parents
+        assert self._leftovers(tmp_path) == []
+
+    def test_removed_after_a_failed_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        system, _ = make_world(epochs=2)
+        faults = [FaultSpec("worker-corrupt", 1, worker=w)
+                  for w in ("w0", "w1")]
+        with FaultPlan(faults), pytest.raises(RoundAborted):
+            system.train(workers=2)
+        assert system.coordinator.reports[0].round == 0
+        assert self._leftovers(tmp_path) == []

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.encryption import EncryptedDataset
 from repro.distributed import DistributedCoordinator
-from repro.errors import ConfigurationError, RoundAborted
+from repro.errors import ConfigurationError, RoundAborted, TrainingError
 
 from tests.distributed.worlds import (assert_same_weights, losses,
                                       make_coordinator, run_faulted,
@@ -240,3 +240,9 @@ class TestInjectionSpecs:
             make_coordinator(tmp_path, straggler_factor=1.0)
         with pytest.raises(ConfigurationError):
             make_coordinator(tmp_path, blacklist_after=0)
+
+    def test_worker_without_records_rejected(self, tmp_path):
+        """Every worker enclave must hold data: a shard with no accepted
+        record stops the run at setup instead of training on nothing."""
+        with pytest.raises((RoundAborted, TrainingError)):
+            make_coordinator(tmp_path, num_workers=3, num_train=2)

@@ -56,9 +56,6 @@ def make_coordinator(tmp_path, seed=7, num_workers=2, participants=2,
         network_config=network_config,
         hyperparameters=HYPER,
         partition=1,
-        batch_size=BATCH_SIZE,
-        learning_rate=0.05,
-        momentum=0.9,
         rng=rng.child("distributed"),
         attestation_service=service,
         provisioner=provisioner,

@@ -6,31 +6,44 @@ import pytest
 from repro.errors import AggregationError, ConfigurationError
 from repro.federation.secure_agg import (
     SecureAggregationClient,
-    aggregate,
     aggregate_with_dropouts,
-    run_secure_aggregation,
 )
+
+
+def _paired(rng, n):
+    """``n`` clients that established pairs, and their directory."""
+    clients = [SecureAggregationClient(i, rng.child("sa")) for i in range(n)]
+    directory = {c.client_id: c.public_key for c in clients}
+    for client in clients:
+        client.establish_pairs(directory)
+    return clients, directory
+
+
+def _sum(clients, directory, vectors):
+    """Every client uploads; the server sums with nobody dropped."""
+    uploads = {c.client_id: c.masked_update(v)
+               for c, v in zip(clients, vectors)}
+    return aggregate_with_dropouts(uploads, directory)
 
 
 class TestSecureAggregation:
     def test_masks_cancel_exactly(self, rng, generator):
         vectors = [generator.normal(size=50) for _ in range(4)]
-        total = run_secure_aggregation(vectors, rng.child("sa"))
+        total = _sum(*_paired(rng, 4), vectors)
         np.testing.assert_allclose(total, sum(vectors), atol=1e-6)
 
     def test_individual_uploads_are_masked(self, rng, generator):
         """The server sees uploads that reveal nothing about the vectors:
         each upload differs from its plaintext by a large-mask amount."""
         vectors = [generator.normal(size=100) * 0.01 for _ in range(3)]
-        clients = [SecureAggregationClient(i, rng.child("sa")) for i in range(3)]
-        directory = {c.client_id: c.public_key for c in clients}
-        for client in clients:
-            client.establish_pairs(directory)
-        uploads = [c.masked_update(v) for c, v in zip(clients, vectors)]
-        for upload, vector in zip(uploads, vectors):
+        clients, directory = _paired(rng, 3)
+        uploads = {c.client_id: c.masked_update(v)
+                   for c, v in zip(clients, vectors)}
+        for upload, vector in zip(uploads.values(), vectors):
             # Mask magnitude dwarfs the signal.
             assert np.abs(upload - vector).mean() > 10 * np.abs(vector).mean()
-        np.testing.assert_allclose(aggregate(uploads), sum(vectors), atol=1e-6)
+        np.testing.assert_allclose(aggregate_with_dropouts(uploads, directory),
+                                   sum(vectors), atol=1e-6)
 
     def test_pairwise_seeds_agree(self, rng):
         a = SecureAggregationClient(0, rng.child("sa"))
@@ -42,13 +55,15 @@ class TestSecureAggregation:
 
     def test_matrix_shapes_preserved(self, rng, generator):
         vectors = [generator.normal(size=(4, 5)) for _ in range(2)]
-        total = run_secure_aggregation(vectors, rng.child("sa"))
+        total = _sum(*_paired(rng, 2), vectors)
         assert total.shape == (4, 5)
         np.testing.assert_allclose(total, vectors[0] + vectors[1], atol=1e-6)
 
     def test_needs_two_clients(self, rng, generator):
+        """A lone client has no pair to mask with, so it cannot upload."""
+        (client,), _ = _paired(rng, 1)
         with pytest.raises(ConfigurationError):
-            run_secure_aggregation([generator.normal(size=3)], rng.child("sa"))
+            client.masked_update(generator.normal(size=3))
 
     def test_upload_before_pairing_rejected(self, rng):
         client = SecureAggregationClient(0, rng.child("sa"))
@@ -56,8 +71,8 @@ class TestSecureAggregation:
             client.masked_update(np.zeros(4))
 
     def test_empty_aggregate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            aggregate([])
+        with pytest.raises(AggregationError, match="no surviving uploads"):
+            aggregate_with_dropouts({}, {})
 
     def test_unattributable_poisoning(self, rng, generator):
         """The accountability gap CalTrain fills: a poisoned update hides
@@ -65,27 +80,21 @@ class TestSecureAggregation:
         honest = [generator.normal(size=20) * 0.1 for _ in range(3)]
         poisoned = generator.normal(size=20) * 0.1 + 5.0  # a huge shift
         vectors = honest + [poisoned]
-        clients = [SecureAggregationClient(i, rng.child("sa"))
-                   for i in range(4)]
-        directory = {c.client_id: c.public_key for c in clients}
-        for client in clients:
-            client.establish_pairs(directory)
-        uploads = [c.masked_update(v) for c, v in zip(clients, vectors)]
+        clients, directory = _paired(rng, 4)
+        uploads = {c.client_id: c.masked_update(v)
+                   for c, v in zip(clients, vectors)}
         # The aggregate clearly shifted...
-        assert aggregate(uploads).mean() > 3.0
+        assert aggregate_with_dropouts(uploads, directory).mean() > 3.0
         # ...but no single upload stands out: the masked poisoned upload is
         # statistically indistinguishable from the honest ones.
-        deviations = [float(np.abs(u).mean()) for u in uploads]
+        deviations = [float(np.abs(u).mean()) for u in uploads.values()]
         assert max(deviations) < 3 * min(deviations)
 
 
 def _cohort(rng, generator, n, size=40):
     """A paired cohort with escrowed keys and plaintext vectors."""
     vectors = [generator.normal(size=size) * 0.1 for _ in range(n)]
-    clients = [SecureAggregationClient(i, rng.child("sa")) for i in range(n)]
-    directory = {c.client_id: c.public_key for c in clients}
-    for client in clients:
-        client.establish_pairs(directory)
+    clients, directory = _paired(rng, n)
     threshold = 1 if n <= 2 else n // 2 + 1
     escrow = {c.client_id: c.escrow_private_key(threshold, n) for c in clients}
     return vectors, clients, directory, escrow, threshold

@@ -2,8 +2,7 @@
 
 These tests exercise full multi-subsystem flows that no single module test
 covers: the audited pipeline, a poisoned participant caught end-to-end,
-the sealed linkage store surviving an enclave restart, and hub training
-feeding the accountability stage.
+and the sealed linkage store surviving an enclave restart.
 """
 
 import numpy as np
@@ -159,42 +158,3 @@ class TestSealedLinkagePersistence:
         matrix, _ = restored.by_label(int(labels[0]))
         positions, _ = exact_top_k(fps[:1], matrix, 3)
         assert positions.shape == (1, 3)
-
-
-class TestHubsFeedAccountability:
-    def test_hub_trained_model_supports_fingerprinting(self, world, tmp_path):
-        """A model trained by the hub aggregator plugs into the
-        fingerprint/query stages like a single-enclave model."""
-        from repro.core.fingerprint import Fingerprinter
-        from repro.core.linkage import instance_digest
-        from repro.core.query import exact_top_k
-        from repro.federation.hubs import HubAggregator, LearningHub
-        from repro.serving import LinkageStore
-
-        rng, train, test = world
-        from repro.enclave.platform import SgxPlatform
-
-        factory = lambda: tiny_testnet(rng.child("init").fork_generator(),
-                                       input_shape=(8, 8, 3), num_classes=4)
-        groups = train.split([0.5, 0.5], rng=rng.child("g").generator)
-        hubs = [
-            LearningHub(f"hub{i}", SgxPlatform(rng=rng.child(f"plat{i}")),
-                        factory, partition=1, datasets=[groups[i]],
-                        rng=rng.child(f"hub{i}"), batch_size=16,
-                        learning_rate=0.02)
-            for i in range(2)
-        ]
-        model = HubAggregator(hubs, global_model=factory()).train(rounds=3)
-
-        fingerprinter = Fingerprinter(model)
-        store = LinkageStore.create(tmp_path / "store")
-        store.append(
-            fingerprinter.fingerprint(train.x), train.y.tolist(),
-            ["pool"] * len(train),
-            [instance_digest(train.x[i]) for i in range(len(train))],
-            source_indices=list(range(len(train))),
-        )
-        labels, _, fps = fingerprinter.predict_with_fingerprint(test.x[:2])
-        matrix, _ = store.by_label(int(labels[0]))
-        positions, _ = exact_top_k(fps[:1], matrix, 5)
-        assert positions.shape == (1, 5)

@@ -9,7 +9,9 @@ back under any name it used to have. Nor may a second way to answer a
 query: serving is exact, so an answer is checked with ``==`` and there
 is no approximate mode, recall floor or distance tolerance. Nor a second
 numerics: the nn layers run one set of kernels, with no backend registry,
-selection call or threaded GEMM.
+selection call or threaded GEMM. Nor a second multi-enclave trainer or
+aggregation path: ``CalTrain.train(workers=N)`` is the one, and its secure
+sum is ``aggregate_with_dropouts``.
 """
 
 import ast
@@ -18,8 +20,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "benchmarks", "examples")
 #: Names of the removed second pipeline, of the approximate search mode
-#: and the verifier's tolerance, of options that never varied, and of the
-#: nn backend selection and threading.
+#: and the verifier's tolerance, of options that never varied, of the
+#: nn backend selection and threading, and of the learning-hub trainer and
+#: the dropout-blind secure sum.
 GONE = {
     "LinkageDatabase", "QueryService", "Neighbor", "Investigator",
     "InvestigationResult", "MerkleTree", "to_database", "query_service",
@@ -28,6 +31,7 @@ GONE = {
     "set_backend", "set_default_backend", "default_backend",
     "resolve_backend", "available_backends", "get_backend", "backend_name",
     "ComputeBackend", "_env_threads", "_row_chunks",
+    "LearningHub", "HubAggregator", "HubRound", "run_secure_aggregation",
 }
 #: Removed parameter / attribute names, matched only where they name a
 #: parameter, keyword argument, attribute or class field.
