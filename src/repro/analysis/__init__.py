@@ -1,6 +1,6 @@
 """Analysis toolkit: KL divergence, LLE, metrics, image ops, reporting."""
 
-from repro.analysis.evaluation import EvaluationReport, evaluate_classifier, render_confusion_matrix
+from repro.analysis.evaluation import EvaluationReport, evaluate_classifier
 from repro.analysis.images import bilinear_resize, to_ir_image
 from repro.analysis.kl import kl_divergence, kl_to_uniform
 from repro.analysis.lle import locally_linear_embedding
@@ -19,7 +19,6 @@ from repro.analysis.reporting import (
 __all__ = [
     "EvaluationReport",
     "evaluate_classifier",
-    "render_confusion_matrix",
     "kl_divergence",
     "kl_to_uniform",
     "locally_linear_embedding",

@@ -15,8 +15,7 @@ import numpy as np
 from repro.analysis.metrics import confusion_matrix
 from repro.errors import ConfigurationError
 
-__all__ = ["ClassReport", "EvaluationReport", "evaluate_classifier",
-           "render_confusion_matrix"]
+__all__ = ["ClassReport", "EvaluationReport", "evaluate_classifier"]
 
 
 @dataclass(frozen=True)
@@ -74,19 +73,3 @@ def evaluate_classifier(model, x: np.ndarray, y: np.ndarray,
         per_class=per_class,
         matrix=matrix,
     )
-
-
-def render_confusion_matrix(matrix: np.ndarray,
-                            class_names: Optional[Sequence[str]] = None) -> str:
-    """Plain-text confusion matrix, rows = actual, columns = predicted."""
-    n = matrix.shape[0]
-    names = class_names or [str(i) for i in range(n)]
-    width = max(5, max(len(str(name)) for name in names) + 1)
-    header = " " * width + "".join(f"{name:>{width}}" for name in names)
-    lines = [header]
-    for i in range(n):
-        row = f"{names[i]:>{width}}" + "".join(
-            f"{int(matrix[i, j]):>{width}}" for j in range(n)
-        )
-        lines.append(row)
-    return "\n".join(lines)

@@ -14,7 +14,7 @@
 from repro.attacks.badnets import BadNetsAttack
 from repro.attacks.gan_attack import GanAttack
 from repro.attacks.inversion import ModelInversionAttack, class_direction_correlation
-from repro.attacks.membership import ShadowModelAttack, membership_inference_auc
+from repro.attacks.membership import membership_inference_auc
 from repro.attacks.mislabel import inject_mislabeled
 from repro.attacks.reconstruction import InputReconstructionAttack
 from repro.attacks.trojan import TrojanAttack, TrojanResult, stamp_trigger
@@ -27,7 +27,6 @@ __all__ = [
     "inject_mislabeled",
     "InputReconstructionAttack",
     "membership_inference_auc",
-    "ShadowModelAttack",
     "ModelInversionAttack",
     "class_direction_correlation",
     "GanAttack",

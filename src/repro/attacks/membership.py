@@ -2,28 +2,19 @@
 
 Section VII argues membership inference's prerequisite (the adversary
 already holds the candidate record) fails in CalTrain, and that DP-SGD
-limits it anyway. This module measures the attack two ways:
-
-* the classic confidence-threshold variant (:func:`membership_scores`,
-  :func:`membership_inference_auc`) — members score higher than
-  non-members on overfit models;
-* the paper-faithful *shadow-model* construction
-  (:class:`ShadowModelAttack`) — the adversary trains shadow models on
-  data it controls, labels their confidence vectors as in/out, fits an
-  attack classifier, and applies it to the victim.
+limits it anyway. This module measures the confidence-threshold variant
+(:func:`membership_scores`, :func:`membership_inference_auc`): members
+score higher than non-members on overfit models.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
-
 import numpy as np
 
 from repro.analysis.metrics import auc_score
-from repro.errors import ConfigurationError
 from repro.nn.network import Network
 
-__all__ = ["membership_scores", "membership_inference_auc", "ShadowModelAttack"]
+__all__ = ["membership_scores", "membership_inference_auc"]
 
 
 def membership_scores(model: Network, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -46,98 +37,3 @@ def membership_inference_auc(model: Network,
         np.zeros(nonmember_y.shape[0], dtype=bool),
     ])
     return auc_score(scores, labels)
-
-
-class ShadowModelAttack:
-    """Shadow-model membership inference (the paper's cited construction).
-
-    The adversary holds data from the same distribution, trains ``k``
-    shadow models on disjoint member splits, and records each shadow's
-    confidence vectors on its own members (label "in") and on held-out
-    data (label "out"). An attack classifier learns the in/out boundary
-    from these records and is then applied to the *victim's* outputs.
-
-    The attack classifier here is a per-example logistic score over
-    features that are model-size agnostic: (true-label confidence, max
-    confidence, prediction entropy), fit by gradient descent — faithful in
-    structure while staying numpy-sized.
-    """
-
-    def __init__(self, model_factory: Callable[[int], Network],
-                 train_fn: Callable[[Network, np.ndarray, np.ndarray, int], None],
-                 num_shadows: int = 3) -> None:
-        """
-        Args:
-            model_factory: ``seed -> fresh Network`` (victim architecture).
-            train_fn: ``(model, x, y, seed) -> None`` — the same training
-                recipe the victim used.
-            num_shadows: Shadow models to train.
-        """
-        if num_shadows < 1:
-            raise ConfigurationError("need at least one shadow model")
-        self.model_factory = model_factory
-        self.train_fn = train_fn
-        self.num_shadows = num_shadows
-        self._weights: np.ndarray = np.zeros(4)
-
-    @staticmethod
-    def _features(model: Network, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        probs = model.predict(x)
-        true_conf = probs[np.arange(y.shape[0]), y]
-        max_conf = probs.max(axis=1)
-        entropy = -np.sum(probs * np.log(probs + 1e-12), axis=1)
-        return np.stack([true_conf, max_conf, entropy,
-                         np.ones_like(true_conf)], axis=1)
-
-    def fit(self, shadow_x: np.ndarray, shadow_y: np.ndarray,
-            epochs: int = 200, lr: float = 0.5) -> None:
-        """Train the shadows and the attack classifier."""
-        n = shadow_x.shape[0]
-        if n < 2 * self.num_shadows:
-            raise ConfigurationError("not enough shadow data for the splits")
-        features: List[np.ndarray] = []
-        labels: List[np.ndarray] = []
-        splits = np.array_split(np.arange(n), self.num_shadows + 1)
-        holdout = splits[-1]
-        for s in range(self.num_shadows):
-            members = splits[s]
-            shadow = self.model_factory(s)
-            self.train_fn(shadow, shadow_x[members], shadow_y[members], s)
-            features.append(self._features(shadow, shadow_x[members],
-                                           shadow_y[members]))
-            labels.append(np.ones(len(members)))
-            features.append(self._features(shadow, shadow_x[holdout],
-                                           shadow_y[holdout]))
-            labels.append(np.zeros(len(holdout)))
-        x_attack = np.concatenate(features)
-        y_attack = np.concatenate(labels)
-        # Standardize the non-bias features for stable logistic fitting.
-        self._mean = x_attack[:, :3].mean(axis=0)
-        self._std = x_attack[:, :3].std(axis=0) + 1e-9
-        x_attack[:, :3] = (x_attack[:, :3] - self._mean) / self._std
-        weights = np.zeros(4)
-        for _ in range(epochs):
-            logits = x_attack @ weights
-            prediction = 1.0 / (1.0 + np.exp(-logits))
-            gradient = x_attack.T @ (prediction - y_attack) / y_attack.size
-            weights -= lr * gradient
-        self._weights = weights
-
-    def score(self, victim: Network, x: np.ndarray,
-              y: np.ndarray) -> np.ndarray:
-        """Attack scores against the victim (higher = 'member')."""
-        features = self._features(victim, x, y)
-        features[:, :3] = (features[:, :3] - self._mean) / self._std
-        return 1.0 / (1.0 + np.exp(-(features @ self._weights)))
-
-    def auc(self, victim: Network, member_x: np.ndarray, member_y: np.ndarray,
-            nonmember_x: np.ndarray, nonmember_y: np.ndarray) -> float:
-        scores = np.concatenate([
-            self.score(victim, member_x, member_y),
-            self.score(victim, nonmember_x, nonmember_y),
-        ])
-        labels = np.concatenate([
-            np.ones(member_y.shape[0], dtype=bool),
-            np.zeros(nonmember_y.shape[0], dtype=bool),
-        ])
-        return auc_score(scores, labels)

@@ -369,7 +369,6 @@ class CalTrain:
 
     def train(self, test_x: Optional[np.ndarray] = None,
               test_y: Optional[np.ndarray] = None,
-              keep_snapshots: bool = False,
               checkpoint_dir: Optional[str] = None,
               resume: bool = False,
               checkpoint_every_batches: Optional[int] = None,
@@ -398,8 +397,8 @@ class CalTrain:
         per-round sealed checkpoints (under ``checkpoint_dir``, or a
         temporary directory removed when the run ends), so the
         single-enclave resilience options (``resume``,
-        ``checkpoint_every_batches``, ``retry_policy``,
-        ``keep_snapshots``) are rejected alongside it.
+        ``checkpoint_every_batches``, ``retry_policy``) are rejected
+        alongside it.
 
         ``tracer`` (optional) records the run as nested spans — epochs
         over batches over enclave/boundary-crossing/untrusted phases.
@@ -410,7 +409,6 @@ class CalTrain:
                 "resume": resume,
                 "checkpoint_every_batches": checkpoint_every_batches is not None,
                 "retry_policy": retry_policy is not None,
-                "keep_snapshots": keep_snapshots,
             }
             offending = sorted(k for k, v in incompatible.items() if v)
             if offending:
@@ -470,11 +468,10 @@ class CalTrain:
                     raise ConfigurationError("resume needs checkpoint_dir set")
                 reports = self.trainer.train(
                     x, y, self.config.epochs, test_x=test_x, test_y=test_y,
-                    keep_snapshots=keep_snapshots,
                 )
             else:
                 reports = self._train_supervised(
-                    x, y, test_x, test_y, keep_snapshots, checkpoint_dir,
+                    x, y, test_x, test_y, checkpoint_dir,
                     resume, checkpoint_every_batches, retry_policy,
                 )
         self.audit_log.append(
@@ -524,7 +521,7 @@ class CalTrain:
             audit_head=self.audit_log.head.hex(),
         )
 
-    def _train_supervised(self, x, y, test_x, test_y, keep_snapshots,
+    def _train_supervised(self, x, y, test_x, test_y,
                           checkpoint_dir, resume, checkpoint_every_batches,
                           retry_policy) -> List[EpochReport]:
         manager = CheckpointManager(
@@ -561,7 +558,7 @@ class CalTrain:
         self.run_telemetry = resilient.telemetry
         reports = resilient.run(
             x, y, self.config.epochs, test_x=test_x, test_y=test_y,
-            keep_snapshots=keep_snapshots, resume=resume,
+            resume=resume,
             checkpoint_every_batches=checkpoint_every_batches,
         )
         digest = manager.latest_manifest_digest()
@@ -601,6 +598,7 @@ class CalTrain:
                 checkpoint_root=root,
                 cipher=self.config.cipher,
                 augment=self.config.augment,
+                freeze_schedule=self.trainer.freeze_schedule,
                 config_digest=self.config_digest,
                 straggler_factor=straggler_factor,
                 blacklist_after=blacklist_after,
@@ -633,6 +631,7 @@ class CalTrain:
                 top2=accuracy["top2"] if last else None,
                 partition=self.config.partition,
                 simulated_seconds=report.round_seconds,
+                frontnet_frozen=report.frontnet_frozen,
             ))
             self.audit_log.append(
                 "distributed-round",

@@ -63,9 +63,7 @@ class ConfidentialTrainer:
                  batch_rng: np.random.Generator,
                  augmenter: Optional[Augmenter] = None, batch_size: int = 32,
                  freeze_schedule: Optional[FreezeSchedule] = None,
-                 lr_schedule=None,
                  on_epoch_end: Optional[Callable[[int, "ConfidentialTrainer"], None]] = None,
-                 early_stop_patience: Optional[int] = None,
                  ) -> None:
         self.partitioned = partitioned
         self.optimizer = optimizer
@@ -73,19 +71,7 @@ class ConfidentialTrainer:
         self.augmenter = augmenter
         self.batch_size = batch_size
         self.freeze_schedule = freeze_schedule
-        self.lr_schedule = lr_schedule
-        self._base_learning_rate = getattr(optimizer, "learning_rate", None)
         self.on_epoch_end = on_epoch_end
-        #: Stop after this many epochs without test-top-1 improvement
-        #: (needs test data at train() time); None disables.
-        self.early_stop_patience = early_stop_patience
-        self.best_weights = None
-        self.best_top1: Optional[float] = None
-        #: Epochs since the last test-top-1 improvement (checkpointable).
-        self.stale_epochs = 0
-        #: Set once the early-stop patience is exhausted; :meth:`train`
-        #: (and the resilience runtime) stop at the next epoch boundary.
-        self.stop_training = False
         self.reports: List[EpochReport] = []
         #: Per-epoch weight snapshots (semi-trained models) for assessment.
         self.snapshots: List[List[Dict[str, np.ndarray]]] = []
@@ -150,8 +136,6 @@ class ConfidentialTrainer:
         frozen = False
         if self.freeze_schedule is not None:
             frozen = self.freeze_schedule.apply(self.partitioned, epoch)
-        if self.lr_schedule is not None and self._base_learning_rate is not None:
-            self.lr_schedule.apply(self.optimizer, self._base_learning_rate, epoch)
         losses = list(carried_losses) if carried_losses else []
         batch = start_batch
         epoch_span = (
@@ -203,11 +187,9 @@ class ConfidentialTrainer:
 
         Encapsulates everything :meth:`train` does per iteration so that a
         resumable/supervised runtime can drive epochs one at a time and
-        re-enter mid-epoch. Appends to :attr:`reports`, maintains the
-        early-stop state (:attr:`best_top1`, :attr:`stale_epochs`,
-        :attr:`stop_training`), and returns the epoch's report. The
-        frozen flag in the report is the one :meth:`train_epoch` actually
-        applied — a single source of truth.
+        re-enter mid-epoch. Appends to :attr:`reports` and returns the
+        epoch's report. The frozen flag in the report is the one
+        :meth:`train_epoch` actually applied — a single source of truth.
         """
         clock_start = self._simulated_now()
         mean_loss, frozen = self.train_epoch(
@@ -233,19 +215,6 @@ class ConfidentialTrainer:
             self.snapshots.append(self.partitioned.network.get_weights())
         if self.on_epoch_end is not None:
             self.on_epoch_end(epoch, self)
-        top1 = accuracy["top1"]
-        if top1 is not None:
-            if self.best_top1 is None or top1 > self.best_top1:
-                self.best_top1 = top1
-                self.best_weights = self.partitioned.network.get_weights()
-                self.stale_epochs = 0
-            else:
-                self.stale_epochs += 1
-            if (self.early_stop_patience is not None
-                    and self.stale_epochs >= self.early_stop_patience):
-                _LOG.info("early stop at epoch %d (best top-1 %.3f)",
-                          epoch, self.best_top1)
-                self.stop_training = True
         return report
 
     def train(self, x: np.ndarray, y: np.ndarray, epochs: int,
@@ -255,16 +224,11 @@ class ConfidentialTrainer:
               start_epoch: int = 0) -> List[EpochReport]:
         """The full training stage; returns the per-epoch reports.
 
-        With ``early_stop_patience`` set (and test data given), training
-        stops once test top-1 has not improved for that many epochs, and
-        the best-seen weights are tracked in :attr:`best_weights`.
         ``start_epoch`` resumes a restored trainer at a later epoch.
         """
         for epoch in range(start_epoch, epochs):
             self.run_epoch(x, y, epoch, test_x=test_x, test_y=test_y,
                            keep_snapshots=keep_snapshots)
-            if self.stop_training:
-                break
         return self.reports
 
 

@@ -14,7 +14,7 @@ from repro.crypto.aead import BULK_CIPHER, AesGcm, ShakeHmacAead, new_aead
 from repro.crypto.dh import DhKeyPair, DhParams, MODP_2048
 from repro.crypto.hashing import hmac_sha256, sha256
 from repro.crypto.hkdf import hkdf, hkdf_expand, hkdf_extract
-from repro.crypto.keys import SymmetricKey, random_key, random_nonce
+from repro.crypto.keys import SymmetricKey, random_key
 from repro.crypto.shamir import Share, reconstruct_secret, split_secret
 from repro.crypto.tls import SecureChannel, TlsClient, TlsServer
 
@@ -36,7 +36,6 @@ __all__ = [
     "split_secret",
     "reconstruct_secret",
     "random_key",
-    "random_nonce",
     "SecureChannel",
     "TlsClient",
     "TlsServer",

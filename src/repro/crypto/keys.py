@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from repro.crypto.aead import NONCE_LEN
 from repro.utils.rng import RngStream
 
-__all__ = ["SymmetricKey", "random_key", "random_nonce"]
+__all__ = ["SymmetricKey", "random_key"]
 
 
 @dataclass
@@ -41,8 +41,3 @@ class SymmetricKey:
 def random_key(rng: RngStream, key_id: str = "key", length: int = 16) -> SymmetricKey:
     """Generate a fresh symmetric key from an RNG stream."""
     return SymmetricKey(key_id=key_id, material=rng.randbytes(length))
-
-
-def random_nonce(rng: RngStream) -> bytes:
-    """Generate a random AEAD nonce (for one-off messages)."""
-    return rng.randbytes(NONCE_LEN)

@@ -50,6 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.freezing import FreezeSchedule
 from repro.crypto.aead import BULK_CIPHER
 from repro.data.encryption import EncryptedDataset
 from repro.distributed.aggregator import AggregatorEnclave
@@ -87,6 +88,7 @@ class RoundReport:
     recovered: List[str] = field(default_factory=list)
     blacklisted: List[str] = field(default_factory=list)
     recovered_masks: int = 0
+    frontnet_frozen: bool = False
     deadline_seconds: float = 0.0
     train_seconds: float = 0.0
     aggregation_seconds: float = 0.0
@@ -109,6 +111,7 @@ class DistributedCoordinator:
                  checkpoint_root,
                  cipher: str = BULK_CIPHER,
                  augment: bool = False,
+                 freeze_schedule: Optional[FreezeSchedule] = None,
                  straggler_factor: float = 2.5,
                  blacklist_after: int = 2,
                  config_digest: Optional[bytes] = None,
@@ -147,6 +150,7 @@ class DistributedCoordinator:
                 checkpoint_dir=root / f"w{i}",
                 cipher=cipher,
                 augment=augment,
+                freeze_schedule=freeze_schedule,
                 config_digest=config_digest,
                 epc_bytes=epc_bytes,
             )
@@ -443,6 +447,8 @@ class DistributedCoordinator:
             recovered=sorted(recovered),
             blacklisted=newly_blacklisted,
             recovered_masks=int(summary["recovered_masks"]),
+            frontnet_frozen=all(self._by_id[wid].frontnet_frozen
+                                for wid in participating),
             deadline_seconds=deadline,
             train_seconds=train_seconds,
             aggregation_seconds=aggregation_seconds,

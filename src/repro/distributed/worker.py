@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.freezing import FreezeSchedule
 from repro.core.partition import PartitionedNetwork
 from repro.core.partitioned_training import ConfidentialTrainer, build_replica
 from repro.crypto.aead import BULK_CIPHER
@@ -98,12 +99,16 @@ class EnclaveWorker:
                  checkpoint_dir,
                  cipher: str = BULK_CIPHER,
                  augment: bool = False,
+                 freeze_schedule: Optional[FreezeSchedule] = None,
                  config_digest: Optional[bytes] = None,
                  epc_bytes: int = EPC_USABLE_BYTES) -> None:
         self.worker_id = worker_id
         self.rng = rng
         self.cipher = cipher
         self.augment = augment
+        self.freeze_schedule = freeze_schedule
+        #: Whether the FrontNet was frozen in this worker's last local epoch.
+        self.frontnet_frozen = False
         self.partition = partition
         self._network_factory = network_factory
         self._network_config = network_config
@@ -145,11 +150,16 @@ class EnclaveWorker:
         self._shard = list(datasets)
 
     def stage(self, provisioner: Callable[[Enclave], None]) -> DecryptionSummary:
-        """Provision keys and decrypt this worker's shard in-enclave."""
+        """Provision keys and decrypt this worker's shard in-enclave.
+
+        A shard with no accepted record stages nothing; the caller decides
+        what an empty worker means.
+        """
         provisioner(self.enclave)
         self.server.replace_submissions(self._shard)
         summary = self.server.decrypt_submissions(cipher=self.cipher)
-        self.x, self.y, _, _ = self.server.staged_training_data()
+        if summary.accepted:
+            self.x, self.y, _, _ = self.server.staged_training_data()
         return summary
 
     # -- replica lifecycle -------------------------------------------------------
@@ -167,7 +177,7 @@ class EnclaveWorker:
         self.trainer = build_replica(
             self._network_factory, init_generator_factory(), self.enclave,
             partition=self.partition, hyperparameters=self._hyperparameters,
-            augment=self.augment,
+            augment=self.augment, freeze_schedule=self.freeze_schedule,
         )
 
     @property
@@ -215,7 +225,8 @@ class EnclaveWorker:
         """
         self._round_weights = self.partitioned.network.get_weights()
         start = self.platform.clock.now
-        mean_loss, _ = self.trainer.train_epoch(self.x, self.y, round_index)
+        mean_loss, self.frontnet_frozen = self.trainer.train_epoch(
+            self.x, self.y, round_index)
         return mean_loss, self.platform.clock.now - start
 
     def front_delta(self) -> np.ndarray:

@@ -33,8 +33,8 @@ raw submissions.
 from repro.ingest.gateway import (GatewayConfig, IngestGateway, IngestReceipt,
                                   TokenBucket, UploadSession)
 from repro.ingest.ledger import (LEDGER_FORMAT, ContributionLedger,
-                                 LedgerSegmentInfo, pack_records,
-                                 record_digest, unpack_records)
+                                 LedgerSegmentInfo, record_digest,
+                                 unpack_records)
 from repro.ingest.transfer import ChunkReceipt, UploadTransfer, chunk_stream
 from repro.ingest.validate import (QuarantinedRecord, ValidationConfig,
                                    ValidationPool, ValidationReport,
@@ -44,7 +44,6 @@ __all__ = [
     "LEDGER_FORMAT",
     "ContributionLedger",
     "LedgerSegmentInfo",
-    "pack_records",
     "unpack_records",
     "record_digest",
     "ChunkReceipt",

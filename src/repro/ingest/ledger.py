@@ -55,7 +55,6 @@ __all__ = [
     "LEDGER_FORMAT",
     "LedgerSegmentInfo",
     "ContributionLedger",
-    "pack_records",
     "unpack_records",
     "record_digest",
     "unpack_headed", "record_header", "header_digest", "record_identities",
@@ -113,24 +112,19 @@ def record_identities(records: Sequence[EncryptedRecord],
 
 def iter_packed(records: Sequence[EncryptedRecord],
                 headers: Optional[Sequence[bytes]] = None) -> Iterator[bytes]:
-    """:func:`pack_records`'s bytes, frame by frame, never joined."""
+    """Serialize records to one canonical payload, frame by frame, never
+    joined (chunk and segment payloads).
+
+    Layout: ``count | (meta-len | meta-json | sealed-len | sealed)...`` —
+    everything length-prefixed, so equal record sequences always produce
+    equal bytes. ``meta-json`` is ``headers``, else :func:`record_header`.
+    """
     if headers is None:
         headers = [record_header(record) for record in records]
     yield _U32.pack(len(records))
     for record, header in zip(records, headers):
         yield _U32.pack(len(header)) + header + _U64.pack(len(record.sealed))
         yield record.sealed
-
-
-def pack_records(records: Sequence[EncryptedRecord],
-                 headers: Optional[Sequence[bytes]] = None) -> bytes:
-    """Serialize records to one canonical blob (chunk and segment payloads).
-
-    Layout: ``count | (meta-len | meta-json | sealed-len | sealed)...`` —
-    everything length-prefixed, so equal record sequences always produce
-    equal bytes. ``meta-json`` is ``headers``, else :func:`record_header`.
-    """
-    return b"".join(iter_packed(records, headers))
 
 
 def packed_frames(blob: bytes) -> List[Tuple[memoryview, memoryview]]:
@@ -160,7 +154,7 @@ def packed_frames(blob: bytes) -> List[Tuple[memoryview, memoryview]]:
 
 
 def unpack_headed(blob: bytes) -> Tuple[List[EncryptedRecord], List[bytes]]:
-    """Inverse of :func:`pack_records`, plus each frame's ``meta-json``."""
+    """Inverse of :func:`iter_packed`, plus each frame's ``meta-json``."""
     records: List[EncryptedRecord] = []
     headers: List[bytes] = []
     for header, sealed in packed_frames(blob):
@@ -176,7 +170,7 @@ def unpack_headed(blob: bytes) -> Tuple[List[EncryptedRecord], List[bytes]]:
 
 
 def unpack_records(blob: bytes) -> List[EncryptedRecord]:
-    """Inverse of :func:`pack_records`."""
+    """Inverse of :func:`iter_packed`."""
     return unpack_headed(blob)[0]
 
 

@@ -11,7 +11,7 @@ Data layout is NHWC (batch, height, width, channels), matching the paper's
 """
 
 from repro.nn.config import network_from_config, network_to_config
-from repro.nn.initializers import gaussian_init, he_init, xavier_init
+from repro.nn.initializers import gaussian_init
 from repro.nn.layers import (
     AvgPoolLayer,
     BatchNormLayer,
@@ -25,19 +25,11 @@ from repro.nn.layers import (
     ResidualBlockLayer,
     SoftmaxLayer,
 )
-from repro.nn.losses import cross_entropy_delta, cross_entropy_loss
-from repro.nn.model_io import load_model, model_from_bytes, model_to_bytes, save_model
 from repro.nn.network import Network
-from repro.nn.optimizers import Adam, DpSgd, Optimizer, PerExampleDpSgd, Sgd
+from repro.nn.optimizers import Optimizer, PerExampleDpSgd, Sgd
 from repro.nn.privacy import RdpAccountant, dp_sgd_epsilon
 from repro.nn.pruning import apply_masks, prune_by_magnitude, sparsity
 from repro.nn.quantization import quantize_weights
-from repro.nn.schedules import (
-    ConstantSchedule,
-    CosineSchedule,
-    PolySchedule,
-    StepSchedule,
-)
 from repro.nn.zoo import cifar10_10layer, cifar10_18layer, face_recognition_net, tiny_testnet
 
 __all__ = [
@@ -55,28 +47,14 @@ __all__ = [
     "Network",
     "Optimizer",
     "Sgd",
-    "Adam",
-    "DpSgd",
     "PerExampleDpSgd",
     "RdpAccountant",
     "dp_sgd_epsilon",
-    "ConstantSchedule",
-    "StepSchedule",
-    "PolySchedule",
-    "CosineSchedule",
     "prune_by_magnitude",
     "apply_masks",
     "sparsity",
     "quantize_weights",
-    "save_model",
-    "load_model",
-    "model_to_bytes",
-    "model_from_bytes",
     "gaussian_init",
-    "he_init",
-    "xavier_init",
-    "cross_entropy_loss",
-    "cross_entropy_delta",
     "network_from_config",
     "network_to_config",
     "cifar10_10layer",

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["gaussian_init", "he_init", "xavier_init", "Initializer"]
+__all__ = ["gaussian_init", "Initializer"]
 
 Initializer = Callable[[Tuple[int, ...]], np.ndarray]
 
@@ -31,22 +31,5 @@ def gaussian_init(rng: np.random.Generator, std: Optional[float] = None) -> Init
     def init(shape: Tuple[int, ...]) -> np.ndarray:
         scale = std if std is not None else np.sqrt(2.0 / _fan_in(shape))
         return rng.normal(0.0, scale, size=shape)
-
-    return init
-
-
-def he_init(rng: np.random.Generator) -> Initializer:
-    """He-normal initialization (alias of the default Gaussian scale)."""
-    return gaussian_init(rng, std=None)
-
-
-def xavier_init(rng: np.random.Generator) -> Initializer:
-    """Glorot/Xavier uniform initialization."""
-
-    def init(shape: Tuple[int, ...]) -> np.ndarray:
-        fan_in = _fan_in(shape)
-        fan_out = shape[-1]
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape)
 
     return init

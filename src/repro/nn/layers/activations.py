@@ -1,45 +1,12 @@
-"""Elementwise activation functions (Darknet's set, minus the exotic ones)."""
+"""Elementwise activation names (Darknet's set, minus the exotic ones).
 
-from __future__ import annotations
+The kernels are fused into :class:`~repro.nn.backends.optimized.OptimizedBackend`,
+which raises :class:`~repro.errors.ConfigurationError` on a name outside
+:data:`ACTIVATIONS`.
+"""
 
-import numpy as np
-
-from repro.errors import ConfigurationError
-
-__all__ = ["apply_activation", "activation_gradient", "ACTIVATIONS"]
+__all__ = ["ACTIVATIONS"]
 
 _LEAKY_SLOPE = 0.1  # Darknet's leaky ReLU slope.
 
 ACTIVATIONS = ("linear", "relu", "leaky", "tanh", "sigmoid")
-
-
-def apply_activation(name: str, z: np.ndarray) -> np.ndarray:
-    """Apply activation ``name`` to pre-activations ``z``."""
-    if name == "linear":
-        return z
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "leaky":
-        return np.where(z > 0.0, z, _LEAKY_SLOPE * z)
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    raise ConfigurationError(f"unknown activation {name!r}")
-
-
-def activation_gradient(name: str, z: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Multiply ``delta`` by the activation's derivative at ``z``."""
-    if name == "linear":
-        return delta
-    if name == "relu":
-        return delta * (z > 0.0)
-    if name == "leaky":
-        return delta * np.where(z > 0.0, 1.0, _LEAKY_SLOPE)
-    if name == "tanh":
-        t = np.tanh(z)
-        return delta * (1.0 - t * t)
-    if name == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-z))
-        return delta * s * (1.0 - s)
-    raise ConfigurationError(f"unknown activation {name!r}")

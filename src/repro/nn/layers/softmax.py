@@ -17,14 +17,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.nn.layers.base import Layer, Shape
 
-__all__ = ["SoftmaxLayer", "CostLayer", "softmax"]
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+__all__ = ["SoftmaxLayer", "CostLayer"]
 
 
 class SoftmaxLayer(Layer):

@@ -8,7 +8,6 @@ penultimate-layer fingerprints.
 
 from __future__ import annotations
 
-import io
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -235,27 +234,6 @@ class Network:
                         f"shape mismatch for {layer.describe()}.{name}"
                     )
                 target[...] = arr
-
-    def weights_to_bytes(self) -> bytes:
-        """Serialize all weights to an ``.npz`` byte string."""
-        arrays = {}
-        for i, layer_weights in enumerate(self.get_weights()):
-            for name, arr in layer_weights.items():
-                arrays[f"layer{i}/{name}"] = arr
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        return buffer.getvalue()
-
-    def weights_from_bytes(self, blob: bytes) -> None:
-        """Load weights previously produced by :meth:`weights_to_bytes`."""
-        with np.load(io.BytesIO(blob)) as data:
-            weights: List[Dict[str, np.ndarray]] = [
-                {} for _ in range(len(self.layers))
-            ]
-            for key in data.files:
-                layer_part, name = key.split("/", 1)
-                weights[int(layer_part[len("layer"):])][name] = data[key]
-        self.set_weights(weights)
 
     def summary(self) -> str:
         """Darknet-style architecture table (used for Tables I and II)."""

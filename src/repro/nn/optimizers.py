@@ -1,4 +1,4 @@
-"""Optimizers: SGD with momentum (the paper's), Adam, and DP-SGD.
+"""Optimizers: SGD with momentum (the paper's) and per-example DP-SGD.
 
 DP-SGD is the paper's sketched privacy extension (Section VII): CalTrain is
 "transparent to training algorithms" and can "seamlessly replace the
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Optimizer", "Sgd", "Adam", "DpSgd", "PerExampleDpSgd"]
+__all__ = ["Optimizer", "Sgd", "PerExampleDpSgd"]
 
 
 def _buffers_out(buffers: Dict[Tuple[int, str], np.ndarray]) -> Dict[str, np.ndarray]:
@@ -146,113 +146,10 @@ class Sgd(Optimizer):
                 param -= stepbuf
 
 
-class Adam(Optimizer):
-    """Adam (Kingma & Ba), for the extension experiments."""
-
-    def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8) -> None:
-        super().__init__()
-        if learning_rate <= 0:
-            raise ConfigurationError("learning rate must be positive")
-        self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self._m: Dict[Tuple[int, str], np.ndarray] = {}
-        self._v: Dict[Tuple[int, str], np.ndarray] = {}
-        self._t = 0
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {"m": _buffers_out(self._m), "v": _buffers_out(self._v),
-                "t": self._t}
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        self._m = _buffers_in(state.get("m", {}))
-        self._v = _buffers_in(state.get("v", {}))
-        self._t = int(state.get("t", 0))
-
-    def step(self, network) -> None:
-        self._t += 1
-        bias1 = 1.0 - self.beta1 ** self._t
-        bias2 = 1.0 - self.beta2 ** self._t
-        for key, param, grad in self._iter_params(network):
-            m = self._m.setdefault(key, np.zeros_like(param))
-            v = self._v.setdefault(key, np.zeros_like(param))
-            t1 = self._work(key, 0, param.shape, param.dtype)
-            t2 = self._work(key, 1, param.shape, param.dtype)
-            m *= self.beta1
-            np.multiply(grad, 1.0 - self.beta1, out=t1)
-            m += t1
-            v *= self.beta2
-            np.multiply(grad, 1.0 - self.beta2, out=t1)
-            t1 *= grad
-            v += t1
-            np.divide(m, bias1, out=t1)
-            t1 *= self.learning_rate
-            np.divide(v, bias2, out=t2)
-            np.sqrt(t2, out=t2)
-            t2 += self.eps
-            t1 /= t2
-            param -= t1
-
-
-class DpSgd(Sgd):
-    """Differentially private SGD (Abadi et al. style, batch-clipped).
-
-    Clips the global gradient norm to ``clip_norm`` and adds Gaussian noise
-    with standard deviation ``noise_multiplier * clip_norm / batch_size``.
-    This is the batch-gradient approximation of per-example clipping: it
-    preserves the accuracy/privacy trade-off *shape* the ablation bench
-    measures while staying tractable in numpy. Documented in DESIGN.md.
-    """
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.9,
-                 clip_norm: float = 1.0, noise_multiplier: float = 1.0,
-                 batch_size: int = 32,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        # The DP clip replaces the base safety clip: re-clipping after noise
-        # injection would scale the calibrated noise back down and break the
-        # privacy accounting.
-        super().__init__(learning_rate=learning_rate, momentum=momentum,
-                         max_grad_norm=None)
-        if clip_norm <= 0:
-            raise ConfigurationError("clip_norm must be positive")
-        if noise_multiplier < 0:
-            raise ConfigurationError("noise_multiplier must be non-negative")
-        self.clip_norm = clip_norm
-        self.noise_multiplier = noise_multiplier
-        self.batch_size = batch_size
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-
-    def state_dict(self) -> Dict[str, Any]:
-        state = super().state_dict()
-        state["rng"] = copy.deepcopy(self.rng.bit_generator.state)
-        return state
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        state = dict(state)
-        rng_state = state.pop("rng", None)
-        super().load_state_dict(state)
-        if rng_state is not None:
-            self.rng.bit_generator.state = copy.deepcopy(rng_state)
-
-    def step(self, network) -> None:
-        entries = list(self._iter_params(network))
-        total_sq = sum(float(np.sum(g * g)) for _, _, g in entries)
-        total_norm = np.sqrt(total_sq)
-        scale = min(1.0, self.clip_norm / (total_norm + 1e-12))
-        noise_std = self.noise_multiplier * self.clip_norm / max(1, self.batch_size)
-        for _, _, grad in entries:
-            grad *= scale
-            grad += self.rng.normal(0.0, noise_std, size=grad.shape).astype(grad.dtype)
-        super().step(network)
-
-
 class PerExampleDpSgd:
     """Faithful DP-SGD (Abadi et al.): per-example gradient clipping.
 
-    Unlike :class:`DpSgd` (the fast batch-clipped approximation), this
-    clips each example's gradient to ``clip_norm`` *individually* before
+    Clips each example's gradient to ``clip_norm`` *individually* before
     averaging and noising — the construction the (epsilon, delta) analysis
     and the membership-inference protection actually depend on. It owns the
     whole training step (per-example backward passes), so it exposes

@@ -25,8 +25,7 @@ from repro.observability.metrics import (Counter, Gauge, Histogram,
                                          MetricsRegistry,
                                          default_latency_buckets,
                                          parse_prometheus)
-from repro.observability.tracing import (SPAN_KINDS, ManualClock, Span,
-                                         Tracer)
+from repro.observability.tracing import SPAN_KINDS, Span, Tracer
 
 __all__ = [
     "Counter",
@@ -36,7 +35,6 @@ __all__ = [
     "default_latency_buckets",
     "parse_prometheus",
     "SPAN_KINDS",
-    "ManualClock",
     "Span",
     "Tracer",
     "SubsystemTelemetry",

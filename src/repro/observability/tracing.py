@@ -28,24 +28,9 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 
-__all__ = ["SPAN_KINDS", "ManualClock", "Span", "Tracer"]
+__all__ = ["SPAN_KINDS", "Span", "Tracer"]
 
 SPAN_KINDS = ("internal", "enclave", "untrusted", "boundary-crossing")
-
-
-class ManualClock:
-    """A deterministic clock for tests: advances only when told to."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = float(start)
-
-    def advance(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ConfigurationError("clock cannot run backwards")
-        self.now += seconds
-
-    def __call__(self) -> float:
-        return self.now
 
 
 class Span:

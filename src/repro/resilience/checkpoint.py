@@ -3,8 +3,8 @@
 A checkpoint captures everything needed to continue partitioned training
 *bitwise-identically*: both halves of the model, the optimizer's moment
 buffers, the trusted and minibatch RNG states, the per-epoch report
-history, the early-stop bookkeeping, the audit-log chain, and — for
-mid-epoch checkpoints — the per-batch losses already banked this epoch.
+history, the audit-log chain, and — for mid-epoch checkpoints — the
+per-batch losses already banked this epoch.
 
 Confidentiality follows the FrontNet/BackNet boundary: the FrontNet
 weights and the trusted-RNG states never touch disk in plaintext. They
@@ -53,7 +53,7 @@ __all__ = ["TrainingState", "CheckpointInfo", "CheckpointManager",
 
 _LOG = get_logger("resilience.checkpoint")
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _DIR_RE = re.compile(r"^ckpt-(\d{6})-e(\d{4})-b(\d{4})$")
 _FRONTNET_FILE = "frontnet.sealed"
 _STATE_FILE = "state.npz"
@@ -82,10 +82,6 @@ class TrainingState:
     trusted_rng_state: Dict[str, Any]
     reports: List[EpochReport] = field(default_factory=list)
     carried_losses: List[float] = field(default_factory=list)
-    best_top1: Optional[float] = None
-    stale_epochs: int = 0
-    stop_training: bool = False
-    best_weights: Optional[List[Dict[str, np.ndarray]]] = None
     audit_bytes: bytes = b""
     clock_now: float = 0.0
 
@@ -136,10 +132,6 @@ def capture_state(trainer: ConfidentialTrainer, epoch: int, batch: int,
         trusted_rng_state=enclave.trusted_rng.stream.get_state(),
         reports=list(trainer.reports),
         carried_losses=list(carried_losses or []),
-        best_top1=trainer.best_top1,
-        stale_epochs=trainer.stale_epochs,
-        stop_training=trainer.stop_training,
-        best_weights=trainer.best_weights,
         audit_bytes=audit_bytes,
         clock_now=(enclave.platform.clock.now),
     )
@@ -150,8 +142,8 @@ def restore_state(trainer: ConfidentialTrainer, state: TrainingState) -> None:
 
     The trainer's enclave must already be attested and bound
     (:meth:`PartitionedNetwork.rebind_enclave` after a rebuild); this
-    restores partition, weights, optimizer buffers, RNG states, report
-    history, and the early-stop bookkeeping. The simulated clock is
+    restores partition, weights, optimizer buffers, RNG states and report
+    history. The simulated clock is
     advanced (never rewound) to at least the checkpoint's timestamp.
     """
     partitioned = trainer.partitioned
@@ -169,10 +161,6 @@ def restore_state(trainer: ConfidentialTrainer, state: TrainingState) -> None:
     set_generator_state(trainer.batch_rng, state.batch_rng_state)
     enclave.trusted_rng.stream.set_state(state.trusted_rng_state)
     trainer.reports = list(state.reports)
-    trainer.best_top1 = state.best_top1
-    trainer.stale_epochs = state.stale_epochs
-    trainer.stop_training = state.stop_training
-    trainer.best_weights = state.best_weights
     clock = enclave.platform.clock
     if state.clock_now > clock.now:
         clock.advance(state.clock_now - clock.now)
@@ -193,13 +181,11 @@ def _npz_load(blob: bytes) -> Dict[str, np.ndarray]:
 
 
 def _split_weights(weights: List[Dict[str, np.ndarray]], partition: int,
-                   prefix_front: str = "front", prefix_back: str = "back",
                    ) -> "tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]":
     front: Dict[str, np.ndarray] = {}
     back: Dict[str, np.ndarray] = {}
     for i, layer_weights in enumerate(weights):
-        side, prefix = ((front, prefix_front) if i < partition
-                        else (back, prefix_back))
+        side, prefix = (front, "front") if i < partition else (back, "back")
         for name, arr in layer_weights.items():
             side[f"{prefix}/layer{i}/{name}"] = arr
     return front, back
@@ -310,10 +296,6 @@ class CheckpointManager:
                 "optimizer": optimizer_meta,
                 "reports": [dataclasses.asdict(r) for r in state.reports],
                 "carried_losses": list(state.carried_losses),
-                "best_top1": state.best_top1,
-                "stale_epochs": state.stale_epochs,
-                "stop_training": state.stop_training,
-                "has_best_weights": state.best_weights is not None,
                 "clock_now": state.clock_now,
             },
         }
@@ -334,13 +316,6 @@ class CheckpointManager:
     def _seal_frontnet(self, state: TrainingState, enclave: Enclave,
                        seq: int) -> bytes:
         front, _ = _split_weights(state.network_weights, state.partition)
-        if state.best_weights is not None:
-            # The early-stop snapshot contains FrontNet layers too; they
-            # are just as secret as the live ones and ride in the seal.
-            best_front, _ = _split_weights(state.best_weights,
-                                           state.partition,
-                                           prefix_front="bestf")
-            front.update(best_front)
         secret_meta = canonical_json({
             "trusted_rng": state.trusted_rng_state,
             "batch_rng": state.batch_rng_state,
@@ -371,13 +346,6 @@ class CheckpointManager:
                     arrays[f"opt/{key}/{subkey}"] = arr
             else:
                 optimizer_meta[key] = value
-        if state.best_weights is not None:
-            # Only the BackNet half of the early-stop snapshot is public;
-            # its FrontNet half travels inside the sealed blob.
-            _, best_back = _split_weights(state.best_weights,
-                                          state.partition,
-                                          prefix_back="bestw")
-            arrays.update(best_back)
         arrays["audit"] = np.frombuffer(state.audit_bytes, dtype=np.uint8)
         arrays["layer_count"] = np.asarray([len(state.network_weights)])
         return _npz_bytes(arrays), optimizer_meta
@@ -503,18 +471,13 @@ class CheckpointManager:
             ) from exc
         (meta_len,) = struct.unpack_from("<Q", payload, 0)
         secret_meta = json.loads(payload[8:8 + meta_len].decode("utf-8"))
-        sealed_arrays = _npz_load(payload[8 + meta_len:])
-        front = {key: arr for key, arr in sealed_arrays.items()
-                 if key.startswith("front/")}
-        best_front = {key: arr for key, arr in sealed_arrays.items()
-                      if key.startswith("bestf/")}
+        front = _npz_load(payload[8 + meta_len:])
 
         plain = _npz_load((info.path / _STATE_FILE).read_bytes())
         n_layers = int(plain.pop("layer_count")[0])
         audit_bytes = plain.pop("audit").tobytes()
         optimizer_state: Dict[str, Any] = dict(manifest["meta"]["optimizer"])
         back: Dict[str, np.ndarray] = {}
-        best: Dict[str, np.ndarray] = {}
         for key, arr in plain.items():
             if key.startswith("opt/"):
                 rest = key[len("opt/"):]
@@ -523,15 +486,9 @@ class CheckpointManager:
                     optimizer_state.setdefault(group, {})[subkey] = arr
                 else:
                     optimizer_state[rest] = arr
-            elif key.startswith("bestw/"):
-                best[key] = arr
             else:
                 back[key] = arr
         weights = _merge_weights(n_layers, front, back)
-        best_weights = (
-            _merge_weights(n_layers, best_front, best)
-            if manifest["meta"]["has_best_weights"] else None
-        )
         meta = manifest["meta"]
         if self.metrics is not None:
             self.metrics.observe("repro_checkpoint_restore_seconds",
@@ -548,10 +505,6 @@ class CheckpointManager:
             trusted_rng_state=secret_meta["trusted_rng"],
             reports=[EpochReport(**entry) for entry in meta["reports"]],
             carried_losses=list(meta["carried_losses"]),
-            best_top1=meta["best_top1"],
-            stale_epochs=int(meta["stale_epochs"]),
-            stop_training=bool(meta["stop_training"]),
-            best_weights=best_weights,
             audit_bytes=audit_bytes,
             clock_now=float(meta["clock_now"]),
         )

@@ -273,7 +273,6 @@ class ResilientTrainer:
     def run(self, x: np.ndarray, y: np.ndarray, epochs: int,
             test_x: Optional[np.ndarray] = None,
             test_y: Optional[np.ndarray] = None,
-            keep_snapshots: bool = False,
             resume: bool = False,
             checkpoint_every_batches: Optional[int] = None,
             ) -> List[EpochReport]:
@@ -313,7 +312,7 @@ class ResilientTrainer:
         consecutive_faults = 0
         epc_streak = 0
         stable_epochs = 0
-        while self._epoch < epochs and not trainer.stop_training:
+        while self._epoch < epochs:
             epoch = self._epoch
             # With start_batch > 0 the restore already rewound batch_rng to
             # its epoch-start state, so this capture is correct either way.
@@ -321,7 +320,6 @@ class ResilientTrainer:
             try:
                 trainer.run_epoch(
                     x, y, epoch, test_x=test_x, test_y=test_y,
-                    keep_snapshots=keep_snapshots,
                     start_batch=start_batch, carried_losses=carried,
                     batch_callback=self._batch_callback,
                 )

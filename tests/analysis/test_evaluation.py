@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.evaluation import (
-    evaluate_classifier,
-    render_confusion_matrix,
-)
+from repro.analysis.evaluation import evaluate_classifier
 from repro.errors import ConfigurationError
 
 
@@ -79,12 +76,3 @@ class TestEvaluateClassifier:
         assert 0.0 <= report.accuracy <= 1.0
         assert len(report.per_class) == 4
         assert report.matrix.sum() == len(test)
-
-
-class TestRenderConfusionMatrix:
-    def test_rows_and_columns(self):
-        matrix = np.array([[5, 1], [2, 8]])
-        text = render_confusion_matrix(matrix, class_names=["a", "b"])
-        lines = text.splitlines()
-        assert len(lines) == 3
-        assert "5" in lines[1] and "8" in lines[2]

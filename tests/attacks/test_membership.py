@@ -5,15 +5,17 @@ import pytest
 
 from repro.attacks.membership import membership_inference_auc, membership_scores
 from repro.data.batching import iterate_minibatches
-from repro.nn.optimizers import DpSgd, Sgd
+from repro.nn.optimizers import PerExampleDpSgd, Sgd
 from repro.nn.zoo import tiny_testnet
 
 
 def _overfit(net, x, y, optimizer, epochs, rng):
-    batch_rng = rng
     for _ in range(epochs):
-        for xb, yb in iterate_minibatches(x, y, 16, rng=batch_rng):
-            net.train_batch(xb, yb, optimizer)
+        for xb, yb in iterate_minibatches(x, y, 16, rng=rng):
+            if isinstance(optimizer, PerExampleDpSgd):
+                optimizer.train_batch(net, xb, yb)
+            else:
+                net.train_batch(xb, yb, optimizer)
 
 
 class TestMembershipInference:
@@ -43,8 +45,9 @@ class TestMembershipInference:
         )
 
         net_dp = tiny_testnet(rng.child("same").generator)
-        dp = DpSgd(0.05, momentum=0.9, clip_norm=0.5, noise_multiplier=4.0,
-                   batch_size=16, rng=rng.child("noise").generator)
+        dp = PerExampleDpSgd(0.05, momentum=0.9, clip_norm=0.5,
+                             noise_multiplier=4.0,
+                             rng=rng.child("noise").generator)
         _overfit(net_dp, members.x, members.y, dp, epochs=30,
                  rng=rng.child("b2").generator)
         auc_dp = membership_inference_auc(

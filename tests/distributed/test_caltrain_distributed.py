@@ -62,6 +62,30 @@ class TestCalTrainDistributed:
             assert abs(d.mean_loss - s.mean_loss) < 0.5
         assert dist_reports[-1].mean_loss < dist_reports[0].mean_loss
 
+    def test_freeze_at_epoch_holds_every_frontnet(self, tmp_path):
+        """``freeze_at_epoch=0`` freezes the FrontNet from the first round
+        on: every worker's and the final model's FrontNet stay bitwise
+        the initial weights, as in the single-enclave run, and every
+        epoch report says so."""
+        single, _ = make_world(epochs=2, freeze_at_epoch=0)
+        single_reports = single.train()
+        dist, _ = make_world(epochs=2, freeze_at_epoch=0)
+        dist_reports = dist.train(workers=2, checkpoint_dir=str(tmp_path))
+        initial = dist._network_factory(dist._init_generator()).get_weights()
+        front = dist.config.partition
+        for weights in ([single.model.get_weights(), dist.model.get_weights()]
+                        + [w.replica_weights()
+                           for w in dist.coordinator.workers]):
+            for got, expected in zip(weights[:front], initial[:front]):
+                for name in expected:
+                    np.testing.assert_array_equal(got[name], expected[name])
+            assert any(not np.array_equal(got[name], expected[name])
+                       for got, expected in zip(weights[front:],
+                                                initial[front:])
+                       for name in expected), "the BackNet must still train"
+        assert [r.frontnet_frozen for r in single_reports] == [True, True]
+        assert [r.frontnet_frozen for r in dist_reports] == [True, True]
+
     def test_fingerprint_stage_runs_after_distributed_training(
             self, tmp_path):
         system, _ = make_world()
@@ -96,7 +120,7 @@ class TestCalTrainDistributed:
             system.train(workers=2, resume=True,
                          checkpoint_dir=str(tmp_path))
         with pytest.raises(ConfigurationError, match="incompatible"):
-            system.train(workers=2, keep_snapshots=True)
+            system.train(workers=2, checkpoint_every_batches=1)
 
     def test_reassessment_rejected_with_workers(self, tmp_path):
         system, _ = make_world()

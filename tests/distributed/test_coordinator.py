@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.encryption import EncryptedDataset
 from repro.distributed import DistributedCoordinator
-from repro.errors import ConfigurationError, RoundAborted, TrainingError
+from repro.errors import ConfigurationError, RoundAborted
 
 from tests.distributed.worlds import (assert_same_weights, losses,
                                       make_coordinator, run_faulted,
@@ -244,5 +244,5 @@ class TestInjectionSpecs:
     def test_worker_without_records_rejected(self, tmp_path):
         """Every worker enclave must hold data: a shard with no accepted
         record stops the run at setup instead of training on nothing."""
-        with pytest.raises((RoundAborted, TrainingError)):
+        with pytest.raises(RoundAborted, match="no shard records"):
             make_coordinator(tmp_path, num_workers=3, num_train=2)

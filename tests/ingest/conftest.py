@@ -16,7 +16,7 @@ from repro.federation.provisioning import provision_key
 from repro.federation.server import TrainingServer
 from repro.ingest import (ContributionLedger, GatewayConfig, IngestGateway,
                           ValidationConfig, ValidationPool)
-from repro.ingest.ledger import (header_digest, pack_records, record_header,
+from repro.ingest.ledger import (header_digest, iter_packed, record_header,
                                  unpack_records)
 from repro.ingest.transfer import chunk_digest
 
@@ -42,7 +42,7 @@ def rewrite_chunk_headers(spool, seq):
     headers = [json.dumps(json.loads(record_header(r))).encode()
                for r in records]
     assert headers != [record_header(r) for r in records]
-    blob = pack_records(records, headers)
+    blob = b"".join(iter_packed(records, headers))
     chunk.write_bytes(blob)
     journal = spool / "journal.jsonl"
     lines = journal.read_text().splitlines()

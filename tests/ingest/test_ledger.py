@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 
 from repro.data.encryption import EncryptedRecord, iter_encrypted_records
 from repro.errors import LedgerError
-from repro.ingest import (ContributionLedger, pack_records, record_digest,
-                          unpack_records)
-from repro.ingest.ledger import (header_digest, record_header,
+from repro.ingest import ContributionLedger, record_digest, unpack_records
+from repro.ingest.ledger import (header_digest, iter_packed, record_header,
                                  unpack_headed)
 from repro.ingest.transfer import UploadTransfer
 from repro.utils.serialization import canonical_digest
@@ -32,14 +31,15 @@ def _records(contributor, n=None):
 class TestPacking:
     def test_roundtrip(self, contributors):
         records = _records(contributors[0], 5)
-        assert unpack_records(pack_records(records)) == records
+        assert unpack_records(b"".join(iter_packed(records))) == records
 
     def test_canonical(self, contributors):
         records = _records(contributors[0], 5)
-        assert pack_records(records) == pack_records(list(records))
+        assert (b"".join(iter_packed(records))
+                == b"".join(iter_packed(list(records))))
 
     def test_trailing_bytes_rejected(self, contributors):
-        blob = pack_records(_records(contributors[0], 2))
+        blob = b"".join(iter_packed(_records(contributors[0], 2)))
         with pytest.raises(LedgerError):
             unpack_records(blob + b"x")
 
@@ -228,12 +228,12 @@ _hostile_records = st.lists(
 class TestHeaderIdentity:
     """The journal's canonical header stands in for the JSON path: the
     digest derived from it is :func:`record_digest` and the segment payload
-    re-packed from it is :func:`pack_records`, byte for byte."""
+    re-packed from it is :func:`iter_packed`'s, byte for byte."""
 
     @settings(max_examples=60, deadline=None)
     @given(records=_hostile_records)
     def test_header_path_is_the_json_path(self, records):
-        blob = pack_records(records)
+        blob = b"".join(iter_packed(records))
         unpacked, headers = unpack_headed(blob)
         assert unpacked == records
         assert headers == [record_header(r) for r in records]
@@ -241,13 +241,13 @@ class TestHeaderIdentity:
                 for h, r in zip(headers, unpacked)] == \
             [record_digest(r) for r in records] == \
             [_oracle_digest_any(r) for r in records]
-        assert pack_records(unpacked, headers) == blob
+        assert b"".join(iter_packed(unpacked, headers)) == blob
 
     def test_known_answer(self, tmp_path):
         record = EncryptedRecord(source_id='c"é源', index=2 ** 40, label=7,
                                  nonce=bytes(range(12)),
                                  sealed=bytes(range(256)) * 3)
-        blob = pack_records([record])
+        blob = b"".join(iter_packed([record]))
         _, headers = unpack_headed(blob)
         assert headers == [
             b'{"index":1099511627776,"label":7,'

@@ -1,4 +1,4 @@
-"""Numerical gradient checking for the backpropagation implementation."""
+"""Numerical gradient checking: the backpropagation oracle for the tests."""
 
 from __future__ import annotations
 

@@ -6,7 +6,9 @@ optimised, kept as the parity oracle for
 paths must match it bitwise, float paths within tolerance. The only
 deliberate deviation is :meth:`maxpool_backward`, which routes through the
 vectorised :func:`~repro.nn.backends.base.maxpool_scatter` (itself
-regression-tested bitwise against the original k x k loop). Slow on
+regression-tested bitwise against the original k x k loop). The
+elementwise activations (:func:`apply_activation`,
+:func:`activation_gradient`) are the unfused originals too. Slow on
 purpose; tests only.
 
 Layers reach their kernels through the ``Layer.backend`` class attribute.
@@ -22,10 +24,44 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.errors import ConfigurationError
 from repro.nn.backends.base import BufferPool, Shape, maxpool_scatter
-from repro.nn.layers.activations import activation_gradient, apply_activation
+from repro.nn.layers.activations import _LEAKY_SLOPE
 
-__all__ = ["ReferenceBackend", "use_reference"]
+__all__ = ["ReferenceBackend", "use_reference", "apply_activation",
+           "activation_gradient"]
+
+
+def apply_activation(name: str, z: np.ndarray) -> np.ndarray:
+    """Apply activation ``name`` to pre-activations ``z``."""
+    if name == "linear":
+        return z
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    if name == "leaky":
+        return np.where(z > 0.0, z, _LEAKY_SLOPE * z)
+    if name == "tanh":
+        return np.tanh(z)
+    if name == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-z))
+    raise ConfigurationError(f"unknown activation {name!r}")
+
+
+def activation_gradient(name: str, z: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Multiply ``delta`` by the activation's derivative at ``z``."""
+    if name == "linear":
+        return delta
+    if name == "relu":
+        return delta * (z > 0.0)
+    if name == "leaky":
+        return delta * np.where(z > 0.0, 1.0, _LEAKY_SLOPE)
+    if name == "tanh":
+        t = np.tanh(z)
+        return delta * (1.0 - t * t)
+    if name == "sigmoid":
+        s = 1.0 / (1.0 + np.exp(-z))
+        return delta * s * (1.0 - s)
+    raise ConfigurationError(f"unknown activation {name!r}")
 
 
 class ReferenceBackend:

@@ -21,7 +21,6 @@ from repro.nn.backends import (
     maxpool_scatter,
 )
 from repro.nn.backends.base import BufferPool
-from repro.nn.gradcheck import check_gradients
 from repro.nn.initializers import gaussian_init
 from repro.nn.layers import (
     AvgPoolLayer,
@@ -34,11 +33,11 @@ from repro.nn.layers import (
     SoftmaxLayer,
 )
 from repro.nn.layers.activations import _LEAKY_SLOPE
-from repro.nn.model_io import model_from_bytes, model_to_bytes
 from repro.nn.network import Network
-from repro.nn.optimizers import Adam, Sgd
+from repro.nn.optimizers import Sgd
 from repro.nn.zoo import tiny_testnet
 
+from tests.nn.gradcheck import check_gradients
 from tests.nn.reference_backend import use_reference
 
 BACKENDS = ["reference", "optimized"]
@@ -444,8 +443,7 @@ class TestCheckpointResume:
 
     @pytest.mark.parametrize("make_opt", [
         lambda: Sgd(0.05, momentum=0.9, weight_decay=5e-4),
-        lambda: Adam(1e-3),
-    ], ids=["sgd", "adam"])
+    ], ids=["sgd"])
     def test_bitwise_resume(self, make_opt):
         gen = np.random.default_rng(33)
         x = gen.normal(size=(64, 8, 8, 3)).astype(np.float32)
@@ -461,10 +459,11 @@ class TestCheckpointResume:
         opt1 = make_opt()
         for xb, yb in batches[:2]:
             interrupted.train_batch(xb, yb, opt1)
-        blob = model_to_bytes(interrupted)
+        weights = interrupted.get_weights()
         opt_state = opt1.state_dict()
 
-        resumed = model_from_bytes(blob)
+        resumed = tiny_testnet(np.random.default_rng(9))
+        resumed.set_weights(weights)
         opt2 = make_opt()
         opt2.load_state_dict(opt_state)
         for xb, yb in batches[2:]:
@@ -499,21 +498,6 @@ class TestOptimizerBitwise:
                 param += velocity
             else:
                 param -= step
-
-    @staticmethod
-    def _naive_adam_step(optimizer, network):
-        optimizer._t += 1
-        bias1 = 1.0 - optimizer.beta1 ** optimizer._t
-        bias2 = 1.0 - optimizer.beta2 ** optimizer._t
-        for key, param, grad in optimizer._iter_params(network):
-            m = optimizer._m.setdefault(key, np.zeros_like(param))
-            v = optimizer._v.setdefault(key, np.zeros_like(param))
-            m *= optimizer.beta1
-            m += (1.0 - optimizer.beta1) * grad
-            v *= optimizer.beta2
-            v += (1.0 - optimizer.beta2) * grad * grad
-            param -= optimizer.learning_rate * (m / bias1) / (
-                np.sqrt(v / bias2) + optimizer.eps)
 
     def _trained_pair(self, make_opt, naive_step, steps=3, grad_scale=1.0):
         nets, opts = [], []
@@ -553,14 +537,6 @@ class TestOptimizerBitwise:
                                  nets[1].get_weights()):
             for name in expected:
                 np.testing.assert_array_equal(got[name], expected[name])
-
-    def test_adam(self):
-        nets = self._trained_pair(lambda: Adam(1e-3), self._naive_adam_step)
-        for got, expected in zip(nets[0].get_weights(),
-                                 nets[1].get_weights()):
-            for name in expected:
-                np.testing.assert_array_equal(got[name], expected[name])
-
 
 class TestDistributedReplicaConsistency:
     """Distributed workers run the one set of kernels, and replicas stay

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.nn.gradcheck import check_gradients, max_relative_error
 from repro.nn.layers import (
     AvgPoolLayer,
     ConvLayer,
@@ -16,6 +15,7 @@ from repro.nn.layers import (
 )
 from repro.nn.network import Network
 from repro.nn.zoo import tiny_testnet
+from tests.nn.gradcheck import check_gradients, max_relative_error
 
 # Fixed seeds chosen so no sampled coordinate sits on a leaky-ReLU kink or
 # max-pool tie (non-smooth points make the numerical check spuriously fail).

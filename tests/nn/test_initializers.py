@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.initializers import gaussian_init, he_init, xavier_init
+from repro.nn.initializers import gaussian_init
 
 
 def test_gaussian_default_uses_he_scale():
@@ -17,19 +17,6 @@ def test_gaussian_explicit_std():
     init = gaussian_init(np.random.default_rng(0), std=0.3)
     weights = init((100, 100))
     assert weights.std() == pytest.approx(0.3, rel=0.05)
-
-
-def test_he_alias():
-    a = he_init(np.random.default_rng(5))((4, 4, 8, 8))
-    b = gaussian_init(np.random.default_rng(5))((4, 4, 8, 8))
-    np.testing.assert_array_equal(a, b)
-
-
-def test_xavier_within_limit():
-    init = xavier_init(np.random.default_rng(0))
-    weights = init((50, 60))
-    limit = np.sqrt(6.0 / 110)
-    assert np.abs(weights).max() <= limit
 
 
 def test_deterministic_given_generator():

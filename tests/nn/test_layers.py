@@ -15,7 +15,8 @@ from repro.nn.layers import (
     MaxPoolLayer,
     SoftmaxLayer,
 )
-from repro.nn.layers.activations import ACTIVATIONS, activation_gradient, apply_activation
+from repro.nn.layers.activations import ACTIVATIONS
+from tests.nn.reference_backend import activation_gradient, apply_activation
 
 
 class TestActivations:

@@ -128,13 +128,6 @@ class TestWeightsIO:
         net_b.set_weights(net_a.get_weights())
         np.testing.assert_allclose(net_a.predict(x), net_b.predict(x), rtol=1e-6)
 
-    def test_bytes_roundtrip(self, rng, generator):
-        net_a = tiny_testnet(rng.child("one").generator)
-        net_b = tiny_testnet(rng.child("two").generator)
-        net_b.weights_from_bytes(net_a.weights_to_bytes())
-        x = generator.normal(size=(2, 8, 8, 3)).astype(np.float32)
-        np.testing.assert_allclose(net_a.predict(x), net_b.predict(x), rtol=1e-6)
-
     def test_mismatched_weights_rejected(self, tiny_net):
         with pytest.raises(NetworkDefinitionError):
             tiny_net.set_weights([{} for _ in range(99)])

@@ -95,7 +95,7 @@ class TestRandomArchitectures:
             np.float32
         )
         before = net.predict(x)
-        net.weights_from_bytes(net.weights_to_bytes())
+        net.set_weights(net.get_weights())
         np.testing.assert_allclose(net.predict(x), before, rtol=1e-6)
 
     @settings(max_examples=15, deadline=None)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.config import network_from_config, network_to_config
-from repro.nn.gradcheck import check_gradients
 from repro.nn.layers import (
     AvgPoolLayer,
     ConvLayer,
@@ -15,6 +14,7 @@ from repro.nn.layers import (
     SoftmaxLayer,
 )
 from repro.nn.network import Network
+from tests.nn.gradcheck import check_gradients
 
 
 def _res_net(rng, channels=6):

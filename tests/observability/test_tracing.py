@@ -5,24 +5,25 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.observability.tracing import (SPAN_KINDS, ManualClock, Span,
-                                         Tracer)
+from repro.observability.tracing import SPAN_KINDS, Span, Tracer
 
 
-class TestManualClock:
-    def test_advances(self):
-        clock = ManualClock()
-        clock.advance(2.5)
-        assert clock() == 2.5
+class SteppedClock:
+    """A deterministic clock: advances only when the test says so."""
 
-    def test_cannot_rewind(self):
-        with pytest.raises(ConfigurationError):
-            ManualClock().advance(-1.0)
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+    def __call__(self) -> float:
+        return self.now
 
 
 class TestSpans:
     def test_nesting_by_lexical_scope(self):
-        clock = ManualClock()
+        clock = SteppedClock()
         tracer = Tracer(clock=clock)
         with tracer.span("outer"):
             clock.advance(1.0)
@@ -44,13 +45,13 @@ class TestSpans:
                               "boundary-crossing")
 
     def test_attributes_recorded(self):
-        tracer = Tracer(clock=ManualClock())
+        tracer = Tracer(clock=SteppedClock())
         with tracer.span("transfer", kind="boundary-crossing", bytes=1024):
             pass
         assert tracer.roots[0].attributes == {"bytes": 1024}
 
     def test_sibling_spans(self):
-        clock = ManualClock()
+        clock = SteppedClock()
         tracer = Tracer(clock=clock)
         with tracer.span("parent"):
             for name in ("a", "b"):
@@ -60,7 +61,7 @@ class TestSpans:
         assert tracer.roots[0].self_time == 0.0
 
     def test_exception_unwinds_and_closes(self):
-        clock = ManualClock()
+        clock = SteppedClock()
         tracer = Tracer(clock=clock)
         with pytest.raises(RuntimeError):
             with tracer.span("outer"):
@@ -73,7 +74,7 @@ class TestSpans:
         assert tracer.roots[0].children[0].end is not None
 
     def test_to_dict_shape(self):
-        clock = ManualClock()
+        clock = SteppedClock()
         tracer = Tracer(clock=clock)
         with tracer.span("epoch", epoch=0):
             with tracer.span("fwd", kind="enclave"):
@@ -91,7 +92,7 @@ class TestSpans:
 
 class TestAttribution:
     def test_kind_totals_partition_traced_time(self):
-        clock = ManualClock()
+        clock = SteppedClock()
         tracer = Tracer(clock=clock)
         with tracer.span("batch"):
             with tracer.span("front", kind="enclave"):
@@ -108,7 +109,7 @@ class TestAttribution:
         assert sum(totals.values()) == tracer.roots[0].duration
 
     def test_render_contains_tree_and_totals(self):
-        clock = ManualClock()
+        clock = SteppedClock()
         tracer = Tracer(clock=clock)
         with tracer.span("epoch-0"):
             with tracer.span("fwd", kind="enclave", batch=8):

@@ -45,9 +45,6 @@ class TestRoundTrip:
             np.testing.assert_array_equal(got_velocity[key],
                                           want_velocity[key])
         assert target.trainer.reports == world.trainer.reports
-        assert target.trainer.best_top1 == world.trainer.best_top1
-        assert_same_weights(target.trainer.best_weights,
-                            world.trainer.best_weights)
         # Both batch generators must continue with identical draws.
         np.testing.assert_array_equal(
             target.trainer.batch_rng.permutation(32),
@@ -84,7 +81,7 @@ class TestFailClosed:
         assert [info.epoch for info in manager.checkpoints()] == [1]
         assert manager.latest().epoch == 1
 
-    @pytest.mark.parametrize("other", [1, 3])
+    @pytest.mark.parametrize("other", [1, 2, 4])
     def test_other_format_listed_invalid(self, tmp_path, caplog, other):
         """A manifest naming another format is never listed, so resume
         falls back past it instead of reading its reports."""
@@ -98,7 +95,7 @@ class TestFailClosed:
         manifest_path.write_text(json.dumps(manifest))
         with caplog.at_level(logging.WARNING):
             assert [info.epoch for info in manager.checkpoints()] == [1]
-        assert f"format {other}, expected 2" in caplog.text
+        assert f"format {other}, expected 3" in caplog.text
         assert manager.latest().epoch == 1
 
     def test_tampered_state_file_skipped(self, tmp_path):
@@ -154,16 +151,36 @@ class TestConfidentiality:
         back_layers = world.weights()[partition:]
         path = manager.latest().path
         on_disk = b"".join(f.read_bytes() for f in sorted(path.iterdir()))
-        secret = list(front_layers)
-        if world.trainer.best_weights is not None:
-            secret += world.trainer.best_weights[:partition]
-        for layer in secret:
+        for layer in front_layers:
             for name, arr in layer.items():
                 assert arr.tobytes() not in on_disk, (
                     f"front weight {name} stored in plaintext")
         # Sanity: the back half *is* plain, so the probe itself works.
         assert any(arr.tobytes() in on_disk
                    for layer in back_layers for arr in layer.values())
+
+    def test_seal_holds_the_live_frontnet_only(self, tmp_path):
+        """Trained with test data, the checkpoint still seals exactly one
+        FrontNet copy: the live weights, and no best-seen snapshot."""
+        import io
+        import struct
+
+        from repro.enclave.sealing import SealedBlob, unseal
+
+        world = _trained_world(epochs=2)
+        manager = CheckpointManager(tmp_path)
+        _checkpoint(world, manager)
+        sealed = (manager.latest().path / "frontnet.sealed").read_bytes()
+        payload = unseal(world.enclave,
+                         SealedBlob(nonce=sealed[:12], ciphertext=sealed[12:]))
+        (meta_len,) = struct.unpack_from("<Q", payload, 0)
+        with np.load(io.BytesIO(payload[8 + meta_len:])) as front:
+            keys = sorted(front.files)
+        partition = world.trainer.partitioned.partition
+        assert keys == sorted(
+            f"front/layer{i}/{name}"
+            for i, layer in enumerate(world.weights()[:partition])
+            for name in layer)
 
 
 class TestPrune:

@@ -256,6 +256,30 @@ class TestResilienceCommands:
         assert "resume target: ckpt-" in out
         assert "boundary" in out
 
+    def test_checkpoints_carry_one_model_copy(self, capsys, tmp_path):
+        """Training with test data seals the live weights only: no
+        second, best-seen model rides in any checkpoint."""
+        import json
+
+        import numpy as np
+
+        assert main([
+            "--seed", "1", "train", "--epochs", "2", "--width-scale", "0.05",
+            "--train-size", "40", "--test-size", "20", "--participants", "2",
+            "--checkpoint-dir", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        checkpoints = sorted(tmp_path.glob("ckpt-*"))
+        assert len(checkpoints) == 3  # epoch 0, 1 and 2 boundaries
+        for path in checkpoints:
+            manifest = json.loads((path / "manifest.json").read_text())
+            assert manifest["format"] == 3
+            assert "has_best_weights" not in manifest["meta"]
+            with np.load(path / "state.npz") as state:
+                assert all(key.startswith(("back/", "audit", "layer_count",
+                                           "opt/"))
+                           for key in state.files), state.files
+
     def test_checkpoints_empty_directory(self, capsys, tmp_path):
         assert main(["checkpoints", "--path", str(tmp_path)]) == 0
         out = capsys.readouterr().out

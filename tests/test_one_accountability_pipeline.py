@@ -11,7 +11,9 @@ is no approximate mode, recall floor or distance tolerance. Nor a second
 numerics: the nn layers run one set of kernels, with no backend registry,
 selection call or threaded GEMM. Nor a second multi-enclave trainer or
 aggregation path: ``CalTrain.train(workers=N)`` is the one, and its secure
-sum is ``aggregate_with_dropouts``.
+sum is ``aggregate_with_dropouts``. Nor API that only the tests reached:
+the extra optimizers, learning-rate schedules, early stopping and the
+helpers deleted with them.
 """
 
 import ast
@@ -21,8 +23,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "benchmarks", "examples")
 #: Names of the removed second pipeline, of the approximate search mode
 #: and the verifier's tolerance, of options that never varied, of the
-#: nn backend selection and threading, and of the learning-hub trainer and
-#: the dropout-blind secure sum.
+#: nn backend selection and threading, of the learning-hub trainer and
+#: the dropout-blind secure sum, and of the definitions only tests reached.
 GONE = {
     "LinkageDatabase", "QueryService", "Neighbor", "Investigator",
     "InvestigationResult", "MerkleTree", "to_database", "query_service",
@@ -32,10 +34,15 @@ GONE = {
     "resolve_backend", "available_backends", "get_backend", "backend_name",
     "ComputeBackend", "_env_threads", "_row_chunks",
     "LearningHub", "HubAggregator", "HubRound", "run_secure_aggregation",
+    "Adam", "DpSgd", "Schedule", "ConstantSchedule", "StepSchedule",
+    "PolySchedule", "CosineSchedule", "he_init", "xavier_init", "save_model",
+    "load_model", "softmax_cross_entropy", "ShadowModelAttack", "ManualClock",
+    "random_nonce", "render_confusion_matrix", "pack_records",
 }
 #: Removed parameter / attribute names, matched only where they name a
 #: parameter, keyword argument, attribute or class field.
-GONE_ARGUMENTS = {"probes"}
+GONE_ARGUMENTS = {"probes", "early_stop_patience", "lr_schedule",
+                  "best_weights", "best_top1", "stale_epochs", "stop_training"}
 
 
 def _modules():

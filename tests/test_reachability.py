@@ -3,11 +3,14 @@
 An ``ast`` sweep: each module-level function and class, and each method,
 defined under ``src/repro`` must be referenced by name from ``src/``,
 ``bench/``, ``examples/`` or ``benchmarks/`` — as an identifier, an
-attribute, an imported name or a string constant (``__all__`` entries,
-dispatch keys). A name only the tests call is API that nothing in the
-system uses; delete it and move its tests to the call underneath, or
-wire it in. The sweep is name-based, so it is a lower bound: a name
-that is also used for something else elsewhere counts as reached.
+attribute, an imported name or a string constant (dispatch keys). A
+name only the tests call is API that nothing in the system uses; delete
+it and move its tests to the call underneath, or wire it in.
+
+Exporting is not using: an ``__all__`` entry and an import in a package
+``__init__.py`` (a re-export) do not count as references. The sweep is
+name-based, so it is a lower bound: a name that is also used for
+something else elsewhere counts as reached.
 """
 
 import ast
@@ -34,11 +37,28 @@ ALLOWED = {
 }
 
 
+def _exports(tree, is_package: bool):
+    """Nodes that only re-export: ``__all__`` and a package's imports."""
+    for node in ast.walk(tree):
+        if is_package and isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from node.names
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in targets):
+                yield from ast.walk(node.value)
+
+
 def _references():
     names = Counter()
     for base in REACHING:
         for path in sorted((ROOT / base).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            exports = {id(node) for node in
+                       _exports(tree, path.name == "__init__.py")}
+            for node in ast.walk(tree):
+                if id(node) in exports:
+                    continue
                 if isinstance(node, ast.Name):
                     names[node.id] += 1
                 elif isinstance(node, ast.Attribute):
