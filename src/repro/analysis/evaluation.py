@@ -8,7 +8,7 @@ mispredictions to investigate through the accountability pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 

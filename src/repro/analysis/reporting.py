@@ -6,7 +6,7 @@ benches emit the same rows/series the paper reports.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 __all__ = [
     "render_epoch_series",

@@ -815,8 +815,8 @@ def _cmd_serve_cluster(args) -> int:
     import tempfile
     import time as _time
 
-    from repro.errors import (CalTrainError, DeadlineExceeded,
-                              NoHealthyReplica, QueryRejected)
+    from repro.errors import (DeadlineExceeded, NoHealthyReplica,
+                              QueryRejected)
     from repro.resilience.faults import ServingFaultPlan
     from repro.serving import (ClusterConfig, EngineConfig, LinkageStore,
                                ServingCluster, ShardedAnnIndex)

@@ -48,7 +48,7 @@ from repro.federation.provisioning import provision_key
 from repro.federation.server import DecryptionSummary, TrainingServer
 from repro.nn.config import network_to_config
 from repro.nn.network import Network
-from repro.nn.zoo import cifar10_10layer, cifar10_18layer, face_recognition_net
+from repro.nn.zoo import cifar10_10layer, cifar10_18layer
 from repro.observability.adapter import SubsystemTelemetry
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import Tracer

@@ -5,10 +5,19 @@ ephemeral key pair; the shared secret feeds HKDF in the TLS-like handshake
 (:mod:`repro.crypto.tls`). Public values are validated to reject the
 degenerate subgroup elements (0, 1, p-1) that would let an active attacker
 force a predictable secret.
+
+Key generation computes ``g^x`` with the fixed generator, so it reads a
+precomputed table of ``g^(2^(4j))`` (BGMW: Brickell, Gordon, McCurley and
+Wilson, "Fast exponentiation with precomputation", EUROCRYPT 1992) instead
+of calling ``pow``: about 75 modular multiplications in place of about 300.
+The table is public, built once per group per process, and gives the same
+values as ``pow``. Neither path is constant-time; CPython's ``pow`` is not
+either.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.errors import HandshakeError
@@ -47,6 +56,50 @@ class DhParams:
 
 MODP_2048 = DhParams(p=_MODP_2048_PRIME, g=2)
 
+# Digit width of the fixed-base table and the exponent width it covers: 64
+# entries of 4 bits cover the 256-bit private exponents below. w = 4 needs
+# the fewest multiplications per key at this width (about 75, against about
+# 81 for w = 3 or w = 5); the table is 64 group elements, 18 KB for MODP_2048.
+_WINDOW = 4
+_TABLE_BITS = 256
+
+
+@functools.lru_cache(maxsize=4)
+def _fixed_base_table(params: DhParams) -> tuple:
+    """``g^(2^(_WINDOW·j)) mod p`` for every window ``j`` of a
+    ``_TABLE_BITS``-bit exponent; one exponentiation's worth of squarings."""
+    table = [params.g % params.p]
+    for _ in range(_TABLE_BITS // _WINDOW - 1):
+        table.append(pow(table[-1], 1 << _WINDOW, params.p))
+    return tuple(table)
+
+
+def _fixed_base_pow(params: DhParams, exponent: int) -> int:
+    """``pow(params.g, exponent, params.p)`` from the fixed-base table.
+
+    With base-2^w digits ``d_j`` of the exponent, ``g^x`` is the product
+    over ``d`` of ``(prod of table[j] with d_j >= d)``: one multiplication
+    per nonzero digit plus one per digit value. An exponent the table does
+    not cover (negative, or wider than ``_TABLE_BITS``) goes to ``pow``.
+    """
+    if exponent < 0 or exponent.bit_length() > _TABLE_BITS:
+        return pow(params.g, exponent, params.p)
+    table = _fixed_base_table(params)
+    p = params.p
+    mask = (1 << _WINDOW) - 1
+    by_digit = [[] for _ in range(mask + 1)]
+    j = 0
+    while exponent:
+        by_digit[exponent & mask].append(table[j])
+        exponent >>= _WINDOW
+        j += 1
+    result = running = 1
+    for digit in range(mask, 0, -1):
+        for power in by_digit[digit]:
+            running = running * power % p
+        result = result * running % p
+    return result
+
 
 class DhKeyPair:
     """An ephemeral DH key pair over a given group."""
@@ -56,7 +109,7 @@ class DhKeyPair:
         # 256-bit exponents give ~128-bit security in this group and keep
         # modular exponentiation fast.
         self._private = int.from_bytes(rng.randbytes(32), "big") | 1
-        self.public = pow(params.g, self._private, params.p)
+        self.public = _fixed_base_pow(params, self._private)
 
     @classmethod
     def from_private(cls, private: int,
@@ -67,7 +120,7 @@ class DhKeyPair:
         pair = cls.__new__(cls)
         pair.params = params
         pair._private = private
-        pair.public = pow(params.g, private, params.p)
+        pair.public = _fixed_base_pow(params, private)
         return pair
 
     def private_bytes(self) -> bytes:

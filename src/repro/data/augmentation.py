@@ -10,7 +10,6 @@ pipeline; the trainer wires its generator to the enclave's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import ndimage

@@ -18,7 +18,7 @@ round, so the aggregation history is tamper-evident.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

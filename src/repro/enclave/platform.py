@@ -16,7 +16,6 @@ cost model is calibrated against the paper's testbed behaviour (Fig. 6):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 

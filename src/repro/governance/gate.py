@@ -37,8 +37,8 @@ from typing import Any, Callable, Dict, Optional
 from repro.crypto.hashing import constant_time_equal, hmac_sha256
 from repro.crypto.hkdf import hkdf
 from repro.enclave.enclave import Enclave
-from repro.errors import (CheckpointError, GovernanceLogError, LedgerError,
-                          PromotionError, StoreError)
+from repro.errors import (GovernanceLogError, LedgerError, PromotionError,
+                          StoreError)
 from repro.governance.log import GovernanceLog
 from repro.utils.logging import get_logger
 from repro.utils.serialization import canonical_digest, canonical_json

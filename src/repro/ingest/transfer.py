@@ -54,7 +54,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.data.encryption import EncryptedRecord
 from repro.errors import LedgerError, TransferError

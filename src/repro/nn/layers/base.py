@@ -9,7 +9,7 @@ support the partitioning machinery and the enclave cost model.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

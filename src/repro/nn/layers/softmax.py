@@ -63,23 +63,21 @@ class CostLayer(Layer):
 
     @staticmethod
     def loss_and_delta(probs: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray]:
-        """Mean cross-entropy and d(loss)/d(logits) for integer labels."""
-        n = probs.shape[0]
-        if labels.shape[0] != n:
-            raise ShapeError("labels batch size does not match probabilities")
-        eps = 1e-12
-        loss = -np.log(probs[np.arange(n), labels] + eps).mean()
-        delta = probs.copy()
-        delta[np.arange(n), labels] -= 1.0
-        return float(loss), delta / n
+        """Mean cross-entropy and d(loss)/d(logits) for integer labels, on
+        the default kernels (:meth:`batch_loss` uses this layer's)."""
+        _check_batch(probs, labels)
+        return Layer.backend.softmax_cost(probs, labels)
 
     def batch_loss(self, probs: np.ndarray,
                    labels: np.ndarray) -> Tuple[float, np.ndarray]:
         """Backend-routed :meth:`loss_and_delta` (training hot path)."""
-        n = probs.shape[0]
-        if labels.shape[0] != n:
-            raise ShapeError("labels batch size does not match probabilities")
+        _check_batch(probs, labels)
         return self.backend.softmax_cost(probs, labels)
 
     def describe(self) -> str:
         return "cost"
+
+
+def _check_batch(probs: np.ndarray, labels: np.ndarray) -> None:
+    if labels.shape[0] != probs.shape[0]:
+        raise ShapeError("labels batch size does not match probabilities")

@@ -12,7 +12,7 @@ cannot have been trained inside the enclave to begin with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 

@@ -35,9 +35,8 @@ from repro.errors import (AttestationError, CheckpointError,
                           EpcPressureError, TrainingAborted,
                           TransferIntegrityError)
 from repro.observability.adapter import SubsystemTelemetry
-from repro.resilience.checkpoint import (CheckpointInfo, CheckpointManager,
-                                         TrainingState, capture_state,
-                                         restore_state)
+from repro.resilience.checkpoint import (CheckpointManager, TrainingState,
+                                         capture_state, restore_state)
 from repro.utils.logging import get_logger
 from repro.utils.rng import get_generator_state
 

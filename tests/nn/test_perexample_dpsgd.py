@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.nn.layers.softmax import CostLayer
 from repro.nn.optimizers import PerExampleDpSgd, Sgd
 from repro.nn.zoo import tiny_testnet
+
+from tests.nn.reference_backend import REFERENCE
 
 
 @pytest.fixture
@@ -39,6 +42,31 @@ class TestPerExampleDpSgd:
             for name, arr in la.params().items():
                 np.testing.assert_allclose(arr, lb.params()[name],
                                            rtol=1e-4, atol=1e-6)
+
+    def test_losses_and_weights_bitwise_those_of_the_reference_loss(
+            self, rng, batch, monkeypatch):
+        """``CostLayer.loss_and_delta`` runs the backend's cross-entropy
+        kernel; DP-SGD's losses and weights equal, bit for bit, a run on the
+        reference formula (the cost layer's own body before it delegated)."""
+        x, y = batch
+
+        def run():
+            net = tiny_testnet(rng.child("same").generator)
+            dp = PerExampleDpSgd(0.05, clip_norm=0.5, noise_multiplier=1.0,
+                                 rng=np.random.default_rng(3))
+            losses = [dp.train_batch(net, x, y) for _ in range(3)]
+            return losses, [arr.copy() for layer in net.layers
+                            for arr in layer.params().values()]
+
+        losses, weights = run()
+        monkeypatch.setattr(CostLayer, "loss_and_delta",
+                            staticmethod(REFERENCE.softmax_cost))
+        reference_losses, reference_weights = run()
+        assert losses == reference_losses
+        assert len(weights) == len(reference_weights)
+        for got, want in zip(weights, reference_weights):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_clipping_bounds_per_example_influence(self, rng, batch):
         """A single outlier example cannot move the weights by more than
