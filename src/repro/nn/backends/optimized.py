@@ -9,7 +9,8 @@ computed the same math; these spend it differently:
   Scratch that is never live at once shares a slot: the backward builds
   its column matrix (transposed-conv columns, or the strided ``dcols``) in
   the forward's ``im2col.cols`` slot once the weight gradient has read the
-  forward's columns, and the forward leaky temporary borrows ``act.dz``.
+  forward's columns, and the forward leaky temporary and the lane-padded
+  GEMM products borrow ``act.dz``.
   Layer *outputs* are still freshly allocated (so collected activations
   never alias) but are computed in place — GEMM straight into the output,
   bias and activation fused on top.
@@ -28,6 +29,20 @@ computed the same math; these spend it differently:
 * **Skippable input gradients.** ``train_batch`` does not need
   d(loss)/d(input) of the first layer; the kernels receive
   ``need_input_grad=False`` there and skip the dcols GEMM + fold entirely.
+
+* **Lane-padded narrow GEMMs.** OpenBLAS computes float32 GEMM outputs 16
+  columns at a time and splits a last partial block into 8 + 4 + 2 + 1
+  edge kernels. A conv forward or stride-1 input-gradient GEMM whose
+  output width ends 9-15 columns past a multiple of 16 (15 filters, say),
+  with an inner dimension of at least 8x the padded width and more than one
+  row, multiplies by a zero-padded copy of the weights (pooled ``gemm.w``)
+  into the dead ``act.dz`` slot and copies the real columns out. It stays
+  bitwise: the full-width kernel sums every output over the inner
+  dimension in the same order as the edge kernels (scipy-openblas 0.3.31,
+  Haswell and SkylakeX kernels; ``tests/nn/test_lane_padded_gemm.py``
+  checks the build it runs on). Widths that end 1-7 columns past a block,
+  one-row products (numpy runs those as a GEMV) and float64 sum in another
+  order, so they never pad (``_lane_width``).
 
 Every GEMM is one ``np.matmul`` call over the whole batch, so a result is a
 function of the shapes and the BLAS build (checkpoint resume and
@@ -50,6 +65,24 @@ from repro.nn.layers.activations import _LEAKY_SLOPE
 
 __all__ = ["OptimizedBackend"]
 
+# Output columns one OpenBLAS sgemm (float32) micro-kernel computes at a time.
+_LANES = 16
+
+
+def _lane_width(rows: int, inner: int, width: int) -> int:
+    """The output width a ``(rows x inner) @ (inner x width)`` GEMM runs at.
+
+    ``width`` rounded up to whole lanes when that adds fewer than half a
+    lane of zero columns and ``inner`` is long enough to pay for them
+    (``inner >= 8 * padded``); otherwise ``width`` itself. Padded, a width
+    1-7 columns past a whole block or a one-row product (numpy's GEMV)
+    would sum in another order, so those keep their width.
+    """
+    padded = -(-width // _LANES) * _LANES
+    if rows > 1 and 0 < padded - width < _LANES // 2 and inner >= 8 * padded:
+        return padded
+    return width
+
 
 class OptimizedBackend:
     """Buffer-pooled, fused numpy kernels; stateless, so one instance
@@ -64,6 +97,29 @@ class OptimizedBackend:
             out[...] = a @ b  # mixed-dtype oddball: let numpy promote
             return out
         np.matmul(a, b, out=out)
+        return out
+
+    def _lane_padded_gemm(self, pool: BufferPool, a: np.ndarray,
+                          b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``a @ b`` into ``out``, at the width :func:`_lane_width` picks
+        for float32 (float64 runs other kernels and keeps its width).
+
+        A padded product is computed against ``b`` zero-padded in the
+        ``gemm.w`` slot into the ``act.dz`` slot, so the caller guarantees
+        ``act.dz`` is dead and ``a`` does not live in it.
+        """
+        rows, inner = a.shape
+        width = b.shape[1]
+        padded = _lane_width(rows, inner, width)
+        if padded == width or not (a.dtype == b.dtype == out.dtype
+                                   == np.float32):
+            return self.gemm(a, b, out)
+        b_pad = pool.get("gemm.w", (inner, padded), b.dtype)
+        b_pad[:, width:] = 0
+        np.copyto(b_pad[:, :width], b)
+        product = pool.get("act.dz", (rows, padded), a.dtype)
+        np.matmul(a, b_pad, out=product)
+        np.copyto(out, product[:, :width])
         return out
 
     # -- im2col / col2im -----------------------------------------------------
@@ -207,7 +263,8 @@ class OptimizedBackend:
         w_mat = layer.weights.reshape(-1, layer.filters)
         out = np.empty((n, oh, ow, layer.filters), dtype=dtype)
         out2d = out.reshape(-1, layer.filters)
-        self.gemm(cols, w_mat, out=out2d)
+        # act.dz is dead between a backward and the leaky temporary below.
+        self._lane_padded_gemm(pool, cols, w_mat, out2d)
         self._bias_act_forward(pool, out2d, layer.bias, layer.activation)
         if training:
             layer._cache["cols"] = cols
@@ -274,7 +331,8 @@ class OptimizedBackend:
         windows = sliding_window_view(dzp, (k, k), axis=(1, 2))
         windows = windows.transpose(0, 1, 2, 4, 5, 3)
         np.copyto(dzcols.reshape(n, h, w, k, k, f), windows)
-        self.gemm(dzcols, w_rot, out=dx.reshape(-1, c))
+        # dzcols holds dz now, so dz's act.dz slot is dead.
+        self._lane_padded_gemm(pool, dzcols, w_rot, dx.reshape(-1, c))
         return dx
 
     # -- dense ---------------------------------------------------------------

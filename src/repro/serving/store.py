@@ -85,13 +85,13 @@ class LinkageStore:
         self._manifest = manifest
         self._segments = segments
         self._offsets = [s.offset for s in segments]
-        self._by_label: Dict[int, List[Tuple[int, int]]] = {}
+        self._label_counts: Dict[int, int] = {}
         # Serialises append against concurrent readers: the incremental
         # index refreshes while the serving plane keeps answering, so
         # `_segments`/`_offsets` must never be observed mid-append.
         self._lock = threading.RLock()
-        for seg_pos, segment in enumerate(segments):
-            self._index_segment(seg_pos, segment)
+        for segment in segments:
+            self._index_segment(segment)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -153,9 +153,11 @@ class LinkageStore:
             )
         return _Segment(info, fingerprints, meta, offset)
 
-    def _index_segment(self, seg_pos: int, segment: _Segment) -> None:
-        for row, label in enumerate(segment.labels):
-            self._by_label.setdefault(int(label), []).append((seg_pos, row))
+    def _index_segment(self, segment: _Segment) -> None:
+        labels, counts = np.unique(segment.labels, return_counts=True)
+        for label, count in zip(labels.tolist(), counts.tolist()):
+            self._label_counts[label] = (self._label_counts.get(label, 0)
+                                         + count)
 
     def _write_manifest(self) -> None:
         payload = json.dumps(self._manifest, indent=2, sort_keys=True)
@@ -212,7 +214,7 @@ class LinkageStore:
             segment = self._load_segment(self.path, info, offset)
             self._segments.append(segment)
             self._offsets.append(offset)
-            self._index_segment(len(self._segments) - 1, segment)
+            self._index_segment(segment)
         return info
 
     @classmethod
@@ -294,11 +296,11 @@ class LinkageStore:
 
     def labels(self) -> List[int]:
         with self._lock:
-            return sorted(self._by_label)
+            return sorted(self._label_counts)
 
     def count(self, label: int) -> int:
         with self._lock:
-            return len(self._by_label.get(int(label), []))
+            return self._label_counts.get(int(label), 0)
 
     def by_label(self, label: int) -> Tuple[np.ndarray, List[int]]:
         """(fingerprint matrix, global record indices) for one label.
@@ -306,17 +308,19 @@ class LinkageStore:
         Rows are gathered from the memory-mapped segments in insertion
         order, so a stable ranking over them breaks ties by record index.
         """
+        label = int(label)
         with self._lock:
-            locations = list(self._by_label.get(int(label), []))
+            total = self._label_counts.get(label, 0)
             segments = list(self._segments)
-        if not locations:
+        if not total:
             return np.zeros((0, self.dimension or 0), dtype=np.float32), []
-        matrix = np.empty((len(locations), self.dimension), dtype=np.float32)
+        matrix = np.empty((total, self.dimension), dtype=np.float32)
         indices: List[int] = []
-        for out_row, (seg_pos, row) in enumerate(locations):
-            segment = segments[seg_pos]
-            matrix[out_row] = segment.fingerprints[row]
-            indices.append(segment.offset + row)
+        for segment in segments:
+            rows = np.flatnonzero(segment.labels == label)
+            matrix[len(indices):len(indices) + rows.size] = (
+                segment.fingerprints[rows])
+            indices.extend((rows + segment.offset).tolist())
         return matrix, indices
 
     def fingerprints_at(self, indices: Sequence[int]

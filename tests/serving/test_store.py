@@ -107,6 +107,54 @@ class TestRoundTrip:
         assert store.verify()
 
 
+def _per_row_index(store):
+    """The former label index, as an oracle: one (segment, row) entry per
+    record in commit order, fingerprints gathered row by row."""
+    by_label = {}
+    for pos in range(store.segment_count):
+        matrix, labels, indices, _ = store.segment_slice(pos, pos + 1)
+        for row, label in enumerate(labels.tolist()):
+            by_label.setdefault(label, []).append((matrix[row],
+                                                   int(indices[row])))
+    return by_label
+
+
+class TestLabelIndex:
+    """Per-segment label arrays and per-label counts answer ``labels``,
+    ``count`` and ``by_label`` exactly as the per-row index did."""
+
+    @staticmethod
+    def _assert_matches_oracle(store):
+        oracle = _per_row_index(store)
+        assert store.labels() == sorted(oracle)
+        for label, entries in oracle.items():
+            matrix, indices = store.by_label(label)
+            assert store.count(label) == len(entries)
+            assert indices == [index for _, index in entries]
+            np.testing.assert_array_equal(
+                matrix, np.stack([row for row, _ in entries]))
+        matrix, indices = store.by_label(max(oracle) + 1)
+        assert matrix.shape == (0, store.dimension) and indices == []
+        assert store.count(max(oracle) + 1) == 0
+
+    @pytest.mark.parametrize("sizes", [[600], [250, 250, 100],
+                                       [1, 7, 33, 1, 90]])
+    def test_multi_segment_multi_label(self, store_path, generator, sizes):
+        store = LinkageStore.create(store_path)
+        start = 0
+        for i, size in enumerate(sizes):
+            fingerprints, _ = clustered_corpus(generator, size)
+            # Each segment draws from a different label subset, so some
+            # labels are absent from some segments.
+            labels = generator.integers(i % 3, i % 3 + 4, size=size)
+            store.append(fingerprints, labels.tolist(), ["p0"] * size,
+                         [bytes([j % 256]) * 32
+                          for j in range(start, start + size)])
+            start += size
+            self._assert_matches_oracle(store)
+        self._assert_matches_oracle(LinkageStore.open(store_path))
+
+
 class TestDurability:
     def test_segment_is_durable_before_the_manifest_names_it(
             self, small_store, store_path, monkeypatch):
