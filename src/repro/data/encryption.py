@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "decrypt_record",
     "authenticated_shape",
     "record_aad",
+    "record_json",
 ]
 
 
@@ -60,9 +62,27 @@ class EncryptedDataset:
         return len(self.records)
 
 
+def record_json(source_id: str, index: int, label: int,
+                nonce_hex: Optional[str] = None) -> bytes:
+    """``canonical_json`` of a record's fields: its AEAD associated data,
+    with ``nonce_hex`` its ledger header. Exact ``str`` / ``int`` fields are
+    formatted directly (sorted keys, ``json.dumps``'s escaper); other types
+    (a ``bool``, a numpy int) go through :func:`canonical_json`."""
+    if (type(source_id) is str and type(index) is type(label) is int
+            and (nonce_hex is None or type(nonce_hex) is str)):
+        nonce = ("" if nonce_hex is None
+                 else ',"nonce":' + encode_basestring_ascii(nonce_hex))
+        return ('{"index":%d,"label":%d%s,"source":%s}' % (
+            index, label, nonce, encode_basestring_ascii(source_id))).encode()
+    fields = {"source": source_id, "index": index, "label": label}
+    if nonce_hex is not None:
+        fields["nonce"] = nonce_hex
+    return canonical_json(fields)
+
+
 def record_aad(source_id: str, index: int, label: int) -> bytes:
     """Associated data binding a record to its source, index, and label."""
-    return canonical_json({"source": source_id, "index": index, "label": label})
+    return record_json(source_id, index, label)
 
 
 def iter_encrypted_records(dataset: Dataset, key: SymmetricKey, source_id: str,

@@ -193,13 +193,12 @@ class TrainingServer:
         in-memory submissions, training consumes the committed lane of a
         :class:`~repro.ingest.ledger.ContributionLedger` — records that
         already passed the attestation-gated gateway and the validation
-        pipeline. The ledger's segment digests are re-verified
-        (fail-closed) before anything is staged; quarantined records are
-        never read. Returns the number of records staged.
+        pipeline. The segment digests are re-verified (fail-closed) on
+        the bytes staged, before anything is; quarantined records are
+        never staged. Returns the number of records staged.
         """
-        ledger.verify()
         by_source: Dict[str, List] = {}
-        for record in ledger.iter_records():
+        for record in ledger.verified_records():
             by_source.setdefault(record.source_id, []).append(record)
         staged = 0
         for source_id in sorted(by_source):

@@ -25,8 +25,8 @@ The format mirrors :class:`repro.serving.store.LinkageStore`:
 
 Quarantined records (tampered, relabelled, malformed, duplicated) live in
 their own lane: they are preserved as forensic evidence with the reason
-they were refused, but :meth:`iter_records` — the path training reads —
-never yields them.
+they were refused, but neither :meth:`iter_records` nor
+:meth:`verified_records` — the path training reads — yields them.
 
 Integrity checks are fail-closed: :meth:`verify` re-derives every
 record digest from the payload frames in place and raises
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.data.encryption import EncryptedRecord
+from repro.data.encryption import EncryptedRecord, record_json
 from repro.errors import LedgerError, SealingError
 from repro.utils.fileio import atomic_write_bytes, atomic_write_text
 from repro.utils.serialization import canonical_digest, canonical_json
@@ -72,8 +72,8 @@ _U64 = struct.Struct("<Q")
 
 def record_header(record: EncryptedRecord) -> bytes:
     """A record's canonical header: the ``meta-json`` of its packed frame."""
-    return canonical_json({"source": record.source_id, "index": record.index,
-                           "label": record.label, "nonce": record.nonce.hex()})
+    return record_json(record.source_id, record.index, record.label,
+                       record.nonce.hex())
 
 
 def header_digest(header, sealed) -> bytes:
@@ -155,9 +155,13 @@ def packed_frames(blob: bytes) -> List[Tuple[memoryview, memoryview]]:
 
 def unpack_headed(blob: bytes) -> Tuple[List[EncryptedRecord], List[bytes]]:
     """Inverse of :func:`iter_packed`, plus each frame's ``meta-json``."""
+    return _decode_frames(packed_frames(blob))
+
+
+def _decode_frames(frames) -> Tuple[List[EncryptedRecord], List[bytes]]:
     records: List[EncryptedRecord] = []
     headers: List[bytes] = []
-    for header, sealed in packed_frames(blob):
+    for header, sealed in frames:
         header = bytes(header)
         meta = json.loads(header.decode("utf-8"))
         records.append(EncryptedRecord(
@@ -427,13 +431,24 @@ class ContributionLedger:
             entries = (self._manifest["segments"]
                        + self._manifest["quarantine"])
         for entry in entries:
-            self._verify_segment(entry)
+            self._verified_frames(entry)
         return True
 
-    def _verify_segment(self, entry: dict) -> None:
-        """The sidecar must match the segment digest, and the payload must
-        be exactly the frames whose record digests the sidecar lists, in
-        order: every byte of both files is covered."""
+    def verified_records(self) -> List[EncryptedRecord]:
+        """:meth:`verify`, returning the committed lane's records decoded
+        from the bytes verified: each segment is read once."""
+        with self._lock:
+            committed = list(self._manifest["segments"])
+            quarantine = list(self._manifest["quarantine"])
+        for entry in quarantine:
+            self._verified_frames(entry)
+        return [record for entry in committed for record in
+                _decode_frames(self._verified_frames(entry))[0]]
+
+    def _verified_frames(self, entry: dict) -> list:
+        """A segment's frames, read once. The sidecar must match the segment
+        digest, and the payload must be exactly the frames whose record
+        digests the sidecar lists, in order: every byte is covered."""
         name = entry["name"]
         payload_path = self.path / f"{name}.bin"
         meta_path = self.path / f"{name}.meta.json"
@@ -454,6 +469,7 @@ class ContributionLedger:
         for (header, sealed), digest in zip(packed, listed):
             if header_digest(header, sealed).hex() != digest:
                 raise failed
+        return packed
 
     def manifest_digest(self) -> bytes:
         """A content address for the entire ledger state.
@@ -500,8 +516,9 @@ class ContributionLedger:
                 if len(found) == len(wanted):
                     break
                 blob = (self.path / f"{entry['name']}.bin").read_bytes()
-                for record in unpack_records(blob):
-                    pair = (record.source_id, record.index)
+                for head, sealed in packed_frames(blob):
+                    meta = json.loads(bytes(head))
+                    pair = (meta["source"], meta["index"])
                     if pair in wanted and pair not in found:
                         found[pair] = {
                             "lane": lane,
@@ -509,8 +526,8 @@ class ContributionLedger:
                             "segment_digest": entry["digest"],
                             "contributor": entry["contributor"],
                             "reason": entry.get("reason", ""),
-                            "record_digest": record_digest(record).hex(),
-                            "label": record.label,
+                            "record_digest": header_digest(head, sealed).hex(),
+                            "label": meta["label"],
                         }
         for source_id, index in pairs:
             if (source_id, index) not in found:

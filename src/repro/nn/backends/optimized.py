@@ -41,8 +41,8 @@ computed the same math; these spend it differently:
   dimension in the same order as the edge kernels (scipy-openblas 0.3.31,
   Haswell and SkylakeX kernels; ``tests/nn/test_lane_padded_gemm.py``
   checks the build it runs on). Widths that end 1-7 columns past a block,
-  one-row products (numpy runs those as a GEMV) and float64 sum in another
-  order, so they never pad (``_lane_width``).
+  one-row products (numpy runs those as a GEMV), products of at most 100³
+  multiply-adds and float64 sum in another order, so they never pad.
 
 Every GEMM is one ``np.matmul`` call over the whole batch, so a result is a
 function of the shapes and the BLAS build (checkpoint resume and
@@ -75,11 +75,13 @@ def _lane_width(rows: int, inner: int, width: int) -> int:
     ``width`` rounded up to whole lanes when that adds fewer than half a
     lane of zero columns and ``inner`` is long enough to pay for them
     (``inner >= 8 * padded``); otherwise ``width`` itself. Padded, a width
-    1-7 columns past a whole block or a one-row product (numpy's GEMV)
-    would sum in another order, so those keep their width.
+    1-7 columns past a whole block, a one-row product (numpy's GEMV) or one
+    of at most 100³ multiply-adds (OpenBLAS's small-matrix kernels, which
+    padding can leave) would sum in another order, so those keep their width.
     """
     padded = -(-width // _LANES) * _LANES
-    if rows > 1 and 0 < padded - width < _LANES // 2 and inner >= 8 * padded:
+    if (rows > 1 and rows * inner * width > 100 ** 3
+            and 0 < padded - width < _LANES // 2 and inner >= 8 * padded):
         return padded
     return width
 

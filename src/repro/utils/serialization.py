@@ -30,6 +30,9 @@ _MAGIC = b"RPR1"
 # What ``ndarray.dtype.str`` looks like; nothing else reaches ``np.dtype``,
 # whose full grammar is more than a parser of untrusted bytes should accept.
 _DTYPE_STR = re.compile(rb"[<>|=][A-Za-z][0-9]*(\[[A-Za-z0-9]+\])?")
+# ``json.dumps`` with these arguments builds this encoder on every call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              allow_nan=False)
 
 
 def array_to_bytes(array: np.ndarray) -> bytes:
@@ -91,8 +94,7 @@ def canonical_json(value: Any) -> bytes:
     letting them through would make a digest that other JSON stacks
     cannot reproduce.
     """
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False).encode("utf-8")
+    return _CANONICAL.encode(value).encode("utf-8")
 
 
 def canonical_digest(*parts: Any) -> bytes:

@@ -1,6 +1,7 @@
 """Training server tests: in-enclave authentication + decryption."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +225,36 @@ class TestFromLedger:
                           reason="tampered")
         assert server.from_ledger(ledger) == 10
         assert server.decrypt_submissions().rejected_tampered == 0
+
+    def test_stages_the_bytes_it_verified(self, server, rng,
+                                          attestation_service, tmp_path,
+                                          monkeypatch):
+        """A segment that reads honestly once and then with its last frame
+        dropped: what is staged is what was verified, or nothing."""
+        from repro.ingest.ledger import iter_packed, unpack_records
+
+        ledger = self._build_ledger(server, rng, attestation_service, tmp_path)
+        target = tmp_path / "ledger" / "segment-000000.bin"
+        real_read, reads = Path.read_bytes, []
+
+        def read_bytes(path):
+            blob = real_read(path)
+            if path == target:
+                reads.append(path)
+                if len(reads) > 1:
+                    blob = b"".join(iter_packed(unpack_records(blob)[:-1]))
+            return blob
+
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        try:
+            staged = server.from_ledger(ledger)
+        except LedgerError:
+            assert server._submissions == []
+        else:
+            assert staged == 10
+            assert server.decrypt_submissions().accepted_by_source == {
+                "p0": 5, "p1": 5}
+        assert reads
 
     def test_tampered_ledger_fails_closed(self, server, rng,
                                           attestation_service, tmp_path):

@@ -267,19 +267,19 @@ class TestOneLedgerWalk:
         yield engine
         engine.stop()
 
-    def _count_unpacks(self, monkeypatch):
+    def _count_segment_walks(self, monkeypatch):
         from repro.ingest import ledger as ledger_module
 
-        real, calls = ledger_module.unpack_records, []
+        real, calls = ledger_module.packed_frames, []
         monkeypatch.setattr(
-            ledger_module, "unpack_records",
+            ledger_module, "packed_frames",
             lambda blob: calls.append(len(blob)) or real(blob))
         return calls
 
     def test_hits_over_three_segments_resolve_in_one_walk(
             self, wide, store, ledger, log, monkeypatch):
         attributor = Attributor(wide, store, ledger, log)
-        calls = self._count_unpacks(monkeypatch)
+        calls = self._count_segment_walks(monkeypatch)
         report = attributor.attribute(np.zeros(DIM, dtype=np.float32),
                                       label=0, k=9)
         assert len(calls) == 3  # one per committed segment, not one per hit
@@ -293,7 +293,7 @@ class TestOneLedgerWalk:
     def test_a_quarantined_hit_among_committed_ones_refuses_the_report(
             self, wide, store, ledger, log, monkeypatch):
         attributor = Attributor(wide, store, ledger, log)
-        calls = self._count_unpacks(monkeypatch)
+        calls = self._count_segment_walks(monkeypatch)
         with pytest.raises(AttributionError, match="quarantine lane"):
             attributor.attribute(np.zeros(DIM, dtype=np.float32),
                                  label=0, k=10)

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.encryption import EncryptedRecord, iter_encrypted_records
+from repro.crypto.aead import ShakeHmacAead
+from repro.data.encryption import (EncryptedRecord, iter_encrypted_records,
+                                   record_aad)
 from repro.errors import LedgerError
 from repro.ingest import ContributionLedger, record_digest, unpack_records
 from repro.ingest.ledger import (header_digest, iter_packed, record_header,
@@ -264,6 +266,19 @@ class TestHeaderIdentity:
             "ab650f80199066f128f5a8a3178ba363"
             "1c38f3768db813562def8a154a376e82")
 
+    def test_aad_known_answer(self):
+        """The associated data every record was sealed under: a drift in
+        its bytes would pass every seal/open round trip while every record
+        sealed earlier fails its tag."""
+        aad = record_aad('c"é源', 2 ** 40, 7)
+        assert aad == (b'{"index":1099511627776,"label":7,'
+                       b'"source":"c\\"\\u00e9\\u6e90"}')
+        sealed = ShakeHmacAead(bytes(range(32))).seal(
+            bytes(range(12)), b"caltrain record payload", aad)
+        assert sealed.hex() == (
+            "28f1342a7a291a9006363eaf20b59a9e2248f5dfd59395"
+            "f2205d76a17966e0cf900400fd0d3d48")
+
 
 class TestRecordIdentity:
     """The record digest is the one pass over a record's bytes; every
@@ -286,6 +301,39 @@ class TestRecordIdentity:
         # Frames of a payload are hashed in place, as views.
         assert header_digest(memoryview(header), memoryview(sealed)) == \
             expected
+
+
+class TestLocateRecords:
+    def _old_locate(self, ledger, pair):
+        """The evidence as the record-decoding walk built it."""
+        for lane, segments in (("committed", ledger.segments),
+                               ("quarantine", ledger.quarantined)):
+            for segment in segments:
+                blob = (ledger.path / f"{segment.name}.bin").read_bytes()
+                for record in unpack_records(blob):
+                    if (record.source_id, record.index) == pair:
+                        return {
+                            "lane": lane, "segment": segment.name,
+                            "segment_digest": segment.digest,
+                            "contributor": segment.contributor,
+                            "reason": segment.reason,
+                            "record_digest": record_digest(record).hex(),
+                            "label": record.label,
+                        }
+
+    def test_hashes_the_stored_frames(self, ledger, monkeypatch):
+        from repro.ingest import ledger as ledger_module
+
+        ledger.append(_POOL[:6], "c0")
+        ledger.quarantine(_POOL[6:9], "c1", reason="tampered")
+        pairs = [(r.source_id, r.index) for r in _POOL[:9]][::-1]
+        expected = [self._old_locate(ledger, pair) for pair in pairs]
+        real, calls = ledger_module.record_header, []
+        monkeypatch.setattr(ledger_module, "record_header",
+                            lambda record: calls.append(record)
+                            or real(record))
+        assert ledger.locate_records(pairs) == expected
+        assert calls == []
 
 
 class TestConcurrency:

@@ -36,6 +36,8 @@ class TestPaddedProduct:
     @example(rows=64, width=10, extra=0, seed=1)
     def test_first_columns_equal_matmul(self, rows, width, extra, seed):
         inner = 8 * _padded(width) + extra
+        # Past OpenBLAS's small-matrix kernels, as every padded shape is.
+        rows = max(rows, 100 ** 3 // (inner * width) + 1)
         assert _lane_width(rows, inner, width) == _padded(width)
         gen = np.random.default_rng(seed)
         a = gen.standard_normal((rows, inner), dtype=np.float32)
@@ -52,6 +54,8 @@ class TestPaddedProduct:
         (1, 135, 15),      # one row is a GEMV
         (25088, 127, 15),  # inner too short to pay for the zeros
         (25088, 27, 15),   # the bench model's first conv
+        (29, 539, 57),     # <= 100**3 multiply-adds: small-matrix kernels
+        (47, 460, 42),
     ])
     def test_shapes_that_keep_their_width(self, rows, inner, width):
         assert _lane_width(rows, inner, width) == width

@@ -1,5 +1,8 @@
 """Tests for canonical serialization and stable hashing."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -80,12 +83,37 @@ class TestArrayHeader:
                 array_from_bytes(bad)
 
 
+#: Any JSON value: nested lists and objects over every scalar kind.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(st.characters(blacklist_categories=())),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+
+
 class TestCanonicalJson:
     def test_key_order_independent(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
 
     def test_no_whitespace(self):
         assert b" " not in canonical_json({"a": [1, 2], "b": "x y"}).replace(b'"x y"', b"")
+
+    @given(_json_values)
+    def test_equals_json_dumps(self, value):
+        assert canonical_json(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":"),
+            allow_nan=False).encode()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_rejected_both_ways(self, bad):
+        for value in (bad, [1, {"a": bad}]):
+            with pytest.raises(ValueError):
+                canonical_json(value)
+            with pytest.raises(ValueError):
+                json.dumps(value, allow_nan=False)
 
 
 class TestStableHash:
