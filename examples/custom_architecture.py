@@ -5,11 +5,9 @@ confidentially:
 
 1. define the architecture in a Darknet-style config (the same text that
    gets measured into the enclave, so participants attest exactly it);
-2. train it through CalTrain with a learning-rate schedule and bottom-up
-   FrontNet freezing;
-3. compress the released model for edge inference (prune + quantize) and
-   check the accountability fingerprints still work on the compressed
-   model.
+2. train it through CalTrain with bottom-up FrontNet freezing;
+3. prune the released model for edge inference and check the
+   accountability fingerprints still work on the pruned model.
 
 Run:  python examples/custom_architecture.py
 """
@@ -24,7 +22,6 @@ from repro.data import synthetic_cifar
 from repro.federation import TrainingParticipant
 from repro.nn.config import network_from_config
 from repro.nn.pruning import prune_by_magnitude, sparsity
-from repro.nn.quantization import quantize_weights
 from repro.serving import LinkageStore
 from repro.utils.rng import RngStream
 
@@ -99,27 +96,22 @@ def main() -> None:
         frozen = "  [frontnet frozen]" if report.frontnet_frozen else ""
         print(f"epoch {report.epoch + 1}: top-1 {report.top1:.2%}{frozen}")
 
-    # Fingerprint before compressing (the linkage store refers to the
+    # Fingerprint before pruning (the linkage store refers to the
     # model that actually trained).
     store = LinkageStore.from_database(
         tempfile.mkdtemp(prefix="custom-arch-store-"), system.fingerprint_stage())
     print(f"\nlinkage store: {len(store)} records")
 
-    # Compress the released model for edge inference.
+    # Prune the released model for edge inference.
     model = system.model
-    dense_bytes = sum(a.nbytes for l in model.layers
-                      for a in l.params().values())
     acc_dense = float(np.mean(model.predict(test.x).argmax(1) == test.y))
     prune_by_magnitude(model, keep_fraction=0.3)
-    quantization = quantize_weights(model, bits=5)
     acc_small = float(np.mean(model.predict(test.x).argmax(1) == test.y))
-    print(f"\ncompression: {dense_bytes} B dense -> "
-          f"{quantization.quantized_bytes} B "
-          f"(sparsity {sparsity(model):.0%}, 5-bit codebooks)")
-    print(f"top-1: dense {acc_dense:.2%} -> compressed {acc_small:.2%}")
+    print(f"\npruning: sparsity {sparsity(model):.0%}")
+    print(f"top-1: dense {acc_dense:.2%} -> pruned {acc_small:.2%}")
 
-    # Accountability still works: query the compressed model's predictions
-    # against the pre-compression fingerprints.
+    # Accountability still works: query the pruned model's predictions
+    # against the pre-pruning fingerprints.
     labels, _, fingerprints = system.fingerprinter.predict_with_fingerprint(
         test.x[:1]
     )

@@ -95,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
         "train-distributed",
         help="multi-enclave data-parallel training with secure aggregation",
     )
-    dist.add_argument("--workers", type=int, default=2,
-                      help="number of enclave workers (ids w0..wN-1)")
+    dist.add_argument("--workers", type=_cohort_size, default=2,
+                      help="number of enclave workers, at least 2 "
+                           "(ids w0..wN-1); one enclave is `repro train`")
     dist.add_argument("--rounds", type=int, default=3,
                       help="data-parallel rounds (one local epoch each)")
     dist.add_argument("--architecture", default="cifar10-10layer",
@@ -462,6 +463,15 @@ def _parse_worker_faults(args):
                     f"bad --{flag} spec {text!r}; expected {expected}"
                 ) from exc
     return FaultPlan(faults) if faults else None
+
+
+def _cohort_size(text: str) -> int:
+    workers = int(text)
+    if workers < 2:
+        raise argparse.ArgumentTypeError(
+            f"{workers} worker(s) is not a cohort; train one enclave with "
+            "`repro train`")
+    return workers
 
 
 def _cmd_train_distributed(args) -> int:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import tempfile
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -337,17 +338,6 @@ class CalTrain:
                                   old=current, new=agreed)
             trainer.partitioned.set_partition(agreed)
 
-    def _rebuild_training_enclave(self) -> Enclave:
-        """Recreate the training enclave after an abort (same MRENCLAVE).
-
-        The architecture config and hyperparameters are measured back in
-        exactly as during setup, so the replacement carries the agreed
-        measurement and re-attestation (plus unsealing) can succeed.
-        """
-        return self.server.build_training_enclave(
-            self.network_config, hyperparameters=self._hyperparameters()
-        )
-
     def _adopt_enclave(self, enclave: Enclave) -> None:
         """Recovery re-onboarding after an enclave rebuild.
 
@@ -375,8 +365,8 @@ class CalTrain:
               retry_policy: Optional[RetryPolicy] = None,
               tracer: Optional[Tracer] = None,
               workers: Optional[int] = None,
-              straggler_factor: float = 2.5,
-              blacklist_after: int = 2,
+              straggler_factor: Optional[float] = None,
+              blacklist_after: Optional[int] = None,
               ) -> List[EpochReport]:
         """Run the full training stage on everything submitted so far.
 
@@ -388,40 +378,47 @@ class CalTrain:
         from its newest valid checkpoint — including the checkpointed
         audit-log history.
 
-        With ``workers=N`` the training stage runs data-parallel across
-        N enclave workers under :mod:`repro.distributed`: the encrypted
-        submissions are sharded, each epoch becomes one round of local
-        training plus secure FrontNet aggregation, and
+        ``workers`` of ``None`` or 1 is the one-enclave run. With
+        ``workers=N`` (N >= 2) the training stage runs data-parallel
+        across N enclave workers under :mod:`repro.distributed`: the
+        encrypted submissions are sharded, each epoch becomes one round of
+        local training plus secure FrontNet aggregation, and
         ``straggler_factor`` / ``blacklist_after`` govern the straggler
-        and blacklist machinery. The distributed path carries its own
-        per-round sealed checkpoints (under ``checkpoint_dir``, or a
-        temporary directory removed when the run ends), so the
-        single-enclave resilience options (``resume``,
-        ``checkpoint_every_batches``, ``retry_policy``) are rejected
-        alongside it.
+        and blacklist machinery. Every other option has the same effect
+        as on one enclave, or is refused with :class:`ConfigurationError`:
+        ``resume``, ``checkpoint_every_batches``, ``retry_policy`` and
+        ``reassess_every_epoch`` under ``workers=N``, and
+        ``straggler_factor`` / ``blacklist_after`` without it. The
+        workers seal their per-round checkpoints under ``checkpoint_dir``,
+        or a temporary directory removed when the run ends.
 
         ``tracer`` (optional) records the run as nested spans — epochs
         over batches over enclave/boundary-crossing/untrusted phases.
         Metrics always land in :attr:`metrics`, tracer or not.
         """
-        if workers is not None:
-            incompatible = {
-                "resume": resume,
-                "checkpoint_every_batches": checkpoint_every_batches is not None,
-                "retry_policy": retry_policy is not None,
-            }
-            offending = sorted(k for k, v in incompatible.items() if v)
-            if offending:
-                raise ConfigurationError(
-                    f"workers={workers} is incompatible with {offending}; "
-                    "distributed training has its own checkpoint/recovery "
-                    "machinery"
-                )
-            if self.config.reassess_every_epoch:
-                raise ConfigurationError(
-                    "reassess_every_epoch is not supported with workers=N "
-                    "(partition votes would diverge across replicas)"
-                )
+        if workers is not None and workers < 1:
+            raise ConfigurationError(f"workers={workers}: training needs an "
+                                     "enclave")
+        distributed = workers is not None and workers != 1
+        membership = {name: value for name, value in
+                      (("straggler_factor", straggler_factor),
+                       ("blacklist_after", blacklist_after))
+                      if value is not None}
+        single_only = {"resume": resume,
+                       "checkpoint_every_batches":
+                           checkpoint_every_batches is not None,
+                       "retry_policy": retry_policy is not None,
+                       "reassess_every_epoch": self.config.reassess_every_epoch}
+        offending = sorted(
+            [name for name, given in single_only.items() if given]
+            if distributed else membership)
+        if offending:
+            raise ConfigurationError(
+                f"workers={workers} is incompatible with {offending}: "
+                + ("a cohort has no cross-process resume, mid-epoch "
+                   "checkpoint, retry policy or partition vote"
+                   if distributed else "one enclave has no cohort to govern")
+            )
         self._begin_run(resume=resume, workers=workers)
         self.decryption_summary = self.server.decrypt_submissions(
             cipher=self.config.cipher
@@ -451,14 +448,9 @@ class CalTrain:
         )
         self.partitioned = self.trainer.partitioned
         self.model = self.partitioned.network
-        if workers is not None:
+        if distributed:
             reports = self._train_distributed(
-                test_x, test_y, workers=workers,
-                straggler_factor=straggler_factor,
-                blacklist_after=blacklist_after,
-                checkpoint_dir=checkpoint_dir,
-                tracer=tracer,
-            )
+                test_x, test_y, workers, membership, checkpoint_dir, tracer)
         else:
             x, y, _, _ = self.server.staged_training_data()
             self.trainer.bind_observability(tracer=tracer,
@@ -546,8 +538,11 @@ class CalTrain:
         resilient = ResilientTrainer(
             self.trainer,
             manager,
-            enclave_factory=self._rebuild_training_enclave,
-            expected_mrenclave=self.expected_measurement,
+            # The agreed config and hyperparameters are measured back in,
+            # so the rebuilt enclave carries the agreed MRENCLAVE.
+            enclave_factory=partial(self.server.build_training_enclave,
+                                    self.network_config,
+                                    hyperparameters=self._hyperparameters()),
             attestation_service=self.attestation_service,
             policy=retry_policy,
             telemetry=SubsystemTelemetry("resilience", registry=self.metrics),
@@ -568,20 +563,23 @@ class CalTrain:
                          audit_head=self.audit_log.head.hex())
         return reports
 
-    def _train_distributed(self, test_x, test_y, *, workers: int,
-                           straggler_factor: float, blacklist_after: int,
+    def _train_distributed(self, test_x, test_y, workers: int,
+                           membership: Dict[str, float],
                            checkpoint_dir: Optional[str],
                            tracer: Optional[Tracer]) -> List[EpochReport]:
-        """Data-parallel training across ``workers`` enclave workers.
+        """Data-parallel training across ``workers`` enclave workers;
+        ``membership`` holds the straggler and blacklist settings given.
 
         The main training enclave has already authenticated and staged the
         full submission set (the fingerprint stage reads from it); the
         coordinator re-shards the *encrypted* submissions across the
         workers, which decrypt only their own shard inside their own
-        enclaves. The converged weights land in the deployment's replica.
+        enclaves. After every round the converged weights land in the
+        deployment's replica, which is evaluated there as on one enclave.
         """
         from repro.distributed import DistributedCoordinator
 
+        reports: List[EpochReport] = []
         with (nullcontext(checkpoint_dir) if checkpoint_dir
               else tempfile.TemporaryDirectory(prefix="caltrain-dist-")
               ) as root:
@@ -600,11 +598,10 @@ class CalTrain:
                 augment=self.config.augment,
                 freeze_schedule=self.trainer.freeze_schedule,
                 config_digest=self.config_digest,
-                straggler_factor=straggler_factor,
-                blacklist_after=blacklist_after,
                 metrics=self.metrics,
                 tracer=tracer,
                 epc_bytes=self.config.epc_bytes,
+                **membership,
             )
             self.distributed_telemetry = self.coordinator.telemetry
             self.coordinator.distribute(list(self.server.submissions))
@@ -614,33 +611,32 @@ class CalTrain:
                 shards={w.worker_id: w.examples
                         for w in self.coordinator.workers},
             )
-            self.round_reports = self.coordinator.run(self.config.epochs)
-        self.model.set_weights(self.coordinator.final_weights())
-        accuracy = (
-            self.trainer.evaluate(test_x, test_y)
-            if test_x is not None and test_y is not None
-            else {"top1": None, "top2": None}
-        )
-        reports: List[EpochReport] = []
-        for report in self.round_reports:
-            last = report is self.round_reports[-1]
-            reports.append(EpochReport(
-                epoch=report.round,
-                mean_loss=report.mean_loss,
-                top1=accuracy["top1"] if last else None,
-                top2=accuracy["top2"] if last else None,
-                partition=self.config.partition,
-                simulated_seconds=report.round_seconds,
-                frontnet_frozen=report.frontnet_frozen,
-            ))
-            self.audit_log.append(
-                "distributed-round",
-                round=report.round,
-                participating=report.participating,
-                stragglers=report.stragglers,
-                faulted=report.faulted,
-                recovered_masks=report.recovered_masks,
-            )
+            for _ in range(self.config.epochs):
+                report = self.coordinator.run(1)[-1]
+                self.model.set_weights(self.coordinator.final_weights())
+                accuracy = (
+                    self.trainer.evaluate(test_x, test_y)
+                    if test_x is not None and test_y is not None
+                    else {"top1": None, "top2": None}
+                )
+                reports.append(EpochReport(
+                    epoch=report.round,
+                    mean_loss=report.mean_loss,
+                    top1=accuracy["top1"],
+                    top2=accuracy["top2"],
+                    partition=self.config.partition,
+                    simulated_seconds=report.round_seconds,
+                    frontnet_frozen=report.frontnet_frozen,
+                ))
+                self.audit_log.append(
+                    "distributed-round",
+                    round=report.round,
+                    participating=report.participating,
+                    stragglers=report.stragglers,
+                    faulted=report.faulted,
+                    recovered_masks=report.recovered_masks,
+                )
+        self.round_reports = self.coordinator.reports
         return reports
 
     def evaluate(self, test_x: np.ndarray, test_y: np.ndarray):

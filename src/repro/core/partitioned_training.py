@@ -220,13 +220,9 @@ class ConfidentialTrainer:
     def train(self, x: np.ndarray, y: np.ndarray, epochs: int,
               test_x: Optional[np.ndarray] = None,
               test_y: Optional[np.ndarray] = None,
-              keep_snapshots: bool = False,
-              start_epoch: int = 0) -> List[EpochReport]:
-        """The full training stage; returns the per-epoch reports.
-
-        ``start_epoch`` resumes a restored trainer at a later epoch.
-        """
-        for epoch in range(start_epoch, epochs):
+              keep_snapshots: bool = False) -> List[EpochReport]:
+        """The full training stage; returns the per-epoch reports."""
+        for epoch in range(epochs):
             self.run_epoch(x, y, epoch, test_x=test_x, test_y=test_y,
                            keep_snapshots=keep_snapshots)
         return self.reports

@@ -125,7 +125,6 @@ class DistributedCoordinator:
         if blacklist_after < 1:
             raise ConfigurationError("blacklist_after must be >= 1")
         self.rng = rng
-        self.provisioner = provisioner
         self.straggler_factor = straggler_factor
         self.blacklist_after = blacklist_after
         self.tracer = tracer
@@ -147,6 +146,7 @@ class DistributedCoordinator:
                 partition=partition,
                 rng=rng.child(f"worker-{i}"),
                 attestation_service=attestation_service,
+                provisioner=provisioner,
                 checkpoint_dir=root / f"w{i}",
                 cipher=cipher,
                 augment=augment,
@@ -202,7 +202,7 @@ class DistributedCoordinator:
         for worker, shard in zip(self.workers, shards):
             with self._span(f"{worker.worker_id}/setup", "enclave"):
                 worker.adopt_shard(shard)
-                summary = worker.stage(self.provisioner)
+                summary = worker.stage()
                 if summary.accepted == 0:
                     raise RoundAborted(
                         f"worker {worker.worker_id}: no shard records "
@@ -221,8 +221,10 @@ class DistributedCoordinator:
     # -- the round loop ----------------------------------------------------------
 
     def run(self, rounds: int) -> List[RoundReport]:
-        """Drive ``rounds`` data-parallel rounds; returns their reports."""
-        for round_index in range(rounds):
+        """Drive ``rounds`` more data-parallel rounds; returns the reports
+        of every round run so far."""
+        start = len(self.reports)
+        for round_index in range(start, start + rounds):
             with self._span(f"round-{round_index}", "internal"):
                 self.reports.append(self._run_round(round_index))
         return self.reports
@@ -398,8 +400,7 @@ class DistributedCoordinator:
         for wid in faulted:
             worker = self._by_id[wid]
             with self._span(f"{wid}/recover", "enclave"):
-                replay_round = worker.recover(self.provisioner,
-                                              self.aggregator)
+                replay_round = worker.recover(self.aggregator)
                 worker.run_round(replay_round)
             recovered.append(wid)
             self.telemetry.count("worker_recoveries")
@@ -543,7 +544,7 @@ class DistributedCoordinator:
                 EncryptedDataset(source_id=source_id, records=records)
                 for source_id, records in sorted(merged.items())
             ])
-            survivor.stage(self.provisioner)
+            survivor.stage()
         outgoing.adopt_shard([])
         self.telemetry.count("shard_reassignments")
 

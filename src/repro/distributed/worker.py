@@ -9,16 +9,19 @@ encrypted submissions. FrontNet weights live inside the worker's enclave
 and leave it only sealed (checkpoints) or masked (secure aggregation);
 the plaintext shard never exists outside the enclave.
 
-Fault tolerance reuses :mod:`repro.resilience` wholesale: every round
-starts with a sealed checkpoint, and a crashed worker rebuilds its
-enclave (re-attested), re-provisions keys, re-stages its shard, restores
-the round-start checkpoint, and *replays* its local epoch so every RNG
-stream advances exactly as in an uninterrupted run — the recovered
-replica is bitwise-consistent with a never-crashed one.
+Fault tolerance is the single-enclave runtime's: each worker's replica
+runs under its own :class:`~repro.resilience.supervisor.ResilientTrainer`,
+which seals every round-start checkpoint and, after a crash, rebuilds and
+re-attests the enclave, lets the worker re-provision keys and re-stage
+its shard, and restores the round-start checkpoint. The worker then
+*replays* its local epoch so every RNG stream advances exactly as in an
+uninterrupted run — the recovered replica is bitwise-consistent with a
+never-crashed one.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,12 +39,13 @@ from repro.enclave.attestation import AttestationService
 from repro.enclave.enclave import Enclave
 from repro.enclave.memory import EPC_USABLE_BYTES
 from repro.enclave.platform import SgxPlatform
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.federation.secure_agg import SecureAggregationClient
 from repro.federation.server import DecryptionSummary, TrainingServer
 from repro.nn.network import Network
 from repro.observability.tracing import Tracer
-from repro.resilience.checkpoint import CheckpointManager, capture_state, restore_state
+from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.supervisor import ResilientTrainer
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngStream
 
@@ -96,6 +100,7 @@ class EnclaveWorker:
                  partition: int,
                  rng: RngStream,
                  attestation_service: AttestationService,
+                 provisioner: Callable[[Enclave], None],
                  checkpoint_dir,
                  cipher: str = BULK_CIPHER,
                  augment: bool = False,
@@ -111,9 +116,9 @@ class EnclaveWorker:
         self.frontnet_frozen = False
         self.partition = partition
         self._network_factory = network_factory
-        self._network_config = network_config
         self._hyperparameters = dict(hyperparameters)
         self.attestation_service = attestation_service
+        self._provisioner = provisioner
         self.platform = SgxPlatform(
             rng=rng.child("platform"),
             platform_id=f"sgx-{worker_id}",
@@ -122,15 +127,17 @@ class EnclaveWorker:
         self.server = TrainingServer(
             self.platform, attestation_service, rng.child("server")
         )
-        self.enclave: Enclave = self.server.build_training_enclave(
-            network_config, hyperparameters=self._hyperparameters
-        )
-        #: The measurement every replacement enclave must re-attest to.
-        self.expected_mrenclave = self.enclave.mrenclave
+        #: Builds this worker's enclave from the agreed config: the first
+        #: one, and every rebuild after a crash (same MRENCLAVE).
+        self._build_enclave = partial(self.server.build_training_enclave,
+                                      network_config,
+                                      hyperparameters=self._hyperparameters)
+        self.enclave: Enclave = self._build_enclave()
         self.manager = CheckpointManager(checkpoint_dir,
                                          config_digest=config_digest)
         self._shard: List[EncryptedDataset] = []
         self.trainer: Optional[ConfidentialTrainer] = None
+        self.runtime: Optional[ResilientTrainer] = None
         self.x: Optional[np.ndarray] = None
         self.y: Optional[np.ndarray] = None
         self.channel: Optional[SecureChannel] = None
@@ -149,13 +156,13 @@ class EnclaveWorker:
         """Take ownership of a shard of the encrypted submissions."""
         self._shard = list(datasets)
 
-    def stage(self, provisioner: Callable[[Enclave], None]) -> DecryptionSummary:
+    def stage(self) -> DecryptionSummary:
         """Provision keys and decrypt this worker's shard in-enclave.
 
         A shard with no accepted record stages nothing; the caller decides
         what an empty worker means.
         """
-        provisioner(self.enclave)
+        self._provisioner(self.enclave)
         self.server.replace_submissions(self._shard)
         summary = self.server.decrypt_submissions(cipher=self.cipher)
         if summary.accepted:
@@ -167,7 +174,8 @@ class EnclaveWorker:
     def build_trainer(
         self, init_generator_factory: Callable[[], np.random.Generator]
     ) -> None:
-        """Build the model replica and its enclave-backed trainer.
+        """Build the model replica, its enclave-backed trainer, and the
+        resilience runtime that checkpoints and recovers it.
 
         ``init_generator_factory`` must hand every worker an identically
         seeded generator, so all replicas (and the single-enclave
@@ -179,6 +187,18 @@ class EnclaveWorker:
             partition=self.partition, hyperparameters=self._hyperparameters,
             augment=self.augment, freeze_schedule=self.freeze_schedule,
         )
+        self.runtime = ResilientTrainer(
+            self.trainer, self.manager,
+            enclave_factory=self._build_enclave,
+            attestation_service=self.attestation_service,
+            on_enclave_rebuilt=self._adopt_enclave,
+        )
+
+    def _adopt_enclave(self, enclave: Enclave) -> None:
+        """Re-onboard a rebuilt enclave: keys and the shard died with the
+        old one, so provision and stage again."""
+        self.enclave = enclave
+        self.stage()
 
     @property
     def partitioned(self) -> PartitionedNetwork:
@@ -213,8 +233,7 @@ class EnclaveWorker:
 
     def checkpoint(self, round_index: int) -> None:
         """Seal a round-boundary checkpoint of the replica."""
-        state = capture_state(self.trainer, epoch=round_index, batch=0)
-        self.manager.save(state, self.enclave)
+        self.runtime.checkpoint(round_index)
         self.manager.prune(keep_last=2)
 
     def run_round(self, round_index: int) -> Tuple[float, float]:
@@ -341,38 +360,17 @@ class EnclaveWorker:
 
     # -- recovery -----------------------------------------------------------------
 
-    def recover(self, provisioner: Callable[[Enclave], None],
-                aggregator) -> int:
+    def recover(self, aggregator) -> int:
         """Rebuild after a crash; returns the round to replay.
 
-        The full resilience flow: rebuild the enclave from the agreed
-        config (same MRENCLAVE), re-attest it, re-provision every
-        participant key over attested TLS, re-stage the shard, restore
-        the newest sealed round-boundary checkpoint (same platform +
-        same measurement, so the seal opens), rebind the trainer's RNG
-        plumbing, and re-open the attested aggregator channel.
+        The resilience runtime rebuilds and re-attests the enclave,
+        :meth:`_adopt_enclave` re-stages the shard, and the newest sealed
+        round-boundary checkpoint is restored (same platform + same
+        measurement, so the seal opens); the attested aggregator channel
+        is then re-opened.
         """
-        replacement = self.server.build_training_enclave(
-            self._network_config, hyperparameters=self._hyperparameters
-        )
-        self.attestation_service.verify(
-            replacement.quote(b"distributed-recovery"),
-            expected_mrenclave=self.expected_mrenclave,
-        )
-        self.enclave = replacement
-        self.trainer.rebind_enclave(replacement)
-        provisioner(replacement)
-        self.server.decrypt_submissions(cipher=self.cipher)
-        self.x, self.y, _, _ = self.server.staged_training_data()
-        info = self.manager.latest()
-        if info is None:
-            raise CheckpointError(
-                f"worker {self.worker_id}: no valid checkpoint to recover "
-                "from"
-            )
-        state = self.manager.load(info, replacement)
-        restore_state(self.trainer, state)
+        state = self.runtime.recover(rebuild=True)
         self.open_channel(aggregator)
-        _LOG.info("worker %s recovered at round %d from %s",
-                  self.worker_id, state.epoch, info.path.name)
+        _LOG.info("worker %s recovered at round %d", self.worker_id,
+                  state.epoch)
         return state.epoch

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
@@ -35,7 +36,8 @@ from repro.data.encryption import EncryptedRecord
 from repro.errors import (ConfigurationError, IngestError, TransferError,
                           UploadRejected)
 from repro.federation.provisioning import provisioned_key, ProvisioningError
-from repro.ingest.ledger import ContributionLedger, LedgerSegmentInfo
+from repro.ingest.ledger import (ContributionLedger, LedgerSegmentInfo,
+                                 packed_frames)
 from repro.ingest.transfer import ChunkReceipt, UploadTransfer
 from repro.ingest.validate import ValidationPool
 from repro.observability.adapter import SubsystemTelemetry
@@ -175,16 +177,16 @@ class IngestGateway:
         self._lock = threading.Lock()
         self._open: Dict[str, UploadSession] = {}
         self._buckets: Dict[str, TokenBucket] = {}
-        self._committed_records: Dict[str, int] = {}
-        self._committed_bytes: Dict[str, int] = {}
-        for record in ledger.iter_records():
-            self._committed_records[record.source_id] = (
-                self._committed_records.get(record.source_id, 0) + 1
-            )
-            self._committed_bytes[record.source_id] = (
-                self._committed_bytes.get(record.source_id, 0)
-                + len(record.sealed)
-            )
+        # Quotas charge each committed segment to its manifest contributor:
+        # records from the manifest, bytes from the frames' sealed lengths,
+        # with no record decoded.
+        self._committed_records: Counter = Counter()
+        self._committed_bytes: Counter = Counter()
+        for segment in ledger.segments:
+            blob = (ledger.path / f"{segment.name}.bin").read_bytes()
+            self._committed_records[segment.contributor] += segment.records
+            self._committed_bytes[segment.contributor] += sum(
+                len(sealed) for _, sealed in packed_frames(blob))
 
     # -- the attestation gate ------------------------------------------------------
 
@@ -298,8 +300,8 @@ class IngestGateway:
         contributor = session.contributor
         nbytes = sum(len(r.sealed) for r in records)
         with self._lock:
-            committed = self._committed_records.get(contributor, 0)
-            committed_bytes = self._committed_bytes.get(contributor, 0)
+            committed = self._committed_records[contributor]
+            committed_bytes = self._committed_bytes[contributor]
             # Quotas must see what is already spooled but not yet
             # committed — across every open session this contributor
             # holds — or a contributor could spool arbitrarily many
@@ -367,14 +369,9 @@ class IngestGateway:
                     [q.digest for q in refused], [q.header for q in refused],
                 )
             with self._lock:
-                self._committed_records[contributor] = (
-                    self._committed_records.get(contributor, 0)
-                    + len(report.accepted)
-                )
-                self._committed_bytes[contributor] = (
-                    self._committed_bytes.get(contributor, 0)
-                    + sum(len(r.sealed) for r in report.accepted)
-                )
+                self._committed_records[contributor] += len(report.accepted)
+                self._committed_bytes[contributor] += sum(
+                    len(r.sealed) for r in report.accepted)
             session.transfer.discard()
         finally:
             with self._lock:
@@ -423,4 +420,4 @@ class IngestGateway:
 
     def committed_records(self, contributor: str) -> int:
         with self._lock:
-            return self._committed_records.get(contributor, 0)
+            return self._committed_records[contributor]

@@ -1,18 +1,22 @@
 """The concurrent validation pipeline between transfer and ledger.
 
-Every journaled record must pass four gates before it is committed:
+Every journaled record must pass five gates before it is committed:
 
 1. **AEAD authentication, inside the enclave** — the sealed payload's tag
    is verified via the ``ingest_verify_records`` ECALL under the
    contributor's provisioned key; a forged payload, a relabelled record,
    or a spliced index fails its tag and is *quarantined*, never crashing
    the pipeline and never reaching the training ledger;
-2. **label domain** — the cleartext label must lie in the agreed domain;
-3. **tensor shape** — the shape the authenticated tensor header declares
+2. **uploader identity** — an authentic record must name the session's
+   contributor as its source: one sealed under the uploader's own key
+   but naming another contributor would commit under the uploader's
+   segment while every reader of the record charges the named one;
+3. **label domain** — the cleartext label must lie in the agreed domain;
+4. **tensor shape** — the shape the authenticated tensor header declares
    (read inside the enclave; the instance itself is not even decrypted at
    admission) must match the agreed input shape and the payload's size;
    an authentic payload that is not a tensor at all fails here too;
-4. **duplicate detection** — a sealed ciphertext whose content digest was
+5. **duplicate detection** — a sealed ciphertext whose content digest was
    already committed (by this or any other contributor) is quarantined:
    replaying another participant's records is a cheap influence attack
    even without forging a single byte.
@@ -111,7 +115,8 @@ class QuarantinedRecord:
     """One refused record and the gate that refused it."""
 
     record: EncryptedRecord
-    reason: str  # "tampered" | "label-domain" | "shape" | "duplicate"
+    #: "tampered" | "source-mismatch" | "label-domain" | "shape" | "duplicate"
+    reason: str
     digest: bytes  # the record's content digest, as computed at the gate
     header: bytes  # the record's canonical header, as the journal encoded it
 
@@ -168,17 +173,21 @@ class ValidationPool:
         self.telemetry.observe("authenticate", time.perf_counter() - started)
         return verdicts
 
-    def _gate_batch(self, batch: Sequence[EncryptedRecord],
+    def _gate_batch(self, contributor: str,
+                    batch: Sequence[EncryptedRecord],
                     headers: Sequence[bytes], digests: Sequence[bytes],
                     verdicts,
                     ) -> List[Tuple[EncryptedRecord, str, bytes, bytes]]:
-        """Label/shape gates; returns (record, verdict, digest, header)."""
+        """Source/label/shape gates; returns (record, verdict, digest,
+        header)."""
         started = time.perf_counter()
         out = []
         for record, header, digest, (verdict, shape, label) in zip(
                 batch, headers, digests, verdicts):
             if verdict != "ok":
                 verdict = "tampered"
+            elif record.source_id != contributor:
+                verdict = "source-mismatch"
             elif not 0 <= label < self.config.num_classes:
                 verdict = "label-domain"
             elif shape != tuple(self.config.input_shape):
@@ -198,8 +207,8 @@ class ValidationPool:
         bare records are identified once, here); never raises on bad
         data.
 
-        Tampered, relabelled, out-of-domain, misshapen, and duplicated
-        records land in the report's quarantine list (and the audit
+        Tampered, relabelled, misattributed, out-of-domain, misshapen, and
+        duplicated records land in the report's quarantine list (and the audit
         trail), not in an exception: one malicious record must not stall
         the ingestion of everyone else's data.
         """
@@ -218,7 +227,7 @@ class ValidationPool:
                                 thread_name_prefix="ingest-validate") as pool:
             gated = pool.map(
                 lambda batch: self._gate_batch(
-                    *batch, self._verify_batch(contributor, batch[0])
+                    contributor, *batch, self._verify_batch(contributor, batch[0])
                 ),
                 batches,
             )

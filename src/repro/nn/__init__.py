@@ -29,7 +29,6 @@ from repro.nn.network import Network
 from repro.nn.optimizers import Optimizer, PerExampleDpSgd, Sgd
 from repro.nn.privacy import RdpAccountant, dp_sgd_epsilon
 from repro.nn.pruning import apply_masks, prune_by_magnitude, sparsity
-from repro.nn.quantization import quantize_weights
 from repro.nn.zoo import cifar10_10layer, cifar10_18layer, face_recognition_net, tiny_testnet
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "prune_by_magnitude",
     "apply_masks",
     "sparsity",
-    "quantize_weights",
     "gaussian_init",
     "network_from_config",
     "network_to_config",

@@ -106,11 +106,9 @@ class ResilientTrainer:
         trainer: The wrapped epoch loop.
         manager: Where checkpoints are written and recovered from.
         enclave_factory: Rebuilds the training enclave after an
-            enclave-class fault; must reproduce the agreed MRENCLAVE.
-            ``None`` makes enclave faults unrecoverable (aborts once the
-            budget would need a rebuild).
-        expected_mrenclave: The measurement every rebuilt enclave must
-            carry; defaults to the current enclave's measurement.
+            enclave-class fault; must reproduce the current enclave's
+            MRENCLAVE. ``None`` makes enclave faults unrecoverable
+            (aborts once the budget would need a rebuild).
         attestation_service: When given, every rebuilt enclave is
             re-attested (quote verification) before it touches sealed
             state — recovery is held to the same bar as registration.
@@ -130,7 +128,6 @@ class ResilientTrainer:
     def __init__(self, trainer: ConfidentialTrainer,
                  manager: CheckpointManager,
                  enclave_factory: Optional[Callable[[], Enclave]] = None,
-                 expected_mrenclave: Optional[bytes] = None,
                  attestation_service: Optional[AttestationService] = None,
                  policy: Optional[RetryPolicy] = None,
                  telemetry: Optional[SubsystemTelemetry] = None,
@@ -156,7 +153,8 @@ class ResilientTrainer:
             raise ConfigurationError(
                 "ResilientTrainer requires an enclave-backed network"
             )
-        self.expected_mrenclave = expected_mrenclave or enclave.mrenclave
+        #: The measurement every rebuilt enclave must carry.
+        self.expected_mrenclave = enclave.mrenclave
         self._epoch = 0
         self._epoch_start_rng = None
         self._checkpoint_every: Optional[int] = None
@@ -179,8 +177,9 @@ class ResilientTrainer:
         assert enclave is not None
         return enclave
 
-    def _checkpoint(self, epoch: int, batch: int,
-                    carried_losses: Optional[List[float]] = None) -> None:
+    def checkpoint(self, epoch: int, batch: int = 0,
+                   carried_losses: Optional[List[float]] = None) -> None:
+        """Seal the trainer's state at ``(epoch, batch)``."""
         state = capture_state(
             self.trainer, epoch=epoch, batch=batch,
             batch_rng_state=(self._epoch_start_rng if batch > 0 else None),
@@ -204,11 +203,22 @@ class ResilientTrainer:
         if (self._checkpoint_every
                 and done % self._checkpoint_every == 0
                 and done * self.trainer.batch_size < self._n_examples):
-            self._checkpoint(epoch, done, carried_losses=list(losses))
+            self.checkpoint(epoch, done, carried_losses=list(losses))
 
     # -- recovery ----------------------------------------------------------------
 
-    def _rebuild_enclave(self) -> None:
+    def recover(self, rebuild: bool,
+                boundary_only: bool = False) -> TrainingState:
+        """Recover from a fault; returns the restored state.
+
+        With ``rebuild`` the enclave is rebuilt, re-attested and handed to
+        ``on_enclave_rebuilt`` before any sealed state is unsealed. Then
+        the newest usable checkpoint (an epoch-boundary one with
+        ``boundary_only``) is restored, or the run fails closed with
+        :class:`TrainingAborted`.
+        """
+        if not rebuild:
+            return self._restore_latest(boundary_only)
         if self.enclave_factory is None:
             raise TrainingAborted(
                 "enclave-class fault with no enclave factory configured; "
@@ -236,6 +246,7 @@ class ResilientTrainer:
                     mrenclave=replacement.mrenclave.hex())
         if self.on_enclave_rebuilt is not None:
             self.on_enclave_rebuilt(replacement)
+        return self._restore_latest(boundary_only)
 
     def _restore_latest(self, boundary_only: bool = False) -> TrainingState:
         """Restore the newest loadable checkpoint; skip broken ones."""
@@ -294,19 +305,16 @@ class ResilientTrainer:
         start_batch = 0
         carried: List[float] = []
         self._epoch = 0
-        if resume:
-            if self.manager.latest() is not None:
-                state = self._restore_latest()
-                self._epoch = state.epoch
-                start_batch = state.batch
-                carried = list(state.carried_losses)
-                self._audit("training-resumed", epoch=state.epoch,
-                            batch=state.batch)
-            else:
-                self._checkpoint(0, 0)
+        if resume and self.manager.latest() is not None:
+            state = self._restore_latest()
+            self._epoch = state.epoch
+            start_batch = state.batch
+            carried = list(state.carried_losses)
+            self._audit("training-resumed", epoch=state.epoch,
+                        batch=state.batch)
         else:
             # Epoch-0 checkpoint so recovery works from the first fault on.
-            self._checkpoint(0, 0)
+            self.checkpoint(0)
 
         consecutive_faults = 0
         epc_streak = 0
@@ -323,7 +331,7 @@ class ResilientTrainer:
                     batch_callback=self._batch_callback,
                 )
                 self._epoch = epoch + 1
-                self._checkpoint(self._epoch, 0)
+                self.checkpoint(self._epoch)
             except Exception as exc:  # noqa: BLE001 — classified below
                 kind = classify_fault(exc)
                 if kind is None:
@@ -344,13 +352,12 @@ class ResilientTrainer:
                 self._enclave().platform.clock.advance(
                     self.policy.backoff_seconds(consecutive_faults)
                 )
-                if kind in ("enclave", "epc"):
-                    self._rebuild_enclave()
                 degrade = (
                     epc_streak >= self.policy.degrade_after_epc_faults
                     and trainer.batch_size > self.policy.min_batch_size
                 )
-                state = self._restore_latest(boundary_only=degrade)
+                state = self.recover(kind in ("enclave", "epc"),
+                                     boundary_only=degrade)
                 if degrade:
                     new_size = max(self.policy.min_batch_size,
                                    trainer.batch_size // 2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CheckpointError
+from repro.errors import TrainingAborted
 
 from tests.distributed.worlds import (assert_same_weights, losses,
                                       make_coordinator, run_faulted,
@@ -77,8 +77,8 @@ class TestCrashRecovery:
         worker = coordinator.workers[0]
         # Crash before any round ran: nothing was ever sealed.
         worker.enclave.destroy()
-        with pytest.raises(CheckpointError, match="no valid checkpoint"):
-            worker.recover(coordinator.provisioner, coordinator.aggregator)
+        with pytest.raises(TrainingAborted, match="no usable checkpoint"):
+            worker.recover(coordinator.aggregator)
 
 
 def _form_cohort(coordinator, threshold=2):

@@ -182,17 +182,50 @@ class TestQuotas:
             first.send_chunk(records[8:12])
 
     def test_quota_state_rebuilt_from_ledger(self, ledger, validator,
-                                             tmp_path, contributors):
+                                             tmp_path, contributors, gateway):
+        _upload_all(gateway, contributors[1])
         ledger.append(_records(contributors[0]), "c0")
-        gateway = IngestGateway(
-            ledger, validator, spool_dir=tmp_path / "spool",
+        reopened = IngestGateway(
+            ledger, validator, spool_dir=tmp_path / "spool-reopened",
             config=GatewayConfig(chunk_records=4,
                                  max_records_per_contributor=14),
         )
-        assert gateway.committed_records("c0") == 12
-        session = gateway.open_session("c0")
+        assert reopened.committed_records("c0") == 12
+        # The byte quota too: the sealed bytes the live gateway charged.
+        assert reopened._committed_bytes == {
+            "c0": sum(len(r.sealed) for r in _records(contributors[0])),
+            "c1": gateway._committed_bytes["c1"],
+        }
+        session = reopened.open_session("c0")
         with pytest.raises(UploadRejected, match="quota"):
             session.send_chunk(_records(contributors[1])[:4])
+
+
+class TestUploaderIdentity:
+    def test_record_naming_another_contributor_is_quarantined(
+            self, gateway, ledger, validator, tmp_path, contributors):
+        """c0 seals records under its own key naming c1: they authenticate,
+        but must not commit into c0's segment as c1's data, where a
+        reopened gateway would charge c1 for them."""
+        c0 = contributors[0]
+        key = SymmetricKey(c0.key.key_id, c0.key.material)
+        records = list(iter_encrypted_records(c0.dataset, key, "c0"))[:8]
+        records += list(iter_encrypted_records(c0.dataset, key, "c1"))[8:]
+        session = gateway.open_session("c0")
+        for start in range(0, len(records), 4):
+            session.send_chunk(records[start : start + 4])
+        receipt = session.complete()
+        assert (receipt.committed, receipt.quarantined) == (8, 4)
+        assert [(q.reason, q.records) for q in ledger.quarantined] == [
+            ("source-mismatch", 4)]
+        assert validator.telemetry.counter("quarantined_source_mismatch") == 4
+        assert {r.source_id for r in ledger.iter_records()} == {"c0"}
+        reopened = IngestGateway(ledger, validator,
+                                 spool_dir=tmp_path / "spool-reopened")
+        for name in ("c0", "c1"):
+            assert reopened.committed_records(name) == (
+                gateway.committed_records(name))
+        assert reopened.committed_records("c1") == 0
 
 
 class TestRateLimit:

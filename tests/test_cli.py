@@ -92,6 +92,14 @@ class TestServingCommands:
         assert exit_info.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["1", "0"])
+    def test_train_distributed_needs_a_cohort(self, capsys, workers):
+        # One enclave trains through `repro train`, not a one-worker cohort.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train-distributed", "--workers", workers])
+        assert exit_info.value.code == 2
+        assert "repro train" in capsys.readouterr().err
+
     def test_serve_cluster_fault_drill(self, capsys):
         # The CI chaos drill: kill one replica and corrupt one replica's
         # index mid-run; the cluster must keep >= 99% availability with

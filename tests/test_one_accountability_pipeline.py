@@ -13,7 +13,8 @@ selection call or threaded GEMM. Nor a second multi-enclave trainer or
 aggregation path: ``CalTrain.train(workers=N)`` is the one, and its secure
 sum is ``aggregate_with_dropouts``. Nor API that only the tests reached:
 the extra optimizers, learning-rate schedules, early stopping and the
-helpers deleted with them.
+helpers deleted with them, the weight quantizer no figure used, and the
+trainer's ``start_epoch`` knob no caller turned.
 """
 
 import ast
@@ -38,11 +39,13 @@ GONE = {
     "PolySchedule", "CosineSchedule", "he_init", "xavier_init", "save_model",
     "load_model", "softmax_cross_entropy", "ShadowModelAttack", "ManualClock",
     "random_nonce", "render_confusion_matrix", "pack_records",
+    "quantize_weights", "QuantizationResult", "quantized_bytes",
 }
 #: Removed parameter / attribute names, matched only where they name a
 #: parameter, keyword argument, attribute or class field.
 GONE_ARGUMENTS = {"probes", "early_stop_patience", "lr_schedule",
-                  "best_weights", "best_top1", "stale_epochs", "stop_training"}
+                  "best_weights", "best_top1", "stale_epochs", "stop_training",
+                  "start_epoch"}
 
 
 def _modules():
