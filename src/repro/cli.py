@@ -1050,6 +1050,11 @@ def _cmd_ingest(args) -> int:
     print(gateway.telemetry.render())
     print(f"ledger: {len(ledger)} records in {len(ledger.segments)} "
           f"segments (+{ledger.quarantined_records} quarantined)")
+    counters = gateway.telemetry.snapshot()["counters"]
+    written = sum(count for name, count in counters.items()
+                  if name.startswith("parts_written_"))
+    print(f"ledger parts: {counters.get('parts_linked', 0)} linked from the "
+          f"spool, {written} written from the hold")
     sealed = ledger.seal_manifest(enclave)
     print(f"manifest sealed to enclave identity: "
           f"{'valid' if ledger.verify_sealed_manifest(enclave, sealed) else 'INVALID'}")
@@ -1447,9 +1452,14 @@ def _cmd_ingest_status(args) -> int:
     print(f"  quarantine records       {status['quarantine_records']}")
     print(f"  contributors             {', '.join(status['contributors']) or '-'}")
     print(f"  manifest digest          {status['manifest_digest']}")
+    for info in ledger.segments:
+        print(f"  segment {info.name}: {info.records} records from "
+              f"{info.contributor}, "
+              f"{len(ledger.segment_layout(info.name))} part(s)")
     for info in ledger.quarantined:
         print(f"  quarantine {info.name}: {info.records} records from "
-              f"{info.contributor} ({info.reason})")
+              f"{info.contributor} ({info.reason}), "
+              f"{len(ledger.segment_layout(info.name))} part(s)")
     print("segment digests: verified")
     return 0
 

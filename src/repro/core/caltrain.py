@@ -290,14 +290,17 @@ class CalTrain:
         """The semantic identity of the run :meth:`train` would start now.
 
         ``digest(config ⊕ data ⊕ code)``: the deployment's config digest,
-        the ledger manifest digest (or, for in-memory submissions, the
-        sorted record digests), and the library version. Identical inputs
-        always yield the identical key — across processes and hosts.
+        the ledger's data digest (or, for in-memory submissions, the same
+        digest over the submitted records), and the library version. The
+        data digest covers the record set, not the order sessions
+        committed in, so one dataset gives one key however its uploads
+        interleaved. The code input is ``repro.__version__``, a release
+        name: a change that keeps it keeps the key.
         """
         from repro.governance.identity import (compute_run_key,
                                                submissions_digest)
 
-        data_digest = (self.ledger.manifest_digest()
+        data_digest = (self.ledger.data_digest()
                        if self.ledger is not None
                        else submissions_digest(self.server.submissions))
         return compute_run_key(self.config_digest, data_digest)

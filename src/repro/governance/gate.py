@@ -3,7 +3,9 @@
 A model may serve only after its entire lineage verifies end-to-end:
 
 1. **ledger** — every committed and quarantined segment re-hashes to its
-   manifest digest (no contribution was altered after validation);
+   manifest digest (no contribution was altered after validation), and,
+   given the agreed config digest, the ``run_key`` is the one that config
+   and the ledger's data digest give (the run trained on these records);
 2. **checkpoint** — the newest valid checkpoint's data files hash to its
    manifest, and that manifest names the same MRENCLAVE, config digest,
    and ``run_key`` being promoted (the weights really came from this
@@ -39,6 +41,7 @@ from repro.crypto.hkdf import hkdf
 from repro.enclave.enclave import Enclave
 from repro.errors import (GovernanceLogError, LedgerError, PromotionError,
                           StoreError)
+from repro.governance.identity import compute_run_key
 from repro.governance.log import GovernanceLog
 from repro.utils.logging import get_logger
 from repro.utils.serialization import canonical_digest, canonical_json
@@ -218,6 +221,13 @@ class PromotionGate:
                     "training agreement (config digest mismatch)"
                 )
             checkpoint_digest = canonical_digest(manifest).hex()
+
+        if config_digest is not None and run_key != compute_run_key(
+                config_digest, self.ledger.data_digest()):
+            raise PromotionError(
+                "run key is not the one the agreed config and the ledger's "
+                "data give — the run did not train on this ledger's records"
+            )
 
         if self.store is None:
             raise PromotionError(

@@ -29,23 +29,22 @@ def code_version() -> str:
 def submissions_digest(submissions: Iterable) -> bytes:
     """Data digest for the in-memory submission path (no ledger).
 
-    Hashes the sorted per-record content digests, so the identity is
-    order-independent across sources but sensitive to every sealed byte.
-    Ledger-backed runs use the ledger manifest digest instead — it
-    additionally commits to the quarantine lane.
+    :func:`~repro.ingest.ledger.data_identity` over the submitted records'
+    content digests, the same definition as
+    :meth:`~repro.ingest.ledger.ContributionLedger.data_digest` with an
+    empty quarantine lane: order-independent across sources, sensitive to
+    every sealed byte.
     """
-    from repro.ingest.ledger import record_digest
+    from repro.ingest.ledger import data_identity, record_digest
 
-    digests = sorted(
-        record_digest(record).hex()
-        for dataset in submissions for record in dataset.records
-    )
-    return canonical_digest({"submissions": digests})
+    return data_identity(record_digest(record).hex()
+                         for dataset in submissions
+                         for record in dataset.records)
 
 
 def compute_run_key(config_digest: bytes, data_digest: bytes,
                     version: Optional[str] = None) -> str:
-    """``digest(canonical config ⊕ data manifest digest ⊕ code version)``.
+    """``digest(canonical config ⊕ data digest ⊕ code version)``.
 
     Hex-encoded so it can travel through JSON manifests, CLI output, and
     audit events unchanged. Any single differing input — one

@@ -33,8 +33,7 @@ raw submissions.
 from repro.ingest.gateway import (GatewayConfig, IngestGateway, IngestReceipt,
                                   TokenBucket, UploadSession)
 from repro.ingest.ledger import (LEDGER_FORMAT, ContributionLedger,
-                                 LedgerSegmentInfo, record_digest,
-                                 unpack_records)
+                                 LedgerSegmentInfo, record_digest)
 from repro.ingest.transfer import ChunkReceipt, UploadTransfer, chunk_stream
 from repro.ingest.validate import (QuarantinedRecord, ValidationConfig,
                                    ValidationPool, ValidationReport,
@@ -44,7 +43,6 @@ __all__ = [
     "LEDGER_FORMAT",
     "ContributionLedger",
     "LedgerSegmentInfo",
-    "unpack_records",
     "record_digest",
     "ChunkReceipt",
     "UploadTransfer",

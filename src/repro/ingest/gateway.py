@@ -18,9 +18,11 @@ plane, mirrored onto the upload side:
   rates are capped; bursts up to the bucket capacity are absorbed.
 
 A completed session drains its journal through the
-:class:`~repro.ingest.validate.ValidationPool` and commits the survivors
-to the :class:`~repro.ingest.ledger.ContributionLedger` — one segment
-per session — with quarantined records preserved in the forensic lane.
+:class:`~repro.ingest.validate.ValidationPool` and commits every record
+to the :class:`~repro.ingest.ledger.ContributionLedger` by reference —
+its spool chunks become the ledger's parts, its survivors one committed
+segment, its refusals one quarantine segment per reason — and counts
+how each part got there (``parts_linked``, ``parts_written_<reason>``).
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from repro.data.encryption import EncryptedRecord
 from repro.errors import (ConfigurationError, IngestError, TransferError,
                           UploadRejected)
 from repro.federation.provisioning import provisioned_key, ProvisioningError
-from repro.ingest.ledger import (ContributionLedger, LedgerSegmentInfo,
-                                 packed_frames)
+from repro.ingest.ledger import ContributionLedger, LedgerSegmentInfo
 from repro.ingest.transfer import ChunkReceipt, UploadTransfer
 from repro.ingest.validate import ValidationPool
 from repro.observability.adapter import SubsystemTelemetry
@@ -183,10 +184,9 @@ class IngestGateway:
         self._committed_records: Counter = Counter()
         self._committed_bytes: Counter = Counter()
         for segment in ledger.segments:
-            blob = (ledger.path / f"{segment.name}.bin").read_bytes()
             self._committed_records[segment.contributor] += segment.records
             self._committed_bytes[segment.contributor] += sum(
-                len(sealed) for _, sealed in packed_frames(blob))
+                len(sealed) for _, sealed in ledger.segment_frames(segment.name))
 
     # -- the attestation gate ------------------------------------------------------
 
@@ -348,26 +348,28 @@ class IngestGateway:
             records, headers, digests = session.transfer.finalize()
             report = self.validator.validate(contributor, records, headers,
                                              digests)
-            # The dedup gate and the append are atomic under the ledger
-            # lock: concurrent completions racing on the same ciphertext
-            # cannot both commit it. Whatever the lock-side gate refuses
-            # is quarantined and audited like any pipeline refusal.
-            segment, duplicates = self.ledger.commit_deduplicated(
-                report.accepted, contributor, report.accepted_digests,
-                report.accepted_headers,
+            # Every journaled record goes to a lane by its verdict (digests
+            # are unique within a transfer: its nonce barrier). The spool
+            # chunks become the ledger's parts; the dedup gate and the
+            # commit are atomic under the ledger lock, so concurrent
+            # completions racing on the same ciphertext cannot both commit
+            # it. Whatever the lock-side gate refuses is quarantined and
+            # audited like any pipeline refusal.
+            reasons = {q.digest: q.reason for q in report.quarantined}
+            commit = self.ledger.commit_session(
+                contributor, records, digests, headers,
+                [reasons.get(digest, "ok") for digest in digests],
+                chunks=session.transfer.chunks(),
             )
-            if duplicates:
-                self.validator.quarantine_at_commit(report, duplicates)
+            if commit.duplicates:
+                self.validator.quarantine_at_commit(report, commit.duplicates)
+            for outcome, count in sorted(commit.parts.items()):
+                self.telemetry.count(
+                    "parts_linked" if outcome == "linked" else
+                    f"parts_written_{outcome.replace('-', '_')}", count)
             if report.accepted:
                 self.telemetry.count("records_committed",
                                      len(report.accepted))
-            for reason in sorted(report.quarantined_by_reason):
-                refused = [q for q in report.quarantined
-                           if q.reason == reason]
-                self.ledger.quarantine(
-                    [q.record for q in refused], contributor, reason,
-                    [q.digest for q in refused], [q.header for q in refused],
-                )
             with self._lock:
                 self._committed_records[contributor] += len(report.accepted)
                 self._committed_bytes[contributor] += sum(
@@ -383,7 +385,8 @@ class IngestGateway:
             session_id=session.session_id,
             committed=len(report.accepted),
             quarantined=len(report.quarantined),
-            segment=segment,
+            segment=next((s for s in commit.segments
+                          if s.lane == "committed"), None),
             manifest_digest=self.ledger.manifest_digest().hex(),
             audit_head=self.validator.audit.head.hex(),
         )

@@ -45,7 +45,9 @@ line's digest commits to, since a record is frozen and its ``sealed`` /
 hands that hold over without touching the disk. A resumed session fills
 the same hold from the chunks ``resume`` verifies. A spool altered after
 the ack therefore cannot change or block the commit of a live session;
-after a crash, ``resume`` still fails closed on it.
+after a crash, ``resume`` still fails closed on it. The ledger links the
+chunk files (:meth:`UploadTransfer.chunks`) in as its parts, and keeps a
+link only if its bytes read back equal to the hold.
 """
 
 from __future__ import annotations
@@ -250,6 +252,12 @@ class UploadTransfer:
     def acked_bytes(self) -> int:
         """Sealed-payload bytes already journaled (quota accounting)."""
         return sum(e.nbytes for e in self._entries)
+
+    def chunks(self) -> List[Tuple[Path, int]]:
+        """The journaled chunk files and their record counts, in order:
+        the spool the hold was written to, or read from on resume."""
+        return [(self.path / self._chunk_name(e.seq), e.records)
+                for e in self._entries]
 
     def max_nonce(self) -> Optional[bytes]:
         """The highest journaled nonce (resume point for the client's key)."""

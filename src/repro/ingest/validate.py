@@ -266,7 +266,7 @@ class ValidationPool:
 
         The in-pipeline duplicate check is advisory; the authoritative
         gate runs under the ledger lock at commit
-        (:meth:`~repro.ingest.ledger.ContributionLedger.commit_deduplicated`).
+        (:meth:`~repro.ingest.ledger.ContributionLedger.commit_session`).
         When that gate catches a race the pipeline could not see — two
         sessions committing the same ciphertext concurrently — the loser's
         records move from ``report.accepted`` to ``report.quarantined``

@@ -231,7 +231,7 @@ class TestFromLedger:
                                           monkeypatch):
         """A segment that reads honestly once and then with its last frame
         dropped: what is staged is what was verified, or nothing."""
-        from repro.ingest.ledger import iter_packed, unpack_records
+        from repro.ingest.ledger import iter_packed, unpack_headed
 
         ledger = self._build_ledger(server, rng, attestation_service, tmp_path)
         target = tmp_path / "ledger" / "segment-000000.bin"
@@ -242,7 +242,7 @@ class TestFromLedger:
             if path == target:
                 reads.append(path)
                 if len(reads) > 1:
-                    blob = b"".join(iter_packed(unpack_records(blob)[:-1]))
+                    blob = b"".join(iter_packed(unpack_headed(blob)[0][:-1]))
             return blob
 
         monkeypatch.setattr(Path, "read_bytes", read_bytes)

@@ -119,4 +119,4 @@ def gate(enclave, log, ledger, store):
 @pytest.fixture
 def run_key(ledger):
     return compute_run_key(canonical_digest({"agreement": "tests"}),
-                           ledger.manifest_digest())
+                           ledger.data_digest())

@@ -138,7 +138,7 @@ class TestCheckpointBinding:
 
     @pytest.fixture
     def bound(self, world, ledger, store, tmp_path):
-        run_key = compute_run_key(self.CONFIG, ledger.manifest_digest())
+        run_key = compute_run_key(self.CONFIG, ledger.data_digest())
         manager = CheckpointManager(tmp_path / "ckpts",
                                     config_digest=self.CONFIG,
                                     run_key=run_key)
@@ -160,6 +160,24 @@ class TestCheckpointBinding:
         gate, _, _ = bound
         with pytest.raises(PromotionError, match="belongs to run"):
             gate.verify("deadbeef" * 8)
+
+    def test_run_key_must_derive_from_the_ledger_data(self, ledger, store,
+                                                      world, tmp_path):
+        """Given the agreed config digest, the gate re-derives the run key
+        from the ledger's data digest: a key over any other data (here
+        the ordered manifest digest) is refused before anything is
+        signed."""
+        log = GovernanceLog.create(tmp_path / "data-gov")
+        gate = PromotionGate(world.enclave, log, ledger=ledger, store=store)
+        try:
+            gate.verify(compute_run_key(self.CONFIG, ledger.data_digest()),
+                        config_digest=self.CONFIG)
+            with pytest.raises(PromotionError, match="ledger's records"):
+                gate.verify(compute_run_key(self.CONFIG,
+                                            ledger.manifest_digest()),
+                            config_digest=self.CONFIG)
+        finally:
+            log.close()
 
     def test_config_digest_mismatch_refused(self, bound):
         gate, _, run_key = bound

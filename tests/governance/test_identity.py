@@ -81,3 +81,18 @@ class TestSubmissionsDigest:
             sealed=bytes([victim.sealed[0] ^ 0x01]) + victim.sealed[1:],
         )
         assert submissions_digest(datasets) != baseline
+
+    def test_is_the_ledger_data_digest_without_quarantine(self, tmp_path):
+        """One definition: a ledger holding the submitted records, in any
+        segmentation, has the submissions' digest until it quarantines
+        something."""
+        from repro.ingest import ContributionLedger
+
+        datasets = self._datasets()
+        ledger = ContributionLedger.create(tmp_path / "ledger")
+        ledger.append(datasets[1].records, "c1")
+        ledger.append(datasets[0].records[:1], "c0")
+        ledger.append(datasets[0].records[1:], "c0")
+        assert ledger.data_digest() == submissions_digest(datasets)
+        ledger.quarantine(datasets[0].records[:1], "c0", "duplicate")
+        assert ledger.data_digest() != submissions_digest(datasets)

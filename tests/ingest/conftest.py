@@ -17,7 +17,7 @@ from repro.federation.server import TrainingServer
 from repro.ingest import (ContributionLedger, GatewayConfig, IngestGateway,
                           ValidationConfig, ValidationPool)
 from repro.ingest.ledger import (header_digest, iter_packed, record_header,
-                                 unpack_records)
+                                 unpack_headed)
 from repro.ingest.transfer import chunk_digest
 
 SHAPE = (4, 4, 3)
@@ -38,7 +38,7 @@ def rewrite_chunk_headers(spool, seq):
     non-canonical JSON (spaced), and re-point its journal line at the new
     bytes, as a writer with the spool's disk could."""
     chunk = spool / f"chunk-{seq:06d}.bin"
-    records = unpack_records(chunk.read_bytes())
+    records = unpack_headed(chunk.read_bytes())[0]
     headers = [json.dumps(json.loads(record_header(r))).encode()
                for r in records]
     assert headers != [record_header(r) for r in records]

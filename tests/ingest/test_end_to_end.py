@@ -139,3 +139,36 @@ class TestHostileTraffic:
         committed_hostile = {r.nonce for r in ledger.iter_records()
                              if r.source_id == hostile.participant_id}
         assert not hostile_nonces & committed_hostile
+
+
+class TestOneDatasetOneRunKey:
+    def test_commit_order_does_not_change_the_run_key(self, server, tmp_path,
+                                                      contributors):
+        """Two sessions of one dataset open at once, committed in either
+        order, ten times over: the ledger history (its manifest digest)
+        differs with the order, the run key does not — its data input is
+        the ledger's record set."""
+        from repro.core.caltrain import CalTrain, CalTrainConfig
+        from repro.nn.zoo import tiny_testnet
+
+        system = CalTrain(CalTrainConfig(
+            seed=7, network_factory=lambda gen: tiny_testnet(
+                gen, input_shape=SHAPE, num_classes=CLASSES)))
+        keys, histories = set(), set()
+        for rep in range(10):
+            ledger, gateway = _world(server, tmp_path, f"rep-{rep}")
+            sessions = []
+            for contributor in contributors:
+                session = gateway.open_session(contributor.participant_id)
+                for chunk in chunk_stream(iter_encrypted_records(
+                        contributor.dataset, _fresh_key(contributor),
+                        contributor.participant_id), CHUNK):
+                    session.send_chunk(chunk)
+                sessions.append(session)
+            for session in sessions[:: 1 if rep % 2 else -1]:
+                session.complete()
+            system.ledger = ledger
+            keys.add(system.compute_run_key())
+            histories.add(ledger.manifest_digest())
+        assert len(histories) == 2
+        assert len(keys) == 1

@@ -1,7 +1,9 @@
 """Gateway tests: attestation gate, backpressure, quotas, rate limits."""
 
 import dataclasses
+import errno
 import json
+import os
 import shutil
 from concurrent.futures import ThreadPoolExecutor
 
@@ -539,3 +541,232 @@ class TestOneDigestPerRecord:
         assert telemetry.counter("records_accepted") == 7
         assert telemetry.counter("quarantined_duplicate") == 5
         assert validator.verify_audit_chain()
+
+
+def _hostile(contributor):
+    """The contributor's records with one tampered (chunk 0) and one
+    relabelled (chunk 1): one quarantine segment selecting from two
+    parts of three."""
+    records = _records(contributor)
+    records[1] = dataclasses.replace(
+        records[1], sealed=bytes([records[1].sealed[0] ^ 0xFF])
+        + records[1].sealed[1:])
+    records[6] = dataclasses.replace(records[6],
+                                     label=(records[6].label + 1) % 3)
+    return records
+
+
+def _send(gateway, contributor_id, records):
+    session = gateway.open_session(contributor_id)
+    for start in range(0, len(records), 4):
+        session.send_chunk(records[start : start + 4])
+    return session
+
+
+def _twin(gateway, validator, tmp_path, name):
+    ledger = ContributionLedger.create(tmp_path / f"{name}-ledger")
+    return ledger, IngestGateway(
+        ledger, ValidationPool(validator.enclave, validator.config,
+                               ledger=ledger),
+        spool_dir=tmp_path / f"{name}-spool", config=gateway.config)
+
+
+def _lanes(ledger):
+    """Per-lane record digests in commit order, the quarantine segments,
+    and the records training reads."""
+    return ([record_digest(r) for r in ledger.iter_records()],
+            [record_digest(r) for r in ledger.iter_records("quarantine")],
+            [(q.contributor, q.reason, q.records) for q in ledger.quarantined],
+            ledger.verified_records())
+
+
+def _inodes(transfer):
+    return [os.stat(path).st_ino for path, _ in transfer.chunks()]
+
+
+def _part_inodes(ledger, segment):
+    return [os.stat(ledger.path / part).st_ino
+            for part, _ in ledger.segment_layout(segment)]
+
+
+class TestCommitByReference:
+    def test_each_part_is_its_spool_chunk(self, gateway, ledger,
+                                          contributors):
+        """The second write is gone: the parts the session's segments
+        select from are the very inodes of its spool chunks."""
+        session = _send(gateway, "c0", _hostile(contributors[0]))
+        chunks = _inodes(session.transfer)
+        receipt = session.complete()
+        assert _part_inodes(ledger, receipt.segment.name) == chunks
+        [quarantine] = ledger.quarantined
+        assert _part_inodes(ledger, quarantine.name) == chunks[:2]
+        assert gateway.telemetry.counter("parts_linked") == len(chunks) == 3
+        assert ledger.verify()
+
+    def test_cross_device_link_commits_the_same_ledger(
+            self, gateway, ledger, validator, contributors, tmp_path,
+            monkeypatch):
+        """``os.link`` failing as across filesystems: every part is
+        written from the hold, and the lanes, their digests and the
+        manifest digest are the linked run's."""
+        records = _hostile(contributors[0])
+        _send(gateway, "c0", records).complete()
+        twin_ledger, twin = _twin(gateway, validator, tmp_path, "exdev")
+
+        def cross_device(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+        monkeypatch.setattr(os, "link", cross_device)
+        _send(twin, "c0", records).complete()
+        assert _lanes(twin_ledger) == _lanes(ledger)
+        assert twin_ledger.manifest_digest() == ledger.manifest_digest()
+        assert twin.telemetry.counter("parts_written_cross_device") == 3
+        assert twin.telemetry.counter("parts_linked") == 0
+        assert twin_ledger.verify()
+
+    def test_altered_chunk_is_the_one_part_written_from_the_hold(
+            self, gateway, ledger, contributors, tmp_path):
+        records = _records(contributors[0])
+        session = _send(gateway, "c0", records)
+        [spool] = {p.parent for p in (tmp_path / "spool").rglob("*.bin")}
+        flip_chunk_byte(spool, 1)
+        chunks = _inodes(session.transfer)
+        receipt = session.complete()
+        assert gateway.telemetry.counter("parts_written_altered") == 1
+        assert gateway.telemetry.counter("parts_linked") == 2
+        parts = _part_inodes(ledger, receipt.segment.name)
+        assert parts[0::2] == chunks[0::2] and parts[1] != chunks[1]
+        assert list(ledger.iter_records()) == records
+        assert ledger.verify()
+
+
+class TestConcurrentCommitByReference:
+    def test_racing_sessions_link_every_chunk_once(self, ledger, validator,
+                                                   contributors, tmp_path):
+        """Four sessions — each contributor's records twice — complete at
+        once on more threads than cores with a short switch interval:
+        part names never collide, every chunk is linked once, and each
+        record lands in the committed lane once and in the quarantine
+        lane once."""
+        import sys
+
+        gateway = IngestGateway(
+            ledger, validator, spool_dir=tmp_path / "race-spool",
+            config=GatewayConfig(chunk_records=4, max_open_sessions=8))
+        sessions = []
+        for contributor in contributors:
+            records = _records(contributor)
+            for name in ("a", "b"):
+                session = gateway.open_session(contributor.participant_id,
+                                               name)
+                for start in range(0, len(records), 4):
+                    session.send_chunk(records[start : start + 4])
+                sessions.append(session)
+        chunks = {ino for s in sessions for ino in _inodes(s.transfer)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                receipts = [future.result(timeout=60) for future in
+                            [pool.submit(s.complete) for s in sessions]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted((r.committed, r.quarantined) for r in receipts) == \
+            [(0, 12), (0, 12), (12, 0), (12, 0)]
+        names = [part for info in ledger.segments + ledger.quarantined
+                 for part, _ in ledger.segment_layout(info.name)]
+        assert len(set(names)) == len(names) == len(chunks) == 12
+        assert {os.stat(ledger.path / part).st_ino for part in names} == \
+            chunks
+        everyone = sorted(record_digest(r) for c in contributors
+                          for r in _records(c))
+        assert sorted(record_digest(r) for r in ledger.iter_records()) == \
+            everyone
+        assert sorted(record_digest(r) for r in
+                      ledger.iter_records("quarantine")) == everyone
+        assert gateway.telemetry.counter("parts_linked") == 12
+        assert ledger.verify() and validator.verify_audit_chain()
+
+
+class _Crash(Exception):
+    """The process dies here."""
+
+
+def _crash(*args, **kwargs):
+    raise _Crash
+
+
+class TestCommitCrashWindows:
+    def test_crash_after_linking_before_the_manifest(
+            self, gateway, ledger, validator, contributors, tmp_path,
+            monkeypatch):
+        """Parts linked and sidecars written, then the process dies before
+        the manifest names them: the ledger reopens in its previous
+        state, the resumed session commits, and the orphans it left are
+        replaced, never trusted."""
+        records = _hostile(contributors[0])
+        session = _send(gateway, "c0", records)
+        monkeypatch.setattr(ContributionLedger, "_write_manifest", _crash)
+        with pytest.raises(_Crash):
+            session.complete()
+        monkeypatch.undo()
+        left = sorted(p.name for p in ledger.path.iterdir())
+        assert "segment-000000.bin" in left
+        # Other bytes under an orphan's name: the re-commit must not keep
+        # them.
+        orphan = ledger.path / "segment-000000.bin"
+        orphan.unlink()
+        orphan.write_bytes(b"not the chunk")
+
+        reopened = ContributionLedger.open(ledger.path)
+        assert (len(reopened), reopened.quarantined_records,
+                reopened.version) == (0, 0, 0)
+        regateway = IngestGateway(
+            reopened, ValidationPool(validator.enclave, validator.config,
+                                     ledger=reopened),
+            spool_dir=tmp_path / "spool", config=gateway.config)
+        resumed = regateway.resume_session("c0")
+        chunks = _inodes(resumed.transfer)
+        receipt = resumed.complete()
+        assert _part_inodes(reopened, receipt.segment.name) == chunks
+        assert sorted(p.name for p in reopened.path.iterdir()) == left
+        twin_ledger, twin = _twin(gateway, validator, tmp_path, "clean")
+        _send(twin, "c0", records).complete()
+        assert _lanes(reopened) == _lanes(twin_ledger)
+        assert reopened.manifest_digest() == twin_ledger.manifest_digest()
+        assert ContributionLedger.open(ledger.path).verify()
+
+    def test_crash_after_the_manifest_before_the_spool_is_discarded(
+            self, gateway, ledger, validator, contributors, tmp_path,
+            monkeypatch):
+        """The manifest names the session, then the process dies before
+        its spool is discarded. Pinned: the spool stays resumable, and
+        resuming it commits nothing new — every record is refused as a
+        duplicate of its own commit into the quarantine lane, whose parts
+        are the committed parts' inodes, so no sealed frame is stored
+        twice."""
+        records = _records(contributors[0])
+        session = _send(gateway, "c0", records)
+        monkeypatch.setattr(UploadTransfer, "discard", _crash)
+        with pytest.raises(_Crash):
+            session.complete()
+        monkeypatch.undo()
+
+        reopened = ContributionLedger.open(ledger.path)
+        assert list(reopened.iter_records()) == records
+        regateway = IngestGateway(
+            reopened, ValidationPool(validator.enclave, validator.config,
+                                     ledger=reopened),
+            spool_dir=tmp_path / "spool", config=gateway.config)
+        with pytest.raises(UploadRejected, match="resume_session"):
+            regateway.open_session("c0")
+        receipt = regateway.resume_session("c0").complete()
+        assert (receipt.committed, receipt.quarantined) == (0, len(records))
+        assert [(q.reason, q.records) for q in reopened.quarantined] == [
+            ("duplicate", len(records))]
+        assert list(reopened.iter_records()) == records
+        assert list(reopened.iter_records("quarantine")) == records
+        assert _part_inodes(reopened, "quarantine-000000") == \
+            _part_inodes(reopened, "segment-000000")
+        assert not list((tmp_path / "spool").rglob("*.bin"))
+        assert ContributionLedger.open(ledger.path).verify()

@@ -16,10 +16,11 @@ from repro.crypto.aead import ShakeHmacAead
 from repro.data.encryption import (EncryptedRecord, iter_encrypted_records,
                                    record_aad)
 from repro.errors import LedgerError
-from repro.ingest import ContributionLedger, record_digest, unpack_records
+from repro.ingest import ContributionLedger, record_digest
 from repro.ingest.ledger import (header_digest, iter_packed, record_header,
-                                 unpack_headed)
+                                 record_identities, unpack_headed)
 from repro.ingest.transfer import UploadTransfer
+from repro.utils.fileio import atomic_write_bytes
 from repro.utils.serialization import canonical_digest
 
 
@@ -33,7 +34,7 @@ def _records(contributor, n=None):
 class TestPacking:
     def test_roundtrip(self, contributors):
         records = _records(contributors[0], 5)
-        assert unpack_records(b"".join(iter_packed(records))) == records
+        assert unpack_headed(b"".join(iter_packed(records)))[0] == records
 
     def test_canonical(self, contributors):
         records = _records(contributors[0], 5)
@@ -43,7 +44,7 @@ class TestPacking:
     def test_trailing_bytes_rejected(self, contributors):
         blob = b"".join(iter_packed(_records(contributors[0], 2)))
         with pytest.raises(LedgerError):
-            unpack_records(blob + b"x")
+            unpack_headed(blob + b"x")
 
 
 class TestLanes:
@@ -212,6 +213,75 @@ class TestDedupModel:
             ledger.append(_POOL[:3], "c0", [_oracle_digest(_POOL[0])])
 
 
+_spooled_sessions = st.lists(
+    st.tuples(
+        st.sampled_from(["c0", "c1", "c2"]),
+        st.lists(  # the session's spool chunks: (pool pick, verdict) each
+            st.lists(st.tuples(st.integers(0, len(_POOL) - 1),
+                               st.sampled_from(("ok", "ok", "ok", "tampered",
+                                                "shape", "duplicate"))),
+                     min_size=1, max_size=4),
+            min_size=1, max_size=5)),
+    min_size=1, max_size=3,
+)
+
+
+class TestCommitByReference:
+    """A session committed by linking its spool chunks in as parts holds
+    what the same session committed by value holds, and every byte of
+    its parts and sidecars is covered by :meth:`verify`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sessions=_spooled_sessions, data=st.data())
+    def test_linked_parts_hold_what_values_hold(self, sessions, data):
+        with tempfile.TemporaryDirectory() as root:
+            root = Path(root)
+            linked = ContributionLedger.create(root / "linked")
+            held = ContributionLedger.create(root / "held")
+            for number, (contributor, chunks) in enumerate(sessions):
+                records, verdicts, spool = [], [], []
+                for seq, chunk in enumerate(chunks):
+                    chunk_records = [_POOL[i] for i, _ in chunk]
+                    path = root / "spool" / str(number) / f"chunk-{seq}.bin"
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    atomic_write_bytes(path, iter_packed(chunk_records))
+                    spool.append((path, len(chunk)))
+                    records += chunk_records
+                    verdicts += [verdict for _, verdict in chunk]
+                digests, headers = record_identities(records)
+                by_link = linked.commit_session(contributor, records, digests,
+                                                headers, verdicts, spool)
+                by_value = held.commit_session(contributor, records, digests,
+                                               headers, verdicts)
+                assert by_link.duplicates == by_value.duplicates
+                assert by_link.parts == {"linked": len(chunks)}
+                assert set(by_value.parts) == {"no-spool"}
+            for lane in ("committed", "quarantine"):
+                assert [record_digest(r) for r in linked.iter_records(lane)] \
+                    == [record_digest(r) for r in held.iter_records(lane)]
+            assert [(s.contributor, s.reason, s.records)
+                    for s in linked.segments + linked.quarantined] == \
+                [(s.contributor, s.reason, s.records)
+                 for s in held.segments + held.quarantined]
+            assert linked.verified_records() == held.verified_records()
+            assert list(linked.iter_records("quarantine")) == \
+                list(held.iter_records("quarantine"))
+            assert linked.data_digest() == held.data_digest()
+
+            files = sorted(path for path in linked.path.iterdir()
+                           if path.name != "manifest.json")
+            target = data.draw(st.sampled_from(files))
+            original = target.read_bytes()
+            offset = data.draw(st.integers(0, len(original) - 1))
+            flipped = bytearray(original)
+            flipped[offset] ^= 0xFF
+            target.write_bytes(bytes(flipped))
+            with pytest.raises(LedgerError):
+                linked.verify()
+            target.write_bytes(original)
+            assert ContributionLedger.open(linked.path).verify()
+
+
 _hostile_records = st.lists(
     st.builds(
         EncryptedRecord,
@@ -310,7 +380,7 @@ class TestLocateRecords:
                                ("quarantine", ledger.quarantined)):
             for segment in segments:
                 blob = (ledger.path / f"{segment.name}.bin").read_bytes()
-                for record in unpack_records(blob):
+                for record in unpack_headed(blob)[0]:
                     if (record.source_id, record.index) == pair:
                         return {
                             "lane": lane, "segment": segment.name,
@@ -361,12 +431,14 @@ class TestDurability:
     def test_segment_is_durable_before_the_manifest_names_it(
             self, gateway, ledger, contributors, monkeypatch):
         """Crash window: once the manifest names a segment the spool is
-        discarded, so payload and sidecar must already be on disk —
-        fsynced, renamed into place, the rename itself fsynced — before
-        the manifest's own replace, and ``discard()`` comes last."""
+        discarded, so its part and sidecar must already be on disk before
+        the manifest's own replace, and ``discard()`` comes last. The part
+        is the spool chunk's inode, fsynced at the ack, linked in and the
+        link made durable by a directory fsync; the sidecar is fsynced,
+        renamed into place, the rename itself fsynced."""
         events = []
         real_fsync, real_replace = os.fsync, os.replace
-        real_discard = UploadTransfer.discard
+        real_link, real_discard = os.link, UploadTransfer.discard
 
         def fsync(fd):
             events.append(("fsync", os.fstat(fd).st_ino))
@@ -376,26 +448,36 @@ class TestDurability:
             events.append(("replace", Path(dst).name))
             real_replace(src, dst)
 
+        def link(src, dst):
+            events.append(("link", Path(dst).name))
+            real_link(src, dst)
+
         def discard(transfer):
             events.append(("discard",))
             real_discard(transfer)
 
-        session = gateway.open_session("c0")
-        session.send_chunk(_records(contributors[0], 4))
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "link", link)
         monkeypatch.setattr(UploadTransfer, "discard", discard)
+        session = gateway.open_session("c0")
+        session.send_chunk(_records(contributors[0], 4))
         segment = session.complete().segment
         monkeypatch.undo()
 
         directory = os.stat(ledger.path).st_ino
         named = events.index(("replace", "manifest.json"))
-        for name in (f"{segment.name}.bin", f"{segment.name}.meta.json"):
-            inode = os.stat(ledger.path / name).st_ino
-            synced = events.index(("fsync", inode))
-            renamed = events.index(("replace", name))
-            assert synced < renamed < named
-            assert ("fsync", directory) in events[renamed:named]
+        part = f"{segment.name}.bin"
+        acked = events.index(("fsync", os.stat(ledger.path / part).st_ino))
+        linked = events.index(("link", part))
+        assert acked < linked < named
+        assert ("fsync", directory) in events[linked:named]
+        sidecar = f"{segment.name}.meta.json"
+        synced = events.index(
+            ("fsync", os.stat(ledger.path / sidecar).st_ino))
+        renamed = events.index(("replace", sidecar))
+        assert linked < synced < renamed < named
+        assert ("fsync", directory) in events[renamed:named]
         assert ("fsync", directory) in events[named:]
         assert events[-1] == ("discard",)
         assert events.count(("replace", "manifest.json")) == 1

@@ -177,6 +177,8 @@ class TestIngestCommands:
                 "decisions, chain VERIFIED") in out
         assert "staged 44 ledger records" in out
         assert "0 tampered slipped through" in out
+        assert "ledger parts: 6 linked from the spool, 0 written from " \
+            "the hold" in out
 
     def test_ingest_with_fault_injection(self, capsys, tmp_path):
         assert main(self._ingest_args(tmp_path, "--fault")) == 0
@@ -198,7 +200,9 @@ class TestIngestCommands:
         assert "committed records        44" in out
         assert "quarantine records       4" in out
         assert "contributors             c0, c1" in out
-        assert "(tampered)" in out
+        assert "segment segment-000000: 22 records from c0, 3 part(s)" in out
+        assert ("quarantine quarantine-000000: 2 records from c0 "
+                "(tampered), 1 part(s)") in out
         assert "segment digests: verified" in out
 
     def test_ingest_status_fails_closed_on_tamper(self, capsys, tmp_path):
